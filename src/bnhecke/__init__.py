@@ -10,9 +10,10 @@ pair graph) through products and structure constants to the stable
 theory where structure constants become integer-valued polynomials
 in n.
 
-Counting kernels run either as a compiled extension or in pure
-Python; set HECKE_BACKEND=compiled|pure|auto to pick, and HECKE_JOBS
-to size worker pools.
+Structure constants are counted over perfect matchings of [2n].  The
+permutation kernel behind level tables runs either as a compiled
+extension or in pure Python; set HECKE_BACKEND=compiled|pure|auto to
+pick, and HECKE_JOBS to size the worker pool of table builds.
 """
 
 from ._backend import backend_name, clear_caches, resolve_jobs

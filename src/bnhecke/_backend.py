@@ -1,22 +1,28 @@
-"""Kernel selection, level tables, and the parallel tally driver.
+"""Structure-constant tallies, and the permutation kernel and level tables.
 
-The heavy computations all reduce to one primitive: stream the rows of
-a permutation block through type_keys_product and reduce the resulting
-uint64 type keys.  The kernel comes from the compiled extension
-bnhecke._core when it is importable, with bnhecke._kernels_py as the
-pure-Python twin; HECKE_BACKEND=auto|compiled|pure forces the choice
-at import time.
+Every K-basis number comes from product_tally, which counts over
+perfect matchings of [2n]: S_2n/B_n is in bijection with the (2n-1)!!
+matchings through w B_n <-> w(eps), eps the couple matching.  Since
+K_lam(n) is a union of left cosets x B_n and the stable coset type of
+x^{-1} z only depends on x B_n,
 
-A LevelTable materializes all of S_2n (lexicographic uint8 rows),
-classifies every row by stable coset type, and serves the rows of any
-double coset K_mu(n) as a contiguous block.  Tables are cached per
-level, and the per-(lambda, nu, level) tallies that back structure
-constants are memoized so one pass serves every coefficient read.
+    #{x in K_lam(n) : x^{-1} z in K_mu(n)}
+        = |B_n| * #{delta : type(eps, delta) = lam, type(delta, z eps) = mu},
 
-Parallel tallies fork workers over row slices (HECKE_JOBS or an
-explicit jobs count); each worker reduces its slice to a key->count
-dict and the parent sums them, so the result is deterministic for any
-schedule.
+where type is the stable type of the union of two matchings.  The
+matchings and their types against eps are cached per level, and one
+pass per (nu, n) fills the tallies of every lam at once.
+
+The permutation kernel is kept for the LevelTable, which materializes
+all of S_2n (lexicographic uint8 rows), classifies every row by stable
+coset type, and serves the rows of any double coset K_mu(n) as a
+contiguous block; double_coset_sum reads it.  The kernel comes from the
+compiled extension bnhecke._core when it is importable, with
+bnhecke._kernels_py as the pure-Python twin; HECKE_BACKEND=auto|
+compiled|pure forces the choice at import time.  Table builds fork
+workers over row slices (HECKE_JOBS or an explicit jobs count); each
+worker classifies its slice and the parent merges them, so the result
+is deterministic for any schedule.
 """
 
 from __future__ import annotations
@@ -26,10 +32,15 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import UsageError, WeightExceedsLevel
-from .partitions import Partition, weight
-from .permutations import Permutation
-from .cosets import coset_representative, double_coset_size
+from .errors import UsageError, ValidationFailure, WeightExceedsLevel
+from .partitions import Partition, as_partition, enumerate_by_weight, weight
+from .cosets import (
+    coset_representative,
+    double_coset_size,
+    hyperoctahedral_order,
+    matching_type,
+    perfect_matchings,
+)
 
 __all__ = [
     "backend_name",
@@ -43,7 +54,9 @@ __all__ = [
     "clear_caches",
 ]
 
-MAX_TABLE_LEVEL = 5  # S_10 is 3.6M rows; S_12 would be 479M
+# S_10 is 3.6M rows; S_12 would be 479M.  Tallies share the cap, which
+# fixes the levels that fit samples.
+MAX_TABLE_LEVEL = 5
 
 _CHUNK = 1 << 16
 _PARALLEL_THRESHOLD = 1 << 18
@@ -228,7 +241,11 @@ class LevelTable:
         self._starts = np.append(starts, len(sorted_keys))
         for mu_key, size in zip(self._uniq, np.diff(self._starts)):
             mu = key_partition(int(mu_key))
-            assert size == double_coset_size(mu, n), (mu, int(size))
+            if size != double_coset_size(mu, n):
+                raise ValidationFailure(
+                    f"level {n} table holds {int(size)} rows of type {mu}, "
+                    f"not |K_{mu}({n})| = {double_coset_size(mu, n)}"
+                )
 
     def types(self) -> list[Partition]:
         return sorted(
@@ -243,7 +260,8 @@ class LevelTable:
             )
         key = partition_key(mu)
         pos = int(np.searchsorted(self._uniq, np.uint64(key)))
-        assert pos < len(self._uniq) and self._uniq[pos] == key, mu
+        if pos == len(self._uniq) or self._uniq[pos] != key:
+            raise ValidationFailure(f"level {self.n} table has no rows of type {mu}")
         return int(self._starts[pos]), int(self._starts[pos + 1])
 
     def size(self, mu: Partition) -> int:
@@ -258,6 +276,7 @@ class LevelTable:
 
 _TABLES: dict[int, LevelTable] = {}
 _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
+_MATCHINGS: dict[int, list[tuple[tuple[int, ...], Partition]]] = {}
 
 
 def level_table(n: int, jobs: int | None = None) -> LevelTable:
@@ -266,33 +285,87 @@ def level_table(n: int, jobs: int | None = None) -> LevelTable:
     return _TABLES[n]
 
 
+def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
+    """Every matching delta of [2n] with its stable type against eps."""
+    if n not in _MATCHINGS:
+        matchings = perfect_matchings(n)
+        eps = matchings[0]
+        typed = [(delta, matching_type(eps, delta)) for delta in matchings]
+        order = hyperoctahedral_order(n)
+        sizes: dict[Partition, int] = {}
+        for _, lam in typed:
+            sizes[lam] = sizes.get(lam, 0) + order
+        expected = {lam: double_coset_size(lam, n) for lam in enumerate_by_weight(n)}
+        if sizes != expected:
+            raise ValidationFailure(
+                f"matchings of [{2 * n}] by type, times |B_{n}|, give {sizes}, "
+                "not the double coset sizes"
+            )
+        _MATCHINGS[n] = typed
+    return _MATCHINGS[n]
+
+
+def _tally_level(nu: Partition, n: int) -> None:
+    """Fill _TALLIES for (lam, nu, n) and every lam in one pass."""
+    z = coset_representative(nu, n).one_line(2 * n)
+    # z(eps) as a partner map: the couple {i, i ^ 1} goes to {z(i), z(i ^ 1)}
+    z_eps = [0] * (2 * n)
+    for i, image in enumerate(z):
+        z_eps[image - 1] = z[i ^ 1] - 1
+    by_lam: dict[Partition, dict[Partition, int]] = {}
+    for delta, lam in _typed_matchings(n):
+        row = by_lam.setdefault(lam, {})
+        mu = matching_type(delta, z_eps)
+        row[mu] = row.get(mu, 0) + 1
+    order = hyperoctahedral_order(n)
+    for lam, row in by_lam.items():
+        total = sum(row.values()) * order
+        if total != double_coset_size(lam, n):
+            raise ValidationFailure(
+                f"tally of K_{lam}({n}) against K_{nu}({n}) covers {total} "
+                f"elements, not {double_coset_size(lam, n)}"
+            )
+    for lam, row in by_lam.items():
+        _TALLIES[(lam, tuple(nu), n)] = {
+            mu: row[mu] * order for mu in sorted(row, key=partition_key)
+        }
+
+
 def product_tally(
     lam: Partition, nu: Partition, n: int, jobs: int | None = None
 ) -> dict[Partition, int]:
     """Count x in K_lam(n) by the stable coset type of x^{-1} z_nu.
 
     One pass serves every mu at once: the mu entry, divided by |B_n|,
-    is the structure constant b_{lam, mu}^{nu}(n).
+    is the structure constant b_{lam, mu}^{nu}(n).  The count runs over
+    matchings (see the module docstring) and one pass fills the tally
+    of every lam; jobs is accepted for the callers' signature and not
+    used, since the pass is far below the cost of a worker pool.
     """
     memo = (tuple(lam), tuple(nu), n)
     if memo not in _TALLIES:
-        table = level_table(n, jobs)
-        rows = table.rows(lam)
-        m = 2 * n
-        z = np.array(
-            [v - 1 for v in coset_representative(nu, n).one_line(m)],
-            dtype=np.uint8,
-        )
-        zinv = np.empty(m, dtype=np.uint8)
-        zinv[z] = np.arange(m, dtype=np.uint8)
-        counts = compute_counts(rows, z, zinv, resolve_jobs(jobs))
-        assert sum(counts.values()) == len(rows)
-        _TALLIES[memo] = {
-            key_partition(k): c for k, c in sorted(counts.items())
-        }
+        if not 1 <= n <= MAX_TABLE_LEVEL:
+            raise UsageError(
+                f"structure constants are counted for 1 <= n <= {MAX_TABLE_LEVEL}, "
+                f"not n = {n}"
+            )
+        lam = as_partition(lam)
+        if weight(lam) > n:
+            raise WeightExceedsLevel(f"wt{lam} = {weight(lam)} exceeds level {n}")
+        _tally_level(nu, n)
     return _TALLIES[memo]
 
 
 def clear_caches() -> None:
-    _TABLES.clear()
-    _TALLIES.clear()
+    """Empty every memo of the package: tables, tallies, fits, class sums."""
+    from . import group_algebra, universal
+
+    for cache in (
+        _TABLES,
+        _TALLIES,
+        _MATCHINGS,
+        universal._FIT_CACHE,
+        group_algebra._CLASS_TABLES,
+        group_algebra._CLASS_PRODUCTS,
+    ):
+        cache.clear()

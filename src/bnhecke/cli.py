@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from ._backend import backend_name, resolve_jobs
 from .errors import HeckeError, InsufficientDegree, UsageError, ValidationFailure
+from ._symfunc import SymmetricExpression
 from .partitions import as_partition, enumerate_by_weight, weight
 from .permutations import (
     Permutation,
@@ -104,6 +105,13 @@ def _perm_flag(text: str, flag: str) -> Permutation:
         return parse_permutation(text)
     except (ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"{flag}: not a permutation: {text!r} ({exc})")
+
+
+def _expr_flag(text: str, flag: str) -> SymmetricExpression:
+    try:
+        return SymmetricExpression.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: not a symmetric expression: {text!r} ({exc})")
 
 
 def _level_flag(value: int, flag: str, low: int = 1) -> int:
@@ -239,7 +247,7 @@ def parse(argv) -> Command:
             )
     elif ns.verb == "matsumoto":
         args["n"] = _level_flag(ns.n, "--n", low=2)
-        args["expr"] = ns.expr
+        args["expr"] = _expr_flag(ns.expr, "--expr")
     elif ns.verb == "generators":
         args["n"] = _level_flag(ns.n, "--n", low=2)
         degree = ns.max_degree if ns.max_degree is not None else ns.n - 1
@@ -335,8 +343,6 @@ def _run_product(args, jobs):
     n = args["n"]
     u = HeckeElement.basis(args["lhs"], n)
     v = HeckeElement.basis(args["rhs"], n)
-    if n == MAX_CLI_LEVEL:
-        _warn_heavy([n])
     return hecke_product(u, v, jobs).to_json(), 0
 
 
@@ -380,7 +386,6 @@ def _run_fit(args, jobs):
 
 def _run_table(args, jobs):
     n = args["n"]
-    _warn_heavy([n])
     shapes = enumerate_by_weight(n)
     rows = []
     for lam in shapes:

@@ -46,6 +46,8 @@ __all__ = [
     "sigma",
     "phi",
     "gamma_graph",
+    "perfect_matchings",
+    "matching_type",
     "coset_type",
     "stable_coset_type",
     "cycle_count",
@@ -192,6 +194,61 @@ def gamma_graph(w: Permutation, n: int) -> PairGraph:
                 break
         cycles.append(tuple(cycle))
     return PairGraph(n, tuple(cycles))
+
+
+def perfect_matchings(n: int) -> list[tuple[int, ...]]:
+    """The (2n-1)!! perfect matchings of the 0-based points 0..2n-1.
+
+    A matching is its partner map m, with m[m[i]] = i.  The coset w B_n
+    corresponds to the matching w(eps) of the couples eps = {{0,1},
+    {2,3}, ...}, which comes first in the list.
+
+    >>> perfect_matchings(2)
+    [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    """
+    if n < 1:
+        raise ValueError(f"level must be positive, got {n}")
+    out: list[tuple[int, ...]] = []
+    mate = [0] * (2 * n)
+
+    def extend(free: list[int]) -> None:
+        if not free:
+            out.append(tuple(mate))
+            return
+        a = free[0]
+        for k in range(1, len(free)):
+            b = free[k]
+            mate[a], mate[b] = b, a
+            extend(free[1:k] + free[k + 1 :])
+
+    extend(list(range(2 * n)))
+    return out
+
+
+def matching_type(a: tuple[int, ...], b: tuple[int, ...]) -> Partition:
+    """Stable type of the union of two perfect matchings (partner maps).
+
+    a | b is a disjoint union of cycles alternating a- and b-edges; the
+    half-lengths minus 1, zeros dropped, give the stable type.  With a
+    the couples eps and b = w^{-1}(eps) the union is Gamma(w), so this
+    is the stable coset type of w.
+    """
+    seen = bytearray(len(a))
+    parts: list[int] = []
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        half = 0
+        i = start
+        while not seen[i]:
+            j = a[i]
+            seen[i] = seen[j] = 1
+            i = b[j]
+            half += 1
+        if half > 1:
+            parts.append(half - 1)
+    parts.sort(reverse=True)
+    return tuple(parts)
 
 
 def coset_type(w: Permutation, n: int) -> Partition:

@@ -73,7 +73,11 @@ class InsufficientDegree(HeckeError):
 
 
 class ValidationFailure(HeckeError):
-    """A fitted polynomial failed to predict a held-out data point."""
+    """A computed result failed a consistency check.
+
+    Raised when a fitted polynomial misses a held-out data point, and
+    when a count disagrees with its closed form (double coset sizes).
+    """
 
 
 class NonIntegerCoefficient(HeckeError):

@@ -10,9 +10,11 @@ identity and
 
 Structure constants never go through the full convolution: for
 b_{lam mu}^{nu}(n), fix the canonical representative z of K_nu(n) and
-count the x in K_lam(n) with x^{-1} z of stable coset type mu; the
-count is divisible by |B_n| and one counting pass over K_lam(n)
-serves every mu at once.
+count the x in K_lam(n) with x^{-1} z of stable coset type mu.  Both
+types only depend on the coset x B_n, i.e. on the perfect matching
+delta = x(eps) of [2n], so the count is |B_n| times the number of the
+(2n-1)!! matchings with type(eps, delta) = lam and type(delta, z eps)
+= mu.  One pass over the matchings serves every lam and mu at once.
 
 The generators H_i sum the K_mu(n) whose completed type has i parts,
 i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
@@ -256,8 +258,11 @@ def hecke_structure_constant(
     """b_{lam mu}^{nu}(n): coefficient of K_nu(n) in K_lam(n) K_mu(n).
 
     Fixed-representative counting: with z the canonical point of
-    K_nu(n), count the x in K_lam(n) whose x^{-1} z has stable coset
-    type mu, then divide by |B_n|.
+    K_nu(n), b is the number of perfect matchings delta of [2n] whose
+    union with the couples eps has stable type lam and whose union with
+    z(eps) has stable type mu.  That is the number of x in K_lam(n) with
+    x^{-1} z of type mu, divided by |B_n|, which is what the tally
+    returns and what is divided here.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     for p in (lam, mu, nu):

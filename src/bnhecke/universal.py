@@ -69,7 +69,7 @@ __all__ = [
     "MAX_SAMPLE_LEVEL",
 ]
 
-# counting at level 6 would sweep cosets of ~10^9 elements
+# the counting cap of the backend; raising it changes which triples fit
 MAX_SAMPLE_LEVEL = 5
 
 

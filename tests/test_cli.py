@@ -275,6 +275,15 @@ class TestMain:
         error = json.loads(captured.err)
         assert error["error"] == "UsageError"
 
+    @pytest.mark.parametrize("expr", ["1/0", "e1**", "x"])
+    def test_malformed_expression_is_exit_two(self, expr, capsys):
+        assert main(["matsumoto", "--expr", expr, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "UsageError"
+        assert error["message"].startswith("--expr:")
+
     def test_console_script_round_trip(self):
         argv = ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"]
         results = [

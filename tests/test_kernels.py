@@ -23,13 +23,17 @@ from bnhecke._backend import (
     resolve_jobs,
 )
 from bnhecke._kernels_py import type_keys_product as pure_kernel
+from bnhecke import group_algebra, universal
 from bnhecke.cosets import (
     coset_representative,
+    coset_type,
     double_coset_size,
     hyperoctahedral_order,
+    matching_type,
+    perfect_matchings,
     stable_coset_type,
 )
-from bnhecke.errors import UsageError, WeightExceedsLevel
+from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import enumerate_by_weight, weight
 from bnhecke.permutations import Permutation
 
@@ -207,8 +211,33 @@ class TestLevelTable:
     def test_cache_and_clear(self):
         a = level_table(2)
         assert level_table(2) is a
+        product_tally((1,), (1,), 2)
+        universal.fit_triple((1,), (1,), (1,))
+        group_algebra.class_structure_constant((1,), (1,), (), 3)
+        caches = {
+            "_TABLES": backend._TABLES,
+            "_TALLIES": backend._TALLIES,
+            "_MATCHINGS": backend._MATCHINGS,
+            "_FIT_CACHE": universal._FIT_CACHE,
+            "_CLASS_TABLES": group_algebra._CLASS_TABLES,
+            "_CLASS_PRODUCTS": group_algebra._CLASS_PRODUCTS,
+        }
+        assert all(caches.values()), [k for k, v in caches.items() if not v]
         clear_caches()
+        assert not any(caches.values()), [k for k, v in caches.items() if v]
         assert level_table(2) is not a
+
+    def test_size_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
+        with pytest.raises(ValidationFailure):
+            LevelTable(2)
+
+    def test_missing_type_raises(self):
+        table = LevelTable(2)
+        table._uniq = table._uniq[:-1]
+        table._starts = table._starts[:-1]
+        with pytest.raises(ValidationFailure):
+            table.rows((1,))
 
 
 class TestProductTally:
@@ -244,6 +273,76 @@ class TestProductTally:
             mu = stable_coset_type(x.inverse() * z)
             direct[mu] = direct.get(mu, 0) + 1
         assert product_tally((1,), (1,), n) == direct
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_permutation_count(self, n):
+        # the permutation tally over K_lam(n) rows is the oracle
+        table = level_table(n)
+        m = 2 * n
+        for nu in enumerate_by_weight(n):
+            z = _as_row(coset_representative(nu, n), m)
+            zinv = np.empty(m, dtype=np.uint8)
+            zinv[z] = np.arange(m, dtype=np.uint8)
+            for lam in enumerate_by_weight(n):
+                counts = compute_counts(table.rows(lam), z, zinv)
+                oracle = [(key_partition(k), c) for k, c in sorted(counts.items())]
+                assert list(product_tally(lam, nu, n).items()) == oracle, (lam, nu)
+
+    def test_one_pass_fills_every_lam(self):
+        clear_caches()
+        product_tally((), (2,), 3)
+        assert {lam for lam, nu, n in backend._TALLIES} == set(enumerate_by_weight(3))
+
+    def test_level_check_raises(self, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
+        with pytest.raises(ValidationFailure):
+            product_tally((1,), (1,), 3)
+        assert not backend._MATCHINGS and not backend._TALLIES
+
+    def test_tally_check_raises(self, monkeypatch):
+        clear_caches()
+        backend._typed_matchings(3)
+        monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
+        with pytest.raises(ValidationFailure):
+            product_tally((1,), (1,), 3)
+        assert not backend._TALLIES
+
+    def test_level_and_weight_errors(self):
+        with pytest.raises(UsageError):
+            product_tally((), (), backend.MAX_TABLE_LEVEL + 1)
+        with pytest.raises(UsageError):
+            product_tally((), (), 0)
+        with pytest.raises(WeightExceedsLevel):
+            product_tally((2,), (), 2)
+        with pytest.raises(WeightExceedsLevel):
+            product_tally((), (2,), 2)
+
+
+class TestMatchings:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_count_and_shape(self, n):
+        matchings = perfect_matchings(n)
+        assert len(matchings) == math.prod(range(1, 2 * n, 2))
+        assert len(set(matchings)) == len(matchings)
+        assert matchings[0] == tuple(i ^ 1 for i in range(2 * n))
+        for mate in matchings:
+            assert all(mate[mate[i]] == i != mate[i] for i in range(2 * n))
+
+    def test_type_walk_agrees_with_coset_type_on_s6(self):
+        n = 3
+        eps = perfect_matchings(n)[0]
+        for images in itertools.permutations(range(2 * n)):
+            w = _row_perm(images)
+            winv = [0] * (2 * n)
+            for i, j in enumerate(images):
+                winv[j] = i
+            # w^{-1}(eps): the couple {i, i ^ 1} goes to {winv[i], winv[i ^ 1]}
+            pulled = [0] * (2 * n)
+            for i in range(2 * n):
+                pulled[winv[i]] = winv[i ^ 1]
+            stable = tuple(p - 1 for p in coset_type(w, n) if p > 1)
+            assert matching_type(eps, tuple(pulled)) == stable, images
 
 
 class TestParallelPath:
