@@ -10,13 +10,11 @@ pair graph) through products and structure constants to the stable
 theory where structure constants become integer-valued polynomials
 in n.
 
-Structure constants are counted over perfect matchings of [2n].  The
-permutation kernel behind level tables runs either as a compiled
-extension or in pure Python; set HECKE_BACKEND=compiled|pure|auto to
-pick, and HECKE_JOBS to size the worker pool of table builds.
+Structure constants are counted over perfect matchings of [2n], in
+pure Python with no build step and no worker processes.
 """
 
-from ._backend import backend_name, clear_caches, resolve_jobs
+from ._backend import backend_name, clear_caches
 from .errors import (
     DegreeMismatch,
     HeckeError,
@@ -124,7 +122,6 @@ from .universal import (
     graded_iso_check,
     ivp_fit,
     t_generator,
-    top_a,
     universal_product,
     universal_structure_constant,
 )

@@ -13,25 +13,20 @@ where type is the stable type of the union of two matchings.  The
 matchings and their types against eps are cached per level, and one
 pass per (nu, n) fills the tallies of every lam at once.
 
-The permutation kernel is kept for the LevelTable, which materializes
-all of S_2n (lexicographic uint8 rows), classifies every row by stable
-coset type, and serves the rows of any double coset K_mu(n) as a
-contiguous block; double_coset_sum reads it.  The kernel comes from the
-compiled extension bnhecke._core when it is importable, with
-bnhecke._kernels_py as the pure-Python twin; HECKE_BACKEND=auto|
-compiled|pure forces the choice at import time.  Table builds fork
-workers over row slices (HECKE_JOBS or an explicit jobs count); each
-worker classifies its slice and the parent merges them, so the result
-is deterministic for any schedule.
+The permutation kernel (bnhecke._kernels_py) is kept for the
+LevelTable, which materializes all of S_2n (lexicographic uint8 rows),
+classifies every row by stable coset type, and serves the rows of any
+double coset K_mu(n) as a contiguous block; double_coset_sum reads it,
+and the tests use it as the oracle of the matching count.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 
 import numpy as np
 
+from . import _kernels_py
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
 from .partitions import Partition, as_partition, enumerate_by_weight, weight
 from .cosets import (
@@ -50,7 +45,6 @@ __all__ = [
     "LevelTable",
     "level_table",
     "product_tally",
-    "resolve_jobs",
     "clear_caches",
 ]
 
@@ -58,37 +52,20 @@ __all__ = [
 # fixes the levels that fit samples.
 MAX_TABLE_LEVEL = 5
 
+# rows per kernel call, which bounds the rows.tolist() copy on S_10
 _CHUNK = 1 << 16
-_PARALLEL_THRESHOLD = 1 << 18
 
-
-def _select_kernel() -> tuple[str, Callable]:
-    mode = os.environ.get("HECKE_BACKEND", "auto")
-    if mode not in ("auto", "compiled", "pure"):
-        raise UsageError(f"HECKE_BACKEND must be auto, compiled or pure, not {mode!r}")
-    if mode in ("auto", "compiled"):
-        try:
-            from . import _core
-
-            return "compiled", _core.type_keys_product
-        except ImportError:
-            if mode == "compiled":
-                raise UsageError(
-                    "HECKE_BACKEND=compiled but the bnhecke._core extension is not built"
-                ) from None
-    from . import _kernels_py
-
-    return "pure", _kernels_py.type_keys_product
-
-
-_BACKEND_NAME, _KERNEL = _select_kernel()
+_KERNEL = _kernels_py.type_keys_product
 
 
 def backend_name() -> str:
-    """Which kernel implementation was selected at import."""
-    return _BACKEND_NAME
+    """The kernel implementation: always the pure-Python one."""
+    return "pure"
 
 
+# resolve_jobs and the jobs argument of LevelTable serve only
+# perfbench/probe.py, which times one level-5 build per worker count;
+# the build itself is serial.
 def resolve_jobs(explicit: int | None = None) -> int:
     """Worker count: HECKE_JOBS overrides an explicit request."""
     env = os.environ.get("HECKE_JOBS")
@@ -149,75 +126,20 @@ def permutation_block(m: int) -> np.ndarray:
     return block
 
 
-# State inherited by forked workers; set immediately before a pool runs.
-_WORK: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-def _slice_keys(span: tuple[int, int]) -> tuple[int, np.ndarray]:
-    lo, hi = span
-    rows, z, zinv = _WORK
-    out = np.empty(hi - lo, dtype=np.uint64)
-    for a in range(lo, hi, _CHUNK):
-        b = min(a + _CHUNK, hi)
-        _KERNEL(rows[a:b], z, zinv, out[a - lo : b - lo])
-    return lo, out
-
-
-def _slice_counts(span: tuple[int, int]) -> dict[int, int]:
-    _, keys = _slice_keys(span)
-    uniq, counts = np.unique(keys, return_counts=True)
-    return {int(k): int(c) for k, c in zip(uniq, counts)}
-
-
-def _spans(n_rows: int, jobs: int) -> list[tuple[int, int]]:
-    step = -(-n_rows // jobs)
-    return [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
-
-
-def _run_pool(worker, spans):
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = mp.get_context("fork")
-    with ProcessPoolExecutor(max_workers=len(spans), mp_context=ctx) as pool:
-        return list(pool.map(worker, spans))
-
-
-def compute_keys(
-    rows: np.ndarray, z: np.ndarray, zinv: np.ndarray, jobs: int = 1
-) -> np.ndarray:
+def compute_keys(rows: np.ndarray, z: np.ndarray, zinv: np.ndarray) -> np.ndarray:
     """Type key of rows[r]^{-1} z for every row."""
-    global _WORK
-    n_rows = rows.shape[0]
-    _WORK = (rows, z, zinv)
-    try:
-        if jobs > 1 and n_rows >= _PARALLEL_THRESHOLD:
-            out = np.empty(n_rows, dtype=np.uint64)
-            for lo, part in _run_pool(_slice_keys, _spans(n_rows, jobs)):
-                out[lo : lo + len(part)] = part
-            return out
-        return _slice_keys((0, n_rows))[1]
-    finally:
-        _WORK = None
+    out = np.empty(rows.shape[0], dtype=np.uint64)
+    for a in range(0, rows.shape[0], _CHUNK):
+        _KERNEL(rows[a : a + _CHUNK], z, zinv, out[a : a + _CHUNK])
+    return out
 
 
 def compute_counts(
-    rows: np.ndarray, z: np.ndarray, zinv: np.ndarray, jobs: int = 1
+    rows: np.ndarray, z: np.ndarray, zinv: np.ndarray
 ) -> dict[int, int]:
     """Histogram of type keys of rows[r]^{-1} z."""
-    global _WORK
-    n_rows = rows.shape[0]
-    _WORK = (rows, z, zinv)
-    try:
-        if jobs > 1 and n_rows >= _PARALLEL_THRESHOLD:
-            total: dict[int, int] = {}
-            for partial in _run_pool(_slice_counts, _spans(n_rows, jobs)):
-                for k, c in partial.items():
-                    total[k] = total.get(k, 0) + c
-            return total
-        return _slice_counts((0, n_rows))
-    finally:
-        _WORK = None
+    uniq, counts = np.unique(compute_keys(rows, z, zinv), return_counts=True)
+    return {int(k): int(c) for k, c in zip(uniq, counts)}
 
 
 class LevelTable:
@@ -233,7 +155,7 @@ class LevelTable:
         m = 2 * n
         self._perms = permutation_block(m)
         ident = np.arange(m, dtype=np.uint8)
-        keys = compute_keys(self._perms, ident, ident, jobs)
+        keys = compute_keys(self._perms, ident, ident)
         self._order = np.argsort(keys, kind="stable")
         sorted_keys = keys[self._order]
         uniq, starts = np.unique(sorted_keys, return_index=True)
@@ -279,9 +201,9 @@ _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
 _MATCHINGS: dict[int, list[tuple[tuple[int, ...], Partition]]] = {}
 
 
-def level_table(n: int, jobs: int | None = None) -> LevelTable:
+def level_table(n: int) -> LevelTable:
     if n not in _TABLES:
-        _TABLES[n] = LevelTable(n, resolve_jobs(jobs))
+        _TABLES[n] = LevelTable(n)
     return _TABLES[n]
 
 
@@ -331,16 +253,13 @@ def _tally_level(nu: Partition, n: int) -> None:
         }
 
 
-def product_tally(
-    lam: Partition, nu: Partition, n: int, jobs: int | None = None
-) -> dict[Partition, int]:
+def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]:
     """Count x in K_lam(n) by the stable coset type of x^{-1} z_nu.
 
     One pass serves every mu at once: the mu entry, divided by |B_n|,
     is the structure constant b_{lam, mu}^{nu}(n).  The count runs over
     matchings (see the module docstring) and one pass fills the tally
-    of every lam; jobs is accepted for the callers' signature and not
-    used, since the pass is far below the cost of a worker pool.
+    of every lam.
     """
     memo = (tuple(lam), tuple(nu), n)
     if memo not in _TALLIES:

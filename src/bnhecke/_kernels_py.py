@@ -1,9 +1,8 @@
-"""Pure-Python row kernel for coset-type classification.
+"""Row kernel for coset-type classification of permutation blocks.
 
-The one hot operation in the whole package: given a block of
-permutations x of [2n] (0-based one-line rows) and a fixed z, compute
-for every row the stable coset type of w = x^{-1} z, packed into a
-uint64 key.  With z = identity this classifies the rows themselves,
+Given a block of permutations x of [2n] (0-based one-line rows) and a
+fixed z, compute for every row the stable coset type of w = x^{-1} z,
+packed into a uint64 key.  With z = identity this classifies the rows themselves,
 since coset types are inverse-invariant.
 
 Per row the twist phi(w) = t w^{-1} t w is evaluated pointwise as
@@ -15,13 +14,15 @@ Each part of the completed coset type appears exactly twice among the
 lengths, so halving the multiplicities and stripping 1 from each part
 yields the stable type, packed as descending 4-bit nibbles.
 
-The compiled extension bnhecke._core implements the same function
-signature; the backend module picks whichever is available.
+It serves the level tables of bnhecke._backend only; structure
+constants are counted over perfect matchings instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationFailure
 
 __all__ = ["type_keys_product"]
 
@@ -66,7 +67,7 @@ def type_keys_product(
             if c:
                 counts[length] = 0
                 if c & 1:
-                    raise AssertionError("odd twist-cycle multiplicity")
+                    raise ValidationFailure("odd twist-cycle multiplicity")
                 if length > 1:
                     for _ in range(c >> 1):
                         key |= (length - 1) << shift

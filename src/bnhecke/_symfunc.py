@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import cache
 
+from .errors import ValidationFailure
 from .partitions import Partition, partitions_of
 
 __all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomial"]
@@ -233,7 +234,10 @@ def monomial(lam: Partition) -> SymmetricExpression:
                 rhs[r] -= f * rhs[col]
     coeffs = {}
     for i, mu in enumerate(parts):
-        assert rhs[i].denominator == 1
+        if rhs[i].denominator != 1:
+            raise ValidationFailure(
+                f"m_{lam} has the non-integer coefficient {rhs[i]} on e_{mu}"
+            )
         coeffs[mu] = int(rhs[i])
     return SymmetricExpression(coeffs)
 

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from ._backend import backend_name, resolve_jobs
+from ._backend import backend_name
 from .errors import HeckeError, InsufficientDegree, UsageError, ValidationFailure
 from ._symfunc import SymmetricExpression
 from .partitions import as_partition, enumerate_by_weight, weight
@@ -82,7 +82,6 @@ class Command:
     verb: str
     args: dict
     output_format: str
-    jobs: int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,12 +132,6 @@ def build_parser() -> _Parser:
         choices=("json", "csv"),
         default="json",
         help="data stream format (default json)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count for counting passes (HECKE_JOBS overrides)",
     )
     sub = parser.add_subparsers(dest="verb", metavar="verb", parser_class=_Parser)
 
@@ -200,8 +193,6 @@ def parse(argv) -> Command:
     ns = build_parser().parse_args(argv)
     if ns.verb is None:
         raise UsageError("a verb is required (see --help)")
-    if ns.jobs is not None and ns.jobs < 1:
-        raise UsageError(f"--jobs: must be positive, got {ns.jobs}")
     args: dict = {}
     if ns.verb in ("coset-type", "phi"):
         args["perm"] = _perm_flag(ns.perm, "--perm")
@@ -283,35 +274,28 @@ def parse(argv) -> Command:
         args["basis"] = ns.basis
     elif ns.verb == "table":
         args["n"] = _level_flag(ns.n, "--n")
-    return Command(
-        verb=ns.verb,
-        args=args,
-        output_format=ns.format,
-        jobs=resolve_jobs(ns.jobs),
-    )
+    return Command(verb=ns.verb, args=args, output_format=ns.format)
 
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _warn_heavy(levels) -> None:
-    if MAX_CLI_LEVEL in levels:
-        _progress(
-            f"warning: level {MAX_CLI_LEVEL} sweeps S_{2 * MAX_CLI_LEVEL} "
-            f"(3628800 permutations); this can take a while"
-        )
+def _warn_heavy(n: int) -> None:
+    # the Matsumoto image works in the group algebra of S_2n
+    if n > 4:
+        _progress(f"matsumoto at n={n}: group algebra of S_{2 * n}, be patient")
 
 
 def _embedding_level(w: Permutation) -> int:
-    m = w.degree
-    return (m + 1) // 2
+    """The least n >= 1 with w in S_2n; the identity embeds at n = 1."""
+    return max(1, (w.degree + 1) // 2)
 
 
 # ---------------------------------------------------------------- verbs
 
 
-def _run_coset_type(args, jobs):
+def _run_coset_type(args):
     w = args["perm"]
     n = _embedding_level(w)
     return {
@@ -322,7 +306,7 @@ def _run_coset_type(args, jobs):
     }, 0
 
 
-def _run_phi(args, jobs):
+def _run_phi(args):
     w = args["perm"]
     n = _embedding_level(w)
     image = phi(w, n)
@@ -334,22 +318,20 @@ def _run_phi(args, jobs):
     }, 0
 
 
-def _run_coset_size(args, jobs):
+def _run_coset_size(args):
     mu, n = args["mu"], args["n"]
     return {"mu": list(mu), "n": n, "size": double_coset_size(mu, n)}, 0
 
 
-def _run_product(args, jobs):
+def _run_product(args):
     n = args["n"]
     u = HeckeElement.basis(args["lhs"], n)
     v = HeckeElement.basis(args["rhs"], n)
-    return hecke_product(u, v, jobs).to_json(), 0
+    return hecke_product(u, v).to_json(), 0
 
 
-def _run_structure_constant(args, jobs):
-    b = hecke_structure_constant(
-        args["lam"], args["mu"], args["nu"], args["n"], jobs
-    )
+def _run_structure_constant(args):
+    b = hecke_structure_constant(args["lam"], args["mu"], args["nu"], args["n"])
     return {
         "lam": list(args["lam"]),
         "mu": list(args["mu"]),
@@ -359,24 +341,24 @@ def _run_structure_constant(args, jobs):
     }, 0
 
 
-def _run_expand_single_cycle(args, jobs):
+def _run_expand_single_cycle(args):
     expansion = single_cycle_expansion(args["lam"], args["r"], args["n"])
     body = expansion.to_json()
     body.update({"lam": list(args["lam"]), "r": args["r"]})
     return body, 0
 
 
-def _run_matsumoto(args, jobs):
-    _warn_heavy([args["n"]])
+def _run_matsumoto(args):
+    _warn_heavy(args["n"])
     return matsumoto_image(args["expr"], args["n"]).to_json(), 0
 
 
-def _run_generators(args, jobs):
+def _run_generators(args):
     cert = generation_certificate(args["n"], args["max_degree"])
     return cert.to_json(), 0
 
 
-def _run_fit(args, jobs):
+def _run_fit(args):
     if "max_weight" in args:
         results = fit_report(args["max_weight"], args["basis"])
         return [r.to_json() for r in results], 0
@@ -384,7 +366,7 @@ def _run_fit(args, jobs):
     return result.to_json(), 0
 
 
-def _run_table(args, jobs):
+def _run_table(args):
     n = args["n"]
     shapes = enumerate_by_weight(n)
     rows = []
@@ -397,7 +379,7 @@ def _run_table(args, jobs):
                         "lam": list(lam),
                         "mu": list(mu),
                         "nu": list(nu),
-                        "b": hecke_structure_constant(lam, mu, nu, n, jobs),
+                        "b": hecke_structure_constant(lam, mu, nu, n),
                     }
                 )
     return rows, 0
@@ -414,10 +396,9 @@ def _check(checks, name, ok, detail=None):
     _progress(f"  {'ok' if ok else 'FAIL'}  {name}")
 
 
-def _suite_matsumoto(levels, samples, jobs, checks):
+def _suite_matsumoto(levels, samples, checks):
     for n in levels:
-        if n > 4:
-            _progress(f"matsumoto at n={n}: group algebra of S_{2 * n}, be patient")
+        _warn_heavy(n)
         for i in range(1, n + 1):
             got = matsumoto_image(elementary(n - i), n)
             want = generator_H(i, n)
@@ -429,7 +410,7 @@ def _suite_matsumoto(levels, samples, jobs, checks):
             )
 
 
-def _suite_jm_center(levels, samples, jobs, checks):
+def _suite_jm_center(levels, samples, checks):
     for n in levels:
         js = [jucys_murphy(k, n) for k in range(1, n + 1)]
         commuting = all(
@@ -448,11 +429,11 @@ def _suite_jm_center(levels, samples, jobs, checks):
             )
 
 
-def _suite_trichotomy(levels, samples, jobs, checks):
+def _suite_trichotomy(levels, samples, checks):
     max_weight = min(4, min(levels))
     usable = [n for n in levels if n >= max_weight]
     try:
-        report = trichotomy_report(max_weight, usable, jobs)
+        report = trichotomy_report(max_weight, usable)
         _check(
             checks,
             f"trichotomy wt<={max_weight} over n={usable}: "
@@ -475,7 +456,7 @@ def _suite_trichotomy(levels, samples, jobs, checks):
             _check(checks, f"{label}: {result.classification}", agree)
 
 
-def _suite_single_cycle(levels, samples, jobs, checks):
+def _suite_single_cycle(levels, samples, checks):
     for n in levels:
         for lam in enumerate_by_weight(min(4, n)):
             for r in range(1, 4):
@@ -483,7 +464,7 @@ def _suite_single_cycle(levels, samples, jobs, checks):
                     continue
                 expansion = single_cycle_expansion(lam, r, n)
                 product = hecke_product(
-                    HeckeElement.basis(lam, n), HeckeElement.basis((r,), n), jobs
+                    HeckeElement.basis(lam, n), HeckeElement.basis((r,), n)
                 )
                 top = HeckeElement(
                     n,
@@ -501,7 +482,7 @@ def _suite_single_cycle(levels, samples, jobs, checks):
                 )
 
 
-def _suite_graded_iso(levels, samples, jobs, checks):
+def _suite_graded_iso(levels, samples, checks):
     for n in levels:
         report = graded_iso_check(min(4, n), n)
         _check(
@@ -513,7 +494,7 @@ def _suite_graded_iso(levels, samples, jobs, checks):
         )
 
 
-def _suite_generators(levels, samples, jobs, checks):
+def _suite_generators(levels, samples, checks):
     for n in levels:
         degree, cert = n - 1, None
         while cert is None and degree <= n + 1:
@@ -530,7 +511,7 @@ def _suite_generators(levels, samples, jobs, checks):
         )
 
 
-def _suite_coset_invariants(levels, samples, jobs, checks):
+def _suite_coset_invariants(levels, samples, checks):
     for n in (2, 3):
         census: dict = {}
         from .permutations import symmetric_group
@@ -596,12 +577,11 @@ _SUITE_RUNNERS = {
 }
 
 
-def _run_verify(args, jobs):
+def _run_verify(args):
     suite, levels = args["suite"], args["levels"]
-    _warn_heavy(levels)
     _progress(f"verify {suite}: levels {levels}, backend {backend_name()}")
     checks: list[dict] = []
-    _SUITE_RUNNERS[suite](levels, args["samples"], jobs, checks)
+    _SUITE_RUNNERS[suite](levels, args["samples"], checks)
     ok = all(c["ok"] for c in checks)
     payload = {
         "suite": suite,
@@ -663,7 +643,7 @@ def execute(command: Command, stream=None) -> int:
     """Run a validated Command; returns the exit status."""
     stream = stream if stream is not None else sys.stdout
     try:
-        payload, status = _RUNNERS[command.verb](command.args, command.jobs)
+        payload, status = _RUNNERS[command.verb](command.args)
     except UsageError:
         raise
     except HeckeError as exc:

@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import DegreeMismatch, WeightExceedsLevel
+from .errors import DegreeMismatch, ValidationFailure, WeightExceedsLevel
 from .partitions import Partition, completion, weight, z_value
 from .permutations import Permutation, class_representative, identity
 
@@ -184,7 +184,8 @@ def gamma_graph(w: Permutation, n: int) -> PairGraph:
         i = start
         while True:
             partner = _partner(i)
-            assert not seen[i] and not seen[partner], "orbit pairing violated"
+            if seen[i] or seen[partner]:
+                raise ValidationFailure(f"pair graph of {w} revisits the couple of {i}")
             cycle.append(i)
             cycle.append(partner)
             seen[i] = seen[partner] = 1
@@ -339,7 +340,7 @@ def coset_representative(mu: Partition, n: int) -> Permutation:
 
     The canonical permutation of cycle type completion(mu, n) on [n] is
     transplanted onto the odd points 1, 3, ..., 2n-1, with even points
-    fixed.  Its coset type is completion(mu, n), which is asserted
+    fixed.  Its coset type is completion(mu, n), which is checked
     rather than trusted.
 
     >>> coset_representative((1,), 2).one_line(4)
@@ -355,7 +356,11 @@ def coset_representative(mu: Partition, n: int) -> Permutation:
         images[2 * i - 2] = 2 * base(i) - 1
         images[2 * i - 1] = 2 * i
     rep = Permutation(images)
-    assert coset_type(rep, n) == completion(mu, n), "representative landed in the wrong double coset"
+    if coset_type(rep, n) != completion(mu, n):
+        raise ValidationFailure(
+            f"representative {rep} of K_{mu}({n}) has coset type "
+            f"{coset_type(rep, n)}, not {completion(mu, n)}"
+        )
     return rep
 
 
@@ -378,7 +383,11 @@ def enumerate_double_coset(mu: Partition, n: int) -> set[Permutation]:
                         seen.add(cand)
                         new.append(cand)
         frontier = new
-    assert len(seen) == double_coset_size(mu, n), "orbit size disagrees with the closed form"
+    if len(seen) != double_coset_size(mu, n):
+        raise ValidationFailure(
+            f"orbit of K_{mu}({n}) has {len(seen)} elements, not "
+            f"{double_coset_size(mu, n)}"
+        )
     return seen
 
 
@@ -394,5 +403,8 @@ def double_coset_size(mu: Partition, n: int) -> int:
     order = hyperoctahedral_order(n)
     denominator = 2 ** len(rho) * z_value(rho)
     size, rem = divmod(order * order, denominator)
-    assert rem == 0
+    if rem:
+        raise ValidationFailure(
+            f"|K_{mu}({n})| = {order * order}/{denominator} is not an integer"
+        )
     return size

@@ -36,6 +36,7 @@ from .errors import (
     LevelMismatch,
     NonCommutingValues,
     NotCentral,
+    ValidationFailure,
     WeightExceedsLevel,
 )
 from .partitions import Partition, completion, weight, z_value
@@ -261,7 +262,10 @@ def class_structure_constant(
     if memo not in _CLASS_PRODUCTS:
         _CLASS_PRODUCTS[memo] = class_sum(memo[0], n) * class_sum(memo[1], n)
     coeff = _CLASS_PRODUCTS[memo].coefficient(class_representative(nu, n))
-    assert coeff.denominator == 1 and coeff >= 0
+    if coeff.denominator != 1 or coeff < 0:
+        raise ValidationFailure(
+            f"a_{{{lam},{mu}}}^{nu}({n}) = {coeff} is not a non-negative integer"
+        )
     return int(coeff)
 
 

@@ -253,7 +253,7 @@ def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
 
 
 def hecke_structure_constant(
-    lam: Partition, mu: Partition, nu: Partition, n: int, jobs: int | None = None
+    lam: Partition, mu: Partition, nu: Partition, n: int
 ) -> int:
     """b_{lam mu}^{nu}(n): coefficient of K_nu(n) in K_lam(n) K_mu(n).
 
@@ -268,7 +268,7 @@ def hecke_structure_constant(
     for p in (lam, mu, nu):
         if weight(p) > n:
             raise WeightExceedsLevel(f"wt{p} = {weight(p)} exceeds level {n}")
-    count = product_tally(lam, nu, n, jobs).get(mu, 0)
+    count = product_tally(lam, nu, n).get(mu, 0)
     b, rem = divmod(count, hyperoctahedral_order(n))
     if rem:
         raise InexactDivision(
@@ -278,7 +278,7 @@ def hecke_structure_constant(
     return b
 
 
-def hecke_product(u: HeckeElement, v: HeckeElement, jobs: int | None = None) -> HeckeElement:
+def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
     """Product in the Hecke ring: convolution divided by |B_n|."""
     u._check_level(v)
     n = u.level
@@ -286,7 +286,7 @@ def hecke_product(u: HeckeElement, v: HeckeElement, jobs: int | None = None) -> 
     for nu in enumerate_by_weight(n):
         acc = Fraction(0)
         for lam, cu in u.coeffs.items():
-            tal = product_tally(lam, nu, n, jobs)
+            tal = product_tally(lam, nu, n)
             total = sum(
                 (tal.get(mu, 0) * cv for mu, cv in v.coeffs.items()),
                 start=Fraction(0),
@@ -339,7 +339,11 @@ def single_cycle_coefficient(lam: Partition, r: int, rho: Partition) -> int:
     for part in set(rho):
         denominator *= factorial(multiplicity(rho, part))
     b, rem = divmod(numerator, denominator)
-    assert rem == 0, (lam, r, rho)
+    if rem:
+        raise ValidationFailure(
+            f"closed form for K_{lam} K_({r}) at rho = {rho} is "
+            f"{numerator}/{denominator}, not an integer"
+        )
     return b
 
 
@@ -353,7 +357,11 @@ def _admissible_terms(
         if len(rho) > r + 1:
             continue
         nu = union((r + sum(rho),), difference(lam, rho))
-        assert nu not in seen, (lam, r, rho, seen[nu])
+        if nu in seen:
+            raise ValidationFailure(
+                f"subpartitions {seen[nu]} and {rho} of {lam} give the same "
+                f"target {nu} in K_{lam} K_({r})"
+            )
         seen[nu] = rho
         out.append((rho, nu, single_cycle_coefficient(lam, r, rho)))
     return out
@@ -553,7 +561,11 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
         el = value(exp)
         row = [0] * len(basis)
         for mu, c in el.coeffs.items():
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise ValidationFailure(
+                    f"H-monomial {exp} has the non-integer coefficient {c} "
+                    f"on K_{mu}"
+                )
             row[index[mu]] = int(c)
         matrix.append(row)
 
@@ -631,9 +643,7 @@ class TrichotomyReport:
         }
 
 
-def trichotomy_report(
-    max_weight: int, n_range, jobs: int | None = None
-) -> TrichotomyReport:
+def trichotomy_report(max_weight: int, n_range) -> TrichotomyReport:
     """Check the degree trichotomy over all triples of bounded weight.
 
     Zero when |nu| > |lam| + |mu| and constancy across n_range when
@@ -651,7 +661,7 @@ def trichotomy_report(
         for mu in shapes:
             for nu in shapes:
                 values = tuple(
-                    hecke_structure_constant(lam, mu, nu, n, jobs) for n in ns
+                    hecke_structure_constant(lam, mu, nu, n) for n in ns
                 )
                 if sum(nu) > sum(lam) + sum(mu):
                     if any(values):

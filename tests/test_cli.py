@@ -3,10 +3,12 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bnhecke.cli import Command, execute, main, parse
+from bnhecke.cli import SUITES, Command, execute, main, parse
 from bnhecke.errors import UsageError
 from bnhecke.permutations import Permutation
 
@@ -31,7 +33,6 @@ class TestParse:
         assert cmd.verb == "product"
         assert cmd.args == {"n": 4, "lhs": (1,), "rhs": (1,)}
         assert cmd.output_format == "json"
-        assert cmd.jobs >= 1
 
     def test_coset_type_command(self):
         cmd = parse(
@@ -60,13 +61,6 @@ class TestParse:
     def test_format_flag(self):
         cmd = parse(["--format", "csv", "table", "--n", "2"])
         assert cmd.output_format == "csv"
-
-    def test_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("HECKE_JOBS", "2")
-        assert parse(["table", "--n", "2"]).jobs == 2
-        monkeypatch.setenv("HECKE_JOBS", "zero")
-        with pytest.raises(UsageError):
-            parse(["table", "--n", "2"])
 
     @pytest.mark.parametrize(
         "argv",
@@ -97,8 +91,7 @@ class TestParse:
             ["--jobs", "0", "table", "--n", "2"],
         ],
     )
-    def test_usage_errors(self, argv, monkeypatch):
-        monkeypatch.delenv("HECKE_JOBS", raising=False)
+    def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
             parse(argv)
 
@@ -136,6 +129,19 @@ class TestVerbs:
         assert payload["stable_coset_type"] == [2, 2]
         assert payload["coset_type"] == [3, 3]
         assert payload["n"] == 6
+
+    @pytest.mark.parametrize("perm", ["[]", "[1]", "()"])
+    @pytest.mark.parametrize(
+        "verb, fields",
+        [
+            ("coset-type", {"coset_type": [1], "stable_coset_type": []}),
+            ("phi", {"phi": [1, 2], "cycles": "e"}),
+        ],
+    )
+    def test_identity_embeds_at_level_one(self, verb, fields, perm):
+        status, payload = run_json([verb, "--perm", perm])
+        assert status == 0
+        assert payload == {"perm": [1, 2], "n": 1, **fields}
 
     def test_phi_worked_example(self):
         status, payload = run_json(
@@ -223,12 +229,19 @@ class TestVerbs:
         assert status == 0
         assert payload["suite"] == "coset-invariants"
         assert payload["levels"] == [2]
-        assert payload["backend"] in ("compiled", "pure")
+        assert payload["backend"] == "pure"
         assert payload["ok"] is True
         assert payload["checks"] and all(c["ok"] for c in payload["checks"])
         # progress stays on stderr, stdout stays machine readable
         err = capsys.readouterr().err
         assert "verify coset-invariants" in err
+
+    def test_no_heavy_warning_outside_matsumoto(self, capsys):
+        # only the Matsumoto image builds the group algebra of S_10
+        status, payload = run_json(["verify", "--suite", "generators", "--n", "5"])
+        assert status == 0 and payload["ok"] is True
+        err = capsys.readouterr().err
+        assert "S_10" not in err and "warning" not in err
 
 
 class TestOutputFormats:
@@ -298,3 +311,105 @@ class TestMain:
         assert results[0].stdout == results[1].stdout
         payload = json.loads(results[0].stdout)
         assert payload["coeffs"][0] == {"mu": [], "c": "2"}
+
+
+# (valid, invalid) values per flag; the levels stay at n <= 3
+_SHAPES = (["[]", "[1]", "[2]", "[1,1]"], ["[3]", "[0]", "{}", "[1", "x"])
+_LEVELS = (["1", "2", "3"], ["-1", "0", "6", "x"])
+_FLAG_VALUES = {
+    "--format": (["json", "csv"], ["xml"]),
+    "--jobs": ([], ["0", "2"]),  # no such flag: always a usage error
+    "--perm": (["[]", "[2,1]", "[3,1,2]", "(1 2)(3 4)"], ["[1,1]", "(1 2"]),
+    "--n": _LEVELS,
+    "--max-n": _LEVELS,
+    "--max-weight": (["0", "1", "2"], ["-1", "5"]),
+    "--max-degree": (["1", "2"], ["-1", "0"]),
+    "--samples": (["1", "3"], ["0"]),
+    "--r": (["0", "1", "2"], ["-1", "9"]),
+    "--expr": (["e1", "e2 - 2*p2", "h2"], ["1/0", "e1**", ""]),
+    "--suite": (list(SUITES), ["nope"]),
+    "--basis": (["K", "C"], ["Q"]),
+    **{flag: _SHAPES for flag in ("--mu", "--lam", "--nu", "--lhs", "--rhs")},
+}
+_VERB_FLAGS = {
+    "coset-type": ["--perm"],
+    "phi": ["--perm"],
+    "coset-size": ["--mu", "--n"],
+    "product": ["--n", "--lhs", "--rhs"],
+    "structure-constant": ["--lam", "--mu", "--nu", "--n"],
+    "expand-single-cycle": ["--lam", "--r", "--n"],
+    "matsumoto": ["--expr", "--n"],
+    "generators": ["--n", "--max-degree"],
+    "verify": ["--suite", "--n", "--samples"],
+    "fit": ["--lam", "--mu", "--nu", "--max-weight", "--basis"],
+    "table": ["--n"],
+    "frobnicate": [],
+}
+# --help and --version print usage text and exit by design; junk that
+# starts with a dash could abbreviate them, so dashed junk is fixed
+_JUNK = st.text(max_size=4).filter(lambda t: not t.startswith("-")) | st.sampled_from(
+    ["-", "--", "--bogus", "-x", "-1", "--n=2"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed argv: each flag of the verb and a valid value
+    for it fifteen times in sixteen, --format half the time, and once
+    in sixteen each the removed --jobs, a flag of any verb, a junk token."""
+
+    def seldom():
+        return draw(st.sampled_from([False] * 15 + [True]))
+
+    def pair(flag):
+        valid, invalid = _FLAG_VALUES[flag]
+        return [flag, draw(st.sampled_from(invalid if seldom() or not valid else valid))]
+
+    verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
+    argv = [verb]
+    if verb == "verify":
+        # the default --max-n 4 would run the slow level-4 suites
+        argv += pair("--max-n")
+    for flag in _VERB_FLAGS[verb]:
+        if not seldom():
+            argv += pair(flag)
+    if draw(st.booleans()):
+        argv[:0] = pair("--format")
+    if seldom():
+        argv[:0] = pair("--jobs")
+    if seldom():
+        argv += pair(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    if seldom():
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+def _is_table(text: str) -> bool:
+    rows = list(csv.reader(io.StringIO(text)))
+    return bool(rows and rows[0]) and all(len(r) == len(rows[0]) for r in rows)
+
+
+class TestContractFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_argvs())
+    def test_any_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        text = out.getvalue()
+        assert status in (0, 1, 2), argv
+        if status == 2:
+            assert text == "", argv
+            last = err.getvalue().strip().splitlines()[-1]
+            assert json.loads(last)["error"] == "UsageError", argv
+            return
+        assert text, argv
+        try:
+            json.loads(text)
+        except ValueError:
+            assert _is_table(text), (argv, text)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from bnhecke import cosets
 from bnhecke.cosets import (
     CoupleSet,
     PairGraph,
@@ -23,7 +24,7 @@ from bnhecke.cosets import (
     t_perm,
     twisted_degree,
 )
-from bnhecke.errors import DegreeMismatch, WeightExceedsLevel
+from bnhecke.errors import DegreeMismatch, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import completion, enumerate_by_weight, weight
 from bnhecke.permutations import Permutation, identity, parse_permutation
 
@@ -282,3 +283,21 @@ def test_enumerate_double_coset_partitions_the_group(n):
         assert not (union & coset)
         union |= coset
     assert union == set(_s(2 * n))
+
+
+@pytest.mark.parametrize(
+    "name, fake, call",
+    [
+        ("class_representative", lambda mu, n: identity(),
+         lambda: coset_representative((1,), 2)),
+        ("double_coset_size", lambda mu, n: 0,
+         lambda: enumerate_double_coset((1,), 2)),
+        ("z_value", lambda rho: 7, lambda: double_coset_size((1,), 2)),
+    ],
+    ids=["representative type", "orbit size", "size division"],
+)
+def test_result_checks_raise(monkeypatch, name, fake, call):
+    # raises, not asserts, so python -O keeps them
+    monkeypatch.setattr(cosets, name, fake)
+    with pytest.raises(ValidationFailure):
+        call()

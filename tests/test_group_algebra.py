@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from bnhecke import group_algebra
 from bnhecke.errors import (
     IndexOutOfRange,
     LevelMismatch,
     NonCommutingValues,
     NotCentral,
+    ValidationFailure,
     WeightExceedsLevel,
 )
 from bnhecke.group_algebra import (
@@ -264,3 +266,11 @@ class TestClassExpansion:
     def test_level_check(self):
         with pytest.raises(LevelMismatch):
             expand_in_class_basis(AlgebraElement.one(3), 4)
+
+
+def test_class_constant_must_be_a_count(monkeypatch):
+    # a raise, not an assert, so python -O keeps it
+    halved = class_sum((1,), 3).scale(Fraction(1, 2))
+    monkeypatch.setitem(group_algebra._CLASS_PRODUCTS, ((1,), (1,), 3), halved)
+    with pytest.raises(ValidationFailure):
+        class_structure_constant((1,), (1,), (1,), 3)

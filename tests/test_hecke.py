@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bnhecke import hecke
 from bnhecke.cosets import hyperoctahedral_order
 from bnhecke.errors import (
     IndexOutOfRange,
@@ -11,6 +12,7 @@ from bnhecke.errors import (
     LevelMismatch,
     NotASubpartition,
     NotBiInvariant,
+    ValidationFailure,
     WeightExceedsLevel,
 )
 from bnhecke.group_algebra import AlgebraElement
@@ -429,3 +431,24 @@ class TestTrichotomy:
         assert payload["n_range"] == [2, 3]
         for entry in payload["subtop"]:
             assert set(entry["values"]) == {"2", "3"}
+
+
+class TestResultChecks:
+    """Checks on results are raises, not asserts, so python -O keeps them."""
+
+    def test_closed_form_must_divide(self, monkeypatch):
+        monkeypatch.setattr(hecke, "factorial", lambda k: k + 1)
+        with pytest.raises(ValidationFailure):
+            single_cycle_coefficient((1,), 1, ())
+
+    def test_admissible_targets_must_differ(self, monkeypatch):
+        monkeypatch.setattr(hecke, "union", lambda a, b: (9,))
+        with pytest.raises(ValidationFailure):
+            single_cycle_expansion((1,), 1, 5)
+
+    def test_certificate_rows_must_be_integral(self, monkeypatch):
+        monkeypatch.setattr(
+            hecke, "hecke_product", lambda u, v: u.scale(Fraction(1, 2))
+        )
+        with pytest.raises(ValidationFailure):
+            generation_certificate(2, 1)

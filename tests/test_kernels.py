@@ -1,14 +1,10 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import bnhecke
 import bnhecke._backend as backend
 from bnhecke._backend import (
     LevelTable,
@@ -100,63 +96,20 @@ def test_pure_kernel_matches_reference_types(random_perm):
         assert key_partition(int(key)) == stable_coset_type(w)
 
 
-def test_compiled_kernel_matches_pure(random_perm):
-    core = pytest.importorskip("bnhecke._core")
-    n = 4
-    m = 2 * n
-    z = _as_row(random_perm(m), m)
-    rows = np.stack([_as_row(random_perm(m), m) for _ in range(200)])
-    assert np.array_equal(
-        _key_batch(core.type_keys_product, rows, z),
-        _key_batch(pure_kernel, rows, z),
-    )
-
-
 def test_backend_selected():
-    assert backend.backend_name() in ("compiled", "pure")
+    assert backend.backend_name() == "pure"
 
 
-def _backend_env(mode):
-    """A minimal child env that imports the same bnhecke as this suite.
-
-    Only PATH and HECKE_BACKEND come through, so no stray HECKE_*
-    variable of the parent leaks in; PYTHONPATH points at the directory
-    holding the imported package, whether a source tree or an install.
-    """
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(bnhecke.__file__)))
-    return {"PATH": "/usr/bin:/bin", "HECKE_BACKEND": mode, "PYTHONPATH": package_root}
-
-
-def test_backend_env_forces_pure():
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import bnhecke; print(bnhecke.backend_name())",
-        ],
-        capture_output=True,
-        text=True,
-        env=_backend_env("pure"),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
-
-
-def test_backend_env_rejects_unknown():
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import bnhecke",
-        ],
-        capture_output=True,
-        text=True,
-        env=_backend_env("sometimes"),
-    )
-    assert out.returncode != 0
-    assert "ModuleNotFoundError" not in out.stderr
-    assert "UsageError" in out.stderr
-    assert "HECKE_BACKEND must be auto, compiled or pure" in out.stderr
+def test_chunked_keys_match_one_call(monkeypatch):
+    # compute_keys feeds the kernel in _CHUNK-row slices; seven rows a
+    # call cuts S_6 into 103 uneven slices
+    rows = permutation_block(6)
+    z = np.array([3, 0, 5, 1, 2, 4], dtype=np.uint8)
+    whole = _key_batch(pure_kernel, rows, z)
+    zinv = np.empty(6, dtype=np.uint8)
+    zinv[z] = np.arange(6, dtype=np.uint8)
+    monkeypatch.setattr(backend, "_CHUNK", 7)
+    assert np.array_equal(compute_keys(rows, z, zinv), whole)
 
 
 class TestResolveJobs:
@@ -343,26 +296,6 @@ class TestMatchings:
                 pulled[winv[i]] = winv[i ^ 1]
             stable = tuple(p - 1 for p in coset_type(w, n) if p > 1)
             assert matching_type(eps, tuple(pulled)) == stable, images
-
-
-class TestParallelPath:
-    def test_forked_counts_match_serial(self, monkeypatch):
-        m = 6
-        rows = permutation_block(m)
-        z = np.arange(m, dtype=np.uint8)
-        serial = compute_counts(rows, z, z, jobs=1)
-        monkeypatch.setattr(backend, "_PARALLEL_THRESHOLD", 16)
-        forked = compute_counts(rows, z, z, jobs=3)
-        assert forked == serial
-
-    def test_forked_keys_match_serial(self, monkeypatch):
-        m = 6
-        rows = permutation_block(m)
-        z = np.arange(m, dtype=np.uint8)
-        serial = compute_keys(rows, z, z, jobs=1)
-        monkeypatch.setattr(backend, "_PARALLEL_THRESHOLD", 16)
-        forked = compute_keys(rows, z, z, jobs=3)
-        assert np.array_equal(serial, forked)
 
 
 def test_identity_table_census_level_three():

@@ -1,13 +1,9 @@
 import pytest
 
-from bnhecke.errors import (
-    LengthBound,
-    NonIntegerCoefficient,
-    NotASubpartition,
-    ValidationFailure,
-)
-from bnhecke.hecke import HeckeElement, single_cycle_coefficient
-from bnhecke.partitions import enumerate_by_weight, subpartitions
+from bnhecke import universal
+from bnhecke.errors import NonIntegerCoefficient, ValidationFailure
+from bnhecke.hecke import HeckeElement
+from bnhecke.partitions import enumerate_by_weight
 from bnhecke.universal import (
     MAX_SAMPLE_LEVEL,
     FitResult,
@@ -18,7 +14,6 @@ from bnhecke.universal import (
     graded_iso_check,
     ivp_fit,
     t_generator,
-    top_a,
     universal_product,
     universal_structure_constant,
 )
@@ -33,6 +28,12 @@ class TestIntegerValuedPolynomial:
         assert IVP.constant(7).degree == 0
         assert IVP.constant(7)(123) == 7
         assert IVP((0, 0, 2)).degree == 2
+
+    def test_inexact_binomial_raises(self, monkeypatch):
+        # a raise, not an assert, so python -O keeps it
+        monkeypatch.setattr(universal, "factorial", lambda k: 7)
+        with pytest.raises(ValidationFailure):
+            IVP((0, 1))(5)
 
     def test_trailing_zeros_stripped(self):
         assert IVP((1, 2, 0, 0)) == IVP((1, 2))
@@ -142,27 +143,6 @@ class TestUniversalStructureConstant:
     def test_basis_name_checked(self):
         with pytest.raises(ValueError):
             universal_structure_constant((1,), (1,), (), [2, 3, 4], basis="Q")
-
-
-class TestTopA:
-    def test_matches_the_hecke_side(self):
-        # independently coded closed forms must agree everywhere
-        for lam in enumerate_by_weight(4):
-            for r in (1, 2, 3):
-                for rho in subpartitions(lam):
-                    if len(rho) > r + 1:
-                        continue
-                    assert top_a(lam, r, rho) == single_cycle_coefficient(
-                        lam, r, rho
-                    )
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            top_a((1,), 0, ())
-        with pytest.raises(NotASubpartition):
-            top_a((1,), 1, (2,))
-        with pytest.raises(LengthBound):
-            top_a((1, 1, 1), 1, (1, 1, 1))
 
 
 class TestGradedIso:
