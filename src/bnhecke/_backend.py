@@ -13,11 +13,11 @@ where type is the stable type of the union of two matchings.  The
 matchings and their types against eps are cached per level, and one
 pass per (nu, n) fills the tallies of every lam at once.
 
-The permutation kernel (bnhecke._kernels_py) is kept for the
-LevelTable, which materializes all of S_2n (lexicographic uint8 rows),
-classifies every row by stable coset type, and serves the rows of any
-double coset K_mu(n) as a contiguous block; double_coset_sum reads it,
-and the tests use it as the oracle of the matching count.
+The permutation kernel (bnhecke._kernels_py) and the LevelTable, which
+materializes all of S_2n (lexicographic uint8 rows), classifies every
+row by stable coset type, and serves the rows of any double coset
+K_mu(n) as a contiguous block, serve only the tests, as the oracle of
+the matching count, and perfbench/probe.py.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .cosets import (
     coset_representative,
     double_coset_size,
     hyperoctahedral_order,
+    image_matching,
     matching_type,
     perfect_matchings,
 )
@@ -43,7 +44,6 @@ __all__ = [
     "key_partition",
     "permutation_block",
     "LevelTable",
-    "level_table",
     "product_tally",
     "clear_caches",
 ]
@@ -196,15 +196,8 @@ class LevelTable:
         return np.ascontiguousarray(self._perms[self._order[lo:hi]])
 
 
-_TABLES: dict[int, LevelTable] = {}
 _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
 _MATCHINGS: dict[int, list[tuple[tuple[int, ...], Partition]]] = {}
-
-
-def level_table(n: int) -> LevelTable:
-    if n not in _TABLES:
-        _TABLES[n] = LevelTable(n)
-    return _TABLES[n]
 
 
 def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
@@ -229,11 +222,7 @@ def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
 
 def _tally_level(nu: Partition, n: int) -> None:
     """Fill _TALLIES for (lam, nu, n) and every lam in one pass."""
-    z = coset_representative(nu, n).one_line(2 * n)
-    # z(eps) as a partner map: the couple {i, i ^ 1} goes to {z(i), z(i ^ 1)}
-    z_eps = [0] * (2 * n)
-    for i, image in enumerate(z):
-        z_eps[image - 1] = z[i ^ 1] - 1
+    z_eps = image_matching(coset_representative(nu, n).one_line(2 * n))
     by_lam: dict[Partition, dict[Partition, int]] = {}
     for delta, lam in _typed_matchings(n):
         row = by_lam.setdefault(lam, {})
@@ -276,11 +265,10 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: tables, tallies, fits, class sums."""
+    """Empty every memo of the package: tallies, fits, class sums."""
     from . import group_algebra, universal
 
     for cache in (
-        _TABLES,
         _TALLIES,
         _MATCHINGS,
         universal._FIT_CACHE,

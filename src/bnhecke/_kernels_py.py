@@ -14,8 +14,8 @@ Each part of the completed coset type appears exactly twice among the
 lengths, so halving the multiplicities and stripping 1 from each part
 yields the stable type, packed as descending 4-bit nibbles.
 
-It serves the level tables of bnhecke._backend only; structure
-constants are counted over perfect matchings instead.
+It serves only bnhecke._backend.LevelTable, the oracle of the tests
+and the table perfbench/probe.py times.
 """
 
 from __future__ import annotations

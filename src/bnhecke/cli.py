@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .permutations import (
     cayley_degree,
     identity,
     parse_permutation,
+    symmetric_group,
 )
 from .cosets import (
     coset_type,
@@ -189,7 +191,7 @@ def build_parser() -> _Parser:
 
 
 def parse(argv) -> Command:
-    """Validate argv into a Command; raises UsageError, never exits."""
+    """Validate argv into a Command; raises UsageError (argparse exits on --help)."""
     ns = build_parser().parse_args(argv)
     if ns.verb is None:
         raise UsageError("a verb is required (see --help)")
@@ -514,8 +516,6 @@ def _suite_generators(levels, samples, checks):
 def _suite_coset_invariants(levels, samples, checks):
     for n in (2, 3):
         census: dict = {}
-        from .permutations import symmetric_group
-
         for w in symmetric_group(2 * n):
             census[stable_coset_type(w)] = census.get(stable_coset_type(w), 0) + 1
         sizes_ok = census == {
@@ -659,14 +659,21 @@ def execute(command: Command, stream=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        command = parse(sys.argv[1:] if argv is None else argv)
-        return execute(command)
+        status = execute(parse(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()
+        return status
+    except SystemExit as exc:  # from argparse, once --help or --version printed
+        return exc.code
     except UsageError as exc:
         print(
             json.dumps({"error": "UsageError", "message": str(exc)}),
             file=sys.stderr,
         )
         return 2
+    except BrokenPipeError:
+        # the reader left: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ half-lengths form a partition of n, the *coset type* of w.  Two
 permutations lie in the same B_n-double coset iff their coset types
 agree, so double cosets K_mu(n) are indexed by partitions.
 
-The walk below uses q = phi(w)^{-1} = w^{-1} t w t.  Since t q t =
-q^{-1}, the map t pairs the q-orbits two by two, and each pair folds
-into one graph cycle [i, t(i), q(i), t(q(i)), ...] of twice the orbit
-length.  In particular the cycle lengths of phi(w) list every part of
-the coset type exactly twice.
+Coset types are read off two perfect matchings (matching_type); the
+oracle gamma_graph walks Gamma(w) with q = phi(w)^{-1} = w^{-1} t w t.
+Since t q t = q^{-1}, the map t pairs the q-orbits two by two, and each
+pair folds into one graph cycle [i, t(i), q(i), t(q(i)), ...] of twice
+the orbit length.  In particular the cycle lengths of phi(w) list every
+part of the coset type exactly twice.
 
 As with cycle types, dropping 1 from every part gives the *stable*
 coset type, independent of the ambient 2n; its weight is the number of
@@ -48,6 +49,7 @@ __all__ = [
     "gamma_graph",
     "perfect_matchings",
     "matching_type",
+    "image_matching",
     "coset_type",
     "stable_coset_type",
     "cycle_count",
@@ -231,8 +233,8 @@ def matching_type(a: tuple[int, ...], b: tuple[int, ...]) -> Partition:
 
     a | b is a disjoint union of cycles alternating a- and b-edges; the
     half-lengths minus 1, zeros dropped, give the stable type.  With a
-    the couples eps and b = w^{-1}(eps) the union is Gamma(w), so this
-    is the stable coset type of w.
+    the couples eps and b = w^{-1}(eps) the union is Gamma(w), which w
+    carries onto eps | w(eps): this is the stable coset type of w.
     """
     seen = bytearray(len(a))
     parts: list[int] = []
@@ -252,20 +254,30 @@ def matching_type(a: tuple[int, ...], b: tuple[int, ...]) -> Partition:
     return tuple(parts)
 
 
-def coset_type(w: Permutation, n: int) -> Partition:
-    """Half-lengths of the Gamma(w) cycles; a partition of n."""
-    return gamma_graph(w, n).half_lengths()
+def image_matching(images) -> tuple[int, ...]:
+    """The partner map of w(eps), w given by its 1-based one-line images."""
+    mate = [0] * len(images)
+    for i, image in enumerate(images):
+        mate[image - 1] = images[i ^ 1] - 1
+    return tuple(mate)
 
 
 def stable_coset_type(w: Permutation) -> Partition:
     """Coset type with 1 subtracted from each part; level independent."""
     n = max((w.degree + 1) // 2, 1)
-    return tuple(p - 1 for p in coset_type(w, n) if p > 1)
+    eps = image_matching(range(1, 2 * n + 1))
+    return matching_type(eps, image_matching(w.one_line(2 * n)))
+
+
+def coset_type(w: Permutation, n: int) -> Partition:
+    """Half-lengths of the Gamma(w) cycles; a partition of n."""
+    _check_level(w, n)
+    return completion(stable_coset_type(w), n)
 
 
 def cycle_count(w: Permutation, n: int) -> int:
     """Number of cycles of Gamma(w), i.e. the length of the coset type."""
-    return gamma_graph(w, n).cycle_count
+    return len(coset_type(w, n))
 
 
 def modified_support(w: Permutation) -> CoupleSet:
@@ -288,9 +300,7 @@ def twisted_degree(w: Permutation, n: int) -> int:
 def is_hyperoctahedral(w: Permutation, n: int) -> bool:
     """True iff w permutes the couples of [2n], i.e. w is in B_n."""
     _check_level(w, n)
-    return all(
-        w(2 * j) == _partner(w(2 * j - 1)) for j in range(1, n + 1)
-    )
+    return not modified_support(w)
 
 
 def delta_embed(x: Permutation) -> Permutation:

@@ -359,6 +359,28 @@ def zi_generator(i: int, n: int) -> AlgebraElement:
     return AlgebraElement._raw(n, out)
 
 
+def _expand_by_type(
+    a: AlgebraElement, level: int, type_of, size_of, error, noun: str
+) -> dict[Partition, Fraction]:
+    """The c_mu with a = sum of c_mu * (all keys of type_of mu); raises
+    error when a type carries two coefficients or misses members.
+    """
+    if a.level != level:
+        raise LevelMismatch(f"element lives at level {a.level}, not {level}")
+    coeffs: dict[Partition, Fraction] = {}
+    counts: dict[Partition, int] = {}
+    for key, c in a._t.items():
+        mu = type_of(key)
+        if coeffs.setdefault(mu, c) != c:
+            raise error(f"{noun} {mu} carries coefficients {coeffs[mu]} and {c}")
+        counts[mu] = counts.get(mu, 0) + 1
+    for mu, seen in counts.items():
+        size = size_of(mu)
+        if seen != size:
+            raise error(f"{noun} {mu} has {seen} of its {size} members present")
+    return coeffs
+
+
 def expand_in_class_basis(
     a: AlgebraElement, n: int
 ) -> dict[Partition, Fraction]:
@@ -367,25 +389,7 @@ def expand_in_class_basis(
     Raises NotCentral when a class carries a non-constant coefficient
     or is only partially present.
     """
-    if a.level != n:
-        raise LevelMismatch(f"element lives at level {a.level}, not {n}")
-    coeffs: dict[Partition, Fraction] = {}
-    counts: dict[Partition, int] = {}
-    for key, c in a._t.items():
-        mu = stable_type_of_one_line(key)
-        if mu in coeffs:
-            if coeffs[mu] != c:
-                raise NotCentral(
-                    f"class {mu} carries coefficients {coeffs[mu]} and {c}"
-                )
-            counts[mu] += 1
-        else:
-            coeffs[mu] = c
-            counts[mu] = 1
-    for mu, seen in counts.items():
-        size = factorial(n) // z_value(completion(mu, n))
-        if seen != size:
-            raise NotCentral(
-                f"class {mu} has {seen} of its {size} members present"
-            )
-    return coeffs
+    return _expand_by_type(
+        a, n, stable_type_of_one_line,
+        lambda mu: factorial(n) // z_value(completion(mu, n)), NotCentral, "class",
+    )

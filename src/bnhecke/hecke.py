@@ -15,6 +15,8 @@ types only depend on the coset x B_n, i.e. on the perfect matching
 delta = x(eps) of [2n], so the count is |B_n| times the number of the
 (2n-1)!! matchings with type(eps, delta) = lam and type(delta, z eps)
 = mu.  One pass over the matchings serves every lam and mu at once.
+double_coset_sum and expand_K go through matchings too; the LevelTable
+and its kernel serve only the tests, as oracle, and perfbench/probe.py.
 
 The generators H_i sum the K_mu(n) whose completed type has i parts,
 i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from ._backend import level_table, product_tally
+from ._backend import _typed_matchings, product_tally
 from ._symfunc import SymmetricExpression, elementary
 from .errors import (
     IndexOutOfRange,
@@ -45,6 +47,7 @@ from .errors import (
     WeightExceedsLevel,
 )
 from .group_algebra import AlgebraElement, b_sum, eval_symmetric, jucys_murphy
+from .group_algebra import _expand_by_type
 from .partitions import (
     Partition,
     as_partition,
@@ -55,11 +58,11 @@ from .partitions import (
     union,
     weight,
 )
-from .permutations import Permutation
 from .cosets import (
     double_coset_size,
     hyperoctahedral_order,
-    stable_coset_type,
+    image_matching,
+    matching_type,
 )
 
 __all__ = [
@@ -198,18 +201,20 @@ class HeckeElement:
 def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
     """K_mu(n) as an honest element of the level-2n group algebra.
 
-    Served from the classified level table rather than orbit BFS; the
-    two agree (and are tested to agree) wherever both run.
+    The sum of x B_n over the matchings delta = x(eps) of type mu,
+    tested against the orbit closure.  The LevelTable and the kernel
+    serve only the tests, as oracle, and perfbench/probe.py.
     """
     mu = as_partition(mu)
     if weight(mu) > n:
         raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
-    rows = level_table(n).rows(mu)
-    one = Fraction(1)
-    return AlgebraElement._raw(
-        2 * n,
-        {tuple(int(v) + 1 for v in row): one for row in rows},
-    )
+    sections: dict[tuple[int, ...], Fraction] = {}
+    for delta, lam in _typed_matchings(n):
+        if lam == mu:
+            # x sends couple j onto the j-th pair of delta, so x(eps) = delta
+            x = tuple(p + 1 for a, b in enumerate(delta) if a < b for p in (a, b))
+            sections[x] = Fraction(1)
+    return AlgebraElement._raw(2 * n, sections) * b_sum(n)
 
 
 def lift(u: HeckeElement) -> AlgebraElement:
@@ -227,28 +232,11 @@ def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
     present and completeness of each coset, so a partial or uneven
     coset raises NotBiInvariant.
     """
-    if a.level != 2 * n:
-        raise LevelMismatch(f"element lives at level {a.level}, not {2 * n}")
-    coeffs: dict[Partition, Fraction] = {}
-    counts: dict[Partition, int] = {}
-    for key, c in a._t.items():
-        mu = stable_coset_type(Permutation(key))
-        if mu in coeffs:
-            if coeffs[mu] != c:
-                raise NotBiInvariant(
-                    f"double coset {mu} carries coefficients "
-                    f"{coeffs[mu]} and {c}"
-                )
-            counts[mu] += 1
-        else:
-            coeffs[mu] = c
-            counts[mu] = 1
-    for mu, seen in counts.items():
-        size = double_coset_size(mu, n)
-        if seen != size:
-            raise NotBiInvariant(
-                f"double coset {mu} has {seen} of its {size} members present"
-            )
+    eps = image_matching(range(1, 2 * n + 1))
+    coeffs = _expand_by_type(
+        a, 2 * n, lambda key: matching_type(eps, image_matching(key)),
+        lambda mu: double_coset_size(mu, n), NotBiInvariant, "double coset",
+    )
     return HeckeElement(n, coeffs)
 
 

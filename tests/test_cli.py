@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bnhecke import __version__
 from bnhecke.cli import SUITES, Command, execute, main, parse
 from bnhecke.errors import UsageError
 from bnhecke.permutations import Permutation
@@ -297,6 +298,29 @@ class TestMain:
         assert error["error"] == "UsageError"
         assert error["message"].startswith("--expr:")
 
+    @pytest.mark.parametrize(
+        "argv, head",
+        [(["--version"], __version__ + "\n"), (["--help"], "usage: bnhecke")],
+        ids=["version", "help"],
+    )
+    def test_help_and_version_return_zero(self, argv, head, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(head)
+
+    def test_closed_pipe_is_quiet(self):
+        # the reader takes one byte and leaves, as `| head -c 1` does
+        child = subprocess.Popen(
+            [sys.executable, "-m", "bnhecke.cli", "table", "--n", "4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.read(1) == b"["
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) in (0, 1)
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
     def test_console_script_round_trip(self):
         argv = ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"]
         results = [
@@ -345,8 +369,9 @@ _VERB_FLAGS = {
     "table": ["--n"],
     "frobnicate": [],
 }
-# --help and --version print usage text and exit by design; junk that
-# starts with a dash could abbreviate them, so dashed junk is fixed
+_EXITS = ("--help", "-h", "--version")
+# junk that starts with a dash could abbreviate --help or --version,
+# which the test recognises by name only, so dashed junk is fixed
 _JUNK = st.text(max_size=4).filter(lambda t: not t.startswith("-")) | st.sampled_from(
     ["-", "--", "--bogus", "-x", "-1", "--n=2"]
 )
@@ -356,7 +381,8 @@ _JUNK = st.text(max_size=4).filter(lambda t: not t.startswith("-")) | st.sampled
 def _argvs(draw):
     """Mostly well-formed argv: each flag of the verb and a valid value
     for it fifteen times in sixteen, --format half the time, and once
-    in sixteen each the removed --jobs, a flag of any verb, a junk token."""
+    in sixteen each the removed --jobs, a flag of any verb, a junk token,
+    and once in four --help, -h or --version."""
 
     def seldom():
         return draw(st.sampled_from([False] * 15 + [True]))
@@ -381,6 +407,8 @@ def _argvs(draw):
         argv += pair(draw(st.sampled_from(sorted(_FLAG_VALUES))))
     if seldom():
         argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_EXITS)))
     return argv
 
 
@@ -409,6 +437,10 @@ class TestContractFuzz:
             assert json.loads(last)["error"] == "UsageError", argv
             return
         assert text, argv
+        if set(_EXITS) & set(argv):
+            assert status == 0, argv
+            assert text.startswith("usage: bnhecke") or text == __version__ + "\n"
+            return
         try:
             json.loads(text)
         except ValueError:

@@ -12,7 +12,6 @@ from bnhecke._backend import (
     compute_counts,
     compute_keys,
     key_partition,
-    level_table,
     partition_key,
     permutation_block,
     product_tally,
@@ -22,8 +21,8 @@ from bnhecke._kernels_py import type_keys_product as pure_kernel
 from bnhecke import group_algebra, universal
 from bnhecke.cosets import (
     coset_representative,
-    coset_type,
     double_coset_size,
+    gamma_graph,
     hyperoctahedral_order,
     matching_type,
     perfect_matchings,
@@ -133,17 +132,17 @@ class TestResolveJobs:
 
 class TestLevelTable:
     def test_types_cover_the_level(self):
-        table = level_table(3)
+        table = LevelTable(3)
         assert table.types() == enumerate_by_weight(3)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_sizes_match_closed_form(self, n):
-        table = level_table(n)
+        table = LevelTable(n)
         for mu in enumerate_by_weight(n):
             assert table.size(mu) == double_coset_size(mu, n)
 
     def test_rows_carry_the_right_type(self):
-        table = level_table(3)
+        table = LevelTable(3)
         for mu in enumerate_by_weight(3):
             rows = table.rows(mu)
             assert rows.flags["C_CONTIGUOUS"]
@@ -159,16 +158,13 @@ class TestLevelTable:
 
     def test_heavy_shape_rejected(self):
         with pytest.raises(WeightExceedsLevel):
-            level_table(2).rows((2,))
+            LevelTable(2).rows((2,))
 
     def test_cache_and_clear(self):
-        a = level_table(2)
-        assert level_table(2) is a
         product_tally((1,), (1,), 2)
         universal.fit_triple((1,), (1,), (1,))
         group_algebra.class_structure_constant((1,), (1,), (), 3)
         caches = {
-            "_TABLES": backend._TABLES,
             "_TALLIES": backend._TALLIES,
             "_MATCHINGS": backend._MATCHINGS,
             "_FIT_CACHE": universal._FIT_CACHE,
@@ -178,7 +174,6 @@ class TestLevelTable:
         assert all(caches.values()), [k for k, v in caches.items() if not v]
         clear_caches()
         assert not any(caches.values()), [k for k, v in caches.items() if v]
-        assert level_table(2) is not a
 
     def test_size_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
@@ -230,7 +225,7 @@ class TestProductTally:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_permutation_count(self, n):
         # the permutation tally over K_lam(n) rows is the oracle
-        table = level_table(n)
+        table = LevelTable(n)
         m = 2 * n
         for nu in enumerate_by_weight(n):
             z = _as_row(coset_representative(nu, n), m)
@@ -294,8 +289,10 @@ class TestMatchings:
             pulled = [0] * (2 * n)
             for i in range(2 * n):
                 pulled[winv[i]] = winv[i ^ 1]
-            stable = tuple(p - 1 for p in coset_type(w, n) if p > 1)
+            # the pair-graph walk is the oracle of the matching walk
+            stable = tuple(p - 1 for p in gamma_graph(w, n).half_lengths() if p > 1)
             assert matching_type(eps, tuple(pulled)) == stable, images
+            assert stable_coset_type(w) == stable, images
 
 
 def test_identity_table_census_level_three():

@@ -3,11 +3,14 @@
 python -O strips assert statements, so a result check written as one
 silently disappears.  This walks the syntax tree of every module under
 src/bnhecke/ and fails on any assert statement and on any raise of
-AssertionError.  It reports through pytest.fail, so it still works
-under -O.
+AssertionError, and trips a few guards in a python -O child.  It
+reports through pytest.fail, so it still works under -O.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,57 @@ def test_no_assert_in_package():
     ]
     if found:
         pytest.fail("use a HeckeError raise instead:\n" + "\n".join(found))
+
+
+# each guard is tripped by a monkeypatched dependency, one after the
+# other; a guard written as an assert would let its call return under -O
+_TRIP_GUARDS = """
+import json, sys
+from bnhecke import _backend, cosets, universal
+from bnhecke.errors import ValidationFailure
+
+def message(call):
+    try:
+        call()
+    except ValidationFailure as exc:
+        return str(exc)
+    return None
+
+out = {"optimize": sys.flags.optimize}
+_backend.double_coset_size = lambda mu, n: 0
+out["product_tally"] = message(lambda: _backend.product_tally((1,), (1,), 3))
+universal.factorial = lambda k: 7
+out["_binomial"] = message(lambda: universal.IntegerValuedPolynomial((0, 1))(5))
+cosets.class_representative = lambda mu, n: cosets.identity()
+out["coset_representative"] = message(lambda: cosets.coset_representative((1,), 2))
+cosets.z_value = lambda rho: 7
+out["double_coset_size"] = message(lambda: cosets.double_coset_size((1,), 2))
+print(json.dumps(out))
+"""
+_GUARD_MESSAGES = {
+    "product_tally": "by type, times |B_3|",
+    "_binomial": "left the remainder",
+    "coset_representative": "has coset type",
+    "double_coset_size": "is not an integer",
+}
+
+
+def test_guards_fire_under_python_O():
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _TRIP_GUARDS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if child.returncode != 0:
+        pytest.fail(child.stderr)
+    out = json.loads(child.stdout)
+    if out.pop("optimize") != 1:
+        pytest.fail("the child did not run under -O")
+    missed = {
+        name: out[name]
+        for name, text in _GUARD_MESSAGES.items()
+        if text not in (out[name] or "")
+    }
+    if missed:
+        pytest.fail(f"guards that did not raise under -O: {missed}")
