@@ -10,8 +10,9 @@ pair graph) through products and structure constants to the stable
 theory where structure constants become integer-valued polynomials
 in n.
 
-Structure constants are counted over perfect matchings of [2n], in
-pure Python with no build step and no worker processes.
+Structure constants are counted, and the Matsumoto image evaluated,
+over perfect matchings of [2n], in pure Python with no build step and
+no worker processes.
 """
 
 from ._backend import backend_name, clear_caches

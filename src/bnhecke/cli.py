@@ -76,6 +76,8 @@ SUITES = (
 )
 
 MAX_CLI_LEVEL = 5
+# the Matsumoto image walks the (2n-1)!! matchings of [2n]: 135135 at n = 7
+MAX_MATSUMOTO_LEVEL = 7
 SAMPLE_SEED = 987654321
 
 
@@ -115,10 +117,10 @@ def _expr_flag(text: str, flag: str) -> SymmetricExpression:
         raise UsageError(f"{flag}: not a symmetric expression: {text!r} ({exc})")
 
 
-def _level_flag(value: int, flag: str, low: int = 1) -> int:
-    if not low <= value <= MAX_CLI_LEVEL:
+def _level_flag(value: int, flag: str, low: int = 1, high: int = MAX_CLI_LEVEL) -> int:
+    if not low <= value <= high:
         raise UsageError(
-            f"{flag}: level must be in [{low}, {MAX_CLI_LEVEL}], got {value}"
+            f"{flag}: level must be in [{low}, {high}], got {value}"
         )
     return value
 
@@ -174,7 +176,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--n", type=int, default=None, help="run at exactly this level")
-    p.add_argument("--max-n", type=int, default=4, help="run levels up to this (default 4; 5 is opt-in)")
+    p.add_argument("--max-n", type=int, default=4, help="run levels up to this (default 4; at most 5, 7 for the matsumoto suite)")
     p.add_argument("--samples", type=int, default=1000, help="random samples per level for sampled suites")
 
     p = sub.add_parser("fit", help="fit structure constants as integer-valued polynomials in n")
@@ -239,7 +241,7 @@ def parse(argv) -> Command:
                 f"--r: K_({ns.r}) has weight {ns.r + 1}, above level {ns.n}"
             )
     elif ns.verb == "matsumoto":
-        args["n"] = _level_flag(ns.n, "--n", low=2)
+        args["n"] = _level_flag(ns.n, "--n", low=2, high=MAX_MATSUMOTO_LEVEL)
         args["expr"] = _expr_flag(ns.expr, "--expr")
     elif ns.verb == "generators":
         args["n"] = _level_flag(ns.n, "--n", low=2)
@@ -249,10 +251,11 @@ def parse(argv) -> Command:
         args["max_degree"] = degree
     elif ns.verb == "verify":
         args["suite"] = ns.suite
+        high = MAX_MATSUMOTO_LEVEL if ns.suite == "matsumoto" else MAX_CLI_LEVEL
         if ns.n is not None:
-            levels = [_level_flag(ns.n, "--n", low=2)]
+            levels = [_level_flag(ns.n, "--n", low=2, high=high)]
         else:
-            levels = list(range(2, _level_flag(ns.max_n, "--max-n", low=2) + 1))
+            levels = list(range(2, _level_flag(ns.max_n, "--max-n", low=2, high=high) + 1))
         args["levels"] = levels
         if ns.samples < 1:
             raise UsageError(f"--samples: must be positive, got {ns.samples}")
@@ -281,12 +284,6 @@ def parse(argv) -> Command:
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
-
-
-def _warn_heavy(n: int) -> None:
-    # the Matsumoto image works in the group algebra of S_2n
-    if n > 4:
-        _progress(f"matsumoto at n={n}: group algebra of S_{2 * n}, be patient")
 
 
 def _embedding_level(w: Permutation) -> int:
@@ -351,7 +348,6 @@ def _run_expand_single_cycle(args):
 
 
 def _run_matsumoto(args):
-    _warn_heavy(args["n"])
     return matsumoto_image(args["expr"], args["n"]).to_json(), 0
 
 
@@ -400,7 +396,6 @@ def _check(checks, name, ok, detail=None):
 
 def _suite_matsumoto(levels, samples, checks):
     for n in levels:
-        _warn_heavy(n)
         for i in range(1, n + 1):
             got = matsumoto_image(elementary(n - i), n)
             want = generator_H(i, n)

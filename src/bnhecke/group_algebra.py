@@ -360,16 +360,14 @@ def zi_generator(i: int, n: int) -> AlgebraElement:
 
 
 def _expand_by_type(
-    a: AlgebraElement, level: int, type_of, size_of, error, noun: str
+    terms: Mapping, type_of, size_of, error, noun: str
 ) -> dict[Partition, Fraction]:
-    """The c_mu with a = sum of c_mu * (all keys of type_of mu); raises
-    error when a type carries two coefficients or misses members.
+    """The c_mu with terms = sum of c_mu * (all keys of type_of mu);
+    raises error when a type carries two coefficients or misses members.
     """
-    if a.level != level:
-        raise LevelMismatch(f"element lives at level {a.level}, not {level}")
     coeffs: dict[Partition, Fraction] = {}
     counts: dict[Partition, int] = {}
-    for key, c in a._t.items():
+    for key, c in terms.items():
         mu = type_of(key)
         if coeffs.setdefault(mu, c) != c:
             raise error(f"{noun} {mu} carries coefficients {coeffs[mu]} and {c}")
@@ -389,7 +387,9 @@ def expand_in_class_basis(
     Raises NotCentral when a class carries a non-constant coefficient
     or is only partially present.
     """
+    if a.level != n:
+        raise LevelMismatch(f"element lives at level {a.level}, not {n}")
     return _expand_by_type(
-        a, n, stable_type_of_one_line,
+        a._t, stable_type_of_one_line,
         lambda mu: factorial(n) // z_value(completion(mu, n)), NotCentral, "class",
     )

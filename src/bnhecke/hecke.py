@@ -25,6 +25,13 @@ K_lam K_(r) in closed form, and the Matsumoto correspondence sending
 e_{n-i}(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) to H_i.  A Hermite
 normal form certificate over Z witnesses that monomials in the H_i
 span the whole lattice of K-coordinates.
+
+The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) never
+enters Q[S_2n] either.  It is right-B_n-invariant, so the vector
+v = F(J) eps in Q[matchings] determines it: J_k acts on a matching by
+sum_{i<k} relabelling with (i k), and the coefficient of K_mu is v at
+any matching of type mu.  jucys_murphy at level 2n, b_sum and expand_K
+stay as the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -46,8 +53,7 @@ from .errors import (
     ValidationFailure,
     WeightExceedsLevel,
 )
-from .group_algebra import AlgebraElement, b_sum, eval_symmetric, jucys_murphy
-from .group_algebra import _expand_by_type
+from .group_algebra import AlgebraElement, _expand_by_type, b_sum
 from .partitions import (
     Partition,
     as_partition,
@@ -232,9 +238,11 @@ def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
     present and completeness of each coset, so a partial or uneven
     coset raises NotBiInvariant.
     """
+    if a.level != 2 * n:
+        raise LevelMismatch(f"element lives at level {a.level}, not {2 * n}")
     eps = image_matching(range(1, 2 * n + 1))
     coeffs = _expand_by_type(
-        a, 2 * n, lambda key: matching_type(eps, image_matching(key)),
+        a._t, lambda key: matching_type(eps, image_matching(key)),
         lambda mu: double_coset_size(mu, n), NotBiInvariant, "double coset",
     )
     return HeckeElement(n, coeffs)
@@ -376,13 +384,87 @@ def single_cycle_expansion(lam: Partition, r: int, n: int) -> HeckeElement:
     return HeckeElement(n, coeffs)
 
 
-_MATSUMOTO_CHECKED = False
+def _add_jm_image(p: int, u: dict, out: dict) -> None:
+    """Add J_{p+1} u to out, u a vector of matchings of 0-based points.
+
+    J_{p+1} = sum over q < p of (q p), and w acts on a matching by
+    relabelling its points.  (q p) fixes a matching in which q and p
+    are partners; otherwise q takes p's partner and p takes q's.
+    """
+    get = out.get
+    for delta, c in u.items():
+        b = delta[p]
+        for q in range(p):
+            if q == b:
+                image = delta
+            else:
+                a = delta[q]
+                mate = list(delta)
+                mate[q], mate[b], mate[p], mate[a] = b, q, a, p
+                image = tuple(mate)
+            out[image] = get(image, 0) + c
+
+
+def _elementary_images(u: dict, top: int, n: int) -> list[dict]:
+    """[e_0 u, ..., e_top u], e_k = e_k(J_1, J_3, ..., J_{2n-1}).
+
+    The product DP over (1 + t J) of group_algebra._elementary_row,
+    run on vectors: adding the variable J turns e_j into e_j + J e_{j-1}.
+    """
+    row = [u] + [{} for _ in range(top)]
+    for i in range(1, n):  # J_{2i+1} moves the 0-based point 2i; J_1 = 0
+        for j in range(min(top, i), 0, -1):
+            _add_jm_image(2 * i, row[j - 1], row[j])
+    return row
+
+
+def _matsumoto_vector(F: SymmetricExpression, n: int) -> dict[tuple[int, ...], int]:
+    """v = F(J_1, J_3, ..., J_{2n-1}) eps in Z[perfect matchings of [2n]].
+
+    Each e-monomial acts factor by factor on eps (the J's commute), and
+    the rows of e-images are shared between monomials with a common tail.
+    """
+    eps = image_matching(range(1, 2 * n + 1))
+    # the highest e_k each tail is hit by; e_k = 0 for k > n
+    need: dict[tuple[int, ...], int] = {}
+    for mono in F.terms:
+        for s, k in enumerate(mono):
+            tail = mono[s + 1 :]
+            need[tail] = min(n, max(k, need.get(tail, 0)))
+    rows: dict[tuple[int, ...], list[dict]] = {}
+
+    def image(mono: tuple[int, ...]) -> dict:
+        if not mono:
+            return {eps: 1}
+        rest = mono[1:]
+        if rest not in rows:
+            rows[rest] = _elementary_images(image(rest), need[rest], n)
+        return rows[rest][mono[0]] if mono[0] <= n else {}
+
+    v: dict[tuple[int, ...], int] = {}
+    for mono, c in F.terms.items():
+        for delta, x in image(mono).items():
+            v[delta] = v.get(delta, 0) + c * x
+    return {delta: x for delta, x in v.items() if x}
 
 
 def _matsumoto_raw(F: SymmetricExpression, n: int) -> HeckeElement:
-    odds = [jucys_murphy(2 * i - 1, 2 * n) for i in range(1, n + 1)]
-    image = eval_symmetric(F, odds) * b_sum(n)
-    return expand_K(image, n)
+    """F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) read off v = F(J) eps.
+
+    The coefficient of x is v(x(eps)), so the coefficient of K_mu is v
+    at any matching of type mu.  v must be constant on, and cover, the
+    |K_mu(n)| / |B_n| matchings of each type present, else NotBiInvariant.
+    """
+    eps = image_matching(range(1, 2 * n + 1))
+    order = hyperoctahedral_order(n)
+    coeffs = _expand_by_type(
+        _matsumoto_vector(F, n), lambda delta: matching_type(eps, delta),
+        lambda mu: double_coset_size(mu, n) // order, NotBiInvariant, "matching type",
+    )
+    return HeckeElement(n, coeffs)
+
+
+_MATSUMOTO_CHECKED = False
 
 
 def matsumoto_image(
@@ -390,15 +472,17 @@ def matsumoto_image(
 ) -> HeckeElement:
     """F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n), in the K basis.
 
+    Evaluated on the (2n-1)!! perfect matchings of [2n], not in Q[S_2n]:
+    the element is right-B_n-invariant, so F(J) eps determines it.
     Under this unnormalized-sum convention e_{n-i} lands on H_i; the
     first call proves that at n = 2 before returning anything, so a
-    normalization regression cannot slip through silently.
+    normalization regression cannot slip through silently, and a
+    failed self-test fails every later call too.
     """
     global _MATSUMOTO_CHECKED
     if isinstance(F, str):
         F = SymmetricExpression.parse(F)
     if not _MATSUMOTO_CHECKED:
-        _MATSUMOTO_CHECKED = True
         for i in (1, 2):
             got = _matsumoto_raw(elementary(2 - i), 2)
             want = generator_H(i, 2)
@@ -407,6 +491,7 @@ def matsumoto_image(
                     f"normalization self-test failed at n=2: "
                     f"e_{2 - i} maps to {got}, expected H_{i} = {want}"
                 )
+        _MATSUMOTO_CHECKED = True
     return _matsumoto_raw(F, n)
 
 

@@ -82,7 +82,7 @@ class TestParse:
             ["matsumoto", "--expr", "e1", "--n", "1"],
             ["generators", "--n", "3", "--max-degree", "0"],
             ["verify", "--suite", "nope", "--n", "3"],
-            ["verify", "--suite", "matsumoto", "--n", "6"],
+            ["verify", "--suite", "matsumoto", "--n", "8"],
             ["verify", "--suite", "matsumoto", "--samples", "0"],
             ["fit", "--lam", "[1]"],
             ["fit"],
@@ -90,6 +90,9 @@ class TestParse:
             ["fit", "--max-weight", "2", "--lam", "[1]"],
             ["table", "--n", "6"],
             ["--jobs", "0", "table", "--n", "2"],
+            ["verify", "--suite", "matsumoto", "--max-n", "8"],
+            ["verify", "--suite", "generators", "--n", "6"],
+            ["matsumoto", "--expr", "e1", "--n", "8"],
         ],
     )
     def test_usage_errors(self, argv):
@@ -184,6 +187,28 @@ class TestVerbs:
         assert status == 0
         assert payload["coeffs"] == [{"mu": [1], "c": "1"}]
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matsumoto_degree_two_closed_form(self, n):
+        a, b = 2, 3
+        status, payload = run_json(
+            ["matsumoto", "--n", str(n), "--expr", f"{a}*e2 + {b}*e1*e1"]
+        )
+        assert status == 0
+        assert payload == {
+            "n": n,
+            "coeffs": [
+                {"mu": [], "c": str(b * n * (n - 1))},
+                {"mu": [1], "c": str(b)},
+                {"mu": [2], "c": str(a + 3 * b)},
+                {"mu": [1, 1], "c": str(a + 2 * b)},
+            ],
+        }
+
+    def test_verify_matsumoto_at_the_cap(self):
+        status, payload = run_json(["verify", "--suite", "matsumoto", "--n", "7"])
+        assert status == 0 and payload["ok"] is True
+        assert len(payload["checks"]) == 7
+
     def test_generators_success(self):
         status, payload = run_json(["generators", "--n", "3"])
         assert status == 0
@@ -238,11 +263,18 @@ class TestVerbs:
         assert "verify coset-invariants" in err
 
     def test_no_heavy_warning_outside_matsumoto(self, capsys):
-        # only the Matsumoto image builds the group algebra of S_10
+        # no verb builds the group algebra of S_10
         status, payload = run_json(["verify", "--suite", "generators", "--n", "5"])
         assert status == 0 and payload["ok"] is True
         err = capsys.readouterr().err
         assert "S_10" not in err and "warning" not in err
+
+    def test_no_heavy_warning_for_matsumoto(self, capsys):
+        # the Matsumoto image walks matchings, not the group algebra of S_10
+        status, _ = run_json(["matsumoto", "--n", "5", "--expr", "e2 + e1*e1"])
+        assert status == 0
+        err = capsys.readouterr().err
+        assert "S_10" not in err and "patient" not in err
 
 
 class TestOutputFormats:

@@ -15,7 +15,8 @@ from bnhecke.errors import (
     ValidationFailure,
     WeightExceedsLevel,
 )
-from bnhecke.group_algebra import AlgebraElement
+from bnhecke._symfunc import SymmetricExpression
+from bnhecke.group_algebra import AlgebraElement, b_sum, eval_symmetric, jucys_murphy
 from bnhecke.hecke import (
     GenerationCertificate,
     HeckeElement,
@@ -301,6 +302,57 @@ class TestMatsumoto:
         from bnhecke.group_algebra import elementary
 
         assert matsumoto_image(elementary(0), 2) == generator_H(2, 2)
+
+    # e_k with k > n at every level, p_k, h_k, an m_lambda, products,
+    # negative coefficients, a constant and an expression equal to 0
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "expr",
+        ["e1", "e3", "e5", "p2", "p3", "h2", "m[2,1]", "e2*e1",
+         "e2 - 3*e1*e1", "4", "e1 - e1"],
+    )
+    def test_matchings_agree_with_group_algebra(self, expr, n):
+        odds = [jucys_murphy(2 * i - 1, 2 * n) for i in range(1, n + 1)]
+        want = expand_K(eval_symmetric(expr, odds) * b_sum(n), n)
+        got = matsumoto_image(expr, n)
+        if got != want:
+            pytest.fail(f"{expr} at n={n}: {got} != {want}")
+
+    def test_closed_form_of_degree_two(self):
+        # a*e2 + b*e1*e1 -> b n(n-1) K_() + b K_(1) + (a+3b) K_(2) + (a+2b) K_(1,1)
+        n, a, b = 5, 2, 3
+        want = HeckeElement(
+            n, {(): b * n * (n - 1), (1,): b, (2,): a + 3 * b, (1, 1): a + 2 * b}
+        )
+        if matsumoto_image(f"{a}*e2 + {b}*e1*e1", n) != want:
+            pytest.fail("degree-2 closed form violated at n=5")
+
+    @pytest.mark.parametrize("damage", ["uneven", "missing"])
+    def test_uneven_vector_is_not_bi_invariant(self, monkeypatch, damage):
+        true_vector = hecke._matsumoto_vector
+
+        def damaged(F, n):
+            v = true_vector(F, n)
+            delta = max(v)  # some matching of type (1,) when F = e1
+            if damage == "uneven":
+                v[delta] += 1
+            else:
+                del v[delta]
+            return v
+
+        monkeypatch.setattr(hecke, "_matsumoto_vector", damaged)
+        with pytest.raises(NotBiInvariant):
+            hecke._matsumoto_raw(SymmetricExpression.parse("e1"), 3)
+
+    def test_failed_self_test_fails_every_call(self, monkeypatch):
+        # a wrong raw path must not be let through by a second call
+        monkeypatch.setattr(hecke, "_MATSUMOTO_CHECKED", False)
+        monkeypatch.setattr(
+            hecke, "_matsumoto_raw", lambda F, n: HeckeElement.zero(n)
+        )
+        for _ in range(2):
+            with pytest.raises(ValidationFailure, match="self-test"):
+                matsumoto_image("e1", 3)
 
 
 def _det(mat):
