@@ -421,29 +421,16 @@ def _elementary_images(u: dict, top: int, n: int) -> list[dict]:
 def _matsumoto_vector(F: SymmetricExpression, n: int) -> dict[tuple[int, ...], int]:
     """v = F(J_1, J_3, ..., J_{2n-1}) eps in Z[perfect matchings of [2n]].
 
-    Each e-monomial acts factor by factor on eps (the J's commute), and
-    the rows of e-images are shared between monomials with a common tail.
+    Each e-monomial acts factor by factor, right to left, on eps; the
+    J's commute, so any order gives the same vector.  e_k = 0 for k > n.
     """
     eps = image_matching(range(1, 2 * n + 1))
-    # the highest e_k each tail is hit by; e_k = 0 for k > n
-    need: dict[tuple[int, ...], int] = {}
-    for mono in F.terms:
-        for s, k in enumerate(mono):
-            tail = mono[s + 1 :]
-            need[tail] = min(n, max(k, need.get(tail, 0)))
-    rows: dict[tuple[int, ...], list[dict]] = {}
-
-    def image(mono: tuple[int, ...]) -> dict:
-        if not mono:
-            return {eps: 1}
-        rest = mono[1:]
-        if rest not in rows:
-            rows[rest] = _elementary_images(image(rest), need[rest], n)
-        return rows[rest][mono[0]] if mono[0] <= n else {}
-
     v: dict[tuple[int, ...], int] = {}
     for mono, c in F.terms.items():
-        for delta, x in image(mono).items():
+        u = {eps: 1}
+        for k in reversed(mono):
+            u = _elementary_images(u, k, n)[k] if k <= n else {}
+        for delta, x in u.items():
             v[delta] = v.get(delta, 0) + c * x
     return {delta: x for delta, x in v.items() if x}
 

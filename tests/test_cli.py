@@ -6,7 +6,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bnhecke import __version__
 from bnhecke.cli import SUITES, Command, execute, main, parse
@@ -187,7 +187,7 @@ class TestVerbs:
         assert status == 0
         assert payload["coeffs"] == [{"mu": [1], "c": "1"}]
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_matsumoto_degree_two_closed_form(self, n):
         a, b = 2, 3
         status, payload = run_json(
@@ -369,9 +369,10 @@ class TestMain:
         assert payload["coeffs"][0] == {"mu": [], "c": "2"}
 
 
-# (valid, invalid) values per flag; the levels stay at n <= 3
+# (valid, invalid) values per flag; the levels stay at n <= 3.  6 is above
+# the cap of every verb and suite but matsumoto's; 8 is above every cap.
 _SHAPES = (["[]", "[1]", "[2]", "[1,1]"], ["[3]", "[0]", "{}", "[1", "x"])
-_LEVELS = (["1", "2", "3"], ["-1", "0", "6", "x"])
+_LEVELS = (["1", "2", "3"], ["-1", "0", "6", "8", "x"])
 _FLAG_VALUES = {
     "--format": (["json", "csv"], ["xml"]),
     "--jobs": ([], ["0", "2"]),  # no such flag: always a usage error
@@ -457,6 +458,10 @@ class TestContractFuzz:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(_argvs())
+    # the Matsumoto cap is rarely drawn: one level over it and one under it
+    @example(["matsumoto", "--expr", "e1", "--n", "8"])
+    @example(["verify", "--max-n", "8", "--suite", "matsumoto"])
+    @example(["matsumoto", "--expr", "e2 - 2*p2", "--n", "6"])
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -318,15 +318,6 @@ class TestMatsumoto:
         if got != want:
             pytest.fail(f"{expr} at n={n}: {got} != {want}")
 
-    def test_closed_form_of_degree_two(self):
-        # a*e2 + b*e1*e1 -> b n(n-1) K_() + b K_(1) + (a+3b) K_(2) + (a+2b) K_(1,1)
-        n, a, b = 5, 2, 3
-        want = HeckeElement(
-            n, {(): b * n * (n - 1), (1,): b, (2,): a + 3 * b, (1, 1): a + 2 * b}
-        )
-        if matsumoto_image(f"{a}*e2 + {b}*e1*e1", n) != want:
-            pytest.fail("degree-2 closed form violated at n=5")
-
     @pytest.mark.parametrize("damage", ["uneven", "missing"])
     def test_uneven_vector_is_not_bi_invariant(self, monkeypatch, damage):
         true_vector = hecke._matsumoto_vector
