@@ -12,7 +12,11 @@ in n.
 
 Structure constants are counted, and the Matsumoto image evaluated,
 over perfect matchings of [2n], in pure Python with no build step and
-no worker processes.
+no worker processes.  Importing the package, or running any CLI verb,
+loads nothing outside the standard library.  Only the permutation
+oracle the tests check those counts against, bnhecke._kernels_py
+(LevelTable and its kernel), has a third-party dependency; the package
+loads it only when perfbench asks bnhecke._backend for it.
 """
 
 from ._backend import backend_name, clear_caches

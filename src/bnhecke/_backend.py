@@ -1,4 +1,4 @@
-"""Structure-constant tallies, and the permutation kernel and level tables.
+"""Structure-constant tallies, counted over perfect matchings.
 
 Every K-basis number comes from product_tally, which counts over
 perfect matchings of [2n]: S_2n/B_n is in bijection with the (2n-1)!!
@@ -13,20 +13,14 @@ where type is the stable type of the union of two matchings.  The
 matchings and their types against eps are cached per level, and one
 pass per (nu, n) fills the tallies of every lam at once.
 
-The permutation kernel (bnhecke._kernels_py) and the LevelTable, which
-materializes all of S_2n (lexicographic uint8 rows), classifies every
-row by stable coset type, and serves the rows of any double coset
-K_mu(n) as a contiguous block, serve only the tests, as the oracle of
-the matching count, and perfbench/probe.py.
+The permutation oracle, which materializes all of S_2n and classifies
+every row by stable coset type, lives in bnhecke._kernels_py; the tests
+check the matching count against it.  Only the perfbench hook at the
+end of this module loads it, on first access; no CLI verb does.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-from . import _kernels_py
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
 from .partitions import Partition, as_partition, enumerate_by_weight, weight
 from .cosets import (
@@ -41,21 +35,14 @@ from .cosets import (
 __all__ = [
     "backend_name",
     "partition_key",
-    "key_partition",
-    "permutation_block",
-    "LevelTable",
     "product_tally",
     "clear_caches",
 ]
 
-# S_10 is 3.6M rows; S_12 would be 479M.  Tallies share the cap, which
-# fixes the levels that fit samples.
-MAX_TABLE_LEVEL = 5
-
-# rows per kernel call, which bounds the rows.tolist() copy on S_10
-_CHUNK = 1 << 16
-
-_KERNEL = _kernels_py.type_keys_product
+# Matchings are cheap (945 at n = 5); the cap is the highest level the
+# fits sample (universal.MAX_SAMPLE_LEVEL), and raising it changes
+# which triples fit.
+MAX_TALLY_LEVEL = 5
 
 
 def backend_name() -> str:
@@ -63,137 +50,17 @@ def backend_name() -> str:
     return "pure"
 
 
-# resolve_jobs and the jobs argument of LevelTable serve only
-# perfbench/probe.py, which times one level-5 build per worker count;
-# the build itself is serial.
-def resolve_jobs(explicit: int | None = None) -> int:
-    """Worker count: HECKE_JOBS overrides an explicit request."""
-    env = os.environ.get("HECKE_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise UsageError(f"HECKE_JOBS must be an integer, not {env!r}") from None
-    elif explicit is not None:
-        jobs = explicit
-    else:
-        jobs = min(os.cpu_count() or 1, 8)
-    if jobs < 1:
-        raise UsageError(f"worker count must be positive, not {jobs}")
-    return jobs
-
-
 def partition_key(mu: Partition) -> int:
-    """Pack a partition into descending 4-bit nibbles of a uint64."""
+    """Pack a partition into descending 4-bit nibbles of a uint64.
+
+    Tallies list mu in key order.
+    """
     if any(p > 15 for p in mu) or len(mu) > 16:
         raise UsageError(f"partition {mu} does not fit the nibble key format")
     key = 0
     for shift, part in enumerate(mu):
         key |= part << (4 * shift)
     return key
-
-
-def key_partition(key: int) -> Partition:
-    """Inverse of partition_key."""
-    parts = []
-    key = int(key)
-    while key:
-        parts.append(key & 0xF)
-        key >>= 4
-    return tuple(parts)
-
-
-def permutation_block(m: int) -> np.ndarray:
-    """All of S_m as an (m!, m) uint8 array of 0-based rows, lex order.
-
-    Built level by level: the block for S_k is k stacked copies of the
-    S_(k-1) block with each first element prepended and the remaining
-    digits relabelled, which keeps everything vectorized.
-    """
-    block = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(1, m + 1):
-        prev_count = block.shape[0]
-        cur = np.empty((prev_count * k, k), dtype=np.uint8)
-        for first in range(k):
-            digits = np.array(
-                [d for d in range(k) if d != first], dtype=np.uint8
-            )
-            seg = cur[first * prev_count : (first + 1) * prev_count]
-            seg[:, 0] = first
-            if k > 1:
-                seg[:, 1:] = digits[block]
-        block = cur
-    return block
-
-
-def compute_keys(rows: np.ndarray, z: np.ndarray, zinv: np.ndarray) -> np.ndarray:
-    """Type key of rows[r]^{-1} z for every row."""
-    out = np.empty(rows.shape[0], dtype=np.uint64)
-    for a in range(0, rows.shape[0], _CHUNK):
-        _KERNEL(rows[a : a + _CHUNK], z, zinv, out[a : a + _CHUNK])
-    return out
-
-
-def compute_counts(
-    rows: np.ndarray, z: np.ndarray, zinv: np.ndarray
-) -> dict[int, int]:
-    """Histogram of type keys of rows[r]^{-1} z."""
-    uniq, counts = np.unique(compute_keys(rows, z, zinv), return_counts=True)
-    return {int(k): int(c) for k, c in zip(uniq, counts)}
-
-
-class LevelTable:
-    """All of S_2n grouped by stable coset type."""
-
-    def __init__(self, n: int, jobs: int = 1):
-        if not 1 <= n <= MAX_TABLE_LEVEL:
-            raise UsageError(
-                f"level tables cover 1 <= n <= {MAX_TABLE_LEVEL}; S_{2*n} "
-                "would not fit in memory"
-            )
-        self.n = n
-        m = 2 * n
-        self._perms = permutation_block(m)
-        ident = np.arange(m, dtype=np.uint8)
-        keys = compute_keys(self._perms, ident, ident)
-        self._order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[self._order]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        self._uniq = uniq
-        self._starts = np.append(starts, len(sorted_keys))
-        for mu_key, size in zip(self._uniq, np.diff(self._starts)):
-            mu = key_partition(int(mu_key))
-            if size != double_coset_size(mu, n):
-                raise ValidationFailure(
-                    f"level {n} table holds {int(size)} rows of type {mu}, "
-                    f"not |K_{mu}({n})| = {double_coset_size(mu, n)}"
-                )
-
-    def types(self) -> list[Partition]:
-        return sorted(
-            (key_partition(int(k)) for k in self._uniq),
-            key=lambda mu: (weight(mu), mu),
-        )
-
-    def _span(self, mu: Partition) -> tuple[int, int]:
-        if weight(mu) > self.n:
-            raise WeightExceedsLevel(
-                f"wt{mu} = {weight(mu)} exceeds level {self.n}"
-            )
-        key = partition_key(mu)
-        pos = int(np.searchsorted(self._uniq, np.uint64(key)))
-        if pos == len(self._uniq) or self._uniq[pos] != key:
-            raise ValidationFailure(f"level {self.n} table has no rows of type {mu}")
-        return int(self._starts[pos]), int(self._starts[pos + 1])
-
-    def size(self, mu: Partition) -> int:
-        lo, hi = self._span(mu)
-        return hi - lo
-
-    def rows(self, mu: Partition) -> np.ndarray:
-        """The double coset K_mu(n) as a contiguous (size, 2n) block."""
-        lo, hi = self._span(mu)
-        return np.ascontiguousarray(self._perms[self._order[lo:hi]])
 
 
 _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
@@ -252,9 +119,9 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
     """
     memo = (tuple(lam), tuple(nu), n)
     if memo not in _TALLIES:
-        if not 1 <= n <= MAX_TABLE_LEVEL:
+        if not 1 <= n <= MAX_TALLY_LEVEL:
             raise UsageError(
-                f"structure constants are counted for 1 <= n <= {MAX_TABLE_LEVEL}, "
+                f"structure constants are counted for 1 <= n <= {MAX_TALLY_LEVEL}, "
                 f"not n = {n}"
             )
         lam = as_partition(lam)
@@ -276,3 +143,23 @@ def clear_caches() -> None:
         group_algebra._CLASS_PRODUCTS,
     ):
         cache.clear()
+
+
+# perfbench/probe.py and perfbench/traced_cli.py read the permutation
+# oracle from this module.  These names load bnhecke._kernels_py on
+# first access; the hook exists only for perfbench and goes away with
+# the oracle (ROADMAP item 3).
+_ORACLE_NAMES = {
+    "LevelTable": "LevelTable",
+    "permutation_block": "permutation_block",
+    "resolve_jobs": "resolve_jobs",
+    "_KERNEL": "type_keys_product",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _kernels_py
+
+    return getattr(_kernels_py, _ORACLE_NAMES[name])

@@ -78,6 +78,9 @@ SUITES = (
 MAX_CLI_LEVEL = 5
 # the Matsumoto image walks the (2n-1)!! matchings of [2n]: 135135 at n = 7
 MAX_MATSUMOTO_LEVEL = 7
+# every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
+# default int-to-str limit, up to n = 779: json.dumps prints any size
+MAX_COSET_SIZE_LEVEL = 779
 SAMPLE_SEED = 987654321
 
 
@@ -171,7 +174,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generators", help="certify that H_1..H_n generate, via integer HNF")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None, help="monomial degree bound (default n-1)")
+    p.add_argument("--max-degree", type=int, default=None, help="monomial degree bound, 1 to n-1 (default n-1)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
@@ -202,9 +205,7 @@ def parse(argv) -> Command:
         args["perm"] = _perm_flag(ns.perm, "--perm")
     elif ns.verb == "coset-size":
         args["mu"] = _partition_flag(ns.mu, "--mu")
-        if ns.n < 1:
-            raise UsageError(f"--n: must be positive, got {ns.n}")
-        args["n"] = ns.n
+        args["n"] = _level_flag(ns.n, "--n", high=MAX_COSET_SIZE_LEVEL)
         if weight(args["mu"]) > ns.n:
             raise UsageError(
                 f"--mu: weight {weight(args['mu'])} exceeds level {ns.n}"
@@ -246,8 +247,11 @@ def parse(argv) -> Command:
     elif ns.verb == "generators":
         args["n"] = _level_flag(ns.n, "--n", low=2)
         degree = ns.max_degree if ns.max_degree is not None else ns.n - 1
-        if degree < 1:
-            raise UsageError(f"--max-degree: must be positive, got {degree}")
+        # degree n - 1 already certifies every level the verb accepts
+        if not 1 <= degree <= ns.n - 1:
+            raise UsageError(
+                f"--max-degree: must be in [1, {ns.n - 1}], got {degree}"
+            )
         args["max_degree"] = degree
     elif ns.verb == "verify":
         args["suite"] = ns.suite

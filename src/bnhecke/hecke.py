@@ -15,8 +15,9 @@ types only depend on the coset x B_n, i.e. on the perfect matching
 delta = x(eps) of [2n], so the count is |B_n| times the number of the
 (2n-1)!! matchings with type(eps, delta) = lam and type(delta, z eps)
 = mu.  One pass over the matchings serves every lam and mu at once.
-double_coset_sum and expand_K go through matchings too; the LevelTable
-and its kernel serve only the tests, as oracle, and perfbench/probe.py.
+double_coset_sum and expand_K go through matchings too; the permutation
+oracle (bnhecke._kernels_py.LevelTable and its kernel) serves only the
+tests and perfbench/probe.py.
 
 The generators H_i sum the K_mu(n) whose completed type has i parts,
 i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
@@ -208,8 +209,7 @@ def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
     """K_mu(n) as an honest element of the level-2n group algebra.
 
     The sum of x B_n over the matchings delta = x(eps) of type mu,
-    tested against the orbit closure.  The LevelTable and the kernel
-    serve only the tests, as oracle, and perfbench/probe.py.
+    tested against the orbit closure.
     """
     mu = as_partition(mu)
     if weight(mu) > n:

@@ -1,15 +1,19 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import bnhecke
 from bnhecke import __version__
-from bnhecke.cli import SUITES, Command, execute, main, parse
+from bnhecke.cli import MAX_COSET_SIZE_LEVEL, SUITES, Command, execute, main, parse
+from bnhecke.cosets import double_coset_size
 from bnhecke.errors import UsageError
 from bnhecke.permutations import Permutation
 
@@ -93,6 +97,8 @@ class TestParse:
             ["verify", "--suite", "matsumoto", "--max-n", "8"],
             ["verify", "--suite", "generators", "--n", "6"],
             ["matsumoto", "--expr", "e1", "--n", "8"],
+            ["coset-size", "--mu", "[]", "--n", str(MAX_COSET_SIZE_LEVEL + 1)],
+            ["generators", "--n", "3", "--max-degree", "3"],
         ],
     )
     def test_usage_errors(self, argv):
@@ -159,6 +165,14 @@ class TestVerbs:
         status, payload = run_json(["coset-size", "--mu", "[1]", "--n", "3"])
         assert status == 0
         assert payload == {"mu": [1], "n": 3, "size": 288}
+
+    def test_coset_size_prints_the_largest_coset_at_the_cap(self):
+        # the cap is the last level whose (2n)! prints in 4300 digits
+        n = MAX_COSET_SIZE_LEVEL
+        assert factorial(2 * n) < 10**4300 <= factorial(2 * n + 2)
+        status, payload = run_json(["coset-size", "--mu", f"[{n - 1}]", "--n", str(n)])
+        assert status == 0
+        assert payload["size"] == double_coset_size((n - 1,), n)
 
     def test_structure_constant(self):
         status, payload = run_json(
@@ -353,6 +367,42 @@ class TestMain:
         assert child.wait(timeout=120) in (0, 1)
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
+    def test_no_verb_imports_numpy(self):
+        # the permutation oracle is the only numpy module; no verb loads it
+        argvs = [
+            ["coset-type", "--perm", "[2,1]"],
+            ["phi", "--perm", "[2,1]"],
+            ["coset-size", "--mu", "[1]", "--n", "2"],
+            ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"],
+            ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "2"],
+            ["expand-single-cycle", "--lam", "[1]", "--r", "1", "--n", "2"],
+            ["matsumoto", "--expr", "e1", "--n", "2"],
+            ["generators", "--n", "2"],
+            ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"],
+            ["table", "--n", "2"],
+            *(["verify", "--suite", suite, "--n", "2", "--samples", "5"] for suite in SUITES),
+        ]
+        script = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "from bnhecke.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    print(status, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bnhecke.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        lines = child.stdout.splitlines()
+        assert len(lines) == len(argvs), child.stdout
+        for argv, line in zip(argvs, lines):
+            assert line == "0 False", (argv, line)
+
     def test_console_script_round_trip(self):
         argv = ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"]
         results = [
@@ -462,6 +512,10 @@ class TestContractFuzz:
     @example(["matsumoto", "--expr", "e1", "--n", "8"])
     @example(["verify", "--max-n", "8", "--suite", "matsumoto"])
     @example(["matsumoto", "--expr", "e2 - 2*p2", "--n", "6"])
+    # the levels stay at n <= 3: the coset-size print cap and a degree
+    # far above n - 1 would not be drawn
+    @example(["coset-size", "--n", "780", "--mu", "[779]"])
+    @example(["generators", "--n", "3", "--max-degree", "50"])
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bnhecke._backend as backend
-from bnhecke._backend import (
+from bnhecke._backend import clear_caches, partition_key, product_tally
+from bnhecke._kernels_py import (
     LevelTable,
-    clear_caches,
     compute_counts,
     compute_keys,
     key_partition,
-    partition_key,
     permutation_block,
-    product_tally,
     resolve_jobs,
+    type_keys_product as pure_kernel,
 )
-from bnhecke._kernels_py import type_keys_product as pure_kernel
-from bnhecke import group_algebra, universal
+from bnhecke import _kernels_py, group_algebra, universal
 from bnhecke.cosets import (
     coset_representative,
     double_coset_size,
@@ -99,6 +97,21 @@ def test_backend_selected():
     assert backend.backend_name() == "pure"
 
 
+def test_backend_forwards_the_oracle_to_perfbench():
+    # perfbench reads these four names from _backend
+    forwarded = {
+        "LevelTable": LevelTable,
+        "permutation_block": permutation_block,
+        "resolve_jobs": resolve_jobs,
+        "_KERNEL": pure_kernel,
+    }
+    for name, obj in forwarded.items():
+        assert getattr(backend, name) is obj, name
+    for name in ("compute_keys", "key_partition", "_CHUNK", "MAX_TABLE_LEVEL", "nope"):
+        with pytest.raises(AttributeError):
+            getattr(backend, name)
+
+
 def test_chunked_keys_match_one_call(monkeypatch):
     # compute_keys feeds the kernel in _CHUNK-row slices; seven rows a
     # call cuts S_6 into 103 uneven slices
@@ -107,7 +120,7 @@ def test_chunked_keys_match_one_call(monkeypatch):
     whole = _key_batch(pure_kernel, rows, z)
     zinv = np.empty(6, dtype=np.uint8)
     zinv[z] = np.arange(6, dtype=np.uint8)
-    monkeypatch.setattr(backend, "_CHUNK", 7)
+    monkeypatch.setattr(_kernels_py, "_CHUNK", 7)
     assert np.array_equal(compute_keys(rows, z, zinv), whole)
 
 
@@ -154,7 +167,7 @@ class TestLevelTable:
         with pytest.raises(UsageError):
             LevelTable(0)
         with pytest.raises(UsageError):
-            LevelTable(backend.MAX_TABLE_LEVEL + 1)
+            LevelTable(_kernels_py.MAX_TABLE_LEVEL + 1)
 
     def test_heavy_shape_rejected(self):
         with pytest.raises(WeightExceedsLevel):
@@ -176,7 +189,7 @@ class TestLevelTable:
         assert not any(caches.values()), [k for k, v in caches.items() if v]
 
     def test_size_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
+        monkeypatch.setattr(_kernels_py, "double_coset_size", lambda mu, n: 0)
         with pytest.raises(ValidationFailure):
             LevelTable(2)
 
@@ -258,7 +271,7 @@ class TestProductTally:
 
     def test_level_and_weight_errors(self):
         with pytest.raises(UsageError):
-            product_tally((), (), backend.MAX_TABLE_LEVEL + 1)
+            product_tally((), (), backend.MAX_TALLY_LEVEL + 1)
         with pytest.raises(UsageError):
             product_tally((), (), 0)
         with pytest.raises(WeightExceedsLevel):
