@@ -24,7 +24,6 @@ from .errors import (
     DegreeMismatch,
     HeckeError,
     IndexOutOfRange,
-    InexactDivision,
     InsufficientDegree,
     LengthBound,
     LevelMismatch,

@@ -10,8 +10,11 @@ x^{-1} z only depends on x B_n,
         = |B_n| * #{delta : type(eps, delta) = lam, type(delta, z eps) = mu},
 
 where type is the stable type of the union of two matchings.  The
-matchings and their types against eps are cached per level, and one
-pass per (nu, n) fills the tallies of every lam at once.
+product in the Hecke ring divides the left side by |B_n|, so the
+matching count on the right is the structure constant b_{lam mu}^nu(n)
+itself, and that is what the tallies hold.  The matchings and their
+types against eps are cached per level, and one pass per (nu, n) fills
+the tallies of every lam at once.
 
 The permutation oracle, which materializes all of S_2n and classifies
 every row by stable coset type, lives in bnhecke._kernels_py; the tests
@@ -34,7 +37,6 @@ from .cosets import (
 
 __all__ = [
     "backend_name",
-    "partition_key",
     "product_tally",
     "clear_caches",
 ]
@@ -48,19 +50,6 @@ MAX_TALLY_LEVEL = 5
 def backend_name() -> str:
     """The kernel implementation: always the pure-Python one."""
     return "pure"
-
-
-def partition_key(mu: Partition) -> int:
-    """Pack a partition into descending 4-bit nibbles of a uint64.
-
-    Tallies list mu in key order.
-    """
-    if any(p > 15 for p in mu) or len(mu) > 16:
-        raise UsageError(f"partition {mu} does not fit the nibble key format")
-    key = 0
-    for shift, part in enumerate(mu):
-        key |= part << (4 * shift)
-    return key
 
 
 _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
@@ -104,18 +93,15 @@ def _tally_level(nu: Partition, n: int) -> None:
                 f"elements, not {double_coset_size(lam, n)}"
             )
     for lam, row in by_lam.items():
-        _TALLIES[(lam, tuple(nu), n)] = {
-            mu: row[mu] * order for mu in sorted(row, key=partition_key)
-        }
+        _TALLIES[(lam, tuple(nu), n)] = row
 
 
 def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]:
-    """Count x in K_lam(n) by the stable coset type of x^{-1} z_nu.
+    """The structure constants b_{lam, mu}^{nu}(n) of every mu at once.
 
-    One pass serves every mu at once: the mu entry, divided by |B_n|,
-    is the structure constant b_{lam, mu}^{nu}(n).  The count runs over
-    matchings (see the module docstring) and one pass fills the tally
-    of every lam.
+    The mu entry counts the matchings delta with type(eps, delta) = lam
+    and type(delta, z_nu eps) = mu (see the module docstring); mu that
+    count none are absent.  One pass fills the tally of every lam.
     """
     memo = (tuple(lam), tuple(nu), n)
     if memo not in _TALLIES:
@@ -132,7 +118,13 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: tallies, fits, class sums."""
+    """Empty the five dict memos: matchings, tallies, fits, class tables
+    and class products.
+
+    Two memos stay by design: the functools.cache memos of _symfunc
+    (p_k, h_k and the e-to-m matrices), which hold exact constants no
+    input changes, and hecke's flag that the Matsumoto self-test passed.
+    """
     from . import group_algebra, universal
 
     for cache in (

@@ -29,13 +29,13 @@ import os
 
 import numpy as np
 
-from ._backend import partition_key
 from .cosets import double_coset_size
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
 from .partitions import Partition, weight
 
 __all__ = [
     "type_keys_product",
+    "partition_key",
     "key_partition",
     "permutation_block",
     "compute_keys",
@@ -117,6 +117,19 @@ def resolve_jobs(explicit: int | None = None) -> int:
     if jobs < 1:
         raise UsageError(f"worker count must be positive, not {jobs}")
     return jobs
+
+
+def partition_key(mu: Partition) -> int:
+    """Pack a partition into descending 4-bit nibbles of a uint64.
+
+    LevelTable sorts its rows and finds each double coset by this key.
+    """
+    if any(p > 15 for p in mu) or len(mu) > 16:
+        raise UsageError(f"partition {mu} does not fit the nibble key format")
+    key = 0
+    for shift, part in enumerate(mu):
+        key |= part << (4 * shift)
+    return key
 
 
 def key_partition(key: int) -> Partition:

@@ -11,6 +11,7 @@ sums come in through Newton's identity
 complete functions through h_k = sum_i (-1)^{i-1} e_i h_{k-i}, and
 monomial functions by exactly inverting the e-to-m transition matrix
 in degree d (both families are Z-bases, so the inverse is integral).
+No expression goes past degree MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ from .partitions import Partition, partitions_of
 __all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomial"]
 
 Monomial = tuple[int, ...]
+
+# The highest degree an expression may reach: p_k, h_k and powers
+# stop at k = MAX_DEGREE, and so does the degree of a product.  There
+# are p(k) e-monomials of degree k, so the cost grows fast: on a 2-CPU
+# machine p_20 and h_20 (627 e-monomials each) parse in about 0.1 s,
+# p_24 in 0.36 s and p_26 in 0.63 s, and p_12^12 did not finish in
+# 10 s.  Below the cap a product multiplies at most 19321 pairs of
+# e-monomials (every monomial of degree <= 10, squared).
+MAX_DEGREE = 20
 
 
 class SymmetricExpression:
@@ -93,6 +103,11 @@ class SymmetricExpression:
 
     def __mul__(self, other) -> "SymmetricExpression":
         other = _coerce(other)
+        degree = self.degree() + other.degree()
+        if degree > MAX_DEGREE:
+            raise ValueError(
+                f"a product of degree {degree} exceeds the cap {MAX_DEGREE}"
+            )
         out: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -105,6 +120,8 @@ class SymmetricExpression:
     def __pow__(self, k: int) -> "SymmetricExpression":
         if k < 0:
             raise ValueError("negative powers are not symmetric polynomials")
+        if k > MAX_DEGREE:
+            raise ValueError(f"exponent {k} exceeds the cap {MAX_DEGREE}")
         out = SymmetricExpression.one()
         for _ in range(k):
             out = out * self
@@ -147,6 +164,8 @@ def power_sum(k: int) -> SymmetricExpression:
         if k == 0:
             raise ValueError("p_0 depends on the variable count; not representable")
         raise ValueError("p_k needs k >= 1")
+    if k > MAX_DEGREE:
+        raise ValueError(f"p_{k} exceeds the degree cap {MAX_DEGREE}")
     acc = (-1) ** (k - 1) * k * elementary(k)
     for i in range(1, k):
         acc = acc + (-1) ** (i - 1) * elementary(i) * power_sum(k - i)
@@ -158,6 +177,8 @@ def complete(k: int) -> SymmetricExpression:
     """h_k in the e-basis."""
     if k < 0:
         raise ValueError("h_k needs k >= 0")
+    if k > MAX_DEGREE:
+        raise ValueError(f"h_{k} exceeds the degree cap {MAX_DEGREE}")
     if k == 0:
         return SymmetricExpression.one()
     acc = SymmetricExpression.zero()

@@ -15,7 +15,6 @@ __all__ = [
     "NonCommutingValues",
     "NotCentral",
     "NotBiInvariant",
-    "InexactDivision",
     "LengthBound",
     "InsufficientDegree",
     "ValidationFailure",
@@ -58,10 +57,6 @@ class NotCentral(HeckeError):
 
 class NotBiInvariant(HeckeError):
     """An element is not constant on hyperoctahedral double cosets."""
-
-
-class InexactDivision(HeckeError):
-    """An integer division that must be exact left a remainder."""
 
 
 class LengthBound(HeckeError):

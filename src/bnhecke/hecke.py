@@ -14,7 +14,8 @@ count the x in K_lam(n) with x^{-1} z of stable coset type mu.  Both
 types only depend on the coset x B_n, i.e. on the perfect matching
 delta = x(eps) of [2n], so the count is |B_n| times the number of the
 (2n-1)!! matchings with type(eps, delta) = lam and type(delta, z eps)
-= mu.  One pass over the matchings serves every lam and mu at once.
+= mu, and b is that number of matchings.  One pass over the matchings
+serves every lam and mu at once.
 double_coset_sum and expand_K go through matchings too; the permutation
 oracle (bnhecke._kernels_py.LevelTable and its kernel) serves only the
 tests and perfbench/probe.py.
@@ -45,7 +46,6 @@ from ._backend import _typed_matchings, product_tally
 from ._symfunc import SymmetricExpression, elementary
 from .errors import (
     IndexOutOfRange,
-    InexactDivision,
     InsufficientDegree,
     LengthBound,
     LevelMismatch,
@@ -256,26 +256,22 @@ def hecke_structure_constant(
     Fixed-representative counting: with z the canonical point of
     K_nu(n), b is the number of perfect matchings delta of [2n] whose
     union with the couples eps has stable type lam and whose union with
-    z(eps) has stable type mu.  That is the number of x in K_lam(n) with
-    x^{-1} z of type mu, divided by |B_n|, which is what the tally
-    returns and what is divided here.
+    z(eps) has stable type mu: the number of x in K_lam(n) with x^{-1} z
+    of type mu, divided by |B_n|.  The tally holds that count.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     for p in (lam, mu, nu):
         if weight(p) > n:
             raise WeightExceedsLevel(f"wt{p} = {weight(p)} exceeds level {n}")
-    count = product_tally(lam, nu, n).get(mu, 0)
-    b, rem = divmod(count, hyperoctahedral_order(n))
-    if rem:
-        raise InexactDivision(
-            f"count {count} for b_{{{lam},{mu}}}^{nu}({n}) is not divisible "
-            f"by |B_{n}| = {hyperoctahedral_order(n)}"
-        )
-    return b
+    return product_tally(lam, nu, n).get(mu, 0)
 
 
 def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
-    """Product in the Hecke ring: convolution divided by |B_n|."""
+    """Product in the Hecke ring: convolution divided by |B_n|.
+
+    The tallies already count in those units, so each coefficient is a
+    sum of tally entries times the coefficients of u and v.
+    """
     u._check_level(v)
     n = u.level
     out: dict[Partition, Fraction] = {}
@@ -289,8 +285,7 @@ def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
             )
             acc += cu * total
         if acc:
-            b = acc / hyperoctahedral_order(n)
-            out[nu] = b
+            out[nu] = acc
     return HeckeElement(n, out)
 
 

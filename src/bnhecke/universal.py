@@ -527,17 +527,12 @@ def _fitted(
         if need > len(available):
             _FIT_CACHE[key] = None
         else:
-            while True:
-                try:
-                    _FIT_CACHE[key] = universal_structure_constant(
-                        lam, mu, nu, available[:need], basis=basis
-                    )
-                    break
-                except ValidationFailure:
-                    # degree heuristic too small: escalate by one sample
-                    need += 1
-                    if need > len(available):
-                        raise
+            # deg b <= |lam| + |mu| - |nu| (Tout 2014 for K, Farahat-
+            # Higman 1959 for C): a missed holdout raises, since more
+            # samples would only hide the fault
+            _FIT_CACHE[key] = universal_structure_constant(
+                lam, mu, nu, available[:need], basis=basis
+            )
         # symmetric product, one fit serves both orders
         _FIT_CACHE[(basis, mu, lam, nu)] = _FIT_CACHE[key]
     return _FIT_CACHE[key]

@@ -18,6 +18,11 @@ from bnhecke.errors import UsageError
 from bnhecke.permutations import Permutation
 
 
+# p_k and h_k recursed k deep, 1500 parentheses nest _parse too deep,
+# and p300 or a power that large ran for minutes
+_RUNAWAY_EXPRS = ["p1200", "h1200", "(" * 1500 + "e1" + ")" * 1500, "p300", "e1^999999"]
+
+
 def run(argv):
     """parse + execute with captured stdout; returns (status, payload)."""
     stream = io.StringIO()
@@ -99,6 +104,7 @@ class TestParse:
             ["matsumoto", "--expr", "e1", "--n", "8"],
             ["coset-size", "--mu", "[]", "--n", str(MAX_COSET_SIZE_LEVEL + 1)],
             ["generators", "--n", "3", "--max-degree", "3"],
+            *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
         ],
     )
     def test_usage_errors(self, argv):
@@ -419,23 +425,40 @@ class TestMain:
         assert payload["coeffs"][0] == {"mu": [], "c": "2"}
 
 
-# (valid, invalid) values per flag; the levels stay at n <= 3.  6 is above
-# the cap of every verb and suite but matsumoto's; 8 is above every cap.
-_SHAPES = (["[]", "[1]", "[2]", "[1,1]"], ["[3]", "[0]", "{}", "[1", "x"])
-_LEVELS = (["1", "2", "3"], ["-1", "0", "6", "8", "x"])
+# permutations of [m], m <= 6, so of level <= 3, in either notation
+_PERMS = st.integers(0, 6).flatmap(
+    lambda m: st.permutations(range(1, m + 1))
+).flatmap(
+    lambda images: st.sampled_from(
+        [json.dumps(images, separators=(",", ":")), Permutation(tuple(images)).cycle_string()]
+    )
+)
+# sums of products of at most two atoms: degree <= 4, cheap at every level
+_TERMS = st.lists(
+    st.sampled_from(["3", "e1", "e2", "p1", "p2", "h2", "m[1,1]", "e1^2"]), min_size=1, max_size=2
+).map("*".join)
+_EXPRS = st.tuples(
+    _TERMS, st.lists(st.tuples(st.sampled_from([" + ", " - "]), _TERMS), max_size=2)
+).map(lambda t: t[0] + "".join(op + term for op, term in t[1]))
+
+# (valid values, invalid values) per flag; the levels stay at n <= 3.
+# 6 is above the cap of every verb and suite but matsumoto's; 8 is
+# above every cap.
+_SHAPES = (st.sampled_from(["[]", "[1]", "[2]", "[1,1]"]), ["[3]", "[0]", "{}", "[1", "x"])
+_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "6", "8", "x"])
 _FLAG_VALUES = {
-    "--format": (["json", "csv"], ["xml"]),
-    "--jobs": ([], ["0", "2"]),  # no such flag: always a usage error
-    "--perm": (["[]", "[2,1]", "[3,1,2]", "(1 2)(3 4)"], ["[1,1]", "(1 2"]),
+    "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
+    "--jobs": (None, ["0", "2"]),  # no such flag: always a usage error
+    "--perm": (_PERMS, ["[1,1]", "(1 2", "[0]", "x"]),
     "--n": _LEVELS,
     "--max-n": _LEVELS,
-    "--max-weight": (["0", "1", "2"], ["-1", "5"]),
-    "--max-degree": (["1", "2"], ["-1", "0"]),
-    "--samples": (["1", "3"], ["0"]),
-    "--r": (["0", "1", "2"], ["-1", "9"]),
-    "--expr": (["e1", "e2 - 2*p2", "h2"], ["1/0", "e1**", ""]),
-    "--suite": (list(SUITES), ["nope"]),
-    "--basis": (["K", "C"], ["Q"]),
+    "--max-weight": (st.sampled_from(["0", "1", "2"]), ["-1", "5"]),
+    "--max-degree": (st.sampled_from(["1", "2"]), ["-1", "0", "3"]),
+    "--samples": (st.integers(1, 20).map(str), ["0", "-3"]),
+    "--r": (st.sampled_from(["0", "1", "2"]), ["-1", "9"]),
+    "--expr": (_EXPRS, ["1/0", "e1**", "", "p21", "e1^21", "e3*p2^9"]),
+    "--suite": (st.sampled_from(list(SUITES)), ["nope"]),
+    "--basis": (st.sampled_from(["K", "C"]), ["Q"]),
     **{flag: _SHAPES for flag in ("--mu", "--lam", "--nu", "--lhs", "--rhs")},
 }
 _VERB_FLAGS = {
@@ -462,36 +485,41 @@ _JUNK = st.text(max_size=4).filter(lambda t: not t.startswith("-")) | st.sampled
 
 @st.composite
 def _argvs(draw):
-    """Mostly well-formed argv: each flag of the verb and a valid value
-    for it fifteen times in sixteen, --format half the time, and once
-    in sixteen each the removed --jobs, a flag of any verb, a junk token,
-    and once in four --help, -h or --version."""
-
-    def seldom():
-        return draw(st.sampled_from([False] * 15 + [True]))
-
-    def pair(flag):
-        valid, invalid = _FLAG_VALUES[flag]
-        return [flag, draw(st.sampled_from(invalid if seldom() or not valid else valid))]
-
+    """Each flag of the verb with a valid value and --format half the
+    time; then, half the time, one fault: a flag of the verb left out or
+    given an invalid value, the removed --jobs, a flag of any verb, a
+    junk token, or --help, -h or --version.  Almost every choice shows
+    in the argv, so distinct draws rarely give the same argv."""
     verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
-    argv = [verb]
-    if verb == "verify":
-        # the default --max-n 4 would run the slow level-4 suites
-        argv += pair("--max-n")
-    for flag in _VERB_FLAGS[verb]:
-        if not seldom():
-            argv += pair(flag)
+    # verify always gets --max-n: the default 4 would run the slow
+    # level-4 suites
+    flags = (["--max-n"] if verb == "verify" else []) + _VERB_FLAGS[verb]
     if draw(st.booleans()):
-        argv[:0] = pair("--format")
-    if seldom():
-        argv[:0] = pair("--jobs")
-    if seldom():
-        argv += pair(draw(st.sampled_from(sorted(_FLAG_VALUES))))
-    if seldom():
-        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
-    if not draw(st.integers(0, 3)):
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_EXITS)))
+        flags.insert(0, "--format")
+    values = {flag: draw(_FLAG_VALUES[flag][0]) for flag in flags}
+    faults = ["invalid", "jobs", "extra", "junk", "exit"]
+    if _VERB_FLAGS[verb]:
+        faults.append("omit")
+    fault = draw(st.none() | st.sampled_from(faults))
+    extra = []
+    if fault == "omit":
+        del values[draw(st.sampled_from(_VERB_FLAGS[verb]))]
+    elif fault == "invalid":
+        flag = draw(st.sampled_from(list(values)))
+        values[flag] = draw(st.sampled_from(_FLAG_VALUES[flag][1]))
+    elif fault == "extra":
+        flag = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+        valid, invalid = _FLAG_VALUES[flag]
+        wrong = st.sampled_from(invalid)
+        extra = [flag, draw(wrong if valid is None else valid | wrong)]
+    # --format and --jobs belong to the main parser, before the verb
+    head = ["--format", values.pop("--format")] if "--format" in values else []
+    if fault == "jobs":
+        head[:0] = ["--jobs", draw(st.sampled_from(_FLAG_VALUES["--jobs"][1]))]
+    argv = [*head, verb, *(token for pair in values.items() for token in pair), *extra]
+    if fault in ("junk", "exit"):
+        token = draw(_JUNK if fault == "junk" else st.sampled_from(_EXITS))
+        argv.insert(draw(st.integers(0, len(argv))), token)
     return argv
 
 
@@ -516,6 +544,12 @@ class TestContractFuzz:
     # far above n - 1 would not be drawn
     @example(["coset-size", "--n", "780", "--mu", "[779]"])
     @example(["generators", "--n", "3", "--max-degree", "50"])
+    # expressions past the degree cap or nested past the recursion limit
+    @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[0]])
+    @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[1]])
+    @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[2]])
+    @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[3]])
+    @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[4]])
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

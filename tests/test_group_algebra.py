@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bnhecke import group_algebra
+from bnhecke._symfunc import MAX_DEGREE
 from bnhecke.errors import (
     IndexOutOfRange,
     LevelMismatch,
@@ -234,6 +235,25 @@ class TestSymmetricEvaluation:
         for bad in ("e", "q3", "e2 +", "(e1", "e1 e2"):
             with pytest.raises(ValueError):
                 SymmetricExpression.parse(bad)
+
+    def test_degree_cap(self):
+        top = MAX_DEGREE
+        assert power_sum(top).degree() == complete(top).degree() == top
+        assert (elementary(1) ** top).terms == {(1,) * top: 1}
+        assert (elementary(top - 1) * elementary(1)).degree() == top
+        with pytest.raises(ValueError, match="cap"):
+            power_sum(top + 1)
+        with pytest.raises(ValueError, match="cap"):
+            complete(top + 1)
+        with pytest.raises(ValueError, match="cap"):
+            elementary(1) ** (top + 1)
+        with pytest.raises(ValueError, match="cap"):
+            SymmetricExpression.one() ** (top + 1)
+        with pytest.raises(ValueError, match="cap"):
+            elementary(top) * elementary(1)
+        for text in ("p21", "h21", "e1^21", "p12^12", "p20*p20*p20"):
+            with pytest.raises(ValueError, match="cap"):
+                SymmetricExpression.parse(text)
 
 
 class TestClassExpansion:

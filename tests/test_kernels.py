@@ -1,17 +1,19 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import bnhecke._backend as backend
-from bnhecke._backend import clear_caches, partition_key, product_tally
+from bnhecke._backend import clear_caches, product_tally
 from bnhecke._kernels_py import (
     LevelTable,
     compute_counts,
     compute_keys,
     key_partition,
+    partition_key,
     permutation_block,
     resolve_jobs,
     type_keys_product as pure_kernel,
@@ -107,7 +109,14 @@ def test_backend_forwards_the_oracle_to_perfbench():
     }
     for name, obj in forwarded.items():
         assert getattr(backend, name) is obj, name
-    for name in ("compute_keys", "key_partition", "_CHUNK", "MAX_TABLE_LEVEL", "nope"):
+    for name in (
+        "compute_keys",
+        "key_partition",
+        "partition_key",
+        "_CHUNK",
+        "MAX_TABLE_LEVEL",
+        "nope",
+    ):
         with pytest.raises(AttributeError):
             getattr(backend, name)
 
@@ -201,24 +210,38 @@ class TestLevelTable:
             table.rows((1,))
 
 
+def _oracle_counts(table, lam, nu, n):
+    """#{x in K_lam(n) : x^{-1} z_nu has type mu} for every mu, over S_2n."""
+    m = 2 * n
+    z = _as_row(coset_representative(nu, n), m)
+    zinv = np.empty(m, dtype=np.uint8)
+    zinv[z] = np.arange(m, dtype=np.uint8)
+    counts = compute_counts(table.rows(lam), z, zinv)
+    return {key_partition(k): c for k, c in counts.items()}
+
+
 class TestProductTally:
     def test_totals_count_the_coset(self):
+        # a tally counts matchings; |B_n| times its sum is |K_lam(n)|
         n = 3
+        order = hyperoctahedral_order(n)
         for lam in enumerate_by_weight(n):
             for nu in enumerate_by_weight(n):
                 tally = product_tally(lam, nu, n)
-                assert sum(tally.values()) == double_coset_size(lam, n)
+                assert sum(tally.values()) * order == double_coset_size(lam, n)
                 assert all(
                     weight(mu) <= n and count > 0
                     for mu, count in tally.items()
                 )
 
     def test_counts_divide_by_group_order(self):
+        # the permutation count is constant on left B_n-cosets
         n = 3
         order = hyperoctahedral_order(n)
+        table = LevelTable(n)
         for nu in enumerate_by_weight(n):
-            tally = product_tally((1,), nu, n)
-            assert all(count % order == 0 for count in tally.values())
+            counts = _oracle_counts(table, (1,), nu, n)
+            assert all(count % order == 0 for count in counts.values())
 
     def test_memoized(self):
         assert product_tally((1,), (2,), 3) is product_tally((1,), (2,), 3)
@@ -233,21 +256,22 @@ class TestProductTally:
         for x in enumerate_double_coset((1,), n):
             mu = stable_coset_type(x.inverse() * z)
             direct[mu] = direct.get(mu, 0) + 1
-        assert product_tally((1,), (1,), n) == direct
+        order = hyperoctahedral_order(n)
+        assert {mu: Fraction(c, order) for mu, c in direct.items()} == (
+            product_tally((1,), (1,), n)
+        )
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_permutation_count(self, n):
         # the permutation tally over K_lam(n) rows is the oracle
         table = LevelTable(n)
-        m = 2 * n
+        order = hyperoctahedral_order(n)
         for nu in enumerate_by_weight(n):
-            z = _as_row(coset_representative(nu, n), m)
-            zinv = np.empty(m, dtype=np.uint8)
-            zinv[z] = np.arange(m, dtype=np.uint8)
             for lam in enumerate_by_weight(n):
-                counts = compute_counts(table.rows(lam), z, zinv)
-                oracle = [(key_partition(k), c) for k, c in sorted(counts.items())]
-                assert list(product_tally(lam, nu, n).items()) == oracle, (lam, nu)
+                oracle = _oracle_counts(table, lam, nu, n)
+                assert all(c % order == 0 for c in oracle.values()), (lam, nu)
+                tally = product_tally(lam, nu, n)
+                assert oracle == {mu: order * b for mu, b in tally.items()}, (lam, nu)
 
     def test_one_pass_fills_every_lam(self):
         clear_caches()

@@ -301,3 +301,14 @@ class TestFitReports:
 
     def test_sample_ceiling_exported(self):
         assert MAX_SAMPLE_LEVEL == 5
+
+    def test_missed_holdout_raises(self, monkeypatch):
+        # n^2 has degree 2, above the bound 1 for ((1,), (1,), (1,)): the
+        # fit on n = 2, 3 misses the holdout at 4, and more samples
+        # would only hide that
+        monkeypatch.setattr(universal, "_FIT_CACHE", {})
+        monkeypatch.setattr(
+            universal, "hecke_structure_constant", lambda lam, mu, nu, n: n * n
+        )
+        with pytest.raises(ValidationFailure, match="at n=4"):
+            fit_triple((1,), (1,), (1,))
