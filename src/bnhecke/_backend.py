@@ -24,6 +24,8 @@ end of this module loads it, on first access; no CLI verb does.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
 from .partitions import Partition, as_partition, enumerate_by_weight, weight
 from .cosets import (
@@ -117,24 +119,31 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
     return _TALLIES[memo]
 
 
+# memos in modules that clear_caches must not import
+_LAZY_MEMOS = {
+    "universal": ("_FIT_CACHE",),
+    "group_algebra": ("_CLASS_TABLES", "_CLASS_PRODUCTS"),
+}
+
+
 def clear_caches() -> None:
     """Empty the five dict memos: matchings, tallies, fits, class tables
     and class products.
 
-    Two memos stay by design: the functools.cache memos of _symfunc
-    (p_k, h_k and the e-to-m matrices), which hold exact constants no
-    input changes, and hecke's flag that the Matsumoto self-test passed.
+    The fit memo (universal) and the class memos (group_algebra) are
+    cleared only if their module is loaded: a module not yet imported
+    holds no memo, and clearing imports none.  Two memos stay by
+    design: the functools.cache memos of _symfunc (p_k, h_k and the
+    e-to-m matrices), which hold exact constants no input changes, and
+    hecke's flag that the Matsumoto self-test passed.
     """
-    from . import group_algebra, universal
-
-    for cache in (
-        _TALLIES,
-        _MATCHINGS,
-        universal._FIT_CACHE,
-        group_algebra._CLASS_TABLES,
-        group_algebra._CLASS_PRODUCTS,
-    ):
-        cache.clear()
+    _TALLIES.clear()
+    _MATCHINGS.clear()
+    for name, memos in _LAZY_MEMOS.items():
+        module = sys.modules.get(f"{__package__}.{name}")
+        if module is not None:
+            for memo in memos:
+                getattr(module, memo).clear()
 
 
 # perfbench/probe.py and perfbench/traced_cli.py read the permutation

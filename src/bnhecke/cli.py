@@ -8,62 +8,24 @@ order, and sampled verification uses a fixed seed.
 
 Exit codes: 0 success, 1 verification or computation failure
 (reported as a JSON error object), 2 usage error.
+
+Parsing loads no computing layer.  Each verb's runner imports the
+layers it runs when it is dispatched, and the verify suites live in
+bnhecke.suites, which only verify loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from math import prod
 
 from . import __version__
-from ._backend import backend_name
-from .errors import HeckeError, InsufficientDegree, UsageError, ValidationFailure
-from ._symfunc import SymmetricExpression
+from .errors import HeckeError, UsageError
 from .partitions import as_partition, enumerate_by_weight, weight
-from .permutations import (
-    Permutation,
-    cayley_degree,
-    identity,
-    parse_permutation,
-    symmetric_group,
-)
-from .cosets import (
-    coset_type,
-    double_coset_size,
-    enumerate_double_coset,
-    gamma_graph,
-    hyperoctahedral_elements,
-    hyperoctahedral_order,
-    is_hyperoctahedral,
-    modified_support,
-    phi,
-    stable_coset_type,
-    twisted_degree,
-)
-from .group_algebra import (
-    elementary,
-    eval_symmetric,
-    jucys_murphy,
-    multiply,
-    zi_generator,
-)
-from .hecke import (
-    HeckeElement,
-    generation_certificate,
-    generator_H,
-    hecke_product,
-    hecke_structure_constant,
-    matsumoto_image,
-    single_cycle_expansion,
-    trichotomy_report,
-)
-from .universal import fit_report, fit_triple, graded_iso_check
 
 SUITES = (
     "matsumoto",
@@ -78,17 +40,21 @@ SUITES = (
 MAX_CLI_LEVEL = 5
 # the Matsumoto image walks the (2n-1)!! matchings of [2n]: 135135 at n = 7
 MAX_MATSUMOTO_LEVEL = 7
+# Evaluating F at level n applies every e-factor of every e-monomial of
+# F to a vector over up to (2n-1)!! matchings; the work is the number of
+# factors times (2n-1)!!.  The budget is the work of p_5 at n = 7 (20
+# factors; 8.6 s on a 2-CPU machine).  p_8 there, 86 factors, ran for
+# over a minute.
+MAX_MATSUMOTO_WORK = 20 * 135135
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
-SAMPLE_SEED = 987654321
 
 
-@dataclass(frozen=True)
-class Command:
-    verb: str
-    args: dict
-    output_format: str
+class Command(namedtuple("Command", "verb args output_format")):
+    """A validated verb, its arguments and the stdout format."""
+
+    __slots__ = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +73,8 @@ def _partition_flag(text: str, flag: str):
 
 
 def _perm_flag(text: str, flag: str) -> Permutation:
+    from .permutations import parse_permutation
+
     try:
         return parse_permutation(text)
     except (ValueError, json.JSONDecodeError) as exc:
@@ -114,12 +82,24 @@ def _perm_flag(text: str, flag: str) -> Permutation:
 
 
 def _expr_flag(text: str, flag: str) -> SymmetricExpression:
+    from ._symfunc import SymmetricExpression
+
     try:
         return SymmetricExpression.parse(text)
     except ValueError as exc:
         raise UsageError(f"{flag}: not a symmetric expression: {text!r} ({exc})")
     except RecursionError:
         raise UsageError(f"{flag}: expression nested too deeply") from None
+
+
+def _matsumoto_work_flag(expr: SymmetricExpression, n: int, flag: str) -> None:
+    matchings = prod(range(1, 2 * n, 2))
+    factors = sum(len(mono) for mono in expr.terms)
+    if factors * matchings > MAX_MATSUMOTO_WORK:
+        raise UsageError(
+            f"{flag}: {factors} e-factor applications over {matchings} matchings "
+            f"at n = {n} exceed the work budget {MAX_MATSUMOTO_WORK}"
+        )
 
 
 def _level_flag(value: int, flag: str, low: int = 1, high: int = MAX_CLI_LEVEL) -> int:
@@ -246,6 +226,7 @@ def parse(argv) -> Command:
     elif ns.verb == "matsumoto":
         args["n"] = _level_flag(ns.n, "--n", low=2, high=MAX_MATSUMOTO_LEVEL)
         args["expr"] = _expr_flag(ns.expr, "--expr")
+        _matsumoto_work_flag(args["expr"], args["n"], "--expr")
     elif ns.verb == "generators":
         args["n"] = _level_flag(ns.n, "--n", low=2)
         degree = ns.max_degree if ns.max_degree is not None else ns.n - 1
@@ -301,6 +282,8 @@ def _embedding_level(w: Permutation) -> int:
 
 
 def _run_coset_type(args):
+    from .cosets import coset_type, stable_coset_type
+
     w = args["perm"]
     n = _embedding_level(w)
     return {
@@ -312,6 +295,8 @@ def _run_coset_type(args):
 
 
 def _run_phi(args):
+    from .cosets import phi
+
     w = args["perm"]
     n = _embedding_level(w)
     image = phi(w, n)
@@ -324,11 +309,15 @@ def _run_phi(args):
 
 
 def _run_coset_size(args):
+    from .cosets import double_coset_size
+
     mu, n = args["mu"], args["n"]
     return {"mu": list(mu), "n": n, "size": double_coset_size(mu, n)}, 0
 
 
 def _run_product(args):
+    from .hecke import HeckeElement, hecke_product
+
     n = args["n"]
     u = HeckeElement.basis(args["lhs"], n)
     v = HeckeElement.basis(args["rhs"], n)
@@ -336,6 +325,8 @@ def _run_product(args):
 
 
 def _run_structure_constant(args):
+    from .hecke import hecke_structure_constant
+
     b = hecke_structure_constant(args["lam"], args["mu"], args["nu"], args["n"])
     return {
         "lam": list(args["lam"]),
@@ -347,6 +338,8 @@ def _run_structure_constant(args):
 
 
 def _run_expand_single_cycle(args):
+    from .hecke import single_cycle_expansion
+
     expansion = single_cycle_expansion(args["lam"], args["r"], args["n"])
     body = expansion.to_json()
     body.update({"lam": list(args["lam"]), "r": args["r"]})
@@ -354,15 +347,21 @@ def _run_expand_single_cycle(args):
 
 
 def _run_matsumoto(args):
+    from .hecke import matsumoto_image
+
     return matsumoto_image(args["expr"], args["n"]).to_json(), 0
 
 
 def _run_generators(args):
+    from .hecke import generation_certificate
+
     cert = generation_certificate(args["n"], args["max_degree"])
     return cert.to_json(), 0
 
 
 def _run_fit(args):
+    from .universal import fit_report, fit_triple
+
     if "max_weight" in args:
         results = fit_report(args["max_weight"], args["basis"])
         return [r.to_json() for r in results], 0
@@ -371,6 +370,8 @@ def _run_fit(args):
 
 
 def _run_table(args):
+    from .hecke import hecke_structure_constant
+
     n = args["n"]
     shapes = enumerate_by_weight(n)
     rows = []
@@ -389,209 +390,10 @@ def _run_table(args):
     return rows, 0
 
 
-# ---------------------------------------------------------------- suites
-
-
-def _check(checks, name, ok, detail=None):
-    entry = {"name": name, "ok": bool(ok)}
-    if detail is not None and not ok:
-        entry["detail"] = str(detail)
-    checks.append(entry)
-    _progress(f"  {'ok' if ok else 'FAIL'}  {name}")
-
-
-def _suite_matsumoto(levels, samples, checks):
-    for n in levels:
-        for i in range(1, n + 1):
-            got = matsumoto_image(elementary(n - i), n)
-            want = generator_H(i, n)
-            _check(
-                checks,
-                f"e_{n - i}(J_odd) -> H_{i} at n={n}",
-                got == want,
-                f"{got} != {want}",
-            )
-
-
-def _suite_jm_center(levels, samples, checks):
-    for n in levels:
-        js = [jucys_murphy(k, n) for k in range(1, n + 1)]
-        commuting = all(
-            multiply(js[a], js[b]) == multiply(js[b], js[a])
-            for a in range(n)
-            for b in range(a + 1, n)
-        )
-        _check(checks, f"J_1..J_{n} pairwise commute in Z[S_{n}]", commuting)
-        for i in range(1, n + 1):
-            got = eval_symmetric(elementary(n - i), js)
-            want = zi_generator(i, n)
-            _check(
-                checks,
-                f"Z_{i} = e_{n - i}(J_1..J_{n}) at n={n}",
-                got == want,
-            )
-
-
-def _suite_trichotomy(levels, samples, checks):
-    max_weight = min(4, min(levels))
-    usable = [n for n in levels if n >= max_weight]
-    try:
-        report = trichotomy_report(max_weight, usable)
-        _check(
-            checks,
-            f"trichotomy wt<={max_weight} over n={usable}: "
-            f"{len(report.zero)} zero, {len(report.top)} top, "
-            f"{len(report.subtop)} sub-top",
-            True,
-        )
-    except ValidationFailure as exc:
-        _check(checks, f"trichotomy wt<={max_weight} over n={usable}", False, exc)
-        return
-    for lam, mu, nu, values in report.subtop:
-        result = fit_triple(lam, mu, nu)
-        label = f"sub-top fit {lam} {mu} -> {nu}"
-        if result.classification == "UNFITTED":
-            _check(checks, f"{label}: UNFITTED (insufficient levels, not guessed)", True)
-        else:
-            agree = all(
-                result.polynomial(n) == b for n, b in zip(usable, values)
-            )
-            _check(checks, f"{label}: {result.classification}", agree)
-
-
-def _suite_single_cycle(levels, samples, checks):
-    for n in levels:
-        for lam in enumerate_by_weight(min(4, n)):
-            for r in range(1, 4):
-                if r + 1 > n:
-                    continue
-                expansion = single_cycle_expansion(lam, r, n)
-                product = hecke_product(
-                    HeckeElement.basis(lam, n), HeckeElement.basis((r,), n)
-                )
-                top = HeckeElement(
-                    n,
-                    {
-                        nu: c
-                        for nu, c in product.coeffs.items()
-                        if sum(nu) == sum(lam) + r
-                    },
-                )
-                _check(
-                    checks,
-                    f"top part of K_{lam} K_({r}) at n={n} matches closed form",
-                    expansion == top,
-                    f"{expansion} != {top}",
-                )
-
-
-def _suite_graded_iso(levels, samples, checks):
-    for n in levels:
-        report = graded_iso_check(min(4, n), n)
-        _check(
-            checks,
-            f"graded top coefficients agree (wt<={min(4, n)}, n={n}, "
-            f"{len(report.entries)} triples)",
-            report.ok,
-            "; ".join(str(e.to_json()) for e in report.mismatches),
-        )
-
-
-def _suite_generators(levels, samples, checks):
-    for n in levels:
-        try:
-            generation_certificate(n, n - 1)
-            failure = None
-        except InsufficientDegree as exc:
-            failure = exc
-        _check(
-            checks,
-            f"H_1..H_{n} generate at level {n} "
-            f"(HNF certificate, degree <= {n - 1})",
-            failure is None,
-            failure,
-        )
-
-
-def _suite_coset_invariants(levels, samples, checks):
-    for n in (2, 3):
-        census: dict = {}
-        for w in symmetric_group(2 * n):
-            mu = stable_coset_type(w)
-            census[mu] = census.get(mu, 0) + 1
-        sizes_ok = census == {
-            mu: double_coset_size(mu, n) for mu in enumerate_by_weight(n)
-        }
-        _check(
-            checks,
-            f"double cosets partition S_{2 * n} with closed-form sizes",
-            sizes_ok,
-            census,
-        )
-        fixed = {w for w in symmetric_group(2 * n) if phi(w, n) == identity()}
-        b_group = set(hyperoctahedral_elements(n))
-        _check(checks, f"fixed locus of the twist is B_{n} at n={n}", fixed == b_group)
-        for mu in enumerate_by_weight(n):
-            coset = enumerate_double_coset(mu, n)
-            _check(
-                checks,
-                f"orbit closure of type {mu} at n={n} has the closed-form size",
-                len(coset) == double_coset_size(mu, n),
-            )
-    rng = random.Random(SAMPLE_SEED)
-    for n in levels:
-        if n < 4:
-            continue
-        good = 0
-        for _ in range(samples):
-            images = list(range(1, 2 * n + 1))
-            rng.shuffle(images)
-            w = Permutation(tuple(images))
-            mu = stable_coset_type(w)
-            full = coset_type(w, n)
-            ok = (
-                sum(full) == n
-                and stable_coset_type(w.inverse()) == mu
-                and len(modified_support(w)) == weight(mu)
-                and twisted_degree(w, n) == 2 * sum(mu)
-                and cayley_degree(phi(w, n)) == 2 * sum(mu)
-                and is_hyperoctahedral(w, n) == (mu == ())
-                and gamma_graph(w, n).half_lengths() == full
-            )
-            good += ok
-        _check(
-            checks,
-            f"pair-graph invariants on {samples} samples in S_{2 * n}",
-            good == samples,
-            f"{samples - good} violations",
-        )
-
-
-_SUITE_RUNNERS = {
-    "matsumoto": _suite_matsumoto,
-    "jm-center": _suite_jm_center,
-    "trichotomy": _suite_trichotomy,
-    "single-cycle": _suite_single_cycle,
-    "graded-iso": _suite_graded_iso,
-    "generators": _suite_generators,
-    "coset-invariants": _suite_coset_invariants,
-}
-
-
 def _run_verify(args):
-    suite, levels = args["suite"], args["levels"]
-    _progress(f"verify {suite}: levels {levels}, backend {backend_name()}")
-    checks: list[dict] = []
-    _SUITE_RUNNERS[suite](levels, args["samples"], checks)
-    ok = all(c["ok"] for c in checks)
-    payload = {
-        "suite": suite,
-        "levels": levels,
-        "backend": backend_name(),
-        "ok": ok,
-        "checks": checks,
-    }
-    return payload, 0 if ok else 1
+    from .suites import run_suite
+
+    return run_suite(args["suite"], args["levels"], args["samples"])
 
 
 _RUNNERS = {
@@ -614,6 +416,9 @@ def _emit(payload, output_format: str, stream) -> None:
         stream.write(json.dumps(payload, indent=2))
         stream.write("\n")
         return
+    import csv
+    import io
+
     buffer = io.StringIO()
     if isinstance(payload, list):
         rows = payload or [{}]

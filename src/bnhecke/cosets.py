@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import factorial
 
 from .errors import DegreeMismatch, ValidationFailure, WeightExceedsLevel
@@ -80,19 +79,36 @@ def _check_level(w: Permutation, n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
 class PairGraph:
     """The cycles of Gamma(w) at level n, vertex labels 1..2n."""
+
+    __slots__ = ("n", "cycles")
 
     n: int
     cycles: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        labels = sorted(itertools.chain.from_iterable(self.cycles))
-        if labels != list(range(1, 2 * self.n + 1)):
+    def __init__(self, n: int, cycles: tuple[tuple[int, ...], ...]):
+        labels = sorted(itertools.chain.from_iterable(cycles))
+        if labels != list(range(1, 2 * n + 1)):
             raise ValueError("cycles must cover 1..2n exactly once")
-        if any(len(c) % 2 for c in self.cycles):
+        if any(len(c) % 2 for c in cycles):
             raise ValueError("pair-graph cycles alternate edges, so have even length")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cycles", cycles)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairGraph is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairGraph):
+            return NotImplemented
+        return (self.n, self.cycles) == (other.n, other.cycles)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.cycles))
+
+    def __repr__(self) -> str:
+        return f"PairGraph(n={self.n!r}, cycles={self.cycles!r})"
 
     def half_lengths(self) -> Partition:
         return tuple(sorted((len(c) // 2 for c in self.cycles), reverse=True))
@@ -105,16 +121,32 @@ class PairGraph:
         return {"n": self.n, "cycles": [list(c) for c in self.cycles]}
 
 
-@dataclass(frozen=True)
 class CoupleSet:
     """A finite set of couples {2j-1, 2j}, stored as ordered pairs."""
 
+    __slots__ = ("couples",)
+
     couples: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        for a, b in self.couples:
+    def __init__(self, couples: frozenset[tuple[int, int]]):
+        for a, b in couples:
             if a % 2 != 1 or b != a + 1:
                 raise ValueError(f"({a}, {b}) is not a couple (2j-1, 2j)")
+        object.__setattr__(self, "couples", couples)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoupleSet is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoupleSet):
+            return NotImplemented
+        return self.couples == other.couples
+
+    def __hash__(self) -> int:
+        return hash(self.couples)
+
+    def __repr__(self) -> str:
+        return f"CoupleSet(couples={self.couples!r})"
 
     @classmethod
     def from_indices(cls, indices) -> "CoupleSet":

@@ -39,7 +39,7 @@ from .errors import (
     ValidationFailure,
     WeightExceedsLevel,
 )
-from .partitions import Partition, completion, weight, z_value
+from .partitions import Partition, _expand_by_type, completion, weight, z_value
 from .permutations import (
     Permutation,
     class_representative,
@@ -357,26 +357,6 @@ def zi_generator(i: int, n: int) -> AlgebraElement:
             for k in rows:
                 out[k] = Fraction(1)
     return AlgebraElement._raw(n, out)
-
-
-def _expand_by_type(
-    terms: Mapping, type_of, size_of, error, noun: str
-) -> dict[Partition, Fraction]:
-    """The c_mu with terms = sum of c_mu * (all keys of type_of mu);
-    raises error when a type carries two coefficients or misses members.
-    """
-    coeffs: dict[Partition, Fraction] = {}
-    counts: dict[Partition, int] = {}
-    for key, c in terms.items():
-        mu = type_of(key)
-        if coeffs.setdefault(mu, c) != c:
-            raise error(f"{noun} {mu} carries coefficients {coeffs[mu]} and {c}")
-        counts[mu] = counts.get(mu, 0) + 1
-    for mu, seen in counts.items():
-        size = size_of(mu)
-        if seen != size:
-            raise error(f"{noun} {mu} has {seen} of its {size} members present")
-    return coeffs
 
 
 def expand_in_class_basis(

@@ -34,16 +34,20 @@ v = F(J) eps in Q[matchings] determines it: J_k acts on a matching by
 sum_{i<k} relabelling with (i k), and the coefficient of K_mu is v at
 any matching of type mu.  jucys_murphy at level 2n, b_sum and expand_K
 stay as the tests' oracle for it.
+
+So no K-basis computation needs the group algebra: only the oracle
+functions double_coset_sum and lift import bnhecke.group_algebra, and
+only matsumoto_image imports the symmetric expressions, each when
+first called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from ._backend import _typed_matchings, product_tally
-from ._symfunc import SymmetricExpression, elementary
 from .errors import (
     IndexOutOfRange,
     InsufficientDegree,
@@ -54,9 +58,9 @@ from .errors import (
     ValidationFailure,
     WeightExceedsLevel,
 )
-from .group_algebra import AlgebraElement, _expand_by_type, b_sum
 from .partitions import (
     Partition,
+    _expand_by_type,
     as_partition,
     difference,
     enumerate_by_weight,
@@ -211,6 +215,8 @@ def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
     The sum of x B_n over the matchings delta = x(eps) of type mu,
     tested against the orbit closure.
     """
+    from .group_algebra import AlgebraElement, b_sum
+
     mu = as_partition(mu)
     if weight(mu) > n:
         raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
@@ -225,6 +231,8 @@ def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
 
 def lift(u: HeckeElement) -> AlgebraElement:
     """The group-algebra element sum of c_mu K_mu(n)."""
+    from .group_algebra import AlgebraElement
+
     acc = AlgebraElement.zero(2 * u.level)
     for mu, c in u.coeffs.items():
         acc = acc + double_coset_sum(mu, u.level).scale(c)
@@ -462,6 +470,8 @@ def matsumoto_image(
     failed self-test fails every later call too.
     """
     global _MATSUMOTO_CHECKED
+    from ._symfunc import SymmetricExpression, elementary
+
     if isinstance(F, str):
         F = SymmetricExpression.parse(F)
     if not _MATSUMOTO_CHECKED:
@@ -538,16 +548,20 @@ def _hermite_normal_form(
     return rows, transform
 
 
-@dataclass(frozen=True)
-class GenerationCertificate:
-    """Witness that monomials in H_1..H_n span the K-coordinate lattice."""
+class GenerationCertificate(
+    namedtuple(
+        "GenerationCertificate",
+        "n max_degree rank basis monomials expressions",
+    )
+):
+    """Witness that monomials in H_1..H_n span the K-coordinate lattice.
 
-    n: int
-    max_degree: int
-    rank: int
-    basis: tuple[Partition, ...]
-    monomials: tuple[tuple[int, ...], ...]
-    expressions: dict[Partition, tuple[tuple[int, tuple[int, ...]], ...]]
+    basis lists the K_mu(n), monomials the exponent vectors of the H_i,
+    and expressions maps each mu of the basis to its polynomial in the
+    H_i: a tuple of (integer coefficient, exponent vector) pairs.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -660,17 +674,17 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
     )
 
 
-@dataclass(frozen=True)
-class TrichotomyReport:
-    """Classification of b_{lam mu}^{nu}(n) over a weight window."""
+class TrichotomyReport(
+    namedtuple("TrichotomyReport", "max_weight n_range zero top subtop")
+):
+    """Classification of b_{lam mu}^{nu}(n) over a weight window.
 
-    max_weight: int
-    n_range: tuple[int, ...]
-    zero: tuple[tuple[Partition, Partition, Partition], ...]
-    top: tuple[tuple[Partition, Partition, Partition, int], ...]
-    subtop: tuple[
-        tuple[Partition, Partition, Partition, tuple[int, ...]], ...
-    ]
+    zero holds the triples (lam, mu, nu) above the top degree, top the
+    (lam, mu, nu, b) on it, and subtop the (lam, mu, nu, values) below
+    it, one value per level of n_range.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -198,3 +198,24 @@ def enumerate_by_weight(n: int) -> list[Partition]:
         ]
         out.extend(sorted(level))
     return out
+
+
+def _expand_by_type(terms: dict, type_of, size_of, error, noun: str) -> dict:
+    """The c_mu with terms = sum of c_mu * (all keys of type_of mu);
+    raises error when a type carries two coefficients or misses members.
+
+    Shared by the class basis (group_algebra) and the double-coset basis
+    (hecke), whose keys are typed by partitions.
+    """
+    coeffs: dict = {}
+    counts: dict[Partition, int] = {}
+    for key, c in terms.items():
+        mu = type_of(key)
+        if coeffs.setdefault(mu, c) != c:
+            raise error(f"{noun} {mu} carries coefficients {coeffs[mu]} and {c}")
+        counts[mu] = counts.get(mu, 0) + 1
+    for mu, seen in counts.items():
+        size = size_of(mu)
+        if seen != size:
+            raise error(f"{noun} {mu} has {seen} of its {size} members present")
+    return coeffs

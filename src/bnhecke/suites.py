@@ -1,0 +1,260 @@
+"""The verification suites of ``bnhecke verify``.
+
+Each suite checks one theorem or invariant of the paper over a list
+of levels and appends one {"name", "ok"[, "detail"]} entry per check;
+progress goes to stderr.  Only the verify verb imports this module,
+and each suite imports the layers it runs when it runs.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from .errors import InsufficientDegree, ValidationFailure
+from .partitions import enumerate_by_weight, weight
+
+SAMPLE_SEED = 987654321
+
+
+def _progress(message: str) -> None:
+    print(message, file=sys.stderr, flush=True)
+
+
+def _check(checks, name, ok, detail=None):
+    entry = {"name": name, "ok": bool(ok)}
+    if detail is not None and not ok:
+        entry["detail"] = str(detail)
+    checks.append(entry)
+    _progress(f"  {'ok' if ok else 'FAIL'}  {name}")
+
+
+def _suite_matsumoto(levels, samples, checks):
+    from ._symfunc import elementary
+    from .hecke import generator_H, matsumoto_image
+
+    for n in levels:
+        for i in range(1, n + 1):
+            got = matsumoto_image(elementary(n - i), n)
+            want = generator_H(i, n)
+            _check(
+                checks,
+                f"e_{n - i}(J_odd) -> H_{i} at n={n}",
+                got == want,
+                f"{got} != {want}",
+            )
+
+
+def _suite_jm_center(levels, samples, checks):
+    from .group_algebra import (
+        elementary,
+        eval_symmetric,
+        jucys_murphy,
+        multiply,
+        zi_generator,
+    )
+
+    for n in levels:
+        js = [jucys_murphy(k, n) for k in range(1, n + 1)]
+        commuting = all(
+            multiply(js[a], js[b]) == multiply(js[b], js[a])
+            for a in range(n)
+            for b in range(a + 1, n)
+        )
+        _check(checks, f"J_1..J_{n} pairwise commute in Z[S_{n}]", commuting)
+        for i in range(1, n + 1):
+            got = eval_symmetric(elementary(n - i), js)
+            want = zi_generator(i, n)
+            _check(
+                checks,
+                f"Z_{i} = e_{n - i}(J_1..J_{n}) at n={n}",
+                got == want,
+            )
+
+
+def _suite_trichotomy(levels, samples, checks):
+    from .hecke import trichotomy_report
+    from .universal import fit_triple
+
+    max_weight = min(4, min(levels))
+    usable = [n for n in levels if n >= max_weight]
+    try:
+        report = trichotomy_report(max_weight, usable)
+        _check(
+            checks,
+            f"trichotomy wt<={max_weight} over n={usable}: "
+            f"{len(report.zero)} zero, {len(report.top)} top, "
+            f"{len(report.subtop)} sub-top",
+            True,
+        )
+    except ValidationFailure as exc:
+        _check(checks, f"trichotomy wt<={max_weight} over n={usable}", False, exc)
+        return
+    for lam, mu, nu, values in report.subtop:
+        result = fit_triple(lam, mu, nu)
+        label = f"sub-top fit {lam} {mu} -> {nu}"
+        if result.classification == "UNFITTED":
+            _check(checks, f"{label}: UNFITTED (insufficient levels, not guessed)", True)
+        else:
+            agree = all(
+                result.polynomial(n) == b for n, b in zip(usable, values)
+            )
+            _check(checks, f"{label}: {result.classification}", agree)
+
+
+def _suite_single_cycle(levels, samples, checks):
+    from .hecke import HeckeElement, hecke_product, single_cycle_expansion
+
+    for n in levels:
+        for lam in enumerate_by_weight(min(4, n)):
+            for r in range(1, 4):
+                if r + 1 > n:
+                    continue
+                expansion = single_cycle_expansion(lam, r, n)
+                product = hecke_product(
+                    HeckeElement.basis(lam, n), HeckeElement.basis((r,), n)
+                )
+                top = HeckeElement(
+                    n,
+                    {
+                        nu: c
+                        for nu, c in product.coeffs.items()
+                        if sum(nu) == sum(lam) + r
+                    },
+                )
+                _check(
+                    checks,
+                    f"top part of K_{lam} K_({r}) at n={n} matches closed form",
+                    expansion == top,
+                    f"{expansion} != {top}",
+                )
+
+
+def _suite_graded_iso(levels, samples, checks):
+    from .universal import graded_iso_check
+
+    for n in levels:
+        report = graded_iso_check(min(4, n), n)
+        _check(
+            checks,
+            f"graded top coefficients agree (wt<={min(4, n)}, n={n}, "
+            f"{len(report.entries)} triples)",
+            report.ok,
+            "; ".join(str(e.to_json()) for e in report.mismatches),
+        )
+
+
+def _suite_generators(levels, samples, checks):
+    from .hecke import generation_certificate
+
+    for n in levels:
+        try:
+            generation_certificate(n, n - 1)
+            failure = None
+        except InsufficientDegree as exc:
+            failure = exc
+        _check(
+            checks,
+            f"H_1..H_{n} generate at level {n} "
+            f"(HNF certificate, degree <= {n - 1})",
+            failure is None,
+            failure,
+        )
+
+
+def _suite_coset_invariants(levels, samples, checks):
+    import random
+
+    from .cosets import (
+        coset_type,
+        double_coset_size,
+        enumerate_double_coset,
+        gamma_graph,
+        hyperoctahedral_elements,
+        is_hyperoctahedral,
+        modified_support,
+        phi,
+        stable_coset_type,
+        twisted_degree,
+    )
+    from .permutations import Permutation, cayley_degree, identity, symmetric_group
+
+    for n in (2, 3):
+        census: dict = {}
+        for w in symmetric_group(2 * n):
+            mu = stable_coset_type(w)
+            census[mu] = census.get(mu, 0) + 1
+        sizes_ok = census == {
+            mu: double_coset_size(mu, n) for mu in enumerate_by_weight(n)
+        }
+        _check(
+            checks,
+            f"double cosets partition S_{2 * n} with closed-form sizes",
+            sizes_ok,
+            census,
+        )
+        fixed = {w for w in symmetric_group(2 * n) if phi(w, n) == identity()}
+        b_group = set(hyperoctahedral_elements(n))
+        _check(checks, f"fixed locus of the twist is B_{n} at n={n}", fixed == b_group)
+        for mu in enumerate_by_weight(n):
+            coset = enumerate_double_coset(mu, n)
+            _check(
+                checks,
+                f"orbit closure of type {mu} at n={n} has the closed-form size",
+                len(coset) == double_coset_size(mu, n),
+            )
+    rng = random.Random(SAMPLE_SEED)
+    for n in levels:
+        if n < 4:
+            continue
+        good = 0
+        for _ in range(samples):
+            images = list(range(1, 2 * n + 1))
+            rng.shuffle(images)
+            w = Permutation(tuple(images))
+            mu = stable_coset_type(w)
+            full = coset_type(w, n)
+            ok = (
+                sum(full) == n
+                and stable_coset_type(w.inverse()) == mu
+                and len(modified_support(w)) == weight(mu)
+                and twisted_degree(w, n) == 2 * sum(mu)
+                and cayley_degree(phi(w, n)) == 2 * sum(mu)
+                and is_hyperoctahedral(w, n) == (mu == ())
+                and gamma_graph(w, n).half_lengths() == full
+            )
+            good += ok
+        _check(
+            checks,
+            f"pair-graph invariants on {samples} samples in S_{2 * n}",
+            good == samples,
+            f"{samples - good} violations",
+        )
+
+
+SUITE_RUNNERS = {
+    "matsumoto": _suite_matsumoto,
+    "jm-center": _suite_jm_center,
+    "trichotomy": _suite_trichotomy,
+    "single-cycle": _suite_single_cycle,
+    "graded-iso": _suite_graded_iso,
+    "generators": _suite_generators,
+    "coset-invariants": _suite_coset_invariants,
+}
+
+
+def run_suite(suite: str, levels: list[int], samples: int) -> tuple[dict, int]:
+    """The verify payload of one suite, and the exit status: 1 on any failed check."""
+    from ._backend import backend_name
+
+    _progress(f"verify {suite}: levels {levels}, backend {backend_name()}")
+    checks: list[dict] = []
+    SUITE_RUNNERS[suite](levels, samples, checks)
+    ok = all(c["ok"] for c in checks)
+    payload = {
+        "suite": suite,
+        "levels": levels,
+        "backend": backend_name(),
+        "ok": ok,
+        "checks": checks,
+    }
+    return payload, 0 if ok else 1

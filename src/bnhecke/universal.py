@@ -17,24 +17,19 @@ B_n in S_2n) and the C basis (conjugacy classes of S_n, the
 Farahat-Higman center side).  The graded comparison of the two is
 the isomorphism check: top coefficients of C_lam C_(r) and
 K_lam K_(r), each counted in its own basis, agree with each other and
-with the one closed formula.
+with the one closed formula.  Only the C basis needs the group algebra
+of S_n; bnhecke.group_algebra is imported when it is first used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .errors import (
     NonIntegerCoefficient,
     ValidationFailure,
-)
-from .group_algebra import (
-    class_structure_constant,
-    class_sum,
-    expand_in_class_basis,
-    multiply,
 )
 from .hecke import (
     HeckeElement,
@@ -230,6 +225,8 @@ def _constant_for(basis: str):
     if basis == "K":
         return hecke_structure_constant
     if basis == "C":
+        from .group_algebra import class_structure_constant
+
         return class_structure_constant
     raise ValueError(f"basis must be 'K' or 'C', got {basis!r}")
 
@@ -242,11 +239,12 @@ def universal_structure_constant(
     holdout: int | None = None,
     basis: str = "K",
 ) -> IntegerValuedPolynomial:
-    """Fit b_{lam mu}^{nu}(n) over sample_ns and validate on a holdout.
+    """Fit b_{lam mu}^{nu}(n) over sample_ns and check it at a holdout level.
 
-    When no holdout is given, the smallest untouched level up to
-    MAX_SAMPLE_LEVEL serves; if every usable level was sampled the
-    validation is vacuous.
+    When no holdout is given, the smallest level from max(weights, 2)
+    to MAX_SAMPLE_LEVEL that is not in sample_ns serves.  When
+    sample_ns takes every one of those levels, none is left: the fit
+    is returned as interpolated, checked against nothing.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     constant_at = _constant_for(basis)
@@ -295,16 +293,16 @@ def universal_structure_constant(
     return fitted
 
 
-@dataclass(frozen=True)
-class GradedIsoEntry:
-    lam: Partition
-    r: int
-    rho: Partition
-    nu: Partition
-    formula_center: int
-    formula_hecke: int
-    brute_center: int | None
-    brute_hecke: int | None
+class GradedIsoEntry(
+    namedtuple(
+        "GradedIsoEntry",
+        "lam r rho nu formula_center formula_hecke brute_center brute_hecke",
+    )
+):
+    """One top coefficient of C_lam C_(r) and K_lam K_(r), by the closed
+    formula and counted (the counts are None when nu is dead at level n)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -331,13 +329,10 @@ class GradedIsoEntry:
         }
 
 
-@dataclass(frozen=True)
-class GradedIsoReport:
+class GradedIsoReport(namedtuple("GradedIsoReport", "max_weight n entries")):
     """Top-coefficient comparison between the C and K products."""
 
-    max_weight: int
-    n: int
-    entries: tuple[GradedIsoEntry, ...]
+    __slots__ = ()
 
     @property
     def mismatches(self) -> tuple[GradedIsoEntry, ...]:
@@ -371,6 +366,8 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
         raise ValueError(
             f"need n >= {max_weight} so every factor is alive at level {n}"
         )
+    from .group_algebra import class_structure_constant
+
     entries = []
     for lam in enumerate_by_weight(max_weight):
         for r in range(1, max_weight):
@@ -604,6 +601,8 @@ def _brute_window(
             for mu, c in prod.coeffs.items()
             if weight(mu) <= window
         }
+    from .group_algebra import expand_in_class_basis, multiply
+
     lift_u = _class_combination(u, n)
     lift_v = _class_combination(v, n)
     coeffs = expand_in_class_basis(multiply(lift_u, lift_v), n)
@@ -613,26 +612,27 @@ def _brute_window(
 
 
 def _class_combination(u: UniversalElement, n: int):
+    from .group_algebra import AlgebraElement, class_sum
+
     acc = None
     for mu, c in u.specialize(n).items():
         term = class_sum(mu, n).scale(c)
         acc = term if acc is None else acc + term
     if acc is None:
-        from .group_algebra import AlgebraElement
-
         acc = AlgebraElement.zero(n)
     return acc
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """One fitted (or unfittable) structure-constant triple."""
+class FitResult(
+    namedtuple("FitResult", "lam mu nu classification polynomial")
+):
+    """One fitted (or unfittable) structure-constant triple.
 
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    classification: str  # zero | constant | polynomial | UNFITTED
-    polynomial: IntegerValuedPolynomial | None
+    classification is zero, constant, polynomial or UNFITTED; polynomial
+    is the fitted IntegerValuedPolynomial, None when UNFITTED.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         body: dict = {
@@ -653,9 +653,13 @@ def fit_triple(
 ) -> FitResult:
     """Fit one triple on the standard sampling plan.
 
-    Samples run over max(weights)..MAX_SAMPLE_LEVEL and the expected
-    degree |lam|+|mu|-|nu| demands degree + 2 of them; triples whose
-    demand exceeds the supply come back UNFITTED, never guessed.
+    Samples run upward from max(weights, 2), and the expected degree
+    d = |lam|+|mu|-|nu| demands d + 1 of them, at least 2 (one when
+    d < 0, where b vanishes).  The next level up to MAX_SAMPLE_LEVEL,
+    if the samples leave one, is the holdout that checks the fit; when
+    they reach MAX_SAMPLE_LEVEL the fit goes unchecked (the tests
+    recount those one level higher).  Triples whose demand exceeds the
+    supply come back UNFITTED, never guessed.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     _constant_for(basis)

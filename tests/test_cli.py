@@ -21,6 +21,9 @@ from bnhecke.permutations import Permutation
 # p_k and h_k recursed k deep, 1500 parentheses nest _parse too deep,
 # and p300 or a power that large ran for minutes
 _RUNAWAY_EXPRS = ["p1200", "h1200", "(" * 1500 + "e1" + ")" * 1500, "p300", "e1^999999"]
+# within the degree cap, but 86 e-factors over the 135135 matchings of
+# n = 7 ran for over a minute
+_COSTLY_MATSUMOTO = ["matsumoto", "--n", "7", "--expr", "p8"]
 
 
 def run(argv):
@@ -105,11 +108,19 @@ class TestParse:
             ["coset-size", "--mu", "[]", "--n", str(MAX_COSET_SIZE_LEVEL + 1)],
             ["generators", "--n", "3", "--max-degree", "3"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
+            _COSTLY_MATSUMOTO,
         ],
     )
     def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
             parse(argv)
+
+    def test_matsumoto_work_budget(self):
+        # the budget is the work of p5 at n = 7; it scales with (2n-1)!!
+        assert parse(["matsumoto", "--n", "7", "--expr", "p5"]).args["n"] == 7
+        with pytest.raises(UsageError, match="work budget"):
+            parse(["matsumoto", "--n", "7", "--expr", "p6"])
+        assert parse(["matsumoto", "--n", "6", "--expr", "p8"]).args["n"] == 6
 
     def test_coset_size_allows_large_levels(self):
         # closed form, no table sweep: levels above the CLI cap are fine
@@ -328,6 +339,45 @@ class TestOutputFormats:
         assert first == second
 
 
+# No verb loads numpy (only the permutation oracle imports it), nor
+# dataclasses and inspect.  The K-basis verbs count over matchings
+# without the group algebra or symmetric functions, the Matsumoto image
+# runs on matchings too, and the verbs on one permutation or one closed
+# form load no counting layer.
+_NEVER_LOADED = ["numpy", "dataclasses", "inspect"]
+_K_BASIS = ["bnhecke.group_algebra", "bnhecke._symfunc"]
+_CLOSED_FORM = ["bnhecke.hecke", "bnhecke.universal", "bnhecke.group_algebra"]
+_FOOTPRINTS = [
+    pytest.param(argv, unloaded, id=name)
+    for name, argv, unloaded in [
+        ("coset-type", ["coset-type", "--perm", "[2,1]"], _CLOSED_FORM),
+        ("phi", ["phi", "--perm", "[2,1]"], _CLOSED_FORM),
+        ("coset-size", ["coset-size", "--mu", "[1]", "--n", "2"], _CLOSED_FORM),
+        ("product", ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"], _K_BASIS),
+        (
+            "structure-constant",
+            ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "2"],
+            _K_BASIS,
+        ),
+        (
+            "expand-single-cycle",
+            ["expand-single-cycle", "--lam", "[1]", "--r", "1", "--n", "2"],
+            _K_BASIS,
+        ),
+        ("generators", ["generators", "--n", "2"], _K_BASIS),
+        ("fit-triple", ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"], _K_BASIS),
+        ("fit-K", ["fit", "--max-weight", "1"], _K_BASIS),
+        ("table", ["table", "--n", "2"], _K_BASIS),
+        ("matsumoto", ["matsumoto", "--expr", "e1", "--n", "2"], ["bnhecke.group_algebra"]),
+        ("fit-C", ["fit", "--max-weight", "1", "--basis", "C"], []),
+        *(
+            (f"verify-{suite}", ["verify", "--suite", suite, "--n", "2", "--samples", "5"], [])
+            for suite in SUITES
+        ),
+    ]
+]
+
+
 class TestMain:
     def test_success_path(self, capsys):
         assert main(["coset-size", "--mu", "[1]", "--n", "2"]) == 0
@@ -373,41 +423,30 @@ class TestMain:
         assert child.wait(timeout=120) in (0, 1)
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
-    def test_no_verb_imports_numpy(self):
-        # the permutation oracle is the only numpy module; no verb loads it
-        argvs = [
-            ["coset-type", "--perm", "[2,1]"],
-            ["phi", "--perm", "[2,1]"],
-            ["coset-size", "--mu", "[1]", "--n", "2"],
-            ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"],
-            ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "2"],
-            ["expand-single-cycle", "--lam", "[1]", "--r", "1", "--n", "2"],
-            ["matsumoto", "--expr", "e1", "--n", "2"],
-            ["generators", "--n", "2"],
-            ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"],
-            ["table", "--n", "2"],
-            *(["verify", "--suite", suite, "--n", "2", "--samples", "5"] for suite in SUITES),
-        ]
+    @pytest.mark.parametrize("argv, unloaded", _FOOTPRINTS)
+    def test_import_footprint(self, argv, unloaded):
+        # one child per argv: modules that one verb loads would stay
+        # loaded for the next
         script = (
             "import io, json, sys\n"
             "from contextlib import redirect_stderr, redirect_stdout\n"
             "from bnhecke.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
-            "        status = main(argv)\n"
-            "    print(status, 'numpy' in sys.modules)\n"
+            "argv, unloaded = json.loads(sys.argv[1])\n"
+            "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            "    status = main(argv)\n"
+            "print(json.dumps([status, [m for m in unloaded if m in sys.modules]]))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bnhecke.__file__))
+        unloaded = [*_NEVER_LOADED, *unloaded]
         child = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(argvs)],
+            [sys.executable, "-c", script, json.dumps([argv, unloaded])],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        lines = child.stdout.splitlines()
-        assert len(lines) == len(argvs), child.stdout
-        for argv, line in zip(argvs, lines):
-            assert line == "0 False", (argv, line)
+        status, loaded = json.loads(child.stdout)
+        assert status == 0, child.stdout
+        assert loaded == [], loaded
 
     def test_console_script_round_trip(self):
         argv = ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"]
@@ -497,7 +536,8 @@ def _argvs(draw):
     if draw(st.booleans()):
         flags.insert(0, "--format")
     values = {flag: draw(_FLAG_VALUES[flag][0]) for flag in flags}
-    faults = ["invalid", "jobs", "extra", "junk", "exit"]
+    # frobnicate without --format has no flag to make invalid
+    faults = (["invalid"] if values else []) + ["jobs", "extra", "junk", "exit"]
     if _VERB_FLAGS[verb]:
         faults.append("omit")
     fault = draw(st.none() | st.sampled_from(faults))
@@ -550,6 +590,8 @@ class TestContractFuzz:
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[2]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[3]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[4]])
+    # an expression within the degree cap but over the work budget
+    @example(_COSTLY_MATSUMOTO)
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

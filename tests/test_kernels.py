@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +199,25 @@ class TestLevelTable:
         assert all(caches.values()), [k for k, v in caches.items() if not v]
         clear_caches()
         assert not any(caches.values()), [k for k, v in caches.items() if v]
+
+    def test_clear_imports_nothing(self):
+        # in a fresh process no fit or class memo exists yet, and
+        # clearing must not load the modules that would hold one
+        script = (
+            "import sys\n"
+            "from bnhecke import clear_caches\n"
+            "clear_caches()\n"
+            "print([m for m in ('bnhecke.universal', 'bnhecke.group_algebra')"
+            " if m in sys.modules])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(backend.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "[]\n"
 
     def test_size_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(_kernels_py, "double_coset_size", lambda mu, n: 0)

@@ -1,6 +1,6 @@
 import pytest
 
-from bnhecke import universal
+from bnhecke import _backend, universal
 from bnhecke.errors import NonIntegerCoefficient, ValidationFailure
 from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import enumerate_by_weight
@@ -301,6 +301,35 @@ class TestFitReports:
 
     def test_sample_ceiling_exported(self):
         assert MAX_SAMPLE_LEVEL == 5
+
+    @pytest.mark.parametrize("basis", ["K", "C"])
+    def test_fits_without_a_holdout_hold_one_level_up(self, basis, monkeypatch):
+        # a fit whose samples reach MAX_SAMPLE_LEVEL had no level left to
+        # check it against; recount each such fit of fit_report(4) at
+        # the next level, above the counting cap of the CLI
+        fitted = universal.universal_structure_constant
+        unchecked = {}
+
+        def spy(lam, mu, nu, sample_ns, **kwargs):
+            f = fitted(lam, mu, nu, sample_ns, **kwargs)
+            # the samples run up from the floor, so none is left above them
+            if MAX_SAMPLE_LEVEL in sample_ns:
+                unchecked[lam, mu, nu] = f
+            return f
+
+        monkeypatch.setattr(universal, "_FIT_CACHE", {})
+        monkeypatch.setattr(universal, "universal_structure_constant", spy)
+        fit_report(4, basis)
+        assert unchecked
+        monkeypatch.setattr(_backend, "MAX_TALLY_LEVEL", MAX_SAMPLE_LEVEL + 1)
+        n = MAX_SAMPLE_LEVEL + 1
+        constant_at = universal._constant_for(basis)
+        wrong = {
+            triple: (f(n), constant_at(*triple, n))
+            for triple, f in unchecked.items()
+            if f(n) != constant_at(*triple, n)
+        }
+        assert not wrong, wrong
 
     def test_missed_holdout_raises(self, monkeypatch):
         # n^2 has degree 2, above the bound 1 for ((1,), (1,), (1,)): the
