@@ -10,9 +10,10 @@ pair graph) through products and structure constants to the stable
 theory where structure constants become integer-valued polynomials
 in n.
 
-Structure constants are counted, and the Matsumoto image evaluated,
-over perfect matchings of [2n], in pure Python with no build step and
-no worker processes.  Importing the package, or running any CLI verb,
+Structure constants of both bases are read off Jack polynomials
+(zonal polynomials for K, Schur functions for C), and the Matsumoto
+image is evaluated over perfect matchings of [2n], in pure Python with
+no build step and no worker processes.  Importing the package, or running any CLI verb,
 loads nothing outside the standard library.  Only the permutation
 oracle the tests check those counts against, bnhecke._kernels_py
 (LevelTable and its kernel), has a third-party dependency; the package

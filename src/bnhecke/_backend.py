@@ -1,6 +1,8 @@
-"""Structure-constant tallies, counted over perfect matchings.
+"""Structure-constant tallies, counted over perfect matchings: an oracle.
 
-Every K-basis number comes from product_tally, which counts over
+No verb counts here any more: every K-basis number comes from the
+zonal spherical functions in bnhecke.characters.  product_tally is the
+independent count the tests hold that path against.  It counts over
 perfect matchings of [2n]: S_2n/B_n is in bijection with the (2n-1)!!
 matchings through w B_n <-> w(eps), eps the couple matching.  Since
 K_lam(n) is a union of left cosets x B_n and the stable coset type of
@@ -43,9 +45,8 @@ __all__ = [
     "clear_caches",
 ]
 
-# Matchings are cheap (945 at n = 5); the cap is the highest level the
-# fits sample (universal.MAX_SAMPLE_LEVEL), and raising it changes
-# which triples fit.
+# Matchings are cheap (945 at n = 5); the tests lift the cap to 6 to
+# recount the character path one level above what the CLI serves.
 MAX_TALLY_LEVEL = 5
 
 
@@ -121,18 +122,20 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
 
 # memos in modules that clear_caches must not import
 _LAZY_MEMOS = {
+    "characters": ("_TABLES",),
     "universal": ("_FIT_CACHE",),
     "group_algebra": ("_CLASS_TABLES", "_CLASS_PRODUCTS"),
 }
 
 
 def clear_caches() -> None:
-    """Empty the five dict memos: matchings, tallies, fits, class tables
-    and class products.
+    """Empty the six dict memos: character tables, matchings, tallies,
+    fits, class tables and class products.
 
-    The fit memo (universal) and the class memos (group_algebra) are
-    cleared only if their module is loaded: a module not yet imported
-    holds no memo, and clearing imports none.  Two memos stay by
+    The structure-constant tables (characters), the fit memo
+    (universal) and the class memos (group_algebra) are cleared only if
+    their module is loaded: a module not yet imported holds no memo,
+    and clearing imports none.  Two memos stay by
     design: the functools.cache memos of _symfunc (p_k, h_k and the
     e-to-m matrices), which hold exact constants no input changes, and
     hecke's flag that the Matsumoto self-test passed.

@@ -1,0 +1,210 @@
+"""Structure constants of both bases from Jack polynomials.
+
+(S_2n, B_n) and (S_n x S_n, diag S_n) are Gelfand pairs, and the
+spherical functions of both come from the Jack polynomials J_rho, rho
+a partition of n: alpha = 2 gives the zonal polynomials and the
+double-coset basis K, alpha = 1 the Schur functions and the class
+basis C of Z[S_n] (Macdonald, Symmetric Functions and Hall Polynomials,
+VI.10 and VII.2; Goulden-Jackson 1996).  A stable type lam stands for
+its completion at level n, a partition of n.  With
+
+    theta_rho(lam) = [p_lam] J_rho                       (an integer),
+    h_lam = alpha^n n! / (z_lam alpha^l(lam))            (matchings of [2n]
+            of type lam for K, the size of the class lam for C),
+    W_rho = alpha^n n! / <J_rho, J_rho>,
+
+the structure constant is
+
+    b_{lam mu}^nu(n) = sum_rho W_rho theta_rho(lam) theta_rho(mu) theta_rho(nu) / h_nu.
+
+W_rho N is an integer, N = (2n-1)!! for K and n! for C: the dimension
+of the character 2rho of S_2n, or (dim rho)^2.  So the sum is taken in
+integers and divided by N h_nu once.
+
+J_rho is built in power sums: [m_lam] p_mu by a DP over the parts of
+mu, inverted by back substitution (it is triangular in dominance);
+P_rho by Gram-Schmidt of the m_lam from (1^n) upwards under
+<p_lam, p_mu> = delta z_lam alpha^l(lam); and J_rho = prod over the
+cells s of (alpha a(s) + l(s) + 1) times P_rho.  One table of every b
+is kept per (n, alpha), checked as it is built: theta is integral,
+W_rho N is the hook-length dimension, every b is a non-negative
+integer and sum_nu b h_nu = h_lam h_mu.  The counts this replaces, the
+matching tally (bnhecke._backend) and the S_n class sweep
+(bnhecke.group_algebra), are the tests' oracles for it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, prod
+
+from .errors import UsageError, ValidationFailure, WeightExceedsLevel
+from .partitions import Partition, as_partition, partitions_of, weight, z_value
+
+__all__ = ["MAX_LEVEL", "structure_constant", "structure_constants"]
+
+# the highest level served, and so the highest level the fits sample
+# (universal.MAX_SAMPLE_LEVEL); raising it changes which triples fit
+MAX_LEVEL = 5
+
+# basis -> (alpha, N(n))
+_BASES = {
+    "K": (2, lambda n: prod(range(1, 2 * n, 2))),
+    "C": (1, factorial),
+}
+
+Table = dict[tuple[Partition, Partition], dict[Partition, int]]
+
+_TABLES: dict[tuple[int, int], Table] = {}
+
+
+def _cells(rho: Partition) -> list[tuple[int, int]]:
+    """(arm, leg) of every cell of the diagram of rho."""
+    cols = [sum(1 for p in rho if p > j) for j in range(rho[0] if rho else 0)]
+    return [(row - j - 1, cols[j] - i - 1) for i, row in enumerate(rho) for j in range(row)]
+
+
+def _dimension(rho: Partition) -> int:
+    """The degree of the irreducible character rho of S_|rho| (hook lengths)."""
+    return factorial(sum(rho)) // prod(a + l + 1 for a, l in _cells(rho))
+
+
+def _monomial_coefficient(mu: Partition, lam: Partition) -> int:
+    """[m_lam] p_mu: the ways to deal the parts of mu onto the rows of
+    lam so that every row is filled exactly.
+
+    A DP over the parts of mu; a state is the multiset of what the rows
+    still lack, since the ways to finish only depend on that.
+    """
+    states = {lam: 1}
+    for q in mu:
+        after: dict[Partition, int] = {}
+        for lack, ways in states.items():
+            for r in set(lack):
+                if r >= q:
+                    i = lack.index(r)
+                    key = tuple(sorted(lack[:i] + (r - q,) + lack[i + 1 :], reverse=True))
+                    after[key] = after.get(key, 0) + ways * lack.count(r)
+        states = after
+    return states.get((0,) * len(lam), 0)
+
+
+def _norms(parts: list[Partition], alpha: int) -> list[int]:
+    """<p_lam, p_lam> = z_lam alpha^l(lam) for each lam of parts."""
+    return [z_value(lam) * alpha ** len(lam) for lam in parts]
+
+
+def _jack_power_sums(n: int, alpha: int) -> list[list[Fraction]]:
+    """[p_lam] J_rho for rho and lam in partitions_of(n) order."""
+    parts = partitions_of(n)  # (n) first: a linear extension of dominance
+    size = len(parts)
+    norm = _norms(parts, alpha)
+    # p_mu = sum over lam >= mu of [m_lam] p_mu m_lam, so m_mu follows
+    # from the m_lam before it
+    monomials: list[list[Fraction]] = []
+    for i, mu in enumerate(parts):
+        m = [Fraction(int(j == i)) for j in range(size)]
+        for j in range(i):
+            c = _monomial_coefficient(mu, parts[j])
+            if c:
+                m = [x - c * y for x, y in zip(m, monomials[j])]
+        diagonal = _monomial_coefficient(mu, mu)
+        monomials.append([x / diagonal for x in m])
+
+    def dot(f, g):
+        return sum(x * y * w for x, y, w in zip(f, g, norm))
+
+    jacks: list[list[Fraction]] = []
+    done: list[tuple[list[Fraction], Fraction]] = []
+    for i in range(size - 1, -1, -1):
+        p = monomials[i]
+        for q, qq in done:
+            c = dot(monomials[i], q) / qq
+            if c:
+                p = [x - c * y for x, y in zip(p, q)]
+        done.append((p, dot(p, p)))
+        scale = prod(alpha * a + l + 1 for a, l in _cells(parts[i]))
+        jacks.append([scale * x for x in p])
+    return jacks[::-1]
+
+
+def _build(n: int, alpha: int, big_n: int) -> Table:
+    """The checked table of every b at level n (see the module docstring)."""
+    parts = partitions_of(n)
+    jacks = _jack_power_sums(n, alpha)
+    norm = _norms(parts, alpha)
+    total = alpha**n * factorial(n)
+    h = [total // w for w in norm]
+    theta = []
+    for rho, row in zip(parts, jacks):
+        if any(x.denominator != 1 for x in row):
+            raise ValidationFailure(
+                f"theta_{rho} at n = {n}, alpha = {alpha} is not integral: "
+                f"{[str(x) for x in row]}"
+            )
+        theta.append([int(x) for x in row])
+    dims = []
+    for rho, row in zip(parts, jacks):
+        dim = total * big_n / sum(x * x * w for x, w in zip(row, norm))
+        want = _dimension(tuple(2 * p for p in rho)) if alpha == 2 else _dimension(rho) ** 2
+        if dim != want:
+            raise ValidationFailure(
+                f"W_{rho} N at n = {n}, alpha = {alpha} is {dim}, not the "
+                f"hook-length dimension {want}"
+            )
+        dims.append(want)
+    stable = [tuple(p - 1 for p in lam if p > 1) for lam in parts]
+    table: Table = {}
+    for i, lam in enumerate(stable):
+        for j in range(i, len(parts)):
+            mu = stable[j]
+            weights = [d * t[i] * t[j] for d, t in zip(dims, theta)]
+            row: dict[Partition, int] = {}
+            covered = 0
+            for k, nu in enumerate(stable):
+                total_k = sum(w * t[k] for w, t in zip(weights, theta))
+                b, rem = divmod(total_k, big_n * h[k])
+                if rem or b < 0:
+                    raise ValidationFailure(
+                        f"b_{{{lam},{mu}}}^{nu}({n}) at alpha = {alpha} is "
+                        f"{Fraction(total_k, big_n * h[k])}, not a non-negative integer"
+                    )
+                if b:
+                    row[nu] = b
+                    covered += b * h[k]
+            if covered != h[i] * h[j]:
+                raise ValidationFailure(
+                    f"the product of {lam} and {mu} at n = {n}, alpha = {alpha} "
+                    f"covers {covered} elements, not {h[i]} * {h[j]}"
+                )
+            table[lam, mu] = table[mu, lam] = row
+    return table
+
+
+def structure_constants(n: int, basis: str) -> Table:
+    """Every b_{lam mu}^nu(n) of one basis ("K" or "C"), by stable types:
+    (lam, mu) -> {nu: b}, with only the non-zero b present.
+
+    The table is built once per level and basis; the caller must not
+    change it.
+    """
+    alpha, big_n = _BASES[basis]
+    if not 1 <= n <= MAX_LEVEL:
+        raise UsageError(
+            f"structure constants are counted for 1 <= n <= {MAX_LEVEL}, not n = {n}"
+        )
+    if (n, alpha) not in _TABLES:
+        _TABLES[n, alpha] = _build(n, alpha, big_n(n))
+    return _TABLES[n, alpha]
+
+
+def structure_constant(
+    lam: Partition, mu: Partition, nu: Partition, n: int, basis: str
+) -> int:
+    """b_{lam mu}^nu(n) in the K basis, or a_{lam mu}^nu(n) in the C
+    basis: the coefficient of nu in the product of lam and mu."""
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
+    for p in (lam, mu, nu):
+        if weight(p) > n:
+            raise WeightExceedsLevel(f"wt{p} = {weight(p)} exceeds level {n}")
+    return structure_constants(n, basis)[lam, mu].get(nu, 0)

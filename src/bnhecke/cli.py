@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from math import prod
+from itertools import accumulate
 
 from . import __version__
 from .errors import HeckeError, UsageError
@@ -40,12 +40,15 @@ SUITES = (
 MAX_CLI_LEVEL = 5
 # the Matsumoto image walks the (2n-1)!! matchings of [2n]: 135135 at n = 7
 MAX_MATSUMOTO_LEVEL = 7
-# Evaluating F at level n applies every e-factor of every e-monomial of
-# F to a vector over up to (2n-1)!! matchings; the work is the number of
-# factors times (2n-1)!!.  The budget is the work of p_5 at n = 7 (20
-# factors; 8.6 s on a 2-CPU machine).  p_8 there, 86 factors, ran for
-# over a minute.
-MAX_MATSUMOTO_WORK = 20 * 135135
+# Evaluating F at level n applies the e-factors of each e-monomial of F
+# to eps one after the other.  A factor applied after degree d acts on a
+# vector over the matchings of type |mu| <= d, and relabels each of them
+# by the n(n-1) transpositions of J_3, ..., J_{2n-1}; that is its work.
+# The budget is the work of p_8 at n = 6 (18 s on a 2-CPU machine).
+# p_5 at n = 7 (about 10 s) and p_20 at n = 4 (3.5 s) stay below it;
+# p_6 at n = 7 (48 s) is 1.5 times over, and e_1^20 there (106 s) 12
+# times.
+MAX_MATSUMOTO_WORK = 30 * 235002
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -93,12 +96,26 @@ def _expr_flag(text: str, flag: str) -> SymmetricExpression:
 
 
 def _matsumoto_work_flag(expr: SymmetricExpression, n: int, flag: str) -> None:
-    matchings = prod(range(1, 2 * n, 2))
-    factors = sum(len(mono) for mono in expr.terms)
-    if factors * matchings > MAX_MATSUMOTO_WORK:
+    from .cosets import double_coset_size, hyperoctahedral_order
+
+    # reach[d]: the matchings of [2n] of type |mu| <= d, |K_mu(n)| / |B_n|
+    # of each type by the closed-form sizes
+    by_size = [0] * n
+    for mu in enumerate_by_weight(n):
+        by_size[sum(mu)] += double_coset_size(mu, n) // hyperoctahedral_order(n)
+    reach = list(accumulate(by_size))
+    work = 0
+    for mono in expr.terms:
+        degree = 0
+        for k in reversed(mono):  # the order hecke._matsumoto_vector applies them
+            if k > n:  # e_k vanishes, and the rest acts on nothing
+                break
+            work += reach[min(degree, n - 1)] * n * (n - 1)
+            degree += k
+    if work > MAX_MATSUMOTO_WORK:
         raise UsageError(
-            f"{flag}: {factors} e-factor applications over {matchings} matchings "
-            f"at n = {n} exceed the work budget {MAX_MATSUMOTO_WORK}"
+            f"{flag}: the e-factors relabel {work} matchings in all at n = {n}, "
+            f"above the work budget {MAX_MATSUMOTO_WORK}"
         )
 
 

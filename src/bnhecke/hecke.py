@@ -8,17 +8,15 @@ identity and
 
     K_(1) K_(1) = t(t-1) K_{} + K_(1) + 3 K_(2) + 2 K_(1,1)    (t = n).
 
-Structure constants never go through the full convolution: for
-b_{lam mu}^{nu}(n), fix the canonical representative z of K_nu(n) and
-count the x in K_lam(n) with x^{-1} z of stable coset type mu.  Both
-types only depend on the coset x B_n, i.e. on the perfect matching
-delta = x(eps) of [2n], so the count is |B_n| times the number of the
-(2n-1)!! matchings with type(eps, delta) = lam and type(delta, z eps)
-= mu, and b is that number of matchings.  One pass over the matchings
-serves every lam and mu at once.
-double_coset_sum and expand_K go through matchings too; the permutation
-oracle (bnhecke._kernels_py.LevelTable and its kernel) serves only the
-tests and perfbench/probe.py.
+Structure constants never go through the full convolution, nor through
+the cosets: (S_2n, B_n) is a Gelfand pair, and bnhecke.characters
+builds every b_{lam mu}^{nu}(n) of a level at once from its zonal
+spherical functions.  hecke_structure_constant and hecke_product read
+that table.  The counts it replaces stay as the tests' oracles: the
+matching tally of bnhecke._backend (b is the number of perfect
+matchings delta of [2n] with type(eps, delta) = lam and
+type(delta, z eps) = mu, z the canonical point of K_nu(n)) and the
+permutation oracle bnhecke._kernels_py.
 
 The generators H_i sum the K_mu(n) whose completed type has i parts,
 i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
@@ -35,10 +33,13 @@ sum_{i<k} relabelling with (i k), and the coefficient of K_mu is v at
 any matching of type mu.  jucys_murphy at level 2n, b_sum and expand_K
 stay as the tests' oracle for it.
 
-So no K-basis computation needs the group algebra: only the oracle
-functions double_coset_sum and lift import bnhecke.group_algebra, and
-only matsumoto_image imports the symmetric expressions, each when
-first called.
+So the products, structure constants and the generator certificate
+load neither the cosets nor the group algebra.  Each layer is imported
+when first called: bnhecke.characters by the products and structure
+constants, bnhecke.cosets by expand_K and the Matsumoto functions,
+the symmetric expressions by matsumoto_image, and the matching tally
+and bnhecke.group_algebra by the oracle functions double_coset_sum
+and lift.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from ._backend import _typed_matchings, product_tally
 from .errors import (
     IndexOutOfRange,
     InsufficientDegree,
@@ -68,12 +68,6 @@ from .partitions import (
     subpartitions,
     union,
     weight,
-)
-from .cosets import (
-    double_coset_size,
-    hyperoctahedral_order,
-    image_matching,
-    matching_type,
 )
 
 __all__ = [
@@ -215,6 +209,7 @@ def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
     The sum of x B_n over the matchings delta = x(eps) of type mu,
     tested against the orbit closure.
     """
+    from ._backend import _typed_matchings
     from .group_algebra import AlgebraElement, b_sum
 
     mu = as_partition(mu)
@@ -246,6 +241,8 @@ def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
     present and completeness of each coset, so a partial or uneven
     coset raises NotBiInvariant.
     """
+    from .cosets import double_coset_size, image_matching, matching_type
+
     if a.level != 2 * n:
         raise LevelMismatch(f"element lives at level {a.level}, not {2 * n}")
     eps = image_matching(range(1, 2 * n + 1))
@@ -261,39 +258,36 @@ def hecke_structure_constant(
 ) -> int:
     """b_{lam mu}^{nu}(n): coefficient of K_nu(n) in K_lam(n) K_mu(n).
 
-    Fixed-representative counting: with z the canonical point of
-    K_nu(n), b is the number of perfect matchings delta of [2n] whose
-    union with the couples eps has stable type lam and whose union with
-    z(eps) has stable type mu: the number of x in K_lam(n) with x^{-1} z
-    of type mu, divided by |B_n|.  The tally holds that count.
+    Read off the level's table of zonal structure constants
+    (bnhecke.characters).  It equals the number of perfect matchings
+    delta of [2n] whose union with the couples eps has stable type lam
+    and whose union with z(eps) has stable type mu, z the canonical
+    point of K_nu(n): the number of x in K_lam(n) with x^{-1} z of type
+    mu, divided by |B_n|.
     """
-    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    for p in (lam, mu, nu):
-        if weight(p) > n:
-            raise WeightExceedsLevel(f"wt{p} = {weight(p)} exceeds level {n}")
-    return product_tally(lam, nu, n).get(mu, 0)
+    from .characters import structure_constant
+
+    return structure_constant(lam, mu, nu, n, "K")
 
 
 def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
     """Product in the Hecke ring: convolution divided by |B_n|.
 
-    The tallies already count in those units, so each coefficient is a
-    sum of tally entries times the coefficients of u and v.
+    The structure constants are in those units already, so each
+    coefficient is a sum of table entries times the coefficients of u
+    and v.
     """
+    from .characters import structure_constants
+
     u._check_level(v)
     n = u.level
+    table = structure_constants(n, "K") if u.coeffs else {}
     out: dict[Partition, Fraction] = {}
-    for nu in enumerate_by_weight(n):
-        acc = Fraction(0)
-        for lam, cu in u.coeffs.items():
-            tal = product_tally(lam, nu, n)
-            total = sum(
-                (tal.get(mu, 0) * cv for mu, cv in v.coeffs.items()),
-                start=Fraction(0),
-            )
-            acc += cu * total
-        if acc:
-            out[nu] = acc
+    for lam, cu in u.coeffs.items():
+        for mu, cv in v.coeffs.items():
+            c = cu * cv
+            for nu, b in table[lam, mu].items():
+                out[nu] = out.get(nu, 0) + c * b
     return HeckeElement(n, out)
 
 
@@ -427,6 +421,8 @@ def _matsumoto_vector(F: SymmetricExpression, n: int) -> dict[tuple[int, ...], i
     Each e-monomial acts factor by factor, right to left, on eps; the
     J's commute, so any order gives the same vector.  e_k = 0 for k > n.
     """
+    from .cosets import image_matching
+
     eps = image_matching(range(1, 2 * n + 1))
     v: dict[tuple[int, ...], int] = {}
     for mono, c in F.terms.items():
@@ -445,6 +441,13 @@ def _matsumoto_raw(F: SymmetricExpression, n: int) -> HeckeElement:
     at any matching of type mu.  v must be constant on, and cover, the
     |K_mu(n)| / |B_n| matchings of each type present, else NotBiInvariant.
     """
+    from .cosets import (
+        double_coset_size,
+        hyperoctahedral_order,
+        image_matching,
+        matching_type,
+    )
+
     eps = image_matching(range(1, 2 * n + 1))
     order = hyperoctahedral_order(n)
     coeffs = _expand_by_type(

@@ -17,8 +17,13 @@ B_n in S_2n) and the C basis (conjugacy classes of S_n, the
 Farahat-Higman center side).  The graded comparison of the two is
 the isomorphism check: top coefficients of C_lam C_(r) and
 K_lam K_(r), each counted in its own basis, agree with each other and
-with the one closed formula.  Only the C basis needs the group algebra
-of S_n; bnhecke.group_algebra is imported when it is first used.
+with the one closed formula.  Both bases read their structure
+constants from one character path, bnhecke.characters (zonal
+polynomials for K, Schur functions for C), so a fit loads neither
+bnhecke.hecke nor the cosets nor the group algebra of S_n.  The
+graded comparison imports the closed formula from bnhecke.hecke, and
+the limit-ring specialization check multiplies through hecke_product
+(K) or bnhecke.group_algebra (C), each imported when first used.
 """
 
 from __future__ import annotations
@@ -27,15 +32,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
+from .characters import MAX_LEVEL, structure_constant
 from .errors import (
     NonIntegerCoefficient,
     ValidationFailure,
-)
-from .hecke import (
-    HeckeElement,
-    hecke_product,
-    hecke_structure_constant,
-    _admissible_terms,
 )
 from .partitions import (
     Partition,
@@ -60,8 +60,8 @@ __all__ = [
     "MAX_SAMPLE_LEVEL",
 ]
 
-# the counting cap of the backend; raising it changes which triples fit
-MAX_SAMPLE_LEVEL = 5
+# the level cap of the character path; raising it changes which triples fit
+MAX_SAMPLE_LEVEL = MAX_LEVEL
 
 
 def _binomial(n: int, k: int) -> int:
@@ -222,13 +222,10 @@ def ivp_fit(points) -> IntegerValuedPolynomial:
 
 
 def _constant_for(basis: str):
-    if basis == "K":
-        return hecke_structure_constant
-    if basis == "C":
-        from .group_algebra import class_structure_constant
-
-        return class_structure_constant
-    raise ValueError(f"basis must be 'K' or 'C', got {basis!r}")
+    """The structure constants of one basis, as a function of (lam, mu, nu, n)."""
+    if basis not in ("K", "C"):
+        raise ValueError(f"basis must be 'K' or 'C', got {basis!r}")
+    return lambda lam, mu, nu, n: structure_constant(lam, mu, nu, n, basis)
 
 
 def universal_structure_constant(
@@ -358,7 +355,8 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
     rho, the closed formula (hecke.single_cycle_coefficient, which the
     two sides share) is held against the actual top coefficient of
     C_lam C_(r) in the class basis of Z[S_n] and of K_lam K_(r) in the
-    Hecke basis at level n.  Target symbols too
+    Hecke basis at level n, each from its own Jack polynomials (alpha =
+    1 and alpha = 2 in bnhecke.characters).  Target symbols too
     heavy to exist at level n keep formula-only entries (brute fields
     None); mismatches become report entries, never exceptions.
     """
@@ -366,7 +364,7 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
         raise ValueError(
             f"need n >= {max_weight} so every factor is alive at level {n}"
         )
-    from .group_algebra import class_structure_constant
+    from .hecke import _admissible_terms
 
     entries = []
     for lam in enumerate_by_weight(max_weight):
@@ -376,10 +374,10 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
             for rho, nu, b in _admissible_terms(lam, r):
                 alive = weight(nu) <= n
                 brute_c = (
-                    class_structure_constant(lam, (r,), nu, n) if alive else None
+                    structure_constant(lam, (r,), nu, n, "C") if alive else None
                 )
                 brute_k = (
-                    hecke_structure_constant(lam, (r,), nu, n) if alive else None
+                    structure_constant(lam, (r,), nu, n, "K") if alive else None
                 )
                 entries.append(
                     GradedIsoEntry(
@@ -439,6 +437,8 @@ class UniversalElement:
         }
 
     def to_hecke(self, n: int) -> HeckeElement:
+        from .hecke import HeckeElement
+
         if self.basis != "K":
             raise ValueError("only the K basis specializes to a Hecke element")
         return HeckeElement(n, self.specialize(n))
@@ -595,6 +595,8 @@ def _brute_window(
     u: UniversalElement, v: UniversalElement, n: int, window: int
 ) -> dict[Partition, int]:
     if u.basis == "K":
+        from .hecke import hecke_product
+
         prod = hecke_product(u.to_hecke(n), v.to_hecke(n))
         return {
             mu: int(c)

@@ -1,0 +1,135 @@
+"""The character path against the counts it replaced.
+
+Every structure constant at n <= 6, in both bases, is checked against
+an independent count: the matching tally of bnhecke._backend for the
+K basis and the S_n class sweep of bnhecke.group_algebra for the C
+basis.  Both caps (the character path's and the tally's) are lifted to
+6 inside the test only; the CLI serves n <= 5.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from bnhecke import _backend, characters, group_algebra
+from bnhecke.characters import MAX_LEVEL, structure_constant, structure_constants
+from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
+from bnhecke.partitions import enumerate_by_weight
+
+ORACLE_LEVEL = 6
+
+
+@pytest.fixture
+def fresh(monkeypatch):
+    """Empty memos, so a damaged build is not served from the cache."""
+    monkeypatch.setattr(characters, "_TABLES", {})
+
+
+@pytest.fixture
+def lifted(monkeypatch, fresh):
+    monkeypatch.setattr(characters, "MAX_LEVEL", ORACLE_LEVEL)
+    monkeypatch.setattr(_backend, "MAX_TALLY_LEVEL", ORACLE_LEVEL)
+    # the oracles' level-6 memos go when the test ends
+    for module, memo in (
+        (_backend, "_TALLIES"),
+        (_backend, "_MATCHINGS"),
+        (group_algebra, "_CLASS_TABLES"),
+        (group_algebra, "_CLASS_PRODUCTS"),
+    ):
+        monkeypatch.setattr(module, memo, {})
+
+
+@pytest.mark.parametrize("n", range(1, ORACLE_LEVEL + 1))
+def test_K_basis_matches_the_matching_tally(n, lifted):
+    table = structure_constants(n, "K")
+    shapes = enumerate_by_weight(n)
+    wrong = {
+        (lam, mu, nu): (table[lam, mu].get(nu, 0), tally.get(mu, 0))
+        for lam in shapes
+        for nu in shapes
+        for tally in [_backend.product_tally(lam, nu, n)]
+        for mu in shapes
+        if table[lam, mu].get(nu, 0) != tally.get(mu, 0)
+    }
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("n", range(1, ORACLE_LEVEL + 1))
+def test_C_basis_matches_the_class_sweep(n, lifted):
+    table = structure_constants(n, "C")
+    shapes = enumerate_by_weight(n)
+    wrong = {
+        (lam, mu, nu): (table[lam, mu].get(nu, 0), count)
+        for lam in shapes
+        for mu in shapes
+        for nu in shapes
+        for count in [group_algebra.class_structure_constant(lam, mu, nu, n)]
+        if table[lam, mu].get(nu, 0) != count
+    }
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_transposition_square(n):
+    # K_(1) K_(1) = n(n-1) K_() + K_(1) + 3 K_(2) + 2 K_(1,1), and
+    # C_(1) C_(1) = binom(n, 2) C_() + 3 C_(2) + 2 C_(1,1)
+    k_want = {(): n * (n - 1), (1,): 1, (2,): 3, (1, 1): 2}
+    c_want = {(): n * (n - 1) // 2, (2,): 3, (1, 1): 2}
+    for basis, want in (("K", k_want), ("C", c_want)):
+        got = structure_constants(n, basis)[(1,), (1,)]
+        assert got == {nu: b for nu, b in want.items() if sum(nu) + len(nu) <= n}
+
+
+def test_level_cap_and_weights():
+    assert MAX_LEVEL == 5
+    for n in (0, MAX_LEVEL + 1):
+        with pytest.raises(UsageError, match="1 <= n <= 5"):
+            structure_constant((), (), (), n, "C")
+    with pytest.raises(WeightExceedsLevel):
+        structure_constant((2,), (), (), 2, "K")
+    with pytest.raises(ValueError):
+        structure_constant((1, 2), (), (), 4, "K")
+
+
+def test_one_table_per_level_and_alpha(fresh):
+    first = structure_constants(3, "K")
+    assert structure_constants(3, "K") is first
+    assert structure_constants(3, "C") is not first
+    assert set(characters._TABLES) == {(3, 2), (3, 1)}
+
+
+def _damaged(monkeypatch, edit):
+    build = characters._jack_power_sums
+
+    def damaged(n, alpha):
+        jacks = build(n, alpha)
+        edit(jacks)
+        return jacks
+
+    monkeypatch.setattr(characters, "_jack_power_sums", damaged)
+
+
+def test_non_integral_theta_raises(monkeypatch, fresh):
+    def halve(jacks):
+        jacks[0][0] += Fraction(1, 2)
+
+    _damaged(monkeypatch, halve)
+    with pytest.raises(ValidationFailure, match="not integral"):
+        structure_constants(3, "K")
+
+
+def test_wrong_dimension_raises(monkeypatch, fresh):
+    monkeypatch.setattr(characters, "_dimension", lambda rho: 7)
+    with pytest.raises(ValidationFailure, match="hook-length dimension"):
+        structure_constants(2, "C")
+
+
+def test_sign_flip_breaks_the_constants(monkeypatch, fresh):
+    # -J_rho keeps theta integral and <J, J> unchanged, but the cube
+    # theta^3 changes sign, so some b goes fractional or negative
+    def negate(jacks):
+        jacks[0][:] = [-x for x in jacks[0]]
+
+    _damaged(monkeypatch, negate)
+    with pytest.raises(ValidationFailure, match="non-negative integer"):
+        structure_constants(3, "K")

@@ -116,11 +116,22 @@ class TestParse:
             parse(argv)
 
     def test_matsumoto_work_budget(self):
-        # the budget is the work of p5 at n = 7; it scales with (2n-1)!!
+        # the budget is the work of p8 at n = 6; p5 at n = 7 has a third
+        # of it, p6 there half as much again
         assert parse(["matsumoto", "--n", "7", "--expr", "p5"]).args["n"] == 7
         with pytest.raises(UsageError, match="work budget"):
             parse(["matsumoto", "--n", "7", "--expr", "p6"])
         assert parse(["matsumoto", "--n", "6", "--expr", "p8"]).args["n"] == 6
+
+    def test_matsumoto_work_counts_the_matchings_reached(self, capsys):
+        # e1^20 has as many e-factors as p5, but each after the sixth acts
+        # on all 135135 matchings of n = 7, where p5's act on few: it ran
+        # for 106 s, p5 for 11 s
+        assert parse(["matsumoto", "--n", "7", "--expr", "p5"]).args["n"] == 7
+        assert main(["matsumoto", "--n", "7", "--expr", "e1^20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "work budget" in json.loads(captured.err)["message"]
 
     def test_coset_size_allows_large_levels(self):
         # closed form, no table sweep: levels above the CLI cap are fine
@@ -340,12 +351,23 @@ class TestOutputFormats:
 
 
 # No verb loads numpy (only the permutation oracle imports it), nor
-# dataclasses and inspect.  The K-basis verbs count over matchings
-# without the group algebra or symmetric functions, the Matsumoto image
-# runs on matchings too, and the verbs on one permutation or one closed
+# dataclasses and inspect.  The verbs that read structure constants
+# (both bases of fit, and the K-basis verbs) take them from Jack
+# polynomials: they load neither the cosets, permutations and matching
+# tally nor the group algebra and symmetric functions.  The Matsumoto
+# image runs on matchings without the group algebra, the matching tally
+# or the character path, and the verbs on one permutation or one closed
 # form load no counting layer.
 _NEVER_LOADED = ["numpy", "dataclasses", "inspect"]
-_K_BASIS = ["bnhecke.group_algebra", "bnhecke._symfunc"]
+_CHARACTER_PATH = [
+    "bnhecke.cosets",
+    "bnhecke.permutations",
+    "bnhecke._backend",
+    "bnhecke.group_algebra",
+    "bnhecke._symfunc",
+]
+# a fit reads the character path directly, without bnhecke.hecke
+_FIT = [*_CHARACTER_PATH, "bnhecke.hecke"]
 _CLOSED_FORM = ["bnhecke.hecke", "bnhecke.universal", "bnhecke.group_algebra"]
 _FOOTPRINTS = [
     pytest.param(argv, unloaded, id=name)
@@ -353,23 +375,27 @@ _FOOTPRINTS = [
         ("coset-type", ["coset-type", "--perm", "[2,1]"], _CLOSED_FORM),
         ("phi", ["phi", "--perm", "[2,1]"], _CLOSED_FORM),
         ("coset-size", ["coset-size", "--mu", "[1]", "--n", "2"], _CLOSED_FORM),
-        ("product", ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"], _K_BASIS),
+        ("product", ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"], _CHARACTER_PATH),
         (
             "structure-constant",
             ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "2"],
-            _K_BASIS,
+            _CHARACTER_PATH,
         ),
         (
             "expand-single-cycle",
             ["expand-single-cycle", "--lam", "[1]", "--r", "1", "--n", "2"],
-            _K_BASIS,
+            _CHARACTER_PATH,
         ),
-        ("generators", ["generators", "--n", "2"], _K_BASIS),
-        ("fit-triple", ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"], _K_BASIS),
-        ("fit-K", ["fit", "--max-weight", "1"], _K_BASIS),
-        ("table", ["table", "--n", "2"], _K_BASIS),
-        ("matsumoto", ["matsumoto", "--expr", "e1", "--n", "2"], ["bnhecke.group_algebra"]),
-        ("fit-C", ["fit", "--max-weight", "1", "--basis", "C"], []),
+        ("generators", ["generators", "--n", "2"], _CHARACTER_PATH),
+        ("fit-triple", ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"], _FIT),
+        ("fit-K", ["fit", "--max-weight", "1"], _FIT),
+        ("table", ["table", "--n", "2"], _CHARACTER_PATH),
+        (
+            "matsumoto",
+            ["matsumoto", "--expr", "e1", "--n", "2"],
+            ["bnhecke.group_algebra", "bnhecke._backend", "bnhecke.characters"],
+        ),
+        ("fit-C", ["fit", "--max-weight", "1", "--basis", "C"], _FIT),
         *(
             (f"verify-{suite}", ["verify", "--suite", suite, "--n", "2", "--samples", "5"], [])
             for suite in SUITES

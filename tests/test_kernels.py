@@ -21,7 +21,7 @@ from bnhecke._kernels_py import (
     resolve_jobs,
     type_keys_product as pure_kernel,
 )
-from bnhecke import _kernels_py, group_algebra, universal
+from bnhecke import _kernels_py, characters, group_algebra, universal
 from bnhecke.cosets import (
     coset_representative,
     double_coset_size,
@@ -190,6 +190,7 @@ class TestLevelTable:
         universal.fit_triple((1,), (1,), (1,))
         group_algebra.class_structure_constant((1,), (1,), (), 3)
         caches = {
+            "_TABLES": characters._TABLES,
             "_TALLIES": backend._TALLIES,
             "_MATCHINGS": backend._MATCHINGS,
             "_FIT_CACHE": universal._FIT_CACHE,
@@ -201,14 +202,14 @@ class TestLevelTable:
         assert not any(caches.values()), [k for k, v in caches.items() if v]
 
     def test_clear_imports_nothing(self):
-        # in a fresh process no fit or class memo exists yet, and
+        # in a fresh process no table, fit or class memo exists yet, and
         # clearing must not load the modules that would hold one
         script = (
             "import sys\n"
             "from bnhecke import clear_caches\n"
             "clear_caches()\n"
-            "print([m for m in ('bnhecke.universal', 'bnhecke.group_algebra')"
-            " if m in sys.modules])\n"
+            "print([m for m in ('bnhecke.characters', 'bnhecke.universal',"
+            " 'bnhecke.group_algebra') if m in sys.modules])\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(backend.__file__))

@@ -46,7 +46,7 @@ def test_no_assert_in_package():
 # other; a guard written as an assert would let its call return under -O
 _TRIP_GUARDS = """
 import json, sys
-from bnhecke import _backend, cosets, universal
+from bnhecke import _backend, characters, cosets, universal
 from bnhecke.errors import ValidationFailure
 
 def message(call):
@@ -65,6 +65,8 @@ cosets.class_representative = lambda mu, n: cosets.identity()
 out["coset_representative"] = message(lambda: cosets.coset_representative((1,), 2))
 cosets.z_value = lambda rho: 7
 out["double_coset_size"] = message(lambda: cosets.double_coset_size((1,), 2))
+characters._dimension = lambda rho: 0
+out["structure_constants"] = message(lambda: characters.structure_constants(2, "K"))
 print(json.dumps(out))
 """
 _GUARD_MESSAGES = {
@@ -72,6 +74,7 @@ _GUARD_MESSAGES = {
     "_binomial": "left the remainder",
     "coset_representative": "has coset type",
     "double_coset_size": "is not an integer",
+    "structure_constants": "hook-length dimension",
 }
 
 

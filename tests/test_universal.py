@@ -1,6 +1,6 @@
 import pytest
 
-from bnhecke import _backend, universal
+from bnhecke import _backend, group_algebra, universal
 from bnhecke.errors import NonIntegerCoefficient, ValidationFailure
 from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import enumerate_by_weight
@@ -306,7 +306,9 @@ class TestFitReports:
     def test_fits_without_a_holdout_hold_one_level_up(self, basis, monkeypatch):
         # a fit whose samples reach MAX_SAMPLE_LEVEL had no level left to
         # check it against; recount each such fit of fit_report(4) at
-        # the next level, above the counting cap of the CLI
+        # the next level, above the cap of the character path, through
+        # the independent count of its basis: the matching tally (K,
+        # with the oracle's own cap lifted) or the S_n class sweep (C)
         fitted = universal.universal_structure_constant
         unchecked = {}
 
@@ -321,13 +323,18 @@ class TestFitReports:
         monkeypatch.setattr(universal, "universal_structure_constant", spy)
         fit_report(4, basis)
         assert unchecked
-        monkeypatch.setattr(_backend, "MAX_TALLY_LEVEL", MAX_SAMPLE_LEVEL + 1)
         n = MAX_SAMPLE_LEVEL + 1
-        constant_at = universal._constant_for(basis)
+        monkeypatch.setattr(_backend, "MAX_TALLY_LEVEL", n)
+
+        def count(lam, mu, nu):
+            if basis == "K":
+                return _backend.product_tally(lam, nu, n).get(mu, 0)
+            return group_algebra.class_structure_constant(lam, mu, nu, n)
+
         wrong = {
-            triple: (f(n), constant_at(*triple, n))
+            triple: (f(n), count(*triple))
             for triple, f in unchecked.items()
-            if f(n) != constant_at(*triple, n)
+            if f(n) != count(*triple)
         }
         assert not wrong, wrong
 
@@ -337,7 +344,7 @@ class TestFitReports:
         # would only hide that
         monkeypatch.setattr(universal, "_FIT_CACHE", {})
         monkeypatch.setattr(
-            universal, "hecke_structure_constant", lambda lam, mu, nu, n: n * n
+            universal, "structure_constant", lambda lam, mu, nu, n, basis: n * n
         )
         with pytest.raises(ValidationFailure, match="at n=4"):
             fit_triple((1,), (1,), (1,))
