@@ -11,9 +11,10 @@ theory where structure constants become integer-valued polynomials
 in n.
 
 Structure constants of both bases are read off Jack polynomials
-(zonal polynomials for K, Schur functions for C), and the Matsumoto
-image is evaluated over perfect matchings of [2n], in pure Python with
-no build step and no worker processes.  Importing the package, or running any CLI verb,
+(zonal polynomials for K, Schur functions for C), and so is the
+Matsumoto image, through the action of the odd Jucys-Murphy elements
+on the zonal spherical functions, in pure Python with no build step
+and no worker processes.  Importing the package, or running any CLI verb,
 loads nothing outside the standard library.  Only the permutation
 oracle the tests check those counts against, bnhecke._kernels_py
 (LevelTable and its kernel), has a third-party dependency; the package
@@ -56,8 +57,8 @@ _EXPORTS = {
         hecke_product hecke_structure_constant lift matsumoto_image
         single_cycle_coefficient single_cycle_expansion trichotomy_report""",
     "universal": """FitResult GradedIsoReport IntegerValuedPolynomial
-        UniversalElement fit_report fit_triple graded_iso_check ivp_fit
-        t_generator universal_product universal_structure_constant""",
+        fit_report fit_triple graded_iso_check ivp_fit
+        universal_structure_constant""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

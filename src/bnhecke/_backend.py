@@ -16,7 +16,9 @@ product in the Hecke ring divides the left side by |B_n|, so the
 matching count on the right is the structure constant b_{lam mu}^nu(n)
 itself, and that is what the tallies hold.  The matchings and their
 types against eps are cached per level, and one pass per (nu, n) fills
-the tallies of every lam at once.
+the tallies of every lam at once.  The counting functions import
+bnhecke.cosets when they run, so backend_name and clear_caches load no
+other layer.
 
 The permutation oracle, which materializes all of S_2n and classifies
 every row by stable coset type, lives in bnhecke._kernels_py; the tests
@@ -30,14 +32,6 @@ import sys
 
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
 from .partitions import Partition, as_partition, enumerate_by_weight, weight
-from .cosets import (
-    coset_representative,
-    double_coset_size,
-    hyperoctahedral_order,
-    image_matching,
-    matching_type,
-    perfect_matchings,
-)
 
 __all__ = [
     "backend_name",
@@ -61,6 +55,13 @@ _MATCHINGS: dict[int, list[tuple[tuple[int, ...], Partition]]] = {}
 
 def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
     """Every matching delta of [2n] with its stable type against eps."""
+    from .cosets import (
+        double_coset_size,
+        hyperoctahedral_order,
+        matching_type,
+        perfect_matchings,
+    )
+
     if n not in _MATCHINGS:
         matchings = perfect_matchings(n)
         eps = matchings[0]
@@ -81,6 +82,14 @@ def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
 
 def _tally_level(nu: Partition, n: int) -> None:
     """Fill _TALLIES for (lam, nu, n) and every lam in one pass."""
+    from .cosets import (
+        coset_representative,
+        double_coset_size,
+        hyperoctahedral_order,
+        image_matching,
+        matching_type,
+    )
+
     z_eps = image_matching(coset_representative(nu, n).one_line(2 * n))
     by_lam: dict[Partition, dict[Partition, int]] = {}
     for delta, lam in _typed_matchings(n):
@@ -122,20 +131,20 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
 
 # memos in modules that clear_caches must not import
 _LAZY_MEMOS = {
-    "characters": ("_TABLES",),
+    "characters": ("_SPHERICAL", "_TABLES"),
     "universal": ("_FIT_CACHE",),
     "group_algebra": ("_CLASS_TABLES", "_CLASS_PRODUCTS"),
 }
 
 
 def clear_caches() -> None:
-    """Empty the six dict memos: character tables, matchings, tallies,
-    fits, class tables and class products.
+    """Empty the seven dict memos: spherical functions, character
+    tables, matchings, tallies, fits, class tables and class products.
 
-    The structure-constant tables (characters), the fit memo
-    (universal) and the class memos (group_algebra) are cleared only if
-    their module is loaded: a module not yet imported holds no memo,
-    and clearing imports none.  Two memos stay by
+    The spherical functions and structure-constant tables (characters),
+    the fit memo (universal) and the class memos (group_algebra) are
+    cleared only if their module is loaded: a module not yet imported
+    holds no memo, and clearing imports none.  Two memos stay by
     design: the functools.cache memos of _symfunc (p_k, h_k and the
     e-to-m matrices), which hold exact constants no input changes, and
     hecke's flag that the Matsumoto self-test passed.

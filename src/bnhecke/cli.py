@@ -9,7 +9,9 @@ order, and sampled verification uses a fixed seed.
 Exit codes: 0 success, 1 verification or computation failure
 (reported as a JSON error object), 2 usage error.
 
-Parsing loads no computing layer.  Each verb's runner imports the
+Caps on the level of each verb and on the degree of --expr bound the
+work of every argv that parses; no cost model prices an argv.  Parsing
+loads no computing layer.  Each verb's runner imports the
 layers it runs when it is dispatched, and the verify suites live in
 bnhecke.suites, which only verify loads.
 """
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from itertools import accumulate
 
 from . import __version__
 from .errors import HeckeError, UsageError
@@ -38,17 +39,9 @@ SUITES = (
 )
 
 MAX_CLI_LEVEL = 5
-# the Matsumoto image walks the (2n-1)!! matchings of [2n]: 135135 at n = 7
+# the Matsumoto image reads the spherical functions of
+# bnhecke.characters, built up to its MAX_SPHERICAL_LEVEL
 MAX_MATSUMOTO_LEVEL = 7
-# Evaluating F at level n applies the e-factors of each e-monomial of F
-# to eps one after the other.  A factor applied after degree d acts on a
-# vector over the matchings of type |mu| <= d, and relabels each of them
-# by the n(n-1) transpositions of J_3, ..., J_{2n-1}; that is its work.
-# The budget is the work of p_8 at n = 6 (18 s on a 2-CPU machine).
-# p_5 at n = 7 (about 10 s) and p_20 at n = 4 (3.5 s) stay below it;
-# p_6 at n = 7 (48 s) is 1.5 times over, and e_1^20 there (106 s) 12
-# times.
-MAX_MATSUMOTO_WORK = 30 * 235002
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -93,30 +86,6 @@ def _expr_flag(text: str, flag: str) -> SymmetricExpression:
         raise UsageError(f"{flag}: not a symmetric expression: {text!r} ({exc})")
     except RecursionError:
         raise UsageError(f"{flag}: expression nested too deeply") from None
-
-
-def _matsumoto_work_flag(expr: SymmetricExpression, n: int, flag: str) -> None:
-    from .cosets import double_coset_size, hyperoctahedral_order
-
-    # reach[d]: the matchings of [2n] of type |mu| <= d, |K_mu(n)| / |B_n|
-    # of each type by the closed-form sizes
-    by_size = [0] * n
-    for mu in enumerate_by_weight(n):
-        by_size[sum(mu)] += double_coset_size(mu, n) // hyperoctahedral_order(n)
-    reach = list(accumulate(by_size))
-    work = 0
-    for mono in expr.terms:
-        degree = 0
-        for k in reversed(mono):  # the order hecke._matsumoto_vector applies them
-            if k > n:  # e_k vanishes, and the rest acts on nothing
-                break
-            work += reach[min(degree, n - 1)] * n * (n - 1)
-            degree += k
-    if work > MAX_MATSUMOTO_WORK:
-        raise UsageError(
-            f"{flag}: the e-factors relabel {work} matchings in all at n = {n}, "
-            f"above the work budget {MAX_MATSUMOTO_WORK}"
-        )
 
 
 def _level_flag(value: int, flag: str, low: int = 1, high: int = MAX_CLI_LEVEL) -> int:
@@ -243,7 +212,6 @@ def parse(argv) -> Command:
     elif ns.verb == "matsumoto":
         args["n"] = _level_flag(ns.n, "--n", low=2, high=MAX_MATSUMOTO_LEVEL)
         args["expr"] = _expr_flag(ns.expr, "--expr")
-        _matsumoto_work_flag(args["expr"], args["n"], "--expr")
     elif ns.verb == "generators":
         args["n"] = _level_flag(ns.n, "--n", low=2)
         degree = ns.max_degree if ns.max_degree is not None else ns.n - 1

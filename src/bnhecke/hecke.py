@@ -26,20 +26,23 @@ e_{n-i}(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) to H_i.  A Hermite
 normal form certificate over Z witnesses that monomials in the H_i
 span the whole lattice of K-coordinates.
 
-The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) never
-enters Q[S_2n] either.  It is right-B_n-invariant, so the vector
-v = F(J) eps in Q[matchings] determines it: J_k acts on a matching by
-sum_{i<k} relabelling with (i k), and the coefficient of K_mu is v at
-any matching of type mu.  jucys_murphy at level 2n, b_sum and expand_K
-stay as the tests' oracle for it.
+The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) is read
+off the same zonal spherical functions: J_{2k-1} acts on omega^rho by
+the 2-contents of rho (bnhecke.characters.matsumoto_coefficients).
+Its oracle walks the perfect matchings: the element is
+right-B_n-invariant, so the vector v = F(J) eps in Q[matchings]
+determines it, J_k acts on a matching by sum_{i<k} relabelling with
+(i k), and the coefficient of K_mu is v at any matching of type mu
+(_matsumoto_raw).  jucys_murphy at level 2n, b_sum and expand_K stay
+as the tests' oracle for both at n <= 4.
 
-So the products, structure constants and the generator certificate
-load neither the cosets nor the group algebra.  Each layer is imported
-when first called: bnhecke.characters by the products and structure
-constants, bnhecke.cosets by expand_K and the Matsumoto functions,
-the symmetric expressions by matsumoto_image, and the matching tally
-and bnhecke.group_algebra by the oracle functions double_coset_sum
-and lift.
+So the products, structure constants, the generator certificate and
+the Matsumoto image load neither the cosets nor the group algebra.
+Each layer is imported when first called: bnhecke.characters by the
+products, structure constants and matsumoto_image, the symmetric
+expressions by matsumoto_image, bnhecke.cosets by expand_K and the
+matching walk, and the matching tally and bnhecke.group_algebra by the
+oracle functions double_coset_sum and lift.
 """
 
 from __future__ import annotations
@@ -465,21 +468,24 @@ def matsumoto_image(
 ) -> HeckeElement:
     """F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n), in the K basis.
 
-    Evaluated on the (2n-1)!! perfect matchings of [2n], not in Q[S_2n]:
-    the element is right-B_n-invariant, so F(J) eps determines it.
-    Under this unnormalized-sum convention e_{n-i} lands on H_i; the
-    first call proves that at n = 2 before returning anything, so a
-    normalization regression cannot slip through silently, and a
-    failed self-test fails every later call too.
+    Read off the zonal spherical functions, on which the odd
+    Jucys-Murphy elements act by the 2-contents
+    (characters.matsumoto_coefficients); nothing enters Q[S_2n] or
+    walks the matchings.  Under this unnormalized-sum convention
+    e_{n-i} lands on H_i; the first call proves that at n = 2 before
+    returning anything, so a normalization regression cannot slip
+    through silently, and a failed self-test fails every later call
+    too.
     """
     global _MATSUMOTO_CHECKED
     from ._symfunc import SymmetricExpression, elementary
+    from .characters import matsumoto_coefficients
 
     if isinstance(F, str):
         F = SymmetricExpression.parse(F)
     if not _MATSUMOTO_CHECKED:
         for i in (1, 2):
-            got = _matsumoto_raw(elementary(2 - i), 2)
+            got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2))
             want = generator_H(i, 2)
             if got != want:
                 raise ValidationFailure(
@@ -487,7 +493,7 @@ def matsumoto_image(
                     f"e_{2 - i} maps to {got}, expected H_{i} = {want}"
                 )
         _MATSUMOTO_CHECKED = True
-    return _matsumoto_raw(F, n)
+    return HeckeElement(n, matsumoto_coefficients(F, n))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

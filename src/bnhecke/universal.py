@@ -1,11 +1,13 @@
-"""Structure constants as polynomials in n, and the stable limit rings.
+"""Structure constants as polynomials in n: the stable limit rings.
 
 For fixed stable types the coefficients b_{lam mu}^{nu}(n) are
 integer-valued polynomials in n, zero above the top degree
 |nu| = |lam| + |mu| and constant on it.  Fitting them once therefore
-captures the product at every level: the limit ring with abstract
-basis symbols K_mu and polynomial structure constants surjects onto
-each finite level by evaluation.
+captures the product at every level: the fitted polynomials are the
+structure constants of the limit ring, whose abstract basis symbols
+K_mu surject onto each finite level by evaluation.  The fits are what
+this module returns (and `bnhecke fit` prints); it builds no element
+of the limit ring itself.
 
 Polynomials live in the binomial basis sum c_k * binom(n, k), where
 integer values at integers are automatic.  Fits use Newton divided
@@ -21,9 +23,8 @@ with the one closed formula.  Both bases read their structure
 constants from one character path, bnhecke.characters (zonal
 polynomials for K, Schur functions for C), so a fit loads neither
 bnhecke.hecke nor the cosets nor the group algebra of S_n.  The
-graded comparison imports the closed formula from bnhecke.hecke, and
-the limit-ring specialization check multiplies through hecke_product
-(K) or bnhecke.group_algebra (C), each imported when first used.
+graded comparison imports the closed formula from bnhecke.hecke when
+first used.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .partitions import (
     Partition,
     as_partition,
     enumerate_by_weight,
-    partitions_of,
     weight,
 )
 
@@ -51,9 +51,6 @@ __all__ = [
     "universal_structure_constant",
     "GradedIsoReport",
     "graded_iso_check",
-    "UniversalElement",
-    "t_generator",
-    "universal_product",
     "FitResult",
     "fit_triple",
     "fit_report",
@@ -116,43 +113,6 @@ class IntegerValuedPolynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntegerValuedPolynomial.constant(other)
-        if not isinstance(other, IntegerValuedPolynomial):
-            return NotImplemented
-        width = max(len(self.coeffs), len(other.coeffs))
-        def at(t, k): return t[k] if k < len(t) else 0
-        return IntegerValuedPolynomial(
-            at(self.coeffs, k) + at(other.coeffs, k) for k in range(width)
-        )
-
-    def __neg__(self):
-        return IntegerValuedPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntegerValuedPolynomial.constant(other)
-        if not isinstance(other, IntegerValuedPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = IntegerValuedPolynomial.constant(other)
-        if not isinstance(other, IntegerValuedPolynomial):
-            return NotImplemented
-        if not self or not other:
-            return IntegerValuedPolynomial.zero()
-        # products of integer-valued polynomials are integer valued,
-        # so refitting from sampled values stays in the basis
-        d = self.degree + other.degree
-        samples = [self(n) * other(n) for n in range(d + 1)]
-        return _difference_fit(samples)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegerValuedPolynomial is immutable")
@@ -394,118 +354,6 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
     return GradedIsoReport(max_weight=max_weight, n=n, entries=tuple(entries))
 
 
-class UniversalElement:
-    """A combination of abstract basis symbols with polynomial coefficients.
-
-    Tracks a weight cutoff: keys beyond it are not represented, and
-    products truncate to the smaller cutoff of the two factors.  The
-    basis tag selects double-coset symbols K_mu or class symbols C_mu;
-    the two multiply by different (fitted) structure constants.
-    """
-
-    __slots__ = ("basis", "weight_cutoff", "coeffs")
-
-    def __init__(self, basis: str, weight_cutoff: int, coeffs: dict | None = None):
-        if basis not in ("K", "C"):
-            raise ValueError(f"basis must be 'K' or 'C', got {basis!r}")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "weight_cutoff", int(weight_cutoff))
-        data: dict[Partition, IntegerValuedPolynomial] = {}
-        for mu, c in (coeffs or {}).items():
-            mu = as_partition(mu)
-            if weight(mu) > self.weight_cutoff:
-                raise ValueError(
-                    f"wt{mu} = {weight(mu)} exceeds cutoff {self.weight_cutoff}"
-                )
-            if isinstance(c, int):
-                c = IntegerValuedPolynomial.constant(c)
-            if c:
-                data[mu] = data.get(mu, IntegerValuedPolynomial.zero()) + c
-        object.__setattr__(
-            self, "coeffs", {k: v for k, v in data.items() if v}
-        )
-
-    def coefficient(self, mu: Partition) -> IntegerValuedPolynomial:
-        return self.coeffs.get(tuple(mu), IntegerValuedPolynomial.zero())
-
-    def specialize(self, n: int) -> dict[Partition, int]:
-        """Evaluate every coefficient at n, dropping symbols dead at level n."""
-        return {
-            mu: c(n)
-            for mu, c in self.coeffs.items()
-            if weight(mu) <= n and c(n)
-        }
-
-    def to_hecke(self, n: int) -> HeckeElement:
-        from .hecke import HeckeElement
-
-        if self.basis != "K":
-            raise ValueError("only the K basis specializes to a Hecke element")
-        return HeckeElement(n, self.specialize(n))
-
-    def __add__(self, other: "UniversalElement") -> "UniversalElement":
-        if not isinstance(other, UniversalElement):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise ValueError("cannot mix the K and C bases")
-        cutoff = min(self.weight_cutoff, other.weight_cutoff)
-        out: dict[Partition, IntegerValuedPolynomial] = {}
-        for src in (self.coeffs, other.coeffs):
-            for mu, c in src.items():
-                if weight(mu) <= cutoff:
-                    out[mu] = out.get(mu, IntegerValuedPolynomial.zero()) + c
-        return UniversalElement(self.basis, cutoff, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UniversalElement)
-            and self.basis == other.basis
-            and self.weight_cutoff == other.weight_cutoff
-            and self.coeffs == other.coeffs
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniversalElement is immutable")
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{self.basis}_{mu}: {c!r}"
-            for mu, c in sorted(
-                self.coeffs.items(), key=lambda kv: (weight(kv[0]), kv[0])
-            )
-        )
-        return f"UniversalElement({self.basis}, wt<={self.weight_cutoff}, {{{body}}})"
-
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "weight_cutoff": self.weight_cutoff,
-            "coeffs": [
-                {"mu": list(mu), "polynomial": self.coeffs[mu].to_json()}
-                for mu in sorted(
-                    self.coeffs, key=lambda m: (weight(m), m)
-                )
-            ],
-        }
-
-
-def t_generator(i: int, cutoff: int, basis: str = "K") -> UniversalElement:
-    """T_i (or S_i with basis 'C'): the sum of symbols over l(mu) = i.
-
-    The size |mu| runs up to cutoff; with unbounded weight these are
-    the free polynomial generators of the limit ring.
-    """
-    if i < 1:
-        raise ValueError(f"generator index must be positive, got {i}")
-    coeffs = {
-        mu: 1
-        for size in range(i, cutoff + 1)
-        for mu in partitions_of(size)
-        if len(mu) == i
-    }
-    return UniversalElement(basis, cutoff + i, coeffs)
-
-
 _FIT_CACHE: dict[tuple, IntegerValuedPolynomial | None] = {}
 
 
@@ -533,96 +381,6 @@ def _fitted(
         # symmetric product, one fit serves both orders
         _FIT_CACHE[(basis, mu, lam, nu)] = _FIT_CACHE[key]
     return _FIT_CACHE[key]
-
-
-def universal_product(
-    u: UniversalElement, v: UniversalElement
-) -> UniversalElement:
-    """Bilinear product through fitted structure polynomials.
-
-    Truncates to the smaller cutoff and then proves itself: at every
-    level where all tracked symbols are alive, the specialization must
-    reproduce the concrete product coefficient for coefficient on the
-    tracked window.
-    """
-    if u.basis != v.basis:
-        raise ValueError("cannot multiply across the K and C bases")
-    basis = u.basis
-    cutoff = min(u.weight_cutoff, v.weight_cutoff)
-    out: dict[Partition, IntegerValuedPolynomial] = {}
-    for nu in enumerate_by_weight(cutoff):
-        acc = IntegerValuedPolynomial.zero()
-        for lam, cu in u.coeffs.items():
-            for mu, cv in v.coeffs.items():
-                if sum(nu) > sum(lam) + sum(mu):
-                    continue
-                f = _fitted(basis, lam, mu, nu)
-                if f is None:
-                    raise ValidationFailure(
-                        f"triple ({lam}, {mu}, {nu}) is UNFITTED within "
-                        f"level {MAX_SAMPLE_LEVEL}; cannot form the product"
-                    )
-                acc = acc + cu * cv * f
-        if acc:
-            out[nu] = acc
-    result = UniversalElement(basis, cutoff, out)
-    _assert_specializations(u, v, result)
-    return result
-
-
-def _assert_specializations(
-    u: UniversalElement, v: UniversalElement, result: UniversalElement
-) -> None:
-    alive = max(
-        (weight(mu) for mu in (*u.coeffs, *v.coeffs)), default=0
-    )
-    for n in range(max(alive, 2), MAX_SAMPLE_LEVEL + 1):
-        window = min(result.weight_cutoff, n)
-        want = _brute_window(u, v, n, window)
-        got = {
-            mu: c
-            for mu, c in result.specialize(n).items()
-            if weight(mu) <= window
-        }
-        if got != want:
-            raise ValidationFailure(
-                f"universal product disagrees with the level-{n} product "
-                f"on the weight-{window} window: {got} vs {want}"
-            )
-
-
-def _brute_window(
-    u: UniversalElement, v: UniversalElement, n: int, window: int
-) -> dict[Partition, int]:
-    if u.basis == "K":
-        from .hecke import hecke_product
-
-        prod = hecke_product(u.to_hecke(n), v.to_hecke(n))
-        return {
-            mu: int(c)
-            for mu, c in prod.coeffs.items()
-            if weight(mu) <= window
-        }
-    from .group_algebra import expand_in_class_basis, multiply
-
-    lift_u = _class_combination(u, n)
-    lift_v = _class_combination(v, n)
-    coeffs = expand_in_class_basis(multiply(lift_u, lift_v), n)
-    return {
-        mu: int(c) for mu, c in coeffs.items() if weight(mu) <= window and c
-    }
-
-
-def _class_combination(u: UniversalElement, n: int):
-    from .group_algebra import AlgebraElement, class_sum
-
-    acc = None
-    for mu, c in u.specialize(n).items():
-        term = class_sum(mu, n).scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = AlgebraElement.zero(n)
-    return acc
 
 
 class FitResult(

@@ -85,8 +85,6 @@ from bnhecke.universal import (
     fit_report,
     fit_triple,
     graded_iso_check,
-    t_generator,
-    universal_product,
     universal_structure_constant,
 )
 
@@ -510,18 +508,6 @@ def _sweep_hecke_ring_invariants() -> None:
 
 
 def _sweep_universal_and_cli() -> None:
-    # the symbolic square specializes to the concrete product on its
-    # tracked window (universal_product also self-checks internally)
-    t1 = t_generator(1, 1)
-    square = universal_product(t1, t1)
-    for n in (4, 5):
-        k1 = HeckeElement.basis((1,), n)
-        window = {
-            mu: c
-            for mu, c in hecke_product(k1, k1).coeffs.items()
-            if weight(mu) <= square.weight_cutoff
-        }
-        assert square.to_hecke(n).coeffs == window
     for result in fit_report(2):
         if sum(result.nu) > sum(result.lam) + sum(result.mu):
             assert result.classification == "zero"

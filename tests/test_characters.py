@@ -12,7 +12,15 @@ from fractions import Fraction
 import pytest
 
 from bnhecke import _backend, characters, group_algebra
-from bnhecke.characters import MAX_LEVEL, structure_constant, structure_constants
+from bnhecke._symfunc import elementary
+from bnhecke.characters import (
+    MAX_LEVEL,
+    MAX_SPHERICAL_LEVEL,
+    matsumoto_coefficients,
+    structure_constant,
+    structure_constants,
+)
+from bnhecke.cli import MAX_MATSUMOTO_LEVEL
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import enumerate_by_weight
 
@@ -22,6 +30,7 @@ ORACLE_LEVEL = 6
 @pytest.fixture
 def fresh(monkeypatch):
     """Empty memos, so a damaged build is not served from the cache."""
+    monkeypatch.setattr(characters, "_SPHERICAL", {})
     monkeypatch.setattr(characters, "_TABLES", {})
 
 
@@ -133,3 +142,18 @@ def test_sign_flip_breaks_the_constants(monkeypatch, fresh):
     _damaged(monkeypatch, negate)
     with pytest.raises(ValidationFailure, match="non-negative integer"):
         structure_constants(3, "K")
+
+
+def test_one_spherical_step_serves_both(fresh):
+    table = structure_constants(3, "K")
+    assert set(characters._SPHERICAL) == {(3, 2)}
+    # e_1 lands on H_2, the K_mu(3) with |mu| = 1
+    assert matsumoto_coefficients(elementary(1), 3) == {(1,): 1}
+    assert set(characters._SPHERICAL) == {(3, 2)}
+    assert structure_constants(3, "K") is table
+
+
+def test_matsumoto_level_cap():
+    assert MAX_MATSUMOTO_LEVEL == MAX_SPHERICAL_LEVEL
+    with pytest.raises(UsageError, match="1 <= n <= 7"):
+        matsumoto_coefficients(elementary(1), MAX_SPHERICAL_LEVEL + 1)

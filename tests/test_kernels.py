@@ -21,7 +21,7 @@ from bnhecke._kernels_py import (
     resolve_jobs,
     type_keys_product as pure_kernel,
 )
-from bnhecke import _kernels_py, characters, group_algebra, universal
+from bnhecke import _kernels_py, characters, cosets, group_algebra, universal
 from bnhecke.cosets import (
     coset_representative,
     double_coset_size,
@@ -190,6 +190,7 @@ class TestLevelTable:
         universal.fit_triple((1,), (1,), (1,))
         group_algebra.class_structure_constant((1,), (1,), (), 3)
         caches = {
+            "_SPHERICAL": characters._SPHERICAL,
             "_TABLES": characters._TABLES,
             "_TALLIES": backend._TALLIES,
             "_MATCHINGS": backend._MATCHINGS,
@@ -303,7 +304,7 @@ class TestProductTally:
 
     def test_level_check_raises(self, monkeypatch):
         clear_caches()
-        monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
+        monkeypatch.setattr(cosets, "double_coset_size", lambda mu, n: 0)
         with pytest.raises(ValidationFailure):
             product_tally((1,), (1,), 3)
         assert not backend._MATCHINGS and not backend._TALLIES
@@ -311,7 +312,7 @@ class TestProductTally:
     def test_tally_check_raises(self, monkeypatch):
         clear_caches()
         backend._typed_matchings(3)
-        monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
+        monkeypatch.setattr(cosets, "double_coset_size", lambda mu, n: 0)
         with pytest.raises(ValidationFailure):
             product_tally((1,), (1,), 3)
         assert not backend._TALLIES

@@ -47,6 +47,7 @@ def test_no_assert_in_package():
 _TRIP_GUARDS = """
 import json, sys
 from bnhecke import _backend, characters, cosets, universal
+from bnhecke._symfunc import SymmetricExpression
 from bnhecke.errors import ValidationFailure
 
 def message(call):
@@ -57,14 +58,23 @@ def message(call):
     return None
 
 out = {"optimize": sys.flags.optimize}
-_backend.double_coset_size = lambda mu, n: 0
+size = cosets.double_coset_size
+cosets.double_coset_size = lambda mu, n: 0
 out["product_tally"] = message(lambda: _backend.product_tally((1,), (1,), 3))
+cosets.double_coset_size = size
 universal.factorial = lambda k: 7
 out["_binomial"] = message(lambda: universal.IntegerValuedPolynomial((0, 1))(5))
 cosets.class_representative = lambda mu, n: cosets.identity()
 out["coset_representative"] = message(lambda: cosets.coset_representative((1,), 2))
 cosets.z_value = lambda rho: 7
 out["double_coset_size"] = message(lambda: cosets.double_coset_size((1,), 2))
+# theta_(6)(lam) + 1 moves each c_kappa by W_(6) = 1/15
+spherical = characters._spherical(3, "K")
+theta = [[t + 1 for t in spherical.theta[0]], *spherical.theta[1:]]
+characters._SPHERICAL[3, 2] = spherical._replace(theta=theta)
+out["matsumoto_coefficients"] = message(
+    lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3)
+)
 characters._dimension = lambda rho: 0
 out["structure_constants"] = message(lambda: characters.structure_constants(2, "K"))
 print(json.dumps(out))
@@ -74,6 +84,7 @@ _GUARD_MESSAGES = {
     "_binomial": "left the remainder",
     "coset_representative": "has coset type",
     "double_coset_size": "is not an integer",
+    "matsumoto_coefficients": "not an integer",
     "structure_constants": "hook-length dimension",
 }
 

@@ -8,13 +8,10 @@ from bnhecke.universal import (
     MAX_SAMPLE_LEVEL,
     FitResult,
     IntegerValuedPolynomial,
-    UniversalElement,
     fit_report,
     fit_triple,
     graded_iso_check,
     ivp_fit,
-    t_generator,
-    universal_product,
     universal_structure_constant,
 )
 
@@ -45,23 +42,6 @@ class TestIntegerValuedPolynomial:
         # falling factorial extends to negative arguments
         assert choose2(-1) == 1
         assert choose2(-2) == 3
-
-    def test_linear_structure(self):
-        f = IVP((1, 2))
-        g = IVP((0, 0, 1))
-        assert (f + g)(4) == f(4) + g(4)
-        assert (f - g)(4) == f(4) - g(4)
-        assert (-f)(3) == -f(3)
-        assert f + 1 == IVP((2, 2))
-        assert 1 + f == IVP((2, 2))
-
-    def test_product_refits(self):
-        n_poly = IVP((0, 1))
-        assert n_poly * n_poly == IVP((0, 1, 2))  # n^2 = n + 2 C(n,2)
-        assert (n_poly * IVP.zero()) == IVP.zero()
-        assert 3 * n_poly == IVP((0, 3))
-        sq = IVP((0, 0, 1)) * IVP((0, 0, 1))
-        assert all(sq(n) == (n * (n - 1) // 2) ** 2 for n in range(-3, 8))
 
     def test_comparison_with_int(self):
         assert IVP.constant(4) == 4
@@ -166,108 +146,6 @@ class TestGradedIso:
         payload = graded_iso_check(2, 4).to_json()
         assert payload["ok"] is True
         assert all("formula_center" in e for e in payload["entries"])
-
-
-class TestUniversalElement:
-    def test_cutoff_enforced(self):
-        with pytest.raises(ValueError):
-            UniversalElement("K", 2, {(2,): 1})
-
-    def test_basis_tag_checked(self):
-        with pytest.raises(ValueError):
-            UniversalElement("Z", 2)
-
-    def test_constant_coercion_and_coefficient(self):
-        u = UniversalElement("K", 3, {(1,): 2, (2,): IVP((0, 1))})
-        assert u.coefficient((1,)) == IVP.constant(2)
-        assert u.coefficient((2,)) == IVP((0, 1))
-        assert u.coefficient(()) == IVP.zero()
-
-    def test_specialize_drops_dead_symbols(self):
-        u = UniversalElement("K", 4, {(1,): 1, (1, 1): 5})
-        assert u.specialize(3) == {(1,): 1}
-        assert u.specialize(4) == {(1,): 1, (1, 1): 5}
-
-    def test_to_hecke(self):
-        u = UniversalElement("K", 3, {(1,): 3})
-        assert u.to_hecke(4) == HeckeElement(4, {(1,): 3})
-        with pytest.raises(ValueError):
-            UniversalElement("C", 3, {(1,): 3}).to_hecke(4)
-
-    def test_addition_truncates(self):
-        u = UniversalElement("K", 4, {(1, 1): 1, (1,): 1})
-        v = UniversalElement("K", 3, {(1,): 1})
-        total = u + v
-        assert total.weight_cutoff == 3
-        assert total.coefficient((1,)) == IVP.constant(2)
-        assert total.coefficient((1, 1)) == IVP.zero()
-
-    def test_mixed_basis_rejected(self):
-        u = UniversalElement("K", 2, {(1,): 1})
-        v = UniversalElement("C", 2, {(1,): 1})
-        with pytest.raises(ValueError):
-            u + v
-        with pytest.raises(ValueError):
-            universal_product(u, v)
-
-    def test_immutable_and_json(self):
-        u = UniversalElement("K", 3, {(2,): 1, (1,): IVP((0, 1))})
-        with pytest.raises(AttributeError):
-            u.basis = "C"
-        assert u.to_json() == {
-            "basis": "K",
-            "weight_cutoff": 3,
-            "coeffs": [
-                {"mu": [1], "polynomial": {"binomial_coeffs": [0, 1]}},
-                {"mu": [2], "polynomial": {"binomial_coeffs": [1]}},
-            ],
-        }
-
-
-class TestTGenerator:
-    def test_length_one(self):
-        t1 = t_generator(1, 3)
-        assert t1.basis == "K"
-        assert t1.weight_cutoff == 4
-        assert set(t1.coeffs) == {(1,), (2,), (3,)}
-        assert all(c == 1 for c in t1.coeffs.values())
-
-    def test_length_two(self):
-        t2 = t_generator(2, 3)
-        assert t2.weight_cutoff == 5
-        assert set(t2.coeffs) == {(1, 1), (2, 1)}
-
-    def test_class_basis_tag(self):
-        assert t_generator(1, 2, basis="C").basis == "C"
-
-    def test_index_checked(self):
-        with pytest.raises(ValueError):
-            t_generator(0, 3)
-
-
-class TestUniversalProduct:
-    def test_t1_squared_narrow_window(self):
-        t1 = t_generator(1, 1)
-        sq = universal_product(t1, t1)
-        assert sq.weight_cutoff == 2
-        assert sq.coefficient(()) == IVP((0, 0, 2))
-        assert sq.coefficient((1,)) == IVP.constant(1)
-
-    def test_class_side_mirror(self):
-        s1 = t_generator(1, 1, basis="C")
-        sq = universal_product(s1, s1)
-        assert sq.coefficient(()) == IVP((0, 0, 1))
-        assert sq.coefficient((1,)) == IVP.zero()
-
-    def test_identity(self):
-        one = UniversalElement("K", 2, {(): 1})
-        t1 = t_generator(1, 1)
-        assert universal_product(one, t1).coefficient((1,)) == 1
-
-    def test_unfitted_window_is_refused(self):
-        t1 = t_generator(1, 2)
-        with pytest.raises(ValidationFailure, match="UNFITTED"):
-            universal_product(t1, t1)
 
 
 class TestFitReports:
