@@ -31,25 +31,29 @@ Matsumoto 2011), so the Matsumoto image is
 
 taken in integers the same way.
 
-J_rho is built in power sums: [m_lam] p_mu by a DP over the parts of
-mu, inverted by back substitution (it is triangular in dominance);
-P_rho by Gram-Schmidt of the m_lam from (1^n) upwards under
-<p_lam, p_mu> = delta z_lam alpha^l(lam); and J_rho = prod over the
-cells s of (alpha a(s) + l(s) + 1) times P_rho.  The spherical
-functions (theta, h and W_rho N) are kept per (n, alpha), checked as
-they are built: theta is integral and W_rho N is the hook-length
-dimension.  The table of every b is kept per (n, alpha) on top of
-them, checked as it is built: every b is a non-negative integer and
-sum_nu b h_nu = h_lam h_mu; so is every Matsumoto c_kappa an integer.
-The counts this replaces, the matching tally (bnhecke._backend), the
-S_n class sweep (bnhecke.group_algebra) and the matching walk of the
-Matsumoto image (bnhecke.hecke), are the tests' oracles for it.
+J_rho is built in integers, in two triangular steps.  Its monomial
+coefficients come from the Laplace-Beltrami recurrence, which walks
+down dominance from [m_rho] J_rho = prod over the cells s of
+(alpha a(s) + l(s) + 1) (Stanley 1989; Demmel-Koev 2006; see
+_jack_monomials).  Its power-sum coefficients theta follow by back
+substitution from (1^n) upwards through the integer matrix
+[m_mu] p_lam, taken by a DP over the parts of lam.  Every division is
+exact or raises ValidationFailure.  The spherical functions (theta, h
+and W_rho N) are kept per (n, alpha), checked as they are built:
+theta is integral and W_rho N is the hook-length dimension.  The table
+of every b is kept per (n, alpha) on top of them, checked as it is
+built: every b is a non-negative integer and sum_nu b h_nu =
+h_lam h_mu; so is every Matsumoto c_kappa an integer.  The counts
+this replaces, the matching tally (bnhecke._backend), the S_n class
+sweep (bnhecke.group_algebra) and the matching walk of the Matsumoto
+image (bnhecke.hecke), are the tests' oracles for it, and Gram-Schmidt
+of the monomials (tests/oracles.py) for the Jack polynomials.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from itertools import accumulate
 from math import factorial, prod
 
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
@@ -67,9 +71,9 @@ __all__ = [
 # (universal.MAX_SAMPLE_LEVEL); raising it changes which triples fit
 MAX_LEVEL = 5
 # the highest level whose spherical functions are built, for the
-# Matsumoto image: Gram-Schmidt in Fractions takes 0.04 s at n = 7 and
-# 3.0 s at n = 12 (one alpha, 2-CPU machine)
-MAX_SPHERICAL_LEVEL = 7
+# Matsumoto image: the integer recurrence takes 0.12 s at n = 12 and
+# 0.5 s at n = 14 (one alpha, 2-CPU machine)
+MAX_SPHERICAL_LEVEL = 12
 
 # basis -> (alpha, N(n))
 _BASES = {
@@ -78,6 +82,13 @@ _BASES = {
 }
 
 Table = dict[tuple[Partition, Partition], dict[Partition, int]]
+
+
+def _basis(basis: str):
+    """(alpha, N) of a basis; ValueError for a basis other than "K" or "C"."""
+    if basis not in _BASES:
+        raise ValueError(f"basis must be 'K' or 'C', got {basis!r}")
+    return _BASES[basis]
 
 
 class Spherical(namedtuple("Spherical", "parts types theta h dims big_n")):
@@ -98,9 +109,19 @@ def _cells(rho: Partition) -> list[tuple[int, int]]:
     return [(row - j - 1, cols[j] - i - 1) for i, row in enumerate(rho) for j in range(row)]
 
 
+def _hook_product(rho: Partition, alpha: int) -> int:
+    """prod over the cells s of rho of (alpha a(s) + l(s) + 1): [m_rho] J_rho."""
+    return prod(alpha * a + l + 1 for a, l in _cells(rho))
+
+
 def _dimension(rho: Partition) -> int:
     """The degree of the irreducible character rho of S_|rho| (hook lengths)."""
-    return factorial(sum(rho)) // prod(a + l + 1 for a, l in _cells(rho))
+    return factorial(sum(rho)) // _hook_product(rho, 1)
+
+
+def _dominates(lam: Partition, mu: Partition) -> bool:
+    """lam >= mu in dominance order, for two partitions of one n."""
+    return all(a >= b for a, b in zip(accumulate(lam), accumulate(mu)))
 
 
 def _monomial_coefficient(mu: Partition, lam: Partition) -> int:
@@ -128,43 +149,97 @@ def _norms(parts: list[Partition], alpha: int) -> list[int]:
     return [z_value(lam) * alpha ** len(lam) for lam in parts]
 
 
-def _jack_power_sums(n: int, alpha: int) -> list[list[Fraction]]:
-    """[p_lam] J_rho for rho and lam in partitions_of(n) order."""
+def _raisings(parts: list[Partition]) -> list[list[tuple[int, int]]]:
+    """For each mu of parts, the nu that move t = 1..mu_j from row j of
+    mu to a row i < j, as (index of nu, sum of mu_i - mu_j + 2t)."""
+    index = {p: k for k, p in enumerate(parts)}
+    out = []
+    for mu in parts:
+        up: dict[int, int] = {}
+        for j in range(1, len(mu)):
+            for i in range(j):
+                for t in range(1, mu[j] + 1):
+                    nu = [*mu[:i], mu[i] + t, *mu[i + 1 : j], mu[j] - t, *mu[j + 1 :]]
+                    k = index[tuple(sorted((p for p in nu if p), reverse=True))]
+                    up[k] = up.get(k, 0) + mu[i] - mu[j] + 2 * t
+        out.append(sorted(up.items()))
+    return out
+
+
+def _jack_monomials(n: int, alpha: int) -> list[list[int]]:
+    """[m_mu] J_rho for rho and mu in partitions_of(n) order.
+
+    J_rho is an eigenfunction of the Laplace-Beltrami operator, which
+    on monomials only raises in dominance (Stanley 1989, section 3), so
+    below c_{rho rho} = prod_s (alpha a(s) + l(s) + 1)
+
+        c_{rho mu} = 2 sum (mu_i - mu_j + 2t) c_{rho nu} / (e_rho - e_mu),
+        e_mu = sum_i mu_i (alpha (mu_i - 1) - 2 (i - 1)),
+
+    over the nu of _raisings, for the mu < rho; every other c is 0.
+    Every c is an integer (J_rho has integral monomial coefficients),
+    so a division that leaves a remainder raises ValidationFailure.
+    """
     parts = partitions_of(n)  # (n) first: a linear extension of dominance
+    up = _raisings(parts)
+    eigen = [sum(p * (alpha * (p - 1) - 2 * i) for i, p in enumerate(mu)) for mu in parts]
+    jacks = []
+    for r, rho in enumerate(parts):
+        c = [0] * len(parts)
+        c[r] = _hook_product(rho, alpha)
+        for m in range(r + 1, len(parts)):
+            if _dominates(rho, parts[m]):
+                total = 2 * sum(w * c[k] for k, w in up[m])
+                c[m], rem = divmod(total, eigen[r] - eigen[m])
+                if rem:
+                    raise ValidationFailure(
+                        f"[m_{parts[m]}] J_{rho} at alpha = {alpha} is "
+                        f"{total}/{eigen[r] - eigen[m]}: the recurrence does not "
+                        f"divide exactly"
+                    )
+        jacks.append(c)
+    return jacks
+
+
+def _jack_power_sums(n: int, alpha: int) -> list[list[int]]:
+    """theta: [p_lam] J_rho for rho and lam in partitions_of(n) order.
+
+    [m_mu] J_rho = sum over lam <= mu of [p_lam] J_rho [m_mu] p_lam, so
+    back substitution from (1^n) upwards gives theta; a theta that is
+    not an integer raises ValidationFailure.
+    """
+    parts = partitions_of(n)
     size = len(parts)
-    norm = _norms(parts, alpha)
-    # p_mu = sum over lam >= mu of [m_lam] p_mu m_lam, so m_mu follows
-    # from the m_lam before it
-    monomials: list[list[Fraction]] = []
-    for i, mu in enumerate(parts):
-        m = [Fraction(int(j == i)) for j in range(size)]
-        for j in range(i):
-            c = _monomial_coefficient(mu, parts[j])
-            if c:
-                m = [x - c * y for x, y in zip(m, monomials[j])]
-        diagonal = _monomial_coefficient(mu, mu)
-        monomials.append([x / diagonal for x in m])
-
-    def dot(f, g):
-        return sum(x * y * w for x, y, w in zip(f, g, norm))
-
-    jacks: list[list[Fraction]] = []
-    done: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(size - 1, -1, -1):
-        p = monomials[i]
-        for q, qq in done:
-            c = dot(monomials[i], q) / qq
-            if c:
-                p = [x - c * y for x, y in zip(p, q)]
-        done.append((p, dot(p, p)))
-        scale = prod(alpha * a + l + 1 for a, l in _cells(parts[i]))
-        jacks.append([scale * x for x in p])
-    return jacks[::-1]
+    # column m of [m_mu] p_lam below the diagonal, as (lam index, entry)
+    below = [
+        [
+            (k, c)
+            for k in range(m + 1, size)
+            if _dominates(mu, parts[k])
+            for c in [_monomial_coefficient(parts[k], mu)]
+            if c
+        ]
+        for m, mu in enumerate(parts)
+    ]
+    diagonal = [_monomial_coefficient(mu, mu) for mu in parts]
+    thetas = []
+    for rho, c in zip(parts, _jack_monomials(n, alpha)):
+        theta = [0] * size
+        for m in range(size - 1, -1, -1):
+            rest = c[m] - sum(theta[k] * x for k, x in below[m])
+            theta[m], rem = divmod(rest, diagonal[m])
+            if rem:
+                raise ValidationFailure(
+                    f"theta_{rho} at n = {n}, alpha = {alpha} is not integral: "
+                    f"[p_{parts[m]}] J_{rho} = {rest}/{diagonal[m]}"
+                )
+        thetas.append(theta)
+    return thetas
 
 
 def _spherical(n: int, basis: str) -> Spherical:
     """The checked spherical functions of one basis at level n."""
-    alpha, size = _BASES[basis]
+    alpha, size = _basis(basis)
     if not 1 <= n <= MAX_SPHERICAL_LEVEL:
         raise UsageError(
             f"spherical functions are built for 1 <= n <= {MAX_SPHERICAL_LEVEL}, "
@@ -173,25 +248,18 @@ def _spherical(n: int, basis: str) -> Spherical:
     if (n, alpha) in _SPHERICAL:
         return _SPHERICAL[n, alpha]
     parts = partitions_of(n)
-    jacks = _jack_power_sums(n, alpha)
+    theta = _jack_power_sums(n, alpha)
     norm = _norms(parts, alpha)
     total = alpha**n * factorial(n)
-    theta = []
-    for rho, row in zip(parts, jacks):
-        if any(x.denominator != 1 for x in row):
-            raise ValidationFailure(
-                f"theta_{rho} at n = {n}, alpha = {alpha} is not integral: "
-                f"{[str(x) for x in row]}"
-            )
-        theta.append([int(x) for x in row])
     dims = []
-    for rho, row in zip(parts, jacks):
-        dim = total * size(n) / sum(x * x * w for x, w in zip(row, norm))
+    for rho, row in zip(parts, theta):
+        # W_rho N = total N / <J_rho, J_rho>
+        inner = sum(x * x * w for x, w in zip(row, norm))
         want = _dimension(tuple(2 * p for p in rho)) if alpha == 2 else _dimension(rho) ** 2
-        if dim != want:
+        if want * inner != total * size(n):
             raise ValidationFailure(
-                f"W_{rho} N at n = {n}, alpha = {alpha} is {dim}, not the "
-                f"hook-length dimension {want}"
+                f"W_{rho} N at n = {n}, alpha = {alpha} is {total * size(n)}/{inner}, "
+                f"not the hook-length dimension {want}"
             )
         dims.append(want)
     _SPHERICAL[n, alpha] = Spherical(
@@ -222,7 +290,7 @@ def _build(n: int, basis: str) -> Table:
                 if rem or b < 0:
                     raise ValidationFailure(
                         f"b_{{{lam},{mu}}}^{nu}({n}) at alpha = {alpha} is "
-                        f"{Fraction(total_k, big_n * h[k])}, not a non-negative integer"
+                        f"{total_k}/{big_n * h[k]}, not a non-negative integer"
                     )
                 if b:
                     row[nu] = b
@@ -243,7 +311,7 @@ def structure_constants(n: int, basis: str) -> Table:
     The table is built once per level and basis; the caller must not
     change it.
     """
-    alpha = _BASES[basis][0]
+    alpha = _basis(basis)[0]
     if not 1 <= n <= MAX_LEVEL:
         raise UsageError(
             f"structure constants are counted for 1 <= n <= {MAX_LEVEL}, not n = {n}"
@@ -299,7 +367,7 @@ def matsumoto_coefficients(F: SymmetricExpression, n: int) -> dict[Partition, in
         if rem:
             raise ValidationFailure(
                 f"the coefficient of K_{kappa}({n}) in the Matsumoto image of "
-                f"{F} is {Fraction(total, big_n * h[k])}, not an integer"
+                f"{F} is {total}/{big_n * h[k]}, not an integer"
             )
         if c:
             out[kappa] = c

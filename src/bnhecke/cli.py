@@ -41,7 +41,7 @@ SUITES = (
 MAX_CLI_LEVEL = 5
 # the Matsumoto image reads the spherical functions of
 # bnhecke.characters, built up to its MAX_SPHERICAL_LEVEL
-MAX_MATSUMOTO_LEVEL = 7
+MAX_MATSUMOTO_LEVEL = 12
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -147,7 +147,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--n", type=int, default=None, help="run at exactly this level")
-    p.add_argument("--max-n", type=int, default=4, help="run levels up to this (default 4; at most 5, 7 for the matsumoto suite)")
+    p.add_argument("--max-n", type=int, default=4, help="run levels up to this (default 4; at most 5, 12 for the matsumoto suite)")
     p.add_argument("--samples", type=int, default=1000, help="random samples per level for sampled suites")
 
     p = sub.add_parser("fit", help="fit structure constants as integer-valued polynomials in n")

@@ -10,9 +10,11 @@ this module returns (and `bnhecke fit` prints); it builds no element
 of the limit ring itself.
 
 Polynomials live in the binomial basis sum c_k * binom(n, k), where
-integer values at integers are automatic.  Fits use Newton divided
-differences over exact rationals; a non-integer binomial coefficient
-is a hard error rather than a rounding.
+integer values at integers are automatic.  Fits take Newton divided
+differences as pairs of integers (numerator, denominator), evaluate the
+interpolant at 0..d with one exact division per value, and take the
+binomial coefficients as forward differences of those integers; a
+value that is not an integer is a hard error rather than a rounding.
 
 The same machinery runs in two bases: the K basis (double cosets of
 B_n in S_2n) and the C basis (conjugacy classes of S_n, the
@@ -30,10 +32,9 @@ first used.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .characters import MAX_LEVEL, structure_constant
+from .characters import MAX_LEVEL, _basis, structure_constant
 from .errors import (
     NonIntegerCoefficient,
     ValidationFailure,
@@ -132,27 +133,33 @@ class IntegerValuedPolynomial:
 
 
 def _difference_fit(values) -> IntegerValuedPolynomial:
-    """Binomial coefficients of the polynomial with f(k) = values[k]."""
-    row = [Fraction(v) for v in values]
+    """Binomial coefficients of the polynomial with f(k) = values[k],
+    for integer values."""
+    row = list(values)
     coeffs = []
     while row:
-        c = row[0]
-        if c.denominator != 1:
-            raise NonIntegerCoefficient(
-                f"finite difference {c} is not an integer"
-            )
-        coeffs.append(int(c))
+        coeffs.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     return IntegerValuedPolynomial(coeffs)
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def ivp_fit(points) -> IntegerValuedPolynomial:
     """Minimal-degree integer-valued interpolant through (n, value) pairs.
 
-    Newton divided differences over exact rationals, then conversion
-    to the binomial basis by forward differences at 0..d.
+    A value may be an int or a Fraction; it is read through its
+    numerator and denominator, never rounded.  Newton divided
+    differences as (numerator, denominator) pairs, then the values at
+    0..d over their common denominator, each by one exact division (a
+    remainder raises NonIntegerCoefficient), and their forward
+    differences.
     """
-    pts = [(int(n), Fraction(v)) for n, v in points]
+    pts = [(int(n), (v.numerator, v.denominator)) for n, v in points]
     if len(pts) < 2:
         raise ValueError("need at least 2 points to fit")
     ns = [n for n, _ in pts]
@@ -164,27 +171,34 @@ def ivp_fit(points) -> IntegerValuedPolynomial:
     newton = [table[0]]
     for k in range(1, len(pts)):
         table = [
-            (table[j + 1] - table[j]) / (xs[j + k] - xs[j])
-            for j in range(len(table) - 1)
+            _reduced(bn * ad - an * bd, ad * bd * (xs[j + k] - xs[j]))
+            for j, ((an, ad), (bn, bd)) in enumerate(zip(table, table[1:]))
         ]
         newton.append(table[0])
-    while newton and newton[-1] == 0:
+    while newton and newton[-1][0] == 0:
         newton.pop()
     degree = max(len(newton) - 1, 0)
+    # the Newton coefficients over one common denominator
+    common = lcm(*(d for _, d in newton))
+    scaled = [c * (common // d) for c, d in newton]
 
-    def evaluate(n: int) -> Fraction:
-        acc = Fraction(0)
-        for k in range(len(newton) - 1, -1, -1):
-            acc = acc * (n - xs[k]) + newton[k]
-        return acc
+    def evaluate(n: int) -> int:
+        acc = 0
+        for k in range(len(scaled) - 1, -1, -1):
+            acc = acc * (n - xs[k]) + scaled[k]
+        value, rem = divmod(acc, common)
+        if rem:
+            raise NonIntegerCoefficient(
+                f"the fit takes the non-integer value {acc}/{common} at n = {n}"
+            )
+        return value
 
     return _difference_fit([evaluate(k) for k in range(degree + 1)])
 
 
 def _constant_for(basis: str):
     """The structure constants of one basis, as a function of (lam, mu, nu, n)."""
-    if basis not in ("K", "C"):
-        raise ValueError(f"basis must be 'K' or 'C', got {basis!r}")
+    _basis(basis)
     return lambda lam, mu, nu, n: structure_constant(lam, mu, nu, n, basis)
 
 

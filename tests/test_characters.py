@@ -4,15 +4,16 @@ Every structure constant at n <= 6, in both bases, is checked against
 an independent count: the matching tally of bnhecke._backend for the
 K basis and the S_n class sweep of bnhecke.group_algebra for the C
 basis.  Both caps (the character path's and the tally's) are lifted to
-6 inside the test only; the CLI serves n <= 5.
+6 inside the test only; the CLI serves n <= 5.  The Jack polynomials
+of the integer recurrence are checked against Gram-Schmidt in exact
+rationals (tests/oracles.py) at n <= 8.
 """
 
-from fractions import Fraction
-
 import pytest
+from oracles import ORACLE_EXPRS, jack_power_sums_by_gram_schmidt
 
 from bnhecke import _backend, characters, group_algebra
-from bnhecke._symfunc import elementary
+from bnhecke._symfunc import SymmetricExpression, elementary
 from bnhecke.characters import (
     MAX_LEVEL,
     MAX_SPHERICAL_LEVEL,
@@ -98,6 +99,8 @@ def test_level_cap_and_weights():
         structure_constant((2,), (), (), 2, "K")
     with pytest.raises(ValueError):
         structure_constant((1, 2), (), (), 4, "K")
+    with pytest.raises(ValueError, match="basis must be 'K' or 'C'"):
+        structure_constants(3, "Q")
 
 
 def test_one_table_per_level_and_alpha(fresh):
@@ -107,24 +110,61 @@ def test_one_table_per_level_and_alpha(fresh):
     assert set(characters._TABLES) == {(3, 2), (3, 1)}
 
 
+GRAM_SCHMIDT_LEVEL = 8
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("n", range(1, GRAM_SCHMIDT_LEVEL + 1))
+def test_recurrence_matches_gram_schmidt(n, alpha):
+    assert characters._jack_power_sums(n, alpha) == jack_power_sums_by_gram_schmidt(n, alpha)
+
+
+def test_matsumoto_matches_gram_schmidt(monkeypatch, fresh):
+    n = GRAM_SCHMIDT_LEVEL
+    exprs = [SymmetricExpression.parse(e) for e in ORACLE_EXPRS]
+    want = [matsumoto_coefficients(F, n) for F in exprs]
+    monkeypatch.setattr(characters, "_SPHERICAL", {})
+    monkeypatch.setattr(
+        characters,
+        "_jack_power_sums",
+        lambda n, alpha: [
+            [int(x) for x in row] for row in jack_power_sums_by_gram_schmidt(n, alpha)
+        ],
+    )
+    got = [matsumoto_coefficients(F, n) for F in exprs]
+    wrong = {e: (g, w) for e, g, w in zip(ORACLE_EXPRS, got, want) if g != w}
+    assert not wrong, wrong
+
+
 def _damaged(monkeypatch, edit):
-    build = characters._jack_power_sums
+    build = characters._jack_monomials
 
     def damaged(n, alpha):
         jacks = build(n, alpha)
         edit(jacks)
         return jacks
 
-    monkeypatch.setattr(characters, "_jack_power_sums", damaged)
+    monkeypatch.setattr(characters, "_jack_monomials", damaged)
 
 
 def test_non_integral_theta_raises(monkeypatch, fresh):
-    def halve(jacks):
-        jacks[0][0] += Fraction(1, 2)
+    # [m_(1,1,1)] J_(3) off by one: theta_(3)((1,1,1)) is that over 3!
+    def bump(jacks):
+        jacks[0][-1] += 1
 
-    _damaged(monkeypatch, halve)
+    _damaged(monkeypatch, bump)
     with pytest.raises(ValidationFailure, match="not integral"):
         structure_constants(3, "K")
+
+
+def test_recurrence_divides_exactly(monkeypatch, fresh):
+    # [m_rho] J_rho off by one: the next coefficient down is not an integer
+    hooks = characters._hook_product
+    monkeypatch.setattr(
+        characters, "_hook_product", lambda rho, alpha: hooks(rho, alpha) + 1
+    )
+    with pytest.raises(ValidationFailure, match="does not divide exactly"):
+        structure_constants(2, "K")
 
 
 def test_wrong_dimension_raises(monkeypatch, fresh):
@@ -154,6 +194,6 @@ def test_one_spherical_step_serves_both(fresh):
 
 
 def test_matsumoto_level_cap():
-    assert MAX_MATSUMOTO_LEVEL == MAX_SPHERICAL_LEVEL
-    with pytest.raises(UsageError, match="1 <= n <= 7"):
-        matsumoto_coefficients(elementary(1), MAX_SPHERICAL_LEVEL + 1)
+    assert MAX_MATSUMOTO_LEVEL == MAX_SPHERICAL_LEVEL == 12
+    with pytest.raises(UsageError, match="1 <= n <= 12"):
+        matsumoto_coefficients(elementary(1), 13)

@@ -12,7 +12,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bnhecke
 from bnhecke import __version__
-from bnhecke.cli import MAX_COSET_SIZE_LEVEL, SUITES, Command, execute, main, parse
+from bnhecke.cli import (
+    MAX_COSET_SIZE_LEVEL,
+    MAX_MATSUMOTO_LEVEL,
+    SUITES,
+    Command,
+    execute,
+    main,
+    parse,
+)
 from bnhecke.cosets import double_coset_size
 from bnhecke.errors import UsageError
 from bnhecke.permutations import Permutation
@@ -94,7 +102,7 @@ class TestParse:
             ["matsumoto", "--expr", "e1", "--n", "1"],
             ["generators", "--n", "3", "--max-degree", "0"],
             ["verify", "--suite", "nope", "--n", "3"],
-            ["verify", "--suite", "matsumoto", "--n", "8"],
+            ["verify", "--suite", "matsumoto", "--n", "13"],
             ["verify", "--suite", "matsumoto", "--samples", "0"],
             ["fit", "--lam", "[1]"],
             ["fit"],
@@ -102,9 +110,9 @@ class TestParse:
             ["fit", "--max-weight", "2", "--lam", "[1]"],
             ["table", "--n", "6"],
             ["--jobs", "0", "table", "--n", "2"],
-            ["verify", "--suite", "matsumoto", "--max-n", "8"],
+            ["verify", "--suite", "matsumoto", "--max-n", "13"],
             ["verify", "--suite", "generators", "--n", "6"],
-            ["matsumoto", "--expr", "e1", "--n", "8"],
+            ["matsumoto", "--expr", "e1", "--n", "13"],
             ["coset-size", "--mu", "[]", "--n", str(MAX_COSET_SIZE_LEVEL + 1)],
             ["generators", "--n", "3", "--max-degree", "3"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
@@ -227,17 +235,19 @@ class TestVerbs:
             ],
         }
 
-    @pytest.mark.parametrize("expr", ["p20", "e1^20"])
+    @pytest.mark.parametrize("expr", ["p5", "p20", "e1^20"])
     def test_matsumoto_high_degree_at_the_cap(self, expr, capsys):
         # the matching walk took 106 s on e1^20 at n = 7
-        assert main(["matsumoto", "--n", "7", "--expr", expr]) == 0
+        n = str(MAX_MATSUMOTO_LEVEL)
+        assert main(["matsumoto", "--n", n, "--expr", expr]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["n"] == 7 and payload["coeffs"]
+        assert payload["n"] == MAX_MATSUMOTO_LEVEL and payload["coeffs"]
 
     def test_verify_matsumoto_at_the_cap(self):
-        status, payload = run_json(["verify", "--suite", "matsumoto", "--n", "7"])
+        n = str(MAX_MATSUMOTO_LEVEL)
+        status, payload = run_json(["verify", "--suite", "matsumoto", "--n", n])
         assert status == 0 and payload["ok"] is True
-        assert len(payload["checks"]) == 7
+        assert len(payload["checks"]) == MAX_MATSUMOTO_LEVEL
 
     def test_generators_success(self):
         status, payload = run_json(["generators", "--n", "3"])
@@ -356,8 +366,9 @@ _CHARACTER_PATH = [
     "bnhecke._symfunc",
 ]
 _NO_MATCHINGS = ["bnhecke.cosets", "bnhecke.permutations"]
-# a fit reads the character path directly, without bnhecke.hecke
-_FIT = [*_CHARACTER_PATH, "bnhecke.hecke"]
+# a fit reads the character path directly, without bnhecke.hecke, and
+# in integers, without fractions (which loads decimal and numbers)
+_FIT = [*_CHARACTER_PATH, "bnhecke.hecke", "fractions", "decimal", "numbers"]
 _CLOSED_FORM = ["bnhecke.hecke", "bnhecke.universal", "bnhecke.group_algebra"]
 _FOOTPRINTS = [
     pytest.param(argv, unloaded, id=name)
@@ -502,10 +513,10 @@ _EXPRS = st.tuples(
 ).map(lambda t: t[0] + "".join(op + term for op, term in t[1]))
 
 # (valid values, invalid values) per flag; the levels stay at n <= 3.
-# 6 is above the cap of every verb and suite but matsumoto's; 8 is
+# 6 is above the cap of every verb and suite but matsumoto's; 13 is
 # above every cap.
 _SHAPES = (st.sampled_from(["[]", "[1]", "[2]", "[1,1]"]), ["[3]", "[0]", "{}", "[1", "x"])
-_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "6", "8", "x"])
+_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "6", "13", "x"])
 _FLAG_VALUES = {
     "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
     "--jobs": (None, ["0", "2"]),  # no such flag: always a usage error
@@ -598,8 +609,8 @@ class TestContractFuzz:
     )
     @given(_argvs())
     # the Matsumoto cap is rarely drawn: one level over it and one under it
-    @example(["matsumoto", "--expr", "e1", "--n", "8"])
-    @example(["verify", "--max-n", "8", "--suite", "matsumoto"])
+    @example(["matsumoto", "--expr", "e1", "--n", "13"])
+    @example(["verify", "--max-n", "13", "--suite", "matsumoto"])
     @example(["matsumoto", "--expr", "e2 - 2*p2", "--n", "6"])
     # the levels stay at n <= 3: the coset-size print cap and a degree
     # far above n - 1 would not be drawn

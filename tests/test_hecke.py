@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import ORACLE_EXPRS
 
 from bnhecke import characters, hecke
 from bnhecke.cosets import hyperoctahedral_order
@@ -284,12 +285,6 @@ class TestSingleCycle:
         assert set(cut.coeffs) == kept
 
 
-# e_k with k > n at every level, p_k, h_k, an m_lambda, products,
-# negative coefficients, a constant and an expression equal to 0
-_ORACLE_EXPRS = ["e1", "e3", "e5", "p2", "p3", "h2", "m[2,1]", "e2*e1",
-                 "e2 - 3*e1*e1", "4", "e1 - e1"]
-
-
 class TestMatsumoto:
     @pytest.mark.parametrize("n", [2, 3])
     def test_elementary_lands_on_generators(self, n):
@@ -310,7 +305,7 @@ class TestMatsumoto:
         assert matsumoto_image(elementary(0), 2) == generator_H(2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("expr", _ORACLE_EXPRS)
+    @pytest.mark.parametrize("expr", ORACLE_EXPRS)
     def test_matchings_agree_with_group_algebra(self, expr, n):
         odds = [jucys_murphy(2 * i - 1, 2 * n) for i in range(1, n + 1)]
         want = expand_K(eval_symmetric(expr, odds) * b_sum(n), n)
@@ -321,7 +316,7 @@ class TestMatsumoto:
     # one level past e5, and a power whose every factor after the first
     # acts on most of the matchings
     @pytest.mark.parametrize("n", [5, 6])
-    @pytest.mark.parametrize("expr", [*_ORACLE_EXPRS, "p5", "e1^6"])
+    @pytest.mark.parametrize("expr", [*ORACLE_EXPRS, "p5", "e1^6"])
     def test_characters_agree_with_the_matching_walk(self, expr, n):
         F = SymmetricExpression.parse(expr)
         want = hecke._matsumoto_raw(F, n)

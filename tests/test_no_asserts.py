@@ -75,6 +75,18 @@ characters._SPHERICAL[3, 2] = spherical._replace(theta=theta)
 out["matsumoto_coefficients"] = message(
     lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3)
 )
+# [m_rho] J_rho + 1: the recurrence below it leaves a remainder
+hooks = characters._hook_product
+characters._hook_product = lambda rho, alpha: hooks(rho, alpha) + 1
+out["_jack_monomials"] = message(lambda: characters._spherical(2, "K"))
+characters._hook_product = hooks
+# [m_(1,1)] J_(2) + 1: theta_(2)((1,1)) is that over 2!
+monomials = characters._jack_monomials
+characters._jack_monomials = lambda n, alpha: [
+    row[:-1] + [row[-1] + (r == 0)] for r, row in enumerate(monomials(n, alpha))
+]
+out["_jack_power_sums"] = message(lambda: characters._spherical(2, "K"))
+characters._jack_monomials = monomials
 characters._dimension = lambda rho: 0
 out["structure_constants"] = message(lambda: characters.structure_constants(2, "K"))
 print(json.dumps(out))
@@ -85,6 +97,8 @@ _GUARD_MESSAGES = {
     "coset_representative": "has coset type",
     "double_coset_size": "is not an integer",
     "matsumoto_coefficients": "not an integer",
+    "_jack_monomials": "does not divide exactly",
+    "_jack_power_sums": "not integral",
     "structure_constants": "hook-length dimension",
 }
 

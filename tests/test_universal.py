@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bnhecke import _backend, group_algebra, universal
@@ -82,6 +84,12 @@ class TestFitting:
         # f(0) = 0, f(2) = 1 forces the half-integer n/2
         with pytest.raises(NonIntegerCoefficient):
             ivp_fit([(0, 0), (2, 1)])
+
+    def test_fraction_values_are_not_rounded(self):
+        # int() would truncate 1/2 and 3/2 to 0 and 1, and fit n - 2
+        with pytest.raises(NonIntegerCoefficient):
+            ivp_fit([(2, Fraction(1, 2)), (3, Fraction(3, 2))])
+        assert ivp_fit([(2, Fraction(4, 2)), (3, Fraction(6, 2))]) == IVP((0, 1))
 
 
 class TestUniversalStructureConstant:
