@@ -4,11 +4,10 @@ The hyperoctahedral group B_n sits inside S_2n as the centralizer of
 the fixed-point-free involution t = (1 2)(3 4)...(2n-1 2n), and
 (S_2n, B_n) is a Gel'fand pair: its double cosets, classified by
 coset type, span a commutative subring of the group algebra.  This
-package computes in that ring with exact integer and rational
-arithmetic, from single permutations (coset types, the twist map, the
-pair graph) through products and structure constants to the stable
-theory where structure constants become integer-valued polynomials
-in n.
+package computes in that ring with exact integer arithmetic, from
+single permutations (coset types, the twist map, the pair graph)
+through products and structure constants to the stable theory where
+structure constants become integer-valued polynomials in n.
 
 Structure constants of both bases are read off Jack polynomials
 (zonal polynomials for K, Schur functions for C), and so is the

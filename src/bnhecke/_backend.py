@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import sys
 
-from .errors import UsageError, ValidationFailure, WeightExceedsLevel
-from .partitions import Partition, as_partition, enumerate_by_weight, weight
+from .errors import UsageError, ValidationFailure
+from .partitions import Partition, as_partition, check_weight, enumerate_by_weight
 
 __all__ = [
     "backend_name",
@@ -122,9 +122,7 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
                 f"structure constants are counted for 1 <= n <= {MAX_TALLY_LEVEL}, "
                 f"not n = {n}"
             )
-        lam = as_partition(lam)
-        if weight(lam) > n:
-            raise WeightExceedsLevel(f"wt{lam} = {weight(lam)} exceeds level {n}")
+        check_weight(as_partition(lam), n)
         _tally_level(nu, n)
     return _TALLIES[memo]
 

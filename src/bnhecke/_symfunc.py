@@ -9,8 +9,9 @@ sums come in through Newton's identity
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k,
 
 complete functions through h_k = sum_i (-1)^{i-1} e_i h_{k-i}, and
-monomial functions by exactly inverting the e-to-m transition matrix
-in degree d (both families are Z-bases, so the inverse is integral).
+monomial functions by substitution in the e-to-m transition matrix of
+degree d: e_{lam'} = m_lam + terms lower in dominance (Macdonald
+I.(2.3)), so the matrix is unitriangular and its inverse is integral.
 No expression goes past degree MAX_DEGREE.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from fractions import Fraction
 from functools import cache
 
 from .errors import ValidationFailure
@@ -204,15 +204,23 @@ def _poly_multiply(p: dict, q: dict) -> dict:
     return out
 
 
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(p > i for p in lam) for i in range(lam[0]))
+
+
 @cache
 def _e_to_m_rows(d: int) -> tuple[list[Partition], list[list[int]]]:
-    """Row mu of the matrix: e_mu expanded over monomial functions m_nu."""
+    """Row lam of the matrix: e_{lam'} expanded over monomial functions m_nu.
+
+    partitions_of lists nu after lam when nu is lower in dominance, so
+    the matrix is upper unitriangular.
+    """
     parts = partitions_of(d)
     index = {nu: j for j, nu in enumerate(parts)}
     rows = []
-    for mu in parts:
+    for lam in parts:
         poly: dict[tuple[int, ...], int] = {(0,) * d: 1}
-        for part in mu:
+        for part in _conjugate(lam):
             e_poly = {v: 1 for v in _expand_vectors((1,) * part, d)}
             poly = _poly_multiply(poly, e_poly)
         row = [0] * len(parts)
@@ -224,7 +232,11 @@ def _e_to_m_rows(d: int) -> tuple[list[Partition], list[list[int]]]:
 
 
 def monomial(lam: Partition) -> SymmetricExpression:
-    """The monomial symmetric function m_lam in the e-basis."""
+    """The monomial symmetric function m_lam in the e-basis.
+
+    >>> monomial((2, 1))
+    e2*e1 + -3*e3
+    """
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     if any(p < 1 for p in lam):
         raise ValueError(f"not a partition: {lam}")
@@ -236,31 +248,16 @@ def monomial(lam: Partition) -> SymmetricExpression:
             f"monomial conversion supported up to degree {_MONOMIAL_DEGREE_CAP}"
         )
     parts, rows = _e_to_m_rows(d)
-    # Solve c^T M = delta_lam for the e-coefficients c by Gaussian
-    # elimination over exact rationals; the result is integral.
-    k = len(parts)
-    aug = [[Fraction(rows[i][j]) for i in range(k)] for j in range(k)]
-    rhs = [Fraction(int(nu == lam)) for nu in parts]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        rhs[col] *= inv
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-                rhs[r] -= f * rhs[col]
-    coeffs = {}
-    for i, mu in enumerate(parts):
-        if rhs[i].denominator != 1:
+    # m_lam = sum_k c_k e_{parts[k]'} where c M = [nu == lam]; M is
+    # unitriangular, so column j fixes c_j with no division.
+    c: list[int] = []
+    for j, nu in enumerate(parts):
+        if rows[j][j] != 1:
             raise ValidationFailure(
-                f"m_{lam} has the non-integer coefficient {rhs[i]} on e_{mu}"
+                f"[m_{nu}] e_{_conjugate(nu)} = {rows[j][j]}, not 1"
             )
-        coeffs[mu] = int(rhs[i])
-    return SymmetricExpression(coeffs)
+        c.append((nu == lam) - sum(c[k] * rows[k][j] for k in range(j)))
+    return SymmetricExpression({_conjugate(nu): ck for nu, ck in zip(parts, c)})
 
 
 _TOKEN = re.compile(

@@ -56,8 +56,8 @@ from collections import namedtuple
 from itertools import accumulate
 from math import factorial, prod
 
-from .errors import UsageError, ValidationFailure, WeightExceedsLevel
-from .partitions import Partition, as_partition, partitions_of, weight, z_value
+from .errors import UsageError, ValidationFailure
+from .partitions import Partition, as_partition, check_weight, partitions_of, z_value
 
 __all__ = [
     "MAX_LEVEL",
@@ -328,8 +328,7 @@ def structure_constant(
     basis: the coefficient of nu in the product of lam and mu."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     for p in (lam, mu, nu):
-        if weight(p) > n:
-            raise WeightExceedsLevel(f"wt{p} = {weight(p)} exceeds level {n}")
+        check_weight(p, n)
     return structure_constants(n, basis)[lam, mu].get(nu, 0)
 
 

@@ -35,8 +35,8 @@ import itertools
 from collections.abc import Iterator
 from math import factorial
 
-from .errors import DegreeMismatch, ValidationFailure, WeightExceedsLevel
-from .partitions import Partition, completion, weight, z_value
+from .errors import DegreeMismatch, ValidationFailure
+from .partitions import Partition, check_weight, completion, z_value
 from .permutations import Permutation, class_representative, identity
 
 __all__ = [
@@ -388,8 +388,7 @@ def coset_representative(mu: Partition, n: int) -> Permutation:
     >>> coset_representative((1,), 2).one_line(4)
     (3, 2, 1, 4)
     """
-    if weight(mu) > n:
-        raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
+    check_weight(mu, n)
     if not mu:
         return identity()
     base = class_representative(mu, n)
@@ -439,9 +438,7 @@ def double_coset_size(mu: Partition, n: int) -> int:
     >>> double_coset_size((1,), 3)
     288
     """
-    if weight(mu) > n:
-        raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
-    rho = completion(mu, n)
+    rho = completion(mu, n)  # raises WeightExceedsLevel past level n
     order = hyperoctahedral_order(n)
     denominator = 2 ** len(rho) * z_value(rho)
     size, rem = divmod(order * order, denominator)

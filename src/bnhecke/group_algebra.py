@@ -1,6 +1,6 @@
 """Sparse exact arithmetic in the integral group ring of S_m.
 
-Elements are sparse maps from permutations of [m] to rational
+Elements are sparse maps from permutations of [m] to integer
 coefficients, with the product extending composition bilinearly.  The
 center is spanned by the class sums C_mu(n), indexed by stable cycle
 type, and the structure constants a_{lam mu}^{nu}(n) are read off
@@ -21,8 +21,8 @@ elementary evaluations are ever computed.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from math import factorial
+from operator import index
 
 from ._symfunc import (
     SymmetricExpression,
@@ -37,9 +37,8 @@ from .errors import (
     NonCommutingValues,
     NotCentral,
     ValidationFailure,
-    WeightExceedsLevel,
 )
-from .partitions import Partition, _expand_by_type, completion, weight, z_value
+from .partitions import Partition, _expand_by_type, check_weight, completion, weight, z_value
 from .permutations import (
     Permutation,
     class_representative,
@@ -66,35 +65,37 @@ __all__ = [
     "monomial",
 ]
 
-Scalar = int | Fraction
-
 
 class AlgebraElement:
-    """A finitely supported map S_m -> Q with the convolution product."""
+    """A finitely supported map S_m -> Z with the convolution product.
+
+    Coefficients are read through operator.index: a non-integer one,
+    rational or float, raises TypeError.
+    """
 
     __slots__ = ("level", "_t")
 
     level: int
-    _t: dict[tuple[int, ...], Fraction]
+    _t: dict[tuple[int, ...], int]
 
     def __init__(self, level: int, terms: Mapping | None = None):
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
         object.__setattr__(self, "level", level)
-        data: dict[tuple[int, ...], Fraction] = {}
+        data: dict[tuple[int, ...], int] = {}
         for perm, coeff in (terms or {}).items():
             if not isinstance(perm, Permutation):
                 perm = Permutation(perm)
-            c = Fraction(coeff)
+            c = index(coeff)
             if c:
                 key = perm.one_line(level)
-                data[key] = data.get(key, Fraction(0)) + c
+                data[key] = data.get(key, 0) + c
         object.__setattr__(
             self, "_t", {k: v for k, v in data.items() if v}
         )
 
     @classmethod
-    def _raw(cls, level: int, data: dict[tuple[int, ...], Fraction]) -> "AlgebraElement":
+    def _raw(cls, level: int, data: dict[tuple[int, ...], int]) -> "AlgebraElement":
         el = object.__new__(cls)
         object.__setattr__(el, "level", level)
         object.__setattr__(el, "_t", data)
@@ -106,21 +107,21 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, level: int) -> "AlgebraElement":
-        return cls._raw(level, {tuple(range(1, level + 1)): Fraction(1)})
+        return cls._raw(level, {tuple(range(1, level + 1)): 1})
 
     @classmethod
     def from_permutation(
-        cls, perm: Permutation, level: int, coeff: Scalar = 1
+        cls, perm: Permutation, level: int, coeff: int = 1
     ) -> "AlgebraElement":
-        c = Fraction(coeff)
+        c = index(coeff)
         if not c:
             return cls.zero(level)
         return cls._raw(level, {perm.one_line(level): c})
 
-    def coefficient(self, perm: Permutation) -> Fraction:
-        return self._t.get(perm.one_line(self.level), Fraction(0))
+    def coefficient(self, perm: Permutation) -> int:
+        return self._t.get(perm.one_line(self.level), 0)
 
-    def terms(self) -> dict[Permutation, Fraction]:
+    def terms(self) -> dict[Permutation, int]:
         return {Permutation(k): v for k, v in self._t.items()}
 
     def support_size(self) -> int:
@@ -151,7 +152,7 @@ class AlgebraElement:
         self._check_level(other)
         out = dict(self._t)
         for k, c in other._t.items():
-            s = out.get(k, Fraction(0)) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -169,7 +170,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_level(other)
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], int] = {}
             get = out.get
             for x, cx in self._t.items():
                 for y, cy in other._t.items():
@@ -179,22 +180,17 @@ class AlgebraElement:
             return AlgebraElement._raw(
                 self.level, {k: v for k, v in out.items() if v}
             )
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "AlgebraElement":
-        c = Fraction(c)
+    def scale(self, c: int) -> "AlgebraElement":
+        c = index(c)
         if not c:
             return AlgebraElement.zero(self.level)
         return AlgebraElement._raw(
             self.level, {k: v * c for k, v in self._t.items()}
         )
+
+    __rmul__ = scale
 
     def __repr__(self) -> str:
         return f"AlgebraElement(level={self.level}, terms={len(self._t)})"
@@ -241,7 +237,7 @@ def class_sum(mu: Partition, n: int) -> AlgebraElement:
     if weight(mu) > n:
         return AlgebraElement.zero(n)
     rows = _class_table(n)[mu]
-    return AlgebraElement._raw(n, {k: Fraction(1) for k in rows})
+    return AlgebraElement._raw(n, {k: 1 for k in rows})
 
 
 _CLASS_PRODUCTS: dict[tuple[Partition, Partition, int], AlgebraElement] = {}
@@ -256,17 +252,16 @@ def class_structure_constant(
     representative; centrality makes the choice immaterial.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if weight(nu) > n:
-        raise WeightExceedsLevel(f"wt{nu} = {weight(nu)} exceeds level {n}")
+    check_weight(nu, n)
     memo = (lam, mu, n) if lam <= mu else (mu, lam, n)
     if memo not in _CLASS_PRODUCTS:
         _CLASS_PRODUCTS[memo] = class_sum(memo[0], n) * class_sum(memo[1], n)
     coeff = _CLASS_PRODUCTS[memo].coefficient(class_representative(nu, n))
-    if coeff.denominator != 1 or coeff < 0:
+    if coeff < 0:
         raise ValidationFailure(
             f"a_{{{lam},{mu}}}^{nu}({n}) = {coeff} is not a non-negative integer"
         )
-    return int(coeff)
+    return coeff
 
 
 def jucys_murphy(k: int, m: int) -> AlgebraElement:
@@ -287,7 +282,7 @@ def b_sum(n: int) -> AlgebraElement:
     """
     return AlgebraElement._raw(
         2 * n,
-        {b.one_line(2 * n): Fraction(1) for b in hyperoctahedral_elements(n)},
+        {b.one_line(2 * n): 1 for b in hyperoctahedral_elements(n)},
     )
 
 
@@ -351,17 +346,17 @@ def zi_generator(i: int, n: int) -> AlgebraElement:
     """
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"cycle count {i} out of range for S_{n}")
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for mu, rows in _class_table(n).items():
         if n - sum(mu) == i:
             for k in rows:
-                out[k] = Fraction(1)
+                out[k] = 1
     return AlgebraElement._raw(n, out)
 
 
 def expand_in_class_basis(
     a: AlgebraElement, n: int
-) -> dict[Partition, Fraction]:
+) -> dict[Partition, int]:
     """Write a central element as sum of c_mu C_mu(n).
 
     Raises NotCentral when a class carries a non-constant coefficient

@@ -30,7 +30,7 @@ The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) is read
 off the same zonal spherical functions: J_{2k-1} acts on omega^rho by
 the 2-contents of rho (bnhecke.characters.matsumoto_coefficients).
 Its oracle walks the perfect matchings: the element is
-right-B_n-invariant, so the vector v = F(J) eps in Q[matchings]
+right-B_n-invariant, so the vector v = F(J) eps in Z[matchings]
 determines it, J_k acts on a matching by sum_{i<k} relabelling with
 (i k), and the coefficient of K_mu is v at any matching of type mu
 (_matsumoto_raw).  jucys_murphy at level 2n, b_sum and expand_K stay
@@ -48,8 +48,8 @@ oracle functions double_coset_sum and lift.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import factorial
+from operator import index
 
 from .errors import (
     IndexOutOfRange,
@@ -65,6 +65,7 @@ from .partitions import (
     Partition,
     _expand_by_type,
     as_partition,
+    check_weight,
     difference,
     enumerate_by_weight,
     multiplicity,
@@ -89,31 +90,30 @@ __all__ = [
     "trichotomy_report",
 ]
 
-Scalar = int | Fraction
-
 
 class HeckeElement:
-    """A Z (or Q) combination of the basis elements K_mu(n)."""
+    """A Z combination of the basis elements K_mu(n).
+
+    Coefficients are read through operator.index: a non-integer one,
+    rational or float, raises TypeError.
+    """
 
     __slots__ = ("level", "coeffs")
 
     level: int
-    coeffs: dict[Partition, Fraction]
+    coeffs: dict[Partition, int]
 
     def __init__(self, level: int, coeffs: dict | None = None):
         if level < 1:
             raise ValueError(f"level must be positive, got {level}")
         object.__setattr__(self, "level", level)
-        data: dict[Partition, Fraction] = {}
+        data: dict[Partition, int] = {}
         for mu, c in (coeffs or {}).items():
             mu = as_partition(mu)
-            if weight(mu) > level:
-                raise WeightExceedsLevel(
-                    f"wt{mu} = {weight(mu)} exceeds level {level}"
-                )
-            c = Fraction(c)
+            check_weight(mu, level)
+            c = index(c)
             if c:
-                data[mu] = data.get(mu, Fraction(0)) + c
+                data[mu] = data.get(mu, 0) + c
         object.__setattr__(
             self, "coeffs", {k: v for k, v in data.items() if v}
         )
@@ -130,8 +130,8 @@ class HeckeElement:
     def one(cls, level: int) -> "HeckeElement":
         return cls(level, {(): 1})
 
-    def coefficient(self, mu: Partition) -> Fraction:
-        return self.coeffs.get(tuple(mu), Fraction(0))
+    def coefficient(self, mu: Partition) -> int:
+        return self.coeffs.get(tuple(mu), 0)
 
     def _check_level(self, other: "HeckeElement") -> None:
         if self.level != other.level:
@@ -145,7 +145,7 @@ class HeckeElement:
         self._check_level(other)
         out = dict(self.coeffs)
         for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, Fraction(0)) + c
+            out[mu] = out.get(mu, 0) + c
         return HeckeElement(self.level, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
@@ -156,22 +156,18 @@ class HeckeElement:
             self.level, {mu: -c for mu, c in self.coeffs.items()}
         )
 
-    def scale(self, c: Scalar) -> "HeckeElement":
+    def scale(self, c: int) -> "HeckeElement":
+        c = index(c)
         return HeckeElement(
-            self.level, {mu: v * Fraction(c) for mu, v in self.coeffs.items()}
+            self.level, {mu: v * c for mu, v in self.coeffs.items()}
         )
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             return hecke_product(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = scale
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -216,14 +212,13 @@ def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
     from .group_algebra import AlgebraElement, b_sum
 
     mu = as_partition(mu)
-    if weight(mu) > n:
-        raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
-    sections: dict[tuple[int, ...], Fraction] = {}
+    check_weight(mu, n)
+    sections: dict[tuple[int, ...], int] = {}
     for delta, lam in _typed_matchings(n):
         if lam == mu:
             # x sends couple j onto the j-th pair of delta, so x(eps) = delta
             x = tuple(p + 1 for a, b in enumerate(delta) if a < b for p in (a, b))
-            sections[x] = Fraction(1)
+            sections[x] = 1
     return AlgebraElement._raw(2 * n, sections) * b_sum(n)
 
 
@@ -285,7 +280,7 @@ def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
     u._check_level(v)
     n = u.level
     table = structure_constants(n, "K") if u.coeffs else {}
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int] = {}
     for lam, cu in u.coeffs.items():
         for mu, cv in v.coeffs.items():
             c = cu * cv
@@ -370,8 +365,7 @@ def single_cycle_expansion(lam: Partition, r: int, n: int) -> HeckeElement:
     lower-degree terms, which this expansion deliberately omits.
     """
     lam = as_partition(lam)
-    if weight(lam) > n:
-        raise WeightExceedsLevel(f"wt{lam} = {weight(lam)} exceeds level {n}")
+    check_weight(lam, n)
     if r == 0:
         return HeckeElement.basis(lam, n)
     if weight((r,)) > n:
@@ -470,7 +464,7 @@ def matsumoto_image(
 
     Read off the zonal spherical functions, on which the odd
     Jucys-Murphy elements act by the 2-contents
-    (characters.matsumoto_coefficients); nothing enters Q[S_2n] or
+    (characters.matsumoto_coefficients); nothing enters Z[S_2n] or
     walks the matchings.  Under this unnormalized-sum convention
     e_{n-i} lands on H_i; the first call proves that at n = 2 before
     returning anything, so a normalization regression cannot slip
@@ -618,7 +612,7 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     basis = tuple(enumerate_by_weight(n))
-    index = {mu: j for j, mu in enumerate(basis)}
+    column = {mu: j for j, mu in enumerate(basis)}
     exponents = _monomial_exponents(n, max_degree)
     gens = [generator_H(i, n) for i in range(1, n + 1)]
 
@@ -639,12 +633,7 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
         el = value(exp)
         row = [0] * len(basis)
         for mu, c in el.coeffs.items():
-            if c.denominator != 1:
-                raise ValidationFailure(
-                    f"H-monomial {exp} has the non-integer coefficient {c} "
-                    f"on K_{mu}"
-                )
-            row[index[mu]] = int(c)
+            row[column[mu]] = c
         matrix.append(row)
 
     hnf, transform = _hermite_normal_form(matrix)

@@ -41,6 +41,7 @@ __all__ = [
     "vector_sum",
     "difference",
     "completion",
+    "check_weight",
     "z_value",
     "enumerate_by_weight",
     "partitions_of",
@@ -110,6 +111,12 @@ def is_subpartition(rho: Partition, lam: Partition) -> bool:
     return all(rho.count(p) <= lam.count(p) for p in set(rho))
 
 
+def check_weight(mu: Partition, n: int) -> None:
+    """Raise WeightExceedsLevel unless wt(mu) <= n."""
+    if weight(mu) > n:
+        raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
+
+
 def completion(mu: Partition, n: int) -> Partition:
     """The level-n completion mu(n) = mu + (1^(n-|mu|)).
 
@@ -117,9 +124,7 @@ def completion(mu: Partition, n: int) -> Partition:
     for wt(mu) <= n; otherwise there are fewer ones than parts of mu
     and no partition exists.
     """
-    w = weight(mu)
-    if w > n:
-        raise WeightExceedsLevel(f"wt{mu} = {w} exceeds level {n}")
+    check_weight(mu, n)
     ones = n - sum(mu)
     return tuple(p + 1 for p in mu) + (1,) * (ones - len(mu))
 

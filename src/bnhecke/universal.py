@@ -152,8 +152,8 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 def ivp_fit(points) -> IntegerValuedPolynomial:
     """Minimal-degree integer-valued interpolant through (n, value) pairs.
 
-    A value may be an int or a Fraction; it is read through its
-    numerator and denominator, never rounded.  Newton divided
+    A value may be any exact rational, an int included; it is read
+    through its numerator and denominator, never rounded.  Newton divided
     differences as (numerator, denominator) pairs, then the values at
     0..d over their common denominator, each by one exact division (a
     remainder raises NonIntegerCoefficient), and their forward

@@ -357,7 +357,9 @@ class TestOutputFormats:
 # matching tally or group algebra either; neither do the generators and
 # matsumoto suites.  The verbs on one permutation or one closed form
 # load no counting layer.
-_NEVER_LOADED = ["numpy", "dataclasses", "inspect"]
+# the package computes over Z, so no verb loads fractions (which loads
+# decimal and numbers)
+_NEVER_LOADED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers"]
 _CHARACTER_PATH = [
     "bnhecke.cosets",
     "bnhecke.permutations",
@@ -366,9 +368,8 @@ _CHARACTER_PATH = [
     "bnhecke._symfunc",
 ]
 _NO_MATCHINGS = ["bnhecke.cosets", "bnhecke.permutations"]
-# a fit reads the character path directly, without bnhecke.hecke, and
-# in integers, without fractions (which loads decimal and numbers)
-_FIT = [*_CHARACTER_PATH, "bnhecke.hecke", "fractions", "decimal", "numbers"]
+# a fit reads the character path directly, without bnhecke.hecke
+_FIT = [*_CHARACTER_PATH, "bnhecke.hecke"]
 _CLOSED_FORM = ["bnhecke.hecke", "bnhecke.universal", "bnhecke.group_algebra"]
 _FOOTPRINTS = [
     pytest.param(argv, unloaded, id=name)

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import bnhecke._symfunc
 import bnhecke.cosets
 import bnhecke.group_algebra
 import bnhecke.hecke
@@ -16,6 +17,7 @@ import bnhecke.universal
         bnhecke.partitions,
         bnhecke.permutations,
         bnhecke.cosets,
+        bnhecke._symfunc,
         bnhecke.group_algebra,
         bnhecke.hecke,
         bnhecke.universal,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bnhecke import group_algebra
-from bnhecke._symfunc import MAX_DEGREE
+from bnhecke._symfunc import MAX_DEGREE, _e_to_m_rows
 from bnhecke.errors import (
     IndexOutOfRange,
     LevelMismatch,
@@ -74,7 +74,7 @@ class TestAlgebraElement:
     def test_scalar_action(self):
         a = class_sum((1,), 3)
         assert 2 * a == a * 2 == a + a
-        assert a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 2)) == a
+        assert a.scale(-3) + a + a + a == AlgebraElement.zero(3)
         assert a.scale(0) == AlgebraElement.zero(3)
         assert -a + a == AlgebraElement.zero(3)
 
@@ -94,9 +94,23 @@ class TestAlgebraElement:
             a.level = 3
 
     def test_terms_and_json(self):
-        a = delta(transposition(1, 2), 2).scale(Fraction(1, 2))
-        assert a.terms() == {transposition(1, 2): Fraction(1, 2)}
-        assert a.to_json() == [{"perm": [2, 1], "coeff": "1/2"}]
+        a = delta(transposition(1, 2), 2).scale(-2)
+        assert a.terms() == {transposition(1, 2): -2}
+        assert a.to_json() == [{"perm": [2, 1], "coeff": "-2"}]
+
+    def test_coefficients_are_integers(self):
+        a = class_sum((1,), 3)
+        for c in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+            with pytest.raises(TypeError):
+                AlgebraElement(3, {identity(): c})
+            with pytest.raises(TypeError):
+                AlgebraElement.from_permutation(identity(), 3, c)
+            with pytest.raises(TypeError):
+                a.scale(c)
+            with pytest.raises(TypeError):
+                a * c
+            with pytest.raises(TypeError):
+                c * a
 
 
 class TestClassSums:
@@ -231,6 +245,27 @@ class TestSymmetricEvaluation:
             elementary(2) * elementary(1) - 3 * elementary(3)
         )
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_monomial_inverts_the_e_to_m_matrix(self, d):
+        # row k of the matrix is e_{parts[k]'} over the m_nu
+        parts, rows = _e_to_m_rows(d)
+        row_of = {
+            tuple(sum(p > i for p in lam) for i in range(lam[0])): row
+            for lam, row in zip(parts, rows)
+        }
+        for lam in parts:
+            back = [0] * len(parts)
+            for mu, c in monomial(lam).terms.items():
+                back = [x + c * y for x, y in zip(back, row_of[mu])]
+            assert back == [int(nu == lam) for nu in parts], lam
+
+    def test_monomial_degree_cap(self):
+        assert monomial((8,)).degree() == 8
+        with pytest.raises(ValueError):
+            monomial((9,))
+        with pytest.raises(ValueError):
+            monomial((5, 4))
+
     def test_parse_rejects_garbage(self):
         for bad in ("e", "q3", "e2 +", "(e1", "e1 e2"):
             with pytest.raises(ValueError):
@@ -259,11 +294,8 @@ class TestSymmetricEvaluation:
 class TestClassExpansion:
     def test_roundtrip(self):
         n = 4
-        a = class_sum((1,), n).scale(Fraction(5, 2)) - class_sum((2,), n)
-        assert expand_in_class_basis(a, n) == {
-            (1,): Fraction(5, 2),
-            (2,): Fraction(-1),
-        }
+        a = class_sum((1,), n).scale(5) - class_sum((2,), n)
+        assert expand_in_class_basis(a, n) == {(1,): 5, (2,): -1}
 
     def test_product_of_class_sums_expands(self):
         n = 4
@@ -290,7 +322,7 @@ class TestClassExpansion:
 
 def test_class_constant_must_be_a_count(monkeypatch):
     # a raise, not an assert, so python -O keeps it
-    halved = class_sum((1,), 3).scale(Fraction(1, 2))
-    monkeypatch.setitem(group_algebra._CLASS_PRODUCTS, ((1,), (1,), 3), halved)
+    negated = class_sum((1,), 3).scale(-1)
+    monkeypatch.setitem(group_algebra._CLASS_PRODUCTS, ((1,), (1,), 3), negated)
     with pytest.raises(ValidationFailure):
         class_structure_constant((1,), (1,), (1,), 3)

@@ -1,10 +1,14 @@
-"""The package guards its results with raises, never with assert.
+"""The package guards its results with raises, never with assert, and
+keeps its arithmetic exact.
 
 python -O strips assert statements, so a result check written as one
 silently disappears.  This walks the syntax tree of every module under
 src/bnhecke/ and fails on any assert statement and on any raise of
-AssertionError, and trips a few guards in a python -O child.  It
-reports through pytest.fail, so it still works under -O.
+AssertionError, and trips a few guards in a python -O child.  The same
+walk fails on inexact or rational arithmetic: true division (/ and
+/=), float literals and float(...), and any import of fractions; the
+package computes over Z.  It reports through pytest.fail, so it still
+works under -O.
 """
 
 import ast
@@ -27,6 +31,25 @@ def _offences(path: Path):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 yield node.lineno, "raise AssertionError"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.Div
+        ):
+            yield node.lineno, "true division"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, "float literal"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            yield node.lineno, "float(...)"
+        elif (
+            isinstance(node, ast.Import)
+            and any(alias.name == "fractions" for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "fractions"
+        ):
+            yield node.lineno, "import of fractions"
 
 
 def test_no_assert_in_package():
@@ -39,7 +62,10 @@ def test_no_assert_in_package():
         for line, what in _offences(path)
     ]
     if found:
-        pytest.fail("use a HeckeError raise instead:\n" + "\n".join(found))
+        pytest.fail(
+            "raise a HeckeError instead of asserting, and compute in integers:\n"
+            + "\n".join(found)
+        )
 
 
 # each guard is tripped by a monkeypatched dependency, one after the
