@@ -52,8 +52,8 @@ _EXPORTS = {
         class_sum eval_elementary eval_symmetric expand_in_class_basis
         jucys_murphy multiply zi_generator""",
     "hecke": """GenerationCertificate HeckeElement TrichotomyReport
-        double_coset_sum expand_K generation_certificate generator_H
-        hecke_product hecke_structure_constant lift matsumoto_image
+        expand_K generation_certificate generator_H hecke_product
+        hecke_structure_constant matsumoto_image
         single_cycle_coefficient single_cycle_expansion trichotomy_report""",
     "universal": """FitResult GradedIsoReport IntegerValuedPolynomial
         fit_report fit_triple graded_iso_check ivp_fit

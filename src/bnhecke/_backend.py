@@ -24,6 +24,12 @@ The permutation oracle, which materializes all of S_2n and classifies
 every row by stable coset type, lives in bnhecke._kernels_py; the tests
 check the matching count against it.  Only the perfbench hook at the
 end of this module loads it, on first access; no CLI verb does.
+
+perfbench/traced_cli.py and perfbench/probe.py bind product_tally,
+_TALLIES and backend_name here, and LevelTable, _KERNEL,
+permutation_block and resolve_jobs through that hook.  These names go
+when perfbench stops binding them (ROADMAP item 1); until then they
+stay in src/ although only tests and perfbench call them.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import re
 from functools import cache
 
 from .errors import ValidationFailure
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _integer, partitions_of
 
 __all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomial"]
 
@@ -237,7 +237,7 @@ def monomial(lam: Partition) -> SymmetricExpression:
     >>> monomial((2, 1))
     e2*e1 + -3*e3
     """
-    lam = tuple(sorted((int(p) for p in lam), reverse=True))
+    lam = tuple(sorted((_integer(p) for p in lam), reverse=True))
     if any(p < 1 for p in lam):
         raise ValueError(f"not a partition: {lam}")
     if not lam:

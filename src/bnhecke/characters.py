@@ -44,10 +44,11 @@ theta is integral and W_rho N is the hook-length dimension.  The table
 of every b is kept per (n, alpha) on top of them, checked as it is
 built: every b is a non-negative integer and sum_nu b h_nu =
 h_lam h_mu; so is every Matsumoto c_kappa an integer.  The counts
-this replaces, the matching tally (bnhecke._backend), the S_n class
-sweep (bnhecke.group_algebra) and the matching walk of the Matsumoto
-image (bnhecke.hecke), are the tests' oracles for it, and Gram-Schmidt
-of the monomials (tests/oracles.py) for the Jack polynomials.
+this replaces, the matching tally (bnhecke._backend) and the S_n
+class sweep (bnhecke.group_algebra), are the tests' oracles for it.
+So are, in tests/oracles.py, the walk over perfect matchings for the
+Matsumoto image and Gram-Schmidt of the monomials for the Jack
+polynomials.
 """
 
 from __future__ import annotations

@@ -42,6 +42,8 @@ MAX_CLI_LEVEL = 5
 # the Matsumoto image reads the spherical functions of
 # bnhecke.characters, built up to its MAX_SPHERICAL_LEVEL
 MAX_MATSUMOTO_LEVEL = 12
+# the largest weight of the triples fit --max-weight sweeps
+MAX_FIT_WEIGHT = 4
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -73,7 +75,7 @@ def _perm_flag(text: str, flag: str) -> Permutation:
 
     try:
         return parse_permutation(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"{flag}: not a permutation: {text!r} ({exc})")
 
 
@@ -147,7 +149,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--n", type=int, default=None, help="run at exactly this level")
-    p.add_argument("--max-n", type=int, default=4, help="run levels up to this (default 4; at most 5, 12 for the matsumoto suite)")
+    p.add_argument("--max-n", type=int, default=4, help=(
+        f"run levels up to this (default 4; at most {MAX_CLI_LEVEL}, "
+        f"{MAX_MATSUMOTO_LEVEL} for the matsumoto suite)"
+    ))
     p.add_argument("--samples", type=int, default=1000, help="random samples per level for sampled suites")
 
     p = sub.add_parser("fit", help="fit structure constants as integer-valued polynomials in n")
@@ -237,9 +242,9 @@ def parse(argv) -> Command:
         if ns.max_weight is not None:
             if any(f is not None for f in triple_flags):
                 raise UsageError("--max-weight excludes --lam/--mu/--nu")
-            if not 0 <= ns.max_weight <= 4:
+            if not 0 <= ns.max_weight <= MAX_FIT_WEIGHT:
                 raise UsageError(
-                    f"--max-weight: must be in [0, 4], got {ns.max_weight}"
+                    f"--max-weight: must be in [0, {MAX_FIT_WEIGHT}], got {ns.max_weight}"
                 )
             args["max_weight"] = ns.max_weight
         else:

@@ -29,20 +29,12 @@ span the whole lattice of K-coordinates.
 The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) is read
 off the same zonal spherical functions: J_{2k-1} acts on omega^rho by
 the 2-contents of rho (bnhecke.characters.matsumoto_coefficients).
-Its oracle walks the perfect matchings: the element is
-right-B_n-invariant, so the vector v = F(J) eps in Z[matchings]
-determines it, J_k acts on a matching by sum_{i<k} relabelling with
-(i k), and the coefficient of K_mu is v at any matching of type mu
-(_matsumoto_raw).  jucys_murphy at level 2n, b_sum and expand_K stay
-as the tests' oracle for both at n <= 4.
 
 So the products, structure constants, the generator certificate and
 the Matsumoto image load neither the cosets nor the group algebra.
 Each layer is imported when first called: bnhecke.characters by the
 products, structure constants and matsumoto_image, the symmetric
-expressions by matsumoto_image, bnhecke.cosets by expand_K and the
-matching walk, and the matching tally and bnhecke.group_algebra by the
-oracle functions double_coset_sum and lift.
+expressions by matsumoto_image, and bnhecke.cosets by expand_K.
 """
 
 from __future__ import annotations
@@ -76,7 +68,6 @@ from .partitions import (
 
 __all__ = [
     "HeckeElement",
-    "double_coset_sum",
     "expand_K",
     "hecke_product",
     "hecke_structure_constant",
@@ -200,36 +191,6 @@ class HeckeElement:
                 )
             ],
         }
-
-
-def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
-    """K_mu(n) as an honest element of the level-2n group algebra.
-
-    The sum of x B_n over the matchings delta = x(eps) of type mu,
-    tested against the orbit closure.
-    """
-    from ._backend import _typed_matchings
-    from .group_algebra import AlgebraElement, b_sum
-
-    mu = as_partition(mu)
-    check_weight(mu, n)
-    sections: dict[tuple[int, ...], int] = {}
-    for delta, lam in _typed_matchings(n):
-        if lam == mu:
-            # x sends couple j onto the j-th pair of delta, so x(eps) = delta
-            x = tuple(p + 1 for a, b in enumerate(delta) if a < b for p in (a, b))
-            sections[x] = 1
-    return AlgebraElement._raw(2 * n, sections) * b_sum(n)
-
-
-def lift(u: HeckeElement) -> AlgebraElement:
-    """The group-algebra element sum of c_mu K_mu(n)."""
-    from .group_algebra import AlgebraElement
-
-    acc = AlgebraElement.zero(2 * u.level)
-    for mu, c in u.coeffs.items():
-        acc = acc + double_coset_sum(mu, u.level).scale(c)
-    return acc
 
 
 def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
@@ -375,82 +336,6 @@ def single_cycle_expansion(lam: Partition, r: int, n: int) -> HeckeElement:
         for _, nu, b in _admissible_terms(lam, r)
         if weight(nu) <= n
     }
-    return HeckeElement(n, coeffs)
-
-
-def _add_jm_image(p: int, u: dict, out: dict) -> None:
-    """Add J_{p+1} u to out, u a vector of matchings of 0-based points.
-
-    J_{p+1} = sum over q < p of (q p), and w acts on a matching by
-    relabelling its points.  (q p) fixes a matching in which q and p
-    are partners; otherwise q takes p's partner and p takes q's.
-    """
-    get = out.get
-    for delta, c in u.items():
-        b = delta[p]
-        for q in range(p):
-            if q == b:
-                image = delta
-            else:
-                a = delta[q]
-                mate = list(delta)
-                mate[q], mate[b], mate[p], mate[a] = b, q, a, p
-                image = tuple(mate)
-            out[image] = get(image, 0) + c
-
-
-def _elementary_images(u: dict, top: int, n: int) -> list[dict]:
-    """[e_0 u, ..., e_top u], e_k = e_k(J_1, J_3, ..., J_{2n-1}).
-
-    The product DP over (1 + t J) of group_algebra._elementary_row,
-    run on vectors: adding the variable J turns e_j into e_j + J e_{j-1}.
-    """
-    row = [u] + [{} for _ in range(top)]
-    for i in range(1, n):  # J_{2i+1} moves the 0-based point 2i; J_1 = 0
-        for j in range(min(top, i), 0, -1):
-            _add_jm_image(2 * i, row[j - 1], row[j])
-    return row
-
-
-def _matsumoto_vector(F: SymmetricExpression, n: int) -> dict[tuple[int, ...], int]:
-    """v = F(J_1, J_3, ..., J_{2n-1}) eps in Z[perfect matchings of [2n]].
-
-    Each e-monomial acts factor by factor, right to left, on eps; the
-    J's commute, so any order gives the same vector.  e_k = 0 for k > n.
-    """
-    from .cosets import image_matching
-
-    eps = image_matching(range(1, 2 * n + 1))
-    v: dict[tuple[int, ...], int] = {}
-    for mono, c in F.terms.items():
-        u = {eps: 1}
-        for k in reversed(mono):
-            u = _elementary_images(u, k, n)[k] if k <= n else {}
-        for delta, x in u.items():
-            v[delta] = v.get(delta, 0) + c * x
-    return {delta: x for delta, x in v.items() if x}
-
-
-def _matsumoto_raw(F: SymmetricExpression, n: int) -> HeckeElement:
-    """F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) read off v = F(J) eps.
-
-    The coefficient of x is v(x(eps)), so the coefficient of K_mu is v
-    at any matching of type mu.  v must be constant on, and cover, the
-    |K_mu(n)| / |B_n| matchings of each type present, else NotBiInvariant.
-    """
-    from .cosets import (
-        double_coset_size,
-        hyperoctahedral_order,
-        image_matching,
-        matching_type,
-    )
-
-    eps = image_matching(range(1, 2 * n + 1))
-    order = hyperoctahedral_order(n)
-    coeffs = _expand_by_type(
-        _matsumoto_vector(F, n), lambda delta: matching_type(eps, delta),
-        lambda mu: double_coset_size(mu, n) // order, NotBiInvariant, "matching type",
-    )
     return HeckeElement(n, coeffs)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import index
 
 from .errors import NotASubpartition, WeightExceedsLevel
 
@@ -52,14 +53,24 @@ __all__ = [
 Partition = tuple[int, ...]
 
 
+def _integer(x) -> int:
+    """x read by operator.index, so a float or a numeric string raises
+    TypeError instead of being truncated or parsed; so does a bool,
+    which index would read as 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected an integer, not the bool {x!r}")
+    return index(x)
+
+
 def as_partition(parts) -> Partition:
     """Validate and canonicalize a part sequence into a partition tuple.
 
-    Accepts any iterable of positive integers; raises ValueError on
-    non-positive or increasing-out-of-order input rather than silently
-    re-sorting, so malformed external data fails loudly.
+    Accepts any iterable of positive integers; raises TypeError on a
+    part that is not an integer (a float, a string or a bool) and
+    ValueError on non-positive or increasing-out-of-order input rather
+    than silently re-sorting, so malformed external data fails loudly.
     """
-    mu = tuple(int(p) for p in parts)
+    mu = tuple(_integer(p) for p in parts)
     if any(p <= 0 for p in mu):
         raise ValueError(f"partition parts must be positive: {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):

@@ -29,7 +29,7 @@ import re
 from collections.abc import Iterable, Iterator
 
 from .errors import DegreeMismatch
-from .partitions import Partition, completion, weight
+from .partitions import Partition, _integer, completion, weight
 
 __all__ = [
     "Permutation",
@@ -85,7 +85,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(_integer(i) for i in images)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a one-line permutation of 1..{len(imgs)}: {imgs}")
         object.__setattr__(self, "images", _trim(imgs))

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .partitions import (
     Partition,
+    _integer,
     as_partition,
     enumerate_by_weight,
     weight,
@@ -81,7 +82,7 @@ class IntegerValuedPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = [_integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

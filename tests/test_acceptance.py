@@ -21,6 +21,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import double_coset_sum
 
 from bnhecke._symfunc import elementary
 from bnhecke.cli import SUITES, execute, parse
@@ -50,7 +51,6 @@ from bnhecke.group_algebra import (
 from bnhecke.hecke import (
     HeckeElement,
     _hermite_normal_form,
-    double_coset_sum,
     expand_K,
     generation_certificate,
     generator_H,

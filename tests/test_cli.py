@@ -516,12 +516,20 @@ _EXPRS = st.tuples(
 # (valid values, invalid values) per flag; the levels stay at n <= 3.
 # 6 is above the cap of every verb and suite but matsumoto's; 13 is
 # above every cap.
-_SHAPES = (st.sampled_from(["[]", "[1]", "[2]", "[1,1]"]), ["[3]", "[0]", "{}", "[1", "x"])
+# a part or an image that is a JSON float, bool or string is not read
+# as an integer
+_NOT_INTEGER_PARTS = ["[1.5]", "[true]", '["2"]', "[1e0]"]
+_NOT_INTEGER_IMAGES = ["[2.5,1]", "[2,true]"]
+_PARTITION_FLAGS = ("--mu", "--lam", "--nu", "--lhs", "--rhs")
+_SHAPES = (
+    st.sampled_from(["[]", "[1]", "[2]", "[1,1]"]),
+    ["[3]", "[0]", "{}", "[1", "x", *_NOT_INTEGER_PARTS],
+)
 _LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "6", "13", "x"])
 _FLAG_VALUES = {
     "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
     "--jobs": (None, ["0", "2"]),  # no such flag: always a usage error
-    "--perm": (_PERMS, ["[1,1]", "(1 2", "[0]", "x"]),
+    "--perm": (_PERMS, ["[1,1]", "(1 2", "[0]", "x", *_NOT_INTEGER_IMAGES]),
     "--n": _LEVELS,
     "--max-n": _LEVELS,
     "--max-weight": (st.sampled_from(["0", "1", "2"]), ["-1", "5"]),
@@ -531,7 +539,7 @@ _FLAG_VALUES = {
     "--expr": (_EXPRS, ["1/0", "e1**", "", "p21", "e1^21", "e3*p2^9"]),
     "--suite": (st.sampled_from(list(SUITES)), ["nope"]),
     "--basis": (st.sampled_from(["K", "C"]), ["Q"]),
-    **{flag: _SHAPES for flag in ("--mu", "--lam", "--nu", "--lhs", "--rhs")},
+    **dict.fromkeys(_PARTITION_FLAGS, _SHAPES),
 }
 _VERB_FLAGS = {
     "coset-type": ["--perm"],
@@ -599,6 +607,32 @@ def _argvs(draw):
 def _is_table(text: str) -> bool:
     rows = list(csv.reader(io.StringIO(text)))
     return bool(rows and rows[0]) and all(len(r) == len(rows[0]) for r in rows)
+
+
+# each verb with a partition or a permutation flag, all its flags valid
+# at level 3 (fit by triple), then one made non-integer
+_VALID_AT_3 = {"--n": "3", "--r": "1", "--perm": "[2,1]", **dict.fromkeys(_PARTITION_FLAGS, "[1]")}
+_NOT_INTEGER = {"--perm": _NOT_INTEGER_IMAGES, **dict.fromkeys(_PARTITION_FLAGS, _NOT_INTEGER_PARTS)}
+_NOT_INTEGER_CASES = [
+    (verb, flag, bad)
+    for verb, flags in _VERB_FLAGS.items()
+    for flag in flags
+    for bad in _NOT_INTEGER.get(flag, ())
+]
+
+
+class TestIntegerBoundary:
+    @pytest.mark.parametrize("verb, flag, bad", _NOT_INTEGER_CASES)
+    def test_non_integer_is_usage_error(self, verb, flag, bad, capsys):
+        values = {f: _VALID_AT_3[f] for f in _VERB_FLAGS[verb] if f in _VALID_AT_3}
+        parse([verb, *(token for pair in values.items() for token in pair)])
+        values[flag] = bad
+        assert main([verb, *(token for pair in values.items() for token in pair)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "UsageError"
+        assert error["message"].startswith(f"{flag}:")
 
 
 class TestContractFuzz:

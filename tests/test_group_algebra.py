@@ -266,6 +266,11 @@ class TestSymmetricEvaluation:
         with pytest.raises(ValueError):
             monomial((5, 4))
 
+    def test_monomial_reads_only_integers(self):
+        for lam in ((2.5,), (2.0, 1), (True,), ("2",)):
+            with pytest.raises(TypeError):
+                monomial(lam)
+
     def test_parse_rejects_garbage(self):
         for bad in ("e", "q3", "e2 +", "(e1", "e1 e2"):
             with pytest.raises(ValueError):

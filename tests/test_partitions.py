@@ -33,6 +33,13 @@ def test_as_partition_rejects_malformed(bad):
         as_partition(bad)
 
 
+@pytest.mark.parametrize("bad", [(1.5,), (1.0,), (True,), ("2",), (2, False)])
+def test_as_partition_reads_only_integers(bad):
+    # int() would truncate 1.5, count True as 1 and parse "2"
+    with pytest.raises(TypeError):
+        as_partition(bad)
+
+
 def test_weight_counts_size_plus_length():
     assert weight(()) == 0
     assert weight((1,)) == 2

@@ -32,6 +32,9 @@ def test_constructor_validates():
         Permutation((2, 3))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+    for images in ((2.5, 1), (2.0, 1), (2, True), ("2", "1")):
+        with pytest.raises(TypeError):
+            Permutation(images)
 
 
 def test_trailing_fixed_points_are_invisible():

@@ -80,6 +80,12 @@ class TestFitting:
         with pytest.raises(ValueError):
             ivp_fit([(2, 1), (2, 2)])
 
+    def test_coefficients_are_integers(self):
+        # int() read (1.7, 2) as 1 + 2*C(n,1)
+        for coeffs in ((1.7, 2), (1.0,), (True,), ("3",)):
+            with pytest.raises(TypeError):
+                IVP(coeffs)
+
     def test_non_integer_valued_rejected(self):
         # f(0) = 0, f(2) = 1 forces the half-integer n/2
         with pytest.raises(NonIntegerCoefficient):
