@@ -148,10 +148,10 @@ def clear_caches() -> None:
     The spherical functions and structure-constant tables (characters),
     the fit memo (universal) and the class memos (group_algebra) are
     cleared only if their module is loaded: a module not yet imported
-    holds no memo, and clearing imports none.  Two memos stay by
-    design: the functools.cache memos of _symfunc (p_k, h_k and the
-    e-to-m matrices), which hold exact constants no input changes, and
-    hecke's flag that the Matsumoto self-test passed.
+    holds no memo, and clearing imports none.  Two kinds of memo stay
+    by design: the functools.cache memos of partitions ([m_mu] p_lam)
+    and of _symfunc (p_k, h_k and m_lam), which hold exact constants no
+    input changes, and hecke's flag that the Matsumoto self-test passed.
     """
     _TALLIES.clear()
     _MATCHINGS.clear()

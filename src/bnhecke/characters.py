@@ -37,8 +37,9 @@ down dominance from [m_rho] J_rho = prod over the cells s of
 (alpha a(s) + l(s) + 1) (Stanley 1989; Demmel-Koev 2006; see
 _jack_monomials).  Its power-sum coefficients theta follow by back
 substitution from (1^n) upwards through the integer matrix
-[m_mu] p_lam, taken by a DP over the parts of lam.  Every division is
-exact or raises ValidationFailure.  The spherical functions (theta, h
+[m_mu] p_lam of partitions._power_sum_monomials, built once per lam by
+the Pieri rule for p_k m_nu and shared by both alphas.  Every division
+is exact or raises ValidationFailure.  The spherical functions (theta, h
 and W_rho N) are kept per (n, alpha), checked as they are built:
 theta is integral and W_rho N is the hook-length dimension.  The table
 of every b is kept per (n, alpha) on top of them, checked as it is
@@ -47,8 +48,8 @@ h_lam h_mu; so is every Matsumoto c_kappa an integer.  The counts
 this replaces, the matching tally (bnhecke._backend) and the S_n
 class sweep (bnhecke.group_algebra), are the tests' oracles for it.
 So are, in tests/oracles.py, the walk over perfect matchings for the
-Matsumoto image and Gram-Schmidt of the monomials for the Jack
-polynomials.
+Matsumoto image, Gram-Schmidt of the monomials for the Jack
+polynomials and a DP per pair for [m_mu] p_lam.
 """
 
 from __future__ import annotations
@@ -58,7 +59,14 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .errors import UsageError, ValidationFailure
-from .partitions import Partition, as_partition, check_weight, partitions_of, z_value
+from .partitions import (
+    Partition,
+    _power_sum_monomials,
+    as_partition,
+    check_weight,
+    partitions_of,
+    z_value,
+)
 
 __all__ = [
     "MAX_LEVEL",
@@ -123,26 +131,6 @@ def _dimension(rho: Partition) -> int:
 def _dominates(lam: Partition, mu: Partition) -> bool:
     """lam >= mu in dominance order, for two partitions of one n."""
     return all(a >= b for a, b in zip(accumulate(lam), accumulate(mu)))
-
-
-def _monomial_coefficient(mu: Partition, lam: Partition) -> int:
-    """[m_lam] p_mu: the ways to deal the parts of mu onto the rows of
-    lam so that every row is filled exactly.
-
-    A DP over the parts of mu; a state is the multiset of what the rows
-    still lack, since the ways to finish only depend on that.
-    """
-    states = {lam: 1}
-    for q in mu:
-        after: dict[Partition, int] = {}
-        for lack, ways in states.items():
-            for r in set(lack):
-                if r >= q:
-                    i = lack.index(r)
-                    key = tuple(sorted(lack[:i] + (r - q,) + lack[i + 1 :], reverse=True))
-                    after[key] = after.get(key, 0) + ways * lack.count(r)
-        states = after
-    return states.get((0,) * len(lam), 0)
 
 
 def _norms(parts: list[Partition], alpha: int) -> list[int]:
@@ -211,18 +199,14 @@ def _jack_power_sums(n: int, alpha: int) -> list[list[int]]:
     """
     parts = partitions_of(n)
     size = len(parts)
+    index = {p: k for k, p in enumerate(parts)}
     # column m of [m_mu] p_lam below the diagonal, as (lam index, entry)
-    below = [
-        [
-            (k, c)
-            for k in range(m + 1, size)
-            if _dominates(mu, parts[k])
-            for c in [_monomial_coefficient(parts[k], mu)]
-            if c
-        ]
-        for m, mu in enumerate(parts)
-    ]
-    diagonal = [_monomial_coefficient(mu, mu) for mu in parts]
+    below: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for k, lam in enumerate(parts):
+        for mu, c in _power_sum_monomials(lam).items():
+            if mu != lam:
+                below[index[mu]].append((k, c))
+    diagonal = [_power_sum_monomials(mu)[mu] for mu in parts]
     thetas = []
     for rho, c in zip(parts, _jack_monomials(n, alpha)):
         theta = [0] * size
@@ -344,22 +328,11 @@ def matsumoto_coefficients(F: SymmetricExpression, n: int) -> dict[Partition, in
 
     J_{2k-1} acts on omega^rho by the 2-contents A_rho (see the module
     docstring), so c_kappa = sum_rho (W_rho N) F(A_rho) theta_rho(kappa)
-    / (N h_kappa).  Each e_k(A_rho) is taken once per rho; e_k vanishes
-    for k > n, since A_rho has n entries.  A c_kappa that is not an
-    integer raises ValidationFailure.
+    / (N h_kappa), with F(A_rho) from SymmetricExpression.evaluate.  A
+    c_kappa that is not an integer raises ValidationFailure.
     """
     parts, types, theta, h, dims, big_n = _spherical(n, "K")
-    terms = F.terms.items()
-    top = max(n, F.degree())
-    values = []
-    for rho in parts:
-        e = [1] + [0] * top
-        for x in _two_contents(rho):
-            for k in range(top, 0, -1):
-                e[k] += x * e[k - 1]
-        values.append(
-            sum(c * prod(e[k] for k in mono) for mono, c in terms)
-        )
+    values = [F.evaluate(_two_contents(rho), 1) for rho in parts]
     out: dict[Partition, int] = {}
     for k, kappa in enumerate(types):
         total = sum(d * f * t[k] for d, f, t in zip(dims, values, theta))

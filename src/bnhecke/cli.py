@@ -90,6 +90,11 @@ def _expr_flag(text: str, flag: str) -> SymmetricExpression:
         raise UsageError(f"{flag}: expression nested too deeply") from None
 
 
+def _check_flag_weight(mu, flag: str, n: int) -> None:
+    if weight(mu) > n:
+        raise UsageError(f"{flag}: weight {weight(mu)} exceeds level {n}")
+
+
 def _level_flag(value: int, flag: str, low: int = 1, high: int = MAX_CLI_LEVEL) -> int:
     if not low <= value <= high:
         raise UsageError(
@@ -179,37 +184,25 @@ def parse(argv) -> Command:
     elif ns.verb == "coset-size":
         args["mu"] = _partition_flag(ns.mu, "--mu")
         args["n"] = _level_flag(ns.n, "--n", high=MAX_COSET_SIZE_LEVEL)
-        if weight(args["mu"]) > ns.n:
-            raise UsageError(
-                f"--mu: weight {weight(args['mu'])} exceeds level {ns.n}"
-            )
+        _check_flag_weight(args["mu"], "--mu", ns.n)
     elif ns.verb == "product":
         args["n"] = _level_flag(ns.n, "--n")
         args["lhs"] = _partition_flag(ns.lhs, "--lhs")
         args["rhs"] = _partition_flag(ns.rhs, "--rhs")
-        for flag, mu in (("--lhs", args["lhs"]), ("--rhs", args["rhs"])):
-            if weight(mu) > ns.n:
-                raise UsageError(
-                    f"{flag}: weight {weight(mu)} exceeds level {ns.n}"
-                )
+        _check_flag_weight(args["lhs"], "--lhs", ns.n)
+        _check_flag_weight(args["rhs"], "--rhs", ns.n)
     elif ns.verb == "structure-constant":
         args["n"] = _level_flag(ns.n, "--n")
         for flag in ("lam", "mu", "nu"):
             args[flag] = _partition_flag(getattr(ns, flag), f"--{flag}")
-            if weight(args[flag]) > ns.n:
-                raise UsageError(
-                    f"--{flag}: weight {weight(args[flag])} exceeds level {ns.n}"
-                )
+            _check_flag_weight(args[flag], f"--{flag}", ns.n)
     elif ns.verb == "expand-single-cycle":
         args["n"] = _level_flag(ns.n, "--n")
         args["lam"] = _partition_flag(ns.lam, "--lam")
         if ns.r < 0:
             raise UsageError(f"--r: must be non-negative, got {ns.r}")
         args["r"] = ns.r
-        if weight(args["lam"]) > ns.n:
-            raise UsageError(
-                f"--lam: weight {weight(args['lam'])} exceeds level {ns.n}"
-            )
+        _check_flag_weight(args["lam"], "--lam", ns.n)
         if ns.r and ns.r + 1 > ns.n:
             raise UsageError(
                 f"--r: K_({ns.r}) has weight {ns.r + 1}, above level {ns.n}"

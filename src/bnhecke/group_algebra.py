@@ -13,16 +13,15 @@ The symmetric-function machinery lives here too: Jucys-Murphy elements
 commute pairwise, and evaluating elementary symmetric functions at
 them reproduces the cycle-count filtration: Z_i, the sum of all
 permutations with exactly i cycles, equals e_{n-i}(J_1, ..., J_n).
-Evaluation of a general symmetric expression first rewrites it in the
-e-basis and then runs the product DP prod_i (1 + t v_i), so only the
-elementary evaluations are ever computed.
+A symmetric expression is held in the e-basis, so evaluating it runs
+SymmetricExpression.evaluate: the product DP prod_i (1 + t v_i) for
+the elementary evaluations, then the sum of their products.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from math import factorial
-from operator import index
 
 from ._symfunc import (
     SymmetricExpression,
@@ -38,7 +37,15 @@ from .errors import (
     NotCentral,
     ValidationFailure,
 )
-from .partitions import Partition, _expand_by_type, check_weight, completion, weight, z_value
+from .partitions import (
+    Partition,
+    _expand_by_type,
+    _integer,
+    check_weight,
+    completion,
+    weight,
+    z_value,
+)
 from .permutations import (
     Permutation,
     class_representative,
@@ -69,8 +76,8 @@ __all__ = [
 class AlgebraElement:
     """A finitely supported map S_m -> Z with the convolution product.
 
-    Coefficients are read through operator.index: a non-integer one,
-    rational or float, raises TypeError.
+    Coefficients are read through partitions._integer: a non-integer
+    one, rational, float or bool, raises TypeError.
     """
 
     __slots__ = ("level", "_t")
@@ -86,7 +93,7 @@ class AlgebraElement:
         for perm, coeff in (terms or {}).items():
             if not isinstance(perm, Permutation):
                 perm = Permutation(perm)
-            c = index(coeff)
+            c = _integer(coeff)
             if c:
                 key = perm.one_line(level)
                 data[key] = data.get(key, 0) + c
@@ -113,7 +120,7 @@ class AlgebraElement:
     def from_permutation(
         cls, perm: Permutation, level: int, coeff: int = 1
     ) -> "AlgebraElement":
-        c = index(coeff)
+        c = _integer(coeff)
         if not c:
             return cls.zero(level)
         return cls._raw(level, {perm.one_line(level): c})
@@ -183,7 +190,7 @@ class AlgebraElement:
         return self.scale(other)
 
     def scale(self, c: int) -> "AlgebraElement":
-        c = index(c)
+        c = _integer(c)
         if not c:
             return AlgebraElement.zero(self.level)
         return AlgebraElement._raw(
@@ -286,31 +293,26 @@ def b_sum(n: int) -> AlgebraElement:
     )
 
 
-def _elementary_row(values: list[AlgebraElement]) -> list[AlgebraElement]:
-    """[e_0(v), e_1(v), ..., e_len(v)] by the product DP over (1 + t v_i)."""
+def _unit(values: list[AlgebraElement]) -> AlgebraElement:
+    """The one of the values' level; ValueError for no values and
+    LevelMismatch for values of two levels."""
     if not values:
         raise ValueError("cannot infer the level from an empty value list")
     level = values[0].level
-    es = [AlgebraElement.one(level)]
     for v in values:
         if v.level != level:
             raise LevelMismatch(
                 f"values mix levels {level} and {v.level}"
             )
-        es.append(AlgebraElement.zero(level))
-        for j in range(len(es) - 1, 0, -1):
-            es[j] = es[j] + es[j - 1] * v
-    return es
+    return AlgebraElement.one(level)
 
 
 def eval_elementary(k: int, values: list[AlgebraElement]) -> AlgebraElement:
     """e_k evaluated at the given algebra elements; e_0 = 1."""
     if k < 0:
         raise ValueError("e_k needs k >= 0")
-    row = _elementary_row(list(values))
-    if k >= len(row):
-        return AlgebraElement.zero(row[0].level)
-    return row[k]
+    values = list(values)
+    return elementary(k).evaluate(values, _unit(values))
 
 
 def eval_symmetric(
@@ -326,16 +328,7 @@ def eval_symmetric(
                 raise NonCommutingValues(
                     f"values {i} and {j} do not commute"
                 )
-    row = _elementary_row(values)
-    level = row[0].level
-    zero = AlgebraElement.zero(level)
-    acc = zero
-    for mono, c in F.terms.items():
-        part = AlgebraElement.one(level)
-        for idx in mono:
-            part = part * (row[idx] if idx < len(row) else zero)
-        acc = acc + part.scale(c)
-    return acc
+    return F.evaluate(values, _unit(values))
 
 
 def zi_generator(i: int, n: int) -> AlgebraElement:

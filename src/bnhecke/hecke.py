@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial
-from operator import index
 
 from .errors import (
     IndexOutOfRange,
@@ -56,6 +55,7 @@ from .errors import (
 from .partitions import (
     Partition,
     _expand_by_type,
+    _integer,
     as_partition,
     check_weight,
     difference,
@@ -85,8 +85,8 @@ __all__ = [
 class HeckeElement:
     """A Z combination of the basis elements K_mu(n).
 
-    Coefficients are read through operator.index: a non-integer one,
-    rational or float, raises TypeError.
+    Coefficients are read through partitions._integer: a non-integer
+    one, rational, float or bool, raises TypeError.
     """
 
     __slots__ = ("level", "coeffs")
@@ -102,7 +102,7 @@ class HeckeElement:
         for mu, c in (coeffs or {}).items():
             mu = as_partition(mu)
             check_weight(mu, level)
-            c = index(c)
+            c = _integer(c)
             if c:
                 data[mu] = data.get(mu, 0) + c
         object.__setattr__(
@@ -148,7 +148,7 @@ class HeckeElement:
         )
 
     def scale(self, c: int) -> "HeckeElement":
-        c = index(c)
+        c = _integer(c)
         return HeckeElement(
             self.level, {mu: v * c for mu, v in self.coeffs.items()}
         )

@@ -28,6 +28,7 @@ ordinary type at a fixed level.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import factorial
 from operator import index
 
@@ -213,6 +214,32 @@ def enumerate_by_weight(n: int) -> list[Partition]:
             if len(mu) == w - s
         ]
         out.extend(sorted(level))
+    return out
+
+
+@cache
+def _power_sum_monomials(lam: Partition) -> dict[Partition, int]:
+    """{mu: [m_mu] p_lam} over the mu with a non-zero coefficient: the
+    mu that merge parts of lam, all of them lam or above in dominance.
+
+    p_lam = p_k p_rest for k = lam[0], and p_k m_nu = sum over the
+    values v of 0 and the parts of nu of c m_mu, mu = nu with one v
+    raised to v + k and c the multiplicity of v + k in mu (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.6).  Kept per lam, so
+    one build serves every caller; the caller must not change it.
+
+    >>> _power_sum_monomials((1, 1))
+    {(2,): 1, (1, 1): 2}
+    """
+    if not lam:
+        return {(): 1}
+    k = lam[0]
+    out: dict[Partition, int] = {}
+    for nu, c in _power_sum_monomials(lam[1:]).items():
+        for v in dict.fromkeys((*nu, 0)):
+            i = nu.index(v) if v else len(nu)
+            mu = tuple(sorted((*nu[:i], v + k, *nu[i + 1 :]), reverse=True))
+            out[mu] = out.get(mu, 0) + c * mu.count(v + k)
     return out
 
 

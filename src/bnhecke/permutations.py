@@ -102,7 +102,7 @@ class Permutation:
         """Build from disjoint cycles, e.g. [(2, 3), (4, 5)]."""
         mapping: dict[int, int] = {}
         for cycle in cycles:
-            cyc = [int(i) for i in cycle]
+            cyc = [_integer(i) for i in cycle]
             if len(set(cyc)) != len(cyc):
                 raise ValueError(f"repeated point in cycle {cyc}")
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):

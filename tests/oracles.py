@@ -1,12 +1,19 @@
 """Independent builders that the tests hold the package's fast paths against.
 
+monomial_coefficient counts [m_lam] p_mu for one pair by a DP over the
+parts of mu, and e_to_m_rows expands e_{lam'} over the m_nu by
+multiplying exponent vectors over all orderings of d points.  They are
+the oracles for the Pieri-rule matrix of bnhecke.partitions and for
+the monomials of bnhecke._symfunc built from it.
+
 jack_power_sums_by_gram_schmidt builds [p_lam] J_rho the slow way, in
 exact rationals: the monomials m_mu in power sums (inverting the
-triangular [m_lam] p_mu), P_rho by Gram-Schmidt of the m_mu from (1^n)
-upwards under <p_lam, p_mu> = delta z_lam alpha^l(lam), and J_rho =
-prod over the cells s of (alpha a(s) + l(s) + 1) times P_rho.  It
-shares nothing with the Laplace-Beltrami recurrence of
-bnhecke.characters but the matrix [m_lam] p_mu and the hook product.
+triangular [m_lam] p_mu of monomial_coefficient), P_rho by
+Gram-Schmidt of the m_mu from (1^n) upwards under <p_lam, p_mu> =
+delta z_lam alpha^l(lam), and J_rho = prod over the cells s of
+(alpha a(s) + l(s) + 1) times P_rho.  It shares nothing with the
+Laplace-Beltrami recurrence of bnhecke.characters but the hook
+product.
 
 double_coset_sum and lift write K_mu(n), and Z-combinations of them,
 as honest elements of Z[S_2n], so a Hecke product can be checked
@@ -21,11 +28,12 @@ any matching of type mu.  It is the oracle for
 bnhecke.characters.matsumoto_coefficients at n = 5 and 6.
 """
 
+import itertools
 from fractions import Fraction
 
 from bnhecke._backend import _typed_matchings
 from bnhecke._symfunc import SymmetricExpression
-from bnhecke.characters import _hook_product, _monomial_coefficient, _norms
+from bnhecke.characters import _hook_product, _norms
 from bnhecke.cosets import (
     double_coset_size,
     hyperoctahedral_order,
@@ -50,6 +58,58 @@ ORACLE_EXPRS = ["e1", "e3", "e5", "p2", "p3", "h2", "m[2,1]", "e2*e1",
                 "e2 - 3*e1*e1", "4", "e1 - e1"]
 
 
+def monomial_coefficient(mu: Partition, lam: Partition) -> int:
+    """[m_lam] p_mu: the ways to deal the parts of mu onto the rows of
+    lam so that every row is filled exactly.
+
+    A DP over the parts of mu; a state is the multiset of what the rows
+    still lack, since the ways to finish only depend on that.
+    """
+    states = {lam: 1}
+    for q in mu:
+        after: dict[Partition, int] = {}
+        for lack, ways in states.items():
+            for r in set(lack):
+                if r >= q:
+                    i = lack.index(r)
+                    key = tuple(sorted(lack[:i] + (r - q,) + lack[i + 1 :], reverse=True))
+                    after[key] = after.get(key, 0) + ways * lack.count(r)
+        states = after
+    return states.get((0,) * len(lam), 0)
+
+
+def conjugate(lam: Partition) -> Partition:
+    return tuple(sum(p > i for p in lam) for i in range(lam[0])) if lam else ()
+
+
+def e_to_m_rows(d: int) -> tuple[list[Partition], list[list[int]]]:
+    """Row k: e_{parts[k]'} over the m_nu, nu in parts = partitions_of(d).
+
+    Each e_j is the sum of the 0/1 exponent vectors of d points with j
+    ones, and the rows multiply them out; m_nu is read off the sorted
+    vector.  nu lower in dominance comes later, so the matrix is upper
+    unitriangular.
+    """
+    parts = partitions_of(d)
+    index = {nu: j for j, nu in enumerate(parts)}
+    rows = []
+    for lam in parts:
+        poly: dict[tuple[int, ...], int] = {(0,) * d: 1}
+        for part in conjugate(lam):
+            ones = set(itertools.permutations((1,) * part + (0,) * (d - part)))
+            after: dict[tuple[int, ...], int] = {}
+            for a, c in poly.items():
+                for b in ones:
+                    key = tuple(x + y for x, y in zip(a, b))
+                    after[key] = after.get(key, 0) + c
+            poly = after
+        row = [0] * len(parts)
+        for vec, c in poly.items():
+            row[index[tuple(p for p in sorted(vec, reverse=True) if p)]] = c
+        rows.append(row)
+    return parts, rows
+
+
 def jack_power_sums_by_gram_schmidt(n: int, alpha: int) -> list[list[Fraction]]:
     """[p_lam] J_rho for rho and lam in partitions_of(n) order."""
     parts = partitions_of(n)  # (n) first: a linear extension of dominance
@@ -61,10 +121,10 @@ def jack_power_sums_by_gram_schmidt(n: int, alpha: int) -> list[list[Fraction]]:
     for i, mu in enumerate(parts):
         m = [Fraction(int(j == i)) for j in range(size)]
         for j in range(i):
-            c = _monomial_coefficient(mu, parts[j])
+            c = monomial_coefficient(mu, parts[j])
             if c:
                 m = [x - c * y for x, y in zip(m, monomials[j])]
-        diagonal = _monomial_coefficient(mu, mu)
+        diagonal = monomial_coefficient(mu, mu)
         monomials.append([x / diagonal for x in m])
 
     def dot(f, g):
@@ -133,7 +193,7 @@ def _add_jm_image(p: int, u: dict, out: dict) -> None:
 def _elementary_images(u: dict, top: int, n: int) -> list[dict]:
     """[e_0 u, ..., e_top u], e_k = e_k(J_1, J_3, ..., J_{2n-1}).
 
-    The product DP over (1 + t J) of group_algebra._elementary_row,
+    The product DP over (1 + t J) of SymmetricExpression.evaluate,
     run on vectors: adding the variable J turns e_j into e_j + J e_{j-1}.
     """
     row = [u] + [{} for _ in range(top)]

@@ -23,7 +23,7 @@ from bnhecke.characters import (
 )
 from bnhecke.cli import MAX_MATSUMOTO_LEVEL
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
-from bnhecke.partitions import enumerate_by_weight
+from bnhecke.partitions import _power_sum_monomials, enumerate_by_weight
 
 ORACLE_LEVEL = 6
 
@@ -197,3 +197,16 @@ def test_matsumoto_level_cap():
     assert MAX_MATSUMOTO_LEVEL == MAX_SPHERICAL_LEVEL == 12
     with pytest.raises(UsageError, match="1 <= n <= 12"):
         matsumoto_coefficients(elementary(1), 13)
+
+
+def test_one_matrix_build_serves_both_alphas():
+    # [m_mu] p_lam does not depend on alpha: the second alpha only reads
+    # the rows the first one built
+    _power_sum_monomials.cache_clear()
+    characters._jack_power_sums(8, 2)
+    built = _power_sum_monomials.cache_info()
+    characters._jack_power_sums(8, 1)
+    again = _power_sum_monomials.cache_info()
+    assert built.misses > 0
+    assert again.misses == built.misses
+    assert again.hits > built.hits

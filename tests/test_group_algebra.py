@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import conjugate, e_to_m_rows
 
-from bnhecke import group_algebra
-from bnhecke._symfunc import MAX_DEGREE, _e_to_m_rows
+from bnhecke import _symfunc, group_algebra
+from bnhecke._symfunc import MAX_DEGREE
 from bnhecke.errors import (
     IndexOutOfRange,
     LevelMismatch,
@@ -100,7 +101,7 @@ class TestAlgebraElement:
 
     def test_coefficients_are_integers(self):
         a = class_sum((1,), 3)
-        for c in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+        for c in (Fraction(1, 2), Fraction(2), 0.5, 2.0, True, False):
             with pytest.raises(TypeError):
                 AlgebraElement(3, {identity(): c})
             with pytest.raises(TypeError):
@@ -248,16 +249,33 @@ class TestSymmetricEvaluation:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_monomial_inverts_the_e_to_m_matrix(self, d):
         # row k of the matrix is e_{parts[k]'} over the m_nu
-        parts, rows = _e_to_m_rows(d)
-        row_of = {
-            tuple(sum(p > i for p in lam) for i in range(lam[0])): row
-            for lam, row in zip(parts, rows)
-        }
+        parts, rows = e_to_m_rows(d)
+        row_of = {conjugate(lam): row for lam, row in zip(parts, rows)}
         for lam in parts:
             back = [0] * len(parts)
             for mu, c in monomial(lam).terms.items():
                 back = [x + c * y for x, y in zip(back, row_of[mu])]
             assert back == [int(nu == lam) for nu in parts], lam
+
+    @pytest.mark.parametrize(
+        "entry", [((2,), 2), ((1, 1), 3)], ids=["above-diagonal", "diagonal"]
+    )
+    def test_monomial_raises_on_a_damaged_matrix(self, entry, monkeypatch):
+        # m_(1,1) = (p_1^2 - [m_(2)] p_(1,1) p_2) / [m_(1,1)] p_(1,1) with
+        # entries 1 and 2; either one changed leaves a remainder
+        rows = _symfunc._power_sum_monomials
+        damaged = {**rows((1, 1)), entry[0]: entry[1]}
+        monkeypatch.setattr(
+            _symfunc,
+            "_power_sum_monomials",
+            lambda lam: damaged if lam == (1, 1) else rows(lam),
+        )
+        _symfunc._monomial.cache_clear()
+        try:
+            with pytest.raises(ValidationFailure, match="e-coefficient"):
+                monomial((1, 1))
+        finally:
+            _symfunc._monomial.cache_clear()
 
     def test_monomial_degree_cap(self):
         assert monomial((8,)).degree() == 8

@@ -64,7 +64,7 @@ class TestHeckeElement:
 
     def test_coefficients_are_integers(self):
         u = HeckeElement.basis((1,), 3)
-        for c in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+        for c in (Fraction(1, 2), Fraction(2), 0.5, 2.0, True, False):
             with pytest.raises(TypeError):
                 HeckeElement(3, {(1,): c})
             with pytest.raises(TypeError):

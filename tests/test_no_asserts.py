@@ -72,7 +72,7 @@ def test_no_assert_in_package():
 # other; a guard written as an assert would let its call return under -O
 _TRIP_GUARDS = """
 import json, sys
-from bnhecke import _backend, characters, cosets, universal
+from bnhecke import _backend, _symfunc, characters, cosets, universal
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.errors import ValidationFailure
 
@@ -115,6 +115,11 @@ out["_jack_power_sums"] = message(lambda: characters._spherical(2, "K"))
 characters._jack_monomials = monomials
 characters._dimension = lambda rho: 0
 out["structure_constants"] = message(lambda: characters.structure_constants(2, "K"))
+# [m_(2)] p_(1,1) = 2 instead of 1: m_(1,1) = (p_1^2 - 2 p_2) / 2 is not integral
+rows = _symfunc._power_sum_monomials
+_symfunc._power_sum_monomials = lambda lam: {**rows(lam), (2,): 2} if lam == (1, 1) else rows(lam)
+out["monomial"] = message(lambda: _symfunc.monomial((1, 1)))
+_symfunc._power_sum_monomials = rows
 print(json.dumps(out))
 """
 _GUARD_MESSAGES = {
@@ -126,6 +131,7 @@ _GUARD_MESSAGES = {
     "_jack_monomials": "does not divide exactly",
     "_jack_power_sums": "not integral",
     "structure_constants": "hook-length dimension",
+    "monomial": "e-coefficient",
 }
 
 

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
+from oracles import monomial_coefficient
 
 from bnhecke.errors import NotASubpartition, WeightExceedsLevel
 from bnhecke.partitions import (
+    _power_sum_monomials,
     as_partition,
     completion,
     difference,
@@ -122,6 +124,19 @@ def test_z_value_sums_to_group_order(n):
 def test_partitions_of_counts():
     assert [len(partitions_of(n)) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_power_sum_monomials_match_the_per_pair_count(n):
+    parts = partitions_of(n)
+    wrong = {
+        (lam, mu): (_power_sum_monomials(lam).get(mu, 0), count)
+        for lam in parts
+        for mu in parts
+        for count in [monomial_coefficient(lam, mu)]
+        if _power_sum_monomials(lam).get(mu, 0) != count
+    }
+    assert not wrong, wrong
 
 
 def test_subpartitions_of_small():

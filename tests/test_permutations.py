@@ -94,6 +94,12 @@ def test_from_cycles_rejects_overlap():
         Permutation.from_cycles([(1, 2, 1)])
 
 
+def test_from_cycles_reads_only_integers():
+    for cycle in ((2.7, 1), (2.0, 1), (True, 2), ("2", 1)):
+        with pytest.raises(TypeError):
+            Permutation.from_cycles([cycle])
+
+
 @given(perms())
 def test_cycles_partition_the_support(w):
     covered = [i for cycle in w.cycles() for i in cycle]
