@@ -37,16 +37,17 @@ _EXPORTS = {
         NotASubpartition NotBiInvariant NotCentral UsageError
         ValidationFailure WeightExceedsLevel""",
     "partitions": """Partition as_partition completion difference
-        enumerate_by_weight is_subpartition multiplicity partitions_of
-        subpartitions union vector_sum weight z_value""",
+        double_coset_size enumerate_by_weight hyperoctahedral_order
+        is_subpartition multiplicity partitions_of subpartitions union
+        vector_sum weight z_value""",
     "permutations": """Permutation cayley_degree class_representative compose
         enumerate_class identity parse_permutation symmetric_group
         transposition""",
     "cosets": """CoupleSet PairGraph coset_representative coset_type
-        cycle_count delta_embed double_coset_size enumerate_double_coset
-        gamma_graph hyperoctahedral_elements hyperoctahedral_generators
-        hyperoctahedral_order is_hyperoctahedral modified_support phi sigma
-        stable_coset_type t_perm twisted_degree""",
+        cycle_count delta_embed enumerate_double_coset gamma_graph
+        hyperoctahedral_elements hyperoctahedral_generators
+        is_hyperoctahedral modified_support phi sigma stable_coset_type
+        t_perm twisted_degree""",
     "_symfunc": "SymmetricExpression complete elementary monomial power_sum",
     "group_algebra": """AlgebraElement b_sum class_structure_constant
         class_sum eval_elementary eval_symmetric expand_in_class_basis

@@ -37,7 +37,14 @@ from __future__ import annotations
 import sys
 
 from .errors import UsageError, ValidationFailure
-from .partitions import Partition, as_partition, check_weight, enumerate_by_weight
+from .partitions import (
+    Partition,
+    as_partition,
+    check_weight,
+    double_coset_size,
+    enumerate_by_weight,
+    hyperoctahedral_order,
+)
 
 __all__ = [
     "backend_name",
@@ -61,12 +68,7 @@ _MATCHINGS: dict[int, list[tuple[tuple[int, ...], Partition]]] = {}
 
 def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
     """Every matching delta of [2n] with its stable type against eps."""
-    from .cosets import (
-        double_coset_size,
-        hyperoctahedral_order,
-        matching_type,
-        perfect_matchings,
-    )
+    from .cosets import matching_type, perfect_matchings
 
     if n not in _MATCHINGS:
         matchings = perfect_matchings(n)
@@ -88,13 +90,7 @@ def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
 
 def _tally_level(nu: Partition, n: int) -> None:
     """Fill _TALLIES for (lam, nu, n) and every lam in one pass."""
-    from .cosets import (
-        coset_representative,
-        double_coset_size,
-        hyperoctahedral_order,
-        image_matching,
-        matching_type,
-    )
+    from .cosets import coset_representative, image_matching, matching_type
 
     z_eps = image_matching(coset_representative(nu, n).one_line(2 * n))
     by_lam: dict[Partition, dict[Partition, int]] = {}

@@ -29,9 +29,8 @@ import os
 
 import numpy as np
 
-from .cosets import double_coset_size
 from .errors import UsageError, ValidationFailure, WeightExceedsLevel
-from .partitions import Partition, weight
+from .partitions import Partition, double_coset_size, weight
 
 __all__ = [
     "type_keys_product",

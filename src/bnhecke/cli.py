@@ -292,7 +292,7 @@ def _run_phi(args):
 
 
 def _run_coset_size(args):
-    from .cosets import double_coset_size
+    from .partitions import double_coset_size
 
     mu, n = args["mu"], args["n"]
     return {"mu": list(mu), "n": n, "size": double_coset_size(mu, n)}, 0

@@ -15,7 +15,8 @@ set [2n] joins exterior partners i ~ t(i) and interior partners
 i ~ w^{-1}(t(w(i))); it is a disjoint union of even cycles, and the
 half-lengths form a partition of n, the *coset type* of w.  Two
 permutations lie in the same B_n-double coset iff their coset types
-agree, so double cosets K_mu(n) are indexed by partitions.
+agree, so double cosets K_mu(n) are indexed by partitions; their
+sizes are the closed form bnhecke.partitions.double_coset_size.
 
 Coset types are read off two perfect matchings (matching_type); the
 oracle gamma_graph walks Gamma(w) with q = phi(w)^{-1} = w^{-1} t w t.
@@ -33,10 +34,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from math import factorial
 
 from .errors import DegreeMismatch, ValidationFailure
-from .partitions import Partition, check_weight, completion, z_value
+from .partitions import Partition, check_weight, completion, double_coset_size
 from .permutations import Permutation, class_representative, identity
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "delta_embed",
     "coset_representative",
     "enumerate_double_coset",
-    "double_coset_size",
-    "hyperoctahedral_order",
     "hyperoctahedral_generators",
     "hyperoctahedral_elements",
 ]
@@ -344,11 +342,6 @@ def delta_embed(x: Permutation) -> Permutation:
     return Permutation(images)
 
 
-def hyperoctahedral_order(n: int) -> int:
-    """|B_n| = 2^n n!."""
-    return 2**n * factorial(n)
-
-
 def hyperoctahedral_generators(n: int) -> list[Permutation]:
     """Couple flips (2i-1, 2i) and couple swaps (2i-1 2j-1)(2i 2j)."""
     gens = [Permutation.from_cycles([(2 * i - 1, 2 * i)]) for i in range(1, n + 1)]
@@ -431,19 +424,3 @@ def enumerate_double_coset(mu: Partition, n: int) -> set[Permutation]:
         )
     return seen
 
-
-def double_coset_size(mu: Partition, n: int) -> int:
-    """|K_mu(n)| = |B_n|^2 / (2^{l(rho)} z_rho) with rho = completion(mu, n).
-
-    >>> double_coset_size((1,), 3)
-    288
-    """
-    rho = completion(mu, n)  # raises WeightExceedsLevel past level n
-    order = hyperoctahedral_order(n)
-    denominator = 2 ** len(rho) * z_value(rho)
-    size, rem = divmod(order * order, denominator)
-    if rem:
-        raise ValidationFailure(
-            f"|K_{mu}({n})| = {order * order}/{denominator} is not an integer"
-        )
-    return size

@@ -15,7 +15,8 @@ them reproduces the cycle-count filtration: Z_i, the sum of all
 permutations with exactly i cycles, equals e_{n-i}(J_1, ..., J_n).
 A symmetric expression is held in the e-basis, so evaluating it runs
 SymmetricExpression.evaluate: the product DP prod_i (1 + t v_i) for
-the elementary evaluations, then the sum of their products.
+the elementary evaluations, then the sum of their products.  Only
+b_sum reads B_n, and it imports bnhecke.cosets when it runs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .permutations import (
     stable_type_of_one_line,
     symmetric_group,
 )
-from .cosets import hyperoctahedral_elements
 
 __all__ = [
     "AlgebraElement",
@@ -287,6 +287,8 @@ def b_sum(n: int) -> AlgebraElement:
     hyperoctahedral group; callers apply that scalar explicitly so all
     heavy arithmetic stays integral.
     """
+    from .cosets import hyperoctahedral_elements
+
     return AlgebraElement._raw(
         2 * n,
         {b.one_line(2 * n): 1 for b in hyperoctahedral_elements(n)},

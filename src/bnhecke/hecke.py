@@ -59,6 +59,7 @@ from .partitions import (
     as_partition,
     check_weight,
     difference,
+    double_coset_size,
     enumerate_by_weight,
     multiplicity,
     subpartitions,
@@ -200,7 +201,7 @@ def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
     present and completeness of each coset, so a partial or uneven
     coset raises NotBiInvariant.
     """
-    from .cosets import double_coset_size, image_matching, matching_type
+    from .cosets import image_matching, matching_type
 
     if a.level != 2 * n:
         raise LevelMismatch(f"element lives at level {a.level}, not {2 * n}")

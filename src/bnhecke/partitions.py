@@ -19,6 +19,9 @@ is the honest partition of n obtained by adding 1 to each part and
 padding with singletons; it converts a stable type back into the
 ordinary type at a fixed level.
 
+The closed forms |B_n| = 2^n n! and |K_mu(n)| live here too, so
+evaluating them loads no permutation code.
+
 >>> completion((2, 1), 5)
 (3, 2)
 >>> weight((2, 2))
@@ -32,7 +35,7 @@ from functools import cache
 from math import factorial
 from operator import index
 
-from .errors import NotASubpartition, WeightExceedsLevel
+from .errors import NotASubpartition, ValidationFailure, WeightExceedsLevel
 
 __all__ = [
     "Partition",
@@ -45,6 +48,8 @@ __all__ = [
     "completion",
     "check_weight",
     "z_value",
+    "hyperoctahedral_order",
+    "double_coset_size",
     "enumerate_by_weight",
     "partitions_of",
     "subpartitions",
@@ -152,6 +157,28 @@ def z_value(mu: Partition) -> int:
         m = mu.count(i)
         z *= i**m * factorial(m)
     return z
+
+
+def hyperoctahedral_order(n: int) -> int:
+    """|B_n| = 2^n n!."""
+    return 2**n * factorial(n)
+
+
+def double_coset_size(mu: Partition, n: int) -> int:
+    """|K_mu(n)| = |B_n|^2 / (2^{l(rho)} z_rho) with rho = completion(mu, n).
+
+    >>> double_coset_size((1,), 3)
+    288
+    """
+    rho = completion(mu, n)  # raises WeightExceedsLevel past level n
+    order = hyperoctahedral_order(n)
+    denominator = 2 ** len(rho) * z_value(rho)
+    size, rem = divmod(order * order, denominator)
+    if rem:
+        raise ValidationFailure(
+            f"|K_{mu}({n})| = {order * order}/{denominator} is not an integer"
+        )
+    return size
 
 
 def subpartitions(lam: Partition) -> list[Partition]:

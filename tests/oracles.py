@@ -34,12 +34,7 @@ from fractions import Fraction
 from bnhecke._backend import _typed_matchings
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.characters import _hook_product, _norms
-from bnhecke.cosets import (
-    double_coset_size,
-    hyperoctahedral_order,
-    image_matching,
-    matching_type,
-)
+from bnhecke.cosets import image_matching, matching_type
 from bnhecke.errors import NotBiInvariant
 from bnhecke.group_algebra import AlgebraElement, b_sum
 from bnhecke.hecke import HeckeElement
@@ -48,6 +43,8 @@ from bnhecke.partitions import (
     _expand_by_type,
     as_partition,
     check_weight,
+    double_coset_size,
+    hyperoctahedral_order,
     partitions_of,
 )
 

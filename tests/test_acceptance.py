@@ -27,10 +27,8 @@ from bnhecke._symfunc import elementary
 from bnhecke.cli import SUITES, execute, parse
 from bnhecke.cosets import (
     coset_type,
-    double_coset_size,
     enumerate_double_coset,
     hyperoctahedral_elements,
-    hyperoctahedral_order,
     is_hyperoctahedral,
     modified_support,
     phi,
@@ -63,7 +61,9 @@ from bnhecke.hecke import (
 from bnhecke.partitions import (
     completion,
     difference,
+    double_coset_size,
     enumerate_by_weight,
+    hyperoctahedral_order,
     partitions_of,
     union,
     vector_sum,

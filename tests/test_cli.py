@@ -21,8 +21,8 @@ from bnhecke.cli import (
     main,
     parse,
 )
-from bnhecke.cosets import double_coset_size
 from bnhecke.errors import UsageError
+from bnhecke.partitions import double_coset_size
 from bnhecke.permutations import Permutation
 
 
@@ -355,8 +355,9 @@ class TestOutputFormats:
 # tally nor the group algebra and symmetric functions.  The Matsumoto
 # image reads the same spherical functions, so it loads no matchings,
 # matching tally or group algebra either; neither do the generators and
-# matsumoto suites.  The verbs on one permutation or one closed form
-# load no counting layer.
+# matsumoto suites.  The verbs on one permutation load the cosets but
+# no counting layer; coset-size reads its closed form from the
+# partitions alone, and the jm-center suite loads no cosets.
 # the package computes over Z, so no verb loads fractions (which loads
 # decimal and numbers)
 _NEVER_LOADED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers"]
@@ -370,12 +371,22 @@ _CHARACTER_PATH = [
 _NO_MATCHINGS = ["bnhecke.cosets", "bnhecke.permutations"]
 # a fit reads the character path directly, without bnhecke.hecke
 _FIT = [*_CHARACTER_PATH, "bnhecke.hecke"]
-_CLOSED_FORM = ["bnhecke.hecke", "bnhecke.universal", "bnhecke.group_algebra"]
+_ONE_PERMUTATION = ["bnhecke.hecke", "bnhecke.universal", "bnhecke.group_algebra"]
+# every module but bnhecke, cli, errors and partitions
+_CLOSED_FORM = [
+    *_NO_MATCHINGS,
+    *_ONE_PERMUTATION,
+    "bnhecke._symfunc",
+    "bnhecke._backend",
+    "bnhecke._kernels_py",
+    "bnhecke.characters",
+    "bnhecke.suites",
+]
 _FOOTPRINTS = [
     pytest.param(argv, unloaded, id=name)
     for name, argv, unloaded in [
-        ("coset-type", ["coset-type", "--perm", "[2,1]"], _CLOSED_FORM),
-        ("phi", ["phi", "--perm", "[2,1]"], _CLOSED_FORM),
+        ("coset-type", ["coset-type", "--perm", "[2,1]"], _ONE_PERMUTATION),
+        ("phi", ["phi", "--perm", "[2,1]"], _ONE_PERMUTATION),
         ("coset-size", ["coset-size", "--mu", "[1]", "--n", "2"], _CLOSED_FORM),
         ("product", ["product", "--n", "2", "--lhs", "[1]", "--rhs", "[1]"], _CHARACTER_PATH),
         (
@@ -403,7 +414,8 @@ _FOOTPRINTS = [
                 f"verify-{suite}",
                 ["verify", "--suite", suite, "--n", "2", "--samples", "5"],
                 # printing backend_name() loads no counting layer
-                _NO_MATCHINGS if suite in ("generators", "matsumoto") else [],
+                _NO_MATCHINGS if suite in ("generators", "matsumoto")
+                else ["bnhecke.cosets"] if suite == "jm-center" else [],
             )
             for suite in SUITES
         ),

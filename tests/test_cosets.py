@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bnhecke import cosets
+from bnhecke import cosets, partitions
 from bnhecke.cosets import (
     CoupleSet,
     PairGraph,
@@ -10,12 +10,10 @@ from bnhecke.cosets import (
     coset_type,
     cycle_count,
     delta_embed,
-    double_coset_size,
     enumerate_double_coset,
     gamma_graph,
     hyperoctahedral_elements,
     hyperoctahedral_generators,
-    hyperoctahedral_order,
     is_hyperoctahedral,
     modified_support,
     phi,
@@ -25,7 +23,13 @@ from bnhecke.cosets import (
     twisted_degree,
 )
 from bnhecke.errors import DegreeMismatch, ValidationFailure, WeightExceedsLevel
-from bnhecke.partitions import completion, enumerate_by_weight, weight
+from bnhecke.partitions import (
+    completion,
+    double_coset_size,
+    enumerate_by_weight,
+    hyperoctahedral_order,
+    weight,
+)
 from bnhecke.permutations import Permutation, identity, parse_permutation
 
 
@@ -286,18 +290,18 @@ def test_enumerate_double_coset_partitions_the_group(n):
 
 
 @pytest.mark.parametrize(
-    "name, fake, call",
+    "module, name, fake, call",
     [
-        ("class_representative", lambda mu, n: identity(),
+        (cosets, "class_representative", lambda mu, n: identity(),
          lambda: coset_representative((1,), 2)),
-        ("double_coset_size", lambda mu, n: 0,
+        (cosets, "double_coset_size", lambda mu, n: 0,
          lambda: enumerate_double_coset((1,), 2)),
-        ("z_value", lambda rho: 7, lambda: double_coset_size((1,), 2)),
+        (partitions, "z_value", lambda rho: 7, lambda: double_coset_size((1,), 2)),
     ],
     ids=["representative type", "orbit size", "size division"],
 )
-def test_result_checks_raise(monkeypatch, name, fake, call):
+def test_result_checks_raise(monkeypatch, module, name, fake, call):
     # raises, not asserts, so python -O keeps them
-    monkeypatch.setattr(cosets, name, fake)
+    monkeypatch.setattr(module, name, fake)
     with pytest.raises(ValidationFailure):
         call()

@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from oracles import conjugate, e_to_m_rows
 
 from bnhecke import _symfunc, group_algebra
 from bnhecke._symfunc import MAX_DEGREE
+from bnhecke.cli import execute, parse
 from bnhecke.errors import (
     IndexOutOfRange,
     LevelMismatch,
@@ -31,8 +33,12 @@ from bnhecke.group_algebra import (
     power_sum,
     zi_generator,
 )
-from bnhecke.cosets import hyperoctahedral_order
-from bnhecke.partitions import completion, enumerate_by_weight, z_value
+from bnhecke.partitions import (
+    completion,
+    enumerate_by_weight,
+    hyperoctahedral_order,
+    z_value,
+)
 from bnhecke.permutations import (
     Permutation,
     identity,
@@ -349,3 +355,16 @@ def test_class_constant_must_be_a_count(monkeypatch):
     monkeypatch.setitem(group_algebra._CLASS_PRODUCTS, ((1,), (1,), 3), negated)
     with pytest.raises(ValidationFailure):
         class_structure_constant((1,), (1,), (1,), 3)
+
+
+def test_jm_center_suite_checks_commuting_once(monkeypatch):
+    # the suite checks J_a J_b = J_b J_a itself, once per pair, so
+    # evaluating each e_{n-i}(J) must not repeat that check
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(
+        AlgebraElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b)
+    )
+    argv = ["verify", "--suite", "jm-center", "--max-n", "5"]
+    assert execute(parse(argv), stream=io.StringIO()) == 0
+    assert len(calls) == 120

@@ -6,7 +6,6 @@ import pytest
 from oracles import ORACLE_EXPRS, double_coset_sum, lift
 
 from bnhecke import characters, hecke
-from bnhecke.cosets import hyperoctahedral_order
 from bnhecke.errors import (
     IndexOutOfRange,
     InsufficientDegree,
@@ -33,7 +32,12 @@ from bnhecke.hecke import (
     trichotomy_report,
 )
 from bnhecke.hecke import _hermite_normal_form
-from bnhecke.partitions import enumerate_by_weight, weight
+from bnhecke.partitions import (
+    double_coset_size,
+    enumerate_by_weight,
+    hyperoctahedral_order,
+    weight,
+)
 from bnhecke.permutations import Permutation, transposition
 
 
@@ -158,8 +162,6 @@ class TestProduct:
     def test_structure_constants_count_pairs(self, n):
         # every (x, y) in K_lam x K_mu has xy in exactly one coset, so
         # sum_nu |K_nu| |B_n| b_{lam mu}^nu = |K_lam| |K_mu|
-        from bnhecke.cosets import double_coset_size
-
         order = hyperoctahedral_order(n)
         for lam in enumerate_by_weight(n):
             for mu in enumerate_by_weight(n):
