@@ -33,9 +33,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_backend": "backend_name clear_caches",
     "errors": """DegreeMismatch HeckeError IndexOutOfRange InsufficientDegree
-        LengthBound LevelMismatch NonCommutingValues NonIntegerCoefficient
-        NotASubpartition NotBiInvariant NotCentral UsageError
-        ValidationFailure WeightExceedsLevel""",
+        LengthBound LevelMismatch NonCommutingValues NotASubpartition
+        NotBiInvariant NotCentral UsageError ValidationFailure
+        WeightExceedsLevel""",
     "partitions": """Partition as_partition completion difference
         double_coset_size enumerate_by_weight hyperoctahedral_order
         is_subpartition multiplicity partitions_of subpartitions union

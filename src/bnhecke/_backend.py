@@ -17,8 +17,8 @@ matching count on the right is the structure constant b_{lam mu}^nu(n)
 itself, and that is what the tallies hold.  The matchings and their
 types against eps are cached per level, and one pass per (nu, n) fills
 the tallies of every lam at once.  The counting functions import
-bnhecke.cosets when they run, so backend_name and clear_caches load no
-other layer.
+bnhecke.cosets when they run, so clear_caches loads no other layer.
+backend_name comes from bnhecke.suites and is re-exported here.
 
 The permutation oracle, which materializes all of S_2n and classifies
 every row by stable coset type, lives in bnhecke._kernels_py; the tests
@@ -45,6 +45,7 @@ from .partitions import (
     enumerate_by_weight,
     hyperoctahedral_order,
 )
+from .suites import backend_name
 
 __all__ = [
     "backend_name",
@@ -55,11 +56,6 @@ __all__ = [
 # Matchings are cheap (945 at n = 5); the tests lift the cap to 6 to
 # recount the character path one level above what the CLI serves.
 MAX_TALLY_LEVEL = 5
-
-
-def backend_name() -> str:
-    """The kernel implementation: always the pure-Python one."""
-    return "pure"
 
 
 _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}

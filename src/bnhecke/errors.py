@@ -18,7 +18,6 @@ __all__ = [
     "LengthBound",
     "InsufficientDegree",
     "ValidationFailure",
-    "NonIntegerCoefficient",
     "UsageError",
 ]
 
@@ -73,10 +72,6 @@ class ValidationFailure(HeckeError):
     Raised when a fitted polynomial misses a held-out data point, and
     when a count disagrees with its closed form (double coset sizes).
     """
-
-
-class NonIntegerCoefficient(HeckeError):
-    """A binomial-basis fit produced a non-integer coefficient."""
 
 
 class UsageError(HeckeError):

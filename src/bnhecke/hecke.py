@@ -391,12 +391,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _hermite_normal_form(
     mat: list[list[int]],
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Row HNF with its unimodular transform: U * mat = H."""
-    rows = [list(r) for r in mat]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    transform = [
-        [int(i == j) for j in range(n_rows)] for i in range(n_rows)
+    """Row HNF with its unimodular transform: U * mat = H.
+
+    The rows of [mat | I] undergo each operation once; pivots come from
+    the columns of mat only, and the identity block ends up as U.
+    """
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if mat else 0
+    rows = [
+        [*row, *(int(i == j) for j in range(n_rows))]
+        for i, row in enumerate(mat)
     ]
     rank = 0
     for col in range(n_cols):
@@ -406,7 +410,6 @@ def _hermite_normal_form(
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        transform[rank], transform[pivot] = transform[pivot], transform[rank]
         for i in range(rank + 1, n_rows):
             if not rows[i][col]:
                 continue
@@ -416,25 +419,14 @@ def _hermite_normal_form(
                 [s * x + t * y for x, y in zip(rows[rank], rows[i])],
                 [-b_div * x + a_div * y for x, y in zip(rows[rank], rows[i])],
             )
-            transform[rank], transform[i] = (
-                [s * x + t * y for x, y in zip(transform[rank], transform[i])],
-                [
-                    -b_div * x + a_div * y
-                    for x, y in zip(transform[rank], transform[i])
-                ],
-            )
         if rows[rank][col] < 0:
             rows[rank] = [-x for x in rows[rank]]
-            transform[rank] = [-x for x in transform[rank]]
         for i in range(rank):
             q = rows[i][col] // rows[rank][col]
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[rank])]
-                transform[i] = [
-                    x - q * y for x, y in zip(transform[i], transform[rank])
-                ]
         rank += 1
-    return rows, transform
+    return [r[:n_cols] for r in rows], [r[n_cols:] for r in rows]
 
 
 class GenerationCertificate(

@@ -2,8 +2,11 @@
 
 Each suite checks one theorem or invariant of the paper over a list
 of levels and appends one {"name", "ok"[, "detail"]} entry per check;
-progress goes to stderr.  Only the verify verb imports this module,
-and each suite imports the layers it runs when it runs.
+progress goes to stderr.  Only the verify verb runs this module, and
+each suite imports the layers it runs when it runs.  backend_name, the
+constant that every verify payload carries, is defined here so that
+verify loads no bnhecke._backend; that module re-exports it for
+perfbench and the package.
 """
 
 from __future__ import annotations
@@ -14,6 +17,11 @@ from .errors import InsufficientDegree, ValidationFailure
 from .partitions import double_coset_size, enumerate_by_weight, weight
 
 SAMPLE_SEED = 987654321
+
+
+def backend_name() -> str:
+    """The kernel implementation: always the pure-Python one."""
+    return "pure"
 
 
 def _progress(message: str) -> None:
@@ -237,8 +245,6 @@ SUITE_RUNNERS = {
 
 def run_suite(suite: str, levels: list[int], samples: int) -> tuple[dict, int]:
     """The verify payload of one suite, and the exit status: 1 on any failed check."""
-    from ._backend import backend_name
-
     _progress(f"verify {suite}: levels {levels}, backend {backend_name()}")
     checks: list[dict] = []
     SUITE_RUNNERS[suite](levels, samples, checks)

@@ -10,11 +10,11 @@ this module returns (and `bnhecke fit` prints); it builds no element
 of the limit ring itself.
 
 Polynomials live in the binomial basis sum c_k * binom(n, k), where
-integer values at integers are automatic.  Fits take Newton divided
-differences as pairs of integers (numerator, denominator), evaluate the
-interpolant at 0..d with one exact division per value, and take the
-binomial coefficients as forward differences of those integers; a
-value that is not an integer is a hard error rather than a rounding.
+integer values at integers are automatic.  Every fit samples
+consecutive levels, and integer values at consecutive integers have
+integer forward differences (Polya 1915), so a fit divides nothing:
+the forward differences at the first sample level, run back to level
+0, are the binomial coefficients.
 
 The same machinery runs in two bases: the K basis (double cosets of
 B_n in S_2n) and the C basis (conjugacy classes of S_n, the
@@ -32,13 +32,10 @@ first used.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .characters import MAX_LEVEL, _basis, structure_constant
-from .errors import (
-    NonIntegerCoefficient,
-    ValidationFailure,
-)
+from .errors import ValidationFailure
 from .partitions import (
     Partition,
     _integer,
@@ -133,74 +130,44 @@ class IntegerValuedPolynomial:
         return {"binomial_coeffs": list(self.coeffs)}
 
 
-def _difference_fit(values) -> IntegerValuedPolynomial:
-    """Binomial coefficients of the polynomial with f(k) = values[k],
-    for integer values."""
-    row = list(values)
-    coeffs = []
-    while row:
-        coeffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return IntegerValuedPolynomial(coeffs)
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms, for den > 0."""
-    g = gcd(num, den)
-    return num // g, den // g
+def _consecutive(levels: list[int]) -> None:
+    """ValueError unless the sorted levels run n0, n0 + 1, ... from n0 >= 0."""
+    if levels and (
+        levels[0] < 0 or levels != [*range(levels[0], levels[-1] + 1)]
+    ):
+        raise ValueError(
+            f"sample levels must be consecutive integers n >= 0, got {levels}"
+        )
 
 
 def ivp_fit(points) -> IntegerValuedPolynomial:
     """Minimal-degree integer-valued interpolant through (n, value) pairs.
 
-    A value may be any exact rational, an int included; it is read
-    through its numerator and denominator, never rounded.  Newton divided
-    differences as (numerator, denominator) pairs, then the values at
-    0..d over their common denominator, each by one exact division (a
-    remainder raises NonIntegerCoefficient), and their forward
-    differences.
+    The levels n must be consecutive, n >= 0, and they and the values
+    are integers (a float, a Fraction, a bool or a string raises
+    TypeError).  The forward differences D^k f(x) at the first level,
+    trailing zeros trimmed, step back one level at a time by
+    D^k f(x - 1) = D^k f(x) - D^{k+1} f(x - 1); at level 0 they are the
+    binomial coefficients.
+
+    >>> ivp_fit([(2, 1), (3, 3), (4, 6)])
+    IVP(1*C(n,2))
     """
-    pts = [(int(n), (v.numerator, v.denominator)) for n, v in points]
+    pts = sorted((_integer(n), _integer(v)) for n, v in points)
     if len(pts) < 2:
         raise ValueError("need at least 2 points to fit")
-    ns = [n for n, _ in pts]
-    if len(set(ns)) != len(ns):
-        raise ValueError(f"sample levels must be distinct, got {ns}")
-    pts.sort()
-    xs = [n for n, _ in pts]
-    table = [v for _, v in pts]
-    newton = [table[0]]
-    for k in range(1, len(pts)):
-        table = [
-            _reduced(bn * ad - an * bd, ad * bd * (xs[j + k] - xs[j]))
-            for j, ((an, ad), (bn, bd)) in enumerate(zip(table, table[1:]))
-        ]
-        newton.append(table[0])
-    while newton and newton[-1][0] == 0:
-        newton.pop()
-    degree = max(len(newton) - 1, 0)
-    # the Newton coefficients over one common denominator
-    common = lcm(*(d for _, d in newton))
-    scaled = [c * (common // d) for c, d in newton]
-
-    def evaluate(n: int) -> int:
-        acc = 0
-        for k in range(len(scaled) - 1, -1, -1):
-            acc = acc * (n - xs[k]) + scaled[k]
-        value, rem = divmod(acc, common)
-        if rem:
-            raise NonIntegerCoefficient(
-                f"the fit takes the non-integer value {acc}/{common} at n = {n}"
-            )
-        return value
-
-    return _difference_fit([evaluate(k) for k in range(degree + 1)])
-
-
-def _constant_for(basis: str):
-    """The structure constants of one basis, as a function of (lam, mu, nu, n)."""
-    _basis(basis)
-    return lambda lam, mu, nu, n: structure_constant(lam, mu, nu, n, basis)
+    _consecutive([n for n, _ in pts])
+    row = [v for _, v in pts]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    while diffs and diffs[-1] == 0:
+        diffs.pop()
+    for _ in range(pts[0][0]):
+        for k in range(len(diffs) - 2, -1, -1):
+            diffs[k] -= diffs[k + 1]
+    return IntegerValuedPolynomial(diffs)
 
 
 def universal_structure_constant(
@@ -208,28 +175,30 @@ def universal_structure_constant(
     mu: Partition,
     nu: Partition,
     sample_ns,
-    holdout: int | None = None,
     basis: str = "K",
 ) -> IntegerValuedPolynomial:
-    """Fit b_{lam mu}^{nu}(n) over sample_ns and check it at a holdout level.
+    """Fit b_{lam mu}^{nu}(n) over consecutive sample levels and check
+    it at a held-out level.
 
-    When no holdout is given, the smallest level from max(weights, 2)
-    to MAX_SAMPLE_LEVEL that is not in sample_ns serves.  When
-    sample_ns takes every one of those levels, none is left: the fit
-    is returned as interpolated, checked against nothing.
+    The holdout is the smallest level from max(weights, 2) to
+    MAX_SAMPLE_LEVEL that is not in sample_ns; a miss raises
+    ValidationFailure.  When sample_ns takes every one of those levels,
+    none is left: the fit is returned as interpolated, checked against
+    nothing.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    constant_at = _constant_for(basis)
+    _basis(basis)
     floor = max(weight(lam), weight(mu), weight(nu), 2)
-    ns = sorted(set(int(n) for n in sample_ns))
+    ns = sorted(set(_integer(n) for n in sample_ns))
     if any(n < floor for n in ns):
         raise ValueError(
             f"samples {ns} must all be at least the maximum weight {floor}"
         )
+    _consecutive(ns)
     if sum(nu) > sum(lam) + sum(mu):
         # filtration zero case: nothing to fit, just confirm the samples
         for n in ns:
-            value = constant_at(lam, mu, nu, n)
+            value = structure_constant(lam, mu, nu, n, basis)
             if value:
                 raise ValidationFailure(
                     f"f_{{{lam},{mu}}}^{nu} must vanish above top degree "
@@ -244,19 +213,15 @@ def universal_structure_constant(
                 f"need at least {required} samples for expected degree "
                 f"{drop}, got {len(ns)}"
             )
-        fitted = ivp_fit([(n, constant_at(lam, mu, nu, n)) for n in ns])
-    if holdout is None:
-        holdout = next(
-            (
-                n
-                for n in range(floor, MAX_SAMPLE_LEVEL + 1)
-                if n not in ns
-            ),
-            None,
+        fitted = ivp_fit(
+            [(n, structure_constant(lam, mu, nu, n, basis)) for n in ns]
         )
+    holdout = next(
+        (n for n in range(floor, MAX_SAMPLE_LEVEL + 1) if n not in ns), None
+    )
     if holdout is not None:
         predicted = fitted(holdout)
-        actual = constant_at(lam, mu, nu, holdout)
+        actual = structure_constant(lam, mu, nu, holdout, basis)
         if predicted != actual:
             raise ValidationFailure(
                 f"f_{{{lam},{mu}}}^{nu} predicts {predicted} at n={holdout} "
@@ -266,24 +231,17 @@ def universal_structure_constant(
 
 
 class GradedIsoEntry(
-    namedtuple(
-        "GradedIsoEntry",
-        "lam r rho nu formula_center formula_hecke brute_center brute_hecke",
-    )
+    namedtuple("GradedIsoEntry", "lam r rho nu formula brute_center brute_hecke")
 ):
-    """One top coefficient of C_lam C_(r) and K_lam K_(r), by the closed
-    formula and counted (the counts are None when nu is dead at level n)."""
+    """One top coefficient of C_lam C_(r) and K_lam K_(r): the closed
+    formula, which the two bases share, and the count in each basis
+    (None when nu is dead at level n)."""
 
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        values = {
-            self.formula_center,
-            self.formula_hecke,
-            self.brute_center,
-            self.brute_hecke,
-        }
+        values = {self.formula, self.brute_center, self.brute_hecke}
         values.discard(None)
         return len(values) == 1
 
@@ -293,8 +251,7 @@ class GradedIsoEntry(
             "r": self.r,
             "rho": list(self.rho),
             "nu": list(self.nu),
-            "formula_center": self.formula_center,
-            "formula_hecke": self.formula_hecke,
+            "formula": self.formula,
             "brute_center": self.brute_center,
             "brute_hecke": self.brute_hecke,
             "ok": self.ok,
@@ -360,8 +317,7 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
                         r=r,
                         rho=rho,
                         nu=nu,
-                        formula_center=b,
-                        formula_hecke=b,
+                        formula=b,
                         brute_center=brute_c,
                         brute_hecke=brute_k,
                     )
@@ -437,7 +393,7 @@ def fit_triple(
     supply come back UNFITTED, never guessed.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    _constant_for(basis)
+    _basis(basis)
     f = _fitted(basis, lam, mu, nu)
     if f is None:
         return FitResult(lam, mu, nu, "UNFITTED", None)

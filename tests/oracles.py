@@ -15,6 +15,11 @@ delta z_lam alpha^l(lam), and J_rho = prod over the cells s of
 Laplace-Beltrami recurrence of bnhecke.characters but the hook
 product.
 
+divided_difference_fit interpolates (n, value) pairs at any distinct
+levels by Newton divided differences in exact rationals, and reads the
+binomial coefficients off the interpolant's values at 0..d.  It is the
+oracle for the integer difference table of bnhecke.universal.ivp_fit.
+
 double_coset_sum and lift write K_mu(n), and Z-combinations of them,
 as honest elements of Z[S_2n], so a Hecke product can be checked
 against the full group-algebra convolution.
@@ -139,6 +144,38 @@ def jack_power_sums_by_gram_schmidt(n: int, alpha: int) -> list[list[Fraction]]:
         scale = _hook_product(parts[i], alpha)
         jacks.append([scale * x for x in p])
     return jacks[::-1]
+
+
+def divided_difference_fit(points) -> list[Fraction]:
+    """The c_k of the minimal-degree interpolant sum c_k binom(n, k)
+    through (n, value) pairs at distinct levels, trailing zeros trimmed."""
+    pts = sorted((n, Fraction(v)) for n, v in points)
+    xs = [n for n, _ in pts]
+    table = [v for _, v in pts]
+    newton = [table[0]]
+    for k in range(1, len(pts)):
+        table = [
+            (b - a) / (xs[j + k] - xs[j])
+            for j, (a, b) in enumerate(zip(table, table[1:]))
+        ]
+        newton.append(table[0])
+    while newton and newton[-1] == 0:
+        newton.pop()
+
+    def value(n: int) -> Fraction:
+        acc = Fraction(0)
+        for k in range(len(newton) - 1, -1, -1):
+            acc = acc * (n - xs[k]) + newton[k]
+        return acc
+
+    row = [value(n) for n in range(len(newton))]
+    coeffs = []
+    while row:
+        coeffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:

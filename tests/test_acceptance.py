@@ -246,7 +246,7 @@ def test_top_coefficients_agree_across_center_and_coset_bases():
     alive = [e for e in report.entries if e.brute_center is not None]
     assert alive  # the formulas really were held against counted values
     for entry in alive:
-        assert entry.brute_center == entry.brute_hecke == entry.formula_center
+        assert entry.brute_center == entry.brute_hecke == entry.formula
 
 
 def _integer_det(matrix: list[list[int]]) -> Fraction:

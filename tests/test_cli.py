@@ -357,7 +357,8 @@ class TestOutputFormats:
 # matching tally or group algebra either; neither do the generators and
 # matsumoto suites.  The verbs on one permutation load the cosets but
 # no counting layer; coset-size reads its closed form from the
-# partitions alone, and the jm-center suite loads no cosets.
+# partitions alone, and the jm-center suite loads no cosets.  No
+# verify suite loads the matching tally of bnhecke._backend.
 # the package computes over Z, so no verb loads fractions (which loads
 # decimal and numbers)
 _NEVER_LOADED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers"]
@@ -413,9 +414,15 @@ _FOOTPRINTS = [
             (
                 f"verify-{suite}",
                 ["verify", "--suite", suite, "--n", "2", "--samples", "5"],
-                # printing backend_name() loads no counting layer
-                _NO_MATCHINGS if suite in ("generators", "matsumoto")
-                else ["bnhecke.cosets"] if suite == "jm-center" else [],
+                # backend_name() lives in bnhecke.suites, so no suite
+                # loads the matching tally
+                [
+                    "bnhecke._backend",
+                    *(
+                        _NO_MATCHINGS if suite in ("generators", "matsumoto")
+                        else ["bnhecke.cosets"] if suite == "jm-center" else []
+                    ),
+                ],
             )
             for suite in SUITES
         ),

@@ -6,8 +6,9 @@ silently disappears.  This walks the syntax tree of every module under
 src/bnhecke/ and fails on any assert statement and on any raise of
 AssertionError, and trips a few guards in a python -O child.  The same
 walk fails on inexact or rational arithmetic: true division (/ and
-/=), float literals and float(...), and any import of fractions; the
-package computes over Z.  It reports through pytest.fail, so it still
+/=), float literals and float(...), any import of fractions, and any
+read of a .numerator or .denominator attribute, which would take a
+Fraction by duck typing; the package computes over Z.  It reports through pytest.fail, so it still
 works under -O.
 """
 
@@ -50,6 +51,11 @@ def _offences(path: Path):
             and node.module == "fractions"
         ):
             yield node.lineno, "import of fractions"
+        elif isinstance(node, ast.Attribute) and node.attr in (
+            "numerator",
+            "denominator",
+        ):
+            yield node.lineno, f"rational attribute .{node.attr}"
 
 
 def test_no_assert_in_package():

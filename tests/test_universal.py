@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnhecke import _backend, group_algebra, universal
-from bnhecke.errors import NonIntegerCoefficient, ValidationFailure
+from bnhecke.errors import ValidationFailure
 from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import enumerate_by_weight
 from bnhecke.universal import (
@@ -16,8 +18,18 @@ from bnhecke.universal import (
     ivp_fit,
     universal_structure_constant,
 )
+from oracles import divided_difference_fit
 
 IVP = IntegerValuedPolynomial
+
+# non-integers that operator.index would refuse, and a bool it would not
+NOT_INTEGERS = {
+    "fraction": Fraction(3),
+    "float": 3.0,
+    "half": 2.5,
+    "bool": True,
+    "str": "3",
+}
 
 
 class TestIntegerValuedPolynomial:
@@ -64,13 +76,13 @@ class TestFitting:
         assert f(5) == 10
 
     def test_linear_fit(self):
-        assert ivp_fit([(2, 4), (5, 10)]) == IVP((0, 2))
+        assert ivp_fit([(2, 4), (3, 6), (4, 8)]) == IVP((0, 2))
 
     def test_constant_fit(self):
-        assert ivp_fit([(2, 3), (4, 3)]) == IVP.constant(3)
+        assert ivp_fit([(2, 3), (3, 3)]) == IVP.constant(3)
 
     def test_overdetermined_consistent(self):
-        f = ivp_fit([(n, 2 * n * n) for n in (1, 2, 3, 5, 7)])
+        f = ivp_fit([(n, 2 * n * n) for n in (3, 1, 2, 5, 4)])
         assert f.degree == 2
         assert f(10) == 200
 
@@ -86,16 +98,45 @@ class TestFitting:
             with pytest.raises(TypeError):
                 IVP(coeffs)
 
-    def test_non_integer_valued_rejected(self):
-        # f(0) = 0, f(2) = 1 forces the half-integer n/2
-        with pytest.raises(NonIntegerCoefficient):
-            ivp_fit([(0, 0), (2, 1)])
+    @pytest.mark.parametrize(
+        "levels",
+        [[0, 2], [2, 3, 5], [2, 2, 3, 4], [-1, 0, 1]],
+        ids=["gap", "gap-at-the-end", "repeat", "negative"],
+    )
+    def test_non_consecutive_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="consecutive"):
+            ivp_fit([(n, n) for n in levels])
 
-    def test_fraction_values_are_not_rounded(self):
-        # int() would truncate 1/2 and 3/2 to 0 and 1, and fit n - 2
-        with pytest.raises(NonIntegerCoefficient):
-            ivp_fit([(2, Fraction(1, 2)), (3, Fraction(3, 2))])
-        assert ivp_fit([(2, Fraction(4, 2)), (3, Fraction(6, 2))]) == IVP((0, 1))
+    @pytest.mark.parametrize("bad", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_non_integer_inputs_raise(self, bad):
+        # int() would truncate 2.5 to 2, and .numerator read Fraction(3)
+        with pytest.raises(TypeError):
+            ivp_fit([(2, bad), (3, 1)])
+        with pytest.raises(TypeError):
+            ivp_fit([(bad, 1), (4, 1)])
+        with pytest.raises(TypeError):
+            universal_structure_constant((1,), (1,), (), [bad, 4, 5])
+
+    @given(
+        st.integers(0, 8),
+        st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=8),
+    )
+    def test_arbitrary_data_matches_divided_differences(self, first, values):
+        points = [(first + k, v) for k, v in enumerate(values)]
+        fitted = ivp_fit(points[::-1])
+        assert list(fitted.coeffs) == divided_difference_fit(points)
+
+    @given(
+        st.integers(0, 8),
+        st.lists(st.integers(-50, 50), max_size=6),
+        st.integers(0, 3),
+    )
+    def test_polynomials_match_divided_differences(self, first, coeffs, extra):
+        f = IVP(coeffs)
+        size = max(f.degree + 1, 2) + extra
+        points = [(n, f(n)) for n in range(first, first + size)]
+        assert ivp_fit(points) == f
+        assert list(f.coeffs) == divided_difference_fit(points)
 
 
 class TestUniversalStructureConstant:
@@ -120,11 +161,22 @@ class TestUniversalStructureConstant:
         f = universal_structure_constant((1,), (1,), (), [2, 3, 4], basis="C")
         assert f == IVP((0, 0, 1))  # class size n(n-1)/2
 
-    def test_explicit_holdout(self):
-        f = universal_structure_constant(
-            (1,), (1,), (), [2, 3, 4], holdout=5
+    def test_explicit_holdout(self, monkeypatch):
+        # samples 2, 3, 4 hold out 5, the first level above them: a count
+        # that is wrong only there must be caught
+        counted = universal.structure_constant
+        monkeypatch.setattr(
+            universal,
+            "structure_constant",
+            lambda lam, mu, nu, n, basis: counted(lam, mu, nu, n, basis)
+            + (n == 5),
         )
-        assert f(5) == 20
+        with pytest.raises(ValidationFailure, match="at n=5"):
+            universal_structure_constant((1,), (1,), (), [2, 3, 4])
+
+    def test_non_consecutive_samples_rejected(self):
+        with pytest.raises(ValueError, match="consecutive"):
+            universal_structure_constant((1,), (1,), (), [2, 3, 5])
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -144,7 +196,7 @@ class TestGradedIso:
         report = graded_iso_check(2, 4)
         assert report.ok
         assert report.mismatches == ()
-        assert any(e.nu == (2,) and e.formula_hecke == 3 for e in report.entries)
+        assert any(e.nu == (2,) and e.formula == 3 for e in report.entries)
 
     def test_heavy_targets_skip_brute_force(self):
         report = graded_iso_check(3, 3)
@@ -159,7 +211,7 @@ class TestGradedIso:
     def test_json(self):
         payload = graded_iso_check(2, 4).to_json()
         assert payload["ok"] is True
-        assert all("formula_center" in e for e in payload["entries"])
+        assert all("formula" in e for e in payload["entries"])
 
 
 class TestFitReports:
