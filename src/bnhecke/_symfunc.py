@@ -43,13 +43,15 @@ MAX_DEGREE = 20
 
 
 class SymmetricExpression:
-    """An integer polynomial in the elementary generators e_1, e_2, ..."""
+    """An integer polynomial in the elementary generators e_1, e_2, ...;
+    coefficients, operands and exponents are read by partitions._integer."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
         clean: dict[Monomial, int] = {}
         for mono, c in (terms or {}).items():
+            c = _integer(c)
             if c:
                 key = tuple(sorted(mono, reverse=True))
                 if any(k < 1 for k in key):
@@ -76,7 +78,7 @@ class SymmetricExpression:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = SymmetricExpression({(): other})
         return (
             isinstance(other, SymmetricExpression)
@@ -121,6 +123,7 @@ class SymmetricExpression:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SymmetricExpression":
+        k = _integer(k)
         if k < 0:
             raise ValueError("negative powers are not symmetric polynomials")
         if k > MAX_DEGREE:
@@ -168,9 +171,7 @@ class SymmetricExpression:
 def _coerce(v) -> SymmetricExpression:
     if isinstance(v, SymmetricExpression):
         return v
-    if isinstance(v, int):
-        return SymmetricExpression({(): v})
-    raise TypeError(f"cannot interpret {v!r} as a symmetric expression")
+    return SymmetricExpression({(): v})
 
 
 def elementary(k: int) -> SymmetricExpression:
@@ -210,7 +211,9 @@ def complete(k: int) -> SymmetricExpression:
     return acc
 
 
-# the highest degree of m_lam; all 22 of degree 8 take about 20 ms
+# The highest degree of m_lam: all monomials of degree d take 0.03 s at
+# d = 8, 0.15 s at 10, 0.76 s at 12, 3.6 s at 14 and 20 s at 16 (one
+# process, 2-CPU machine).  Raising it changes which argv exit 0.
 _MONOMIAL_DEGREE_CAP = 8
 
 

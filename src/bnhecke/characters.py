@@ -40,7 +40,8 @@ substitution from (1^n) upwards through the integer matrix
 [m_mu] p_lam of partitions._power_sum_monomials, built once per lam by
 the Pieri rule for p_k m_nu and shared by both alphas.  Every division
 is exact or raises ValidationFailure.  The spherical functions (theta, h
-and W_rho N) are kept per (n, alpha), checked as they are built:
+and W_rho N) are built for 1 <= n <= MAX_SPHERICAL_LEVEL, the one level
+cap of this path, and kept per (n, alpha), checked as they are built:
 theta is integral and W_rho N is the hook-length dimension.  The table
 of every b is kept per (n, alpha) on top of them, checked as it is
 built: every b is a non-negative integer and sum_nu b h_nu =
@@ -57,6 +58,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 from math import factorial, prod
+from operator import mul
 
 from .errors import UsageError, ValidationFailure
 from .partitions import (
@@ -69,19 +71,16 @@ from .partitions import (
 )
 
 __all__ = [
-    "MAX_LEVEL",
     "MAX_SPHERICAL_LEVEL",
     "matsumoto_coefficients",
     "structure_constant",
     "structure_constants",
 ]
 
-# the highest level served, and so the highest level the fits sample
-# (universal.MAX_SAMPLE_LEVEL); raising it changes which triples fit
-MAX_LEVEL = 5
-# the highest level whose spherical functions are built, for the
-# Matsumoto image: the integer recurrence takes 0.12 s at n = 12 and
-# 0.5 s at n = 14 (one alpha, 2-CPU machine)
+# the highest level whose spherical functions, and so whose tables of
+# structure constants and Matsumoto images, are built: the integer
+# recurrence takes 0.12 s at n = 12 and 0.5 s at n = 14 (one alpha,
+# 2-CPU machine)
 MAX_SPHERICAL_LEVEL = 12
 
 # basis -> (alpha, N(n))
@@ -258,34 +257,48 @@ def _spherical(n: int, basis: str) -> Spherical:
     return _SPHERICAL[n, alpha]
 
 
+def _invert(sph: Spherical, values: list[int], fail) -> list[int]:
+    """sum_rho (W_rho N) v_rho theta_rho(kappa) / (N h_kappa) for every
+    kappa, v_rho and kappa by index into partitions_of(n).  A quotient
+    that is not an integer raises fail(k, "total/(N h_kappa)")."""
+    weighted = [d * v for d, v in zip(sph.dims, values)]
+    out = []
+    for k, column in enumerate(zip(*sph.theta)):
+        total = sum(map(mul, weighted, column))
+        c, rem = divmod(total, sph.big_n * sph.h[k])
+        if rem:
+            raise fail(k, f"{total}/{sph.big_n * sph.h[k]}")
+        out.append(c)
+    return out
+
+
 def _build(n: int, basis: str) -> Table:
     """The checked table of every b at level n (see the module docstring)."""
     alpha = _BASES[basis][0]
-    _, stable, theta, h, dims, big_n = _spherical(n, basis)
+    sph = _spherical(n, basis)
+    stable, h = sph.types, sph.h
     table: Table = {}
     for i, lam in enumerate(stable):
         for j in range(i, len(stable)):
             mu = stable[j]
-            weights = [d * t[i] * t[j] for d, t in zip(dims, theta)]
-            row: dict[Partition, int] = {}
-            covered = 0
-            for k, nu in enumerate(stable):
-                total_k = sum(w * t[k] for w, t in zip(weights, theta))
-                b, rem = divmod(total_k, big_n * h[k])
-                if rem or b < 0:
-                    raise ValidationFailure(
-                        f"b_{{{lam},{mu}}}^{nu}({n}) at alpha = {alpha} is "
-                        f"{total_k}/{big_n * h[k]}, not a non-negative integer"
-                    )
-                if b:
-                    row[nu] = b
-                    covered += b * h[k]
+
+            def fail(k, quotient):
+                return ValidationFailure(
+                    f"b_{{{lam},{mu}}}^{stable[k]}({n}) at alpha = {alpha} is "
+                    f"{quotient}, not a non-negative integer"
+                )
+
+            bs = _invert(sph, [t[i] * t[j] for t in sph.theta], fail)
+            for k, b in enumerate(bs):
+                if b < 0:
+                    raise fail(k, b)
+            covered = sum(b * x for b, x in zip(bs, h))
             if covered != h[i] * h[j]:
                 raise ValidationFailure(
                     f"the product of {lam} and {mu} at n = {n}, alpha = {alpha} "
                     f"covers {covered} elements, not {h[i]} * {h[j]}"
                 )
-            table[lam, mu] = table[mu, lam] = row
+            table[lam, mu] = table[mu, lam] = {nu: b for nu, b in zip(stable, bs) if b}
     return table
 
 
@@ -293,14 +306,10 @@ def structure_constants(n: int, basis: str) -> Table:
     """Every b_{lam mu}^nu(n) of one basis ("K" or "C"), by stable types:
     (lam, mu) -> {nu: b}, with only the non-zero b present.
 
-    The table is built once per level and basis; the caller must not
-    change it.
+    n runs from 1 to MAX_SPHERICAL_LEVEL, else UsageError.  The table
+    is built once per level and basis; the caller must not change it.
     """
     alpha = _basis(basis)[0]
-    if not 1 <= n <= MAX_LEVEL:
-        raise UsageError(
-            f"structure constants are counted for 1 <= n <= {MAX_LEVEL}, not n = {n}"
-        )
     if (n, alpha) not in _TABLES:
         _TABLES[n, alpha] = _build(n, basis)
     return _TABLES[n, alpha]
@@ -331,17 +340,13 @@ def matsumoto_coefficients(F: SymmetricExpression, n: int) -> dict[Partition, in
     / (N h_kappa), with F(A_rho) from SymmetricExpression.evaluate.  A
     c_kappa that is not an integer raises ValidationFailure.
     """
-    parts, types, theta, h, dims, big_n = _spherical(n, "K")
-    values = [F.evaluate(_two_contents(rho), 1) for rho in parts]
-    out: dict[Partition, int] = {}
-    for k, kappa in enumerate(types):
-        total = sum(d * f * t[k] for d, f, t in zip(dims, values, theta))
-        c, rem = divmod(total, big_n * h[k])
-        if rem:
-            raise ValidationFailure(
-                f"the coefficient of K_{kappa}({n}) in the Matsumoto image of "
-                f"{F} is {total}/{big_n * h[k]}, not an integer"
-            )
-        if c:
-            out[kappa] = c
-    return out
+    sph = _spherical(n, "K")
+
+    def fail(k, quotient):
+        return ValidationFailure(
+            f"the coefficient of K_{sph.types[k]}({n}) in the Matsumoto image of "
+            f"{F} is {quotient}, not an integer"
+        )
+
+    values = [F.evaluate(_two_contents(rho), 1) for rho in sph.parts]
+    return {kappa: c for kappa, c in zip(sph.types, _invert(sph, values, fail)) if c}

@@ -32,9 +32,10 @@ first used.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import count
 from math import factorial
 
-from .characters import MAX_LEVEL, _basis, structure_constant
+from .characters import _basis, structure_constant
 from .errors import ValidationFailure
 from .partitions import (
     Partition,
@@ -56,8 +57,8 @@ __all__ = [
     "MAX_SAMPLE_LEVEL",
 ]
 
-# the level cap of the character path; raising it changes which triples fit
-MAX_SAMPLE_LEVEL = MAX_LEVEL
+# the highest level the fits sample; raising it changes what `fit` prints
+MAX_SAMPLE_LEVEL = 5
 
 
 def _binomial(n: int, k: int) -> int:
@@ -180,14 +181,12 @@ def universal_structure_constant(
     """Fit b_{lam mu}^{nu}(n) over consecutive sample levels and check
     it at a held-out level.
 
-    The holdout is the smallest level from max(weights, 2) to
-    MAX_SAMPLE_LEVEL that is not in sample_ns; a miss raises
-    ValidationFailure.  When sample_ns takes every one of those levels,
-    none is left: the fit is returned as interpolated, checked against
-    nothing.
+    The holdout is the smallest level from max(weights, 2) up that is
+    not in sample_ns, at most one above the samples; above the top
+    degree, where b vanishes, the samples are checked against 0 too.  A
+    miss raises ValidationFailure.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    _basis(basis)
     floor = max(weight(lam), weight(mu), weight(nu), 2)
     ns = sorted(set(_integer(n) for n in sample_ns))
     if any(n < floor for n in ns):
@@ -195,16 +194,11 @@ def universal_structure_constant(
             f"samples {ns} must all be at least the maximum weight {floor}"
         )
     _consecutive(ns)
+    checks = [next(n for n in count(floor) if n not in ns)]
     if sum(nu) > sum(lam) + sum(mu):
-        # filtration zero case: nothing to fit, just confirm the samples
-        for n in ns:
-            value = structure_constant(lam, mu, nu, n, basis)
-            if value:
-                raise ValidationFailure(
-                    f"f_{{{lam},{mu}}}^{nu} must vanish above top degree "
-                    f"but counts {value} at n={n}"
-                )
+        # filtration zero case: nothing to fit, every sample is a check
         fitted = IntegerValuedPolynomial.zero()
+        checks = ns + checks
     else:
         drop = sum(lam) + sum(mu) - sum(nu)
         required = max(drop + 1, 2)
@@ -216,15 +210,12 @@ def universal_structure_constant(
         fitted = ivp_fit(
             [(n, structure_constant(lam, mu, nu, n, basis)) for n in ns]
         )
-    holdout = next(
-        (n for n in range(floor, MAX_SAMPLE_LEVEL + 1) if n not in ns), None
-    )
-    if holdout is not None:
-        predicted = fitted(holdout)
-        actual = structure_constant(lam, mu, nu, holdout, basis)
+    for n in checks:
+        predicted = fitted(n)
+        actual = structure_constant(lam, mu, nu, n, basis)
         if predicted != actual:
             raise ValidationFailure(
-                f"f_{{{lam},{mu}}}^{nu} predicts {predicted} at n={holdout} "
+                f"f_{{{lam},{mu}}}^{nu} predicts {predicted} at n={n} "
                 f"but counting gives {actual}"
             )
     return fitted
@@ -386,11 +377,10 @@ def fit_triple(
 
     Samples run upward from max(weights, 2), and the expected degree
     d = |lam|+|mu|-|nu| demands d + 1 of them, at least 2 (one when
-    d < 0, where b vanishes).  The next level up to MAX_SAMPLE_LEVEL,
-    if the samples leave one, is the holdout that checks the fit; when
-    they reach MAX_SAMPLE_LEVEL the fit goes unchecked (the tests
-    recount those one level higher).  Triples whose demand exceeds the
-    supply come back UNFITTED, never guessed.
+    d < 0, where b vanishes), all at most MAX_SAMPLE_LEVEL.  The next
+    level up is the holdout that checks the fit, MAX_SAMPLE_LEVEL + 1
+    at the highest.  Triples whose demand exceeds the supply come back
+    UNFITTED, never guessed.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     _basis(basis)

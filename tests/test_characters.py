@@ -3,8 +3,9 @@
 Every structure constant at n <= 6, in both bases, is checked against
 an independent count: the matching tally of bnhecke._backend for the
 K basis and the S_n class sweep of bnhecke.group_algebra for the C
-basis.  Both caps (the character path's and the tally's) are lifted to
-6 inside the test only; the CLI serves n <= 5.  The Jack polynomials
+basis.  The character path serves every level up to
+MAX_SPHERICAL_LEVEL; the tally's cap is lifted to 6 inside the test
+only, and the CLI serves n <= 5.  The Jack polynomials
 of the integer recurrence are checked against Gram-Schmidt in exact
 rationals (tests/oracles.py) at n <= 8.
 """
@@ -15,7 +16,6 @@ from oracles import ORACLE_EXPRS, jack_power_sums_by_gram_schmidt
 from bnhecke import _backend, characters, group_algebra
 from bnhecke._symfunc import SymmetricExpression, elementary
 from bnhecke.characters import (
-    MAX_LEVEL,
     MAX_SPHERICAL_LEVEL,
     matsumoto_coefficients,
     structure_constant,
@@ -37,7 +37,6 @@ def fresh(monkeypatch):
 
 @pytest.fixture
 def lifted(monkeypatch, fresh):
-    monkeypatch.setattr(characters, "MAX_LEVEL", ORACLE_LEVEL)
     monkeypatch.setattr(_backend, "MAX_TALLY_LEVEL", ORACLE_LEVEL)
     # the oracles' level-6 memos go when the test ends
     for module, memo in (
@@ -90,10 +89,14 @@ def test_transposition_square(n):
         assert got == {nu: b for nu, b in want.items() if sum(nu) + len(nu) <= n}
 
 
-def test_level_cap_and_weights():
-    assert MAX_LEVEL == 5
-    for n in (0, MAX_LEVEL + 1):
-        with pytest.raises(UsageError, match="1 <= n <= 5"):
+def test_level_cap_and_weights(fresh):
+    # one cap on the character path: the tables go as far as the
+    # spherical functions, past the CLI's n <= 5
+    for n in (6, 7, 8):
+        assert structure_constants(n, "K")[(1,), (1,)][()] == n * (n - 1)
+        assert structure_constants(n, "C")[(1,), (1,)][()] == n * (n - 1) // 2
+    for n in (0, MAX_SPHERICAL_LEVEL + 1):
+        with pytest.raises(UsageError, match="1 <= n <= 12"):
             structure_constant((), (), (), n, "C")
     with pytest.raises(WeightExceedsLevel):
         structure_constant((2,), (), (), 2, "K")

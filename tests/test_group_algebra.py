@@ -295,6 +295,25 @@ class TestSymmetricEvaluation:
             with pytest.raises(TypeError):
                 monomial(lam)
 
+    def test_coefficients_are_integers(self):
+        e1 = elementary(1)
+        for c in (1.5, True, Fraction(1, 2), "2"):
+            with pytest.raises(TypeError):
+                SymmetricExpression({(1,): c})
+            for operation in (
+                lambda: e1 + c,
+                lambda: c + e1,
+                lambda: e1 - c,
+                lambda: c - e1,
+                lambda: e1 * c,
+                lambda: c * e1,
+                lambda: e1**c,
+            ):
+                with pytest.raises(TypeError):
+                    operation()
+        assert SymmetricExpression.one() == 1
+        assert SymmetricExpression.one() != True  # noqa: E712
+
     def test_parse_rejects_garbage(self):
         for bad in ("e", "q3", "e2 +", "(e1", "e1 e2"):
             with pytest.raises(ValueError):

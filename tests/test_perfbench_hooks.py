@@ -7,14 +7,19 @@ probe.py reads the permutation oracle through _backend.  Only the
 cheap entry points run here: `probe.py kernel` and `pool` build S_10.
 The four names _backend forwards to them (LevelTable, _KERNEL,
 permutation_block, resolve_jobs) are checked in test_kernels.py.
+The stdout of every benchmark argv, run in-process, must match the
+digest that perfbench/digests.json recorded for it.
 """
 
+import hashlib
 import json
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from bnhecke import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -40,3 +45,15 @@ def test_probe_env_reports_the_backend():
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout)["backend"] == "pure"
 
+
+def test_stdout_matches_the_recorded_digests(capsys):
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
+    got = {}
+    for argv in workloads["every_invocation"]():
+        status = cli.main(argv)
+        stdout = capsys.readouterr().out.encode()
+        got[" ".join(argv)] = hashlib.sha256(stdout).hexdigest() if status == 0 else status
+    wrong = {key: value for key, value in got.items() if recorded.get(key) != value}
+    assert set(got) == set(recorded)
+    assert not wrong, wrong

@@ -153,9 +153,16 @@ class TestUniversalStructureConstant:
             (1,), (1,), (1, 1), [4, 5]
         ) == IVP.constant(2)
 
-    def test_zero_above_top_degree(self):
+    def test_zero_above_top_degree(self, monkeypatch):
         f = universal_structure_constant((1,), (1,), (2, 1), [5])
         assert f == IVP.zero()
+        # above the top degree every sample is checked against 0, not
+        # only the holdout at 6
+        monkeypatch.setattr(
+            universal, "structure_constant", lambda lam, mu, nu, n, basis: int(n == 5)
+        )
+        with pytest.raises(ValidationFailure, match="predicts 0 at n=5"):
+            universal_structure_constant((1,), (1,), (2, 1), [5])
 
     def test_class_basis(self):
         f = universal_structure_constant((1,), (1,), (), [2, 3, 4], basis="C")
@@ -248,11 +255,11 @@ class TestFitReports:
 
     @pytest.mark.parametrize("basis", ["K", "C"])
     def test_fits_without_a_holdout_hold_one_level_up(self, basis, monkeypatch):
-        # a fit whose samples reach MAX_SAMPLE_LEVEL had no level left to
-        # check it against; recount each such fit of fit_report(4) at
-        # the next level, above the cap of the character path, through
-        # the independent count of its basis: the matching tally (K,
-        # with the oracle's own cap lifted) or the S_n class sweep (C)
+        # a fit whose samples reach MAX_SAMPLE_LEVEL is held out at the
+        # next level on the character path itself; recount each such
+        # fit of fit_report(4) there through the independent count of
+        # its basis: the matching tally (K, with the oracle's own cap
+        # lifted) or the S_n class sweep (C)
         fitted = universal.universal_structure_constant
         unchecked = {}
 
@@ -281,6 +288,52 @@ class TestFitReports:
             if f(n) != count(*triple)
         }
         assert not wrong, wrong
+
+    @pytest.mark.parametrize("basis", ["K", "C"])
+    def test_every_fit_is_read_at_a_holdout(self, basis, monkeypatch):
+        # every fitted triple of fit_report(4), the 36 whose samples
+        # reach MAX_SAMPLE_LEVEL among them, is counted at a level it
+        # was not fitted on
+        fitted = universal.universal_structure_constant
+        count = universal.structure_constant
+        samples, reads = {}, {}
+
+        def fit_spy(lam, mu, nu, sample_ns, **kwargs):
+            samples[lam, mu, nu] = set(sample_ns)
+            return fitted(lam, mu, nu, sample_ns, **kwargs)
+
+        def count_spy(lam, mu, nu, n, basis):
+            reads.setdefault((lam, mu, nu), set()).add(n)
+            return count(lam, mu, nu, n, basis)
+
+        monkeypatch.setattr(universal, "_FIT_CACHE", {})
+        monkeypatch.setattr(universal, "universal_structure_constant", fit_spy)
+        monkeypatch.setattr(universal, "structure_constant", count_spy)
+        fits = [r for r in fit_report(4, basis) if r.classification != "UNFITTED"]
+        unchecked, at_the_cap = [], 0
+        for r in fits:
+            # one fit serves both orders of lam and mu
+            key = (r.lam, r.mu, r.nu)
+            if key not in samples:
+                key = (r.mu, r.lam, r.nu)
+            at_the_cap += MAX_SAMPLE_LEVEL in samples[key]
+            if not reads[key] - samples[key]:
+                unchecked.append(key)
+        assert (len(fits), at_the_cap) == (65, 36)
+        assert not unchecked, unchecked
+
+    def test_a_wrong_value_above_the_samples_raises(self, monkeypatch):
+        # ((2,), (1,), (1,)) has degree 2 and floor 3: it samples
+        # n = 3, 4, 5 and is held out at 6
+        count = universal.structure_constant
+
+        def wrong_at_6(lam, mu, nu, n, basis):
+            return count(lam, mu, nu, n, basis) + (n == 6)
+
+        monkeypatch.setattr(universal, "_FIT_CACHE", {})
+        monkeypatch.setattr(universal, "structure_constant", wrong_at_6)
+        with pytest.raises(ValidationFailure, match="at n=6"):
+            fit_triple((2,), (1,), (1,))
 
     def test_missed_holdout_raises(self, monkeypatch):
         # n^2 has degree 2, above the bound 1 for ((1,), (1,), (1,)): the
