@@ -15,7 +15,10 @@ evaluate runs the product DP prod_i (1 + t v_i) for the e_k once and
 sums the e-monomials; both the integer 2-contents of
 bnhecke.characters and the Jucys-Murphy elements of
 bnhecke.group_algebra are evaluated through it.  No expression goes
-past degree MAX_DEGREE.
+past degree MAX_DEGREE.  The constructor reads its terms, and the
+sums merge them, through the integer-combination core of
+bnhecke.partitions; sums, negations and products of expressions are
+built unread (SymmetricExpression._raw).
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from functools import cache
 from math import prod
 
 from .errors import ValidationFailure
-from .partitions import Partition, _integer, _power_sum_monomials
+from .partitions import (
+    Partition,
+    _add_terms,
+    _integer,
+    _power_sum_monomials,
+    _read_terms,
+)
 
 __all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomial"]
 
@@ -35,29 +44,31 @@ Monomial = tuple[int, ...]
 # The highest degree an expression may reach: p_k, h_k and powers
 # stop at k = MAX_DEGREE, and so does the degree of a product.  There
 # are p(k) e-monomials of degree k, so the cost grows fast: on a 2-CPU
-# machine p_20 and h_20 (627 e-monomials each) parse in about 0.1 s,
-# p_24 in 0.36 s and p_26 in 0.63 s, and p_12^12 did not finish in
-# 10 s.  Below the cap a product multiplies at most 19321 pairs of
-# e-monomials (every monomial of degree <= 10, squared).
+# machine p_20 and h_20 (627 e-monomials each) parse in about 0.02 s,
+# and, with the cap raised, p_24 in 0.05 s and p_26 in 0.06 s, while
+# p_12^12 did not finish in 10 s.  Below the cap a product multiplies
+# at most 19321 pairs of e-monomials (every monomial of degree <= 10,
+# squared).
 MAX_DEGREE = 20
 
 
 class SymmetricExpression:
     """An integer polynomial in the elementary generators e_1, e_2, ...;
-    coefficients, operands and exponents are read by partitions._integer."""
+    coefficients, elementary indices, operands and exponents are read by
+    partitions._integer."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
-        clean: dict[Monomial, int] = {}
-        for mono, c in (terms or {}).items():
-            c = _integer(c)
-            if c:
-                key = tuple(sorted(mono, reverse=True))
-                if any(k < 1 for k in key):
-                    raise ValueError(f"elementary index must be positive: {mono}")
-                clean[key] = clean.get(key, 0) + c
-        self._terms = {k: v for k, v in clean.items() if v}
+        self._terms = _read_terms(terms, _monomial_key)
+
+    @classmethod
+    def _raw(cls, terms: dict[Monomial, int]) -> "SymmetricExpression":
+        """An expression of terms the package built itself: descending
+        index tuples and no zero coefficient, unread."""
+        el = object.__new__(cls)
+        el._terms = terms
+        return el
 
     @classmethod
     def zero(cls) -> "SymmetricExpression":
@@ -89,16 +100,12 @@ class SymmetricExpression:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "SymmetricExpression":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return SymmetricExpression(out)
+        return SymmetricExpression._raw(_add_terms(self._terms, _coerce(other)._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymmetricExpression":
-        return SymmetricExpression({m: -c for m, c in self._terms.items()})
+        return SymmetricExpression._raw({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "SymmetricExpression":
         return self + (-_coerce(other))
@@ -118,7 +125,7 @@ class SymmetricExpression:
             for m2, c2 in other._terms.items():
                 key = tuple(sorted(m1 + m2, reverse=True))
                 out[key] = out.get(key, 0) + c1 * c2
-        return SymmetricExpression(out)
+        return SymmetricExpression._raw({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -166,6 +173,15 @@ class SymmetricExpression:
     @classmethod
     def parse(cls, text: str) -> "SymmetricExpression":
         return _parse(text)
+
+
+def _monomial_key(mono) -> Monomial:
+    """An e-monomial read at the boundary: integer indices, all positive,
+    sorted descending."""
+    key = tuple(sorted(map(_integer, mono), reverse=True))
+    if key and key[-1] < 1:
+        raise ValueError(f"elementary index must be positive: {mono}")
+    return key
 
 
 def _coerce(v) -> SymmetricExpression:

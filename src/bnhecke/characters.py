@@ -40,12 +40,13 @@ substitution from (1^n) upwards through the integer matrix
 [m_mu] p_lam of partitions._power_sum_monomials, built once per lam by
 the Pieri rule for p_k m_nu and shared by both alphas.  Every division
 is exact or raises ValidationFailure.  The spherical functions (theta, h
-and W_rho N) are built for 1 <= n <= MAX_SPHERICAL_LEVEL, the one level
-cap of this path, and kept per (n, alpha), checked as they are built:
-theta is integral and W_rho N is the hook-length dimension.  The table
-of every b is kept per (n, alpha) on top of them, checked as it is
-built: every b is a non-negative integer and sum_nu b h_nu =
-h_lam h_mu; so is every Matsumoto c_kappa an integer.  The counts
+and W_rho N) are built for 1 <= n <= MAX_SPHERICAL_LEVEL (defined in
+bnhecke.partitions), the one level cap of this path, and kept per
+(n, alpha), checked as they are built: theta is integral and W_rho N
+is the hook-length dimension.  The table of every b is kept per
+(n, alpha) on top of them, checked as it is built: every b is a
+non-negative integer and sum_nu b h_nu = h_lam h_mu; so is every
+Matsumoto c_kappa an integer.  The counts
 this replaces, the matching tally (bnhecke._backend) and the S_n
 class sweep (bnhecke.group_algebra), are the tests' oracles for it.
 So are, in tests/oracles.py, the walk over perfect matchings for the
@@ -62,6 +63,7 @@ from operator import mul
 
 from .errors import UsageError, ValidationFailure
 from .partitions import (
+    MAX_SPHERICAL_LEVEL,
     Partition,
     _power_sum_monomials,
     as_partition,
@@ -76,12 +78,6 @@ __all__ = [
     "structure_constant",
     "structure_constants",
 ]
-
-# the highest level whose spherical functions, and so whose tables of
-# structure constants and Matsumoto images, are built: the integer
-# recurrence takes 0.12 s at n = 12 and 0.5 s at n = 14 (one alpha,
-# 2-CPU machine)
-MAX_SPHERICAL_LEVEL = 12
 
 # basis -> (alpha, N(n))
 _BASES = {

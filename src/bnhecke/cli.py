@@ -26,7 +26,7 @@ from collections import namedtuple
 
 from . import __version__
 from .errors import HeckeError, UsageError
-from .partitions import as_partition, enumerate_by_weight, weight
+from .partitions import MAX_SPHERICAL_LEVEL, as_partition, enumerate_by_weight, weight
 
 SUITES = (
     "matsumoto",
@@ -39,9 +39,8 @@ SUITES = (
 )
 
 MAX_CLI_LEVEL = 5
-# the Matsumoto image reads the spherical functions of
-# bnhecke.characters, built up to its MAX_SPHERICAL_LEVEL
-MAX_MATSUMOTO_LEVEL = 12
+# the Matsumoto image reads the spherical functions of bnhecke.characters
+MAX_MATSUMOTO_LEVEL = MAX_SPHERICAL_LEVEL
 # the largest weight of the triples fit --max-weight sweeps
 MAX_FIT_WEIGHT = 4
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's

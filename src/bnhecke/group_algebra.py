@@ -1,7 +1,9 @@
 """Sparse exact arithmetic in the integral group ring of S_m.
 
 Elements are sparse maps from permutations of [m] to integer
-coefficients, with the product extending composition bilinearly.  The
+coefficients, with the product extending composition bilinearly; the
+sums, negation, scaling and equality are the integer-combination core
+of bnhecke.partitions, which HeckeElement shares.  The
 center is spanned by the class sums C_mu(n), indexed by stable cycle
 type, and the structure constants a_{lam mu}^{nu}(n) are read off
 products of class sums at a canonical class representative.
@@ -21,7 +23,6 @@ b_sum reads B_n, and it imports bnhecke.cosets when it runs.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from math import factorial
 
 from ._symfunc import (
@@ -40,8 +41,8 @@ from .errors import (
 )
 from .partitions import (
     Partition,
+    _Combination,
     _expand_by_type,
-    _integer,
     check_weight,
     completion,
     weight,
@@ -73,44 +74,20 @@ __all__ = [
 ]
 
 
-class AlgebraElement:
+class AlgebraElement(_Combination):
     """A finitely supported map S_m -> Z with the convolution product.
 
     Coefficients are read through partitions._integer: a non-integer
-    one, rational, float or bool, raises TypeError.
+    one, rational, float or bool, raises TypeError.  The linear
+    arithmetic is partitions._Combination's.
     """
 
-    __slots__ = ("level", "_t")
+    __slots__ = ()
 
-    level: int
-    _t: dict[tuple[int, ...], int]
-
-    def __init__(self, level: int, terms: Mapping | None = None):
-        if level < 1:
-            raise ValueError(f"level must be positive, got {level}")
-        object.__setattr__(self, "level", level)
-        data: dict[tuple[int, ...], int] = {}
-        for perm, coeff in (terms or {}).items():
-            if not isinstance(perm, Permutation):
-                perm = Permutation(perm)
-            c = _integer(coeff)
-            if c:
-                key = perm.one_line(level)
-                data[key] = data.get(key, 0) + c
-        object.__setattr__(
-            self, "_t", {k: v for k, v in data.items() if v}
-        )
-
-    @classmethod
-    def _raw(cls, level: int, data: dict[tuple[int, ...], int]) -> "AlgebraElement":
-        el = object.__new__(cls)
-        object.__setattr__(el, "level", level)
-        object.__setattr__(el, "_t", data)
-        return el
-
-    @classmethod
-    def zero(cls, level: int) -> "AlgebraElement":
-        return cls._raw(level, {})
+    def _key(self, perm) -> tuple[int, ...]:
+        if not isinstance(perm, Permutation):
+            perm = Permutation(perm)
+        return perm.one_line(self.level)
 
     @classmethod
     def one(cls, level: int) -> "AlgebraElement":
@@ -120,10 +97,7 @@ class AlgebraElement:
     def from_permutation(
         cls, perm: Permutation, level: int, coeff: int = 1
     ) -> "AlgebraElement":
-        c = _integer(coeff)
-        if not c:
-            return cls.zero(level)
-        return cls._raw(level, {perm.one_line(level): c})
+        return cls(level, {perm: coeff})
 
     def coefficient(self, perm: Permutation) -> int:
         return self._t.get(perm.one_line(self.level), 0)
@@ -136,43 +110,6 @@ class AlgebraElement:
 
     def __len__(self) -> int:
         return len(self._t)
-
-    def __bool__(self) -> bool:
-        return bool(self._t)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.level == other.level
-            and self._t == other._t
-        )
-
-    def _check_level(self, other: "AlgebraElement") -> None:
-        if self.level != other.level:
-            raise LevelMismatch(
-                f"cannot combine levels {self.level} and {other.level}"
-            )
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_level(other)
-        out = dict(self._t)
-        for k, c in other._t.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return AlgebraElement._raw(self.level, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._raw(
-            self.level, {k: -c for k, c in self._t.items()}
-        )
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -189,21 +126,8 @@ class AlgebraElement:
             )
         return self.scale(other)
 
-    def scale(self, c: int) -> "AlgebraElement":
-        c = _integer(c)
-        if not c:
-            return AlgebraElement.zero(self.level)
-        return AlgebraElement._raw(
-            self.level, {k: v * c for k, v in self._t.items()}
-        )
-
-    __rmul__ = scale
-
     def __repr__(self) -> str:
         return f"AlgebraElement(level={self.level}, terms={len(self._t)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
 
     def to_json(self) -> list[dict]:
         return [

@@ -2,7 +2,9 @@
 
 The double-coset sums K_mu(n), over stable coset types with
 wt(mu) <= n, form a Z-basis of the algebra of bi-B_n-invariant
-elements of Z[S_2n].  The product here is the group-algebra product
+elements of Z[S_2n].  HeckeElement takes its sums, negation, scaling
+and equality from the integer-combination core of bnhecke.partitions,
+as AlgebraElement does.  The product here is the group-algebra product
 divided by |B_n|, the normalization under which K_emptyset is the
 identity and
 
@@ -54,8 +56,8 @@ from .errors import (
 )
 from .partitions import (
     Partition,
+    _Combination,
     _expand_by_type,
-    _integer,
     as_partition,
     check_weight,
     difference,
@@ -83,113 +85,54 @@ __all__ = [
 ]
 
 
-class HeckeElement:
-    """A Z combination of the basis elements K_mu(n).
+class HeckeElement(_Combination):
+    """A Z combination of the basis elements K_mu(n), mu of weight <= n.
 
     Coefficients are read through partitions._integer: a non-integer
-    one, rational, float or bool, raises TypeError.
+    one, rational, float or bool, raises TypeError.  The linear
+    arithmetic is partitions._Combination's.
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ()
 
-    level: int
-    coeffs: dict[Partition, int]
+    def _key(self, mu) -> Partition:
+        mu = as_partition(mu)
+        check_weight(mu, self.level)
+        return mu
 
-    def __init__(self, level: int, coeffs: dict | None = None):
-        if level < 1:
-            raise ValueError(f"level must be positive, got {level}")
-        object.__setattr__(self, "level", level)
-        data: dict[Partition, int] = {}
-        for mu, c in (coeffs or {}).items():
-            mu = as_partition(mu)
-            check_weight(mu, level)
-            c = _integer(c)
-            if c:
-                data[mu] = data.get(mu, 0) + c
-        object.__setattr__(
-            self, "coeffs", {k: v for k, v in data.items() if v}
-        )
+    @property
+    def coeffs(self) -> dict[Partition, int]:
+        """{mu: coefficient of K_mu(n)}, zeros left out; read only."""
+        return self._t
 
     @classmethod
     def basis(cls, mu: Partition, level: int) -> "HeckeElement":
         return cls(level, {tuple(mu): 1})
 
     @classmethod
-    def zero(cls, level: int) -> "HeckeElement":
-        return cls(level)
-
-    @classmethod
     def one(cls, level: int) -> "HeckeElement":
         return cls(level, {(): 1})
 
     def coefficient(self, mu: Partition) -> int:
-        return self.coeffs.get(tuple(mu), 0)
-
-    def _check_level(self, other: "HeckeElement") -> None:
-        if self.level != other.level:
-            raise LevelMismatch(
-                f"cannot combine levels {self.level} and {other.level}"
-            )
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        self._check_level(other)
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, 0) + c
-        return HeckeElement(self.level, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(
-            self.level, {mu: -c for mu, c in self.coeffs.items()}
-        )
-
-    def scale(self, c: int) -> "HeckeElement":
-        c = _integer(c)
-        return HeckeElement(
-            self.level, {mu: v * c for mu, v in self.coeffs.items()}
-        )
+        return self._t.get(tuple(mu), 0)
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             return hecke_product(self, other)
         return self.scale(other)
 
-    __rmul__ = scale
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.level == other.level
-            and self.coeffs == other.coeffs
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def _ordered(self) -> list[Partition]:
+        return sorted(self._t, key=lambda mu: (weight(mu), mu))
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{mu}: {c}" for mu, c in sorted(
-                self.coeffs.items(), key=lambda kv: (weight(kv[0]), kv[0])
-            )
-        )
+        body = ", ".join(f"{mu}: {self._t[mu]}" for mu in self._ordered())
         return f"HeckeElement(n={self.level}, {{{body}}})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeElement is immutable")
 
     def to_json(self) -> dict:
         return {
             "n": self.level,
             "coeffs": [
-                {"mu": list(mu), "c": str(self.coeffs[mu])}
-                for mu in sorted(
-                    self.coeffs, key=lambda m: (weight(m), m)
-                )
+                {"mu": list(mu), "c": str(self._t[mu])} for mu in self._ordered()
             ],
         }
 
@@ -248,7 +191,7 @@ def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
             c = cu * cv
             for nu, b in table[lam, mu].items():
                 out[nu] = out.get(nu, 0) + c * b
-    return HeckeElement(n, out)
+    return HeckeElement._raw(n, {nu: c for nu, c in out.items() if c})
 
 
 def generator_H(i: int, n: int) -> HeckeElement:

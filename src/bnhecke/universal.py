@@ -171,6 +171,17 @@ def ivp_fit(points) -> IntegerValuedPolynomial:
     return IntegerValuedPolynomial(diffs)
 
 
+def _plan(lam: Partition, mu: Partition, nu: Partition) -> tuple[int, int, int]:
+    """(floor, drop, need) for a triple: the lowest sample level
+    max(weights, 2), the degree bound drop = |lam| + |mu| - |nu| (deg b
+    <= drop: Tout 2014 for K, Farahat-Higman 1959 for C) and the samples
+    that pin it, max(drop + 1, 2), or 1 above the top degree, where b
+    vanishes and one sample confirms it."""
+    floor = max(weight(lam), weight(mu), weight(nu), 2)
+    drop = sum(lam) + sum(mu) - sum(nu)
+    return floor, drop, 1 if drop < 0 else max(drop + 1, 2)
+
+
 def universal_structure_constant(
     lam: Partition,
     mu: Partition,
@@ -187,7 +198,7 @@ def universal_structure_constant(
     miss raises ValidationFailure.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    floor = max(weight(lam), weight(mu), weight(nu), 2)
+    floor, drop, need = _plan(lam, mu, nu)
     ns = sorted(set(_integer(n) for n in sample_ns))
     if any(n < floor for n in ns):
         raise ValueError(
@@ -195,16 +206,14 @@ def universal_structure_constant(
         )
     _consecutive(ns)
     checks = [next(n for n in count(floor) if n not in ns)]
-    if sum(nu) > sum(lam) + sum(mu):
+    if drop < 0:
         # filtration zero case: nothing to fit, every sample is a check
         fitted = IntegerValuedPolynomial.zero()
         checks = ns + checks
     else:
-        drop = sum(lam) + sum(mu) - sum(nu)
-        required = max(drop + 1, 2)
-        if len(ns) < required:
+        if len(ns) < need:
             raise ValueError(
-                f"need at least {required} samples for expected degree "
+                f"need at least {need} samples for expected degree "
                 f"{drop}, got {len(ns)}"
             )
         fitted = ivp_fit(
@@ -325,18 +334,13 @@ def _fitted(
     """Fit on the standard plan; None marks an unfittable triple."""
     key = (basis, lam, mu, nu)
     if key not in _FIT_CACHE:
-        floor = max(weight(lam), weight(mu), weight(nu), 2)
+        floor, _, need = _plan(lam, mu, nu)
         available = list(range(floor, MAX_SAMPLE_LEVEL + 1))
-        drop = sum(lam) + sum(mu) - sum(nu)
-        # degree-pinning samples; the holdout is the next level after
-        # them; the zero case only needs one confirming sample
-        need = 1 if drop < 0 else max(drop + 1, 2)
         if need > len(available):
             _FIT_CACHE[key] = None
         else:
-            # deg b <= |lam| + |mu| - |nu| (Tout 2014 for K, Farahat-
-            # Higman 1959 for C): a missed holdout raises, since more
-            # samples would only hide the fault
+            # the holdout is the next level after the samples: a miss
+            # raises, since more samples would only hide the fault
             _FIT_CACHE[key] = universal_structure_constant(
                 lam, mu, nu, available[:need], basis=basis
             )

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -638,6 +639,20 @@ _NOT_INTEGER_CASES = [
     for flag in flags
     for bad in _NOT_INTEGER.get(flag, ())
 ]
+
+
+class TestHandKeptLists:
+    def test_exports_are_public_and_resolve(self):
+        for module, names in bnhecke._EXPORTS.items():
+            home = importlib.import_module(f"bnhecke.{module}")
+            for name in names.split():
+                assert name in home.__all__, (module, name)
+                assert getattr(bnhecke, name) is getattr(home, name)
+
+    def test_suites_are_the_runners(self):
+        from bnhecke.suites import SUITE_RUNNERS
+
+        assert SUITES == tuple(SUITE_RUNNERS)
 
 
 class TestIntegerBoundary:

@@ -9,6 +9,7 @@ from bnhecke import _symfunc, group_algebra
 from bnhecke._symfunc import MAX_DEGREE
 from bnhecke.cli import execute, parse
 from bnhecke.errors import (
+    DegreeMismatch,
     IndexOutOfRange,
     LevelMismatch,
     NonCommutingValues,
@@ -118,6 +119,14 @@ class TestAlgebraElement:
                 a * c
             with pytest.raises(TypeError):
                 c * a
+
+    def test_keys_are_read_even_with_coefficient_zero(self):
+        beyond = transposition(1, 3)
+        with pytest.raises(DegreeMismatch):
+            AlgebraElement(2, {beyond: 0})
+        with pytest.raises(DegreeMismatch):
+            AlgebraElement.from_permutation(beyond, 2, 0)
+        assert not AlgebraElement(3, {beyond: 0})
 
 
 class TestClassSums:
@@ -313,6 +322,15 @@ class TestSymmetricEvaluation:
                     operation()
         assert SymmetricExpression.one() == 1
         assert SymmetricExpression.one() != True  # noqa: E712
+
+    def test_elementary_indices_are_integers(self):
+        for index in (1.5, True, "2"):
+            with pytest.raises(TypeError):
+                SymmetricExpression({(index,): 1})
+        # every key is read, also under a zero coefficient
+        with pytest.raises(ValueError, match="must be positive"):
+            SymmetricExpression({(0,): 0})
+        assert SymmetricExpression({(1, 2): 1}) == elementary(2) * elementary(1)
 
     def test_parse_rejects_garbage(self):
         for bad in ("e", "q3", "e2 +", "(e1", "e1 e2"):

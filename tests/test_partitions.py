@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import monomial_coefficient
 
+from bnhecke._symfunc import SymmetricExpression
 from bnhecke.errors import NotASubpartition, WeightExceedsLevel
+from bnhecke.group_algebra import AlgebraElement
+from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import (
     _power_sum_monomials,
     as_partition,
@@ -183,3 +186,81 @@ def test_enumerate_by_weight_complete_and_sorted(n):
     for s in range(n + 1):
         for mu in partitions_of(s):
             assert (weight(mu) <= n) == (mu in shapes)
+
+
+@pytest.mark.parametrize("cls", [HeckeElement, AlgebraElement])
+def test_combination_levels_are_integers(cls):
+    for level in (2.0, True, "2"):
+        with pytest.raises(TypeError):
+            cls(level)
+
+
+# The integer-combination core.  Sums, differences, negations, scalings
+# and products are built by the trusted _raw path, unread; each must
+# equal its own terms read back through the validating constructor, so
+# a zero coefficient or a non-canonical key left by that path fails.
+
+_coefficients = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _hecke_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    terms = st.dictionaries(st.sampled_from(enumerate_by_weight(n)), _coefficients, max_size=4)
+    return HeckeElement(n, draw(terms)), HeckeElement(n, draw(terms))
+
+
+@st.composite
+def _algebra_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    perms = st.permutations(range(1, n + 1)).map(tuple)
+    terms = st.dictionaries(perms, _coefficients, max_size=5)
+    return AlgebraElement(n, draw(terms)), AlgebraElement(n, draw(terms))
+
+
+# unsorted index tuples of degree <= 10, so a product stays within MAX_DEGREE
+_e_monomials = st.lists(st.integers(min_value=1, max_value=5), max_size=2).map(tuple)
+_symmetric = st.dictionaries(_e_monomials, _coefficients, max_size=5).map(SymmetricExpression)
+
+
+def _terms(x) -> dict:
+    return x._terms if isinstance(x, SymmetricExpression) else x._t
+
+
+def _reread(x):
+    if isinstance(x, SymmetricExpression):
+        return SymmetricExpression(x._terms)
+    return type(x)(x.level, x._t)
+
+
+def _check_trusted(a, b, c, extra=()):
+    def linear(sign):
+        keys = {*_terms(a), *_terms(b)}
+        out = {k: _terms(a).get(k, 0) + sign * _terms(b).get(k, 0) for k in keys}
+        return {k: v for k, v in out.items() if v}
+
+    assert _terms(a + b) == linear(1)
+    assert _terms(a - b) == linear(-1)
+    assert _terms(-a) == {k: -v for k, v in _terms(a).items()}
+    # (a - b)(a + b) = a^2 - b^2 + (ab - ba): commuting terms cancel
+    products = (a * b, (a - b) * (a + b))
+    for result in (a + b, a - b, -a, b - b, c * a, a * c, *products, *extra):
+        assert _reread(result) == result
+        assert all(_terms(result).values())
+
+
+@given(_hecke_pairs(), _coefficients)
+def test_trusted_hecke_arithmetic_rereads(pair, c):
+    a, b = pair
+    _check_trusted(a, b, c, (a.scale(c),))
+
+
+@given(_algebra_pairs(), _coefficients)
+def test_trusted_algebra_arithmetic_rereads(pair, c):
+    a, b = pair
+    _check_trusted(a, b, c, (a.scale(c),))
+
+
+@given(_symmetric, _symmetric, _coefficients)
+def test_trusted_symmetric_arithmetic_rereads(a, b, c):
+    _check_trusted(a, b, c, (a + c, c - a, a - c, a**2))
