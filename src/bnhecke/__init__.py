@@ -22,7 +22,11 @@ loads it only when perfbench asks bnhecke._backend for it.
 The exports are lazy: ``import bnhecke`` loads no submodule, and the
 first access to a name (``from bnhecke import hecke_product``) loads
 only the submodule that defines it, and what that one imports.  Each
-CLI verb likewise loads only the layers it runs.
+CLI verb likewise loads only the layers it runs.  Every memo that
+grows with the levels and triples asked for registers with
+bnhecke.partitions when its module loads, and clear_caches empties
+them all without loading any other module.  The symmetric functions
+are exported from bnhecke._symfunc.
 """
 
 from importlib import import_module
@@ -31,27 +35,24 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "_backend": "backend_name clear_caches",
+    "_backend": "backend_name",
     "errors": """DegreeMismatch HeckeError IndexOutOfRange InsufficientDegree
-        LengthBound LevelMismatch NonCommutingValues NotASubpartition
-        NotBiInvariant NotCentral UsageError ValidationFailure
-        WeightExceedsLevel""",
-    "partitions": """Partition as_partition completion difference
-        double_coset_size enumerate_by_weight hyperoctahedral_order
-        is_subpartition multiplicity partitions_of subpartitions union
-        vector_sum weight z_value""",
-    "permutations": """Permutation cayley_degree class_representative compose
-        enumerate_class identity parse_permutation symmetric_group
-        transposition""",
+        LengthBound LevelMismatch NotASubpartition NotBiInvariant
+        NotCentral UsageError ValidationFailure WeightExceedsLevel""",
+    "partitions": """Partition as_partition clear_caches completion
+        difference double_coset_size enumerate_by_weight
+        hyperoctahedral_order multiplicity partitions_of subpartitions
+        union vector_sum weight z_value""",
+    "permutations": """Permutation cayley_degree class_representative
+        enumerate_class identity parse_permutation symmetric_group""",
     "cosets": """CoupleSet PairGraph coset_representative coset_type
-        cycle_count delta_embed enumerate_double_coset gamma_graph
-        hyperoctahedral_elements hyperoctahedral_generators
-        is_hyperoctahedral modified_support phi sigma stable_coset_type
-        t_perm twisted_degree""",
+        enumerate_double_coset gamma_graph hyperoctahedral_elements
+        hyperoctahedral_generators is_hyperoctahedral modified_support phi
+        stable_coset_type t_perm twisted_degree""",
     "_symfunc": "SymmetricExpression complete elementary monomial power_sum",
     "group_algebra": """AlgebraElement b_sum class_structure_constant
-        class_sum eval_elementary eval_symmetric expand_in_class_basis
-        jucys_murphy multiply zi_generator""",
+        class_sum eval_elementary expand_in_class_basis jucys_murphy
+        multiply zi_generator""",
     "hecke": """GenerationCertificate HeckeElement TrichotomyReport
         expand_K generation_certificate generator_H hecke_product
         hecke_structure_constant matsumoto_image

@@ -1,6 +1,7 @@
 """Structure-constant tallies, counted over perfect matchings: an oracle.
 
-No verb counts here any more: every K-basis number comes from the
+This module holds only that oracle and the names perfbench binds.  No
+verb counts here any more: every K-basis number comes from the
 zonal spherical functions in bnhecke.characters.  product_tally is the
 independent count the tests hold that path against.  It counts over
 perfect matchings of [2n]: S_2n/B_n is in bijection with the (2n-1)!!
@@ -17,8 +18,9 @@ matching count on the right is the structure constant b_{lam mu}^nu(n)
 itself, and that is what the tallies hold.  The matchings and their
 types against eps are cached per level, and one pass per (nu, n) fills
 the tallies of every lam at once.  The counting functions import
-bnhecke.cosets when they run, so clear_caches loads no other layer.
-backend_name comes from bnhecke.suites and is re-exported here.
+bnhecke.cosets when they run.  Both memos register with
+bnhecke.partitions.clear_caches.  backend_name comes from
+bnhecke.suites and is re-exported here.
 
 The permutation oracle, which materializes all of S_2n and classifies
 every row by stable coset type, lives in bnhecke._kernels_py; the tests
@@ -34,11 +36,11 @@ stay in src/ although only tests and perfbench call them.
 
 from __future__ import annotations
 
-import sys
-
 from .errors import UsageError, ValidationFailure
 from .partitions import (
     Partition,
+    _MEMO_CLEARS,
+    _memo,
     as_partition,
     check_weight,
     double_coset_size,
@@ -50,7 +52,6 @@ from .suites import backend_name
 __all__ = [
     "backend_name",
     "product_tally",
-    "clear_caches",
 ]
 
 # Matchings are cheap (945 at n = 5); the tests lift the cap to 6 to
@@ -58,30 +59,30 @@ __all__ = [
 MAX_TALLY_LEVEL = 5
 
 
+# a dict, not a _memo: perfbench/traced_cli.py reads it to tell a miss
 _TALLIES: dict[tuple[Partition, Partition, int], dict[Partition, int]] = {}
-_MATCHINGS: dict[int, list[tuple[tuple[int, ...], Partition]]] = {}
+_MEMO_CLEARS.append(_TALLIES.clear)
 
 
+@_memo
 def _typed_matchings(n: int) -> list[tuple[tuple[int, ...], Partition]]:
     """Every matching delta of [2n] with its stable type against eps."""
     from .cosets import matching_type, perfect_matchings
 
-    if n not in _MATCHINGS:
-        matchings = perfect_matchings(n)
-        eps = matchings[0]
-        typed = [(delta, matching_type(eps, delta)) for delta in matchings]
-        order = hyperoctahedral_order(n)
-        sizes: dict[Partition, int] = {}
-        for _, lam in typed:
-            sizes[lam] = sizes.get(lam, 0) + order
-        expected = {lam: double_coset_size(lam, n) for lam in enumerate_by_weight(n)}
-        if sizes != expected:
-            raise ValidationFailure(
-                f"matchings of [{2 * n}] by type, times |B_{n}|, give {sizes}, "
-                "not the double coset sizes"
-            )
-        _MATCHINGS[n] = typed
-    return _MATCHINGS[n]
+    matchings = perfect_matchings(n)
+    eps = matchings[0]
+    typed = [(delta, matching_type(eps, delta)) for delta in matchings]
+    order = hyperoctahedral_order(n)
+    sizes: dict[Partition, int] = {}
+    for _, lam in typed:
+        sizes[lam] = sizes.get(lam, 0) + order
+    expected = {lam: double_coset_size(lam, n) for lam in enumerate_by_weight(n)}
+    if sizes != expected:
+        raise ValidationFailure(
+            f"matchings of [{2 * n}] by type, times |B_{n}|, give {sizes}, "
+            "not the double coset sizes"
+        )
+    return typed
 
 
 def _tally_level(nu: Partition, n: int) -> None:
@@ -123,35 +124,6 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
         check_weight(as_partition(lam), n)
         _tally_level(nu, n)
     return _TALLIES[memo]
-
-
-# memos in modules that clear_caches must not import
-_LAZY_MEMOS = {
-    "characters": ("_SPHERICAL", "_TABLES"),
-    "universal": ("_FIT_CACHE",),
-    "group_algebra": ("_CLASS_TABLES", "_CLASS_PRODUCTS"),
-}
-
-
-def clear_caches() -> None:
-    """Empty the seven dict memos: spherical functions, character
-    tables, matchings, tallies, fits, class tables and class products.
-
-    The spherical functions and structure-constant tables (characters),
-    the fit memo (universal) and the class memos (group_algebra) are
-    cleared only if their module is loaded: a module not yet imported
-    holds no memo, and clearing imports none.  Two kinds of memo stay
-    by design: the functools.cache memos of partitions ([m_mu] p_lam)
-    and of _symfunc (p_k, h_k and m_lam), which hold exact constants no
-    input changes, and hecke's flag that the Matsumoto self-test passed.
-    """
-    _TALLIES.clear()
-    _MATCHINGS.clear()
-    for name, memos in _LAZY_MEMOS.items():
-        module = sys.modules.get(f"{__package__}.{name}")
-        if module is not None:
-            for memo in memos:
-                getattr(module, memo).clear()
 
 
 # perfbench/probe.py and perfbench/traced_cli.py read the permutation

@@ -35,6 +35,7 @@ from .partitions import (
     _integer,
     _power_sum_monomials,
     _read_terms,
+    as_partition,
 )
 
 __all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomial"]
@@ -53,21 +54,21 @@ MAX_DEGREE = 20
 
 
 class SymmetricExpression:
-    """An integer polynomial in the elementary generators e_1, e_2, ...;
-    coefficients, elementary indices, operands and exponents are read by
-    partitions._integer."""
+    """An immutable integer polynomial in the elementary generators e_1,
+    e_2, ...; coefficients, elementary indices, operands and exponents
+    are read by partitions._integer."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
-        self._terms = _read_terms(terms, _monomial_key)
+        object.__setattr__(self, "_terms", _read_terms(terms, _monomial_key))
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "SymmetricExpression":
         """An expression of terms the package built itself: descending
         index tuples and no zero coefficient, unread."""
         el = object.__new__(cls)
-        el._terms = terms
+        object.__setattr__(el, "_terms", terms)
         return el
 
     @classmethod
@@ -98,6 +99,9 @@ class SymmetricExpression:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymmetricExpression is immutable")
 
     def __add__(self, other) -> "SymmetricExpression":
         return SymmetricExpression._raw(_add_terms(self._terms, _coerce(other)._terms))
@@ -263,14 +267,13 @@ def _monomial(lam: Partition) -> SymmetricExpression:
 
 
 def monomial(lam: Partition) -> SymmetricExpression:
-    """The monomial symmetric function m_lam in the e-basis.
+    """The monomial symmetric function m_lam in the e-basis; lam is read
+    by partitions.as_partition, so parts out of order raise ValueError.
 
     >>> monomial((2, 1))
     e2*e1 + -3*e3
     """
-    lam = tuple(sorted((_integer(p) for p in lam), reverse=True))
-    if any(p < 1 for p in lam):
-        raise ValueError(f"not a partition: {lam}")
+    lam = as_partition(lam)
     if sum(lam) > _MONOMIAL_DEGREE_CAP:
         raise ValueError(
             f"monomial conversion supported up to degree {_MONOMIAL_DEGREE_CAP}"

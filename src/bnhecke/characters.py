@@ -65,6 +65,7 @@ from .errors import UsageError, ValidationFailure
 from .partitions import (
     MAX_SPHERICAL_LEVEL,
     Partition,
+    _memo,
     _power_sum_monomials,
     as_partition,
     check_weight,
@@ -101,10 +102,6 @@ class Spherical(namedtuple("Spherical", "parts types theta h dims big_n")):
     theta[rho][lam] = theta_rho(lam), h[lam], dims[rho] = W_rho N, and N."""
 
     __slots__ = ()
-
-
-_SPHERICAL: dict[tuple[int, int], Spherical] = {}
-_TABLES: dict[tuple[int, int], Table] = {}
 
 
 def _cells(rho: Partition) -> list[tuple[int, int]]:
@@ -217,6 +214,7 @@ def _jack_power_sums(n: int, alpha: int) -> list[list[int]]:
     return thetas
 
 
+@_memo
 def _spherical(n: int, basis: str) -> Spherical:
     """The checked spherical functions of one basis at level n."""
     alpha, size = _basis(basis)
@@ -225,8 +223,6 @@ def _spherical(n: int, basis: str) -> Spherical:
             f"spherical functions are built for 1 <= n <= {MAX_SPHERICAL_LEVEL}, "
             f"not n = {n}"
         )
-    if (n, alpha) in _SPHERICAL:
-        return _SPHERICAL[n, alpha]
     parts = partitions_of(n)
     theta = _jack_power_sums(n, alpha)
     norm = _norms(parts, alpha)
@@ -242,7 +238,7 @@ def _spherical(n: int, basis: str) -> Spherical:
                 f"not the hook-length dimension {want}"
             )
         dims.append(want)
-    _SPHERICAL[n, alpha] = Spherical(
+    return Spherical(
         parts=parts,
         types=[tuple(p - 1 for p in lam if p > 1) for lam in parts],
         theta=theta,
@@ -250,7 +246,6 @@ def _spherical(n: int, basis: str) -> Spherical:
         dims=dims,
         big_n=size(n),
     )
-    return _SPHERICAL[n, alpha]
 
 
 def _invert(sph: Spherical, values: list[int], fail) -> list[int]:
@@ -268,10 +263,17 @@ def _invert(sph: Spherical, values: list[int], fail) -> list[int]:
     return out
 
 
-def _build(n: int, basis: str) -> Table:
-    """The checked table of every b at level n (see the module docstring)."""
-    alpha = _BASES[basis][0]
+@_memo
+def structure_constants(n: int, basis: str) -> Table:
+    """Every b_{lam mu}^nu(n) of one basis ("K" or "C"), by stable types:
+    (lam, mu) -> {nu: b}, with only the non-zero b present.
+
+    n runs from 1 to MAX_SPHERICAL_LEVEL, else UsageError.  The table
+    is built once per level and basis and checked as it is built (see
+    the module docstring); the caller must not change it.
+    """
     sph = _spherical(n, basis)
+    alpha = _BASES[basis][0]
     stable, h = sph.types, sph.h
     table: Table = {}
     for i, lam in enumerate(stable):
@@ -296,19 +298,6 @@ def _build(n: int, basis: str) -> Table:
                 )
             table[lam, mu] = table[mu, lam] = {nu: b for nu, b in zip(stable, bs) if b}
     return table
-
-
-def structure_constants(n: int, basis: str) -> Table:
-    """Every b_{lam mu}^nu(n) of one basis ("K" or "C"), by stable types:
-    (lam, mu) -> {nu: b}, with only the non-zero b present.
-
-    n runs from 1 to MAX_SPHERICAL_LEVEL, else UsageError.  The table
-    is built once per level and basis; the caller must not change it.
-    """
-    alpha = _basis(basis)[0]
-    if (n, alpha) not in _TABLES:
-        _TABLES[n, alpha] = _build(n, basis)
-    return _TABLES[n, alpha]
 
 
 def structure_constant(

@@ -251,20 +251,11 @@ def parse(argv) -> Command:
     return Command(verb=ns.verb, args=args, output_format=ns.format)
 
 
-def _progress(message: str) -> None:
-    print(message, file=sys.stderr, flush=True)
-
-
-def _embedding_level(w: Permutation) -> int:
-    """The least n >= 1 with w in S_2n; the identity embeds at n = 1."""
-    return max(1, (w.degree + 1) // 2)
-
-
 # ---------------------------------------------------------------- verbs
 
 
 def _run_coset_type(args):
-    from .cosets import coset_type, stable_coset_type
+    from .cosets import _embedding_level, coset_type, stable_coset_type
 
     w = args["perm"]
     n = _embedding_level(w)
@@ -277,7 +268,7 @@ def _run_coset_type(args):
 
 
 def _run_phi(args):
-    from .cosets import phi
+    from .cosets import _embedding_level, phi
 
     w = args["perm"]
     n = _embedding_level(w)
@@ -353,6 +344,7 @@ def _run_fit(args):
 
 def _run_table(args):
     from .hecke import hecke_structure_constant
+    from .suites import _progress
 
     n = args["n"]
     shapes = enumerate_by_weight(n)

@@ -27,7 +27,12 @@ part of the coset type exactly twice.
 
 As with cycle types, dropping 1 from every part gives the *stable*
 coset type, independent of the ambient 2n; its weight is the number of
-couples that w fails to map onto couples (the modified support).
+couples that w fails to map onto couples (the modified support).  A
+permutation is read at its embedding level, the least n >= 1 with w in
+S_2n (_embedding_level, which the CLI verbs on one permutation share).
+The perfect matchings feed the matching tally of bnhecke._backend, the
+tests' oracle for the K basis; gamma_graph serves the coset-invariants
+suite.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ __all__ = [
     "PairGraph",
     "CoupleSet",
     "t_perm",
-    "sigma",
     "phi",
     "gamma_graph",
     "perfect_matchings",
@@ -51,11 +55,9 @@ __all__ = [
     "image_matching",
     "coset_type",
     "stable_coset_type",
-    "cycle_count",
     "modified_support",
     "twisted_degree",
     "is_hyperoctahedral",
-    "delta_embed",
     "coset_representative",
     "enumerate_double_coset",
     "hyperoctahedral_generators",
@@ -66,6 +68,11 @@ __all__ = [
 def _partner(i: int) -> int:
     """t(i): the other member of the couple containing i."""
     return i + 1 if i % 2 == 1 else i - 1
+
+
+def _embedding_level(w: Permutation) -> int:
+    """The least n >= 1 with w in S_2n; the identity embeds at n = 1."""
+    return max(1, (w.degree + 1) // 2)
 
 
 def _check_level(w: Permutation, n: int) -> None:
@@ -111,13 +118,6 @@ class PairGraph:
     def half_lengths(self) -> Partition:
         return tuple(sorted((len(c) // 2 for c in self.cycles), reverse=True))
 
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "cycles": [list(c) for c in self.cycles]}
-
 
 class CoupleSet:
     """A finite set of couples {2j-1, 2j}, stored as ordered pairs."""
@@ -150,30 +150,17 @@ class CoupleSet:
     def from_indices(cls, indices) -> "CoupleSet":
         return cls(frozenset((2 * j - 1, 2 * j) for j in indices))
 
-    def indices(self) -> frozenset[int]:
-        return frozenset(a // 2 + 1 for a, _ in self.couples)
-
     def points(self) -> frozenset[int]:
         return frozenset(itertools.chain.from_iterable(self.couples))
 
     def __len__(self) -> int:
         return len(self.couples)
 
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.couples
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.couples))
 
-    def __le__(self, other: "CoupleSet") -> bool:
-        return self.couples <= other.couples
-
     def __or__(self, other: "CoupleSet") -> "CoupleSet":
         return CoupleSet(self.couples | other.couples)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in sorted(self.couples)]
-
 
 def t_perm(n: int) -> Permutation:
     """The involution (1 2)(3 4)...(2n-1 2n)."""
@@ -182,15 +169,8 @@ def t_perm(n: int) -> Permutation:
     return Permutation(_partner(i) for i in range(1, 2 * n + 1))
 
 
-def sigma(w: Permutation, n: int) -> Permutation:
-    """Conjugation by t: sigma(w) = t w t."""
-    _check_level(w, n)
-    t = t_perm(n)
-    return t * w * t
-
-
 def phi(w: Permutation, n: int) -> Permutation:
-    """The twist phi(w) = sigma(w^{-1}) w = t w^{-1} t w.
+    """The twist phi(w) = t w^{-1} t w.
 
     >>> phi(Permutation.from_cycles([(2, 3)]), 2).cycle_string()
     '(1 4)(2 3)'
@@ -294,7 +274,7 @@ def image_matching(images) -> tuple[int, ...]:
 
 def stable_coset_type(w: Permutation) -> Partition:
     """Coset type with 1 subtracted from each part; level independent."""
-    n = max((w.degree + 1) // 2, 1)
+    n = _embedding_level(w)
     eps = image_matching(range(1, 2 * n + 1))
     return matching_type(eps, image_matching(w.one_line(2 * n)))
 
@@ -305,18 +285,13 @@ def coset_type(w: Permutation, n: int) -> Partition:
     return completion(stable_coset_type(w), n)
 
 
-def cycle_count(w: Permutation, n: int) -> int:
-    """Number of cycles of Gamma(w), i.e. the length of the coset type."""
-    return len(coset_type(w, n))
-
-
 def modified_support(w: Permutation) -> CoupleSet:
     """Couples C with w(C) not a couple; empty iff w is hyperoctahedral.
 
     >>> sorted(modified_support(Permutation.from_cycles([(2, 3)])))
     [(1, 2), (3, 4)]
     """
-    n = (w.degree + 1) // 2
+    n = _embedding_level(w)
     return CoupleSet.from_indices(
         j for j in range(1, n + 1) if w(2 * j) != _partner(w(2 * j - 1))
     )
@@ -331,15 +306,6 @@ def is_hyperoctahedral(w: Permutation, n: int) -> bool:
     """True iff w permutes the couples of [2n], i.e. w is in B_n."""
     _check_level(w, n)
     return not modified_support(w)
-
-
-def delta_embed(x: Permutation) -> Permutation:
-    """The doubling homomorphism sending 2i-1, 2i to 2x(i)-1, 2x(i)."""
-    images: list[int] = []
-    for i in range(1, x.degree + 1):
-        images.append(2 * x(i) - 1)
-        images.append(2 * x(i))
-    return Permutation(images)
 
 
 def hyperoctahedral_generators(n: int) -> list[Permutation]:

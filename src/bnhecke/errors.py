@@ -12,7 +12,6 @@ __all__ = [
     "DegreeMismatch",
     "LevelMismatch",
     "IndexOutOfRange",
-    "NonCommutingValues",
     "NotCentral",
     "NotBiInvariant",
     "LengthBound",
@@ -44,10 +43,6 @@ class LevelMismatch(HeckeError):
 
 class IndexOutOfRange(HeckeError):
     """A generator index lies outside its valid range."""
-
-
-class NonCommutingValues(HeckeError):
-    """Symmetric-function evaluation was attempted at non-commuting values."""
 
 
 class NotCentral(HeckeError):

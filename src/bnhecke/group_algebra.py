@@ -8,41 +8,32 @@ center is spanned by the class sums C_mu(n), indexed by stable cycle
 type, and the structure constants a_{lam mu}^{nu}(n) are read off
 products of class sums at a canonical class representative.
 
-The symmetric-function machinery lives here too: Jucys-Murphy elements
+The Jucys-Murphy elements
 
     J_k = (1,k) + (2,k) + ... + (k-1,k),    J_1 = 0,
 
 commute pairwise, and evaluating elementary symmetric functions at
 them reproduces the cycle-count filtration: Z_i, the sum of all
 permutations with exactly i cycles, equals e_{n-i}(J_1, ..., J_n).
-A symmetric expression is held in the e-basis, so evaluating it runs
-SymmetricExpression.evaluate: the product DP prod_i (1 + t v_i) for
-the elementary evaluations, then the sum of their products.  Only
-b_sum reads B_n, and it imports bnhecke.cosets when it runs.
+eval_elementary runs the product DP prod_i (1 + t v_i) of
+SymmetricExpression.evaluate (bnhecke._symfunc, where the symmetric
+functions live); a general expression F evaluates at algebra values by
+F.evaluate(values, AlgebraElement.one(m)).  The class tables and class
+products are memos that partitions.clear_caches empties.  Only b_sum
+reads B_n, and it imports bnhecke.cosets when it runs.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from ._symfunc import (
-    SymmetricExpression,
-    complete,
-    elementary,
-    monomial,
-    power_sum,
-)
-from .errors import (
-    IndexOutOfRange,
-    LevelMismatch,
-    NonCommutingValues,
-    NotCentral,
-    ValidationFailure,
-)
+from ._symfunc import elementary
+from .errors import IndexOutOfRange, LevelMismatch, NotCentral, ValidationFailure
 from .partitions import (
     Partition,
     _Combination,
     _expand_by_type,
+    _memo,
     check_weight,
     completion,
     weight,
@@ -63,14 +54,8 @@ __all__ = [
     "jucys_murphy",
     "b_sum",
     "eval_elementary",
-    "eval_symmetric",
     "zi_generator",
     "expand_in_class_basis",
-    "SymmetricExpression",
-    "elementary",
-    "power_sum",
-    "complete",
-    "monomial",
 ]
 
 
@@ -102,12 +87,6 @@ class AlgebraElement(_Combination):
     def coefficient(self, perm: Permutation) -> int:
         return self._t.get(perm.one_line(self.level), 0)
 
-    def terms(self) -> dict[Permutation, int]:
-        return {Permutation(k): v for k, v in self._t.items()}
-
-    def support_size(self) -> int:
-        return len(self._t)
-
     def __len__(self) -> int:
         return len(self._t)
 
@@ -129,34 +108,24 @@ class AlgebraElement(_Combination):
     def __repr__(self) -> str:
         return f"AlgebraElement(level={self.level}, terms={len(self._t)})"
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"perm": list(k), "coeff": str(self._t[k])}
-            for k in sorted(self._t)
-        ]
-
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product; raises LevelMismatch on distinct levels."""
     return a * b
 
 
-_CLASS_TABLES: dict[int, dict[Partition, list[tuple[int, ...]]]] = {}
-
-
+@_memo
 def _class_table(n: int) -> dict[Partition, list[tuple[int, ...]]]:
     """All of S_n keyed by stable cycle type; one sweep, cached."""
-    if n not in _CLASS_TABLES:
-        if n > 8:
-            raise ValueError(
-                f"class tables sweep all of S_n; n = {n} exceeds the n <= 8 budget"
-            )
-        table: dict[Partition, list[tuple[int, ...]]] = {}
-        for w in symmetric_group(n):
-            key = w.one_line(n)
-            table.setdefault(stable_type_of_one_line(key), []).append(key)
-        _CLASS_TABLES[n] = table
-    return _CLASS_TABLES[n]
+    if n > 8:
+        raise ValueError(
+            f"class tables sweep all of S_n; n = {n} exceeds the n <= 8 budget"
+        )
+    table: dict[Partition, list[tuple[int, ...]]] = {}
+    for w in symmetric_group(n):
+        key = w.one_line(n)
+        table.setdefault(stable_type_of_one_line(key), []).append(key)
+    return table
 
 
 def class_sum(mu: Partition, n: int) -> AlgebraElement:
@@ -171,7 +140,10 @@ def class_sum(mu: Partition, n: int) -> AlgebraElement:
     return AlgebraElement._raw(n, {k: 1 for k in rows})
 
 
-_CLASS_PRODUCTS: dict[tuple[Partition, Partition, int], AlgebraElement] = {}
+@_memo
+def _class_product(lam: Partition, mu: Partition, n: int) -> AlgebraElement:
+    """C_lam(n) C_mu(n), cached; callers pass lam <= mu."""
+    return class_sum(lam, n) * class_sum(mu, n)
 
 
 def class_structure_constant(
@@ -184,10 +156,8 @@ def class_structure_constant(
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     check_weight(nu, n)
-    memo = (lam, mu, n) if lam <= mu else (mu, lam, n)
-    if memo not in _CLASS_PRODUCTS:
-        _CLASS_PRODUCTS[memo] = class_sum(memo[0], n) * class_sum(memo[1], n)
-    coeff = _CLASS_PRODUCTS[memo].coefficient(class_representative(nu, n))
+    product = _class_product(*sorted((lam, mu)), n)
+    coeff = product.coefficient(class_representative(nu, n))
     if coeff < 0:
         raise ValidationFailure(
             f"a_{{{lam},{mu}}}^{nu}({n}) = {coeff} is not a non-negative integer"
@@ -219,42 +189,19 @@ def b_sum(n: int) -> AlgebraElement:
     )
 
 
-def _unit(values: list[AlgebraElement]) -> AlgebraElement:
-    """The one of the values' level; ValueError for no values and
-    LevelMismatch for values of two levels."""
+def eval_elementary(k: int, values: list[AlgebraElement]) -> AlgebraElement:
+    """e_k evaluated at the given algebra elements; e_0 = 1.  ValueError
+    for no values, LevelMismatch for values of two levels."""
+    if k < 0:
+        raise ValueError("e_k needs k >= 0")
+    values = list(values)
     if not values:
         raise ValueError("cannot infer the level from an empty value list")
     level = values[0].level
     for v in values:
         if v.level != level:
-            raise LevelMismatch(
-                f"values mix levels {level} and {v.level}"
-            )
-    return AlgebraElement.one(level)
-
-
-def eval_elementary(k: int, values: list[AlgebraElement]) -> AlgebraElement:
-    """e_k evaluated at the given algebra elements; e_0 = 1."""
-    if k < 0:
-        raise ValueError("e_k needs k >= 0")
-    values = list(values)
-    return elementary(k).evaluate(values, _unit(values))
-
-
-def eval_symmetric(
-    F: SymmetricExpression | str, values: list[AlgebraElement]
-) -> AlgebraElement:
-    """Evaluate a symmetric expression at pairwise commuting values."""
-    if isinstance(F, str):
-        F = SymmetricExpression.parse(F)
-    values = list(values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] * values[j] != values[j] * values[i]:
-                raise NonCommutingValues(
-                    f"values {i} and {j} do not commute"
-                )
-    return F.evaluate(values, _unit(values))
+            raise LevelMismatch(f"values mix levels {level} and {v.level}")
+    return elementary(k).evaluate(values, AlgebraElement.one(level))
 
 
 def zi_generator(i: int, n: int) -> AlgebraElement:

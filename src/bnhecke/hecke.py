@@ -505,31 +505,6 @@ class TrichotomyReport(
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {
-            "max_weight": self.max_weight,
-            "n_range": list(self.n_range),
-            "zero": [
-                {"lam": list(l), "mu": list(m), "nu": list(v)}
-                for l, m, v in self.zero
-            ],
-            "top": [
-                {"lam": list(l), "mu": list(m), "nu": list(v), "b": b}
-                for l, m, v, b in self.top
-            ],
-            "subtop": [
-                {
-                    "lam": list(l),
-                    "mu": list(m),
-                    "nu": list(v),
-                    "values": {
-                        str(n): b for n, b in zip(self.n_range, vals)
-                    },
-                }
-                for l, m, v, vals in self.subtop
-            ],
-        }
-
 
 def trichotomy_report(max_weight: int, n_range) -> TrichotomyReport:
     """Check the degree trichotomy over all triples of bounded weight.

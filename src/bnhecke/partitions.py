@@ -22,9 +22,12 @@ ordinary type at a fixed level.
 The closed forms |B_n| = 2^n n! and |K_mu(n)| live here too, so
 evaluating them loads no permutation code.  So do MAX_SPHERICAL_LEVEL,
 the level cap of bnhecke.characters, which the CLI reads without
-loading it, and the integer-combination core (_read_terms, _add_terms,
+loading it, the integer-combination core (_read_terms, _add_terms,
 _Combination) that HeckeElement, AlgebraElement and SymmetricExpression
-share.
+share, and the one memo idiom: _memo is functools.cache with its
+cache_clear registered, and clear_caches runs every registered clear.
+Every module that holds a memo imports this one, so clearing loads no
+other module.
 
 >>> completion((2, 1), 5)
 (3, 2)
@@ -63,10 +66,37 @@ __all__ = [
     "enumerate_by_weight",
     "partitions_of",
     "subpartitions",
-    "is_subpartition",
+    "clear_caches",
 ]
 
 Partition = tuple[int, ...]
+
+# the cache_clear of every memo that clear_caches empties
+_MEMO_CLEARS: list = []
+
+
+def _memo(fn):
+    """functools.cache on fn, its cache_clear registered with clear_caches."""
+    fn = cache(fn)
+    _MEMO_CLEARS.append(fn.cache_clear)
+    return fn
+
+
+def clear_caches() -> None:
+    """Empty every memo that grows with the levels and triples asked
+    for: the spherical functions and structure-constant tables
+    (characters), the fits (universal), the class tables and products
+    (group_algebra), and the matchings and tallies (_backend).
+
+    A memo registers when its module loads, so a module not yet
+    imported holds no memo and clearing imports none.  Two kinds of
+    memo stay by design: the plain functools.cache memos of [m_mu] p_lam
+    (here) and of p_k, h_k and m_lam (_symfunc), which hold exact
+    constants no input changes, and hecke's flag that the Matsumoto
+    self-test passed.
+    """
+    for clear in _MEMO_CLEARS:
+        clear()
 
 
 def _integer(x) -> int:
@@ -131,11 +161,6 @@ def difference(lam: Partition, mu: Partition) -> Partition:
                 f"{mu} is not a subpartition of {lam}: part {p} in excess"
             ) from None
     return tuple(remaining)
-
-
-def is_subpartition(rho: Partition, lam: Partition) -> bool:
-    """True iff rho is contained in lam as a multiset."""
-    return all(rho.count(p) <= lam.count(p) for p in set(rho))
 
 
 def check_weight(mu: Partition, n: int) -> None:

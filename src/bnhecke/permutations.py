@@ -8,7 +8,7 @@ symmetric group viewpoint: every value here is an element of the union
 of all S_n, and operations take an explicit level only when the answer
 depends on it.
 
-Products compose right to left: (x*y)(i) = x(y(i)).
+Products act right to left: (x*y)(i) = x(y(i)).
 
 >>> x = Permutation((2, 1, 3))
 >>> y = Permutation((3, 2, 1))
@@ -34,9 +34,6 @@ from .partitions import Partition, _integer, completion, weight
 __all__ = [
     "Permutation",
     "identity",
-    "transposition",
-    "compose",
-    "inverse",
     "stable_cycle_type",
     "support",
     "cayley_degree",
@@ -169,10 +166,6 @@ class Permutation:
     def stable_cycle_type(self) -> Partition:
         return stable_type_of_one_line(self.images)
 
-    def cycle_type(self, n: int) -> Partition:
-        """Ordinary cycle type as a partition of n (fixed points included)."""
-        return completion(self.stable_cycle_type(), n)
-
     def support(self) -> frozenset[int]:
         return frozenset(
             i for i, j in enumerate(self.images, start=1) if i != j
@@ -200,21 +193,6 @@ class Permutation:
 
 def identity() -> Permutation:
     return Permutation._raw(())
-
-
-def transposition(i: int, j: int) -> Permutation:
-    if i == j:
-        raise ValueError("transposition needs two distinct points")
-    return Permutation.from_cycles([(i, j)])
-
-
-def compose(x: Permutation, y: Permutation) -> Permutation:
-    """(x y)(i) = x(y(i)); same as x * y."""
-    return x * y
-
-
-def inverse(x: Permutation) -> Permutation:
-    return x.inverse()
 
 
 def stable_cycle_type(x: Permutation) -> Partition:

@@ -40,6 +40,7 @@ from .errors import ValidationFailure
 from .partitions import (
     Partition,
     _integer,
+    _memo,
     as_partition,
     enumerate_by_weight,
     weight,
@@ -271,14 +272,6 @@ class GradedIsoReport(namedtuple("GradedIsoReport", "max_weight n entries")):
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_json(self) -> dict:
-        return {
-            "max_weight": self.max_weight,
-            "n": self.n,
-            "ok": self.ok,
-            "entries": [e.to_json() for e in self.entries],
-        }
-
 
 def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
     """Compare all single-cycle top coefficients within a weight window.
@@ -325,28 +318,22 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
     return GradedIsoReport(max_weight=max_weight, n=n, entries=tuple(entries))
 
 
-_FIT_CACHE: dict[tuple, IntegerValuedPolynomial | None] = {}
-
-
+@_memo
 def _fitted(
     basis: str, lam: Partition, mu: Partition, nu: Partition
 ) -> IntegerValuedPolynomial | None:
-    """Fit on the standard plan; None marks an unfittable triple."""
-    key = (basis, lam, mu, nu)
-    if key not in _FIT_CACHE:
-        floor, _, need = _plan(lam, mu, nu)
-        available = list(range(floor, MAX_SAMPLE_LEVEL + 1))
-        if need > len(available):
-            _FIT_CACHE[key] = None
-        else:
-            # the holdout is the next level after the samples: a miss
-            # raises, since more samples would only hide the fault
-            _FIT_CACHE[key] = universal_structure_constant(
-                lam, mu, nu, available[:need], basis=basis
-            )
-        # symmetric product, one fit serves both orders
-        _FIT_CACHE[(basis, mu, lam, nu)] = _FIT_CACHE[key]
-    return _FIT_CACHE[key]
+    """Fit on the standard plan; None marks an unfittable triple.  The
+    product is symmetric, so callers pass lam <= mu and one fit serves
+    both orders."""
+    floor, _, need = _plan(lam, mu, nu)
+    available = list(range(floor, MAX_SAMPLE_LEVEL + 1))
+    if need > len(available):
+        return None
+    # the holdout is the next level after the samples: a miss raises,
+    # since more samples would only hide the fault
+    return universal_structure_constant(
+        lam, mu, nu, available[:need], basis=basis
+    )
 
 
 class FitResult(
@@ -388,7 +375,7 @@ def fit_triple(
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     _basis(basis)
-    f = _fitted(basis, lam, mu, nu)
+    f = _fitted(basis, *sorted((lam, mu)), nu)
     if f is None:
         return FitResult(lam, mu, nu, "UNFITTED", None)
     if not f:

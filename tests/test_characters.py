@@ -23,29 +23,15 @@ from bnhecke.characters import (
 )
 from bnhecke.cli import MAX_MATSUMOTO_LEVEL
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
-from bnhecke.partitions import _power_sum_monomials, enumerate_by_weight
+from bnhecke.partitions import _power_sum_monomials, clear_caches, enumerate_by_weight
 
 ORACLE_LEVEL = 6
 
 
 @pytest.fixture
-def fresh(monkeypatch):
-    """Empty memos, so a damaged build is not served from the cache."""
-    monkeypatch.setattr(characters, "_SPHERICAL", {})
-    monkeypatch.setattr(characters, "_TABLES", {})
-
-
-@pytest.fixture
-def lifted(monkeypatch, fresh):
+def lifted(monkeypatch, fresh_memos):
+    # fresh_memos drops the oracles' level-6 memos when the test ends
     monkeypatch.setattr(_backend, "MAX_TALLY_LEVEL", ORACLE_LEVEL)
-    # the oracles' level-6 memos go when the test ends
-    for module, memo in (
-        (_backend, "_TALLIES"),
-        (_backend, "_MATCHINGS"),
-        (group_algebra, "_CLASS_TABLES"),
-        (group_algebra, "_CLASS_PRODUCTS"),
-    ):
-        monkeypatch.setattr(module, memo, {})
 
 
 @pytest.mark.parametrize("n", range(1, ORACLE_LEVEL + 1))
@@ -89,7 +75,7 @@ def test_transposition_square(n):
         assert got == {nu: b for nu, b in want.items() if sum(nu) + len(nu) <= n}
 
 
-def test_level_cap_and_weights(fresh):
+def test_level_cap_and_weights(fresh_memos):
     # one cap on the character path: the tables go as far as the
     # spherical functions, past the CLI's n <= 5
     for n in (6, 7, 8):
@@ -106,11 +92,11 @@ def test_level_cap_and_weights(fresh):
         structure_constants(3, "Q")
 
 
-def test_one_table_per_level_and_alpha(fresh):
+def test_one_table_per_level_and_alpha(fresh_memos):
     first = structure_constants(3, "K")
     assert structure_constants(3, "K") is first
     assert structure_constants(3, "C") is not first
-    assert set(characters._TABLES) == {(3, 2), (3, 1)}
+    assert structure_constants.cache_info().currsize == 2
 
 
 GRAM_SCHMIDT_LEVEL = 8
@@ -122,11 +108,11 @@ def test_recurrence_matches_gram_schmidt(n, alpha):
     assert characters._jack_power_sums(n, alpha) == jack_power_sums_by_gram_schmidt(n, alpha)
 
 
-def test_matsumoto_matches_gram_schmidt(monkeypatch, fresh):
+def test_matsumoto_matches_gram_schmidt(monkeypatch, fresh_memos):
     n = GRAM_SCHMIDT_LEVEL
     exprs = [SymmetricExpression.parse(e) for e in ORACLE_EXPRS]
     want = [matsumoto_coefficients(F, n) for F in exprs]
-    monkeypatch.setattr(characters, "_SPHERICAL", {})
+    clear_caches()
     monkeypatch.setattr(
         characters,
         "_jack_power_sums",
@@ -150,7 +136,7 @@ def _damaged(monkeypatch, edit):
     monkeypatch.setattr(characters, "_jack_monomials", damaged)
 
 
-def test_non_integral_theta_raises(monkeypatch, fresh):
+def test_non_integral_theta_raises(monkeypatch, fresh_memos):
     # [m_(1,1,1)] J_(3) off by one: theta_(3)((1,1,1)) is that over 3!
     def bump(jacks):
         jacks[0][-1] += 1
@@ -160,7 +146,7 @@ def test_non_integral_theta_raises(monkeypatch, fresh):
         structure_constants(3, "K")
 
 
-def test_recurrence_divides_exactly(monkeypatch, fresh):
+def test_recurrence_divides_exactly(monkeypatch, fresh_memos):
     # [m_rho] J_rho off by one: the next coefficient down is not an integer
     hooks = characters._hook_product
     monkeypatch.setattr(
@@ -170,13 +156,13 @@ def test_recurrence_divides_exactly(monkeypatch, fresh):
         structure_constants(2, "K")
 
 
-def test_wrong_dimension_raises(monkeypatch, fresh):
+def test_wrong_dimension_raises(monkeypatch, fresh_memos):
     monkeypatch.setattr(characters, "_dimension", lambda rho: 7)
     with pytest.raises(ValidationFailure, match="hook-length dimension"):
         structure_constants(2, "C")
 
 
-def test_sign_flip_breaks_the_constants(monkeypatch, fresh):
+def test_sign_flip_breaks_the_constants(monkeypatch, fresh_memos):
     # -J_rho keeps theta integral and <J, J> unchanged, but the cube
     # theta^3 changes sign, so some b goes fractional or negative
     def negate(jacks):
@@ -187,12 +173,12 @@ def test_sign_flip_breaks_the_constants(monkeypatch, fresh):
         structure_constants(3, "K")
 
 
-def test_one_spherical_step_serves_both(fresh):
+def test_one_spherical_step_serves_both(fresh_memos):
     table = structure_constants(3, "K")
-    assert set(characters._SPHERICAL) == {(3, 2)}
+    assert characters._spherical.cache_info().misses == 1
     # e_1 lands on H_2, the K_mu(3) with |mu| = 1
     assert matsumoto_coefficients(elementary(1), 3) == {(1,): 1}
-    assert set(characters._SPHERICAL) == {(3, 2)}
+    assert characters._spherical.cache_info()[:2] == (1, 1)
     assert structure_constants(3, "K") is table
 
 

@@ -444,6 +444,20 @@ class TestMain:
         error = json.loads(captured.err)
         assert error["error"] == "UsageError"
 
+    def test_out_of_order_monomial_is_exit_two(self, capsys):
+        # m[1,2] is refused as --lhs [1,2] is, not re-sorted into m[2,1]
+        messages = []
+        for argv in (
+            ["matsumoto", "--n", "3", "--expr", "m[1,2]"],
+            ["product", "--n", "3", "--lhs", "[1,2]", "--rhs", "[]"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            messages.append(json.loads(captured.err)["message"])
+        reason = "partition parts must be non-increasing: (1, 2)"
+        assert all(reason in m for m in messages), messages
+
     @pytest.mark.parametrize("expr", ["1/0", "e1**", "x"])
     def test_malformed_expression_is_exit_two(self, expr, capsys):
         assert main(["matsumoto", "--expr", expr, "--n", "2"]) == 2
@@ -653,6 +667,19 @@ class TestHandKeptLists:
         from bnhecke.suites import SUITE_RUNNERS
 
         assert SUITES == tuple(SUITE_RUNNERS)
+
+    def test_every_module_all_resolves(self):
+        # a name left in __all__ by a deletion would fail only at import *
+        package = os.path.dirname(bnhecke.__file__)
+        modules = sorted(
+            name[:-3] for name in os.listdir(package)
+            if name.endswith(".py") and name != "__init__.py"
+        )
+        assert "partitions" in modules
+        for module in ["", *(f".{m}" for m in modules)]:
+            home = importlib.import_module(module or "bnhecke", "bnhecke")
+            missing = [n for n in getattr(home, "__all__", ()) if not hasattr(home, n)]
+            assert not missing, (home.__name__, missing)
 
 
 class TestIntegerBoundary:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bnhecke._backend as backend
-from bnhecke._backend import clear_caches, product_tally
+from bnhecke import clear_caches
+from bnhecke._backend import product_tally
 from bnhecke._kernels_py import (
     LevelTable,
     compute_counts,
@@ -192,28 +193,32 @@ class TestLevelTable:
         product_tally((1,), (1,), 2)
         universal.fit_triple((1,), (1,), (1,))
         group_algebra.class_structure_constant((1,), (1,), (), 3)
-        caches = {
-            "_SPHERICAL": characters._SPHERICAL,
-            "_TABLES": characters._TABLES,
-            "_TALLIES": backend._TALLIES,
-            "_MATCHINGS": backend._MATCHINGS,
-            "_FIT_CACHE": universal._FIT_CACHE,
-            "_CLASS_TABLES": group_algebra._CLASS_TABLES,
-            "_CLASS_PRODUCTS": group_algebra._CLASS_PRODUCTS,
-        }
-        assert all(caches.values()), [k for k, v in caches.items() if not v]
+        characters.structure_constants(2, "C")
+        memos = [
+            characters._spherical,
+            characters.structure_constants,
+            backend._typed_matchings,
+            universal._fitted,
+            group_algebra._class_table,
+            group_algebra._class_product,
+        ]
+
+        def sizes():
+            return [m.cache_info().currsize for m in memos] + [len(backend._TALLIES)]
+
+        assert all(sizes()), sizes()
         clear_caches()
-        assert not any(caches.values()), [k for k, v in caches.items() if v]
+        assert not any(sizes()), sizes()
 
     def test_clear_imports_nothing(self):
-        # in a fresh process no table, fit or class memo exists yet, and
-        # clearing must not load the modules that would hold one
+        # in a fresh process no table, fit, tally or class memo exists
+        # yet, and clearing must not load the modules that would hold one
         script = (
             "import sys\n"
             "from bnhecke import clear_caches\n"
             "clear_caches()\n"
-            "print([m for m in ('bnhecke.characters', 'bnhecke.universal',"
-            " 'bnhecke.group_algebra') if m in sys.modules])\n"
+            "print([m for m in ('bnhecke._backend', 'bnhecke.characters',"
+            " 'bnhecke.universal', 'bnhecke.group_algebra') if m in sys.modules])\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(backend.__file__))
@@ -310,7 +315,8 @@ class TestProductTally:
         monkeypatch.setattr(backend, "double_coset_size", lambda mu, n: 0)
         with pytest.raises(ValidationFailure):
             product_tally((1,), (1,), 3)
-        assert not backend._MATCHINGS and not backend._TALLIES
+        assert not backend._typed_matchings.cache_info().currsize
+        assert not backend._TALLIES
 
     def test_tally_check_raises(self, monkeypatch):
         clear_caches()

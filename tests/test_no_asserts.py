@@ -101,12 +101,13 @@ out["coset_representative"] = message(lambda: cosets.coset_representative((1,), 
 partitions.z_value = lambda rho: 7
 out["double_coset_size"] = message(lambda: partitions.double_coset_size((1,), 2))
 # theta_(6)(lam) + 1 moves each c_kappa by W_(6) = 1/15
-spherical = characters._spherical(3, "K")
-theta = [[t + 1 for t in spherical.theta[0]], *spherical.theta[1:]]
-characters._SPHERICAL[3, 2] = spherical._replace(theta=theta)
+spherical = characters._spherical
+theta = [[t + 1 for t in spherical(3, "K").theta[0]], *spherical(3, "K").theta[1:]]
+characters._spherical = lambda n, basis: spherical(n, basis)._replace(theta=theta)
 out["matsumoto_coefficients"] = message(
     lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3)
 )
+characters._spherical = spherical
 # [m_rho] J_rho + 1: the recurrence below it leaves a remainder
 hooks = characters._hook_product
 characters._hook_product = lambda rho, alpha: hooks(rho, alpha) + 1

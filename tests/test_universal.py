@@ -216,9 +216,9 @@ class TestGradedIso:
             graded_iso_check(3, 2)
 
     def test_json(self):
-        payload = graded_iso_check(2, 4).to_json()
-        assert payload["ok"] is True
-        assert all("formula" in e for e in payload["entries"])
+        report = graded_iso_check(2, 4)
+        assert report.ok
+        assert all(e.to_json()["formula"] == e.formula for e in report.entries)
 
 
 class TestFitReports:
@@ -254,6 +254,7 @@ class TestFitReports:
         assert MAX_SAMPLE_LEVEL == 5
 
     @pytest.mark.parametrize("basis", ["K", "C"])
+    @pytest.mark.usefixtures("fresh_memos")
     def test_fits_without_a_holdout_hold_one_level_up(self, basis, monkeypatch):
         # a fit whose samples reach MAX_SAMPLE_LEVEL is held out at the
         # next level on the character path itself; recount each such
@@ -270,7 +271,6 @@ class TestFitReports:
                 unchecked[lam, mu, nu] = f
             return f
 
-        monkeypatch.setattr(universal, "_FIT_CACHE", {})
         monkeypatch.setattr(universal, "universal_structure_constant", spy)
         fit_report(4, basis)
         assert unchecked
@@ -290,6 +290,7 @@ class TestFitReports:
         assert not wrong, wrong
 
     @pytest.mark.parametrize("basis", ["K", "C"])
+    @pytest.mark.usefixtures("fresh_memos")
     def test_every_fit_is_read_at_a_holdout(self, basis, monkeypatch):
         # every fitted triple of fit_report(4), the 36 whose samples
         # reach MAX_SAMPLE_LEVEL among them, is counted at a level it
@@ -306,7 +307,6 @@ class TestFitReports:
             reads.setdefault((lam, mu, nu), set()).add(n)
             return count(lam, mu, nu, n, basis)
 
-        monkeypatch.setattr(universal, "_FIT_CACHE", {})
         monkeypatch.setattr(universal, "universal_structure_constant", fit_spy)
         monkeypatch.setattr(universal, "structure_constant", count_spy)
         fits = [r for r in fit_report(4, basis) if r.classification != "UNFITTED"]
@@ -322,6 +322,7 @@ class TestFitReports:
         assert (len(fits), at_the_cap) == (65, 36)
         assert not unchecked, unchecked
 
+    @pytest.mark.usefixtures("fresh_memos")
     def test_a_wrong_value_above_the_samples_raises(self, monkeypatch):
         # ((2,), (1,), (1,)) has degree 2 and floor 3: it samples
         # n = 3, 4, 5 and is held out at 6
@@ -330,16 +331,15 @@ class TestFitReports:
         def wrong_at_6(lam, mu, nu, n, basis):
             return count(lam, mu, nu, n, basis) + (n == 6)
 
-        monkeypatch.setattr(universal, "_FIT_CACHE", {})
         monkeypatch.setattr(universal, "structure_constant", wrong_at_6)
         with pytest.raises(ValidationFailure, match="at n=6"):
             fit_triple((2,), (1,), (1,))
 
+    @pytest.mark.usefixtures("fresh_memos")
     def test_missed_holdout_raises(self, monkeypatch):
         # n^2 has degree 2, above the bound 1 for ((1,), (1,), (1,)): the
         # fit on n = 2, 3 misses the holdout at 4, and more samples
         # would only hide that
-        monkeypatch.setattr(universal, "_FIT_CACHE", {})
         monkeypatch.setattr(
             universal, "structure_constant", lambda lam, mu, nu, n, basis: n * n
         )
