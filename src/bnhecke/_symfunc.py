@@ -27,6 +27,7 @@ import json
 import re
 from functools import cache
 from math import prod
+from types import MappingProxyType
 
 from .errors import ValidationFailure
 from .partitions import (
@@ -56,19 +57,22 @@ MAX_DEGREE = 20
 class SymmetricExpression:
     """An immutable integer polynomial in the elementary generators e_1,
     e_2, ...; coefficients, elementary indices, operands and exponents
-    are read by partitions._integer."""
+    are read by partitions._integer.  The terms are held read-only, so
+    the cached p_k, h_k and m_lam every caller shares cannot be changed."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None):
-        object.__setattr__(self, "_terms", _read_terms(terms, _monomial_key))
+        object.__setattr__(
+            self, "_terms", MappingProxyType(_read_terms(terms, _monomial_key))
+        )
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "SymmetricExpression":
         """An expression of terms the package built itself: descending
         index tuples and no zero coefficient, unread."""
         el = object.__new__(cls)
-        object.__setattr__(el, "_terms", terms)
+        object.__setattr__(el, "_terms", MappingProxyType(terms))
         return el
 
     @classmethod

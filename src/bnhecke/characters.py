@@ -73,12 +73,7 @@ from .partitions import (
     z_value,
 )
 
-__all__ = [
-    "MAX_SPHERICAL_LEVEL",
-    "matsumoto_coefficients",
-    "structure_constant",
-    "structure_constants",
-]
+__all__ = ["matsumoto_coefficients", "structure_constant", "structure_constants"]
 
 # basis -> (alpha, N(n))
 _BASES = {

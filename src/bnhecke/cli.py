@@ -39,10 +39,12 @@ SUITES = (
 )
 
 MAX_CLI_LEVEL = 5
-# the Matsumoto image reads the spherical functions of bnhecke.characters
-MAX_MATSUMOTO_LEVEL = MAX_SPHERICAL_LEVEL
 # the largest weight of the triples fit --max-weight sweeps
 MAX_FIT_WEIGHT = 4
+# verify --suite coset-invariants --max-n 5 costs about 0.2 ms a sample
+# (2-CPU machine): 0.5 s at the default 1000 samples, 2.2-2.6 s at
+# 10000 and 21-27 s at 100000
+MAX_SAMPLES = 10_000
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -155,9 +157,11 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None, help="run at exactly this level")
     p.add_argument("--max-n", type=int, default=4, help=(
         f"run levels up to this (default 4; at most {MAX_CLI_LEVEL}, "
-        f"{MAX_MATSUMOTO_LEVEL} for the matsumoto suite)"
+        f"{MAX_SPHERICAL_LEVEL} for the matsumoto suite)"
     ))
-    p.add_argument("--samples", type=int, default=1000, help="random samples per level for sampled suites")
+    p.add_argument("--samples", type=int, default=1000, help=(
+        f"random samples per level for sampled suites (at most {MAX_SAMPLES})"
+    ))
 
     p = sub.add_parser("fit", help="fit structure constants as integer-valued polynomials in n")
     p.add_argument("--lam")
@@ -207,7 +211,7 @@ def parse(argv) -> Command:
                 f"--r: K_({ns.r}) has weight {ns.r + 1}, above level {ns.n}"
             )
     elif ns.verb == "matsumoto":
-        args["n"] = _level_flag(ns.n, "--n", low=2, high=MAX_MATSUMOTO_LEVEL)
+        args["n"] = _level_flag(ns.n, "--n", low=2, high=MAX_SPHERICAL_LEVEL)
         args["expr"] = _expr_flag(ns.expr, "--expr")
     elif ns.verb == "generators":
         args["n"] = _level_flag(ns.n, "--n", low=2)
@@ -220,7 +224,7 @@ def parse(argv) -> Command:
         args["max_degree"] = degree
     elif ns.verb == "verify":
         args["suite"] = ns.suite
-        high = MAX_MATSUMOTO_LEVEL if ns.suite == "matsumoto" else MAX_CLI_LEVEL
+        high = MAX_SPHERICAL_LEVEL if ns.suite == "matsumoto" else MAX_CLI_LEVEL
         if ns.n is not None:
             levels = [_level_flag(ns.n, "--n", low=2, high=high)]
         else:
@@ -228,6 +232,8 @@ def parse(argv) -> Command:
         args["levels"] = levels
         if ns.samples < 1:
             raise UsageError(f"--samples: must be positive, got {ns.samples}")
+        if ns.samples > MAX_SAMPLES:
+            raise UsageError(f"--samples: at most {MAX_SAMPLES}, got {ns.samples}")
         args["samples"] = ns.samples
     elif ns.verb == "fit":
         triple_flags = (ns.lam, ns.mu, ns.nu)

@@ -42,7 +42,7 @@ from collections.abc import Iterator
 
 from .errors import DegreeMismatch, ValidationFailure
 from .partitions import Partition, check_weight, completion, double_coset_size
-from .permutations import Permutation, class_representative, identity
+from .permutations import Permutation, cayley_degree, class_representative, identity
 
 __all__ = [
     "PairGraph",
@@ -299,7 +299,7 @@ def modified_support(w: Permutation) -> CoupleSet:
 
 def twisted_degree(w: Permutation, n: int) -> int:
     """|w|' = |phi(w)|: Cayley degree of the twist, always even."""
-    return phi(w, n).cayley_degree()
+    return cayley_degree(phi(w, n))
 
 
 def is_hyperoctahedral(w: Permutation, n: int) -> bool:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import factorial
+from types import MappingProxyType
 
 from .errors import (
     IndexOutOfRange,
@@ -101,9 +102,9 @@ class HeckeElement(_Combination):
         return mu
 
     @property
-    def coeffs(self) -> dict[Partition, int]:
+    def coeffs(self) -> MappingProxyType[Partition, int]:
         """{mu: coefficient of K_mu(n)}, zeros left out; read only."""
-        return self._t
+        return MappingProxyType(self._t)
 
     @classmethod
     def basis(cls, mu: Partition, level: int) -> "HeckeElement":
@@ -286,10 +287,10 @@ def single_cycle_expansion(lam: Partition, r: int, n: int) -> HeckeElement:
 _MATSUMOTO_CHECKED = False
 
 
-def matsumoto_image(
-    F: SymmetricExpression | str, n: int
-) -> HeckeElement:
+def matsumoto_image(F: SymmetricExpression, n: int) -> HeckeElement:
     """F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n), in the K basis.
+
+    F is a parsed expression (SymmetricExpression.parse), not a string.
 
     Read off the zonal spherical functions, on which the odd
     Jucys-Murphy elements act by the 2-contents
@@ -301,11 +302,9 @@ def matsumoto_image(
     too.
     """
     global _MATSUMOTO_CHECKED
-    from ._symfunc import SymmetricExpression, elementary
+    from ._symfunc import elementary
     from .characters import matsumoto_coefficients
 
-    if isinstance(F, str):
-        F = SymmetricExpression.parse(F)
     if not _MATSUMOTO_CHECKED:
         for i in (1, 2):
             got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2))

@@ -346,7 +346,7 @@ def _read_terms(terms, read_key) -> dict:
 
 def _add_terms(a: dict, b: dict, sign: int = 1) -> dict:
     """a + sign * b for two read term maps, zeros dropped."""
-    out = dict(a)
+    out = a.copy()  # a dict even when a is a read-only proxy, and as fast
     for k, c in b.items():
         s = out.get(k, 0) + sign * c
         if s:

@@ -18,7 +18,8 @@ Products act right to left: (x*y)(i) = x(y(i)).
 The *stable cycle type* subtracts 1 from every cycle length and drops
 fixed points; it does not depend on the ambient degree.  Its size is
 the Cayley degree: the minimal number of transpositions whose product
-is the permutation.
+is the permutation.  Both, and the support, are module functions
+(stable_cycle_type, cayley_degree, support), not methods.
 """
 
 from __future__ import annotations
@@ -163,18 +164,6 @@ class Permutation:
             return "e"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
-    def stable_cycle_type(self) -> Partition:
-        return stable_type_of_one_line(self.images)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(
-            i for i, j in enumerate(self.images, start=1) if i != j
-        )
-
-    def cayley_degree(self) -> int:
-        """Minimal number of transpositions multiplying to this element."""
-        return sum(self.stable_cycle_type())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -196,15 +185,16 @@ def identity() -> Permutation:
 
 
 def stable_cycle_type(x: Permutation) -> Partition:
-    return x.stable_cycle_type()
+    return stable_type_of_one_line(x.images)
 
 
 def support(x: Permutation) -> frozenset[int]:
-    return x.support()
+    return frozenset(i for i, j in enumerate(x.images, start=1) if i != j)
 
 
 def cayley_degree(x: Permutation) -> int:
-    return x.cayley_degree()
+    """Minimal number of transpositions multiplying to x."""
+    return sum(stable_cycle_type(x))
 
 
 def symmetric_group(n: int) -> Iterator[Permutation]:

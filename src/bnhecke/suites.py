@@ -6,7 +6,7 @@ progress goes to stderr.  Only the verify verb runs this module, and
 each suite imports the layers it runs when it runs.  backend_name, the
 constant that every verify payload carries, is defined here so that
 verify loads no bnhecke._backend; that module re-exports it for
-perfbench and the package.
+perfbench.
 """
 
 from __future__ import annotations

@@ -15,15 +15,14 @@ from oracles import ORACLE_EXPRS, jack_power_sums_by_gram_schmidt
 
 from bnhecke import _backend, characters, group_algebra
 from bnhecke._symfunc import SymmetricExpression, elementary
-from bnhecke.characters import (
-    MAX_SPHERICAL_LEVEL,
-    matsumoto_coefficients,
-    structure_constant,
-    structure_constants,
-)
-from bnhecke.cli import MAX_MATSUMOTO_LEVEL
+from bnhecke.characters import matsumoto_coefficients, structure_constant, structure_constants
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
-from bnhecke.partitions import _power_sum_monomials, clear_caches, enumerate_by_weight
+from bnhecke.partitions import (
+    MAX_SPHERICAL_LEVEL,
+    _power_sum_monomials,
+    clear_caches,
+    enumerate_by_weight,
+)
 
 ORACLE_LEVEL = 6
 
@@ -183,7 +182,7 @@ def test_one_spherical_step_serves_both(fresh_memos):
 
 
 def test_matsumoto_level_cap():
-    assert MAX_MATSUMOTO_LEVEL == MAX_SPHERICAL_LEVEL == 12
+    assert MAX_SPHERICAL_LEVEL == 12
     with pytest.raises(UsageError, match="1 <= n <= 12"):
         matsumoto_coefficients(elementary(1), 13)
 

@@ -1,5 +1,4 @@
 import csv
-import importlib
 import io
 import json
 import os
@@ -15,7 +14,7 @@ import bnhecke
 from bnhecke import __version__
 from bnhecke.cli import (
     MAX_COSET_SIZE_LEVEL,
-    MAX_MATSUMOTO_LEVEL,
+    MAX_SAMPLES,
     SUITES,
     Command,
     execute,
@@ -23,7 +22,7 @@ from bnhecke.cli import (
     parse,
 )
 from bnhecke.errors import UsageError
-from bnhecke.partitions import double_coset_size
+from bnhecke.partitions import MAX_SPHERICAL_LEVEL, double_coset_size
 from bnhecke.permutations import Permutation
 
 
@@ -126,6 +125,10 @@ class TestParse:
     def test_coset_size_allows_large_levels(self):
         # closed form, no table sweep: levels above the CLI cap are fine
         assert parse(["coset-size", "--mu", "[1]", "--n", "12"]).args["n"] == 12
+
+    def test_samples_cap_parses(self):
+        argv = ["verify", "--suite", "coset-invariants", "--samples", str(MAX_SAMPLES)]
+        assert parse(argv).args["samples"] == MAX_SAMPLES
 
     def test_generators_default_degree(self):
         assert parse(["generators", "--n", "4"]).args["max_degree"] == 3
@@ -239,16 +242,16 @@ class TestVerbs:
     @pytest.mark.parametrize("expr", ["p5", "p20", "e1^20"])
     def test_matsumoto_high_degree_at_the_cap(self, expr, capsys):
         # the matching walk took 106 s on e1^20 at n = 7
-        n = str(MAX_MATSUMOTO_LEVEL)
+        n = str(MAX_SPHERICAL_LEVEL)
         assert main(["matsumoto", "--n", n, "--expr", expr]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["n"] == MAX_MATSUMOTO_LEVEL and payload["coeffs"]
+        assert payload["n"] == MAX_SPHERICAL_LEVEL and payload["coeffs"]
 
     def test_verify_matsumoto_at_the_cap(self):
-        n = str(MAX_MATSUMOTO_LEVEL)
+        n = str(MAX_SPHERICAL_LEVEL)
         status, payload = run_json(["verify", "--suite", "matsumoto", "--n", n])
         assert status == 0 and payload["ok"] is True
-        assert len(payload["checks"]) == MAX_MATSUMOTO_LEVEL
+        assert len(payload["checks"]) == MAX_SPHERICAL_LEVEL
 
     def test_generators_success(self):
         status, payload = run_json(["generators", "--n", "3"])
@@ -458,6 +461,15 @@ class TestMain:
         reason = "partition parts must be non-increasing: (1, 2)"
         assert all(reason in m for m in messages), messages
 
+    def test_samples_above_the_cap_is_exit_two(self, capsys):
+        argv = ["verify", "--suite", "coset-invariants", "--samples", str(MAX_SAMPLES + 1)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "UsageError"
+        assert error["message"].startswith("--samples:")
+
     @pytest.mark.parametrize("expr", ["1/0", "e1**", "x"])
     def test_malformed_expression_is_exit_two(self, expr, capsys):
         assert main(["matsumoto", "--expr", expr, "--n", "2"]) == 2
@@ -568,7 +580,7 @@ _FLAG_VALUES = {
     "--max-n": _LEVELS,
     "--max-weight": (st.sampled_from(["0", "1", "2"]), ["-1", "5"]),
     "--max-degree": (st.sampled_from(["1", "2"]), ["-1", "0", "3"]),
-    "--samples": (st.integers(1, 20).map(str), ["0", "-3"]),
+    "--samples": (st.integers(1, 20).map(str), ["0", "-3", str(MAX_SAMPLES + 1)]),
     "--r": (st.sampled_from(["0", "1", "2"]), ["-1", "9"]),
     "--expr": (_EXPRS, ["1/0", "e1**", "", "p21", "e1^21", "e3*p2^9"]),
     "--suite": (st.sampled_from(list(SUITES)), ["nope"]),
@@ -656,13 +668,6 @@ _NOT_INTEGER_CASES = [
 
 
 class TestHandKeptLists:
-    def test_exports_are_public_and_resolve(self):
-        for module, names in bnhecke._EXPORTS.items():
-            home = importlib.import_module(f"bnhecke.{module}")
-            for name in names.split():
-                assert name in home.__all__, (module, name)
-                assert getattr(bnhecke, name) is getattr(home, name)
-
     def test_suites_are_the_runners(self):
         from bnhecke.suites import SUITE_RUNNERS
 
@@ -676,8 +681,9 @@ class TestHandKeptLists:
             if name.endswith(".py") and name != "__init__.py"
         )
         assert "partitions" in modules
-        for module in ["", *(f".{m}" for m in modules)]:
-            home = importlib.import_module(module or "bnhecke", "bnhecke")
+        for module in ["bnhecke", *(f"bnhecke.{m}" for m in modules)]:
+            __import__(module)
+            home = sys.modules[module]
             missing = [n for n in getattr(home, "__all__", ()) if not hasattr(home, n)]
             assert not missing, (home.__name__, missing)
 

@@ -27,7 +27,7 @@ from bnhecke.partitions import (
     hyperoctahedral_order,
     weight,
 )
-from bnhecke.permutations import Permutation, identity, parse_permutation
+from bnhecke.permutations import Permutation, identity, parse_permutation, stable_cycle_type
 
 
 def test_t_perm_is_the_couple_involution():
@@ -94,7 +94,7 @@ def test_gamma_graph_cycles_double_the_twist():
         parse_permutation("(1 4 6 2)(3 8)"),
     ]:
         full = coset_type(w, n)
-        twist_type = completion(phi(w, n).stable_cycle_type(), 2 * n)
+        twist_type = completion(stable_cycle_type(phi(w, n)), 2 * n)
         doubled = tuple(sorted(full + full, reverse=True))
         assert twist_type == doubled
 

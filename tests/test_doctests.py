@@ -1,4 +1,5 @@
 import doctest
+import os
 
 import pytest
 
@@ -27,3 +28,9 @@ import bnhecke.universal
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_readme_examples():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    result = doctest.testfile(readme, module_relative=False)
+    assert result.attempted and result.failed == 0

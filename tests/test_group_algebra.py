@@ -308,6 +308,11 @@ class TestSymmetricEvaluation:
             SymmetricExpression()._terms = {}
         assert str(SymmetricExpression.parse("p2")) == "e1*e1 + -2*e2"
 
+    def test_cached_terms_are_read_only(self):
+        with pytest.raises(TypeError):
+            power_sum(2)._terms[(1,)] = 5
+        assert str(SymmetricExpression.parse("p2")) == "e1*e1 + -2*e2"
+
     def test_coefficients_are_integers(self):
         e1 = elementary(1)
         for c in (1.5, True, Fraction(1, 2), "2"):

@@ -16,7 +16,7 @@ from bnhecke.errors import (
     ValidationFailure,
     WeightExceedsLevel,
 )
-from bnhecke._symfunc import SymmetricExpression
+from bnhecke._symfunc import SymmetricExpression, elementary
 from bnhecke.group_algebra import AlgebraElement, b_sum, jucys_murphy
 from bnhecke.hecke import (
     GenerationCertificate,
@@ -54,6 +54,13 @@ class TestHeckeElement:
         assert u.coeffs == {(2,): Fraction(1)}
         assert u - u == HeckeElement.zero(3)
         assert not HeckeElement.zero(3)
+
+    def test_coeffs_are_read_only(self):
+        e = HeckeElement.basis((1,), 3)
+        with pytest.raises(TypeError):
+            e.coeffs[(1,)] = 0
+        assert e.coeffs == {(1,): 1}
+        assert e != HeckeElement.zero(3)
 
     def test_linear_structure(self):
         k1 = HeckeElement.basis((1,), 4)
@@ -301,28 +308,24 @@ class TestMatsumoto:
     @pytest.mark.parametrize("n", [2, 3])
     def test_elementary_lands_on_generators(self, n):
         for i in range(1, n + 1):
-            assert matsumoto_image(f"e{n - i}", n) == generator_H(i, n)
+            assert matsumoto_image(elementary(n - i), n) == generator_H(i, n)
 
     def test_linear(self):
         n = 3
-        lhs = matsumoto_image("e1 + 2*e2", n)
-        rhs = (
-            matsumoto_image("e1", n) + matsumoto_image("e2", n).scale(2)
-        )
+        lhs = matsumoto_image(SymmetricExpression.parse("e1 + 2*e2"), n)
+        rhs = matsumoto_image(elementary(1), n) + matsumoto_image(elementary(2), n).scale(2)
         assert lhs == rhs
 
     def test_accepts_parsed_expressions(self):
-        from bnhecke.group_algebra import elementary
-
         assert matsumoto_image(elementary(0), 2) == generator_H(2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("expr", ORACLE_EXPRS)
     def test_matchings_agree_with_group_algebra(self, expr, n):
         odds = [jucys_murphy(2 * i - 1, 2 * n) for i in range(1, n + 1)]
-        image = SymmetricExpression.parse(expr).evaluate(odds, AlgebraElement.one(2 * n))
-        want = expand_K(image * b_sum(n), n)
-        got = matsumoto_image(expr, n)
+        F = SymmetricExpression.parse(expr)
+        want = expand_K(F.evaluate(odds, AlgebraElement.one(2 * n)) * b_sum(n), n)
+        got = matsumoto_image(F, n)
         if got != want:
             pytest.fail(f"{expr} at n={n}: {got} != {want}")
 
@@ -360,7 +363,7 @@ class TestMatsumoto:
         monkeypatch.setattr(characters, "matsumoto_coefficients", lambda F, n: {})
         for _ in range(2):
             with pytest.raises(ValidationFailure, match="self-test"):
-                matsumoto_image("e1", 3)
+                matsumoto_image(elementary(1), 3)
 
 
 def _det(mat):

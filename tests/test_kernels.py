@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bnhecke._backend as backend
-from bnhecke import clear_caches
 from bnhecke._backend import product_tally
 from bnhecke._kernels_py import (
     LevelTable,
@@ -32,6 +31,7 @@ from bnhecke.cosets import (
 )
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import (
+    clear_caches,
     double_coset_size,
     enumerate_by_weight,
     hyperoctahedral_order,
@@ -215,7 +215,7 @@ class TestLevelTable:
         # yet, and clearing must not load the modules that would hold one
         script = (
             "import sys\n"
-            "from bnhecke import clear_caches\n"
+            "from bnhecke.partitions import clear_caches\n"
             "clear_caches()\n"
             "print([m for m in ('bnhecke._backend', 'bnhecke.characters',"
             " 'bnhecke.universal', 'bnhecke.group_algebra') if m in sys.modules])\n"

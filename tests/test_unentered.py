@@ -55,8 +55,6 @@ ALLOWLIST = {
     ("hecke", "expand_K"): "perfbench",
     ("partitions", "vector_sum"): "acceptance test",
     ("partitions", "_expand_by_type"): "oracle",
-    ("permutations", "Permutation.support"): "acceptance test",
-    ("permutations", "stable_cycle_type"): "acceptance test",
     ("permutations", "support"): "acceptance test",
     ("permutations", "enumerate_class"): "acceptance test",
     ("universal", "IntegerValuedPolynomial.constant"): "dunder",
