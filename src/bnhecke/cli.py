@@ -1,17 +1,28 @@
 """Command-line front end: compute, tabulate, and verify.
 
-Every verb validates its arguments fully before any computation
-starts, emits machine-readable JSON (or CSV) on stdout, and keeps
-progress chatter on stderr.  Reruns with identical flags produce
-byte-identical output: orderings are fixed by the canonical partition
-order, and sampled verification uses a fixed seed.
+One ordered table, _VERBS, declares each verb: its help text, the
+bounds of its --n, its runner and its flags with their argparse
+keywords.  build_parser, parse and execute all read it.  parse reads
+the flags verbs share alike (--n, the partition flags with weight at
+most n, --perm, --expr) and keeps explicit rules only for the flags of
+one verb: --r, --max-degree, verify's levels and samples, fit's
+either/or.  Every verb validates its arguments fully before any
+computation starts, emits machine-readable JSON (or CSV) on stdout,
+and keeps progress chatter on stderr.  Reruns with identical flags
+produce byte-identical output: orderings are fixed by the canonical
+partition order, and sampled verification uses a fixed seed.
 
 Exit codes: 0 success, 1 verification or computation failure
 (reported as a JSON error object), 2 usage error.
 
 Caps on the level of each verb and on the degree of --expr bound the
-work of every argv that parses; no cost model prices an argv.  Parsing
-loads no computing layer.  Each verb's runner imports the
+work of every argv that parses; no cost model prices an argv.  The
+verbs that read only the character tables (product,
+structure-constant, matsumoto and its suite) go up to
+MAX_SPHERICAL_LEVEL, the others to MAX_CLI_LEVEL, and the closed form
+of coset-size to MAX_COSET_SIZE_LEVEL.  Only the coset-invariants
+suite samples, so --samples with another suite is a usage error.
+Parsing loads no computing layer.  Each verb's runner imports the
 layers it runs when it is dispatched, and the verify suites live in
 bnhecke.suites, which only verify loads.
 """
@@ -48,6 +59,8 @@ MAX_SAMPLES = 10_000
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
+
+_PARTITION_FLAGS = ("lam", "mu", "nu", "lhs", "rhs")
 
 
 class Command(namedtuple("Command", "verb args output_format")):
@@ -91,12 +104,7 @@ def _expr_flag(text: str, flag: str) -> SymmetricExpression:
         raise UsageError(f"{flag}: expression nested too deeply") from None
 
 
-def _check_flag_weight(mu, flag: str, n: int) -> None:
-    if weight(mu) > n:
-        raise UsageError(f"{flag}: weight {weight(mu)} exceeds level {n}")
-
-
-def _level_flag(value: int, flag: str, low: int = 1, high: int = MAX_CLI_LEVEL) -> int:
+def _level_flag(value: int, flag: str, low: int, high: int) -> int:
     if not low <= value <= high:
         raise UsageError(
             f"{flag}: level must be in [{low}, {high}], got {value}"
@@ -117,144 +125,80 @@ def build_parser() -> _Parser:
         help="data stream format (default json)",
     )
     sub = parser.add_subparsers(dest="verb", metavar="verb", parser_class=_Parser)
-
-    p = sub.add_parser("coset-type", help="coset type of a permutation of even degree")
-    p.add_argument("--perm", required=True, help="one-line JSON array or cycle notation")
-
-    p = sub.add_parser("phi", help="the twist t w^-1 t w")
-    p.add_argument("--perm", required=True)
-
-    p = sub.add_parser("coset-size", help="size of the double coset of stable type mu")
-    p.add_argument("--mu", required=True, help="partition as a JSON list")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("product", help="K_lhs * K_rhs in the K basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lhs", required=True, help="partition as a JSON list")
-    p.add_argument("--rhs", required=True, help="partition as a JSON list")
-
-    p = sub.add_parser("structure-constant", help="b_{lam mu}^{nu}(n)")
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("expand-single-cycle", help="closed-form top part of K_lam * K_(r)")
-    p.add_argument("--lam", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("matsumoto", help="image of a symmetric expression in odd Jucys-Murphy elements")
-    p.add_argument("--expr", required=True, help="e.g. 'e2' or 'p1*e1 - 2*e2'")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("generators", help="certify that H_1..H_n generate, via integer HNF")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None, help="monomial degree bound, 1 to n-1 (default n-1)")
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--n", type=int, default=None, help="run at exactly this level")
-    p.add_argument("--max-n", type=int, default=4, help=(
-        f"run levels up to this (default 4; at most {MAX_CLI_LEVEL}, "
-        f"{MAX_SPHERICAL_LEVEL} for the matsumoto suite)"
-    ))
-    p.add_argument("--samples", type=int, default=1000, help=(
-        f"random samples per level for sampled suites (at most {MAX_SAMPLES})"
-    ))
-
-    p = sub.add_parser("fit", help="fit structure constants as integer-valued polynomials in n")
-    p.add_argument("--lam")
-    p.add_argument("--mu")
-    p.add_argument("--nu")
-    p.add_argument("--max-weight", type=int, default=None, help="fit all triples up to this weight instead")
-    p.add_argument("--basis", choices=("K", "C"), default="K")
-
-    p = sub.add_parser("table", help="all structure constants at one level")
-    p.add_argument("--n", type=int, required=True)
-
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for flag, keywords in verb.flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def parse(argv) -> Command:
     """Validate argv into a Command; raises UsageError (argparse exits on --help)."""
-    ns = build_parser().parse_args(argv)
-    if ns.verb is None:
+    given = vars(build_parser().parse_args(argv))
+    verb, output_format = given.pop("verb"), given.pop("format")
+    if verb is None:
         raise UsageError("a verb is required (see --help)")
     args: dict = {}
-    if ns.verb in ("coset-type", "phi"):
-        args["perm"] = _perm_flag(ns.perm, "--perm")
-    elif ns.verb == "coset-size":
-        args["mu"] = _partition_flag(ns.mu, "--mu")
-        args["n"] = _level_flag(ns.n, "--n", high=MAX_COSET_SIZE_LEVEL)
-        _check_flag_weight(args["mu"], "--mu", ns.n)
-    elif ns.verb == "product":
-        args["n"] = _level_flag(ns.n, "--n")
-        args["lhs"] = _partition_flag(ns.lhs, "--lhs")
-        args["rhs"] = _partition_flag(ns.rhs, "--rhs")
-        _check_flag_weight(args["lhs"], "--lhs", ns.n)
-        _check_flag_weight(args["rhs"], "--rhs", ns.n)
-    elif ns.verb == "structure-constant":
-        args["n"] = _level_flag(ns.n, "--n")
-        for flag in ("lam", "mu", "nu"):
-            args[flag] = _partition_flag(getattr(ns, flag), f"--{flag}")
-            _check_flag_weight(args[flag], f"--{flag}", ns.n)
-    elif ns.verb == "expand-single-cycle":
-        args["n"] = _level_flag(ns.n, "--n")
-        args["lam"] = _partition_flag(ns.lam, "--lam")
-        if ns.r < 0:
-            raise UsageError(f"--r: must be non-negative, got {ns.r}")
-        args["r"] = ns.r
-        _check_flag_weight(args["lam"], "--lam", ns.n)
-        if ns.r and ns.r + 1 > ns.n:
-            raise UsageError(
-                f"--r: K_({ns.r}) has weight {ns.r + 1}, above level {ns.n}"
-            )
-    elif ns.verb == "matsumoto":
-        args["n"] = _level_flag(ns.n, "--n", low=2, high=MAX_SPHERICAL_LEVEL)
-        args["expr"] = _expr_flag(ns.expr, "--expr")
-    elif ns.verb == "generators":
-        args["n"] = _level_flag(ns.n, "--n", low=2)
-        degree = ns.max_degree if ns.max_degree is not None else ns.n - 1
+    levels = _VERBS[verb].levels
+    if levels is not None:
+        n = args["n"] = _level_flag(given["n"], "--n", *levels)
+    for name in _PARTITION_FLAGS:
+        if given.get(name) is not None:
+            mu = args[name] = _partition_flag(given[name], f"--{name}")
+            if levels is not None and weight(mu) > n:
+                raise UsageError(f"--{name}: weight {weight(mu)} exceeds level {n}")
+    if "perm" in given:
+        args["perm"] = _perm_flag(given["perm"], "--perm")
+    if "expr" in given:
+        args["expr"] = _expr_flag(given["expr"], "--expr")
+
+    # the flags that one verb alone takes
+    if "r" in given:  # expand-single-cycle
+        r = args["r"] = given["r"]
+        if r < 0:
+            raise UsageError(f"--r: must be non-negative, got {r}")
+        if r and r + 1 > n:
+            raise UsageError(f"--r: K_({r}) has weight {r + 1}, above level {n}")
+    if "max_degree" in given:  # generators
+        degree = given["max_degree"] if given["max_degree"] is not None else n - 1
         # degree n - 1 already certifies every level the verb accepts
-        if not 1 <= degree <= ns.n - 1:
-            raise UsageError(
-                f"--max-degree: must be in [1, {ns.n - 1}], got {degree}"
-            )
+        if not 1 <= degree <= n - 1:
+            raise UsageError(f"--max-degree: must be in [1, {n - 1}], got {degree}")
         args["max_degree"] = degree
-    elif ns.verb == "verify":
-        args["suite"] = ns.suite
-        high = MAX_SPHERICAL_LEVEL if ns.suite == "matsumoto" else MAX_CLI_LEVEL
-        if ns.n is not None:
-            levels = [_level_flag(ns.n, "--n", low=2, high=high)]
+    if "suite" in given:  # verify: the suite sets the level cap
+        suite = args["suite"] = given["suite"]
+        high = MAX_SPHERICAL_LEVEL if suite == "matsumoto" else MAX_CLI_LEVEL
+        if given["n"] is not None:
+            args["levels"] = [_level_flag(given["n"], "--n", 2, high)]
         else:
-            levels = list(range(2, _level_flag(ns.max_n, "--max-n", low=2, high=high) + 1))
-        args["levels"] = levels
-        if ns.samples < 1:
-            raise UsageError(f"--samples: must be positive, got {ns.samples}")
-        if ns.samples > MAX_SAMPLES:
-            raise UsageError(f"--samples: at most {MAX_SAMPLES}, got {ns.samples}")
-        args["samples"] = ns.samples
-    elif ns.verb == "fit":
-        triple_flags = (ns.lam, ns.mu, ns.nu)
-        if ns.max_weight is not None:
-            if any(f is not None for f in triple_flags):
+            top = _level_flag(given["max_n"], "--max-n", 2, high)
+            args["levels"] = list(range(2, top + 1))
+        samples = given["samples"]
+        if suite != "coset-invariants":
+            if samples is not None:
+                raise UsageError(f"--samples: only coset-invariants samples; {suite} does not")
+        elif samples is None:
+            samples = 1000
+        elif samples < 1:
+            raise UsageError(f"--samples: must be positive, got {samples}")
+        elif samples > MAX_SAMPLES:
+            raise UsageError(f"--samples: at most {MAX_SAMPLES}, got {samples}")
+        args["samples"] = samples
+    if "max_weight" in given:  # fit: one triple, or every triple up to a weight
+        triple = [name in args for name in ("lam", "mu", "nu")]
+        max_weight = given["max_weight"]
+        if max_weight is not None:
+            if any(triple):
                 raise UsageError("--max-weight excludes --lam/--mu/--nu")
-            if not 0 <= ns.max_weight <= MAX_FIT_WEIGHT:
+            if not 0 <= max_weight <= MAX_FIT_WEIGHT:
                 raise UsageError(
-                    f"--max-weight: must be in [0, {MAX_FIT_WEIGHT}], got {ns.max_weight}"
+                    f"--max-weight: must be in [0, {MAX_FIT_WEIGHT}], got {max_weight}"
                 )
-            args["max_weight"] = ns.max_weight
-        else:
-            if any(f is None for f in triple_flags):
-                raise UsageError("fit needs --lam, --mu and --nu (or --max-weight)")
-            args["lam"] = _partition_flag(ns.lam, "--lam")
-            args["mu"] = _partition_flag(ns.mu, "--mu")
-            args["nu"] = _partition_flag(ns.nu, "--nu")
-        args["basis"] = ns.basis
-    elif ns.verb == "table":
-        args["n"] = _level_flag(ns.n, "--n")
-    return Command(verb=ns.verb, args=args, output_format=ns.format)
+            args["max_weight"] = max_weight
+        elif not all(triple):
+            raise UsageError("fit needs --lam, --mu and --nu (or --max-weight)")
+        args["basis"] = given["basis"]
+    return Command(verb=verb, args=args, output_format=output_format)
 
 
 # ---------------------------------------------------------------- verbs
@@ -350,13 +294,12 @@ def _run_fit(args):
 
 def _run_table(args):
     from .hecke import hecke_structure_constant
-    from .suites import _progress
 
     n = args["n"]
     shapes = enumerate_by_weight(n)
     rows = []
     for lam in shapes:
-        _progress(f"table: counting against K_{lam}({n})")
+        print(f"table: counting against K_{lam}({n})", file=sys.stderr, flush=True)
         for mu in shapes:
             for nu in shapes:
                 rows.append(
@@ -376,18 +319,69 @@ def _run_verify(args):
     return run_suite(args["suite"], args["levels"], args["samples"])
 
 
-_RUNNERS = {
-    "coset-type": _run_coset_type,
-    "phi": _run_phi,
-    "coset-size": _run_coset_size,
-    "product": _run_product,
-    "structure-constant": _run_structure_constant,
-    "expand-single-cycle": _run_expand_single_cycle,
-    "matsumoto": _run_matsumoto,
-    "generators": _run_generators,
-    "verify": _run_verify,
-    "fit": _run_fit,
-    "table": _run_table,
+_INT = {"type": int, "required": True}
+_REQUIRED = {"required": True}
+_PARTITION = {**_REQUIRED, "help": "partition as a JSON list"}
+
+# levels: the [low, high] bounds of --n, None for a verb without one
+# (the verify suite sets its own)
+_Verb = namedtuple("_Verb", "help levels run flags")
+
+# in --help order, each verb's flags too
+_VERBS = {
+    "coset-type": _Verb("coset type of a permutation of even degree", None, _run_coset_type, {
+        "--perm": {**_REQUIRED, "help": "one-line JSON array or cycle notation"},
+    }),
+    "phi": _Verb("the twist t w^-1 t w", None, _run_phi, {"--perm": _REQUIRED}),
+    "coset-size": _Verb(
+        "size of the double coset of stable type mu",
+        (1, MAX_COSET_SIZE_LEVEL), _run_coset_size,
+        {"--mu": _PARTITION, "--n": _INT},
+    ),
+    "product": _Verb(
+        "K_lhs * K_rhs in the K basis", (1, MAX_SPHERICAL_LEVEL), _run_product,
+        {"--n": _INT, "--lhs": _PARTITION, "--rhs": _PARTITION},
+    ),
+    "structure-constant": _Verb(
+        "b_{lam mu}^{nu}(n)", (1, MAX_SPHERICAL_LEVEL), _run_structure_constant,
+        {"--lam": _REQUIRED, "--mu": _REQUIRED, "--nu": _REQUIRED, "--n": _INT},
+    ),
+    "expand-single-cycle": _Verb(
+        "closed-form top part of K_lam * K_(r)", (1, MAX_CLI_LEVEL), _run_expand_single_cycle,
+        {"--lam": _REQUIRED, "--r": _INT, "--n": _INT},
+    ),
+    "matsumoto": _Verb(
+        "image of a symmetric expression in odd Jucys-Murphy elements",
+        (2, MAX_SPHERICAL_LEVEL), _run_matsumoto,
+        {"--expr": {**_REQUIRED, "help": "e.g. 'e2' or 'p1*e1 - 2*e2'"}, "--n": _INT},
+    ),
+    "generators": _Verb(
+        "certify that H_1..H_n generate, via integer HNF", (2, MAX_CLI_LEVEL), _run_generators,
+        {"--n": _INT, "--max-degree": {
+            "type": int, "help": "monomial degree bound, 1 to n-1 (default n-1)",
+        }},
+    ),
+    "verify": _Verb("run a verification suite", None, _run_verify, {
+        "--suite": {**_REQUIRED, "choices": SUITES},
+        "--n": {"type": int, "help": "run at exactly this level"},
+        "--max-n": {"type": int, "default": 4, "help": (
+            f"run levels up to this (default 4; at most {MAX_CLI_LEVEL}, "
+            f"{MAX_SPHERICAL_LEVEL} for the matsumoto suite)"
+        )},
+        "--samples": {"type": int, "help": (
+            f"random samples per level for sampled suites (at most {MAX_SAMPLES})"
+        )},
+    }),
+    "fit": _Verb(
+        "fit structure constants as integer-valued polynomials in n", None, _run_fit, {
+            "--lam": {}, "--mu": {}, "--nu": {},
+            "--max-weight": {"type": int, "help": "fit all triples up to this weight instead"},
+            "--basis": {"choices": ("K", "C"), "default": "K"},
+        },
+    ),
+    "table": _Verb("all structure constants at one level", (1, MAX_CLI_LEVEL), _run_table, {
+        "--n": _INT,
+    }),
 }
 
 
@@ -429,7 +423,7 @@ def execute(command: Command, stream=None) -> int:
     """Run a validated Command; returns the exit status."""
     stream = stream if stream is not None else sys.stdout
     try:
-        payload, status = _RUNNERS[command.verb](command.args)
+        payload, status = _VERBS[command.verb].run(command.args)
     except UsageError:
         raise
     except HeckeError as exc:

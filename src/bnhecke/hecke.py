@@ -302,9 +302,11 @@ def matsumoto_image(F: SymmetricExpression, n: int) -> HeckeElement:
     too.
     """
     global _MATSUMOTO_CHECKED
-    from ._symfunc import elementary
+    from ._symfunc import SymmetricExpression, elementary
     from .characters import matsumoto_coefficients
 
+    if not isinstance(F, SymmetricExpression):
+        raise TypeError(f"F must be a SymmetricExpression, got {type(F).__name__}")
     if not _MATSUMOTO_CHECKED:
         for i in (1, 2):
             got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2))

@@ -243,8 +243,11 @@ SUITE_RUNNERS = {
 }
 
 
-def run_suite(suite: str, levels: list[int], samples: int) -> tuple[dict, int]:
-    """The verify payload of one suite, and the exit status: 1 on any failed check."""
+def run_suite(suite: str, levels: list[int], samples: int | None) -> tuple[dict, int]:
+    """The verify payload of one suite, and the exit status: 1 on any failed check.
+
+    samples is None for every suite but coset-invariants, the one that samples.
+    """
     _progress(f"verify {suite}: levels {levels}, backend {backend_name()}")
     checks: list[dict] = []
     SUITE_RUNNERS[suite](levels, samples, checks)

@@ -294,8 +294,6 @@ def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
     entries = []
     for lam in enumerate_by_weight(max_weight):
         for r in range(1, max_weight):
-            if weight((r,)) > max_weight:
-                continue
             for rho, nu, b in _admissible_terms(lam, r):
                 alive = weight(nu) <= n
                 brute_c = (

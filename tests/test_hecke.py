@@ -319,6 +319,12 @@ class TestMatsumoto:
     def test_accepts_parsed_expressions(self):
         assert matsumoto_image(elementary(0), 2) == generator_H(2, 2)
 
+    def test_a_string_is_a_type_error_before_the_self_test(self, monkeypatch):
+        monkeypatch.setattr(hecke, "_MATSUMOTO_CHECKED", False)
+        with pytest.raises(TypeError, match="^F must be a SymmetricExpression, got str$"):
+            matsumoto_image("e1", 3)
+        assert hecke._MATSUMOTO_CHECKED is False
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("expr", ORACLE_EXPRS)
     def test_matchings_agree_with_group_algebra(self, expr, n):
