@@ -1,4 +1,4 @@
-"""Structure constants of both bases from Jack polynomials.
+"""Products and structure constants of both bases from Jack polynomials.
 
 (S_2n, B_n) and (S_n x S_n, diag S_n) are Gelfand pairs, and the
 spherical functions of both come from the Jack polynomials J_rho, rho
@@ -13,10 +13,14 @@ its completion at level n, a partition of n.  With
             of type lam for K, the size of the class lam for C),
     W_rho = alpha^n n! / <J_rho, J_rho>,
 
-the structure constant is
+the algebra is commutative and the basis element lam acts on the rho
+component by theta_rho(lam).  So a product is pointwise on spectra:
+with u_rho = sum_lam u_lam theta_rho(lam), and v_rho alike,
 
-    b_{lam mu}^nu(n) = sum_rho W_rho theta_rho(lam) theta_rho(mu) theta_rho(nu) / h_nu.
+    (sum u_lam lam)(sum v_mu mu) = sum_nu c_nu nu,
+    c_nu = sum_rho W_rho u_rho v_rho theta_rho(nu) / h_nu,
 
+and the structure constant b_{lam mu}^nu(n) is c_nu for u = lam, v = mu.
 W_rho N is an integer, N = (2n-1)!! for K and n! for C: the dimension
 of the character 2rho of S_2n, or (dim rho)^2.  So the sum is taken in
 integers and divided by N h_nu once.
@@ -43,10 +47,11 @@ is exact or raises ValidationFailure.  The spherical functions (theta, h
 and W_rho N) are built for 1 <= n <= MAX_SPHERICAL_LEVEL (defined in
 bnhecke.partitions), the one level cap of this path, and kept per
 (n, alpha), checked as they are built: theta is integral and W_rho N
-is the hook-length dimension.  The table of every b is kept per
-(n, alpha) on top of them, checked as it is built: every b is a
-non-negative integer and sum_nu b h_nu = h_lam h_mu; so is every
-Matsumoto c_kappa an integer.  The counts
+is the hook-length dimension.  Every product is checked as it is
+taken: every c is an integer, non-negative when neither factor has a
+negative coefficient, and sum_nu c_nu h_nu = (sum u_lam h_lam)(sum
+v_mu h_mu); every Matsumoto c_kappa is an integer.  The row of b for
+one (lam, mu) is kept per level and basis.  The counts
 this replaces, the matching tally (bnhecke._backend) and the S_n
 class sweep (bnhecke.group_algebra), are the tests' oracles for it.
 So are, in tests/oracles.py, the walk over perfect matchings for the
@@ -73,15 +78,13 @@ from .partitions import (
     z_value,
 )
 
-__all__ = ["matsumoto_coefficients", "structure_constant", "structure_constants"]
+__all__ = ["matsumoto_coefficients", "product", "structure_constant"]
 
 # basis -> (alpha, N(n))
 _BASES = {
     "K": (2, lambda n: prod(range(1, 2 * n, 2))),
     "C": (1, factorial),
 }
-
-Table = dict[tuple[Partition, Partition], dict[Partition, int]]
 
 
 def _basis(basis: str):
@@ -91,9 +94,9 @@ def _basis(basis: str):
     return _BASES[basis]
 
 
-class Spherical(namedtuple("Spherical", "parts types theta h dims big_n")):
+class Spherical(namedtuple("Spherical", "parts index theta h dims big_n")):
     """The spherical functions of one basis at level n, by index into
-    partitions_of(n): parts[i] and its stable type types[i],
+    partitions_of(n): parts[i], index[its stable type] = i (in order),
     theta[rho][lam] = theta_rho(lam), h[lam], dims[rho] = W_rho N, and N."""
 
     __slots__ = ()
@@ -235,7 +238,7 @@ def _spherical(n: int, basis: str) -> Spherical:
         dims.append(want)
     return Spherical(
         parts=parts,
-        types=[tuple(p - 1 for p in lam if p > 1) for lam in parts],
+        index={tuple(p - 1 for p in lam if p > 1): i for i, lam in enumerate(parts)},
         theta=theta,
         h=[total // w for w in norm],
         dims=dims,
@@ -243,56 +246,58 @@ def _spherical(n: int, basis: str) -> Spherical:
     )
 
 
-def _invert(sph: Spherical, values: list[int], fail) -> list[int]:
-    """sum_rho (W_rho N) v_rho theta_rho(kappa) / (N h_kappa) for every
-    kappa, v_rho and kappa by index into partitions_of(n).  A quotient
-    that is not an integer raises fail(k, "total/(N h_kappa)")."""
+def _invert(sph: Spherical, values: list[int], what: str, nonneg: bool = False) -> dict:
+    """{kappa: c_kappa} for the non-zero c_kappa = sum_rho (W_rho N) v_rho
+    theta_rho(kappa) / (N h_kappa), v_rho by index into partitions_of(n)
+    and kappa by stable type.  A c_kappa that is not an integer, or is
+    negative when nonneg is set, raises ValidationFailure naming it the
+    coefficient of kappa in what."""
     weighted = [d * v for d, v in zip(sph.dims, values)]
-    out = []
-    for k, column in enumerate(zip(*sph.theta)):
+    out = {}
+    for kappa, column, h in zip(sph.index, zip(*sph.theta), sph.h):
         total = sum(map(mul, weighted, column))
-        c, rem = divmod(total, sph.big_n * sph.h[k])
-        if rem:
-            raise fail(k, f"{total}/{sph.big_n * sph.h[k]}")
-        out.append(c)
+        c, rem = divmod(total, sph.big_n * h)
+        if rem or (nonneg and c < 0):
+            value = f"{total}/{sph.big_n * h}" if rem else c
+            raise ValidationFailure(
+                f"the coefficient of {kappa} in {what} is {value}, "
+                f"not {'a non-negative' if nonneg else 'an'} integer"
+            )
+        if c:
+            out[kappa] = c
+    return out
+
+
+def product(u: dict, v: dict, n: int, basis: str) -> dict[Partition, int]:
+    """(sum u_lam X_lam)(sum v_mu X_mu) = sum c_nu X_nu at level n, X the
+    basis ("K" or "C"), u and v as {stable type of weight <= n: integer}:
+    {nu: c_nu}, only the non-zero c present, taken on the spectra and
+    checked as the module docstring says.  n runs from 1 to
+    MAX_SPHERICAL_LEVEL, else UsageError.
+    """
+    sph = _spherical(n, basis)
+    at = sph.index
+
+    def spectrum(w):
+        return [sum(c * t[at[lam]] for lam, c in w.items()) for t in sph.theta]
+
+    def size(w):
+        return sum(c * sph.h[at[lam]] for lam, c in w.items())
+
+    what = f"{u} * {v} in the {basis} basis at n = {n}"
+    nonneg = all(c >= 0 for w in (u, v) for c in w.values())
+    out = _invert(sph, list(map(mul, spectrum(u), spectrum(v))), what, nonneg)
+    if size(out) != size(u) * size(v):
+        raise ValidationFailure(
+            f"{what} covers {size(out)} elements, not {size(u)} * {size(v)}"
+        )
     return out
 
 
 @_memo
-def structure_constants(n: int, basis: str) -> Table:
-    """Every b_{lam mu}^nu(n) of one basis ("K" or "C"), by stable types:
-    (lam, mu) -> {nu: b}, with only the non-zero b present.
-
-    n runs from 1 to MAX_SPHERICAL_LEVEL, else UsageError.  The table
-    is built once per level and basis and checked as it is built (see
-    the module docstring); the caller must not change it.
-    """
-    sph = _spherical(n, basis)
-    alpha = _BASES[basis][0]
-    stable, h = sph.types, sph.h
-    table: Table = {}
-    for i, lam in enumerate(stable):
-        for j in range(i, len(stable)):
-            mu = stable[j]
-
-            def fail(k, quotient):
-                return ValidationFailure(
-                    f"b_{{{lam},{mu}}}^{stable[k]}({n}) at alpha = {alpha} is "
-                    f"{quotient}, not a non-negative integer"
-                )
-
-            bs = _invert(sph, [t[i] * t[j] for t in sph.theta], fail)
-            for k, b in enumerate(bs):
-                if b < 0:
-                    raise fail(k, b)
-            covered = sum(b * x for b, x in zip(bs, h))
-            if covered != h[i] * h[j]:
-                raise ValidationFailure(
-                    f"the product of {lam} and {mu} at n = {n}, alpha = {alpha} "
-                    f"covers {covered} elements, not {h[i]} * {h[j]}"
-                )
-            table[lam, mu] = table[mu, lam] = {nu: b for nu, b in zip(stable, bs) if b}
-    return table
+def _row(lam: Partition, mu: Partition, n: int, basis: str) -> dict[Partition, int]:
+    """The product of lam and mu, lam <= mu; the caller must not change it."""
+    return product({lam: 1}, {mu: 1}, n, basis)
 
 
 def structure_constant(
@@ -303,7 +308,7 @@ def structure_constant(
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     for p in (lam, mu, nu):
         check_weight(p, n)
-    return structure_constants(n, basis)[lam, mu].get(nu, 0)
+    return _row(*sorted((lam, mu)), n, basis).get(nu, 0)
 
 
 def _two_contents(rho: Partition) -> list[int]:
@@ -321,12 +326,5 @@ def matsumoto_coefficients(F: SymmetricExpression, n: int) -> dict[Partition, in
     c_kappa that is not an integer raises ValidationFailure.
     """
     sph = _spherical(n, "K")
-
-    def fail(k, quotient):
-        return ValidationFailure(
-            f"the coefficient of K_{sph.types[k]}({n}) in the Matsumoto image of "
-            f"{F} is {quotient}, not an integer"
-        )
-
     values = [F.evaluate(_two_contents(rho), 1) for rho in sph.parts]
-    return {kappa: c for kappa, c in zip(sph.types, _invert(sph, values, fail)) if c}
+    return _invert(sph, values, f"the Matsumoto image of {F} at n = {n}")

@@ -17,7 +17,7 @@ Exit codes: 0 success, 1 verification or computation failure
 
 Caps on the level of each verb and on the degree of --expr bound the
 work of every argv that parses; no cost model prices an argv.  The
-verbs that read only the character tables (product,
+verbs that read only the spherical functions (product,
 structure-constant, matsumoto and its suite) go up to
 MAX_SPHERICAL_LEVEL, the others to MAX_CLI_LEVEL, and the closed form
 of coset-size to MAX_COSET_SIZE_LEVEL.  Only the coset-invariants

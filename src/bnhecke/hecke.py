@@ -10,15 +10,16 @@ identity and
 
     K_(1) K_(1) = t(t-1) K_{} + K_(1) + 3 K_(2) + 2 K_(1,1)    (t = n).
 
-Structure constants never go through the full convolution, nor through
-the cosets: (S_2n, B_n) is a Gelfand pair, and bnhecke.characters
-builds every b_{lam mu}^{nu}(n) of a level at once from its zonal
-spherical functions.  hecke_structure_constant and hecke_product read
-that table.  The counts it replaces stay as the tests' oracles: the
-matching tally of bnhecke._backend (b is the number of perfect
-matchings delta of [2n] with type(eps, delta) = lam and
-type(delta, z eps) = mu, z the canonical point of K_nu(n)) and the
-permutation oracle bnhecke._kernels_py.
+Products never go through the full convolution, nor through the
+cosets: (S_2n, B_n) is a Gelfand pair, so its zonal spherical functions
+diagonalize the ring, and bnhecke.characters takes every product
+pointwise on their spectra.  hecke_product is one such product and
+hecke_structure_constant reads one row, K_lam K_mu.  The counts this
+replaces stay as the tests' oracles: the matching tally of
+bnhecke._backend (b is the number of perfect matchings delta of [2n]
+with type(eps, delta) = lam and type(delta, z eps) = mu, z the
+canonical point of K_nu(n)) and the permutation oracle
+bnhecke._kernels_py.
 
 The generators H_i sum the K_mu(n) whose completed type has i parts,
 i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
@@ -42,6 +43,7 @@ expressions by matsumoto_image, and bnhecke.cosets by expand_K.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from math import factorial
 from types import MappingProxyType
 
@@ -162,7 +164,7 @@ def hecke_structure_constant(
 ) -> int:
     """b_{lam mu}^{nu}(n): coefficient of K_nu(n) in K_lam(n) K_mu(n).
 
-    Read off the level's table of zonal structure constants
+    Read off the row K_lam K_mu of the zonal spherical product
     (bnhecke.characters).  It equals the number of perfect matchings
     delta of [2n] whose union with the couples eps has stable type lam
     and whose union with z(eps) has stable type mu, z the canonical
@@ -177,22 +179,15 @@ def hecke_structure_constant(
 def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
     """Product in the Hecke ring: convolution divided by |B_n|.
 
-    The structure constants are in those units already, so each
-    coefficient is a sum of table entries times the coefficients of u
-    and v.
+    One spectral product on the zonal spherical functions
+    (characters.product); a zero factor gives zero at any level without
+    building them.
     """
-    from .characters import structure_constants
+    from .characters import product
 
     u._check_level(v)
     n = u.level
-    table = structure_constants(n, "K") if u.coeffs else {}
-    out: dict[Partition, int] = {}
-    for lam, cu in u.coeffs.items():
-        for mu, cv in v.coeffs.items():
-            c = cu * cv
-            for nu, b in table[lam, mu].items():
-                out[nu] = out.get(nu, 0) + c * b
-    return HeckeElement._raw(n, {nu: c for nu, c in out.items() if c})
+    return HeckeElement._raw(n, product(u._t, v._t, n, "K") if u and v else {})
 
 
 def generator_H(i: int, n: int) -> HeckeElement:
@@ -284,7 +279,21 @@ def single_cycle_expansion(lam: Partition, r: int, n: int) -> HeckeElement:
     return HeckeElement(n, coeffs)
 
 
-_MATSUMOTO_CHECKED = False
+@cache
+def _matsumoto_self_test() -> None:
+    """ValidationFailure unless e_{2-i} maps to H_i at n = 2; cache keeps
+    no exception, so a failed self-test fails every later call too."""
+    from ._symfunc import elementary
+    from .characters import matsumoto_coefficients
+
+    for i in (1, 2):
+        got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2))
+        want = generator_H(i, 2)
+        if got != want:
+            raise ValidationFailure(
+                f"normalization self-test failed at n=2: "
+                f"e_{2 - i} maps to {got}, expected H_{i} = {want}"
+            )
 
 
 def matsumoto_image(F: SymmetricExpression, n: int) -> HeckeElement:
@@ -301,22 +310,12 @@ def matsumoto_image(F: SymmetricExpression, n: int) -> HeckeElement:
     through silently, and a failed self-test fails every later call
     too.
     """
-    global _MATSUMOTO_CHECKED
-    from ._symfunc import SymmetricExpression, elementary
+    from ._symfunc import SymmetricExpression
     from .characters import matsumoto_coefficients
 
     if not isinstance(F, SymmetricExpression):
         raise TypeError(f"F must be a SymmetricExpression, got {type(F).__name__}")
-    if not _MATSUMOTO_CHECKED:
-        for i in (1, 2):
-            got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2))
-            want = generator_H(i, 2)
-            if got != want:
-                raise ValidationFailure(
-                    f"normalization self-test failed at n=2: "
-                    f"e_{2 - i} maps to {got}, expected H_{i} = {want}"
-                )
-        _MATSUMOTO_CHECKED = True
+    _matsumoto_self_test()
     return HeckeElement(n, matsumoto_coefficients(F, n))
 
 
@@ -515,6 +514,8 @@ def trichotomy_report(max_weight: int, n_range) -> TrichotomyReport:
     their sampled values recorded for polynomial fitting elsewhere.
     """
     ns = tuple(n_range)
+    if not ns:
+        raise ValueError("trichotomy_report needs at least one level")
     if any(n < max_weight for n in ns):
         raise ValueError(
             f"every level in {ns} must be at least max_weight = {max_weight}"

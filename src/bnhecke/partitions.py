@@ -84,7 +84,7 @@ def _memo(fn):
 
 def clear_caches() -> None:
     """Empty every memo that grows with the levels and triples asked
-    for: the spherical functions and structure-constant tables
+    for: the spherical functions and structure-constant rows
     (characters), the fits (universal), the class tables and products
     (group_algebra), and the matchings and tallies (_backend).
 
@@ -92,8 +92,8 @@ def clear_caches() -> None:
     imported holds no memo and clearing imports none.  Two kinds of
     memo stay by design: the plain functools.cache memos of [m_mu] p_lam
     (here) and of p_k, h_k and m_lam (_symfunc), which hold exact
-    constants no input changes, and hecke's flag that the Matsumoto
-    self-test passed.
+    constants no input changes, and hecke's cached pass of the
+    Matsumoto self-test.
     """
     for clear in _MEMO_CLEARS:
         clear()
@@ -194,7 +194,7 @@ def z_value(mu: Partition) -> int:
     return z
 
 
-# the highest level whose spherical functions, and so whose tables of
+# the highest level whose spherical functions, and so whose products,
 # structure constants and Matsumoto images, bnhecke.characters builds:
 # the integer recurrence takes 0.12 s at n = 12 and 0.5 s at n = 14
 # (one alpha, 2-CPU machine)

@@ -106,7 +106,7 @@ class IntegerValuedPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = IntegerValuedPolynomial.constant(other)
         if not isinstance(other, IntegerValuedPolynomial):
             return NotImplemented

@@ -15,7 +15,7 @@ from oracles import ORACLE_EXPRS, jack_power_sums_by_gram_schmidt
 
 from bnhecke import _backend, characters, group_algebra
 from bnhecke._symfunc import SymmetricExpression, elementary
-from bnhecke.characters import matsumoto_coefficients, structure_constant, structure_constants
+from bnhecke.characters import matsumoto_coefficients, product, structure_constant
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import (
     MAX_SPHERICAL_LEVEL,
@@ -35,30 +35,30 @@ def lifted(monkeypatch, fresh_memos):
 
 @pytest.mark.parametrize("n", range(1, ORACLE_LEVEL + 1))
 def test_K_basis_matches_the_matching_tally(n, lifted):
-    table = structure_constants(n, "K")
     shapes = enumerate_by_weight(n)
     wrong = {
-        (lam, mu, nu): (table[lam, mu].get(nu, 0), tally.get(mu, 0))
+        (lam, mu, nu): (b, tally.get(mu, 0))
         for lam in shapes
         for nu in shapes
         for tally in [_backend.product_tally(lam, nu, n)]
         for mu in shapes
-        if table[lam, mu].get(nu, 0) != tally.get(mu, 0)
+        for b in [structure_constant(lam, mu, nu, n, "K")]
+        if b != tally.get(mu, 0)
     }
     assert not wrong, wrong
 
 
 @pytest.mark.parametrize("n", range(1, ORACLE_LEVEL + 1))
 def test_C_basis_matches_the_class_sweep(n, lifted):
-    table = structure_constants(n, "C")
     shapes = enumerate_by_weight(n)
     wrong = {
-        (lam, mu, nu): (table[lam, mu].get(nu, 0), count)
+        (lam, mu, nu): (a, count)
         for lam in shapes
         for mu in shapes
         for nu in shapes
         for count in [group_algebra.class_structure_constant(lam, mu, nu, n)]
-        if table[lam, mu].get(nu, 0) != count
+        for a in [structure_constant(lam, mu, nu, n, "C")]
+        if a != count
     }
     assert not wrong, wrong
 
@@ -70,16 +70,16 @@ def test_transposition_square(n):
     k_want = {(): n * (n - 1), (1,): 1, (2,): 3, (1, 1): 2}
     c_want = {(): n * (n - 1) // 2, (2,): 3, (1, 1): 2}
     for basis, want in (("K", k_want), ("C", c_want)):
-        got = structure_constants(n, basis)[(1,), (1,)]
+        got = product({(1,): 1}, {(1,): 1}, n, basis)
         assert got == {nu: b for nu, b in want.items() if sum(nu) + len(nu) <= n}
 
 
 def test_level_cap_and_weights(fresh_memos):
-    # one cap on the character path: the tables go as far as the
+    # one cap on the character path: the products go as far as the
     # spherical functions, past the CLI's n <= 5
     for n in (6, 7, 8):
-        assert structure_constants(n, "K")[(1,), (1,)][()] == n * (n - 1)
-        assert structure_constants(n, "C")[(1,), (1,)][()] == n * (n - 1) // 2
+        assert structure_constant((1,), (1,), (), n, "K") == n * (n - 1)
+        assert structure_constant((1,), (1,), (), n, "C") == n * (n - 1) // 2
     for n in (0, MAX_SPHERICAL_LEVEL + 1):
         with pytest.raises(UsageError, match="1 <= n <= 12"):
             structure_constant((), (), (), n, "C")
@@ -88,14 +88,64 @@ def test_level_cap_and_weights(fresh_memos):
     with pytest.raises(ValueError):
         structure_constant((1, 2), (), (), 4, "K")
     with pytest.raises(ValueError, match="basis must be 'K' or 'C'"):
-        structure_constants(3, "Q")
+        product({(): 1}, {(): 1}, 3, "Q")
 
 
-def test_one_table_per_level_and_alpha(fresh_memos):
-    first = structure_constants(3, "K")
-    assert structure_constants(3, "K") is first
-    assert structure_constants(3, "C") is not first
-    assert structure_constants.cache_info().currsize == 2
+def test_one_row_per_pair_level_and_basis(fresh_memos):
+    # both orders of a pair read one row; each level and basis has its own
+    assert structure_constant((2,), (1,), (2,), 3, "K") == 3
+    assert structure_constant((1,), (2,), (1,), 3, "K") == 4
+    assert characters._row.cache_info()[:2] == (1, 1)
+    structure_constant((1,), (2,), (1,), 4, "K")
+    structure_constant((1,), (2,), (1,), 3, "C")
+    assert characters._row.cache_info().currsize == 3
+
+
+def _expand(u, v, n, basis):
+    # the bilinear expansion of u v over the rows of the basis elements
+    out = {}
+    for lam, a in u.items():
+        for mu, b in v.items():
+            for nu in enumerate_by_weight(n):
+                out[nu] = out.get(nu, 0) + a * b * structure_constant(lam, mu, nu, n, basis)
+    return {nu: c for nu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("basis", ["K", "C"])
+@pytest.mark.parametrize("n", range(1, ORACLE_LEVEL + 1))
+def test_mixed_sign_products_expand_bilinearly(n, basis, rng):
+    shapes = enumerate_by_weight(n)
+
+    def draw():
+        picked = rng.sample(shapes, rng.randint(1, len(shapes)))
+        return {lam: rng.choice([-3, -2, -1, 1, 2, 3]) for lam in picked}
+
+    for _ in range(10):
+        u, v = draw(), draw()
+        assert product(u, v, n, basis) == _expand(u, v, n, basis), (u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v, match",
+    [
+        # mixed signs: every quotient stays an integer and no c must be
+        # >= 0, so only sum c h = (sum u h)(sum v h) can see it
+        ({(2,): 1, (1,): -1}, {(1,): 2}, "covers"),
+        # K_(1) K_(1): (2,) is in neither factor, so only c >= 0 sees it
+        ({(1,): 1}, {(1,): 1}, "is -3, not a non-negative integer"),
+    ],
+    ids=["augmentation", "sign"],
+)
+def test_a_negated_h_trips_a_check(u, v, match, monkeypatch, fresh_memos):
+    spherical = characters._spherical
+    sph = spherical(3, "K")
+    h = list(sph.h)
+    h[sph.index[(2,)]] *= -1
+    monkeypatch.setattr(
+        characters, "_spherical", lambda n, basis: spherical(n, basis)._replace(h=h)
+    )
+    with pytest.raises(ValidationFailure, match=match):
+        product(u, v, 3, "K")
 
 
 GRAM_SCHMIDT_LEVEL = 8
@@ -142,7 +192,7 @@ def test_non_integral_theta_raises(monkeypatch, fresh_memos):
 
     _damaged(monkeypatch, bump)
     with pytest.raises(ValidationFailure, match="not integral"):
-        structure_constants(3, "K")
+        product({(): 1}, {(): 1}, 3, "K")
 
 
 def test_recurrence_divides_exactly(monkeypatch, fresh_memos):
@@ -152,13 +202,13 @@ def test_recurrence_divides_exactly(monkeypatch, fresh_memos):
         characters, "_hook_product", lambda rho, alpha: hooks(rho, alpha) + 1
     )
     with pytest.raises(ValidationFailure, match="does not divide exactly"):
-        structure_constants(2, "K")
+        product({(): 1}, {(): 1}, 2, "K")
 
 
 def test_wrong_dimension_raises(monkeypatch, fresh_memos):
     monkeypatch.setattr(characters, "_dimension", lambda rho: 7)
     with pytest.raises(ValidationFailure, match="hook-length dimension"):
-        structure_constants(2, "C")
+        product({(): 1}, {(): 1}, 2, "C")
 
 
 def test_sign_flip_breaks_the_constants(monkeypatch, fresh_memos):
@@ -168,17 +218,21 @@ def test_sign_flip_breaks_the_constants(monkeypatch, fresh_memos):
         jacks[0][:] = [-x for x in jacks[0]]
 
     _damaged(monkeypatch, negate)
+    shapes = enumerate_by_weight(3)
     with pytest.raises(ValidationFailure, match="non-negative integer"):
-        structure_constants(3, "K")
+        for lam in shapes:
+            for mu in shapes:
+                product({lam: 1}, {mu: 1}, 3, "K")
 
 
 def test_one_spherical_step_serves_both(fresh_memos):
-    table = structure_constants(3, "K")
+    row = product({(1,): 1}, {(1,): 1}, 3, "K")
     assert characters._spherical.cache_info().misses == 1
     # e_1 lands on H_2, the K_mu(3) with |mu| = 1
     assert matsumoto_coefficients(elementary(1), 3) == {(1,): 1}
     assert characters._spherical.cache_info()[:2] == (1, 1)
-    assert structure_constants(3, "K") is table
+    assert product({(1,): 1}, {(1,): 1}, 3, "K") == row
+    assert characters._spherical.cache_info()[:2] == (2, 1)
 
 
 def test_matsumoto_level_cap():

@@ -201,6 +201,35 @@ class TestProduct:
             k = HeckeElement.basis(mu, n)
             assert e * k == k * e == k
 
+    def test_a_zero_factor_gives_zero_at_any_level(self, fresh_memos):
+        # no spherical functions are built, so either order works past
+        # their cap, and a level mismatch still raises
+        k1, zero = HeckeElement.basis((1,), 13), HeckeElement.zero(13)
+        assert k1 * zero == zero * k1 == zero
+        assert characters._spherical.cache_info().misses == 0
+        with pytest.raises(LevelMismatch):
+            k1 * HeckeElement.zero(12)
+
+    def test_one_product_inverts_one_spectrum(self, monkeypatch, fresh_memos):
+        calls = []
+        invert = characters._invert
+
+        def counted(*args):
+            calls.append(args)
+            return invert(*args)
+
+        n = 12
+        want = HeckeElement(n, {
+            nu: hecke_structure_constant((5, 3), (4, 2, 1), nu, n)
+            - 2 * hecke_structure_constant((5, 3), (1,), nu, n)
+            for nu in enumerate_by_weight(n)
+        })
+        monkeypatch.setattr(characters, "_invert", counted)
+        u = HeckeElement.basis((5, 3), n)
+        v = HeckeElement(n, {(4, 2, 1): 1, (1,): -2})
+        assert u * v == want
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutative(self, n):
         shapes = enumerate_by_weight(n)
@@ -319,11 +348,11 @@ class TestMatsumoto:
     def test_accepts_parsed_expressions(self):
         assert matsumoto_image(elementary(0), 2) == generator_H(2, 2)
 
-    def test_a_string_is_a_type_error_before_the_self_test(self, monkeypatch):
-        monkeypatch.setattr(hecke, "_MATSUMOTO_CHECKED", False)
+    def test_a_string_is_a_type_error_before_the_self_test(self):
+        hecke._matsumoto_self_test.cache_clear()
         with pytest.raises(TypeError, match="^F must be a SymmetricExpression, got str$"):
             matsumoto_image("e1", 3)
-        assert hecke._MATSUMOTO_CHECKED is False
+        assert hecke._matsumoto_self_test.cache_info().misses == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("expr", ORACLE_EXPRS)
@@ -365,11 +394,15 @@ class TestMatsumoto:
 
     def test_failed_self_test_fails_every_call(self, monkeypatch):
         # a wrong raw path must not be let through by a second call
-        monkeypatch.setattr(hecke, "_MATSUMOTO_CHECKED", False)
+        hecke._matsumoto_self_test.cache_clear()
         monkeypatch.setattr(characters, "matsumoto_coefficients", lambda F, n: {})
         for _ in range(2):
             with pytest.raises(ValidationFailure, match="self-test"):
                 matsumoto_image(elementary(1), 3)
+        assert hecke._matsumoto_self_test.cache_info().misses == 2
+        monkeypatch.undo()
+        assert matsumoto_image(elementary(1), 3) == generator_H(2, 3)
+        assert hecke._matsumoto_self_test.cache_info().currsize == 1
 
 
 def _det(mat):
@@ -493,6 +526,11 @@ class TestTrichotomy:
     def test_level_floor(self):
         with pytest.raises(ValueError):
             trichotomy_report(3, (2, 3))
+
+    def test_no_levels_is_a_usage_error(self):
+        # not a failed theorem: there is no value to vary
+        with pytest.raises(ValueError, match="at least one level"):
+            trichotomy_report(2, [])
 
 
 class TestResultChecks:

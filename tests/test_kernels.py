@@ -193,10 +193,10 @@ class TestLevelTable:
         product_tally((1,), (1,), 2)
         universal.fit_triple((1,), (1,), (1,))
         group_algebra.class_structure_constant((1,), (1,), (), 3)
-        characters.structure_constants(2, "C")
+        characters.structure_constant((1,), (1,), (), 2, "C")
         memos = [
             characters._spherical,
-            characters.structure_constants,
+            characters._row,
             backend._typed_matchings,
             universal._fitted,
             group_algebra._class_table,

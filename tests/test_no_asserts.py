@@ -108,6 +108,12 @@ out["matsumoto_coefficients"] = message(
     lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3)
 )
 characters._spherical = spherical
+# -h_(2) keeps every quotient an integer: only sum c h = (sum u h)(sum v h) sees it
+h = [*spherical(3, "K").h]
+h[spherical(3, "K").index[(2,)]] *= -1
+characters._spherical = lambda n, basis: spherical(n, basis)._replace(h=h)
+out["product"] = message(lambda: characters.product({(2,): 1, (1,): -1}, {(1,): 2}, 3, "K"))
+characters._spherical = spherical
 # [m_rho] J_rho + 1: the recurrence below it leaves a remainder
 hooks = characters._hook_product
 characters._hook_product = lambda rho, alpha: hooks(rho, alpha) + 1
@@ -121,7 +127,7 @@ characters._jack_monomials = lambda n, alpha: [
 out["_jack_power_sums"] = message(lambda: characters._spherical(2, "K"))
 characters._jack_monomials = monomials
 characters._dimension = lambda rho: 0
-out["structure_constants"] = message(lambda: characters.structure_constants(2, "K"))
+out["structure_constant"] = message(lambda: characters.structure_constant((), (), (), 2, "K"))
 # [m_(2)] p_(1,1) = 2 instead of 1: m_(1,1) = (p_1^2 - 2 p_2) / 2 is not integral
 rows = _symfunc._power_sum_monomials
 _symfunc._power_sum_monomials = lambda lam: {**rows(lam), (2,): 2} if lam == (1, 1) else rows(lam)
@@ -137,7 +143,8 @@ _GUARD_MESSAGES = {
     "matsumoto_coefficients": "not an integer",
     "_jack_monomials": "does not divide exactly",
     "_jack_power_sums": "not integral",
-    "structure_constants": "hook-length dimension",
+    "structure_constant": "hook-length dimension",
+    "product": "covers",
     "monomial": "e-coefficient",
 }
 

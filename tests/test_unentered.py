@@ -39,8 +39,6 @@ ALLOWLIST = {
     ("_kernels_py", "LevelTable.size"): "perfbench",
     ("_kernels_py", "LevelTable.rows"): "perfbench",
     ("_symfunc", "SymmetricExpression.terms"): "oracle",
-    ("characters", "structure_constants.<locals>.fail"): "error path",
-    ("characters", "matsumoto_coefficients.<locals>.fail"): "error path",
     ("cosets", "CoupleSet.points"): "acceptance test",
     ("cosets", "perfect_matchings"): "oracle",
     ("cosets", "perfect_matchings.<locals>.extend"): "oracle",

@@ -62,6 +62,12 @@ class TestIntegerValuedPolynomial:
         assert IVP((0, 1)) != 4
         assert hash(IVP((1,))) == hash(IVP.constant(1))
 
+    def test_a_bool_compares_unequal(self):
+        # as SymmetricExpression.one() == True is False: a bool is not
+        # read as the constant 0 or 1, and comparing does not raise
+        assert (IVP((1,)) == True) is False  # noqa: E712
+        assert IVP.zero() != False  # noqa: E712
+
     def test_immutable_and_json(self):
         f = IVP((1, 2))
         with pytest.raises(AttributeError):
