@@ -43,15 +43,27 @@ __all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomi
 
 Monomial = tuple[int, ...]
 
-# The highest degree an expression may reach: p_k, h_k and powers
-# stop at k = MAX_DEGREE, and so does the degree of a product.  There
-# are p(k) e-monomials of degree k, so the cost grows fast: on a 2-CPU
-# machine p_20 and h_20 (627 e-monomials each) parse in about 0.02 s,
-# and, with the cap raised, p_24 in 0.05 s and p_26 in 0.06 s, while
-# p_12^12 did not finish in 10 s.  Below the cap a product multiplies
-# at most 19321 pairs of e-monomials (every monomial of degree <= 10,
-# squared).
+# The highest degree an expression may reach: e_k, p_k, h_k and powers
+# stop at k = MAX_DEGREE, and so does the degree of every e-monomial
+# read and of every product.  There are p(k) e-monomials of degree k,
+# so the cost grows fast: on a 2-CPU machine p_20 and h_20 (627
+# e-monomials each) parse in about 0.02 s, and, with the cap raised,
+# p_24 in 0.05 s and p_26 in 0.06 s, while p_12^12 did not finish in
+# 10 s.  Below the cap a product multiplies at most 19321 pairs of
+# e-monomials (every monomial of degree <= 10, squared).
 MAX_DEGREE = 20
+
+# The bit length a coefficient of a product or a power stays within; a
+# literal is read through a product.  So every image prints within
+# Python's 4300-digit int-to-str limit: c_kappa in F(J_1, J_3, ...,
+# J_{2n-1}) * (sum of B_n) is the coefficient of one permutation, so at
+# most the l1 norm of F(J_odd); e_k(J_odd) has norm <= e_k(0, 2, ...,
+# 2n - 2) <= (n(n - 1))^k, so an e-monomial of degree <= 20 at n <= 12
+# has norm < 132^20 < 10^43; an expression holds at most 2714
+# e-monomials, each coefficient below 2^13000 < 10^3914, so |c_kappa| <
+# 10^3961.  A sum of k terms adds at most log10(k) digits, and no text
+# spells 10^339 summands, so sums go unchecked.
+MAX_COEFFICIENT_BITS = 13_000
 
 
 class SymmetricExpression:
@@ -133,6 +145,10 @@ class SymmetricExpression:
             for m2, c2 in other._terms.items():
                 key = tuple(sorted(m1 + m2, reverse=True))
                 out[key] = out.get(key, 0) + c1 * c2
+        if any(c.bit_length() > MAX_COEFFICIENT_BITS for c in out.values()):
+            raise ValueError(
+                f"a coefficient exceeds the cap 2^{MAX_COEFFICIENT_BITS}"
+            )
         return SymmetricExpression._raw({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
@@ -185,10 +201,14 @@ class SymmetricExpression:
 
 def _monomial_key(mono) -> Monomial:
     """An e-monomial read at the boundary: integer indices, all positive,
-    sorted descending."""
+    sorted descending, of degree at most MAX_DEGREE."""
     key = tuple(sorted(map(_integer, mono), reverse=True))
     if key and key[-1] < 1:
         raise ValueError(f"elementary index must be positive: {mono}")
+    if sum(key) > MAX_DEGREE:
+        raise ValueError(
+            f"e-monomial {key} of degree {sum(key)} exceeds the cap {MAX_DEGREE}"
+        )
     return key
 
 
@@ -325,7 +345,7 @@ def _parse(text: str) -> SymmetricExpression:
         if tok == "-":
             return -atom()
         if tok.isdigit():
-            return _coerce(int(tok))
+            return SymmetricExpression.one() * int(tok)  # under the coefficient cap
         if tok[0] == "e":
             return elementary(int(tok[1:]))
         if tok[0] == "p":

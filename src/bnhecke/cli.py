@@ -15,8 +15,9 @@ partition order, and sampled verification uses a fixed seed.
 Exit codes: 0 success, 1 verification or computation failure
 (reported as a JSON error object), 2 usage error.
 
-Caps on the level of each verb and on the degree of --expr bound the
-work of every argv that parses; no cost model prices an argv.  The
+Caps on the level of each verb, on the degree and the coefficients of
+--expr and on the largest point of --perm bound the work of every argv
+that parses; no cost model prices an argv.  The
 verbs that read only the spherical functions (product,
 structure-constant, matsumoto and its suite) go up to
 MAX_SPHERICAL_LEVEL, the others to MAX_CLI_LEVEL, and the closed form

@@ -83,8 +83,6 @@ __all__ = [
     "matsumoto_image",
     "GenerationCertificate",
     "generation_certificate",
-    "TrichotomyReport",
-    "trichotomy_report",
 ]
 
 
@@ -492,62 +490,3 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
         expressions=expressions,
     )
 
-
-class TrichotomyReport(
-    namedtuple("TrichotomyReport", "max_weight n_range zero top subtop")
-):
-    """Classification of b_{lam mu}^{nu}(n) over a weight window.
-
-    zero holds the triples (lam, mu, nu) above the top degree, top the
-    (lam, mu, nu, b) on it, and subtop the (lam, mu, nu, values) below
-    it, one value per level of n_range.
-    """
-
-    __slots__ = ()
-
-
-def trichotomy_report(max_weight: int, n_range) -> TrichotomyReport:
-    """Check the degree trichotomy over all triples of bounded weight.
-
-    Zero when |nu| > |lam| + |mu| and constancy across n_range when
-    |nu| = |lam| + |mu| are asserted outright; sub-top triples have
-    their sampled values recorded for polynomial fitting elsewhere.
-    """
-    ns = tuple(n_range)
-    if not ns:
-        raise ValueError("trichotomy_report needs at least one level")
-    if any(n < max_weight for n in ns):
-        raise ValueError(
-            f"every level in {ns} must be at least max_weight = {max_weight}"
-        )
-    shapes = enumerate_by_weight(max_weight)
-    zero, top, subtop = [], [], []
-    for lam in shapes:
-        for mu in shapes:
-            for nu in shapes:
-                values = tuple(
-                    hecke_structure_constant(lam, mu, nu, n) for n in ns
-                )
-                if sum(nu) > sum(lam) + sum(mu):
-                    if any(values):
-                        raise ValidationFailure(
-                            f"b_{{{lam},{mu}}}^{nu} should vanish above the "
-                            f"top degree but takes values {values}"
-                        )
-                    zero.append((lam, mu, nu))
-                elif sum(nu) == sum(lam) + sum(mu):
-                    if len(set(values)) != 1:
-                        raise ValidationFailure(
-                            f"top coefficient b_{{{lam},{mu}}}^{nu} varies "
-                            f"with n: {values}"
-                        )
-                    top.append((lam, mu, nu, values[0]))
-                else:
-                    subtop.append((lam, mu, nu, values))
-    return TrichotomyReport(
-        max_weight=max_weight,
-        n_range=ns,
-        zero=tuple(zero),
-        top=tuple(top),
-        subtop=tuple(subtop),
-    )

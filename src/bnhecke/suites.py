@@ -2,15 +2,18 @@
 
 Each suite checks one theorem or invariant of the paper over a list
 of levels and appends one {"name", "ok"[, "detail"]} entry per check;
-progress goes to stderr.  Only the verify verb runs this module, and
-each suite imports the layers it runs when it runs.  backend_name, the
-constant that every verify payload carries, is defined here so that
-verify loads no bnhecke._backend; that module re-exports it for
-perfbench.
+progress goes to stderr.  Every suite computes its checks in its own
+body from the ring's primitives, as the trichotomy suite does from
+hecke_structure_constant and the fits.  Only the verify verb runs this
+module, and each suite imports the layers it runs when it runs.
+backend_name, the constant that every verify payload carries, is
+defined here so that verify loads no bnhecke._backend; that module
+re-exports it for perfbench.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 from .errors import InsufficientDegree, ValidationFailure
@@ -74,32 +77,46 @@ def _suite_jm_center(levels, samples, checks):
 
 
 def _suite_trichotomy(levels, samples, checks):
-    from .hecke import trichotomy_report
+    from .hecke import hecke_structure_constant
     from .universal import fit_triple
 
     max_weight = min(4, min(levels))
     usable = [n for n in levels if n >= max_weight]
+    shapes = enumerate_by_weight(max_weight)
+    name = f"trichotomy wt<={max_weight} over n={usable}"
+    zero = top = 0
+    subtop = []
     try:
-        report = trichotomy_report(max_weight, usable)
-        _check(
-            checks,
-            f"trichotomy wt<={max_weight} over n={usable}: "
-            f"{len(report.zero)} zero, {len(report.top)} top, "
-            f"{len(report.subtop)} sub-top",
-            True,
-        )
+        for lam, mu, nu in itertools.product(shapes, repeat=3):
+            values = tuple(hecke_structure_constant(lam, mu, nu, n) for n in usable)
+            drop = sum(lam) + sum(mu) - sum(nu)
+            if drop < 0:
+                if any(values):
+                    raise ValidationFailure(
+                        f"b_{{{lam},{mu}}}^{nu} should vanish above the "
+                        f"top degree but takes values {values}"
+                    )
+                zero += 1
+            elif drop == 0:
+                if len(set(values)) != 1:
+                    raise ValidationFailure(
+                        f"top coefficient b_{{{lam},{mu}}}^{nu} varies "
+                        f"with n: {values}"
+                    )
+                top += 1
+            else:
+                subtop.append((lam, mu, nu, values))
     except ValidationFailure as exc:
-        _check(checks, f"trichotomy wt<={max_weight} over n={usable}", False, exc)
+        _check(checks, name, False, exc)
         return
-    for lam, mu, nu, values in report.subtop:
+    _check(checks, f"{name}: {zero} zero, {top} top, {len(subtop)} sub-top", True)
+    for lam, mu, nu, values in subtop:
         result = fit_triple(lam, mu, nu)
         label = f"sub-top fit {lam} {mu} -> {nu}"
         if result.classification == "UNFITTED":
             _check(checks, f"{label}: UNFITTED (insufficient levels, not guessed)", True)
         else:
-            agree = all(
-                result.polynomial(n) == b for n, b in zip(usable, values)
-            )
+            agree = all(result.polynomial(n) == b for n, b in zip(usable, values))
             _check(checks, f"{label}: {result.classification}", agree)
 
 
@@ -132,17 +149,29 @@ def _suite_single_cycle(levels, samples, checks):
 
 
 def _suite_graded_iso(levels, samples, checks):
-    from .universal import graded_iso_check
+    from .characters import structure_constant
+    from .hecke import _admissible_terms
 
     for n in levels:
-        report = graded_iso_check(min(4, n), n)
-        _check(
-            checks,
-            f"graded top coefficients agree (wt<={min(4, n)}, n={n}, "
-            f"{len(report.entries)} triples)",
-            report.ok,
-            "; ".join(str(e.to_json()) for e in report.mismatches),
-        )
+        max_weight = min(4, n)
+        triples = 0
+        mismatches = []
+        for lam in enumerate_by_weight(max_weight):
+            for r in range(1, max_weight):
+                for rho, nu, b in _admissible_terms(lam, r):
+                    triples += 1
+                    if weight(nu) > n:  # dead at level n: the formula alone
+                        continue
+                    center = structure_constant(lam, (r,), nu, n, "C")
+                    coset = structure_constant(lam, (r,), nu, n, "K")
+                    if not b == center == coset:
+                        entry = dict(
+                            lam=list(lam), r=r, rho=list(rho), nu=list(nu), formula=b,
+                            brute_center=center, brute_hecke=coset, ok=False,
+                        )
+                        mismatches.append(str(entry))
+        name = f"graded top coefficients agree (wt<={max_weight}, n={n}, {triples} triples)"
+        _check(checks, name, not mismatches, "; ".join(mismatches))
 
 
 def _suite_generators(levels, samples, checks):

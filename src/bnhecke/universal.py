@@ -1,32 +1,30 @@
 """Structure constants as polynomials in n: the stable limit rings.
 
 For fixed stable types the coefficients b_{lam mu}^{nu}(n) are
-integer-valued polynomials in n, zero above the top degree
-|nu| = |lam| + |mu| and constant on it.  Fitting them once therefore
-captures the product at every level: the fitted polynomials are the
-structure constants of the limit ring, whose abstract basis symbols
-K_mu surject onto each finite level by evaluation.  The fits are what
-this module returns (and `bnhecke fit` prints); it builds no element
-of the limit ring itself.
+integer-valued polynomials in n of degree at most the drop
+|lam| + |mu| - |nu|: zero above the top degree |nu| = |lam| + |mu| and
+constant on it.  Fitting them once therefore captures the product at
+every level: the fitted polynomials are the structure constants of the
+limit ring, whose abstract basis symbols K_mu surject onto each finite
+level by evaluation.  The fits are what this module returns (and
+`bnhecke fit` prints); it builds no element of the limit ring itself,
+and the theorems about the constants are checked by the verify suites
+of bnhecke.suites.
 
 Polynomials live in the binomial basis sum c_k * binom(n, k), where
 integer values at integers are automatic.  Every fit samples
 consecutive levels, and integer values at consecutive integers have
 integer forward differences (Polya 1915), so a fit divides nothing:
 the forward differences at the first sample level, run back to level
-0, are the binomial coefficients.
+0, are the binomial coefficients.  A fit above the degree bound, or
+one that misses its held-out level, raises ValidationFailure.
 
 The same machinery runs in two bases: the K basis (double cosets of
 B_n in S_2n) and the C basis (conjugacy classes of S_n, the
-Farahat-Higman center side).  The graded comparison of the two is
-the isomorphism check: top coefficients of C_lam C_(r) and
-K_lam K_(r), each counted in its own basis, agree with each other and
-with the one closed formula.  Both bases read their structure
-constants from one character path, bnhecke.characters (zonal
-polynomials for K, Schur functions for C), so a fit loads neither
-bnhecke.hecke nor the cosets nor the group algebra of S_n.  The
-graded comparison imports the closed formula from bnhecke.hecke when
-first used.
+Farahat-Higman center side).  Both read their structure constants
+from one character path, bnhecke.characters (zonal polynomials for K,
+Schur functions for C), so a fit loads neither bnhecke.hecke nor the
+cosets nor the group algebra of S_n.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ __all__ = [
     "IntegerValuedPolynomial",
     "ivp_fit",
     "universal_structure_constant",
-    "GradedIsoReport",
-    "graded_iso_check",
     "FitResult",
     "fit_triple",
     "fit_report",
@@ -196,7 +192,8 @@ def universal_structure_constant(
     The holdout is the smallest level from max(weights, 2) up that is
     not in sample_ns, at most one above the samples; above the top
     degree, where b vanishes, the samples are checked against 0 too.  A
-    miss raises ValidationFailure.
+    miss, or a fit of degree above the drop that bounds it, raises
+    ValidationFailure.
     """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     floor, drop, need = _plan(lam, mu, nu)
@@ -220,6 +217,11 @@ def universal_structure_constant(
         fitted = ivp_fit(
             [(n, structure_constant(lam, mu, nu, n, basis)) for n in ns]
         )
+        if fitted.degree > drop:
+            raise ValidationFailure(
+                f"f_{{{lam},{mu}}}^{nu} = {fitted} has degree {fitted.degree}, "
+                f"above the bound {drop} = |lam| + |mu| - |nu|"
+            )
     for n in checks:
         predicted = fitted(n)
         actual = structure_constant(lam, mu, nu, n, basis)
@@ -229,91 +231,6 @@ def universal_structure_constant(
                 f"but counting gives {actual}"
             )
     return fitted
-
-
-class GradedIsoEntry(
-    namedtuple("GradedIsoEntry", "lam r rho nu formula brute_center brute_hecke")
-):
-    """One top coefficient of C_lam C_(r) and K_lam K_(r): the closed
-    formula, which the two bases share, and the count in each basis
-    (None when nu is dead at level n)."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        values = {self.formula, self.brute_center, self.brute_hecke}
-        values.discard(None)
-        return len(values) == 1
-
-    def to_json(self) -> dict:
-        return {
-            "lam": list(self.lam),
-            "r": self.r,
-            "rho": list(self.rho),
-            "nu": list(self.nu),
-            "formula": self.formula,
-            "brute_center": self.brute_center,
-            "brute_hecke": self.brute_hecke,
-            "ok": self.ok,
-        }
-
-
-class GradedIsoReport(namedtuple("GradedIsoReport", "max_weight n entries")):
-    """Top-coefficient comparison between the C and K products."""
-
-    __slots__ = ()
-
-    @property
-    def mismatches(self) -> tuple[GradedIsoEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def graded_iso_check(max_weight: int, n: int) -> GradedIsoReport:
-    """Compare all single-cycle top coefficients within a weight window.
-
-    For every lam and (r) of weight at most max_weight and admissible
-    rho, the closed formula (hecke.single_cycle_coefficient, which the
-    two sides share) is held against the actual top coefficient of
-    C_lam C_(r) in the class basis of Z[S_n] and of K_lam K_(r) in the
-    Hecke basis at level n, each from its own Jack polynomials (alpha =
-    1 and alpha = 2 in bnhecke.characters).  Target symbols too
-    heavy to exist at level n keep formula-only entries (brute fields
-    None); mismatches become report entries, never exceptions.
-    """
-    if n < max_weight:
-        raise ValueError(
-            f"need n >= {max_weight} so every factor is alive at level {n}"
-        )
-    from .hecke import _admissible_terms
-
-    entries = []
-    for lam in enumerate_by_weight(max_weight):
-        for r in range(1, max_weight):
-            for rho, nu, b in _admissible_terms(lam, r):
-                alive = weight(nu) <= n
-                brute_c = (
-                    structure_constant(lam, (r,), nu, n, "C") if alive else None
-                )
-                brute_k = (
-                    structure_constant(lam, (r,), nu, n, "K") if alive else None
-                )
-                entries.append(
-                    GradedIsoEntry(
-                        lam=lam,
-                        r=r,
-                        rho=rho,
-                        nu=nu,
-                        formula=b,
-                        brute_center=brute_c,
-                        brute_hecke=brute_k,
-                    )
-                )
-    return GradedIsoReport(max_weight=max_weight, n=n, entries=tuple(entries))
 
 
 @_memo

@@ -24,6 +24,7 @@ import pytest
 from oracles import double_coset_sum
 
 from bnhecke._symfunc import elementary
+from bnhecke.characters import structure_constant
 from bnhecke.cli import SUITES, execute, parse
 from bnhecke.cosets import (
     coset_type,
@@ -48,6 +49,7 @@ from bnhecke.group_algebra import (
 )
 from bnhecke.hecke import (
     HeckeElement,
+    _admissible_terms,
     _hermite_normal_form,
     expand_K,
     generation_certificate,
@@ -56,7 +58,6 @@ from bnhecke.hecke import (
     hecke_structure_constant,
     matsumoto_image,
     single_cycle_expansion,
-    trichotomy_report,
 )
 from bnhecke.partitions import (
     completion,
@@ -80,11 +81,11 @@ from bnhecke.permutations import (
     support,
     symmetric_group,
 )
+from bnhecke.suites import run_suite
 from bnhecke.universal import (
     MAX_SAMPLE_LEVEL,
     fit_report,
     fit_triple,
-    graded_iso_check,
     universal_structure_constant,
 )
 
@@ -210,30 +211,45 @@ def test_single_cycle_products_match_the_closed_form_at_level_five():
 
 
 def test_structure_constants_obey_the_degree_trichotomy():
-    # the report itself raises if a zero case is nonzero or a top
-    # coefficient varies between the two levels
-    report = trichotomy_report(4, (4, 5))
+    # zero above the top degree and constant on it at n = 4 and 5, and
+    # every sub-top triple fitted (or provably unfittable) over the
+    # triples of weight at most 4
+    levels = (4, 5)
     shapes = enumerate_by_weight(4)
-    assert (
-        len(report.zero) + len(report.top) + len(report.subtop)
-        == len(shapes) ** 3
-    )
+    kinds = {"zero": 0, "top": 0, "sub-top": 0}
     with_holdout = 0
-    for lam, mu, nu, values in report.subtop:
+    for lam, mu, nu in itertools.product(shapes, repeat=3):
+        values = [hecke_structure_constant(lam, mu, nu, n) for n in levels]
+        drop = sum(lam) + sum(mu) - sum(nu)
+        if drop < 0:
+            kinds["zero"] += 1
+            assert values == [0, 0], (lam, mu, nu)
+            continue
+        if drop == 0:
+            kinds["top"] += 1
+            assert values[0] == values[1], (lam, mu, nu)
+            continue
+        kinds["sub-top"] += 1
         result = fit_triple(lam, mu, nu)
         floor = max(weight(lam), weight(mu), weight(nu), 2)
         available = MAX_SAMPLE_LEVEL - floor + 1
-        need = max(sum(lam) + sum(mu) - sum(nu) + 1, 2)
+        need = max(drop + 1, 2)
         # UNFITTED exactly when the sampling plan provably lacks room
         assert (result.classification == "UNFITTED") == (need > available)
         if result.classification == "UNFITTED":
             continue
         assert result.classification in ("zero", "constant", "polynomial")
-        for level, value in zip(report.n_range, values):
+        for level, value in zip(levels, values):
             assert result.polynomial(level) == value
         if need < available:
             with_holdout += 1
     assert with_holdout > 0  # some fits validated a genuinely held-out level
+    # the suite sorts the same triples the same way
+    payload, status = run_suite("trichotomy", list(levels), None)
+    assert status == 0
+    counts = ", ".join(f"{k} {kind}" for kind, k in kinds.items())
+    assert payload["checks"][0]["name"] == f"trichotomy wt<=4 over n=[4, 5]: {counts}"
+    assert len(payload["checks"]) == 1 + kinds["sub-top"]
     # explicit held-out prediction: fit on 2, 3, 4 and confirm at 5
     f = universal_structure_constant((1,), (1,), (), [2, 3, 4])
     assert f.coeffs == (0, 0, 2)
@@ -241,12 +257,19 @@ def test_structure_constants_obey_the_degree_trichotomy():
 
 
 def test_top_coefficients_agree_across_center_and_coset_bases():
-    report = graded_iso_check(4, 5)
-    assert report.ok
-    alive = [e for e in report.entries if e.brute_center is not None]
+    # the single-cycle closed form against both bases, wt <= 4 at n = 5
+    n = 5
+    alive = 0
+    for lam in enumerate_by_weight(4):
+        for r in range(1, 4):
+            for _, nu, b in _admissible_terms(lam, r):
+                if weight(nu) > n:
+                    continue
+                alive += 1
+                center = structure_constant(lam, (r,), nu, n, "C")
+                coset = structure_constant(lam, (r,), nu, n, "K")
+                assert center == coset == b, (lam, r, nu)
     assert alive  # the formulas really were held against counted values
-    for entry in alive:
-        assert entry.brute_center == entry.brute_hecke == entry.formula
 
 
 def _integer_det(matrix: list[list[int]]) -> Fraction:

@@ -24,7 +24,7 @@ from bnhecke.cli import (
 )
 from bnhecke.errors import UsageError
 from bnhecke.partitions import MAX_SPHERICAL_LEVEL, double_coset_size
-from bnhecke.permutations import Permutation
+from bnhecke.permutations import MAX_POINT, Permutation
 
 
 # p_k and h_k recursed k deep, 1500 parentheses nest _parse too deep,
@@ -33,6 +33,12 @@ _RUNAWAY_EXPRS = ["p1200", "h1200", "(" * 1500 + "e1" + ")" * 1500, "p300", "e1^
 # within the degree cap; walking the 135135 matchings of n = 7 it ran
 # for over a minute, read off the spherical functions it takes 0.1 s
 _COSTLY_MATSUMOTO = ["matsumoto", "--n", "7", "--expr", "p8"]
+# e21, bare or in a sum, got past the degree cap, and the image of the
+# power tower had more digits than Python prints
+_UNBOUNDED_EXPRS = ["e21", "e1 + e21", "2^20^20^20^20"]
+# a cycle naming one point above the cap built the whole one-line
+# tuple up to it
+_FAR_POINT = f"(1 {MAX_POINT + 1})"
 
 
 def run(argv):
@@ -119,6 +125,9 @@ class TestParse:
             ["coset-size", "--mu", "[]", "--n", str(MAX_COSET_SIZE_LEVEL + 1)],
             ["generators", "--n", "3", "--max-degree", "3"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
+            *(["matsumoto", "--n", "3", "--expr", expr] for expr in _UNBOUNDED_EXPRS),
+            ["coset-type", "--perm", _FAR_POINT],
+            ["phi", "--perm", _FAR_POINT],
         ],
     )
     def test_usage_errors(self, argv):
@@ -385,7 +394,8 @@ class TestOutputFormats:
 # matsumoto suites.  The verbs on one permutation load the cosets but
 # no counting layer; coset-size reads its closed form from the
 # partitions alone, and the jm-center suite loads no cosets.  No
-# verify suite loads the matching tally of bnhecke._backend.
+# verify suite loads the matching tally of bnhecke._backend, and only
+# the trichotomy suite, which fits, loads bnhecke.universal.
 # the package computes over Z, so no verb loads fractions (which loads
 # decimal and numbers)
 _NEVER_LOADED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers"]
@@ -447,6 +457,7 @@ _FOOTPRINTS = [
                 # loads the matching tally
                 [
                     "bnhecke._backend",
+                    *([] if suite == "trichotomy" else ["bnhecke.universal"]),
                     *(
                         _NO_MATCHINGS if suite in ("generators", "matsumoto")
                         else ["bnhecke.cosets"] if suite == "jm-center" else []
@@ -475,6 +486,24 @@ _HELP_DIGESTS = {
     "verify": "a01affbb04d5b02e60b1d13876fa94cde05341529c8e5cd91bcd9a1047ad6a2f",
     "fit": "4807c08bdf3a3dc7cf1ec2040ceddfa872b7433760b9caffec145f85f887878e",
     "table": "1328f0246a897452e45c1c37bc7c0dbc4959e6239c8667ee1afd9bdc09bad0f3",
+}
+
+# sha256 of the stdout of every verify suite at its default levels, and
+# of the trichotomy and graded-iso suites at --max-n 5 and --n 5, as
+# printed while hecke.trichotomy_report and universal.graded_iso_check
+# still computed those two suites' checks
+_VERIFY_DIGESTS = {
+    ("matsumoto",): "fb3bdad0ce8f67086cec377399c668cfdf9cfbf106a6dc31a2df5fa6bc26240f",
+    ("jm-center",): "34348f39bf9e29f5d018cf426f56c1d1e384af9f9ab0235b71ef5a9b4da1d9a5",
+    ("trichotomy",): "0a28319779599d79f8f48e63da907d8133b033f40377e4098340b0a355cc4d86",
+    ("single-cycle",): "c27f88e56f4f990d2e32a7022273cfd7e2c4c6e20de591371ba7a013dca6dd86",
+    ("graded-iso",): "88b569755243fed6eb3edac0a7286ea4d9d1a709f10ca9621f2b6f6fd5a6be2a",
+    ("generators",): "92415e89ea81cb2b6fd03b7e205a8917fa553a9d239c1b881aa62ea587c94913",
+    ("coset-invariants",): "2a75c709218c4c8ce66e95177c881200a8b3115a030d01b65b498e0086a57650",
+    ("trichotomy", "--max-n", "5"): "31c05a247e873c56424c5a7a086fed37b787d00bf0b0b4cd8f22607823fbb179",
+    ("trichotomy", "--n", "5"): "5f39f536b245c061733ed6a720149f37af2b60653866f50131984915e8f75b98",
+    ("graded-iso", "--max-n", "5"): "2d049c8b1b461a76d8c037d2f77dff47e54f7ecca5a03df36ca5e606a9e53b49",
+    ("graded-iso", "--n", "5"): "759f49e011b89ce7cc2e4a2dbeec511dc69be68a47051338548ee6edbcda5c19",
 }
 
 
@@ -523,7 +552,7 @@ class TestMain:
         assert captured.out == ""
         assert json.loads(captured.err)["message"].startswith("--samples:")
 
-    @pytest.mark.parametrize("expr", ["1/0", "e1**", "x"])
+    @pytest.mark.parametrize("expr", ["1/0", "e1**", "x", *_UNBOUNDED_EXPRS])
     def test_malformed_expression_is_exit_two(self, expr, capsys):
         assert main(["matsumoto", "--expr", expr, "--n", "2"]) == 2
         captured = capsys.readouterr()
@@ -547,6 +576,13 @@ class TestMain:
     def test_help_screens_are_pinned(self, verb, digest, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         assert main([verb, "--help"] if verb else ["--help"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flags, digest", _VERIFY_DIGESTS.items(), ids=[" ".join(f) for f in _VERIFY_DIGESTS]
+    )
+    def test_verify_stdout_is_pinned(self, flags, digest, capsys):
+        assert main(["verify", "--suite", *flags]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_closed_pipe_is_quiet(self):
@@ -788,6 +824,14 @@ class TestContractFuzz:
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[2]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[3]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[4]])
+    # the degree of a read e-monomial, in a bare e_k and in a sum
+    @example(["matsumoto", "--n", "3", "--expr", _UNBOUNDED_EXPRS[0]])
+    @example(["matsumoto", "--n", "3", "--expr", _UNBOUNDED_EXPRS[1]])
+    # the coefficient cap of products and powers
+    @example(["matsumoto", "--n", "3", "--expr", _UNBOUNDED_EXPRS[2]])
+    # the cap on the largest point a permutation names
+    @example(["coset-type", "--perm", _FAR_POINT])
+    @example(["phi", "--perm", _FAR_POINT])
     # an expression within the degree cap that the matching walk took
     # minutes over
     @example(_COSTLY_MATSUMOTO)

@@ -7,6 +7,7 @@ from oracles import conjugate, e_to_m_rows
 
 from bnhecke import _symfunc, group_algebra
 from bnhecke._symfunc import (
+    MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
     SymmetricExpression,
     complete,
@@ -361,7 +362,25 @@ class TestSymmetricEvaluation:
             SymmetricExpression.one() ** (top + 1)
         with pytest.raises(ValueError, match="cap"):
             elementary(top) * elementary(1)
-        for text in ("p21", "h21", "e1^21", "p12^12", "p20*p20*p20"):
+        for text in ("p21", "h21", "e1^21", "p12^12", "p20*p20*p20", "e21", "e1 + e21"):
+            with pytest.raises(ValueError, match="cap"):
+                SymmetricExpression.parse(text)
+        # every e-monomial is read under the cap, however it is built
+        assert elementary(top).degree() == top
+        with pytest.raises(ValueError, match="cap"):
+            elementary(top + 1)
+        with pytest.raises(ValueError, match="cap"):
+            SymmetricExpression({(top, 1): 1})
+
+    def test_coefficient_cap(self):
+        # |c| < 2^MAX_COEFFICIENT_BITS: a product or a power that reaches
+        # it raises, and so does a literal, which is read through a product
+        at_cap = 2 ** (MAX_COEFFICIENT_BITS - 1)
+        assert (SymmetricExpression.one() * at_cap).terms == {(): at_cap}
+        with pytest.raises(ValueError, match="cap"):
+            SymmetricExpression.one() * (2 * at_cap)
+        assert SymmetricExpression.parse("2^20^20^20").terms == {(): 2**8000}
+        for text in ("2^20^20^20^20", "2^20^20^20 * 2^20^20^20", str(2 * at_cap)):
             with pytest.raises(ValueError, match="cap"):
                 SymmetricExpression.parse(text)
 

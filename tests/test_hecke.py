@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import oracles
@@ -29,7 +30,6 @@ from bnhecke.hecke import (
     matsumoto_image,
     single_cycle_coefficient,
     single_cycle_expansion,
-    trichotomy_report,
 )
 from bnhecke.hecke import _hermite_normal_form
 from bnhecke.partitions import (
@@ -39,6 +39,7 @@ from bnhecke.partitions import (
     weight,
 )
 from bnhecke.permutations import Permutation
+from bnhecke.suites import run_suite
 
 
 class TestHeckeElement:
@@ -510,27 +511,51 @@ class TestCertificates:
 
 
 class TestTrichotomy:
+    """The degree trichotomy as the trichotomy suite checks it."""
+
     def test_report_window(self):
-        report = trichotomy_report(3, (3, 4, 5))
-        values = {
-            (lam, mu, nu): vals for lam, mu, nu, vals in report.subtop
-        }
-        assert values[(1,), (1,), ()] == (6, 12, 20)
-        tops = {(lam, mu, nu): b for lam, mu, nu, b in report.top}
-        assert tops[(1,), (1,), (2,)] == 3
-        assert ((), (), (1,)) in report.zero
-        total = len(report.zero) + len(report.top) + len(report.subtop)
-        shapes = len(enumerate_by_weight(3))
-        assert total == shapes**3
+        levels = [3, 4, 5]
+        assert [hecke_structure_constant((1,), (1,), (), n) for n in levels] == [6, 12, 20]
+        assert {hecke_structure_constant((1,), (1,), (2,), n) for n in levels} == {3}
+        assert not any(hecke_structure_constant((), (), (1,), n) for n in levels)
+        payload, status = run_suite("trichotomy", levels, None)
+        assert status == 0
+        head, *fits = payload["checks"]
+        zero, top, subtop = map(int, re.findall(r"(\d+) (?:zero|top|sub-top)", head["name"]))
+        assert head["name"].startswith("trichotomy wt<=3 over n=[3, 4, 5]: ")
+        assert zero + top + subtop == len(enumerate_by_weight(3)) ** 3
+        assert len(fits) == subtop
+        assert {"name": "sub-top fit (1,) (1,) -> (): polynomial", "ok": True} in fits
 
-    def test_level_floor(self):
-        with pytest.raises(ValueError):
-            trichotomy_report(3, (2, 3))
+    @pytest.mark.parametrize(
+        "triples, value, detail",
+        [
+            # two zero triples made non-zero: the suite names the first
+            (
+                {((), (1,), (2,)), ((1,), (1,), (3,))},
+                lambda n: 1,
+                "b_{(),(1,)}^(2,) should vanish above the top degree but takes values (1, 1)",
+            ),
+            (
+                {((1,), (1,), (2,))},
+                lambda n: n,
+                "top coefficient b_{(1,),(1,)}^(2,) varies with n: (4, 5)",
+            ),
+        ],
+        ids=["zero", "top"],
+    )
+    def test_a_violation_stops_the_suite(self, triples, value, detail, monkeypatch):
+        count = hecke.hecke_structure_constant
 
-    def test_no_levels_is_a_usage_error(self):
-        # not a failed theorem: there is no value to vary
-        with pytest.raises(ValueError, match="at least one level"):
-            trichotomy_report(2, [])
+        def mutated(lam, mu, nu, n):
+            return value(n) if (lam, mu, nu) in triples else count(lam, mu, nu, n)
+
+        monkeypatch.setattr(hecke, "hecke_structure_constant", mutated)
+        payload, status = run_suite("trichotomy", [4, 5], None)
+        assert status == 1
+        assert payload["checks"] == [
+            {"name": "trichotomy wt<=4 over n=[4, 5]", "ok": False, "detail": detail}
+        ]
 
 
 class TestResultChecks:

@@ -94,6 +94,13 @@ size = _backend.double_coset_size
 _backend.double_coset_size = lambda mu, n: 0
 out["product_tally"] = message(lambda: _backend.product_tally((1,), (1,), 3))
 _backend.double_coset_size = size
+# b = 3 + n on a top-degree triple: two samples fit it and the holdout agrees
+count = universal.structure_constant
+universal.structure_constant = lambda lam, mu, nu, n, basis: 3 + n
+out["universal_structure_constant"] = message(
+    lambda: universal.universal_structure_constant((1,), (1,), (2,), [3, 4])
+)
+universal.structure_constant = count
 universal.factorial = lambda k: 7
 out["_binomial"] = message(lambda: universal.IntegerValuedPolynomial((0, 1))(5))
 cosets.class_representative = lambda mu, n: cosets.identity()
@@ -138,6 +145,7 @@ print(json.dumps(out))
 _GUARD_MESSAGES = {
     "product_tally": "by type, times |B_3|",
     "_binomial": "left the remainder",
+    "universal_structure_constant": "above the bound",
     "coset_representative": "has coset type",
     "double_coset_size": "is not an integer",
     "matsumoto_coefficients": "not an integer",

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from bnhecke.errors import DegreeMismatch
 from bnhecke.partitions import completion
 from bnhecke.permutations import (
+    MAX_POINT,
     Permutation,
     cayley_degree,
     class_representative,
@@ -195,6 +196,21 @@ def test_parse_permutation_forms():
 def test_parse_permutation_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_permutation(bad)
+
+
+def test_parse_permutation_caps_the_largest_point(monkeypatch):
+    assert parse_permutation(f"(1 {MAX_POINT})").degree == MAX_POINT
+    for text in (f"(1 {MAX_POINT + 1})", f"(2 3)({MAX_POINT + 1} 1)", "(1 99999999999)"):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            parse_permutation(text)
+    # the cap is checked on the text, before Permutation sees the cycles
+    monkeypatch.setattr(Permutation, "from_cycles", None)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        parse_permutation(f"(1 {MAX_POINT + 1})")
+    one_line = [*range(2, MAX_POINT + 2), 1]
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        parse_permutation(str(one_line))
+    assert parse_permutation(str(one_line[:-2] + [1])).degree == MAX_POINT
 
 
 @given(perms())

@@ -56,7 +56,6 @@ ALLOWLIST = {
     ("permutations", "support"): "acceptance test",
     ("permutations", "enumerate_class"): "acceptance test",
     ("universal", "IntegerValuedPolynomial.constant"): "dunder",
-    ("universal", "GradedIsoEntry.to_json"): "error path",
 }
 
 

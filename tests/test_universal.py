@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnhecke import _backend, group_algebra, universal
+from bnhecke import _backend, characters, group_algebra, universal
+from bnhecke.characters import structure_constant
 from bnhecke.errors import ValidationFailure
-from bnhecke.hecke import HeckeElement
-from bnhecke.partitions import enumerate_by_weight
+from bnhecke.hecke import HeckeElement, _admissible_terms
+from bnhecke.partitions import enumerate_by_weight, weight
+from bnhecke.suites import run_suite
 from bnhecke.universal import (
     MAX_SAMPLE_LEVEL,
     FitResult,
     IntegerValuedPolynomial,
     fit_report,
     fit_triple,
-    graded_iso_check,
     ivp_fit,
     universal_structure_constant,
 )
@@ -205,26 +206,66 @@ class TestUniversalStructureConstant:
 
 
 class TestGradedIso:
+    """The graded-iso suite holds the single-cycle closed form against
+    the top coefficients of C_lam C_(r) and K_lam K_(r)."""
+
     def test_small_window_agrees(self):
-        report = graded_iso_check(2, 4)
-        assert report.ok
-        assert report.mismatches == ()
-        assert any(e.nu == (2,) and e.formula == 3 for e in report.entries)
+        # wt <= 2 at n = 4, read directly in both bases
+        terms = [
+            (lam, nu, b) for lam in enumerate_by_weight(2) for _, nu, b in _admissible_terms(lam, 1)
+        ]
+        for lam, nu, b in terms:
+            assert structure_constant(lam, (1,), nu, 4, "C") == b
+            assert structure_constant(lam, (1,), nu, 4, "K") == b
+        assert ((1,), (2,), 3) in terms
 
     def test_heavy_targets_skip_brute_force(self):
-        report = graded_iso_check(3, 3)
-        assert report.ok
-        heavy = [e for e in report.entries if e.brute_hecke is None]
-        assert heavy and all(e.brute_center is None for e in heavy)
+        # at n = 3 some closed-form targets are too heavy to exist: the
+        # suite counts them but reads no structure constant for them,
+        # which would raise WeightExceedsLevel
+        targets = [
+            nu for lam in enumerate_by_weight(3) for r in (1, 2) for _, nu, _ in _admissible_terms(lam, r)
+        ]
+        assert any(weight(nu) > 3 for nu in targets)
+        assert run_suite("graded-iso", [3], None) == (
+            {
+                "suite": "graded-iso",
+                "levels": [3],
+                "backend": "pure",
+                "ok": True,
+                "checks": [
+                    {
+                        "name": f"graded top coefficients agree (wt<=3, n=3, {len(targets)} triples)",
+                        "ok": True,
+                    }
+                ],
+            },
+            0,
+        )
 
-    def test_level_floor(self):
-        with pytest.raises(ValueError):
-            graded_iso_check(3, 2)
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_json(self, monkeypatch):
+        # one C-basis constant off by 1: the detail is the mismatched
+        # entry, printed as a dict
+        row = characters._row
 
-    def test_json(self):
-        report = graded_iso_check(2, 4)
-        assert report.ok
-        assert all(e.to_json()["formula"] == e.formula for e in report.entries)
+        def off_by_one(lam, mu, n, basis):
+            out = row(lam, mu, n, basis)
+            if basis == "C" and (lam, mu) == ((1,), (1,)):
+                out = {**out, (2,): out[(2,)] + 1}
+            return out
+
+        monkeypatch.setattr(characters, "_row", off_by_one)
+        payload, status = run_suite("graded-iso", [4], None)
+        assert status == 1
+        assert payload["checks"] == [
+            {
+                "name": "graded top coefficients agree (wt<=4, n=4, 30 triples)",
+                "ok": False,
+                "detail": "{'lam': [1], 'r': 1, 'rho': [1], 'nu': [2], 'formula': 3, "
+                "'brute_center': 4, 'brute_hecke': 3, 'ok': False}",
+            }
+        ]
 
 
 class TestFitReports:
@@ -340,6 +381,22 @@ class TestFitReports:
         monkeypatch.setattr(universal, "structure_constant", wrong_at_6)
         with pytest.raises(ValidationFailure, match="at n=6"):
             fit_triple((2,), (1,), (1,))
+
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_a_fit_above_the_degree_bound_raises(self, monkeypatch):
+        # 3 + n on the top-degree triple ((1,), (1,), (2,)): two samples
+        # fit it exactly and the holdout agrees, but its degree 1 is
+        # above the bound 0 that the sample count relies on
+        count = universal.structure_constant
+
+        def linear(lam, mu, nu, n, basis):
+            if (lam, mu, nu) == ((1,), (1,), (2,)):
+                return 3 + n
+            return count(lam, mu, nu, n, basis)
+
+        monkeypatch.setattr(universal, "structure_constant", linear)
+        with pytest.raises(ValidationFailure, match="has degree 1, above the bound 0"):
+            fit_triple((1,), (1,), (2,))
 
     @pytest.mark.usefixtures("fresh_memos")
     def test_missed_holdout_raises(self, monkeypatch):
