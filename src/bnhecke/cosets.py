@@ -19,15 +19,17 @@ agree, so double cosets K_mu(n) are indexed by partitions; their
 sizes are the closed form bnhecke.partitions.double_coset_size.
 
 Coset types are read off two perfect matchings (matching_type); the
-oracle gamma_graph walks Gamma(w) with q = phi(w)^{-1} = w^{-1} t w t.
-Since t q t = q^{-1}, the map t pairs the q-orbits two by two, and each
-pair folds into one graph cycle [i, t(i), q(i), t(q(i)), ...] of twice
-the orbit length.  In particular the cycle lengths of phi(w) list every
-part of the coset type exactly twice.
+oracle gamma_graph walks Gamma(w) with q = phi(w)^{-1} = w^{-1} t w t
+and returns its cycles as plain tuples of vertices.  Since t q t =
+q^{-1}, the map t pairs the q-orbits two by two, and each pair folds
+into one graph cycle [i, t(i), q(i), t(q(i)), ...] of twice the orbit
+length.  In particular the cycle lengths of phi(w) list every part of
+the coset type exactly twice.
 
 As with cycle types, dropping 1 from every part gives the *stable*
 coset type, independent of the ambient 2n; its weight is the number of
-couples that w fails to map onto couples (the modified support).  A
+couples that w fails to map onto couples.  modified_support returns
+these couples as a frozenset of pairs (2j-1, 2j).  A
 permutation is read at its embedding level, the least n >= 1 with w in
 S_2n (_embedding_level, which the CLI verbs on one permutation share).
 The perfect matchings feed the matching tally of bnhecke._backend, the
@@ -45,8 +47,6 @@ from .partitions import Partition, check_weight, completion, double_coset_size
 from .permutations import Permutation, cayley_degree, class_representative, identity
 
 __all__ = [
-    "PairGraph",
-    "CoupleSet",
     "t_perm",
     "phi",
     "gamma_graph",
@@ -84,84 +84,6 @@ def _check_level(w: Permutation, n: int) -> None:
         )
 
 
-class PairGraph:
-    """The cycles of Gamma(w) at level n, vertex labels 1..2n."""
-
-    __slots__ = ("n", "cycles")
-
-    n: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, cycles: tuple[tuple[int, ...], ...]):
-        labels = sorted(itertools.chain.from_iterable(cycles))
-        if labels != list(range(1, 2 * n + 1)):
-            raise ValueError("cycles must cover 1..2n exactly once")
-        if any(len(c) % 2 for c in cycles):
-            raise ValueError("pair-graph cycles alternate edges, so have even length")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cycles", cycles)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairGraph is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairGraph):
-            return NotImplemented
-        return (self.n, self.cycles) == (other.n, other.cycles)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.cycles))
-
-    def __repr__(self) -> str:
-        return f"PairGraph(n={self.n!r}, cycles={self.cycles!r})"
-
-    def half_lengths(self) -> Partition:
-        return tuple(sorted((len(c) // 2 for c in self.cycles), reverse=True))
-
-
-class CoupleSet:
-    """A finite set of couples {2j-1, 2j}, stored as ordered pairs."""
-
-    __slots__ = ("couples",)
-
-    couples: frozenset[tuple[int, int]]
-
-    def __init__(self, couples: frozenset[tuple[int, int]]):
-        for a, b in couples:
-            if a % 2 != 1 or b != a + 1:
-                raise ValueError(f"({a}, {b}) is not a couple (2j-1, 2j)")
-        object.__setattr__(self, "couples", couples)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoupleSet is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoupleSet):
-            return NotImplemented
-        return self.couples == other.couples
-
-    def __hash__(self) -> int:
-        return hash(self.couples)
-
-    def __repr__(self) -> str:
-        return f"CoupleSet(couples={self.couples!r})"
-
-    @classmethod
-    def from_indices(cls, indices) -> "CoupleSet":
-        return cls(frozenset((2 * j - 1, 2 * j) for j in indices))
-
-    def points(self) -> frozenset[int]:
-        return frozenset(itertools.chain.from_iterable(self.couples))
-
-    def __len__(self) -> int:
-        return len(self.couples)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.couples))
-
-    def __or__(self, other: "CoupleSet") -> "CoupleSet":
-        return CoupleSet(self.couples | other.couples)
-
 def t_perm(n: int) -> Permutation:
     """The involution (1 2)(3 4)...(2n-1 2n)."""
     if n < 1:
@@ -180,8 +102,8 @@ def phi(w: Permutation, n: int) -> Permutation:
     return t * w.inverse() * t * w
 
 
-def gamma_graph(w: Permutation, n: int) -> PairGraph:
-    """The pair graph Gamma(w), cycles listed from their smallest vertex."""
+def gamma_graph(w: Permutation, n: int) -> tuple[tuple[int, ...], ...]:
+    """The even cycles of Gamma(w), each from its least vertex, in that order."""
     _check_level(w, n)
     images = w.one_line(2 * n)
     winv = [0] * (2 * n)
@@ -206,7 +128,7 @@ def gamma_graph(w: Permutation, n: int) -> PairGraph:
             if i == start:
                 break
         cycles.append(tuple(cycle))
-    return PairGraph(n, tuple(cycles))
+    return tuple(cycles)
 
 
 def perfect_matchings(n: int) -> list[tuple[int, ...]]:
@@ -285,15 +207,15 @@ def coset_type(w: Permutation, n: int) -> Partition:
     return completion(stable_coset_type(w), n)
 
 
-def modified_support(w: Permutation) -> CoupleSet:
-    """Couples C with w(C) not a couple; empty iff w is hyperoctahedral.
+def modified_support(w: Permutation) -> frozenset[tuple[int, int]]:
+    """Couples C = (2j-1, 2j) with w(C) not a couple; empty iff w is in B_n.
 
     >>> sorted(modified_support(Permutation.from_cycles([(2, 3)])))
     [(1, 2), (3, 4)]
     """
     n = _embedding_level(w)
-    return CoupleSet.from_indices(
-        j for j in range(1, n + 1) if w(2 * j) != _partner(w(2 * j - 1))
+    return frozenset(
+        (j - 1, j) for j in range(2, 2 * n + 1, 2) if w(j) != _partner(w(j - 1))
     )
 
 

@@ -388,7 +388,7 @@ def _check_coset_element(w: Permutation, n: int) -> None:
     couples = modified_support(w)
     assert len(couples) == weight(mu)
     twisted = phi(w, n)
-    assert support(twisted) == couples.points()
+    assert support(twisted) == {point for couple in couples for point in couple}
     assert len(support(twisted)) == 2 * len(couples)
     assert stable_cycle_type(twisted) == union(mu, mu)
     assert is_hyperoctahedral(w, n) == (mu == ()) == (twisted == identity())

@@ -491,7 +491,9 @@ _HELP_DIGESTS = {
 # sha256 of the stdout of every verify suite at its default levels, and
 # of the trichotomy and graded-iso suites at --max-n 5 and --n 5, as
 # printed while hecke.trichotomy_report and universal.graded_iso_check
-# still computed those two suites' checks
+# still computed those two suites' checks; coset-invariants at --max-n 5
+# samples the pair graph at n = 4 and 5, pinned while gamma_graph still
+# returned a class
 _VERIFY_DIGESTS = {
     ("matsumoto",): "fb3bdad0ce8f67086cec377399c668cfdf9cfbf106a6dc31a2df5fa6bc26240f",
     ("jm-center",): "34348f39bf9e29f5d018cf426f56c1d1e384af9f9ab0235b71ef5a9b4da1d9a5",
@@ -504,6 +506,18 @@ _VERIFY_DIGESTS = {
     ("trichotomy", "--n", "5"): "5f39f536b245c061733ed6a720149f37af2b60653866f50131984915e8f75b98",
     ("graded-iso", "--max-n", "5"): "2d049c8b1b461a76d8c037d2f77dff47e54f7ecca5a03df36ca5e606a9e53b49",
     ("graded-iso", "--n", "5"): "759f49e011b89ce7cc2e4a2dbeec511dc69be68a47051338548ee6edbcda5c19",
+    ("coset-invariants", "--max-n", "5", "--samples", "50"): "6f2a5c2780ea1bc0386815d6a66f20f0ee6cccf33f7337653740bd25cf79992a",
+}
+
+# sha256 of the stdout of coset-type and phi on one permutation, pinned
+# while gamma_graph and modified_support still returned classes
+_PERM_VERB_DIGESTS = {
+    ("coset-type", "(2 3)"): "0b8f40f498238750a2a3abdcffad9013db8f69d65560845265ede73843c93a2b",
+    ("phi", "(2 3)"): "e18b6a82ab3928c347c76e11e85a4bd1f528b2d70a57944f90c551052564eafe",
+    ("coset-type", "(1 4 6 2)(3 8)"): "0d091591b3b950a1bb1dc43c722be1612607ca486976a61caca0ca1f09956f36",
+    ("phi", "(1 4 6 2)(3 8)"): "c039ace296cc12254a8f1c2b921effa9d7940cc97b7094de6c36fecf15b7525b",
+    ("coset-type", "[2,1,4,3,6,5]"): "b4afc759b40decf09527e711f91d4d27fb8bd4bdc3ad3cb4e50f6c7d11c7fd3a",
+    ("phi", "[2,1,4,3,6,5]"): "caf01ddb6bd9132ae84067e571b7c8d12f3207374cd77bd5acd3e3ae38aebf91",
 }
 
 
@@ -583,6 +597,15 @@ class TestMain:
     )
     def test_verify_stdout_is_pinned(self, flags, digest, capsys):
         assert main(["verify", "--suite", *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "verb, perm, digest",
+        [(*key, digest) for key, digest in _PERM_VERB_DIGESTS.items()],
+        ids=[" ".join(key) for key in _PERM_VERB_DIGESTS],
+    )
+    def test_permutation_verbs_are_pinned(self, verb, perm, digest, capsys):
+        assert main([verb, "--perm", perm]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_closed_pipe_is_quiet(self):

@@ -4,8 +4,6 @@ import pytest
 
 from bnhecke import cosets, partitions
 from bnhecke.cosets import (
-    CoupleSet,
-    PairGraph,
     coset_representative,
     coset_type,
     enumerate_double_coset,
@@ -72,16 +70,23 @@ def test_phi_rejects_oversized_degree():
         phi(identity(), 0)
 
 
+def _shift(n):
+    """i -> i + 1 mod 2n: for n >= 2 it moves every couple."""
+    return Permutation([*range(2, 2 * n + 1), 1])
+
+
 def test_gamma_graph_shape(random_perm):
-    n = 5
-    for _ in range(20):
-        w = random_perm(2 * n)
-        graph = gamma_graph(w, n)
-        flat = sorted(v for c in graph.cycles for v in c)
-        assert flat == list(range(1, 2 * n + 1))
-        assert all(len(c) % 2 == 0 for c in graph.cycles)
-        assert sum(graph.half_lengths()) == n
-        assert len(graph.cycles) == len(coset_type(w, n))
+    for n in range(1, 6):
+        for w in [identity(), _shift(n), *(random_perm(2 * n) for _ in range(20))]:
+            cycles = gamma_graph(w, n)
+            flat = sorted(v for c in cycles for v in c)
+            assert flat == list(range(1, 2 * n + 1))
+            assert all(len(c) % 2 == 0 and c[0] == min(c) for c in cycles)
+            assert sum(len(c) // 2 for c in cycles) == n
+            assert len(cycles) == len(coset_type(w, n))
+        assert gamma_graph(identity(), n) == tuple((i, i + 1) for i in range(1, 2 * n, 2))
+        if n > 1:
+            assert len(modified_support(_shift(n))) == n
 
 
 def test_gamma_graph_cycles_double_the_twist():
@@ -97,13 +102,6 @@ def test_gamma_graph_cycles_double_the_twist():
         twist_type = completion(stable_cycle_type(phi(w, n)), 2 * n)
         doubled = tuple(sorted(full + full, reverse=True))
         assert twist_type == doubled
-
-
-def test_pair_graph_validates():
-    with pytest.raises(ValueError):
-        PairGraph(1, ((1, 2), (1, 2)))
-    with pytest.raises(ValueError):
-        PairGraph(2, ((1, 2, 3), (4,)))
 
 
 def test_worked_coset_type():
@@ -203,14 +201,16 @@ def test_generators_generate():
     assert seen == set(hyperoctahedral_elements(n))
 
 
-def test_couple_set_api():
-    cs = CoupleSet.from_indices([2, 1])
-    assert cs.points() == {1, 2, 3, 4}
-    assert list(cs) == [(1, 2), (3, 4)]
-    assert len(cs) == 2
-    assert cs | CoupleSet.from_indices([3]) == CoupleSet.from_indices([1, 2, 3])
-    with pytest.raises(ValueError):
-        CoupleSet(frozenset({(2, 3)}))
+def test_modified_support_is_a_set_of_couples(random_perm):
+    assert sorted(modified_support(parse_permutation("(2 3)"))) == [(1, 2), (3, 4)]
+    assert modified_support(parse_permutation("(2 3)(5 8)")) == frozenset(
+        {(1, 2), (3, 4), (5, 6), (7, 8)}
+    )
+    assert modified_support(identity()) == frozenset()
+    for _ in range(30):
+        couples = modified_support(random_perm(10))
+        assert isinstance(couples, frozenset)
+        assert all(a % 2 == 1 and b == a + 1 for a, b in couples)
 
 
 @pytest.mark.parametrize(

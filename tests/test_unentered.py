@@ -39,7 +39,6 @@ ALLOWLIST = {
     ("_kernels_py", "LevelTable.size"): "perfbench",
     ("_kernels_py", "LevelTable.rows"): "perfbench",
     ("_symfunc", "SymmetricExpression.terms"): "oracle",
-    ("cosets", "CoupleSet.points"): "acceptance test",
     ("cosets", "perfect_matchings"): "oracle",
     ("cosets", "perfect_matchings.<locals>.extend"): "oracle",
     ("group_algebra", "AlgebraElement.from_permutation"): "acceptance test",
