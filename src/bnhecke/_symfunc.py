@@ -306,7 +306,7 @@ def monomial(lam: Partition) -> SymmetricExpression:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<gen>[eph]\d+)|(?P<mono>m\[[\d,\s]*\])|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<gen>[eph][0-9]+)|(?P<mono>m\[[0-9,\s]*\])|(?P<op>[-+*^()]))"
 )
 
 

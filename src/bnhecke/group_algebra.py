@@ -1,12 +1,12 @@
 """Sparse exact arithmetic in the integral group ring of S_m.
 
 Elements are sparse maps from permutations of [m] to integer
-coefficients, with the product extending composition bilinearly; the
-sums, negation, scaling and equality are the integer-combination core
-of bnhecke.partitions, which HeckeElement shares.  The
-center is spanned by the class sums C_mu(n), indexed by stable cycle
-type, and the structure constants a_{lam mu}^{nu}(n) are read off
-products of class sums at a canonical class representative.
+coefficients, with the product a * b extending composition bilinearly;
+the sums, negation, scaling and equality are the integer-combination
+core of bnhecke.partitions, which HeckeElement shares.  The center is
+spanned by the class sums C_mu(n), indexed by stable cycle type, and
+the structure constants a_{lam mu}^{nu}(n) are read off products of
+class sums at a canonical class representative.
 
 The Jucys-Murphy elements
 
@@ -15,29 +15,23 @@ The Jucys-Murphy elements
 commute pairwise, and evaluating elementary symmetric functions at
 them reproduces the cycle-count filtration: Z_i, the sum of all
 permutations with exactly i cycles, equals e_{n-i}(J_1, ..., J_n).
-eval_elementary runs the product DP prod_i (1 + t v_i) of
-SymmetricExpression.evaluate (bnhecke._symfunc, where the symmetric
-functions live); a general expression F evaluates at algebra values by
-F.evaluate(values, AlgebraElement.one(m)).  The class tables and class
-products are memos that partitions.clear_caches empties.  Only b_sum
-reads B_n, and it imports bnhecke.cosets when it runs.
+A symmetric expression F (bnhecke._symfunc, where the symmetric
+functions live) evaluates at algebra values by
+F.evaluate(values, AlgebraElement.one(m)), so e_k at them is
+elementary(k).evaluate(values, AlgebraElement.one(m)).  The class
+tables and class products are memos that partitions.clear_caches
+empties.
 """
 
 from __future__ import annotations
 
-from math import factorial
-
-from ._symfunc import elementary
-from .errors import IndexOutOfRange, LevelMismatch, NotCentral, ValidationFailure
+from .errors import IndexOutOfRange, ValidationFailure
 from .partitions import (
     Partition,
     _Combination,
-    _expand_by_type,
     _memo,
     check_weight,
-    completion,
     weight,
-    z_value,
 )
 from .permutations import (
     Permutation,
@@ -48,14 +42,10 @@ from .permutations import (
 
 __all__ = [
     "AlgebraElement",
-    "multiply",
     "class_sum",
     "class_structure_constant",
     "jucys_murphy",
-    "b_sum",
-    "eval_elementary",
     "zi_generator",
-    "expand_in_class_basis",
 ]
 
 
@@ -77,12 +67,6 @@ class AlgebraElement(_Combination):
     @classmethod
     def one(cls, level: int) -> "AlgebraElement":
         return cls._raw(level, {tuple(range(1, level + 1)): 1})
-
-    @classmethod
-    def from_permutation(
-        cls, perm: Permutation, level: int, coeff: int = 1
-    ) -> "AlgebraElement":
-        return cls(level, {perm: coeff})
 
     def coefficient(self, perm: Permutation) -> int:
         return self._t.get(perm.one_line(self.level), 0)
@@ -107,11 +91,6 @@ class AlgebraElement(_Combination):
 
     def __repr__(self) -> str:
         return f"AlgebraElement(level={self.level}, terms={len(self._t)})"
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product; raises LevelMismatch on distinct levels."""
-    return a * b
 
 
 @_memo
@@ -174,36 +153,6 @@ def jucys_murphy(k: int, m: int) -> AlgebraElement:
     )
 
 
-def b_sum(n: int) -> AlgebraElement:
-    """The unnormalized sum of B_n inside the level-2n algebra.
-
-    Dividing by |B_n| = 2^n n! gives the idempotent averaging over the
-    hyperoctahedral group; callers apply that scalar explicitly so all
-    heavy arithmetic stays integral.
-    """
-    from .cosets import hyperoctahedral_elements
-
-    return AlgebraElement._raw(
-        2 * n,
-        {b.one_line(2 * n): 1 for b in hyperoctahedral_elements(n)},
-    )
-
-
-def eval_elementary(k: int, values: list[AlgebraElement]) -> AlgebraElement:
-    """e_k evaluated at the given algebra elements; e_0 = 1.  ValueError
-    for no values, LevelMismatch for values of two levels."""
-    if k < 0:
-        raise ValueError("e_k needs k >= 0")
-    values = list(values)
-    if not values:
-        raise ValueError("cannot infer the level from an empty value list")
-    level = values[0].level
-    for v in values:
-        if v.level != level:
-            raise LevelMismatch(f"values mix levels {level} and {v.level}")
-    return elementary(k).evaluate(values, AlgebraElement.one(level))
-
-
 def zi_generator(i: int, n: int) -> AlgebraElement:
     """Z_i: the sum of all w in S_n with exactly i cycles.
 
@@ -218,19 +167,3 @@ def zi_generator(i: int, n: int) -> AlgebraElement:
             for k in rows:
                 out[k] = 1
     return AlgebraElement._raw(n, out)
-
-
-def expand_in_class_basis(
-    a: AlgebraElement, n: int
-) -> dict[Partition, int]:
-    """Write a central element as sum of c_mu C_mu(n).
-
-    Raises NotCentral when a class carries a non-constant coefficient
-    or is only partially present.
-    """
-    if a.level != n:
-        raise LevelMismatch(f"element lives at level {a.level}, not {n}")
-    return _expand_by_type(
-        a._t, stable_type_of_one_line,
-        lambda mu: factorial(n) // z_value(completion(mu, n)), NotCentral, "class",
-    )

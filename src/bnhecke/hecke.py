@@ -66,7 +66,6 @@ from .partitions import (
     difference,
     double_coset_size,
     enumerate_by_weight,
-    multiplicity,
     subpartitions,
     union,
     weight,
@@ -113,9 +112,6 @@ class HeckeElement(_Combination):
     @classmethod
     def one(cls, level: int) -> "HeckeElement":
         return cls(level, {(): 1})
-
-    def coefficient(self, mu: Partition) -> int:
-        return self._t.get(tuple(mu), 0)
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -224,10 +220,10 @@ def single_cycle_coefficient(lam: Partition, r: int, rho: Partition) -> int:
             f"l{rho} = {len(rho)} exceeds r + 1 = {r + 1}"
         )
     top = r + sum(rho)
-    numerator = (multiplicity(lam, top) + 1) * (top + 1) * factorial(r)
+    numerator = (lam.count(top) + 1) * (top + 1) * factorial(r)
     denominator = factorial(r + 1 - len(rho))
     for part in set(rho):
-        denominator *= factorial(multiplicity(rho, part))
+        denominator *= factorial(rho.count(part))
     b, rem = divmod(numerator, denominator)
     if rem:
         raise ValidationFailure(

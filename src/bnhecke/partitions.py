@@ -54,9 +54,7 @@ __all__ = [
     "MAX_SPHERICAL_LEVEL",
     "as_partition",
     "weight",
-    "multiplicity",
     "union",
-    "vector_sum",
     "difference",
     "completion",
     "check_weight",
@@ -129,21 +127,9 @@ def weight(mu: Partition) -> int:
     return sum(mu) + len(mu)
 
 
-def multiplicity(mu: Partition, i: int) -> int:
-    """Number of parts of mu equal to i (i >= 1)."""
-    return mu.count(i)
-
-
 def union(lam: Partition, mu: Partition) -> Partition:
     """Multiset union: all parts of both, re-sorted non-increasing."""
     return tuple(sorted(lam + mu, reverse=True))
-
-
-def vector_sum(lam: Partition, mu: Partition) -> Partition:
-    """Componentwise sum after zero-padding the shorter partition."""
-    return tuple(
-        a + b for a, b in itertools.zip_longest(lam, mu, fillvalue=0)
-    )
 
 
 def difference(lam: Partition, mu: Partition) -> Partition:
@@ -316,8 +302,8 @@ def _expand_by_type(terms: dict, type_of, size_of, error, noun: str) -> dict:
     """The c_mu with terms = sum of c_mu * (all keys of type_of mu);
     raises error when a type carries two coefficients or misses members.
 
-    Shared by the class basis (group_algebra) and the double-coset basis
-    (hecke), whose keys are typed by partitions.
+    hecke.expand_K reads the double-coset basis with it, and the class
+    basis oracle of the tests (tests/oracles.py) the class sums.
     """
     coeffs: dict = {}
     counts: dict[Partition, int] = {}

@@ -18,8 +18,8 @@ Products act right to left: (x*y)(i) = x(y(i)).
 The *stable cycle type* subtracts 1 from every cycle length and drops
 fixed points; it does not depend on the ambient degree.  Its size is
 the Cayley degree: the minimal number of transpositions whose product
-is the permutation.  Both, and the support, are module functions
-(stable_cycle_type, cayley_degree, support), not methods.
+is the permutation.  Both are module functions (stable_cycle_type,
+cayley_degree), not methods.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ import re
 from collections.abc import Iterable, Iterator
 
 from .errors import DegreeMismatch
-from .partitions import Partition, _integer, completion, weight
+from .partitions import Partition, _integer, completion
 
 __all__ = [
     "Permutation",
     "identity",
     "stable_cycle_type",
-    "support",
     "cayley_degree",
-    "enumerate_class",
     "class_representative",
     "symmetric_group",
     "parse_permutation",
@@ -171,6 +169,8 @@ class Permutation:
         return hash(self.images)
 
     def __lt__(self, other: "Permutation") -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.images < other.images
 
     def __repr__(self) -> str:
@@ -188,10 +188,6 @@ def stable_cycle_type(x: Permutation) -> Partition:
     return stable_type_of_one_line(x.images)
 
 
-def support(x: Permutation) -> frozenset[int]:
-    return frozenset(i for i, j in enumerate(x.images, start=1) if i != j)
-
-
 def cayley_degree(x: Permutation) -> int:
     """Minimal number of transpositions multiplying to x."""
     return sum(stable_cycle_type(x))
@@ -201,21 +197,6 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation._raw(_trim(images))
-
-
-def enumerate_class(mu: Partition, n: int) -> set[Permutation]:
-    """All w in S_n of stable cycle type mu; empty iff wt(mu) > n.
-
-    Filters the full S_n iteration, which is the simplest correct
-    route and ample for the n <= 8 the center-side oracles need.
-    """
-    if weight(mu) > n:
-        return set()
-    return {
-        Permutation._raw(_trim(images))
-        for images in itertools.permutations(range(1, n + 1))
-        if stable_type_of_one_line(images) == mu
-    }
 
 
 def class_representative(mu: Partition, n: int) -> Permutation:
@@ -236,6 +217,8 @@ def class_representative(mu: Partition, n: int) -> Permutation:
 
 
 _CYCLE_TOKEN = re.compile(r"\(([^()]*)\)")
+# int() alone would also read "1_0", "+2" and non-ASCII digits
+_POINT = re.compile(r"[0-9]+")
 
 # The largest point a permutation read from text may name: "(1 10000)"
 # takes coset-type and phi 0.19 s and 0.22 s, start-up included (2-CPU
@@ -270,11 +253,10 @@ def parse_permutation(text: str) -> Permutation:
         matched = "".join(m.group(0) for m in _CYCLE_TOKEN.finditer(body))
         if matched.replace(" ", "") != body.replace(" ", ""):
             raise ValueError(f"malformed cycle string: {text!r}")
-        cycles = [
-            [int(tok) for tok in m.group(1).split()]
-            for m in _CYCLE_TOKEN.finditer(body)
-            if m.group(1).strip()
-        ]
+        tokens = [m.group(1).split() for m in _CYCLE_TOKEN.finditer(body)]
+        if not all(_POINT.fullmatch(tok) for cycle in tokens for tok in cycle):
+            raise ValueError(f"cycle points must be ASCII decimal integers: {text!r}")
+        cycles = [[int(tok) for tok in cycle] for cycle in tokens if cycle]
         top = max((p for cycle in cycles for p in cycle), default=0)
         if top > MAX_POINT:
             raise ValueError(f"point {top} exceeds the cap {MAX_POINT}")

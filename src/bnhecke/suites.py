@@ -56,18 +56,20 @@ def _suite_matsumoto(levels, samples, checks):
 
 
 def _suite_jm_center(levels, samples, checks):
-    from .group_algebra import eval_elementary, jucys_murphy, multiply, zi_generator
+    from ._symfunc import elementary
+    from .group_algebra import AlgebraElement, jucys_murphy, zi_generator
 
     for n in levels:
         js = [jucys_murphy(k, n) for k in range(1, n + 1)]
         commuting = all(
-            multiply(js[a], js[b]) == multiply(js[b], js[a])
+            js[a] * js[b] == js[b] * js[a]
             for a in range(n)
             for b in range(a + 1, n)
         )
         _check(checks, f"J_1..J_{n} pairwise commute in Z[S_{n}]", commuting)
+        one = AlgebraElement.one(n)
         for i in range(1, n + 1):
-            got = eval_elementary(n - i, js)
+            got = elementary(n - i).evaluate(js, one)
             want = zi_generator(i, n)
             _check(
                 checks,

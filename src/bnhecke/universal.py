@@ -96,6 +96,7 @@ class IntegerValuedPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, n: int) -> int:
+        n = _integer(n)  # a float or a bool raises TypeError
         return sum(c * _binomial(n, k) for k, c in enumerate(self.coeffs))
 
     def __bool__(self) -> bool:

@@ -20,6 +20,12 @@ levels by Newton divided differences in exact rationals, and reads the
 binomial coefficients off the interpolant's values at 0..d.  It is the
 oracle for the integer difference table of bnhecke.universal.ivp_fit.
 
+enumerate_class sweeps all of S_n for the permutations of one stable
+cycle type, b_sum writes the sum of B_n in Z[S_2n], and
+expand_in_class_basis reads a central element of Z[S_n] in the class
+sums C_mu(n).  They are the reference builders for Z[S_2n], the class
+census and the class basis of bnhecke.group_algebra.
+
 double_coset_sum and lift write K_mu(n), and Z-combinations of them,
 as honest elements of Z[S_2n], so a Hecke product can be checked
 against the full group-algebra convolution.
@@ -35,23 +41,28 @@ bnhecke.characters.matsumoto_coefficients at n = 5 and 6.
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from bnhecke._backend import _typed_matchings
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.characters import _hook_product, _norms
-from bnhecke.cosets import image_matching, matching_type
-from bnhecke.errors import NotBiInvariant
-from bnhecke.group_algebra import AlgebraElement, b_sum
+from bnhecke.cosets import hyperoctahedral_elements, image_matching, matching_type
+from bnhecke.errors import LevelMismatch, NotBiInvariant, NotCentral
+from bnhecke.group_algebra import AlgebraElement
 from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import (
     Partition,
     _expand_by_type,
     as_partition,
     check_weight,
+    completion,
     double_coset_size,
     hyperoctahedral_order,
     partitions_of,
+    weight,
+    z_value,
 )
+from bnhecke.permutations import Permutation, stable_type_of_one_line
 
 # Matsumoto expressions: e_k with k > n at small levels, p_k, h_k, an
 # m_lambda, products, negative coefficients, a constant and an
@@ -176,6 +187,36 @@ def divided_difference_fit(points) -> list[Fraction]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def enumerate_class(mu: Partition, n: int) -> set[Permutation]:
+    """All w in S_n of stable cycle type mu; empty iff wt(mu) > n."""
+    if weight(mu) > n:
+        return set()
+    return {
+        Permutation(images)
+        for images in itertools.permutations(range(1, n + 1))
+        if stable_type_of_one_line(images) == mu
+    }
+
+
+def b_sum(n: int) -> AlgebraElement:
+    """The unnormalized sum of B_n in the level-2n group algebra."""
+    return AlgebraElement(2 * n, dict.fromkeys(hyperoctahedral_elements(n), 1))
+
+
+def expand_in_class_basis(a: AlgebraElement, n: int) -> dict[Partition, int]:
+    """The c_mu with a = sum of c_mu C_mu(n).
+
+    Raises NotCentral when a class carries two coefficients or only
+    some of its members.
+    """
+    if a.level != n:
+        raise LevelMismatch(f"element lives at level {a.level}, not {n}")
+    return _expand_by_type(
+        a._t, stable_type_of_one_line,
+        lambda mu: factorial(n) // z_value(completion(mu, n)), NotCentral, "class",
+    )
 
 
 def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:

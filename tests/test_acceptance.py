@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import double_coset_sum
+from oracles import b_sum, double_coset_sum, enumerate_class, expand_in_class_basis
 
 from bnhecke._symfunc import elementary
 from bnhecke.characters import structure_constant
@@ -39,12 +39,8 @@ from bnhecke.cosets import (
 from bnhecke.errors import WeightExceedsLevel
 from bnhecke.group_algebra import (
     AlgebraElement,
-    b_sum,
     class_sum,
-    eval_elementary,
-    expand_in_class_basis,
     jucys_murphy,
-    multiply,
     zi_generator,
 )
 from bnhecke.hecke import (
@@ -67,18 +63,15 @@ from bnhecke.partitions import (
     hyperoctahedral_order,
     partitions_of,
     union,
-    vector_sum,
     weight,
     z_value,
 )
 from bnhecke.permutations import (
     Permutation,
     cayley_degree,
-    enumerate_class,
     identity,
     parse_permutation,
     stable_cycle_type,
-    support,
     symmetric_group,
 )
 from bnhecke.suites import run_suite
@@ -169,7 +162,7 @@ def test_transposition_coset_square_across_levels():
 def test_transposition_class_square_across_levels():
     for n in (4, 5, 6):
         c1 = class_sum((1,), n)
-        assert expand_in_class_basis(multiply(c1, c1), n) == {
+        assert expand_in_class_basis(c1 * c1, n) == {
             (): Fraction(n * (n - 1), 2),
             (2,): Fraction(3),
             (1, 1): Fraction(2),
@@ -180,7 +173,9 @@ def test_center_generators_are_elementary_in_jucys_murphy():
     for n in range(1, 7):
         jm = [jucys_murphy(k, n) for k in range(1, n + 1)]
         for i in range(1, n + 1):
-            assert zi_generator(i, n) == eval_elementary(n - i, jm)
+            assert zi_generator(i, n) == elementary(n - i).evaluate(
+                jm, AlgebraElement.one(n)
+            )
 
 
 def test_odd_jucys_murphy_symmetrics_map_onto_cycle_count_generators():
@@ -307,7 +302,7 @@ def test_small_levels_carry_polynomial_generation_certificates():
             return acc
 
         matrix = [
-            [int(monomial_value(exp).coefficient(mu)) for mu in basis]
+            [monomial_value(exp).coeffs.get(mu, 0) for mu in basis]
             for exp in cert.monomials
         ]
         hnf, transform = _hermite_normal_form(matrix)
@@ -343,16 +338,11 @@ def _sweep_partition_arithmetic() -> None:
     pool = [lam for s in range(5) for lam in partitions_of(s)]
     for lam, mu in itertools.product(pool, repeat=2):
         assert union(lam, mu) == union(mu, lam)
-        assert vector_sum(lam, mu) == vector_sum(mu, lam)
         assert difference(union(lam, mu), mu) == lam
     for lam in pool:
         assert union(lam, ()) == lam
-        assert vector_sum(lam, ()) == lam
     for lam, mu, nu in itertools.product(pool[:8], repeat=3):
         assert union(union(lam, mu), nu) == union(lam, union(mu, nu))
-        assert vector_sum(vector_sum(lam, mu), nu) == vector_sum(
-            lam, vector_sum(mu, nu)
-        )
     for n in range(1, 9):
         for mu in enumerate_by_weight(n):
             rho = completion(mu, n)
@@ -360,13 +350,17 @@ def _sweep_partition_arithmetic() -> None:
             assert weight(rho) == n + (n - sum(mu))
 
 
+def _support(x: Permutation) -> set[int]:
+    return {i for i in range(1, x.degree + 1) if x(i) != i}
+
+
 def _check_degree_pair(x: Permutation, y: Permutation) -> None:
     xy = x * y
     assert cayley_degree(x * y * x.inverse()) == cayley_degree(y)
     assert cayley_degree(xy) <= cayley_degree(x) + cayley_degree(y)
-    movers = support(x) | support(y.inverse())
-    assert len(support(xy)) <= len(movers)
-    assert (len(support(xy)) == len(movers)) == (support(y) <= support(xy))
+    movers = _support(x) | _support(y.inverse())
+    assert len(_support(xy)) <= len(movers)
+    assert (len(_support(xy)) == len(movers)) == (_support(y) <= _support(xy))
 
 
 def _sweep_cayley_degree_and_support(rng: random.Random) -> None:
@@ -388,8 +382,8 @@ def _check_coset_element(w: Permutation, n: int) -> None:
     couples = modified_support(w)
     assert len(couples) == weight(mu)
     twisted = phi(w, n)
-    assert support(twisted) == {point for couple in couples for point in couple}
-    assert len(support(twisted)) == 2 * len(couples)
+    assert _support(twisted) == {point for couple in couples for point in couple}
+    assert len(_support(twisted)) == 2 * len(couples)
     assert stable_cycle_type(twisted) == union(mu, mu)
     assert is_hyperoctahedral(w, n) == (mu == ()) == (twisted == identity())
 
@@ -476,26 +470,26 @@ def _sweep_center_invariants(rng: random.Random) -> None:
     for n in range(2, 7):
         jm = [jucys_murphy(k, n) for k in range(1, n + 1)]
         for a, b in itertools.combinations(jm, 2):
-            assert multiply(a, b) == multiply(b, a)
+            assert a * b == b * a
     for n in range(2, 6):
         for mu in enumerate_by_weight(n):
             c = class_sum(mu, n)
             for _ in range(5):
-                x = AlgebraElement.from_permutation(_random_perm(rng, n), n)
-                assert multiply(c, x) == multiply(x, c)
+                x = AlgebraElement(n, {_random_perm(rng, n): 1})
+                assert c * x == x * c
     for n in range(2, 5):
         odds = [jucys_murphy(2 * i - 1, 2 * n) for i in range(1, n + 1)]
         b = b_sum(n)
         for k in range(n + 1):
-            f = eval_elementary(k, odds)
-            assert multiply(f, b) == multiply(b, f)
+            f = elementary(k).evaluate(odds, AlgebraElement.one(2 * n))
+            assert f * b == b * f
     # class products vanish above the top degree and their top
     # coefficients do not depend on the level
     tops: dict[tuple, set[Fraction]] = {}
     for n in range(2, 8):
         shapes = [mu for mu in enumerate_by_weight(5) if weight(mu) <= n]
         for lam, mu in itertools.combinations_with_replacement(shapes, 2):
-            product = multiply(class_sum(lam, n), class_sum(mu, n))
+            product = class_sum(lam, n) * class_sum(mu, n)
             for nu, coeff in expand_in_class_basis(product, n).items():
                 assert sum(nu) <= sum(lam) + sum(mu)
                 if sum(nu) == sum(lam) + sum(mu):
@@ -521,12 +515,12 @@ def _sweep_hecke_ring_invariants() -> None:
         shapes = enumerate_by_weight(n)
         for lam, mu in itertools.product(shapes, repeat=2):
             convolution = expand_K(
-                multiply(double_coset_sum(lam, n), double_coset_sum(mu, n)), n
+                double_coset_sum(lam, n) * double_coset_sum(mu, n), n
             )
             for nu in shapes:
                 assert (
                     hecke_structure_constant(lam, mu, nu, n) * order
-                    == convolution.coefficient(nu)
+                    == convolution.coeffs.get(nu, 0)
                 )
 
 

@@ -128,6 +128,11 @@ class TestParse:
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _UNBOUNDED_EXPRS),
             ["coset-type", "--perm", _FAR_POINT],
             ["phi", "--perm", _FAR_POINT],
+            # int() read these as (1 10), (1 2), (1 2) and e2
+            ["coset-type", "--perm", "(1 1_0)"],
+            ["coset-type", "--perm", "(1 +2)"],
+            ["coset-type", "--perm", "(1 \uff12)"],
+            ["matsumoto", "--n", "3", "--expr", "e\u0662"],
         ],
     )
     def test_usage_errors(self, argv):

@@ -12,11 +12,9 @@ from bnhecke.partitions import (
     completion,
     difference,
     enumerate_by_weight,
-    multiplicity,
     partitions_of,
     subpartitions,
     union,
-    vector_sum,
     weight,
     z_value,
 )
@@ -51,11 +49,6 @@ def test_weight_counts_size_plus_length():
     assert weight((3, 1, 1)) == 8
 
 
-def test_multiplicity():
-    assert multiplicity((3, 2, 2, 1), 2) == 2
-    assert multiplicity((3, 2, 2, 1), 4) == 0
-
-
 @given(partitions, partitions)
 def test_union_is_sorted_merge(lam, mu):
     merged = union(lam, mu)
@@ -71,11 +64,6 @@ def test_difference_inverts_union(lam, mu):
 def test_difference_rejects_excess():
     with pytest.raises(NotASubpartition):
         difference((3, 1), (2,))
-
-
-def test_vector_sum_pads_with_zeros():
-    assert vector_sum((2, 1), (1,)) == (3, 1)
-    assert vector_sum((), (4, 4)) == (4, 4)
 
 
 @pytest.mark.parametrize(

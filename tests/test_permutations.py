@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import enumerate_class
 
 from bnhecke.errors import DegreeMismatch
 from bnhecke.partitions import completion
@@ -10,11 +11,9 @@ from bnhecke.permutations import (
     Permutation,
     cayley_degree,
     class_representative,
-    enumerate_class,
     identity,
     parse_permutation,
     stable_cycle_type,
-    support,
     symmetric_group,
 )
 
@@ -102,7 +101,7 @@ def test_from_cycles_reads_only_integers():
 @given(perms())
 def test_cycles_partition_the_support(w):
     covered = [i for cycle in w.cycles() for i in cycle]
-    assert sorted(covered) == sorted(support(w))
+    assert sorted(covered) == [i for i in range(1, w.degree + 1) if w(i) != i]
     for cycle in w.cycles():
         assert cycle[0] == min(cycle)
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -192,7 +191,10 @@ def test_parse_permutation_forms():
     assert parse_permutation("[]") == identity()
 
 
-@pytest.mark.parametrize("bad", ["(1 2", "[1, 1]", "{1: 2}", "(1 2) junk"])
+# int() alone read "(1 1_0)" as (1 10) and "(1 +2)" and a fullwidth 2 as (1 2)
+@pytest.mark.parametrize(
+    "bad", ["(1 2", "[1, 1]", "{1: 2}", "(1 2) junk", "(1 1_0)", "(1 +2)", "(1 \uff12)"]
+)
 def test_parse_permutation_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_permutation(bad)
@@ -219,6 +221,12 @@ def test_parse_roundtrips(w):
 
     assert parse_permutation(w.cycle_string()) == w
     assert parse_permutation(json.dumps(list(w.one_line(w.degree)))) == w
+
+
+def test_ordering_with_another_type_is_a_type_error():
+    assert identity() < Permutation((2, 1))
+    with pytest.raises(TypeError):
+        Permutation((2, 1)) < 5
 
 
 def test_immutability():

@@ -58,6 +58,13 @@ class TestIntegerValuedPolynomial:
         assert choose2(-1) == 1
         assert choose2(-2) == 3
 
+    def test_evaluation_reads_only_integers(self):
+        # n is read as the integer it must be: 2.0 gave 3.0, True gave 1
+        # and 2.5 raised ValidationFailure
+        for poly, n in ((IVP((0, 1, 1)), 2.0), (IVP((1,)), True), (IVP((0, 1)), 2.5)):
+            with pytest.raises(TypeError):
+                poly(n)
+
     def test_comparison_with_int(self):
         assert IVP.constant(4) == 4
         assert IVP((0, 1)) != 4
