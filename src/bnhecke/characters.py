@@ -72,6 +72,7 @@ from .partitions import (
     Partition,
     _memo,
     _power_sum_monomials,
+    _read_terms,
     as_partition,
     check_weight,
     partitions_of,
@@ -273,10 +274,19 @@ def product(u: dict, v: dict, n: int, basis: str) -> dict[Partition, int]:
     basis ("K" or "C"), u and v as {stable type of weight <= n: integer}:
     {nu: c_nu}, only the non-zero c present, taken on the spectra and
     checked as the module docstring says.  n runs from 1 to
-    MAX_SPHERICAL_LEVEL, else UsageError.
+    MAX_SPHERICAL_LEVEL, else UsageError; u and v are read by
+    partitions._read_terms, so a type of weight above n raises
+    WeightExceedsLevel and a coefficient that is not an integer TypeError.
     """
     sph = _spherical(n, basis)
     at = sph.index
+
+    def key(lam):
+        lam = as_partition(lam)
+        check_weight(lam, n)
+        return lam
+
+    u, v = _read_terms(u, key), _read_terms(v, key)
 
     def spectrum(w):
         return [sum(c * t[at[lam]] for lam, c in w.items()) for t in sph.theta]

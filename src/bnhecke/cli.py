@@ -38,7 +38,9 @@ from collections import namedtuple
 
 from . import __version__
 from .errors import HeckeError, UsageError
-from .partitions import MAX_SPHERICAL_LEVEL, as_partition, enumerate_by_weight, weight
+from .partitions import (
+    MAX_FIT_WEIGHT, MAX_SPHERICAL_LEVEL, as_partition, enumerate_by_weight, weight,
+)
 
 SUITES = (
     "matsumoto",
@@ -51,8 +53,6 @@ SUITES = (
 )
 
 MAX_CLI_LEVEL = 5
-# the largest weight of the triples fit --max-weight sweeps
-MAX_FIT_WEIGHT = 4
 # verify --suite coset-invariants --max-n 5 costs about 0.2 ms a sample
 # (2-CPU machine): 0.5 s at the default 1000 samples, 2.2-2.6 s at
 # 10000 and 21-27 s at 100000
@@ -300,7 +300,7 @@ def _run_table(args):
     shapes = enumerate_by_weight(n)
     rows = []
     for lam in shapes:
-        print(f"table: counting against K_{lam}({n})", file=sys.stderr, flush=True)
+        print(f"table: products with K_{lam}({n})", file=sys.stderr, flush=True)
         for mu in shapes:
             for nu in shapes:
                 rows.append(

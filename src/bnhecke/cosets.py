@@ -44,7 +44,7 @@ from collections.abc import Iterator
 
 from .errors import DegreeMismatch, ValidationFailure
 from .partitions import Partition, check_weight, completion, double_coset_size
-from .permutations import Permutation, cayley_degree, class_representative, identity
+from .permutations import Permutation, class_representative, identity
 
 __all__ = [
     "t_perm",
@@ -56,8 +56,6 @@ __all__ = [
     "coset_type",
     "stable_coset_type",
     "modified_support",
-    "twisted_degree",
-    "is_hyperoctahedral",
     "coset_representative",
     "enumerate_double_coset",
     "hyperoctahedral_generators",
@@ -217,17 +215,6 @@ def modified_support(w: Permutation) -> frozenset[tuple[int, int]]:
     return frozenset(
         (j - 1, j) for j in range(2, 2 * n + 1, 2) if w(j) != _partner(w(j - 1))
     )
-
-
-def twisted_degree(w: Permutation, n: int) -> int:
-    """|w|' = |phi(w)|: Cayley degree of the twist, always even."""
-    return cayley_degree(phi(w, n))
-
-
-def is_hyperoctahedral(w: Permutation, n: int) -> bool:
-    """True iff w permutes the couples of [2n], i.e. w is in B_n."""
-    _check_level(w, n)
-    return not modified_support(w)
 
 
 def hyperoctahedral_generators(n: int) -> list[Permutation]:

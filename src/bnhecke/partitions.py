@@ -20,14 +20,14 @@ padding with singletons; it converts a stable type back into the
 ordinary type at a fixed level.
 
 The closed forms |B_n| = 2^n n! and |K_mu(n)| live here too, so
-evaluating them loads no permutation code.  So do MAX_SPHERICAL_LEVEL,
-the level cap of bnhecke.characters, which the CLI reads without
-loading it, the integer-combination core (_read_terms, _add_terms,
-_Combination) that HeckeElement, AlgebraElement and SymmetricExpression
-share, and the one memo idiom: _memo is functools.cache with its
-cache_clear registered, and clear_caches runs every registered clear.
-Every module that holds a memo imports this one, so clearing loads no
-other module.
+evaluating them loads no permutation code.  So do MAX_SPHERICAL_LEVEL
+and MAX_FIT_WEIGHT, the caps on the level of bnhecke.characters and on
+the weight of the fits, which the CLI reads without loading either, the
+integer-combination core (_read_terms, _add_terms, _Combination) that
+HeckeElement, AlgebraElement and SymmetricExpression share, and the one
+memo idiom: _memo is functools.cache with its cache_clear registered,
+and clear_caches runs every registered clear.  Every module that holds
+a memo imports this one, so clearing loads no other module.
 
 >>> completion((2, 1), 5)
 (3, 2)
@@ -52,6 +52,7 @@ from .errors import (
 __all__ = [
     "Partition",
     "MAX_SPHERICAL_LEVEL",
+    "MAX_FIT_WEIGHT",
     "as_partition",
     "weight",
     "union",
@@ -185,6 +186,9 @@ def z_value(mu: Partition) -> int:
 # the integer recurrence takes 0.12 s at n = 12 and 0.5 s at n = 14
 # (one alpha, 2-CPU machine)
 MAX_SPHERICAL_LEVEL = 12
+# the largest weight of the triples fit --max-weight and the trichotomy
+# suite sweep
+MAX_FIT_WEIGHT = 4
 
 
 def hyperoctahedral_order(n: int) -> int:

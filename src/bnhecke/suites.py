@@ -3,9 +3,11 @@
 Each suite checks one theorem or invariant of the paper over a list
 of levels and appends one {"name", "ok"[, "detail"]} entry per check;
 progress goes to stderr.  Every suite computes its checks in its own
-body from the ring's primitives, as the trichotomy suite does from
-hecke_structure_constant and the fits.  Only the verify verb runs this
-module, and each suite imports the layers it runs when it runs.
+body from the ring's primitives, except that the trichotomy suite reads
+the fits of bnhecke.universal, which check the degree bound themselves,
+and compares each with the counts at the requested levels.  Only the
+verify verb runs this module, and each suite imports the layers it
+runs when it runs.
 backend_name, the constant that every verify payload carries, is
 defined here so that verify loads no bnhecke._backend; that module
 re-exports it for perfbench.
@@ -17,7 +19,7 @@ import itertools
 import sys
 
 from .errors import InsufficientDegree, ValidationFailure
-from .partitions import double_coset_size, enumerate_by_weight, weight
+from .partitions import MAX_FIT_WEIGHT, double_coset_size, enumerate_by_weight, weight
 
 SAMPLE_SEED = 987654321
 
@@ -79,75 +81,58 @@ def _suite_jm_center(levels, samples, checks):
 
 
 def _suite_trichotomy(levels, samples, checks):
-    from .hecke import hecke_structure_constant
-    from .universal import fit_triple
+    from .characters import structure_constant
+    from .universal import fit_report
 
-    max_weight = min(4, min(levels))
-    usable = [n for n in levels if n >= max_weight]
-    shapes = enumerate_by_weight(max_weight)
-    name = f"trichotomy wt<={max_weight} over n={usable}"
-    zero = top = 0
-    subtop = []
+    # the fits enforce the trichotomy: zero above the top degree, and
+    # degree at most the drop below it, with a held-out level
+    max_weight = min(MAX_FIT_WEIGHT, max(levels))
     try:
-        for lam, mu, nu in itertools.product(shapes, repeat=3):
-            values = tuple(hecke_structure_constant(lam, mu, nu, n) for n in usable)
-            drop = sum(lam) + sum(mu) - sum(nu)
-            if drop < 0:
-                if any(values):
-                    raise ValidationFailure(
-                        f"b_{{{lam},{mu}}}^{nu} should vanish above the "
-                        f"top degree but takes values {values}"
-                    )
-                zero += 1
-            elif drop == 0:
-                if len(set(values)) != 1:
-                    raise ValidationFailure(
-                        f"top coefficient b_{{{lam},{mu}}}^{nu} varies "
-                        f"with n: {values}"
-                    )
-                top += 1
-            else:
-                subtop.append((lam, mu, nu, values))
+        results = fit_report(max_weight)
     except ValidationFailure as exc:
-        _check(checks, name, False, exc)
+        _check(checks, f"trichotomy wt<={max_weight} over n={levels}", False, exc)
         return
-    _check(checks, f"{name}: {zero} zero, {top} top, {len(subtop)} sub-top", True)
-    for lam, mu, nu, values in subtop:
-        result = fit_triple(lam, mu, nu)
-        label = f"sub-top fit {lam} {mu} -> {nu}"
-        if result.classification == "UNFITTED":
-            _check(checks, f"{label}: UNFITTED (insufficient levels, not guessed)", True)
-        else:
-            agree = all(result.polynomial(n) == b for n, b in zip(usable, values))
-            _check(checks, f"{label}: {result.classification}", agree)
+    for lam, mu, nu, kind, f in results:
+        name = f"fit {lam} {mu} -> {nu}: {kind}"
+        if f is None:
+            _check(checks, f"{name} (insufficient levels, not guessed)", True)
+            continue
+        low = max(map(weight, (lam, mu, nu)))
+        counts = {n: structure_constant(lam, mu, nu, n, "K") for n in levels if n >= low}
+        ok = all(f(n) == b for n, b in counts.items())
+        _check(checks, name, ok, f"{f} against the counts {counts}")
+
+
+def _lam_r_window(n):
+    """(wt bound, the (lam, r) checked at level n): wt(lam) <= min(4, n)
+    and 1 <= r <= min(3, n - 1), lam major."""
+    top = min(4, n)
+    return top, list(itertools.product(enumerate_by_weight(top), range(1, top)))
 
 
 def _suite_single_cycle(levels, samples, checks):
     from .hecke import HeckeElement, hecke_product, single_cycle_expansion
 
     for n in levels:
-        for lam in enumerate_by_weight(min(4, n)):
-            for r in range(1, 4):
-                if r + 1 > n:
-                    continue
-                expansion = single_cycle_expansion(lam, r, n)
-                product = hecke_product(
-                    HeckeElement.basis(lam, n), HeckeElement.basis((r,), n)
-                )
-                top = HeckeElement(
-                    n,
-                    {
-                        nu: c
-                        for nu, c in product.coeffs.items()
-                        if sum(nu) == sum(lam) + r
-                    },
-                )
-                _check(
-                    checks,
-                    f"top part of K_{lam} K_({r}) at n={n} matches closed form",
-                    expansion == top,
-                    f"{expansion} != {top}",
-                )
+        for lam, r in _lam_r_window(n)[1]:
+            expansion = single_cycle_expansion(lam, r, n)
+            product = hecke_product(
+                HeckeElement.basis(lam, n), HeckeElement.basis((r,), n)
+            )
+            top = HeckeElement(
+                n,
+                {
+                    nu: c
+                    for nu, c in product.coeffs.items()
+                    if sum(nu) == sum(lam) + r
+                },
+            )
+            _check(
+                checks,
+                f"top part of K_{lam} K_({r}) at n={n} matches closed form",
+                expansion == top,
+                f"{expansion} != {top}",
+            )
 
 
 def _suite_graded_iso(levels, samples, checks):
@@ -155,23 +140,22 @@ def _suite_graded_iso(levels, samples, checks):
     from .hecke import _admissible_terms
 
     for n in levels:
-        max_weight = min(4, n)
+        max_weight, window = _lam_r_window(n)
         triples = 0
         mismatches = []
-        for lam in enumerate_by_weight(max_weight):
-            for r in range(1, max_weight):
-                for rho, nu, b in _admissible_terms(lam, r):
-                    triples += 1
-                    if weight(nu) > n:  # dead at level n: the formula alone
-                        continue
-                    center = structure_constant(lam, (r,), nu, n, "C")
-                    coset = structure_constant(lam, (r,), nu, n, "K")
-                    if not b == center == coset:
-                        entry = dict(
-                            lam=list(lam), r=r, rho=list(rho), nu=list(nu), formula=b,
-                            brute_center=center, brute_hecke=coset, ok=False,
-                        )
-                        mismatches.append(str(entry))
+        for lam, r in window:
+            for rho, nu, b in _admissible_terms(lam, r):
+                triples += 1
+                if weight(nu) > n:  # dead at level n: the formula alone
+                    continue
+                center = structure_constant(lam, (r,), nu, n, "C")
+                coset = structure_constant(lam, (r,), nu, n, "K")
+                if not b == center == coset:
+                    entry = dict(
+                        lam=list(lam), r=r, rho=list(rho), nu=list(nu), formula=b,
+                        brute_center=center, brute_hecke=coset, ok=False,
+                    )
+                    mismatches.append(str(entry))
         name = f"graded top coefficients agree (wt<={max_weight}, n={n}, {triples} triples)"
         _check(checks, name, not mismatches, "; ".join(mismatches))
 
@@ -202,11 +186,9 @@ def _suite_coset_invariants(levels, samples, checks):
         enumerate_double_coset,
         gamma_graph,
         hyperoctahedral_elements,
-        is_hyperoctahedral,
         modified_support,
         phi,
         stable_coset_type,
-        twisted_degree,
     )
     from .permutations import Permutation, cayley_degree, identity, symmetric_group
 
@@ -249,9 +231,7 @@ def _suite_coset_invariants(levels, samples, checks):
                 sum(full) == n
                 and stable_coset_type(w.inverse()) == mu
                 and len(modified_support(w)) == weight(mu)
-                and twisted_degree(w, n) == 2 * sum(mu)
                 and cayley_degree(phi(w, n)) == 2 * sum(mu)
-                and is_hyperoctahedral(w, n) == (mu == ())
                 and tuple(sorted((len(c) // 2 for c in gamma_graph(w, n)), reverse=True))
                 == full
             )

@@ -83,10 +83,6 @@ class IntegerValuedPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def constant(cls, c: int) -> "IntegerValuedPolynomial":
-        return cls((c,))
-
-    @classmethod
     def zero(cls) -> "IntegerValuedPolynomial":
         return cls(())
 
@@ -104,7 +100,7 @@ class IntegerValuedPolynomial:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int) and not isinstance(other, bool):
-            other = IntegerValuedPolynomial.constant(other)
+            other = IntegerValuedPolynomial((other,))
         if not isinstance(other, IntegerValuedPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs

@@ -30,11 +30,9 @@ from bnhecke.cosets import (
     coset_type,
     enumerate_double_coset,
     hyperoctahedral_elements,
-    is_hyperoctahedral,
     modified_support,
     phi,
     stable_coset_type,
-    twisted_degree,
 )
 from bnhecke.errors import WeightExceedsLevel
 from bnhecke.group_algebra import (
@@ -211,21 +209,21 @@ def test_structure_constants_obey_the_degree_trichotomy():
     # triples of weight at most 4
     levels = (4, 5)
     shapes = enumerate_by_weight(4)
-    kinds = {"zero": 0, "top": 0, "sub-top": 0}
     with_holdout = 0
+    kinds = []  # the classifications each triple allows
     for lam, mu, nu in itertools.product(shapes, repeat=3):
         values = [hecke_structure_constant(lam, mu, nu, n) for n in levels]
         drop = sum(lam) + sum(mu) - sum(nu)
         if drop < 0:
-            kinds["zero"] += 1
             assert values == [0, 0], (lam, mu, nu)
+            kinds.append({"zero"})
             continue
         if drop == 0:
-            kinds["top"] += 1
             assert values[0] == values[1], (lam, mu, nu)
+            kinds.append({"zero", "constant"})
             continue
-        kinds["sub-top"] += 1
         result = fit_triple(lam, mu, nu)
+        kinds.append({result.classification})
         floor = max(weight(lam), weight(mu), weight(nu), 2)
         available = MAX_SAMPLE_LEVEL - floor + 1
         need = max(drop + 1, 2)
@@ -239,12 +237,16 @@ def test_structure_constants_obey_the_degree_trichotomy():
         if need < available:
             with_holdout += 1
     assert with_holdout > 0  # some fits validated a genuinely held-out level
-    # the suite sorts the same triples the same way
+    # the suite reports one check per triple, in the same order, each
+    # classified as the sweep allows
     payload, status = run_suite("trichotomy", list(levels), None)
     assert status == 0
-    counts = ", ".join(f"{k} {kind}" for kind, k in kinds.items())
-    assert payload["checks"][0]["name"] == f"trichotomy wt<=4 over n=[4, 5]: {counts}"
-    assert len(payload["checks"]) == 1 + kinds["sub-top"]
+    triples = list(itertools.product(shapes, repeat=3))
+    assert len(payload["checks"]) == len(triples)
+    for (lam, mu, nu), allowed, check in zip(triples, kinds, payload["checks"]):
+        name, kind = check["name"].split(": ")
+        assert name == f"fit {lam} {mu} -> {nu}"
+        assert kind.split(" ")[0] in allowed
     # explicit held-out prediction: fit on 2, 3, 4 and confirm at 5
     f = universal_structure_constant((1,), (1,), (), [2, 3, 4])
     assert f.coeffs == (0, 0, 2)
@@ -378,14 +380,14 @@ def _sweep_cayley_degree_and_support(rng: random.Random) -> None:
 def _check_coset_element(w: Permutation, n: int) -> None:
     mu = stable_coset_type(w)
     assert coset_type(w, n) == completion(mu, n)
-    assert twisted_degree(w, n) == 2 * sum(mu)
     couples = modified_support(w)
     assert len(couples) == weight(mu)
     twisted = phi(w, n)
+    assert cayley_degree(twisted) == 2 * sum(mu)
     assert _support(twisted) == {point for couple in couples for point in couple}
     assert len(_support(twisted)) == 2 * len(couples)
     assert stable_cycle_type(twisted) == union(mu, mu)
-    assert is_hyperoctahedral(w, n) == (mu == ()) == (twisted == identity())
+    assert (not couples) == (mu == ()) == (twisted == identity())
 
 
 def _check_twist_actions(
@@ -398,7 +400,7 @@ def _check_twist_actions(
 
 def _check_twisted_subadditivity(x: Permutation, y: Permutation, n: int) -> None:
     xy = x * y
-    assert twisted_degree(xy, n) <= twisted_degree(x, n) + twisted_degree(y, n)
+    assert cayley_degree(phi(xy, n)) <= cayley_degree(phi(x, n)) + cayley_degree(phi(y, n))
     # the couples moved by xy are bounded in number (not contained!) by
     # those moved by x and y^{-1}; equality once the type sizes add up
     movers = modified_support(x) | modified_support(y.inverse())

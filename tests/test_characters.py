@@ -101,6 +101,24 @@ def test_one_row_per_pair_level_and_basis(fresh_memos):
     assert characters._row.cache_info().currsize == 3
 
 
+@pytest.mark.parametrize(
+    "u, error",
+    [
+        ({(5,): 1}, WeightExceedsLevel),  # weight 6 at level 3
+        ({(1,): 1.5}, TypeError),
+        ({(1,): True}, TypeError),
+        ({(1, 2): 1}, ValueError),
+    ],
+    ids=["heavy", "float", "bool", "unordered"],
+)
+def test_product_reads_its_factors(u, error):
+    # both factors are read at the boundary, like every other public entry
+    with pytest.raises(error):
+        product(u, {(): 1}, 3, "K")
+    with pytest.raises(error):
+        product({(): 1}, u, 3, "C")
+
+
 def _expand(u, v, n, basis):
     # the bilinear expansion of u v over the rows of the basis elements
     out = {}

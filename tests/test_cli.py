@@ -400,7 +400,8 @@ class TestOutputFormats:
 # no counting layer; coset-size reads its closed form from the
 # partitions alone, and the jm-center suite loads no cosets.  No
 # verify suite loads the matching tally of bnhecke._backend, and only
-# the trichotomy suite, which fits, loads bnhecke.universal.
+# the trichotomy suite, which reads the fits, loads bnhecke.universal;
+# it loads no more than a fit does.
 # the package computes over Z, so no verb loads fractions (which loads
 # decimal and numbers)
 _NEVER_LOADED = ["numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers"]
@@ -462,7 +463,7 @@ _FOOTPRINTS = [
                 # loads the matching tally
                 [
                     "bnhecke._backend",
-                    *([] if suite == "trichotomy" else ["bnhecke.universal"]),
+                    *(_FIT if suite == "trichotomy" else ["bnhecke.universal"]),
                     *(
                         _NO_MATCHINGS if suite in ("generators", "matsumoto")
                         else ["bnhecke.cosets"] if suite == "jm-center" else []
@@ -494,21 +495,21 @@ _HELP_DIGESTS = {
 }
 
 # sha256 of the stdout of every verify suite at its default levels, and
-# of the trichotomy and graded-iso suites at --max-n 5 and --n 5, as
-# printed while hecke.trichotomy_report and universal.graded_iso_check
-# still computed those two suites' checks; coset-invariants at --max-n 5
-# samples the pair graph at n = 4 and 5, pinned while gamma_graph still
-# returned a class
+# of the trichotomy and graded-iso suites at --max-n 5 and --n 5;
+# graded-iso pinned while universal.graded_iso_check still computed its
+# checks, trichotomy once it printed one check per fit of weight <= 4;
+# coset-invariants at --max-n 5 samples the pair graph at n = 4 and 5,
+# pinned while gamma_graph still returned a class
 _VERIFY_DIGESTS = {
     ("matsumoto",): "fb3bdad0ce8f67086cec377399c668cfdf9cfbf106a6dc31a2df5fa6bc26240f",
     ("jm-center",): "34348f39bf9e29f5d018cf426f56c1d1e384af9f9ab0235b71ef5a9b4da1d9a5",
-    ("trichotomy",): "0a28319779599d79f8f48e63da907d8133b033f40377e4098340b0a355cc4d86",
+    ("trichotomy",): "9a1c0d09fb768b852cfe767d5ced08540fb47b6b03f7de9c616c11c78dc0071f",
     ("single-cycle",): "c27f88e56f4f990d2e32a7022273cfd7e2c4c6e20de591371ba7a013dca6dd86",
     ("graded-iso",): "88b569755243fed6eb3edac0a7286ea4d9d1a709f10ca9621f2b6f6fd5a6be2a",
     ("generators",): "92415e89ea81cb2b6fd03b7e205a8917fa553a9d239c1b881aa62ea587c94913",
     ("coset-invariants",): "2a75c709218c4c8ce66e95177c881200a8b3115a030d01b65b498e0086a57650",
-    ("trichotomy", "--max-n", "5"): "31c05a247e873c56424c5a7a086fed37b787d00bf0b0b4cd8f22607823fbb179",
-    ("trichotomy", "--n", "5"): "5f39f536b245c061733ed6a720149f37af2b60653866f50131984915e8f75b98",
+    ("trichotomy", "--max-n", "5"): "04c7858e141d92bf77812f11ec5bd0b65139890f29294f0653f055ac8cc9150e",
+    ("trichotomy", "--n", "5"): "b8a7e670d10327cddab2d6e36a261ef994bea7349f3147e70ee393109ea8bf23",
     ("graded-iso", "--max-n", "5"): "2d049c8b1b461a76d8c037d2f77dff47e54f7ecca5a03df36ca5e606a9e53b49",
     ("graded-iso", "--n", "5"): "759f49e011b89ce7cc2e4a2dbeec511dc69be68a47051338548ee6edbcda5c19",
     ("coset-invariants", "--max-n", "5", "--samples", "50"): "6f2a5c2780ea1bc0386815d6a66f20f0ee6cccf33f7337653740bd25cf79992a",

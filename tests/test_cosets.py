@@ -10,12 +10,10 @@ from bnhecke.cosets import (
     gamma_graph,
     hyperoctahedral_elements,
     hyperoctahedral_generators,
-    is_hyperoctahedral,
     modified_support,
     phi,
     stable_coset_type,
     t_perm,
-    twisted_degree,
 )
 from bnhecke.errors import DegreeMismatch, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import (
@@ -25,7 +23,13 @@ from bnhecke.partitions import (
     hyperoctahedral_order,
     weight,
 )
-from bnhecke.permutations import Permutation, identity, parse_permutation, stable_cycle_type
+from bnhecke.permutations import (
+    Permutation,
+    cayley_degree,
+    identity,
+    parse_permutation,
+    stable_cycle_type,
+)
 
 
 def test_t_perm_is_the_couple_involution():
@@ -157,7 +161,8 @@ def test_twisted_degree(random_perm):
     for _ in range(30):
         w = random_perm(2 * n)
         mu = stable_coset_type(w)
-        d = twisted_degree(w, n)
+        # the twisted degree |w|' = |phi(w)|
+        d = cayley_degree(phi(w, n))
         assert d == 2 * sum(mu)
         assert d % 2 == 0
 
@@ -166,7 +171,7 @@ def test_is_hyperoctahedral_matches_membership():
     n = 2
     members = set(hyperoctahedral_elements(n))
     for w in _s(2 * n):
-        assert is_hyperoctahedral(w, n) == (w in members)
+        assert (not modified_support(w)) == (w in members)
         assert (stable_coset_type(w) == ()) == (w in members)
 
 

@@ -1,5 +1,4 @@
 import itertools
-import re
 from fractions import Fraction
 
 import oracles
@@ -40,6 +39,7 @@ from bnhecke.partitions import (
 )
 from bnhecke.permutations import Permutation
 from bnhecke.suites import run_suite
+from bnhecke.universal import fit_report
 
 
 class TestHeckeElement:
@@ -511,51 +511,95 @@ class TestCertificates:
 
 
 class TestTrichotomy:
-    """The degree trichotomy as the trichotomy suite checks it."""
+    """The trichotomy suite reads the fits and checks them against the counts."""
 
-    def test_report_window(self):
-        levels = [3, 4, 5]
-        assert [hecke_structure_constant((1,), (1,), (), n) for n in levels] == [6, 12, 20]
-        assert {hecke_structure_constant((1,), (1,), (2,), n) for n in levels} == {3}
-        assert not any(hecke_structure_constant((), (), (1,), n) for n in levels)
-        payload, status = run_suite("trichotomy", levels, None)
+    def test_report_window(self, fresh_memos):
+        # one check per fit_report entry, in its order, at weight <= 4
+        # for any level set reaching 4, and at weight <= n below it
+        payload, status = run_suite("trichotomy", [3, 4, 5], None)
         assert status == 0
-        head, *fits = payload["checks"]
-        zero, top, subtop = map(int, re.findall(r"(\d+) (?:zero|top|sub-top)", head["name"]))
-        assert head["name"].startswith("trichotomy wt<=3 over n=[3, 4, 5]: ")
-        assert zero + top + subtop == len(enumerate_by_weight(3)) ** 3
-        assert len(fits) == subtop
-        assert {"name": "sub-top fit (1,) (1,) -> (): polynomial", "ok": True} in fits
+        results = fit_report(4)
+        assert [c["name"].split(": ")[0] for c in payload["checks"]] == [
+            f"fit {r.lam} {r.mu} -> {r.nu}" for r in results
+        ]
+        kinds = [c["name"].split(": ")[1] for c in payload["checks"]]
+        assert kinds.count("zero") == 35
+        assert kinds.count("constant") == 26
+        assert kinds.count("polynomial") == 4
+        assert kinds.count("UNFITTED (insufficient levels, not guessed)") == 60
+        assert {"name": "fit (1,) (1,) -> (): polynomial", "ok": True} in payload["checks"]
+        payload, _ = run_suite("trichotomy", [2], None)
+        assert len(payload["checks"]) == len(enumerate_by_weight(2)) ** 3
 
     @pytest.mark.parametrize(
         "triples, value, detail",
         [
-            # two zero triples made non-zero: the suite names the first
+            # two zero triples made non-zero: the fits name the first
             (
                 {((), (1,), (2,)), ((1,), (1,), (3,))},
                 lambda n: 1,
-                "b_{(),(1,)}^(2,) should vanish above the top degree but takes values (1, 1)",
+                "f_{(),(1,)}^(2,) predicts 0 at n=3 but counting gives 1",
             ),
             (
                 {((1,), (1,), (2,))},
                 lambda n: n,
-                "top coefficient b_{(1,),(1,)}^(2,) varies with n: (4, 5)",
+                "f_{(1,),(1,)}^(2,) = IVP(1*C(n,1)) has degree 1, "
+                "above the bound 0 = |lam| + |mu| - |nu|",
             ),
         ],
         ids=["zero", "top"],
     )
-    def test_a_violation_stops_the_suite(self, triples, value, detail, monkeypatch):
-        count = hecke.hecke_structure_constant
-
-        def mutated(lam, mu, nu, n):
-            return value(n) if (lam, mu, nu) in triples else count(lam, mu, nu, n)
-
-        monkeypatch.setattr(hecke, "hecke_structure_constant", mutated)
+    def test_a_violation_stops_the_suite(
+        self, triples, value, detail, monkeypatch, fresh_memos
+    ):
+        _mutate(monkeypatch, triples, value)
         payload, status = run_suite("trichotomy", [4, 5], None)
         assert status == 1
         assert payload["checks"] == [
             {"name": "trichotomy wt<=4 over n=[4, 5]", "ok": False, "detail": detail}
         ]
+
+    @pytest.mark.parametrize("levels", [[5], [2, 3, 4, 5]])
+    def test_an_off_by_one_count_fails(self, levels, monkeypatch, fresh_memos):
+        # b_{(1),(1)}^{(2)}(5) = 3 + 1: the fit on n = 3, 4 misses its
+        # holdout at 5, whatever levels the suite was asked for
+        _mutate(monkeypatch, {((1,), (1,), (2,))}, lambda n: 3 + (n == 5))
+        payload, status = run_suite("trichotomy", levels, None)
+        assert status == 1
+        assert "predicts 3 at n=5 but counting gives 4" in payload["checks"][0]["detail"]
+
+    def test_a_count_beyond_the_fit_levels_fails_its_check(
+        self, monkeypatch, fresh_memos
+    ):
+        # b_{(),()}^{(1)} is fitted zero on n = 2 and held out at 3; a
+        # wrong count at 5 is seen only by the suite's own comparison
+        _mutate(monkeypatch, {((), (), (1,))}, lambda n: int(n == 5))
+        payload, status = run_suite("trichotomy", [4, 5], None)
+        assert status == 1
+        failed = [c for c in payload["checks"] if not c["ok"]]
+        assert failed == [
+            {
+                "name": "fit () () -> (1,): zero",
+                "ok": False,
+                "detail": "IVP(0) against the counts {4: 0, 5: 1}",
+            }
+        ]
+
+
+def _mutate(monkeypatch, triples, value):
+    """Replace b_{lam mu}^nu(n) by value(n) for each (lam, mu, nu) in
+    triples, lam <= mu, in the K rows that every count reads."""
+    row = characters._row
+
+    def mutated(lam, mu, n, basis):
+        out = dict(row(lam, mu, n, basis))
+        if basis == "K":
+            for a, b, nu in triples:
+                if (a, b) == (lam, mu) and weight(nu) <= n:
+                    out[nu] = value(n)
+        return out
+
+    monkeypatch.setattr(characters, "_row", mutated)
 
 
 class TestResultChecks:

@@ -18,7 +18,6 @@ import bnhecke
 _REASONS = {
     "perfbench": "a file in perfbench/ binds it",
     "oracle": "a count the tests hold the character path against runs it",
-    "dunder": "only a dunder of its class calls it",
 }
 
 ALLOWLIST = {
@@ -45,7 +44,6 @@ ALLOWLIST = {
     ("group_algebra", "class_structure_constant"): "perfbench",
     ("hecke", "expand_K"): "perfbench",
     ("partitions", "_expand_by_type"): "oracle",
-    ("universal", "IntegerValuedPolynomial.constant"): "dunder",
 }
 
 
