@@ -41,8 +41,7 @@ from .partitions import (
     Partition,
     _MEMO_CLEARS,
     _memo,
-    as_partition,
-    check_weight,
+    as_type,
     double_coset_size,
     enumerate_by_weight,
     hyperoctahedral_order,
@@ -114,15 +113,14 @@ def product_tally(lam: Partition, nu: Partition, n: int) -> dict[Partition, int]
     and type(delta, z_nu eps) = mu (see the module docstring); mu that
     count none are absent.  One pass fills the tally of every lam.
     """
-    memo = (tuple(lam), tuple(nu), n)
+    if not 1 <= n <= MAX_TALLY_LEVEL:
+        raise UsageError(
+            f"structure constants are counted for 1 <= n <= {MAX_TALLY_LEVEL}, "
+            f"not n = {n}"
+        )
+    memo = (as_type(lam, n), as_type(nu, n), n)
     if memo not in _TALLIES:
-        if not 1 <= n <= MAX_TALLY_LEVEL:
-            raise UsageError(
-                f"structure constants are counted for 1 <= n <= {MAX_TALLY_LEVEL}, "
-                f"not n = {n}"
-            )
-        check_weight(as_partition(lam), n)
-        _tally_level(nu, n)
+        _tally_level(memo[1], n)
     return _TALLIES[memo]
 
 

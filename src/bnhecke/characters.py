@@ -73,8 +73,7 @@ from .partitions import (
     _memo,
     _power_sum_monomials,
     _read_terms,
-    as_partition,
-    check_weight,
+    as_type,
     partitions_of,
     z_value,
 )
@@ -280,13 +279,7 @@ def product(u: dict, v: dict, n: int, basis: str) -> dict[Partition, int]:
     """
     sph = _spherical(n, basis)
     at = sph.index
-
-    def key(lam):
-        lam = as_partition(lam)
-        check_weight(lam, n)
-        return lam
-
-    u, v = _read_terms(u, key), _read_terms(v, key)
+    u, v = (_read_terms(w, lambda lam: as_type(lam, n)) for w in (u, v))
 
     def spectrum(w):
         return [sum(c * t[at[lam]] for lam, c in w.items()) for t in sph.theta]
@@ -315,9 +308,7 @@ def structure_constant(
 ) -> int:
     """b_{lam mu}^nu(n) in the K basis, or a_{lam mu}^nu(n) in the C
     basis: the coefficient of nu in the product of lam and mu."""
-    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    for p in (lam, mu, nu):
-        check_weight(p, n)
+    lam, mu, nu = (as_type(p, n) for p in (lam, mu, nu))
     return _row(*sorted((lam, mu)), n, basis).get(nu, 0)
 
 

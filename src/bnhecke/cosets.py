@@ -43,7 +43,7 @@ import itertools
 from collections.abc import Iterator
 
 from .errors import DegreeMismatch, ValidationFailure
-from .partitions import Partition, check_weight, completion, double_coset_size
+from .partitions import Partition, as_type, completion, double_coset_size
 from .permutations import Permutation, class_representative, identity
 
 __all__ = [
@@ -256,7 +256,7 @@ def coset_representative(mu: Partition, n: int) -> Permutation:
     >>> coset_representative((1,), 2).one_line(4)
     (3, 2, 1, 4)
     """
-    check_weight(mu, n)
+    mu = as_type(mu, n)
     if not mu:
         return identity()
     base = class_representative(mu, n)

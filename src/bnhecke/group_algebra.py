@@ -30,7 +30,8 @@ from .partitions import (
     Partition,
     _Combination,
     _memo,
-    check_weight,
+    as_partition,
+    as_type,
     weight,
 )
 from .permutations import (
@@ -112,7 +113,7 @@ def class_sum(mu: Partition, n: int) -> AlgebraElement:
 
     The zero element of level n when wt(mu) > n.
     """
-    mu = tuple(mu)
+    mu = as_partition(mu)
     if weight(mu) > n:
         return AlgebraElement.zero(n)
     rows = _class_table(n)[mu]
@@ -133,8 +134,7 @@ def class_structure_constant(
     Read off the cached product at the canonical nu-class
     representative; centrality makes the choice immaterial.
     """
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    check_weight(nu, n)
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_type(nu, n)
     product = _class_product(*sorted((lam, mu)), n)
     coeff = product.coefficient(class_representative(nu, n))
     if coeff < 0:

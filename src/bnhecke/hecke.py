@@ -55,14 +55,13 @@ from .errors import (
     NotASubpartition,
     NotBiInvariant,
     ValidationFailure,
-    WeightExceedsLevel,
 )
 from .partitions import (
     Partition,
     _Combination,
     _expand_by_type,
     as_partition,
-    check_weight,
+    as_type,
     difference,
     double_coset_size,
     enumerate_by_weight,
@@ -96,9 +95,7 @@ class HeckeElement(_Combination):
     __slots__ = ()
 
     def _key(self, mu) -> Partition:
-        mu = as_partition(mu)
-        check_weight(mu, self.level)
-        return mu
+        return as_type(mu, self.level)
 
     @property
     def coeffs(self) -> MappingProxyType[Partition, int]:
@@ -259,12 +256,10 @@ def single_cycle_expansion(lam: Partition, r: int, n: int) -> HeckeElement:
     Every ν here has |ν| = |lam| + r; the actual product also carries
     lower-degree terms, which this expansion deliberately omits.
     """
-    lam = as_partition(lam)
-    check_weight(lam, n)
+    lam = as_type(lam, n)
     if r == 0:
         return HeckeElement.basis(lam, n)
-    if weight((r,)) > n:
-        raise WeightExceedsLevel(f"wt(({r},)) = {r + 1} exceeds level {n}")
+    as_type((r,), n)
     coeffs = {
         nu: b
         for _, nu, b in _admissible_terms(lam, r)

@@ -11,7 +11,8 @@ The *weight* of a partition is its size plus its length,
 
 which is the smallest n at which an object indexed by mu exists (a
 permutation of stable cycle type mu needs wt(mu) points; likewise for
-stable coset types).  The *completion* of mu at level n,
+stable coset types).  as_type reads a stable type at level n by that
+rule, for every entry that takes one.  The *completion* of mu at level n,
 
     mu(n) = mu + (1, 1, ..., 1)      (vector sum, n - |mu| ones),
 
@@ -58,7 +59,7 @@ __all__ = [
     "union",
     "difference",
     "completion",
-    "check_weight",
+    "as_type",
     "z_value",
     "hyperoctahedral_order",
     "double_coset_size",
@@ -150,10 +151,13 @@ def difference(lam: Partition, mu: Partition) -> Partition:
     return tuple(remaining)
 
 
-def check_weight(mu: Partition, n: int) -> None:
-    """Raise WeightExceedsLevel unless wt(mu) <= n."""
+def as_type(parts, n: int) -> Partition:
+    """parts read by as_partition as a stable type at level n: the one
+    reader of that input, so WeightExceedsLevel unless wt <= n."""
+    mu = as_partition(parts)
     if weight(mu) > n:
         raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
+    return mu
 
 
 def completion(mu: Partition, n: int) -> Partition:
@@ -163,7 +167,7 @@ def completion(mu: Partition, n: int) -> Partition:
     for wt(mu) <= n; otherwise there are fewer ones than parts of mu
     and no partition exists.
     """
-    check_weight(mu, n)
+    mu = as_type(mu, n)
     ones = n - sum(mu)
     return tuple(p + 1 for p in mu) + (1,) * (ones - len(mu))
 
@@ -262,18 +266,10 @@ def enumerate_by_weight(n: int) -> list[Partition]:
     >>> enumerate_by_weight(4)
     [(), (1,), (2,), (1, 1), (3,)]
     """
-    out: list[Partition] = []
-    for w in range(n + 1):
-        # weight w means |mu| + len(mu) = w: collect from partitions of
-        # every size s < w whose length is w - s
-        level = [
-            mu
-            for s in range(w + 1)
-            for mu in partitions_of(s)
-            if len(mu) == w - s
-        ]
-        out.extend(sorted(level))
-    return out
+    return sorted(
+        (mu for s in range(n + 1) for mu in partitions_of(s) if weight(mu) <= n),
+        key=lambda mu: (weight(mu), mu),
+    )
 
 
 @cache

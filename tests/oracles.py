@@ -53,8 +53,7 @@ from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import (
     Partition,
     _expand_by_type,
-    as_partition,
-    check_weight,
+    as_type,
     completion,
     double_coset_size,
     hyperoctahedral_order,
@@ -225,8 +224,7 @@ def double_coset_sum(mu: Partition, n: int) -> AlgebraElement:
     The sum of x B_n over the matchings delta = x(eps) of type mu,
     tested against the orbit closure.
     """
-    mu = as_partition(mu)
-    check_weight(mu, n)
+    mu = as_type(mu, n)
     sections: dict[tuple[int, ...], int] = {}
     for delta, lam in _typed_matchings(n):
         if lam == mu:

@@ -10,11 +10,13 @@ of the integer recurrence are checked against Gram-Schmidt in exact
 rationals (tests/oracles.py) at n <= 8.
 """
 
+from math import comb, prod
+
 import pytest
 from oracles import ORACLE_EXPRS, jack_power_sums_by_gram_schmidt
 
 from bnhecke import _backend, characters, group_algebra
-from bnhecke._symfunc import SymmetricExpression, elementary
+from bnhecke._symfunc import SymmetricExpression, complete, elementary
 from bnhecke.characters import matsumoto_coefficients, product, structure_constant
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import (
@@ -270,3 +272,49 @@ def test_one_matrix_build_serves_both_alphas():
     assert built.misses > 0
     assert again.misses == built.misses
     assert again.hits > built.hits
+
+
+def _contents(rho):
+    """j - i for every cell (i, j) of the diagram of rho, 0-based: the
+    eigenvalues of the Jucys-Murphy elements on the rho component."""
+    return [j - i for i, row in enumerate(rho) for j in range(row)]
+
+
+def _catalan_misses(basis):
+    """The image of h_k, k < MAX_SPHERICAL_LEVEL, at every level up to
+    the cap held to its top degree: no term has |mu| > k, and
+    [X_mu] h_k = prod_i Cat(mu_i) when |mu| = k (Matsumoto 2011 for K,
+    Matsumoto-Novak 2013 for C).  (comparisons, misses)."""
+    checked, misses = 0, []
+    for n in range(1, MAX_SPHERICAL_LEVEL + 1):
+        sph = characters._spherical(n, basis)
+        for k in range(1, MAX_SPHERICAL_LEVEL):
+            h = complete(k)
+            if basis == "K":
+                image = matsumoto_coefficients(h, n)
+            else:
+                values = [h.evaluate(_contents(rho), 1) for rho in sph.parts]
+                image = characters._invert(sph, values, f"h_{k} at n = {n}")
+            misses += [(n, k, mu) for mu in image if sum(mu) > k]
+            for mu in sph.index:
+                if sum(mu) == k:
+                    checked += 1
+                    if image.get(mu, 0) != prod(comb(2 * m, m) // (m + 1) for m in mu):
+                        misses.append((n, k, mu))
+    return checked, misses
+
+
+@pytest.mark.parametrize("basis", ["K", "C"])
+def test_top_degree_of_h_is_catalan(basis):
+    assert _catalan_misses(basis) == (259, [])
+
+
+@pytest.mark.parametrize("basis", ["K", "C"])
+def test_catalan_check_sees_negated_contents(basis, monkeypatch):
+    # negated contents stay integral and pass every check of the path;
+    # a uniform shift of them would move only the lower degrees
+    two, one = characters._two_contents, _contents
+    monkeypatch.setattr(characters, "_two_contents", lambda rho: [-a for a in two(rho)])
+    monkeypatch.setitem(globals(), "_contents", lambda rho: [-a for a in one(rho)])
+    checked, misses = _catalan_misses(basis)
+    assert checked == 259 and len(misses) == 127

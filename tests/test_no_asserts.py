@@ -9,7 +9,9 @@ walk fails on inexact or rational arithmetic: true division (/ and
 /=), float literals and float(...), any import of fractions, and any
 read of a .numerator or .denominator attribute, which would take a
 Fraction by duck typing; the package computes over Z.  It reports through pytest.fail, so it still
-works under -O.
+works under -O.  A second walk keeps the weight rule in one place: only
+partitions (as_type) constructs WeightExceedsLevel, and _kernels_py,
+whose level table perfbench binds, keeps its copy until it goes.
 """
 
 import ast
@@ -70,6 +72,27 @@ def test_no_assert_in_package():
     if found:
         pytest.fail(
             "raise a HeckeError instead of asserting, and compute in integers:\n"
+            + "\n".join(found)
+        )
+
+
+# the modules allowed to construct WeightExceedsLevel
+_WEIGHT_READERS = {"partitions.py", "_kernels_py.py"}
+
+
+def test_one_reader_raises_weight_exceeds_level():
+    found = [
+        f"{path.relative_to(PACKAGE.parent)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name not in _WEIGHT_READERS
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "WeightExceedsLevel"
+    ]
+    if found:
+        pytest.fail(
+            "read a stable type at a level with partitions.as_type:\n"
             + "\n".join(found)
         )
 

@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import monomial_coefficient
 
+from bnhecke import characters, cosets, group_algebra
+from bnhecke._backend import product_tally
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.errors import NotASubpartition, WeightExceedsLevel
 from bnhecke.group_algebra import AlgebraElement
-from bnhecke.hecke import HeckeElement
+from bnhecke.hecke import HeckeElement, single_cycle_expansion
 from bnhecke.partitions import (
     _power_sum_monomials,
     as_partition,
     completion,
     difference,
+    double_coset_size,
     enumerate_by_weight,
     partitions_of,
     subpartitions,
@@ -18,6 +21,7 @@ from bnhecke.partitions import (
     weight,
     z_value,
 )
+from bnhecke.permutations import class_representative
 
 partitions = st.lists(
     st.integers(min_value=1, max_value=9), max_size=6
@@ -40,6 +44,61 @@ def test_as_partition_reads_only_integers(bad):
     # int() would truncate 1.5, count True as 1 and parse "2"
     with pytest.raises(TypeError):
         as_partition(bad)
+
+
+# Every public entry that takes a stable type at a level, the type in
+# one place, and what it does at weight n + 1 when that is not to raise
+# WeightExceedsLevel.
+TYPE_READERS = {
+    "completion": (completion, None),
+    "double_coset_size": (double_coset_size, None),
+    "class_representative": (class_representative, None),
+    "coset_representative": (cosets.coset_representative, None),
+    "enumerate_double_coset": (cosets.enumerate_double_coset, None),
+    "class_sum": (group_algebra.class_sum, AlgebraElement.zero),
+    "class_structure_constant_lam": (
+        lambda mu, n: group_algebra.class_structure_constant(mu, (), (), n),
+        lambda n: 0,
+    ),
+    "class_structure_constant_mu": (
+        lambda mu, n: group_algebra.class_structure_constant((), mu, (), n),
+        lambda n: 0,
+    ),
+    "class_structure_constant_nu": (
+        lambda mu, n: group_algebra.class_structure_constant((), (), mu, n),
+        None,
+    ),
+    "HeckeElement": (lambda mu, n: HeckeElement(n, {mu: 1}), None),
+    "product_u": (lambda mu, n: characters.product({mu: 1}, {}, n, "K"), None),
+    "product_v": (lambda mu, n: characters.product({}, {mu: 1}, n, "C"), None),
+    "structure_constant": (
+        lambda mu, n: characters.structure_constant((), (), mu, n, "K"),
+        None,
+    ),
+    "single_cycle_expansion": (lambda mu, n: single_cycle_expansion(mu, 1, n), None),
+    "product_tally_lam": (lambda mu, n: product_tally(mu, (), n), None),
+    "product_tally_nu": (lambda mu, n: product_tally((), mu, n), None),
+}
+
+
+@pytest.mark.parametrize("entry", TYPE_READERS)
+def test_every_type_reader_reads(entry, fresh_memos):
+    # (1, 2) has weight 5, so only its order is wrong at level 5
+    call, above = TYPE_READERS[entry]
+    n = 5
+    for bad, error in [
+        ((0,), ValueError),
+        ((1, 2), ValueError),
+        ((True,), TypeError),
+        ((1.0,), TypeError),
+        ((5,), WeightExceedsLevel),
+    ]:
+        if error is WeightExceedsLevel and above is not None:
+            assert call(bad, n) == above(n)
+            continue
+        with pytest.raises(error) as caught:
+            call(bad, n)
+        assert caught.type is error, (bad, caught.value)
 
 
 def test_weight_counts_size_plus_length():
