@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 # Matchings are cheap (945 at n = 5); the tests lift the cap to 6 to
-# recount the character path one level above what the CLI serves.
+# recount the character path one level further.
 MAX_TALLY_LEVEL = 5
 
 

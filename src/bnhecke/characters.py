@@ -70,6 +70,7 @@ from .errors import UsageError, ValidationFailure
 from .partitions import (
     MAX_SPHERICAL_LEVEL,
     Partition,
+    _integer,
     _memo,
     _power_sum_monomials,
     _read_terms,
@@ -214,9 +215,9 @@ def _jack_power_sums(n: int, alpha: int) -> list[list[int]]:
 
 @_memo
 def _spherical(n: int, basis: str) -> Spherical:
-    """The checked spherical functions of one basis at level n."""
+    """The checked spherical functions of one basis at level n (read by _integer)."""
     alpha, size = _basis(basis)
-    if not 1 <= n <= MAX_SPHERICAL_LEVEL:
+    if not 1 <= _integer(n) <= MAX_SPHERICAL_LEVEL:
         raise UsageError(
             f"spherical functions are built for 1 <= n <= {MAX_SPHERICAL_LEVEL}, "
             f"not n = {n}"

@@ -17,12 +17,12 @@ Exit codes: 0 success, 1 verification or computation failure
 
 Caps on the level of each verb, on the degree and the coefficients of
 --expr and on the largest point of --perm bound the work of every argv
-that parses; no cost model prices an argv.  The
-verbs that read only the spherical functions (product,
-structure-constant, matsumoto and its suite) go up to
-MAX_SPHERICAL_LEVEL, the others to MAX_CLI_LEVEL, and the closed form
-of coset-size to MAX_COSET_SIZE_LEVEL.  Only the coset-invariants
-suite samples, so --samples with another suite is a usage error.
+that parses; no cost model prices an argv.  A verb's row in _VERBS, or
+a suite's entry in SUITES, names the highest level it can afford:
+MAX_SPHERICAL_LEVEL, MAX_TABLE_LEVEL, MAX_CLASS_TABLE_LEVEL (the S_n
+sweep of jm-center), MAX_HNF_LEVEL (generators) or MAX_COSET_SIZE_LEVEL.
+Only the coset-invariants suite samples, so --samples with another
+suite is a usage error.
 Parsing loads no computing layer.  Each verb's runner imports the
 layers it runs when it is dispatched, and the verify suites live in
 bnhecke.suites, which only verify loads.
@@ -39,29 +39,36 @@ from collections import namedtuple
 from . import __version__
 from .errors import HeckeError, UsageError
 from .partitions import (
-    MAX_FIT_WEIGHT, MAX_SPHERICAL_LEVEL, as_partition, enumerate_by_weight, weight,
+    MAX_CLASS_TABLE_LEVEL, MAX_FIT_WEIGHT, MAX_SPHERICAL_LEVEL, as_partition,
+    enumerate_by_weight, weight,
 )
 
-SUITES = (
-    "matsumoto",
-    "jm-center",
-    "trichotomy",
-    "single-cycle",
-    "graded-iso",
-    "generators",
-    "coset-invariants",
-)
-
-MAX_CLI_LEVEL = 5
-# verify --suite coset-invariants --max-n 5 costs about 0.2 ms a sample
-# (2-CPU machine): 0.5 s at the default 1000 samples, 2.2-2.6 s at
-# 10000 and 21-27 s at 100000
+# the costs below are one process each on a 2-CPU machine (BENCH_32.json)
+# generators certifies by an HNF over all C(2n-1, n) monomials: 0.5-0.7 s
+# at n = 6, and 7-8 s and 67 MB for the 1,716 rows of n = 7
+MAX_HNF_LEVEL = 6
+# table holds every row until it prints: 0.4 s, 34 MB and 1.3 MB of
+# stdout at n = 8, and 0.6 s and 65 MB at n = 9
+MAX_TABLE_LEVEL = 8
+# verify --suite coset-invariants --max-n 12 costs about 0.14 ms a sample
+# a level: 1.2 s at the default 1000 samples and 13 s at 10000
 MAX_SAMPLES = 10_000
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
 
 _PARTITION_FLAGS = ("lam", "mu", "nu", "lhs", "rhs")
+
+# each verify suite and the highest level it runs
+SUITES = {
+    "matsumoto": MAX_SPHERICAL_LEVEL,
+    "jm-center": MAX_CLASS_TABLE_LEVEL,
+    "trichotomy": MAX_SPHERICAL_LEVEL,
+    "single-cycle": MAX_SPHERICAL_LEVEL,
+    "graded-iso": MAX_SPHERICAL_LEVEL,
+    "generators": MAX_HNF_LEVEL,
+    "coset-invariants": MAX_SPHERICAL_LEVEL,
+}
 
 
 class Command(namedtuple("Command", "verb args output_format")):
@@ -168,7 +175,7 @@ def parse(argv) -> Command:
         args["max_degree"] = degree
     if "suite" in given:  # verify: the suite sets the level cap
         suite = args["suite"] = given["suite"]
-        high = MAX_SPHERICAL_LEVEL if suite == "matsumoto" else MAX_CLI_LEVEL
+        high = SUITES[suite]
         if given["n"] is not None:
             args["levels"] = [_level_flag(given["n"], "--n", 2, high)]
         else:
@@ -294,23 +301,20 @@ def _run_fit(args):
 
 
 def _run_table(args):
-    from .hecke import hecke_structure_constant
+    from .hecke import HeckeElement, hecke_product
 
     n = args["n"]
     shapes = enumerate_by_weight(n)
     rows = []
     for lam in shapes:
         print(f"table: products with K_{lam}({n})", file=sys.stderr, flush=True)
+        u = HeckeElement.basis(lam, n)
         for mu in shapes:
-            for nu in shapes:
-                rows.append(
-                    {
-                        "lam": list(lam),
-                        "mu": list(mu),
-                        "nu": list(nu),
-                        "b": hecke_structure_constant(lam, mu, nu, n),
-                    }
-                )
+            b = hecke_product(u, HeckeElement.basis(mu, n)).coeffs
+            rows.extend(
+                {"lam": list(lam), "mu": list(mu), "nu": list(nu), "b": b.get(nu, 0)}
+                for nu in shapes
+            )
     return rows, 0
 
 
@@ -348,7 +352,8 @@ _VERBS = {
         {"--lam": _REQUIRED, "--mu": _REQUIRED, "--nu": _REQUIRED, "--n": _INT},
     ),
     "expand-single-cycle": _Verb(
-        "closed-form top part of K_lam * K_(r)", (1, MAX_CLI_LEVEL), _run_expand_single_cycle,
+        "closed-form top part of K_lam * K_(r)", (1, MAX_SPHERICAL_LEVEL),
+        _run_expand_single_cycle,
         {"--lam": _REQUIRED, "--r": _INT, "--n": _INT},
     ),
     "matsumoto": _Verb(
@@ -357,7 +362,7 @@ _VERBS = {
         {"--expr": {**_REQUIRED, "help": "e.g. 'e2' or 'p1*e1 - 2*e2'"}, "--n": _INT},
     ),
     "generators": _Verb(
-        "certify that H_1..H_n generate, via integer HNF", (2, MAX_CLI_LEVEL), _run_generators,
+        "certify that H_1..H_n generate, via integer HNF", (2, MAX_HNF_LEVEL), _run_generators,
         {"--n": _INT, "--max-degree": {
             "type": int, "help": "monomial degree bound, 1 to n-1 (default n-1)",
         }},
@@ -366,8 +371,8 @@ _VERBS = {
         "--suite": {**_REQUIRED, "choices": SUITES},
         "--n": {"type": int, "help": "run at exactly this level"},
         "--max-n": {"type": int, "default": 4, "help": (
-            f"run levels up to this (default 4; at most {MAX_CLI_LEVEL}, "
-            f"{MAX_SPHERICAL_LEVEL} for the matsumoto suite)"
+            "run levels up to this (default 4; at most "
+            + ", ".join(f"{top} for {suite}" for suite, top in SUITES.items()) + ")"
         )},
         "--samples": {"type": int, "help": (
             f"random samples per level for sampled suites (at most {MAX_SAMPLES})"
@@ -380,7 +385,7 @@ _VERBS = {
             "--basis": {"choices": ("K", "C"), "default": "K"},
         },
     ),
-    "table": _Verb("all structure constants at one level", (1, MAX_CLI_LEVEL), _run_table, {
+    "table": _Verb("all structure constants at one level", (1, MAX_TABLE_LEVEL), _run_table, {
         "--n": _INT,
     }),
 }

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from .errors import IndexOutOfRange, ValidationFailure
 from .partitions import (
+    MAX_CLASS_TABLE_LEVEL,
     Partition,
     _Combination,
+    _integer,
     _memo,
     as_partition,
     as_type,
@@ -97,9 +99,9 @@ class AlgebraElement(_Combination):
 @_memo
 def _class_table(n: int) -> dict[Partition, list[tuple[int, ...]]]:
     """All of S_n keyed by stable cycle type; one sweep, cached."""
-    if n > 8:
+    if n > MAX_CLASS_TABLE_LEVEL:
         raise ValueError(
-            f"class tables sweep all of S_n; n = {n} exceeds the n <= 8 budget"
+            f"class tables sweep all of S_n, so n <= {MAX_CLASS_TABLE_LEVEL}, not n = {n}"
         )
     table: dict[Partition, list[tuple[int, ...]]] = {}
     for w in symmetric_group(n):
@@ -111,9 +113,9 @@ def _class_table(n: int) -> dict[Partition, list[tuple[int, ...]]]:
 def class_sum(mu: Partition, n: int) -> AlgebraElement:
     """C_mu(n): the sum of all w in S_n of stable cycle type mu.
 
-    The zero element of level n when wt(mu) > n.
+    The zero element of level n when wt(mu) > n; n is read by _integer.
     """
-    mu = as_partition(mu)
+    mu, n = as_partition(mu), _integer(n)
     if weight(mu) > n:
         return AlgebraElement.zero(n)
     rows = _class_table(n)[mu]

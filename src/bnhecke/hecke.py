@@ -422,7 +422,6 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     basis = tuple(enumerate_by_weight(n))
-    column = {mu: j for j, mu in enumerate(basis)}
     exponents = _monomial_exponents(n, max_degree)
     gens = [generator_H(i, n) for i in range(1, n + 1)]
 
@@ -438,14 +437,8 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
                 values[exp] = hecke_product(gens[first], value(prev))
         return values[exp]
 
-    matrix = []
-    for exp in exponents:
-        el = value(exp)
-        row = [0] * len(basis)
-        for mu, c in el.coeffs.items():
-            row[column[mu]] = c
-        matrix.append(row)
-
+    rows = (value(exp).coeffs for exp in exponents)
+    matrix = [[row.get(mu, 0) for mu in basis] for row in rows]
     hnf, transform = _hermite_normal_form(matrix)
     diag = [hnf[i][i] if i < len(hnf) else 0 for i in range(len(basis))]
     if any(d != 1 for d in diag) or any(
@@ -459,25 +452,15 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
         )
     expressions: dict[Partition, tuple[tuple[int, tuple[int, ...]], ...]] = {}
     for i, mu in enumerate(basis):
-        poly = tuple(
-            (c, exponents[j])
-            for j, c in enumerate(transform[i])
-            if c
-        )
+        poly = tuple((c, exponents[j]) for j, c in enumerate(transform[i]) if c)
         rebuilt = HeckeElement.zero(n)
         for c, exp in poly:
             rebuilt = rebuilt + value(exp).scale(c)
         if rebuilt != HeckeElement.basis(mu, n):
-            raise ValidationFailure(
-                f"certificate re-evaluation failed for K_{mu}"
-            )
+            raise ValidationFailure(f"certificate re-evaluation failed for K_{mu}")
         expressions[mu] = poly
     return GenerationCertificate(
-        n=n,
-        max_degree=max_degree,
-        rank=len(basis),
-        basis=basis,
-        monomials=tuple(exponents),
-        expressions=expressions,
+        n=n, max_degree=max_degree, rank=len(basis), basis=basis,
+        monomials=tuple(exponents), expressions=expressions,
     )
 

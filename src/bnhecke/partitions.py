@@ -21,14 +21,15 @@ padding with singletons; it converts a stable type back into the
 ordinary type at a fixed level.
 
 The closed forms |B_n| = 2^n n! and |K_mu(n)| live here too, so
-evaluating them loads no permutation code.  So do MAX_SPHERICAL_LEVEL
-and MAX_FIT_WEIGHT, the caps on the level of bnhecke.characters and on
-the weight of the fits, which the CLI reads without loading either, the
-integer-combination core (_read_terms, _add_terms, _Combination) that
-HeckeElement, AlgebraElement and SymmetricExpression share, and the one
-memo idiom: _memo is functools.cache with its cache_clear registered,
-and clear_caches runs every registered clear.  Every module that holds
-a memo imports this one, so clearing loads no other module.
+evaluating them loads no permutation code.  So do the caps the CLI
+reads without loading their modules (MAX_SPHERICAL_LEVEL and
+MAX_CLASS_TABLE_LEVEL on the levels of bnhecke.characters and of the
+group_algebra class tables, MAX_FIT_WEIGHT on the weight of the fits),
+the integer-combination core (_read_terms, _add_terms, _Combination)
+that HeckeElement, AlgebraElement and SymmetricExpression share, and the
+one memo idiom: _memo is a typed functools cache with its cache_clear
+registered, and clear_caches runs every registered clear.  Every module
+that holds a memo imports this one, so clearing loads no other module.
 
 >>> completion((2, 1), 5)
 (3, 2)
@@ -39,7 +40,7 @@ a memo imports this one, so clearing loads no other module.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 from operator import index
 
@@ -53,6 +54,7 @@ from .errors import (
 __all__ = [
     "Partition",
     "MAX_SPHERICAL_LEVEL",
+    "MAX_CLASS_TABLE_LEVEL",
     "MAX_FIT_WEIGHT",
     "as_partition",
     "weight",
@@ -76,8 +78,9 @@ _MEMO_CLEARS: list = []
 
 
 def _memo(fn):
-    """functools.cache on fn, its cache_clear registered with clear_caches."""
-    fn = cache(fn)
+    """A typed functools cache on fn, so a level True or 5.0 reaches the
+    reader inside fn; its cache_clear registered with clear_caches."""
+    fn = lru_cache(maxsize=None, typed=True)(fn)
     _MEMO_CLEARS.append(fn.cache_clear)
     return fn
 
@@ -152,10 +155,10 @@ def difference(lam: Partition, mu: Partition) -> Partition:
 
 
 def as_type(parts, n: int) -> Partition:
-    """parts read by as_partition as a stable type at level n: the one
-    reader of that input, so WeightExceedsLevel unless wt <= n."""
+    """parts (read by as_partition) as a stable type at level n (read by
+    _integer): the one reader of that input, so WeightExceedsLevel unless wt <= n."""
     mu = as_partition(parts)
-    if weight(mu) > n:
+    if weight(mu) > _integer(n):
         raise WeightExceedsLevel(f"wt{mu} = {weight(mu)} exceeds level {n}")
     return mu
 
@@ -190,6 +193,10 @@ def z_value(mu: Partition) -> int:
 # the integer recurrence takes 0.12 s at n = 12 and 0.5 s at n = 14
 # (one alpha, 2-CPU machine)
 MAX_SPHERICAL_LEVEL = 12
+# the highest n whose S_n bnhecke.group_algebra sweeps into class
+# tables, and so the top of verify --suite jm-center: --max-n 8 takes
+# 0.6 s and 30 MB, one process on a 2-CPU machine (BENCH_32.json)
+MAX_CLASS_TABLE_LEVEL = 8
 # the largest weight of the triples fit --max-weight and the trichotomy
 # suite sweep
 MAX_FIT_WEIGHT = 4

@@ -4,10 +4,10 @@ Every structure constant at n <= 6, in both bases, is checked against
 an independent count: the matching tally of bnhecke._backend for the
 K basis and the S_n class sweep of bnhecke.group_algebra for the C
 basis.  The character path serves every level up to
-MAX_SPHERICAL_LEVEL; the tally's cap is lifted to 6 inside the test
-only, and the CLI serves n <= 5.  The Jack polynomials
-of the integer recurrence are checked against Gram-Schmidt in exact
-rationals (tests/oracles.py) at n <= 8.
+MAX_SPHERICAL_LEVEL, and so do the CLI verbs and suites that read only
+it; the tally's cap is lifted to 6 inside the test only.  The Jack
+polynomials of the integer recurrence are checked against Gram-Schmidt
+in exact rationals (tests/oracles.py) at n <= 8.
 """
 
 from math import comb, prod
@@ -78,7 +78,7 @@ def test_transposition_square(n):
 
 def test_level_cap_and_weights(fresh_memos):
     # one cap on the character path: the products go as far as the
-    # spherical functions, past the CLI's n <= 5
+    # spherical functions, past the levels the tally counts
     for n in (6, 7, 8):
         assert structure_constant((1,), (1,), (), n, "K") == n * (n - 1)
         assert structure_constant((1,), (1,), (), n, "C") == n * (n - 1) // 2

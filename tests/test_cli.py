@@ -17,6 +17,7 @@ from bnhecke.cli import (
     MAX_COSET_SIZE_LEVEL,
     MAX_SAMPLES,
     SUITES,
+    _VERBS,
     Command,
     execute,
     main,
@@ -39,6 +40,31 @@ _UNBOUNDED_EXPRS = ["e21", "e1 + e21", "2^20^20^20^20"]
 # a cycle naming one point above the cap built the whole one-line
 # tuple up to it
 _FAR_POINT = f"(1 {MAX_POINT + 1})"
+# the cheapest argv of each verb with a level cap, all but its --n
+_CHEAPEST = {
+    "coset-size": ["--mu", "[]"],
+    "product": ["--lhs", "[]", "--rhs", "[]"],
+    "structure-constant": ["--lam", "[]", "--mu", "[]", "--nu", "[]"],
+    "expand-single-cycle": ["--lam", "[]", "--r", "0"],
+    "matsumoto": ["--expr", "e1"],
+    "generators": [],
+    "table": [],
+}
+# (argv but the level, its level flag, the top level) of every verb
+# with a level cap and of every verify suite; a capped verb missing from
+# _CHEAPEST gets an argv that cannot run, so its case fails
+_CAPS = [
+    *(
+        ([verb, *_CHEAPEST.get(verb, ["(no cheapest argv)"])], "--n", verb_row.levels[1])
+        for verb, verb_row in _VERBS.items()
+        if verb_row.levels is not None
+    ),
+    *(
+        (["verify", "--suite", suite, *(["--samples", "5"] if suite == "coset-invariants" else [])],
+         "--max-n", top)
+        for suite, top in SUITES.items()
+    ),
+]
 
 
 def run(argv):
@@ -117,12 +143,9 @@ class TestParse:
             ["fit"],
             ["fit", "--max-weight", "5"],
             ["fit", "--max-weight", "2", "--lam", "[1]"],
-            ["table", "--n", "6"],
             ["--jobs", "0", "table", "--n", "2"],
-            ["verify", "--suite", "matsumoto", "--max-n", "13"],
-            ["verify", "--suite", "generators", "--n", "6"],
-            ["matsumoto", "--expr", "e1", "--n", "13"],
-            ["coset-size", "--mu", "[]", "--n", str(MAX_COSET_SIZE_LEVEL + 1)],
+            *([*argv, flag, str(top + 1)] for argv, flag, top in _CAPS),
+            ["verify", "--suite", "generators", "--n", "7"],
             ["generators", "--n", "3", "--max-degree", "3"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _UNBOUNDED_EXPRS),
@@ -138,6 +161,14 @@ class TestParse:
     def test_usage_errors(self, argv):
         with pytest.raises(UsageError):
             parse(argv)
+
+    @pytest.mark.parametrize("argv, flag, top", _CAPS, ids=[" ".join(c[0][:3]) for c in _CAPS])
+    def test_every_cap_runs_at_its_top(self, argv, flag, top, capsys):
+        assert main([*argv, flag, str(top)]) == 0
+        assert main([*argv, flag, str(top + 1)]) == 2
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["message"].startswith(f"{flag}: level must be in [")
+        assert error["message"].endswith(f", {top}], got {top + 1}")
 
     def test_coset_size_allows_large_levels(self):
         # closed form, no table sweep: levels above the CLI cap are fine
@@ -478,7 +509,8 @@ _FOOTPRINTS = [
 
 # sha256 of `bnhecke --help` ("") and of each verb's --help at 80
 # columns, as Python 3.11's argparse printed them before the verb table
-# replaced the hand-written subparsers
+# replaced the hand-written subparsers; verify's re-pinned when --max-n
+# began to list the top level of each suite
 _HELP_DIGESTS = {
     "": "c7e8479b8806b23da7dd686872181c5b1459ff63a00fe0b2dc18e6584e7181b4",
     "coset-type": "7dddc4f4b35f8eba70770238773317ca8c8aeef1ecb7a2ef064958a0fa0e903f",
@@ -489,7 +521,7 @@ _HELP_DIGESTS = {
     "expand-single-cycle": "91ab56eac569e025a7db93b5aa0ea61ff7cb0dcb447b1c7a1fe0df09cbcb3ca2",
     "matsumoto": "04862e59db5e61a5773b8e49c8c0e41bbff18e3376df2d26de483f399e08eccf",
     "generators": "dbea24c25d31f8dd75eb17ebea1086b9e61d2748749afbef512ce05ce859888a",
-    "verify": "a01affbb04d5b02e60b1d13876fa94cde05341529c8e5cd91bcd9a1047ad6a2f",
+    "verify": "aeb63a6b6dfbb49d3f893d90b18a7bc5f2f543dc83c9cefb29149f9feccb800f",
     "fit": "4807c08bdf3a3dc7cf1ec2040ceddfa872b7433760b9caffec145f85f887878e",
     "table": "1328f0246a897452e45c1c37bc7c0dbc4959e6239c8667ee1afd9bdc09bad0f3",
 }
@@ -686,8 +718,8 @@ _EXPRS = st.tuples(
 ).map(lambda t: t[0] + "".join(op + term for op, term in t[1]))
 
 # (valid values, invalid values) per flag; the levels stay at n <= 3.
-# 6 is above the cap of every verb and suite but product's,
-# structure-constant's and matsumoto's; 13 is above every cap.
+# 9 is above the caps of table, generators and jm-center and below the
+# others; 13 is above every cap but coset-size's.
 # a part or an image that is a JSON float, bool or string is not read
 # as an integer
 _NOT_INTEGER_PARTS = ["[1.5]", "[true]", '["2"]', "[1e0]"]
@@ -697,7 +729,7 @@ _SHAPES = (
     st.sampled_from(["[]", "[1]", "[2]", "[1,1]"]),
     ["[3]", "[0]", "{}", "[1", "x", *_NOT_INTEGER_PARTS],
 )
-_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "6", "13", "x"])
+_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "9", "13", "x"])
 _FLAG_VALUES = {
     "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
     "--jobs": (None, ["0", "2"]),  # no such flag: always a usage error
@@ -800,7 +832,7 @@ class TestHandKeptLists:
     def test_suites_are_the_runners(self):
         from bnhecke.suites import SUITE_RUNNERS
 
-        assert SUITES == tuple(SUITE_RUNNERS)
+        assert list(SUITES) == list(SUITE_RUNNERS)
 
     def test_every_module_all_resolves(self):
         # a name left in __all__ by a deletion would fail only at import *

@@ -83,22 +83,24 @@ TYPE_READERS = {
 
 @pytest.mark.parametrize("entry", TYPE_READERS)
 def test_every_type_reader_reads(entry, fresh_memos):
-    # (1, 2) has weight 5, so only its order is wrong at level 5
+    # (1, 2) has weight 5, so only its order is wrong at level 5; the
+    # level is read too: a bool is not 1, nor a float truncated
     call, above = TYPE_READERS[entry]
-    n = 5
-    for bad, error in [
-        ((0,), ValueError),
-        ((1, 2), ValueError),
-        ((True,), TypeError),
-        ((1.0,), TypeError),
-        ((5,), WeightExceedsLevel),
+    for bad, n, error in [
+        ((0,), 5, ValueError),
+        ((1, 2), 5, ValueError),
+        ((True,), 5, TypeError),
+        ((1.0,), 5, TypeError),
+        ((5,), 5, WeightExceedsLevel),
+        ((), True, TypeError),
+        ((1,), 2.5, TypeError),
     ]:
         if error is WeightExceedsLevel and above is not None:
             assert call(bad, n) == above(n)
             continue
         with pytest.raises(error) as caught:
             call(bad, n)
-        assert caught.type is error, (bad, caught.value)
+        assert caught.type is error, (bad, n, caught.value)
 
 
 def test_weight_counts_size_plus_length():
