@@ -12,9 +12,9 @@ complete functions through h_k = sum_i (-1)^{i-1} e_i h_{k-i}, and
 monomial functions by back substitution through the integer matrix
 [m_mu] p_lam of bnhecke.partitions, which is triangular in dominance.
 evaluate runs the product DP prod_i (1 + t v_i) for the e_k once and
-sums the e-monomials; both the integer 2-contents of
-bnhecke.characters and the Jucys-Murphy elements of
-bnhecke.group_algebra are evaluated through it.  No expression goes
+sums the e-monomials; the integer contents and 2-contents of
+bnhecke.characters are evaluated through it, and so, in the tests,
+are the Jucys-Murphy elements of bnhecke.group_algebra.  No expression goes
 past degree MAX_DEGREE.  The constructor reads its terms, and the
 sums merge them, through the integer-combination core of
 bnhecke.partitions; sums, negations and products of expressions are

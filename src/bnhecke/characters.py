@@ -25,15 +25,21 @@ W_rho N is an integer, N = (2n-1)!! for K and n! for C: the dimension
 of the character 2rho of S_2n, or (dim rho)^2.  So the sum is taken in
 integers and divided by N h_nu once.
 
-The odd Jucys-Murphy elements act on the zonal spherical function
-omega^rho_lam = theta_rho(lam) / h_lam by the 2-contents
-A_rho = {2(j-1) - (i-1) : (i, j) in rho} (Zinn-Justin 2010;
-Matsumoto 2011), so the Matsumoto image is
+The Jucys-Murphy elements act on the spherical function
+omega^rho_lam = theta_rho(lam) / h_lam by the contents
+{alpha (j-1) - (i-1) : (i, j) in rho}: the odd ones J_1, J_3, ...,
+J_{2n-1} on the zonal ones by the 2-contents (alpha = 2; Zinn-Justin
+2010, Matsumoto 2011), and J_1, ..., J_n on the Schur ones by the
+contents j - i (alpha = 1; Okounkov-Vershik 1996).  So the image of a
+symmetric function F in them is
 
     F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) = sum_kappa c_kappa K_kappa(n),
-    c_kappa = sum_rho W_rho F(A_rho) omega^rho_kappa,
+    F(J_1, J_2, ..., J_n) = sum_kappa c_kappa C_kappa(n),
+    c_kappa = sum_rho W_rho F(contents of rho) omega^rho_kappa,
 
-taken in integers the same way.
+taken in integers the same way.  e_{n-i} lands on H_i in K (the
+Matsumoto correspondence) and on Z_i, the permutations with i cycles,
+in C.
 
 J_rho is built in integers, in two triangular steps.  Its monomial
 coefficients come from the Laplace-Beltrami recurrence, which walks
@@ -50,12 +56,13 @@ bnhecke.partitions), the one level cap of this path, and kept per
 is the hook-length dimension.  Every product is checked as it is
 taken: every c is an integer, non-negative when neither factor has a
 negative coefficient, and sum_nu c_nu h_nu = (sum u_lam h_lam)(sum
-v_mu h_mu); every Matsumoto c_kappa is an integer.  The row of b for
+v_mu h_mu); every c_kappa of an image is an integer.  The row of b for
 one (lam, mu) is kept per level and basis.  The counts
 this replaces, the matching tally (bnhecke._backend) and the S_n
-class sweep (bnhecke.group_algebra), are the tests' oracles for it.
-So are, in tests/oracles.py, the walk over perfect matchings for the
-Matsumoto image, Gram-Schmidt of the monomials for the Jack
+class sweep (bnhecke.group_algebra), are the tests' oracles for it,
+and the Jucys-Murphy elements of Z[S_n] there are the oracle for the
+C image.  So are, in tests/oracles.py, the walk over perfect matchings
+for the K image, Gram-Schmidt of the monomials for the Jack
 polynomials and a DP per pair for [m_mu] p_lam.
 """
 
@@ -313,20 +320,27 @@ def structure_constant(
     return _row(*sorted((lam, mu)), n, basis).get(nu, 0)
 
 
-def _two_contents(rho: Partition) -> list[int]:
-    """A_rho: 2(j - 1) - (i - 1) for every cell (i, j) of the diagram of rho."""
-    return [2 * j - i for i, row in enumerate(rho) for j in range(row)]
+def _contents(rho: Partition, basis: str) -> list[int]:
+    """alpha (j - 1) - (i - 1) for every cell (i, j) of the diagram of rho:
+    the 2-contents A_rho for K, the contents j - i for C."""
+    alpha = _basis(basis)[0]
+    return [alpha * j - i for i, row in enumerate(rho) for j in range(row)]
 
 
-def matsumoto_coefficients(F: SymmetricExpression, n: int) -> dict[Partition, int]:
-    """F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) = sum of c_kappa K_kappa(n),
-    as {kappa: c_kappa} by stable types, with only the non-zero c present.
+def matsumoto_coefficients(
+    F: SymmetricExpression, n: int, basis: str
+) -> dict[Partition, int]:
+    """The image of F in the Jucys-Murphy elements, in the basis ("K" or "C")
+    at level n, as {kappa: c_kappa} by stable types, with only the
+    non-zero c present: F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) =
+    sum c_kappa K_kappa(n), or F(J_1, ..., J_n) = sum c_kappa C_kappa(n).
 
-    J_{2k-1} acts on omega^rho by the 2-contents A_rho (see the module
-    docstring), so c_kappa = sum_rho (W_rho N) F(A_rho) theta_rho(kappa)
-    / (N h_kappa), with F(A_rho) from SymmetricExpression.evaluate.  A
-    c_kappa that is not an integer raises ValidationFailure.
+    The Jucys-Murphy elements act on the rho component by the contents
+    of rho (see the module docstring), so c_kappa = sum_rho (W_rho N)
+    F(contents) theta_rho(kappa) / (N h_kappa), with F(contents) from
+    SymmetricExpression.evaluate.  A c_kappa that is not an integer
+    raises ValidationFailure.
     """
-    sph = _spherical(n, "K")
-    values = [F.evaluate(_two_contents(rho), 1) for rho in sph.parts]
-    return _invert(sph, values, f"the Matsumoto image of {F} at n = {n}")
+    sph = _spherical(n, basis)
+    values = [F.evaluate(_contents(rho, basis), 1) for rho in sph.parts]
+    return _invert(sph, values, f"the image of {F} in the {basis} basis at n = {n}")

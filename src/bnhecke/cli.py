@@ -19,8 +19,8 @@ Caps on the level of each verb, on the degree and the coefficients of
 --expr and on the largest point of --perm bound the work of every argv
 that parses; no cost model prices an argv.  A verb's row in _VERBS, or
 a suite's entry in SUITES, names the highest level it can afford:
-MAX_SPHERICAL_LEVEL, MAX_TABLE_LEVEL, MAX_CLASS_TABLE_LEVEL (the S_n
-sweep of jm-center), MAX_HNF_LEVEL (generators) or MAX_COSET_SIZE_LEVEL.
+MAX_SPHERICAL_LEVEL, MAX_TABLE_LEVEL, MAX_HNF_LEVEL (generators) or
+MAX_COSET_SIZE_LEVEL.
 Only the coset-invariants suite samples, so --samples with another
 suite is a usage error.
 Parsing loads no computing layer.  Each verb's runner imports the
@@ -39,8 +39,7 @@ from collections import namedtuple
 from . import __version__
 from .errors import HeckeError, UsageError
 from .partitions import (
-    MAX_CLASS_TABLE_LEVEL, MAX_FIT_WEIGHT, MAX_SPHERICAL_LEVEL, as_partition,
-    enumerate_by_weight, weight,
+    MAX_FIT_WEIGHT, MAX_SPHERICAL_LEVEL, as_partition, enumerate_by_weight, weight,
 )
 
 # the costs below are one process each on a 2-CPU machine (BENCH_32.json)
@@ -50,9 +49,10 @@ MAX_HNF_LEVEL = 6
 # table holds every row until it prints: 0.4 s, 34 MB and 1.3 MB of
 # stdout at n = 8, and 0.6 s and 65 MB at n = 9
 MAX_TABLE_LEVEL = 8
-# verify --suite coset-invariants --max-n 12 costs about 0.14 ms a sample
-# a level: 1.2 s at the default 1000 samples and 13 s at 10000
-MAX_SAMPLES = 10_000
+# verify --suite coset-invariants --max-n 12 costs about 0.1 ms a sample
+# a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
+# at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
+MAX_SAMPLES = 8_000
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -62,7 +62,7 @@ _PARTITION_FLAGS = ("lam", "mu", "nu", "lhs", "rhs")
 # each verify suite and the highest level it runs
 SUITES = {
     "matsumoto": MAX_SPHERICAL_LEVEL,
-    "jm-center": MAX_CLASS_TABLE_LEVEL,
+    "jm-center": MAX_SPHERICAL_LEVEL,
     "trichotomy": MAX_SPHERICAL_LEVEL,
     "single-cycle": MAX_SPHERICAL_LEVEL,
     "graded-iso": MAX_SPHERICAL_LEVEL,

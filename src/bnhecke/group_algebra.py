@@ -6,28 +6,26 @@ the sums, negation, scaling and equality are the integer-combination
 core of bnhecke.partitions, which HeckeElement shares.  The center is
 spanned by the class sums C_mu(n), indexed by stable cycle type, and
 the structure constants a_{lam mu}^{nu}(n) are read off products of
-class sums at a canonical class representative.
+class sums at a canonical class representative: the class sweep that
+the tests hold bnhecke.characters against.
 
 The Jucys-Murphy elements
 
     J_k = (1,k) + (2,k) + ... + (k-1,k),    J_1 = 0,
 
-commute pairwise, and evaluating elementary symmetric functions at
-them reproduces the cycle-count filtration: Z_i, the sum of all
-permutations with exactly i cycles, equals e_{n-i}(J_1, ..., J_n).
-A symmetric expression F (bnhecke._symfunc, where the symmetric
-functions live) evaluates at algebra values by
-F.evaluate(values, AlgebraElement.one(m)), so e_k at them is
-elementary(k).evaluate(values, AlgebraElement.one(m)).  The class
-tables and class products are memos that partitions.clear_caches
-empties.
+commute pairwise, which the jm-center suite checks here.  A symmetric
+expression F (bnhecke._symfunc) evaluates at them by
+F.evaluate(values, AlgebraElement.one(m)); the image of F in the class
+basis is read off the characters instead
+(characters.matsumoto_coefficients(F, n, "C")), and the tests hold
+the two against each other.  The class tables and class products are
+memos that partitions.clear_caches empties.
 """
 
 from __future__ import annotations
 
 from .errors import IndexOutOfRange, ValidationFailure
 from .partitions import (
-    MAX_CLASS_TABLE_LEVEL,
     Partition,
     _Combination,
     _integer,
@@ -48,8 +46,11 @@ __all__ = [
     "class_sum",
     "class_structure_constant",
     "jucys_murphy",
-    "zi_generator",
 ]
+
+# the highest n whose S_n _class_table sweeps: n! rows, 0.2 s at n = 8
+# (one process on a 2-CPU machine)
+MAX_CLASS_TABLE_LEVEL = 8
 
 
 class AlgebraElement(_Combination):
@@ -154,18 +155,3 @@ def jucys_murphy(k: int, m: int) -> AlgebraElement:
         m, {Permutation.from_cycles([(i, k)]): 1 for i in range(1, k)}
     )
 
-
-def zi_generator(i: int, n: int) -> AlgebraElement:
-    """Z_i: the sum of all w in S_n with exactly i cycles.
-
-    A permutation of stable type mu has n - |mu| cycles at level n, so
-    Z_i collects the class sums with |mu| = n - i.
-    """
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"cycle count {i} out of range for S_{n}")
-    out: dict[tuple[int, ...], int] = {}
-    for mu, rows in _class_table(n).items():
-        if n - sum(mu) == i:
-            for k in rows:
-                out[k] = 1
-    return AlgebraElement._raw(n, out)

@@ -31,7 +31,7 @@ span the whole lattice of K-coordinates.
 
 The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) is read
 off the same zonal spherical functions: J_{2k-1} acts on omega^rho by
-the 2-contents of rho (bnhecke.characters.matsumoto_coefficients).
+the 2-contents of rho (bnhecke.characters.matsumoto_coefficients, "K").
 
 So the products, structure constants, the generator certificate and
 the Matsumoto image load neither the cosets nor the group algebra.
@@ -276,7 +276,7 @@ def _matsumoto_self_test() -> None:
     from .characters import matsumoto_coefficients
 
     for i in (1, 2):
-        got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2))
+        got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2, "K"))
         want = generator_H(i, 2)
         if got != want:
             raise ValidationFailure(
@@ -292,7 +292,7 @@ def matsumoto_image(F: SymmetricExpression, n: int) -> HeckeElement:
 
     Read off the zonal spherical functions, on which the odd
     Jucys-Murphy elements act by the 2-contents
-    (characters.matsumoto_coefficients); nothing enters Z[S_2n] or
+    (characters.matsumoto_coefficients, "K"); nothing enters Z[S_2n] or
     walks the matchings.  Under this unnormalized-sum convention
     e_{n-i} lands on H_i; the first call proves that at n = 2 before
     returning anything, so a normalization regression cannot slip
@@ -305,7 +305,7 @@ def matsumoto_image(F: SymmetricExpression, n: int) -> HeckeElement:
     if not isinstance(F, SymmetricExpression):
         raise TypeError(f"F must be a SymmetricExpression, got {type(F).__name__}")
     _matsumoto_self_test()
-    return HeckeElement(n, matsumoto_coefficients(F, n))
+    return HeckeElement(n, matsumoto_coefficients(F, n, "K"))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

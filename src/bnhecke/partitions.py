@@ -22,9 +22,8 @@ ordinary type at a fixed level.
 
 The closed forms |B_n| = 2^n n! and |K_mu(n)| live here too, so
 evaluating them loads no permutation code.  So do the caps the CLI
-reads without loading their modules (MAX_SPHERICAL_LEVEL and
-MAX_CLASS_TABLE_LEVEL on the levels of bnhecke.characters and of the
-group_algebra class tables, MAX_FIT_WEIGHT on the weight of the fits),
+reads without loading their modules (MAX_SPHERICAL_LEVEL on the
+levels of bnhecke.characters, MAX_FIT_WEIGHT on the weight of the fits),
 the integer-combination core (_read_terms, _add_terms, _Combination)
 that HeckeElement, AlgebraElement and SymmetricExpression share, and the
 one memo idiom: _memo is a typed functools cache with its cache_clear
@@ -54,7 +53,6 @@ from .errors import (
 __all__ = [
     "Partition",
     "MAX_SPHERICAL_LEVEL",
-    "MAX_CLASS_TABLE_LEVEL",
     "MAX_FIT_WEIGHT",
     "as_partition",
     "weight",
@@ -193,10 +191,6 @@ def z_value(mu: Partition) -> int:
 # the integer recurrence takes 0.12 s at n = 12 and 0.5 s at n = 14
 # (one alpha, 2-CPU machine)
 MAX_SPHERICAL_LEVEL = 12
-# the highest n whose S_n bnhecke.group_algebra sweeps into class
-# tables, and so the top of verify --suite jm-center: --max-n 8 takes
-# 0.6 s and 30 MB, one process on a 2-CPU machine (BENCH_32.json)
-MAX_CLASS_TABLE_LEVEL = 8
 # the largest weight of the triples fit --max-weight and the trichotomy
 # suite sweep
 MAX_FIT_WEIGHT = 4

@@ -59,7 +59,8 @@ def _suite_matsumoto(levels, samples, checks):
 
 def _suite_jm_center(levels, samples, checks):
     from ._symfunc import elementary
-    from .group_algebra import AlgebraElement, jucys_murphy, zi_generator
+    from .characters import matsumoto_coefficients
+    from .group_algebra import jucys_murphy
 
     for n in levels:
         js = [jucys_murphy(k, n) for k in range(1, n + 1)]
@@ -69,10 +70,10 @@ def _suite_jm_center(levels, samples, checks):
             for b in range(a + 1, n)
         )
         _check(checks, f"J_1..J_{n} pairwise commute in Z[S_{n}]", commuting)
-        one = AlgebraElement.one(n)
         for i in range(1, n + 1):
-            got = elementary(n - i).evaluate(js, one)
-            want = zi_generator(i, n)
+            # Z_i, the permutations with i cycles: the class sums of |mu| = n - i
+            got = matsumoto_coefficients(elementary(n - i), n, "C")
+            want = {mu: 1 for mu in enumerate_by_weight(n) if sum(mu) == n - i}
             _check(
                 checks,
                 f"Z_{i} = e_{n - i}(J_1..J_{n}) at n={n}",

@@ -21,10 +21,12 @@ binomial coefficients off the interpolant's values at 0..d.  It is the
 oracle for the integer difference table of bnhecke.universal.ivp_fit.
 
 enumerate_class sweeps all of S_n for the permutations of one stable
-cycle type, b_sum writes the sum of B_n in Z[S_2n], and
-expand_in_class_basis reads a central element of Z[S_n] in the class
-sums C_mu(n).  They are the reference builders for Z[S_2n], the class
-census and the class basis of bnhecke.group_algebra.
+cycle type, zi_generator for those with i cycles, b_sum writes the sum
+of B_n in Z[S_2n], and expand_in_class_basis reads a central element
+of Z[S_n] in the class sums C_mu(n).  They are the reference builders
+for Z[S_2n], the class census and the class basis of
+bnhecke.group_algebra; zi_generator is also the Z[S_n] side of the
+jm-center identity Z_i = e_{n-i}(J_1, ..., J_n).
 
 double_coset_sum and lift write K_mu(n), and Z-combinations of them,
 as honest elements of Z[S_2n], so a Hecke product can be checked
@@ -47,7 +49,7 @@ from bnhecke._backend import _typed_matchings
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.characters import _hook_product, _norms
 from bnhecke.cosets import hyperoctahedral_elements, image_matching, matching_type
-from bnhecke.errors import LevelMismatch, NotBiInvariant, NotCentral
+from bnhecke.errors import IndexOutOfRange, LevelMismatch, NotBiInvariant, NotCentral
 from bnhecke.group_algebra import AlgebraElement
 from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import (
@@ -197,6 +199,20 @@ def enumerate_class(mu: Partition, n: int) -> set[Permutation]:
         for images in itertools.permutations(range(1, n + 1))
         if stable_type_of_one_line(images) == mu
     }
+
+
+def zi_generator(i: int, n: int) -> AlgebraElement:
+    """Z_i: the sum of all w in S_n with exactly i cycles.
+
+    A permutation of stable type mu has n - |mu| cycles at level n.
+    """
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"cycle count {i} out of range for S_{n}")
+    return AlgebraElement(n, {
+        Permutation(images): 1
+        for images in itertools.permutations(range(1, n + 1))
+        if n - sum(stable_type_of_one_line(images)) == i
+    })
 
 
 def b_sum(n: int) -> AlgebraElement:

@@ -21,7 +21,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import b_sum, double_coset_sum, enumerate_class, expand_in_class_basis
+from oracles import (
+    b_sum,
+    double_coset_sum,
+    enumerate_class,
+    expand_in_class_basis,
+    zi_generator,
+)
 
 from bnhecke._symfunc import elementary
 from bnhecke.characters import structure_constant
@@ -35,12 +41,7 @@ from bnhecke.cosets import (
     stable_coset_type,
 )
 from bnhecke.errors import WeightExceedsLevel
-from bnhecke.group_algebra import (
-    AlgebraElement,
-    class_sum,
-    jucys_murphy,
-    zi_generator,
-)
+from bnhecke.group_algebra import AlgebraElement, class_sum, jucys_murphy
 from bnhecke.hecke import (
     HeckeElement,
     _admissible_terms,

@@ -180,7 +180,7 @@ def test_recurrence_matches_gram_schmidt(n, alpha):
 def test_matsumoto_matches_gram_schmidt(monkeypatch, fresh_memos):
     n = GRAM_SCHMIDT_LEVEL
     exprs = [SymmetricExpression.parse(e) for e in ORACLE_EXPRS]
-    want = [matsumoto_coefficients(F, n) for F in exprs]
+    want = [matsumoto_coefficients(F, n, "K") for F in exprs]
     clear_caches()
     monkeypatch.setattr(
         characters,
@@ -189,7 +189,7 @@ def test_matsumoto_matches_gram_schmidt(monkeypatch, fresh_memos):
             [int(x) for x in row] for row in jack_power_sums_by_gram_schmidt(n, alpha)
         ],
     )
-    got = [matsumoto_coefficients(F, n) for F in exprs]
+    got = [matsumoto_coefficients(F, n, "K") for F in exprs]
     wrong = {e: (g, w) for e, g, w in zip(ORACLE_EXPRS, got, want) if g != w}
     assert not wrong, wrong
 
@@ -249,7 +249,7 @@ def test_one_spherical_step_serves_both(fresh_memos):
     row = product({(1,): 1}, {(1,): 1}, 3, "K")
     assert characters._spherical.cache_info().misses == 1
     # e_1 lands on H_2, the K_mu(3) with |mu| = 1
-    assert matsumoto_coefficients(elementary(1), 3) == {(1,): 1}
+    assert matsumoto_coefficients(elementary(1), 3, "K") == {(1,): 1}
     assert characters._spherical.cache_info()[:2] == (1, 1)
     assert product({(1,): 1}, {(1,): 1}, 3, "K") == row
     assert characters._spherical.cache_info()[:2] == (2, 1)
@@ -258,7 +258,7 @@ def test_one_spherical_step_serves_both(fresh_memos):
 def test_matsumoto_level_cap():
     assert MAX_SPHERICAL_LEVEL == 12
     with pytest.raises(UsageError, match="1 <= n <= 12"):
-        matsumoto_coefficients(elementary(1), 13)
+        matsumoto_coefficients(elementary(1), 13, "K")
 
 
 def test_one_matrix_build_serves_both_alphas():
@@ -274,12 +274,6 @@ def test_one_matrix_build_serves_both_alphas():
     assert again.hits > built.hits
 
 
-def _contents(rho):
-    """j - i for every cell (i, j) of the diagram of rho, 0-based: the
-    eigenvalues of the Jucys-Murphy elements on the rho component."""
-    return [j - i for i, row in enumerate(rho) for j in range(row)]
-
-
 def _catalan_misses(basis):
     """The image of h_k, k < MAX_SPHERICAL_LEVEL, at every level up to
     the cap held to its top degree: no term has |mu| > k, and
@@ -287,16 +281,10 @@ def _catalan_misses(basis):
     Matsumoto-Novak 2013 for C).  (comparisons, misses)."""
     checked, misses = 0, []
     for n in range(1, MAX_SPHERICAL_LEVEL + 1):
-        sph = characters._spherical(n, basis)
         for k in range(1, MAX_SPHERICAL_LEVEL):
-            h = complete(k)
-            if basis == "K":
-                image = matsumoto_coefficients(h, n)
-            else:
-                values = [h.evaluate(_contents(rho), 1) for rho in sph.parts]
-                image = characters._invert(sph, values, f"h_{k} at n = {n}")
+            image = matsumoto_coefficients(complete(k), n, basis)
             misses += [(n, k, mu) for mu in image if sum(mu) > k]
-            for mu in sph.index:
+            for mu in enumerate_by_weight(n):
                 if sum(mu) == k:
                     checked += 1
                     if image.get(mu, 0) != prod(comb(2 * m, m) // (m + 1) for m in mu):
@@ -309,12 +297,31 @@ def test_top_degree_of_h_is_catalan(basis):
     assert _catalan_misses(basis) == (259, [])
 
 
+def _cycle_count_misses(basis):
+    """The image of e_k at n = 2..MAX_SPHERICAL_LEVEL, k = 0..n, against
+    the sum of the X_mu with |mu| = k: H_{n-k} for K (Matsumoto 2011),
+    Z_{n-k} for C.  (comparisons, misses)."""
+    checked, misses = 0, []
+    for n in range(2, MAX_SPHERICAL_LEVEL + 1):
+        for k in range(n + 1):
+            checked += 1
+            want = {mu: 1 for mu in enumerate_by_weight(n) if sum(mu) == k}
+            if matsumoto_coefficients(elementary(k), n, basis) != want:
+                misses.append((n, k))
+    return checked, misses
+
+
 @pytest.mark.parametrize("basis", ["K", "C"])
 def test_catalan_check_sees_negated_contents(basis, monkeypatch):
     # negated contents stay integral and pass every check of the path;
-    # a uniform shift of them would move only the lower degrees
-    two, one = characters._two_contents, _contents
-    monkeypatch.setattr(characters, "_two_contents", lambda rho: [-a for a in two(rho)])
-    monkeypatch.setitem(globals(), "_contents", lambda rho: [-a for a in one(rho)])
+    # a uniform shift of them would move only the lower degrees.  The
+    # e_k identity of the matsumoto and jm-center suites sees them too
+    assert _cycle_count_misses(basis) == (88, [])
+    contents = characters._contents
+    monkeypatch.setattr(
+        characters, "_contents", lambda rho, basis: [-a for a in contents(rho, basis)]
+    )
     checked, misses = _catalan_misses(basis)
     assert checked == 259 and len(misses) == 127
+    checked, misses = _cycle_count_misses(basis)
+    assert checked == 88 and len(misses) == 36

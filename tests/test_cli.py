@@ -510,7 +510,8 @@ _FOOTPRINTS = [
 # sha256 of `bnhecke --help` ("") and of each verb's --help at 80
 # columns, as Python 3.11's argparse printed them before the verb table
 # replaced the hand-written subparsers; verify's re-pinned when --max-n
-# began to list the top level of each suite
+# began to list the top level of each suite, and again when jm-center
+# went to 12 and --samples to 8000
 _HELP_DIGESTS = {
     "": "c7e8479b8806b23da7dd686872181c5b1459ff63a00fe0b2dc18e6584e7181b4",
     "coset-type": "7dddc4f4b35f8eba70770238773317ca8c8aeef1ecb7a2ef064958a0fa0e903f",
@@ -521,7 +522,7 @@ _HELP_DIGESTS = {
     "expand-single-cycle": "91ab56eac569e025a7db93b5aa0ea61ff7cb0dcb447b1c7a1fe0df09cbcb3ca2",
     "matsumoto": "04862e59db5e61a5773b8e49c8c0e41bbff18e3376df2d26de483f399e08eccf",
     "generators": "dbea24c25d31f8dd75eb17ebea1086b9e61d2748749afbef512ce05ce859888a",
-    "verify": "aeb63a6b6dfbb49d3f893d90b18a7bc5f2f543dc83c9cefb29149f9feccb800f",
+    "verify": "2a8425629c47f0cfb981783091bd662dbd60b07e41e520135ebd1969598ffa2c",
     "fit": "4807c08bdf3a3dc7cf1ec2040ceddfa872b7433760b9caffec145f85f887878e",
     "table": "1328f0246a897452e45c1c37bc7c0dbc4959e6239c8667ee1afd9bdc09bad0f3",
 }
@@ -718,8 +719,8 @@ _EXPRS = st.tuples(
 ).map(lambda t: t[0] + "".join(op + term for op, term in t[1]))
 
 # (valid values, invalid values) per flag; the levels stay at n <= 3.
-# 9 is above the caps of table, generators and jm-center and below the
-# others; 13 is above every cap but coset-size's.
+# 9 is above the caps of table and generators and below the others;
+# 13 is above every cap but coset-size's.
 # a part or an image that is a JSON float, bool or string is not read
 # as an integer
 _NOT_INTEGER_PARTS = ["[1.5]", "[true]", '["2"]', "[1e0]"]

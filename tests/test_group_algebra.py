@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    ORACLE_EXPRS,
     b_sum,
     conjugate,
     e_to_m_rows,
     enumerate_class,
     expand_in_class_basis,
+    zi_generator,
 )
 
 from bnhecke import _symfunc, group_algebra
@@ -21,6 +23,7 @@ from bnhecke._symfunc import (
     monomial,
     power_sum,
 )
+from bnhecke.characters import matsumoto_coefficients
 from bnhecke.cli import execute, parse
 from bnhecke.errors import (
     DegreeMismatch,
@@ -35,7 +38,6 @@ from bnhecke.group_algebra import (
     class_structure_constant,
     class_sum,
     jucys_murphy,
-    zi_generator,
 )
 from bnhecke.partitions import (
     completion,
@@ -45,6 +47,7 @@ from bnhecke.partitions import (
 )
 from bnhecke.permutations import (
     Permutation,
+    class_representative,
     identity,
     symmetric_group,
 )
@@ -193,13 +196,24 @@ class TestJucysMurphy:
         with pytest.raises(IndexOutOfRange):
             jucys_murphy(4, 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_elementary_in_jm_gives_cycle_filtration(self, n):
+        # Z_i = e_{n-i}(J) in Z[S_n], and the class basis image of
+        # bnhecke.characters, read off the contents, is F(J) read at the
+        # class representatives
         js = [jucys_murphy(k, n) for k in range(1, n + 1)]
+        one = AlgebraElement.one(n)
         for i in range(1, n + 1):
-            assert elementary(n - i).evaluate(js, AlgebraElement.one(n)) == (
-                zi_generator(i, n)
-            )
+            assert elementary(n - i).evaluate(js, one) == zi_generator(i, n)
+        for expr in ORACLE_EXPRS:
+            F = SymmetricExpression.parse(expr)
+            at = F.evaluate(js, one)
+            want = {
+                mu: c
+                for mu in enumerate_by_weight(n)
+                if (c := at.coefficient(class_representative(mu, n)))
+            }
+            assert matsumoto_coefficients(F, n, "C") == want, expr
 
     def test_zi_bounds(self):
         with pytest.raises(IndexOutOfRange):
@@ -426,8 +440,8 @@ def test_class_constant_must_be_a_count(monkeypatch):
 
 
 def test_jm_center_suite_checks_commuting_once(monkeypatch):
-    # the suite checks J_a J_b = J_b J_a itself, once per pair, so
-    # evaluating each e_{n-i}(J) must not repeat that check
+    # the suite checks J_a J_b = J_b J_a itself, once per pair, and
+    # reads each e_{n-i}(J) off the characters: 2 products a pair
     calls = []
     mul = AlgebraElement.__mul__
     monkeypatch.setattr(
@@ -435,4 +449,4 @@ def test_jm_center_suite_checks_commuting_once(monkeypatch):
     )
     argv = ["verify", "--suite", "jm-center", "--max-n", "5"]
     assert execute(parse(argv), stream=io.StringIO()) == 0
-    assert len(calls) == 120
+    assert len(calls) == 40

@@ -396,7 +396,7 @@ class TestMatsumoto:
     def test_failed_self_test_fails_every_call(self, monkeypatch):
         # a wrong raw path must not be let through by a second call
         hecke._matsumoto_self_test.cache_clear()
-        monkeypatch.setattr(characters, "matsumoto_coefficients", lambda F, n: {})
+        monkeypatch.setattr(characters, "matsumoto_coefficients", lambda F, n, basis: {})
         for _ in range(2):
             with pytest.raises(ValidationFailure, match="self-test"):
                 matsumoto_image(elementary(1), 3)

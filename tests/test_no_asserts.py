@@ -135,7 +135,7 @@ spherical = characters._spherical
 theta = [[t + 1 for t in spherical(3, "K").theta[0]], *spherical(3, "K").theta[1:]]
 characters._spherical = lambda n, basis: spherical(n, basis)._replace(theta=theta)
 out["matsumoto_coefficients"] = message(
-    lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3)
+    lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3, "K")
 )
 characters._spherical = spherical
 # -h_(2) keeps every quotient an integer: only sum c h = (sum u h)(sum v h) sees it

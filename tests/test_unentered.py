@@ -38,7 +38,9 @@ ALLOWLIST = {
     ("_symfunc", "SymmetricExpression.terms"): "oracle",
     ("cosets", "perfect_matchings"): "oracle",
     ("cosets", "perfect_matchings.<locals>.extend"): "oracle",
+    ("group_algebra", "AlgebraElement.one"): "oracle",
     ("group_algebra", "AlgebraElement.coefficient"): "oracle",
+    ("group_algebra", "_class_table"): "oracle",
     ("group_algebra", "class_sum"): "oracle",
     ("group_algebra", "_class_product"): "oracle",
     ("group_algebra", "class_structure_constant"): "perfbench",
