@@ -19,8 +19,7 @@ Caps on the level of each verb, on the degree and the coefficients of
 --expr and on the largest point of --perm bound the work of every argv
 that parses; no cost model prices an argv.  A verb's row in _VERBS, or
 a suite's entry in SUITES, names the highest level it can afford:
-MAX_SPHERICAL_LEVEL, MAX_TABLE_LEVEL, MAX_HNF_LEVEL (generators) or
-MAX_COSET_SIZE_LEVEL.
+MAX_SPHERICAL_LEVEL, MAX_HNF_LEVEL (generators) or MAX_COSET_SIZE_LEVEL.
 Only the coset-invariants suite samples, so --samples with another
 suite is a usage error.
 Parsing loads no computing layer.  Each verb's runner imports the
@@ -31,6 +30,7 @@ bnhecke.suites, which only verify loads.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -42,13 +42,10 @@ from .partitions import (
     MAX_FIT_WEIGHT, MAX_SPHERICAL_LEVEL, as_partition, enumerate_by_weight, weight,
 )
 
-# the costs below are one process each on a 2-CPU machine (BENCH_32.json)
-# generators certifies by an HNF over all C(2n-1, n) monomials: 0.5-0.7 s
-# at n = 6, and 7-8 s and 67 MB for the 1,716 rows of n = 7
-MAX_HNF_LEVEL = 6
-# table holds every row until it prints: 0.4 s, 34 MB and 1.3 MB of
-# stdout at n = 8, and 0.6 s and 65 MB at n = 9
-MAX_TABLE_LEVEL = 8
+# the costs below are one process each on a 2-CPU machine
+# generators certifies by an HNF over the C(2n-2, n-1) monomials free of
+# the unit H_n: 2 s and 32 MB at n = 7, 38 s and 326 MB at n = 8 (BENCH_34.json)
+MAX_HNF_LEVEL = 7
 # verify --suite coset-invariants --max-n 12 costs about 0.1 ms a sample
 # a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
 # at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
@@ -300,22 +297,24 @@ def _run_fit(args):
     return result.to_json(), 0
 
 
+# the stable types at a level and {(lam, mu): K_lam K_mu in the K basis}
+_Table = namedtuple("_Table", "shapes products")
+
+
 def _run_table(args):
     from .hecke import HeckeElement, hecke_product
 
     n = args["n"]
     shapes = enumerate_by_weight(n)
-    rows = []
-    for lam in shapes:
+    products = {}
+    for i, lam in enumerate(shapes):
         print(f"table: products with K_{lam}({n})", file=sys.stderr, flush=True)
         u = HeckeElement.basis(lam, n)
-        for mu in shapes:
+        # (S_2n, B_n) is a Gel'fand pair: K_lam K_mu = K_mu K_lam
+        for mu in shapes[i:]:
             b = hecke_product(u, HeckeElement.basis(mu, n)).coeffs
-            rows.extend(
-                {"lam": list(lam), "mu": list(mu), "nu": list(nu), "b": b.get(nu, 0)}
-                for nu in shapes
-            )
-    return rows, 0
+            products[lam, mu] = products[mu, lam] = b
+    return _Table(shapes, products), 0
 
 
 def _run_verify(args):
@@ -385,38 +384,53 @@ _VERBS = {
             "--basis": {"choices": ("K", "C"), "default": "K"},
         },
     ),
-    "table": _Verb("all structure constants at one level", (1, MAX_TABLE_LEVEL), _run_table, {
+    "table": _Verb("all structure constants at one level", (1, MAX_SPHERICAL_LEVEL), _run_table, {
         "--n": _INT,
     }),
 }
 
 
 def _emit(payload, output_format: str, stream) -> None:
+    if isinstance(payload, _Table):
+        return _write_table(*payload, output_format, stream)
     if output_format == "json":
-        stream.write(json.dumps(payload, indent=2))
-        stream.write("\n")
+        stream.write(json.dumps(payload, indent=2) + "\n")
         return
     import csv
-    import io
 
-    buffer = io.StringIO()
     if isinstance(payload, list):
         rows = payload or [{}]
-        fields: list[str] = []
-        for row in rows:
-            for key in row:
-                if key not in fields:
-                    fields.append(key)
-        writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
+        fields = list(dict.fromkeys(key for row in rows for key in row))
+        writer = csv.DictWriter(stream, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in fields})
+        writer.writerows({k: _csv_cell(row.get(k)) for k in fields} for row in rows)
     else:
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["key", "value"])
-        for key, value in payload.items():
-            writer.writerow([key, _csv_cell(value)])
-    stream.write(buffer.getvalue())
+        writer.writerows([key, _csv_cell(value)] for key, value in payload.items())
+
+
+def _write_table(shapes, products, output_format: str, stream) -> None:
+    """Write table's rows one at a time, in the bytes _emit writes for the
+    list of {lam, mu, nu, b}; each type's text is made once."""
+    triples = itertools.product(shapes, repeat=3)
+    rows = ((lam, mu, nu, products[lam, mu].get(nu, 0)) for lam, mu, nu in triples)
+    if output_format == "csv":
+        import csv
+
+        text = {mu: _csv_cell(list(mu)) for mu in shapes}
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["lam", "mu", "nu", "b"])
+        writer.writerows([text[lam], text[mu], text[nu], b] for lam, mu, nu, b in rows)
+        return
+    # a row is an object in a list, so its types sit two levels deep
+    text = {mu: json.dumps(list(mu), indent=2).replace("\n", "\n    ") for mu in shapes}
+    head = "[\n"
+    for lam, mu, nu, b in rows:
+        stream.write(f'{head}  {{\n    "lam": {text[lam]},\n    "mu": {text[mu]},\n'
+                     f'    "nu": {text[nu]},\n    "b": {b}\n  }}')
+        head = ",\n"
+    stream.write("\n]\n")
 
 
 def _csv_cell(value):

@@ -402,7 +402,8 @@ def _monomial_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
         if len(prefix) == n:
             out.append(prefix)
             return
-        for a in range(left + 1):
+        # H_n = K_() is the unit, so its exponent stays 0
+        for a in range(left + 1 if len(prefix) < n - 1 else 1):
             rec(prefix + (a,), left - a)
 
     rec((), max_degree)
@@ -412,12 +413,12 @@ def _monomial_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
 def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
     """Certify that H_1..H_n generate the Hecke ring at level n.
 
-    Evaluates every monomial in the H_i of total degree <= max_degree,
-    stacks the K-coordinates into an integer matrix, and row-reduces
-    to Hermite normal form; the lattice is everything iff the top
-    block is the identity.  On success each K_mu(n) is returned as an
-    explicit integer polynomial in the H_i, re-evaluated through
-    hecke_product as a final guard.
+    Evaluates every monomial in H_1..H_{n-1} of total degree <=
+    max_degree (H_n is the unit), stacks the K-coordinates into an
+    integer matrix and row-reduces to Hermite normal form; the lattice
+    is everything iff the top block is the identity.  On success each
+    K_mu(n) is returned as an explicit integer polynomial in the H_i,
+    re-evaluated through hecke_product as a final guard.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")

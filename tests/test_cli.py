@@ -23,8 +23,10 @@ from bnhecke.cli import (
     main,
     parse,
 )
-from bnhecke.errors import UsageError
-from bnhecke.partitions import MAX_SPHERICAL_LEVEL, double_coset_size
+from bnhecke import hecke
+from bnhecke.errors import UsageError, ValidationFailure
+from bnhecke.hecke import HeckeElement, hecke_product
+from bnhecke.partitions import MAX_SPHERICAL_LEVEL, double_coset_size, enumerate_by_weight
 from bnhecke.permutations import MAX_POINT, Permutation
 
 
@@ -78,6 +80,20 @@ def run(argv):
 def run_json(argv):
     status, text = run(argv)
     return status, json.loads(text)
+
+
+def table_rows(n):
+    """table's rows at level n, from one product per ordered pair."""
+    shapes = enumerate_by_weight(n)
+    rows = []
+    for lam in shapes:
+        for mu in shapes:
+            b = hecke_product(HeckeElement.basis(lam, n), HeckeElement.basis(mu, n)).coeffs
+            rows.extend(
+                {"lam": list(lam), "mu": list(mu), "nu": list(nu), "b": b.get(nu, 0)}
+                for nu in shapes
+            )
+    return rows
 
 
 class TestParse:
@@ -145,7 +161,7 @@ class TestParse:
             ["fit", "--max-weight", "2", "--lam", "[1]"],
             ["--jobs", "0", "table", "--n", "2"],
             *([*argv, flag, str(top + 1)] for argv, flag, top in _CAPS),
-            ["verify", "--suite", "generators", "--n", "7"],
+            ["verify", "--suite", "generators", "--n", "8"],
             ["generators", "--n", "3", "--max-degree", "3"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _UNBOUNDED_EXPRS),
@@ -349,7 +365,7 @@ class TestVerbs:
         )
         assert status == 0 and payload["b"] == 2
 
-    def test_table(self):
+    def test_table(self, monkeypatch, capsys):
         status, payload = run_json(["table", "--n", "2"])
         assert status == 0
         assert len(payload) == 8
@@ -359,6 +375,35 @@ class TestVerbs:
         }
         assert lookup[(1,), (1,), ()] == 2
         assert lookup[(1,), (1,), (1,)] == 1
+        # the rows written one at a time are the bytes of json.dumps on
+        # all of them, and table takes one product per unordered pair
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return hecke_product(u, v)
+
+        monkeypatch.setattr(hecke, "hecke_product", counted)
+        for n in range(1, 7):
+            calls.clear()
+            assert run(["table", "--n", str(n)]) == (0, json.dumps(table_rows(n), indent=2) + "\n")
+            p = len(enumerate_by_weight(n))
+            assert len(calls) == p * (p + 1) // 2
+
+        # every product comes before the first row: a failing last
+        # product leaves the error object alone on stdout
+        def last_fails(u, v):
+            calls.append((u, v))
+            if len(calls) == 6:  # p(3) (p(3) + 1) / 2
+                raise ValidationFailure("the last product")
+            return hecke_product(u, v)
+
+        calls.clear()
+        monkeypatch.setattr(hecke, "hecke_product", last_fails)
+        assert main(["table", "--n", "3"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "ValidationFailure", "message": "the last product",
+        }
 
     def test_verify_fast_suite(self, capsys):
         status, payload = run_json(
@@ -397,6 +442,16 @@ class TestOutputFormats:
         assert rows[0] == ["lam", "mu", "nu", "b"]
         assert len(rows) == 9
         assert ["[1]", "[1]", "[]", "2"] in rows
+        for n in range(1, 7):
+            expected = io.StringIO()
+            fields = ["lam", "mu", "nu", "b"]
+            writer = csv.DictWriter(expected, fieldnames=fields, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(
+                {k: json.dumps(v, separators=(",", ":")) if k != "b" else v for k, v in row.items()}
+                for row in table_rows(n)
+            )
+            assert run(["--format", "csv", "table", "--n", str(n)]) == (0, expected.getvalue())
 
     def test_csv_key_value_for_single_objects(self):
         status, text = run(
@@ -511,7 +566,7 @@ _FOOTPRINTS = [
 # columns, as Python 3.11's argparse printed them before the verb table
 # replaced the hand-written subparsers; verify's re-pinned when --max-n
 # began to list the top level of each suite, and again when jm-center
-# went to 12 and --samples to 8000
+# went to 12 and --samples to 8000, and when generators went to 7
 _HELP_DIGESTS = {
     "": "c7e8479b8806b23da7dd686872181c5b1459ff63a00fe0b2dc18e6584e7181b4",
     "coset-type": "7dddc4f4b35f8eba70770238773317ca8c8aeef1ecb7a2ef064958a0fa0e903f",
@@ -522,7 +577,7 @@ _HELP_DIGESTS = {
     "expand-single-cycle": "91ab56eac569e025a7db93b5aa0ea61ff7cb0dcb447b1c7a1fe0df09cbcb3ca2",
     "matsumoto": "04862e59db5e61a5773b8e49c8c0e41bbff18e3376df2d26de483f399e08eccf",
     "generators": "dbea24c25d31f8dd75eb17ebea1086b9e61d2748749afbef512ce05ce859888a",
-    "verify": "2a8425629c47f0cfb981783091bd662dbd60b07e41e520135ebd1969598ffa2c",
+    "verify": "82edb6275af619f1cb366bfd186cc50537aceac21e519155fad7db42a794735a",
     "fit": "4807c08bdf3a3dc7cf1ec2040ceddfa872b7433760b9caffec145f85f887878e",
     "table": "1328f0246a897452e45c1c37bc7c0dbc4959e6239c8667ee1afd9bdc09bad0f3",
 }
@@ -719,7 +774,7 @@ _EXPRS = st.tuples(
 ).map(lambda t: t[0] + "".join(op + term for op, term in t[1]))
 
 # (valid values, invalid values) per flag; the levels stay at n <= 3.
-# 9 is above the caps of table and generators and below the others;
+# 9 is above the cap of generators only;
 # 13 is above every cap but coset-size's.
 # a part or an image that is a JSON float, bool or string is not read
 # as an integer
