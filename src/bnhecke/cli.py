@@ -5,12 +5,12 @@ bounds of its --n, its runner and its flags with their argparse
 keywords.  build_parser, parse and execute all read it.  parse reads
 the flags verbs share alike (--n, the partition flags with weight at
 most n, --perm, --expr) and keeps explicit rules only for the flags of
-one verb: --r, --max-degree, verify's levels and samples, fit's
-either/or.  Every verb validates its arguments fully before any
-computation starts, emits machine-readable JSON (or CSV) on stdout,
-and keeps progress chatter on stderr.  Reruns with identical flags
-produce byte-identical output: orderings are fixed by the canonical
-partition order, and sampled verification uses a fixed seed.
+one verb: --r, verify's levels and samples, fit's either/or.  Every
+verb validates its arguments fully before any computation starts,
+emits machine-readable JSON (or CSV) on stdout, and keeps progress
+chatter on stderr.  Reruns with identical flags produce byte-identical
+output: orderings are fixed by the canonical partition order, and
+sampled verification uses a fixed seed.
 
 Exit codes: 0 success, 1 verification or computation failure
 (reported as a JSON error object), 2 usage error.
@@ -43,9 +43,12 @@ from .partitions import (
 )
 
 # the costs below are one process each on a 2-CPU machine
-# generators certifies by an HNF over the C(2n-2, n-1) monomials free of
-# the unit H_n: 2 s and 32 MB at n = 7, 38 s and 326 MB at n = 8 (BENCH_34.json)
-MAX_HNF_LEVEL = 7
+# generators stops at the lowest degree whose monomials in H_1..H_{n-1}
+# span, 4 at n = 8: about 0.8 s and 30 MB (BENCH_35.json).  n = 9 is
+# out of reach: at its degree 3 the HNF entries reach 448,754 bits 83 s
+# in, after 28 of the 30 columns, and a full run failed after 461 s at
+# 803 MB
+MAX_HNF_LEVEL = 8
 # verify --suite coset-invariants --max-n 12 costs about 0.1 ms a sample
 # a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
 # at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
@@ -164,12 +167,6 @@ def parse(argv) -> Command:
             raise UsageError(f"--r: must be non-negative, got {r}")
         if r and r + 1 > n:
             raise UsageError(f"--r: K_({r}) has weight {r + 1}, above level {n}")
-    if "max_degree" in given:  # generators
-        degree = given["max_degree"] if given["max_degree"] is not None else n - 1
-        # degree n - 1 already certifies every level the verb accepts
-        if not 1 <= degree <= n - 1:
-            raise UsageError(f"--max-degree: must be in [1, {n - 1}], got {degree}")
-        args["max_degree"] = degree
     if "suite" in given:  # verify: the suite sets the level cap
         suite = args["suite"] = given["suite"]
         high = SUITES[suite]
@@ -283,8 +280,7 @@ def _run_matsumoto(args):
 def _run_generators(args):
     from .hecke import generation_certificate
 
-    cert = generation_certificate(args["n"], args["max_degree"])
-    return cert.to_json(), 0
+    return generation_certificate(args["n"]).to_json(), 0
 
 
 def _run_fit(args):
@@ -362,9 +358,7 @@ _VERBS = {
     ),
     "generators": _Verb(
         "certify that H_1..H_n generate, via integer HNF", (2, MAX_HNF_LEVEL), _run_generators,
-        {"--n": _INT, "--max-degree": {
-            "type": int, "help": "monomial degree bound, 1 to n-1 (default n-1)",
-        }},
+        {"--n": _INT},
     ),
     "verify": _Verb("run a verification suite", None, _run_verify, {
         "--suite": {**_REQUIRED, "choices": SUITES},

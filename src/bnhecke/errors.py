@@ -58,7 +58,7 @@ class LengthBound(HeckeError):
 
 
 class InsufficientDegree(HeckeError):
-    """Monomials up to the given degree do not span the coefficient lattice."""
+    """Monomials in the H_i up to degree n - 1 do not span the K lattice."""
 
 
 class ValidationFailure(HeckeError):

@@ -364,14 +364,15 @@ def _hermite_normal_form(
 class GenerationCertificate(
     namedtuple(
         "GenerationCertificate",
-        "n max_degree rank basis monomials expressions",
+        "n degree rank basis monomials expressions",
     )
 ):
     """Witness that monomials in H_1..H_n span the K-coordinate lattice.
 
-    basis lists the K_mu(n), monomials the exponent vectors of the H_i,
-    and expressions maps each mu of the basis to its polynomial in the
-    H_i: a tuple of (integer coefficient, exponent vector) pairs.
+    degree is the lowest total degree whose monomials span, basis lists
+    the K_mu(n), monomials the exponent vectors of the H_i up to that
+    degree, and expressions maps each mu of the basis to its polynomial
+    in the H_i: a tuple of (integer coefficient, exponent vector) pairs.
     """
 
     __slots__ = ()
@@ -379,7 +380,7 @@ class GenerationCertificate(
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "max_degree": self.max_degree,
+            "degree": self.degree,
             "rank": self.rank,
             "basis": [list(mu) for mu in self.basis],
             "expressions": [
@@ -395,35 +396,37 @@ class GenerationCertificate(
         }
 
 
-def _monomial_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
+def _monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of H_1..H_n summing to degree, lexicographically."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], left: int) -> None:
         if len(prefix) == n:
-            out.append(prefix)
+            if not left:
+                out.append(prefix)
             return
         # H_n = K_() is the unit, so its exponent stays 0
         for a in range(left + 1 if len(prefix) < n - 1 else 1):
             rec(prefix + (a,), left - a)
 
-    rec((), max_degree)
-    return sorted(out, key=lambda e: (sum(e), e))
+    rec((), degree)
+    return out
 
 
-def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
+def generation_certificate(n: int) -> GenerationCertificate:
     """Certify that H_1..H_n generate the Hecke ring at level n.
 
-    Evaluates every monomial in H_1..H_{n-1} of total degree <=
-    max_degree (H_n is the unit), stacks the K-coordinates into an
-    integer matrix and row-reduces to Hermite normal form; the lattice
-    is everything iff the top block is the identity.  On success each
-    K_mu(n) is returned as an explicit integer polynomial in the H_i,
-    re-evaluated through hecke_product as a final guard.
+    Evaluates the monomials in H_1..H_{n-1} (H_n is the unit) degree by
+    degree, each from one of the degree below, and after each degree d
+    row-reduces the K-coordinates of those of degree <= d to Hermite
+    normal form.  The lattice is everything iff the top block is the
+    identity; the first such d gives the certificate, and if none up to
+    n - 1 does, InsufficientDegree.  Each K_mu(n) is returned as an
+    explicit integer polynomial in the H_i, re-evaluated through
+    hecke_product as a final guard.
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
     basis = tuple(enumerate_by_weight(n))
-    exponents = _monomial_exponents(n, max_degree)
+    identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
     gens = [generator_H(i, n) for i in range(1, n + 1)]
 
     values: dict[tuple[int, ...], HeckeElement] = {}
@@ -438,18 +441,18 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
                 values[exp] = hecke_product(gens[first], value(prev))
         return values[exp]
 
-    rows = (value(exp).coeffs for exp in exponents)
-    matrix = [[row.get(mu, 0) for mu in basis] for row in rows]
-    hnf, transform = _hermite_normal_form(matrix)
-    diag = [hnf[i][i] if i < len(hnf) else 0 for i in range(len(basis))]
-    if any(d != 1 for d in diag) or any(
-        hnf[i][j] != int(i == j)
-        for i in range(len(basis))
-        for j in range(len(basis))
-    ):
+    exponents: list[tuple[int, ...]] = []
+    for degree in range(max(n, 1)):
+        exponents += _monomial_exponents(n, degree)
+        matrix = [[value(exp).coeffs.get(mu, 0) for mu in basis] for exp in exponents]
+        hnf, transform = _hermite_normal_form(matrix)
+        if hnf[: len(basis)] == identity:
+            break
+    else:
+        diag = [hnf[i][i] if i < len(hnf) else 0 for i in range(len(basis))]
         raise InsufficientDegree(
-            f"monomials of degree <= {max_degree} reach HNF diagonal "
-            f"{diag}; raise max_degree"
+            f"monomials in H_1..H_{n} of degree <= {degree} reach HNF "
+            f"diagonal {diag}, not the identity"
         )
     expressions: dict[Partition, tuple[tuple[int, tuple[int, ...]], ...]] = {}
     for i, mu in enumerate(basis):
@@ -461,7 +464,6 @@ def generation_certificate(n: int, max_degree: int) -> GenerationCertificate:
             raise ValidationFailure(f"certificate re-evaluation failed for K_{mu}")
         expressions[mu] = poly
     return GenerationCertificate(
-        n=n, max_degree=max_degree, rank=len(basis), basis=basis,
+        n=n, degree=degree, rank=len(basis), basis=basis,
         monomials=tuple(exponents), expressions=expressions,
     )
-

@@ -166,7 +166,7 @@ def _suite_generators(levels, samples, checks):
 
     for n in levels:
         try:
-            generation_certificate(n, n - 1)
+            generation_certificate(n)
             failure = None
         except InsufficientDegree as exc:
             failure = exc

@@ -33,7 +33,7 @@ from collections import namedtuple
 from itertools import count
 from math import factorial
 
-from .characters import _basis, structure_constant
+from .characters import _basis, _row
 from .errors import ValidationFailure
 from .partitions import (
     Partition,
@@ -200,6 +200,11 @@ def universal_structure_constant(
             f"samples {ns} must all be at least the maximum weight {floor}"
         )
     _consecutive(ns)
+
+    def b(n: int) -> int:
+        # every level is at least every weight, so the types need no reader
+        return _row(*sorted((lam, mu)), n, basis).get(nu, 0)
+
     checks = [next(n for n in count(floor) if n not in ns)]
     if drop < 0:
         # filtration zero case: nothing to fit, every sample is a check
@@ -211,9 +216,7 @@ def universal_structure_constant(
                 f"need at least {need} samples for expected degree "
                 f"{drop}, got {len(ns)}"
             )
-        fitted = ivp_fit(
-            [(n, structure_constant(lam, mu, nu, n, basis)) for n in ns]
-        )
+        fitted = ivp_fit([(n, b(n)) for n in ns])
         if fitted.degree > drop:
             raise ValidationFailure(
                 f"f_{{{lam},{mu}}}^{nu} = {fitted} has degree {fitted.degree}, "
@@ -221,7 +224,7 @@ def universal_structure_constant(
             )
     for n in checks:
         predicted = fitted(n)
-        actual = structure_constant(lam, mu, nu, n, basis)
+        actual = b(n)
         if predicted != actual:
             raise ValidationFailure(
                 f"f_{{{lam},{mu}}}^{nu} predicts {predicted} at n={n} "

@@ -30,7 +30,10 @@ jm-center identity Z_i = e_{n-i}(J_1, ..., J_n).
 
 double_coset_sum and lift write K_mu(n), and Z-combinations of them,
 as honest elements of Z[S_2n], so a Hecke product can be checked
-against the full group-algebra convolution.
+against the full group-algebra convolution.  tally_product multiplies
+two elements of the Hecke ring by the matching tally of
+bnhecke._backend, bilinearly in their coefficients; the expressions of
+the generation certificate are re-evaluated through it.
 
 _matsumoto_raw computes the Matsumoto image
 F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) by walking the perfect
@@ -45,7 +48,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from bnhecke._backend import _typed_matchings
+from bnhecke._backend import _typed_matchings, product_tally
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.characters import _hook_product, _norms
 from bnhecke.cosets import hyperoctahedral_elements, image_matching, matching_type
@@ -58,6 +61,7 @@ from bnhecke.partitions import (
     as_type,
     completion,
     double_coset_size,
+    enumerate_by_weight,
     hyperoctahedral_order,
     partitions_of,
     weight,
@@ -256,6 +260,20 @@ def lift(u: HeckeElement) -> AlgebraElement:
     for mu, c in u.coeffs.items():
         acc = acc + double_coset_sum(mu, u.level).scale(c)
     return acc
+
+
+def tally_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
+    """u v with every b_{lam mu}^nu(n) counted over the perfect matchings
+    (bnhecke._backend.product_tally, n up to its cap)."""
+    n = u.level
+    return HeckeElement(n, {
+        nu: sum(
+            a * c * product_tally(lam, nu, n).get(mu, 0)
+            for lam, a in u.coeffs.items()
+            for mu, c in v.coeffs.items()
+        )
+        for nu in enumerate_by_weight(n)
+    })
 
 
 def _add_jm_image(p: int, u: dict, out: dict) -> None:

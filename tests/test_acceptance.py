@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import math
 import random
 import time
@@ -26,9 +27,12 @@ from oracles import (
     double_coset_sum,
     enumerate_class,
     expand_in_class_basis,
+    tally_product,
     zi_generator,
 )
 
+from bnhecke import hecke
+from bnhecke._backend import MAX_TALLY_LEVEL
 from bnhecke._symfunc import elementary
 from bnhecke.characters import structure_constant
 from bnhecke.cli import SUITES, execute, parse
@@ -289,19 +293,32 @@ def _integer_det(matrix: list[list[int]]) -> Fraction:
     return det
 
 
+# the lowest degree whose monomials in H_1..H_{n-1} span, n = 2..7
+_SPANNING_DEGREES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 3, 7: 3}
+
+
 def test_small_levels_carry_polynomial_generation_certificates():
-    for n, degree in ((2, 1), (3, 1), (4, 2)):
-        cert = generation_certificate(n, degree)
+    for n, degree in _SPANNING_DEGREES.items():
+        assert generation_certificate(n).degree == degree
+    # up to the tally's cap, the printed certificate is re-evaluated by
+    # the matching count, which shares nothing with the spherical
+    # products it was built from
+    for n in range(2, MAX_TALLY_LEVEL + 1):
+        stream = io.StringIO()
+        assert execute(parse(["generators", "--n", str(n)]), stream=stream) == 0
+        payload = json.loads(stream.getvalue())
+        assert payload["degree"] == _SPANNING_DEGREES[n]
+        cert = generation_certificate(n)
         basis = tuple(enumerate_by_weight(n))
         assert cert.basis == basis
         assert cert.rank == len(basis)
         gens = [generator_H(i, n) for i in range(1, n + 1)]
 
-        def monomial_value(exponents: tuple[int, ...]) -> HeckeElement:
+        def monomial_value(exponents) -> HeckeElement:
             acc = HeckeElement.one(n)
             for g, a in zip(gens, exponents):
                 for _ in range(a):
-                    acc = hecke_product(acc, g)
+                    acc = tally_product(acc, g)
             return acc
 
         matrix = [
@@ -315,14 +332,18 @@ def test_small_levels_carry_polynomial_generation_certificates():
                 sum(u * m for u, m in zip(row, col)) for col in columns
             ] == hnf[i]
         assert abs(_integer_det(transform)) == 1
-        for i in range(len(basis)):
-            assert hnf[i] == [int(i == j) for j in range(len(basis))]
+        identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+        assert hnf[: len(basis)] == identity
+        # one degree lower, the monomials do not span
+        lower = [row for row, exp in zip(matrix, cert.monomials) if sum(exp) < cert.degree]
+        assert _hermite_normal_form(lower)[0][: len(basis)] != identity
         # every basis symbol comes back as an explicit polynomial in
-        # the H_i; re-evaluate each one from scratch
-        for mu in basis:
+        # the H_i; re-evaluate each printed one from scratch
+        for entry, mu in zip(payload["expressions"], basis):
+            assert tuple(entry["mu"]) == mu
             acc = HeckeElement.zero(n)
-            for coeff, exponents in cert.expressions[mu]:
-                acc = acc + coeff * monomial_value(exponents)
+            for term in entry["polynomial"]:
+                acc = acc + term["coeff"] * monomial_value(term["exponents"])
             assert acc == HeckeElement.basis(mu, n)
 
 
@@ -543,8 +564,10 @@ def _sweep_universal_and_cli() -> None:
         samples = ["--samples", "25"] if suite == "coset-invariants" else []
         argv = ["verify", "--suite", suite, "--n", "2", *samples]
         assert execute(parse(argv), stream=io.StringIO()) == 0
-    bad = ["generators", "--n", "4", "--max-degree", "1"]
-    assert execute(parse(bad), stream=io.StringIO()) == 1
+    with pytest.MonkeyPatch.context() as patch:
+        # with every H_i the unit no degree spans
+        patch.setattr(hecke, "generator_H", lambda i, n: HeckeElement.one(n))
+        assert execute(parse(["generators", "--n", "4"]), stream=io.StringIO()) == 1
 
 
 def test_invariant_sweep_exhaustive_small_sampled_large():

@@ -150,7 +150,8 @@ class TestParse:
             ["expand-single-cycle", "--lam", "[1]", "--r", "-1", "--n", "4"],
             ["expand-single-cycle", "--lam", "[1]", "--r", "4", "--n", "4"],
             ["matsumoto", "--expr", "e1", "--n", "1"],
-            ["generators", "--n", "3", "--max-degree", "0"],
+            # the certificate finds its own degree
+            ["generators", "--n", "3", "--max-degree", "2"],
             ["verify", "--suite", "nope", "--n", "3"],
             ["verify", "--suite", "matsumoto", "--n", "13"],
             ["verify", "--suite", "matsumoto", "--samples", "0"],
@@ -161,8 +162,8 @@ class TestParse:
             ["fit", "--max-weight", "2", "--lam", "[1]"],
             ["--jobs", "0", "table", "--n", "2"],
             *([*argv, flag, str(top + 1)] for argv, flag, top in _CAPS),
-            ["verify", "--suite", "generators", "--n", "8"],
-            ["generators", "--n", "3", "--max-degree", "3"],
+            ["verify", "--suite", "generators", "--n", "9"],
+            ["generators", "--n", "3", "--lam", "[1]"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _UNBOUNDED_EXPRS),
             ["coset-type", "--perm", _FAR_POINT],
@@ -199,10 +200,8 @@ class TestParse:
         assert parse(["verify", "--suite", "matsumoto"]).args["samples"] is None
 
     def test_generators_default_degree(self):
-        assert parse(["generators", "--n", "4"]).args["max_degree"] == 3
-        assert parse(
-            ["generators", "--n", "4", "--max-degree", "2"]
-        ).args["max_degree"] == 2
+        # the level is generators' one argument: no degree to choose
+        assert parse(["generators", "--n", "4"]).args == {"n": 4}
 
 
 class TestVerbs:
@@ -324,16 +323,20 @@ class TestVerbs:
     def test_generators_success(self):
         status, payload = run_json(["generators", "--n", "3"])
         assert status == 0
-        assert payload["rank"] == 3
+        assert payload["rank"] == 3 and payload["degree"] == 1
         assert [e["mu"] for e in payload["expressions"]] == [[], [1], [2]]
 
-    def test_generators_insufficient_degree_is_an_error_object(self):
-        status, payload = run_json(
-            ["generators", "--n", "4", "--max-degree", "1"]
-        )
+    def test_generators_insufficient_degree_is_an_error_object(self, monkeypatch):
+        # with every H_i the unit no degree spans
+        monkeypatch.setattr(hecke, "generator_H", lambda i, n: HeckeElement.one(n))
+        status, payload = run_json(["generators", "--n", "4"])
         assert status == 1
         assert payload["error"] == "InsufficientDegree"
-        assert "raise max_degree" in payload["message"]
+        assert "of degree <= 3 reach HNF diagonal" in payload["message"]
+        status, payload = run_json(["verify", "--suite", "generators", "--max-n", "4"])
+        assert status == 1 and payload["ok"] is False
+        assert [check["ok"] for check in payload["checks"]] == [False, False, False]
+        assert "of degree <= 3 reach" in payload["checks"][-1]["detail"]
 
     def test_fit_triple(self):
         status, payload = run_json(
@@ -566,7 +569,8 @@ _FOOTPRINTS = [
 # columns, as Python 3.11's argparse printed them before the verb table
 # replaced the hand-written subparsers; verify's re-pinned when --max-n
 # began to list the top level of each suite, and again when jm-center
-# went to 12 and --samples to 8000, and when generators went to 7
+# went to 12 and --samples to 8000, and when generators went to 7 and
+# 8; generators' when --max-degree went
 _HELP_DIGESTS = {
     "": "c7e8479b8806b23da7dd686872181c5b1459ff63a00fe0b2dc18e6584e7181b4",
     "coset-type": "7dddc4f4b35f8eba70770238773317ca8c8aeef1ecb7a2ef064958a0fa0e903f",
@@ -576,8 +580,8 @@ _HELP_DIGESTS = {
     "structure-constant": "d0c1e6cfdb5acd14075b8f54bde64081ef3b034c43fda2fbf0ed4f5523783546",
     "expand-single-cycle": "91ab56eac569e025a7db93b5aa0ea61ff7cb0dcb447b1c7a1fe0df09cbcb3ca2",
     "matsumoto": "04862e59db5e61a5773b8e49c8c0e41bbff18e3376df2d26de483f399e08eccf",
-    "generators": "dbea24c25d31f8dd75eb17ebea1086b9e61d2748749afbef512ce05ce859888a",
-    "verify": "82edb6275af619f1cb366bfd186cc50537aceac21e519155fad7db42a794735a",
+    "generators": "5428da7b09272184028d187475e5c5a0202072ff64d984466bd68135daf68115",
+    "verify": "cfc294ae71c1b7a82e1258c886b7a42225998d51d1d81c0c4abddbf946dcb028",
     "fit": "4807c08bdf3a3dc7cf1ec2040ceddfa872b7433760b9caffec145f85f887878e",
     "table": "1328f0246a897452e45c1c37bc7c0dbc4959e6239c8667ee1afd9bdc09bad0f3",
 }
@@ -793,7 +797,6 @@ _FLAG_VALUES = {
     "--n": _LEVELS,
     "--max-n": _LEVELS,
     "--max-weight": (st.sampled_from(["0", "1", "2"]), ["-1", "5"]),
-    "--max-degree": (st.sampled_from(["1", "2"]), ["-1", "0", "3"]),
     "--samples": (st.integers(1, 20).map(str), ["0", "-3", str(MAX_SAMPLES + 1)]),
     "--r": (st.sampled_from(["0", "1", "2"]), ["-1", "9"]),
     "--expr": (_EXPRS, ["1/0", "e1**", "", "p21", "e1^21", "e3*p2^9"]),
@@ -809,7 +812,7 @@ _VERB_FLAGS = {
     "structure-constant": ["--lam", "--mu", "--nu", "--n"],
     "expand-single-cycle": ["--lam", "--r", "--n"],
     "matsumoto": ["--expr", "--n"],
-    "generators": ["--n", "--max-degree"],
+    "generators": ["--n"],
     "verify": ["--suite", "--n", "--samples"],
     "fit": ["--lam", "--mu", "--nu", "--max-weight", "--basis"],
     "table": ["--n"],
@@ -931,10 +934,10 @@ class TestContractFuzz:
     @example(["matsumoto", "--expr", "e1", "--n", "13"])
     @example(["verify", "--max-n", "13", "--suite", "matsumoto"])
     @example(["matsumoto", "--expr", "e2 - 2*p2", "--n", "6"])
-    # the levels stay at n <= 3: the coset-size print cap and a degree
-    # far above n - 1 would not be drawn
+    # the levels stay at n <= 3: the coset-size print cap would not be
+    # drawn, nor the removed degree flag of generators
     @example(["coset-size", "--n", "780", "--mu", "[779]"])
-    @example(["generators", "--n", "3", "--max-degree", "50"])
+    @example(["generators", "--n", "3", "--max-degree", "2"])
     # expressions past the degree cap or nested past the recursion limit
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[0]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[1]])

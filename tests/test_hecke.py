@@ -5,7 +5,7 @@ import oracles
 import pytest
 from oracles import ORACLE_EXPRS, b_sum, double_coset_sum, lift
 
-from bnhecke import characters, hecke
+from bnhecke import characters, hecke, universal
 from bnhecke.errors import (
     IndexOutOfRange,
     InsufficientDegree,
@@ -482,32 +482,40 @@ def _check_echelon(h):
 
 class TestCertificates:
     def test_level_two_degree_one(self):
-        cert = generation_certificate(2, 1)
+        cert = generation_certificate(2)
         assert isinstance(cert, GenerationCertificate)
+        assert cert.degree == 1
         assert cert.rank == len(enumerate_by_weight(2)) == 2
         assert cert.basis == ((), (1,))
 
     def test_level_three_degree_one_expressions(self):
-        cert = generation_certificate(3, 1)
+        cert = generation_certificate(3)
+        assert cert.degree == 1
         assert cert.rank == 3
         # H_1 = K_(2) at level 3, so the expression is one monomial
         assert cert.expressions[(2,)] == ((1, (1, 0, 0)),)
 
     def test_level_four_needs_degree_two(self):
-        with pytest.raises(InsufficientDegree):
-            generation_certificate(4, 1)
-        cert = generation_certificate(4, 2)
-        assert cert.rank == 5
+        cert = generation_certificate(4)
+        assert cert.rank == 5 and cert.degree == 2
+        # the unit and H_1..H_3 are 4 rows for 5 basis elements
+        assert [sum(e) for e in cert.monomials].count(2) == 6
+        assert len(cert.monomials) == 10
 
-    def test_bad_degree(self):
-        with pytest.raises(ValueError):
-            generation_certificate(3, 0)
+    def test_bad_degree(self, monkeypatch):
+        # with every H_i the unit no degree spans, and the error names
+        # the last degree tried, n - 1
+        monkeypatch.setattr(hecke, "generator_H", lambda i, n: HeckeElement.one(n))
+        diagonal = r"degree <= 3 reach HNF diagonal \[1, 0, 0, 0, 0\]"
+        with pytest.raises(InsufficientDegree, match=diagonal):
+            generation_certificate(4)
 
     def test_json_lists_every_basis_shape(self):
-        cert = generation_certificate(2, 1)
+        cert = generation_certificate(2)
         payload = cert.to_json()
         assert [e["mu"] for e in payload["expressions"]] == [[], [1]]
         assert payload["rank"] == 2
+        assert payload["degree"] == 1
 
 
 class TestTrichotomy:
@@ -588,7 +596,8 @@ class TestTrichotomy:
 
 def _mutate(monkeypatch, triples, value):
     """Replace b_{lam mu}^nu(n) by value(n) for each (lam, mu, nu) in
-    triples, lam <= mu, in the K rows that every count reads."""
+    triples, lam <= mu, in the K rows that every count reads (the fits
+    bind characters._row as universal._row)."""
     row = characters._row
 
     def mutated(lam, mu, n, basis):
@@ -600,6 +609,7 @@ def _mutate(monkeypatch, triples, value):
         return out
 
     monkeypatch.setattr(characters, "_row", mutated)
+    monkeypatch.setattr(universal, "_row", mutated)
 
 
 class TestResultChecks:

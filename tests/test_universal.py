@@ -23,6 +23,15 @@ from oracles import divided_difference_fit
 
 IVP = IntegerValuedPolynomial
 
+
+def _count_rows(monkeypatch, count):
+    """Make the fits read b_{lam mu}^nu(n) from count(lam, mu, nu, n,
+    basis) in place of the character rows."""
+    monkeypatch.setattr(universal, "_row", lambda lam, mu, n, basis: {
+        nu: count(lam, mu, nu, n, basis) for nu in enumerate_by_weight(n)
+    })
+
+
 # non-integers that operator.index would refuse, and a bool it would not
 NOT_INTEGERS = {
     "fraction": Fraction(3),
@@ -172,9 +181,7 @@ class TestUniversalStructureConstant:
         assert f == IVP.zero()
         # above the top degree every sample is checked against 0, not
         # only the holdout at 6
-        monkeypatch.setattr(
-            universal, "structure_constant", lambda lam, mu, nu, n, basis: int(n == 5)
-        )
+        _count_rows(monkeypatch, lambda lam, mu, nu, n, basis: int(n == 5))
         with pytest.raises(ValidationFailure, match="predicts 0 at n=5"):
             universal_structure_constant((1,), (1,), (2, 1), [5])
 
@@ -185,11 +192,9 @@ class TestUniversalStructureConstant:
     def test_explicit_holdout(self, monkeypatch):
         # samples 2, 3, 4 hold out 5, the first level above them: a count
         # that is wrong only there must be caught
-        counted = universal.structure_constant
-        monkeypatch.setattr(
-            universal,
-            "structure_constant",
-            lambda lam, mu, nu, n, basis: counted(lam, mu, nu, n, basis)
+        _count_rows(
+            monkeypatch,
+            lambda lam, mu, nu, n, basis: structure_constant(lam, mu, nu, n, basis)
             + (n == 5),
         )
         with pytest.raises(ValidationFailure, match="at n=5"):
@@ -350,19 +355,25 @@ class TestFitReports:
         # reach MAX_SAMPLE_LEVEL among them, is counted at a level it
         # was not fitted on
         fitted = universal.universal_structure_constant
-        count = universal.structure_constant
+        row = universal._row
         samples, reads = {}, {}
 
         def fit_spy(lam, mu, nu, sample_ns, **kwargs):
             samples[lam, mu, nu] = set(sample_ns)
             return fitted(lam, mu, nu, sample_ns, **kwargs)
 
-        def count_spy(lam, mu, nu, n, basis):
-            reads.setdefault((lam, mu, nu), set()).add(n)
-            return count(lam, mu, nu, n, basis)
+        class ReadRow(dict):
+            # a row that logs the level of each coefficient read from it
+            def __init__(self, lam, mu, n, basis):
+                super().__init__(row(lam, mu, n, basis))
+                self.lam, self.mu, self.n = lam, mu, n
+
+            def get(self, nu, default=None):
+                reads.setdefault((self.lam, self.mu, nu), set()).add(self.n)
+                return super().get(nu, default)
 
         monkeypatch.setattr(universal, "universal_structure_constant", fit_spy)
-        monkeypatch.setattr(universal, "structure_constant", count_spy)
+        monkeypatch.setattr(universal, "_row", ReadRow)
         fits = [r for r in fit_report(4, basis) if r.classification != "UNFITTED"]
         unchecked, at_the_cap = [], 0
         for r in fits:
@@ -380,12 +391,10 @@ class TestFitReports:
     def test_a_wrong_value_above_the_samples_raises(self, monkeypatch):
         # ((2,), (1,), (1,)) has degree 2 and floor 3: it samples
         # n = 3, 4, 5 and is held out at 6
-        count = universal.structure_constant
-
         def wrong_at_6(lam, mu, nu, n, basis):
-            return count(lam, mu, nu, n, basis) + (n == 6)
+            return structure_constant(lam, mu, nu, n, basis) + (n == 6)
 
-        monkeypatch.setattr(universal, "structure_constant", wrong_at_6)
+        _count_rows(monkeypatch, wrong_at_6)
         with pytest.raises(ValidationFailure, match="at n=6"):
             fit_triple((2,), (1,), (1,))
 
@@ -394,14 +403,12 @@ class TestFitReports:
         # 3 + n on the top-degree triple ((1,), (1,), (2,)): two samples
         # fit it exactly and the holdout agrees, but its degree 1 is
         # above the bound 0 that the sample count relies on
-        count = universal.structure_constant
-
         def linear(lam, mu, nu, n, basis):
             if (lam, mu, nu) == ((1,), (1,), (2,)):
                 return 3 + n
-            return count(lam, mu, nu, n, basis)
+            return structure_constant(lam, mu, nu, n, basis)
 
-        monkeypatch.setattr(universal, "structure_constant", linear)
+        _count_rows(monkeypatch, linear)
         with pytest.raises(ValidationFailure, match="has degree 1, above the bound 0"):
             fit_triple((1,), (1,), (2,))
 
@@ -410,8 +417,6 @@ class TestFitReports:
         # n^2 has degree 2, above the bound 1 for ((1,), (1,), (1,)): the
         # fit on n = 2, 3 misses the holdout at 4, and more samples
         # would only hide that
-        monkeypatch.setattr(
-            universal, "structure_constant", lambda lam, mu, nu, n, basis: n * n
-        )
+        _count_rows(monkeypatch, lambda lam, mu, nu, n, basis: n * n)
         with pytest.raises(ValidationFailure, match="at n=4"):
             fit_triple((1,), (1,), (1,))
