@@ -1,308 +1,164 @@
-"""Symmetric-function expressions in the elementary basis.
+"""Symmetric-function expressions, evaluated at an alphabet.
 
-Only evaluation at commuting algebra elements is ever needed, so a
-symmetric function is stored as an integer combination of products of
-elementary generators: a map from descending index tuples (k1 >= k2
->= ...) to integers, the tuple (2, 1, 1) meaning e2*e1*e1.  Power
-sums come in through Newton's identity
+Only values at pairwise commuting elements are ever needed: the
+Matsumoto image of bnhecke.characters reads F(A_rho) at each alphabet
+A_rho of (2-)contents, and the tests evaluate F at the Jucys-Murphy
+elements of bnhecke.group_algebra.  So parse builds a small immutable
+tree, and evaluate computes F at the values directly, with no
+expansion in a basis: p_k as sum v^k, e_k and h_k by the product DPs
+over prod_i (1 + t v_i) and prod_i 1 / (1 - t v_i), and m_lam by a DP
+over the variables on the sub-multisets of lam; a subtree the parse
+shares is computed once.  A refusal under BOUND_BITS is a ValueError.
 
-    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k,
-
-complete functions through h_k = sum_i (-1)^{i-1} e_i h_{k-i}, and
-monomial functions by back substitution through the integer matrix
-[m_mu] p_lam of bnhecke.partitions, which is triangular in dominance.
-evaluate runs the product DP prod_i (1 + t v_i) for the e_k once and
-sums the e-monomials; the integer contents and 2-contents of
-bnhecke.characters are evaluated through it, and so, in the tests,
-are the Jucys-Murphy elements of bnhecke.group_algebra.  No expression goes
-past degree MAX_DEGREE.  The constructor reads its terms, and the
-sums merge them, through the integer-combination core of
-bnhecke.partitions; sums, negations and products of expressions are
-built unread (SymmetricExpression._raw).
+>>> F = SymmetricExpression.parse("p2 - e1^2 + 2*e2")
+>>> F.evaluate([1, 2, 3], 1), SymmetricExpression.parse("m[2,1]").evaluate([1, 2], 1)
+(0, 6)
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import cache
+from collections import namedtuple
 from math import prod
-from types import MappingProxyType
 
-from .errors import ValidationFailure
-from .partitions import (
-    Partition,
-    _add_terms,
-    _integer,
-    _power_sum_monomials,
-    _read_terms,
-    as_partition,
-)
+from .partitions import _integer, as_partition
 
-__all__ = ["SymmetricExpression", "elementary", "power_sum", "complete", "monomial"]
+__all__ = ["SymmetricExpression", "elementary", "BOUND_BITS"]
 
-Monomial = tuple[int, ...]
-
-# The highest degree an expression may reach: e_k, p_k, h_k and powers
-# stop at k = MAX_DEGREE, and so does the degree of every e-monomial
-# read and of every product.  There are p(k) e-monomials of degree k,
-# so the cost grows fast: on a 2-CPU machine p_20 and h_20 (627
-# e-monomials each) parse in about 0.02 s, and, with the cap raised,
-# p_24 in 0.05 s and p_26 in 0.06 s, while p_12^12 did not finish in
-# 10 s.  Below the cap a product multiplies at most 19321 pairs of
-# e-monomials (every monomial of degree <= 10, squared).
-MAX_DEGREE = 20
-
-# The bit length a coefficient of a product or a power stays within; a
-# literal is read through a product.  So every image prints within
-# Python's 4300-digit int-to-str limit: c_kappa in F(J_1, J_3, ...,
-# J_{2n-1}) * (sum of B_n) is the coefficient of one permutation, so at
-# most the l1 norm of F(J_odd); e_k(J_odd) has norm <= e_k(0, 2, ...,
-# 2n - 2) <= (n(n - 1))^k, so an e-monomial of degree <= 20 at n <= 12
-# has norm < 132^20 < 10^43; an expression holds at most 2714
-# e-monomials, each coefficient below 2^13000 < 10^3914, so |c_kappa| <
-# 10^3961.  A sum of k terms adds at most log10(k) digits, and no text
-# spells 10^339 summands, so sums go unchecked.
-MAX_COEFFICIENT_BITS = 13_000
+# Every index, part and exponent is refused above BOUND_BITS before any
+# arithmetic, and so is a literal of more bits; every integer evaluate
+# computes must stay within BOUND_BITS bits.  That keeps every Matsumoto
+# image within Python's 4300-digit int-to-str limit, since 2^14000 <
+# 10^4215, at every level and in both bases: c_kappa = sum_rho W_rho
+# F(A_rho) omega^rho_kappa with W_rho >= 0 and sum_rho W_rho = 1, as
+# sum dim(2 rho) = (2n - 1)!! in K and sum (dim rho)^2 = n! in C, and
+# |omega^rho_kappa| <= 1, so |c_kappa| <= max_rho |F(A_rho)| < 2^14000.
+# Every expression the former e-basis caps admitted (degree <= 20,
+# coefficients below 2^13000) stays below 2^13200 at each alphabet of a
+# level <= 12.
+BOUND_BITS = 14_000
 
 
-class SymmetricExpression:
-    """An immutable integer polynomial in the elementary generators e_1,
-    e_2, ...; coefficients, elementary indices, operands and exponents
-    are read by partitions._integer.  The terms are held read-only, so
-    the cached p_k, h_k and m_lam every caller shares cannot be changed."""
+def _bounded(x):
+    if isinstance(x, int) and (bits := x.bit_length()) > BOUND_BITS:
+        raise ValueError(f"a value of {bits} bits exceeds the bound of {BOUND_BITS} bits")
+    return x
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Monomial, int] | None = None):
-        object.__setattr__(
-            self, "_terms", MappingProxyType(_read_terms(terms, _monomial_key))
-        )
+def _index(k: int, what: str) -> int:
+    if _integer(k) > BOUND_BITS:
+        raise ValueError(f"{what} {k} exceeds the bound {BOUND_BITS}")
+    return k
 
-    @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> "SymmetricExpression":
-        """An expression of terms the package built itself: descending
-        index tuples and no zero coefficient, unread."""
-        el = object.__new__(cls)
-        object.__setattr__(el, "_terms", MappingProxyType(terms))
-        return el
 
-    @classmethod
-    def zero(cls) -> "SymmetricExpression":
-        return cls()
+def _power(x, k: int, one):
+    """x^k; an integer power is refused before it is taken when
+    |x|^k >= 2^((bits of x - 1) k) already passes the bound."""
+    if isinstance(x, int):
+        if (abs(x).bit_length() - 1) * k > BOUND_BITS:
+            raise ValueError(f"a power {k} exceeds the bound of {BOUND_BITS} bits")
+        return _bounded(x**k)
+    return prod([x] * k, start=one)
 
-    @classmethod
-    def one(cls) -> "SymmetricExpression":
-        return cls({(): 1})
 
-    @property
-    def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
+    """A symmetric function as an immutable tree of tuples: ("int", c),
+    ("e", k), ("p", k), ("h", k), ("m", lam), ("^", base, exponents),
+    ("*", factors) and ("+", ((sign, term), ...)), with the text it was
+    parsed from as its repr."""
 
-    def degree(self) -> int:
-        return max((sum(m) for m in self._terms), default=0)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = SymmetricExpression({(): other})
-        return (
-            isinstance(other, SymmetricExpression)
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricExpression is immutable")
-
-    def __add__(self, other) -> "SymmetricExpression":
-        return SymmetricExpression._raw(_add_terms(self._terms, _coerce(other)._terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SymmetricExpression":
-        return SymmetricExpression._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other) -> "SymmetricExpression":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "SymmetricExpression":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "SymmetricExpression":
-        other = _coerce(other)
-        degree = self.degree() + other.degree()
-        if degree > MAX_DEGREE:
-            raise ValueError(
-                f"a product of degree {degree} exceeds the cap {MAX_DEGREE}"
-            )
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                key = tuple(sorted(m1 + m2, reverse=True))
-                out[key] = out.get(key, 0) + c1 * c2
-        if any(c.bit_length() > MAX_COEFFICIENT_BITS for c in out.values()):
-            raise ValueError(
-                f"a coefficient exceeds the cap 2^{MAX_COEFFICIENT_BITS}"
-            )
-        return SymmetricExpression._raw({m: c for m, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "SymmetricExpression":
-        k = _integer(k)
-        if k < 0:
-            raise ValueError("negative powers are not symmetric polynomials")
-        if k > MAX_DEGREE:
-            raise ValueError(f"exponent {k} exceeds the cap {MAX_DEGREE}")
-        out = SymmetricExpression.one()
-        for _ in range(k):
-            out = out * self
-        return out
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for mono in sorted(self._terms, key=lambda m: (sum(m), m)):
-            c = self._terms[mono]
-            name = "*".join(f"e{k}" for k in mono) or "1"
-            bits.append(f"{c}*{name}" if (c != 1 or not mono) else name)
-        return " + ".join(bits)
-
-    def evaluate(self, values, one):
-        """The expression at pairwise commuting values v_1, ..., v_r.
-
-        e_0, ..., e_top come from the product DP over prod_i (1 + t v_i),
-        top the largest index in the expression, and each e-monomial is
-        a product of them; e_k = 0 for k > r.  The values may be anything
-        with +, * and int * x, and one is their unit: integers (with
-        one = 1) or AlgebraElements.
-        """
-        zero = 0 * one
-        top = max((mono[0] for mono in self._terms if mono), default=0)
-        row = [one] + [zero] * top
-        for i, v in enumerate(values):
-            for j in range(min(i + 1, top), 0, -1):
-                row[j] = row[j] + row[j - 1] * v
-        acc = zero
-        for mono, c in self._terms.items():
-            acc = acc + c * prod(map(row.__getitem__, mono), start=one)
-        return acc
+        return self.text
 
     @classmethod
     def parse(cls, text: str) -> "SymmetricExpression":
-        return _parse(text)
+        return cls(_parse(text), text)
+
+    def evaluate(self, values, one):
+        """The expression at pairwise commuting values v_1, ..., v_r:
+        anything with +, -, * and int * x, one their unit, such as
+        integers (one = 1) or AlgebraElements.  e_k = 0 for k > r."""
+        values = list(values)
+        zero = 0 * one
+        memo = {}
+
+        def at(node):
+            got = memo.get(id(node))
+            if got is not None:
+                return got
+            op, arg = node[0], node[1]
+            if op == "int":
+                got = arg * one
+            elif op == "p":
+                got = zero
+                for v in values:
+                    got = _bounded(got + _power(v, arg, one))
+            elif op in ("e", "h"):
+                got = _elementary_or_complete(op, arg, values, one, zero)
+            elif op == "m":
+                got = _monomial(arg, values, one, zero)
+            elif op == "^":
+                got = at(arg)
+                for k in node[2]:
+                    got = _power(got, k, one)
+            elif op == "*":
+                got = at(arg[0])
+                for factor in arg[1:]:
+                    got = _bounded(got * at(factor))
+            else:
+                got = zero
+                for sign, term in arg:
+                    got = _bounded(got + at(term) if sign > 0 else got - at(term))
+            memo[id(node)] = got
+            return got
+
+        return at(self.tree)
 
 
-def _monomial_key(mono) -> Monomial:
-    """An e-monomial read at the boundary: integer indices, all positive,
-    sorted descending, of degree at most MAX_DEGREE."""
-    key = tuple(sorted(map(_integer, mono), reverse=True))
-    if key and key[-1] < 1:
-        raise ValueError(f"elementary index must be positive: {mono}")
-    if sum(key) > MAX_DEGREE:
-        raise ValueError(
-            f"e-monomial {key} of degree {sum(key)} exceeds the cap {MAX_DEGREE}"
-        )
-    return key
+def _elementary_or_complete(op: str, k: int, values, one, zero):
+    """e_k by the DP over prod_i (1 + t v_i), which runs j downwards, or
+    h_k by the DP over prod_i 1 / (1 - t v_i), which runs j upwards."""
+    if op == "e" and k > len(values):
+        return zero
+    row = [one] + [zero] * k
+    for v in values:
+        for j in range(1, k + 1) if op == "h" else range(k, 0, -1):
+            row[j] = _bounded(row[j] + row[j - 1] * v)
+    return row[k]
 
 
-def _coerce(v) -> SymmetricExpression:
-    if isinstance(v, SymmetricExpression):
-        return v
-    return SymmetricExpression({(): v})
+def _monomial(lam: tuple, values, one, zero):
+    """m_lam by a DP over the variables: row maps each sub-multiset of lam
+    placed so far, as the count of each distinct part, to the sum of its
+    products, and the next variable takes one part or none.  A state with
+    more parts left than variables is dropped."""
+    if len(lam) > len(values):
+        return zero
+    parts = sorted(set(lam))
+    full = tuple(lam.count(d) for d in parts)
+    row = {(0,) * len(parts): one}
+    for left, v in zip(range(len(values) - 1, -1, -1), values):
+        powers = [_power(v, d, one) for d in parts]
+        nxt = {}
+        for state, x in row.items():
+            if len(lam) - sum(state) <= left:
+                nxt[state] = _bounded(nxt.get(state, zero) + x)
+            for j, d in enumerate(parts):
+                if state[j] < full[j]:
+                    s = (*state[:j], state[j] + 1, *state[j + 1:])
+                    nxt[s] = _bounded(nxt.get(s, zero) + x * powers[j])
+        row = nxt
+    return row.get(full, zero)
 
 
 def elementary(k: int) -> SymmetricExpression:
     """e_k; e_0 = 1."""
-    if k < 0:
+    if _index(k, "index") < 0:
         raise ValueError("e_k needs k >= 0")
-    return SymmetricExpression.one() if k == 0 else SymmetricExpression({(k,): 1})
-
-
-@cache
-def power_sum(k: int) -> SymmetricExpression:
-    """p_k in the e-basis, via Newton's identity."""
-    if k < 1:
-        if k == 0:
-            raise ValueError("p_0 depends on the variable count; not representable")
-        raise ValueError("p_k needs k >= 1")
-    if k > MAX_DEGREE:
-        raise ValueError(f"p_{k} exceeds the degree cap {MAX_DEGREE}")
-    acc = (-1) ** (k - 1) * k * elementary(k)
-    for i in range(1, k):
-        acc = acc + (-1) ** (i - 1) * elementary(i) * power_sum(k - i)
-    return acc
-
-
-@cache
-def complete(k: int) -> SymmetricExpression:
-    """h_k in the e-basis."""
-    if k < 0:
-        raise ValueError("h_k needs k >= 0")
-    if k > MAX_DEGREE:
-        raise ValueError(f"h_{k} exceeds the degree cap {MAX_DEGREE}")
-    if k == 0:
-        return SymmetricExpression.one()
-    acc = SymmetricExpression.zero()
-    for i in range(1, k + 1):
-        acc = acc + (-1) ** (i - 1) * elementary(i) * complete(k - i)
-    return acc
-
-
-# The highest degree of m_lam: all monomials of degree d take 0.03 s at
-# d = 8, 0.15 s at 10, 0.76 s at 12, 3.6 s at 14 and 20 s at 16 (one
-# process, 2-CPU machine).  Raising it changes which argv exit 0.
-_MONOMIAL_DEGREE_CAP = 8
-
-
-@cache
-def _monomial(lam: Partition) -> SymmetricExpression:
-    """m_lam by back substitution down dominance: p_lam = sum over the
-    mu of _power_sum_monomials(lam) of [m_mu] p_lam m_mu, and every mu
-    but lam lies above it, so
-
-        m_lam = (p_lam - sum over mu != lam of [m_mu] p_lam m_mu) / [m_lam] p_lam.
-
-    m_lam has integral e-coefficients, so a division that leaves a
-    remainder raises ValidationFailure.
-    """
-    row = _power_sum_monomials(lam)
-    rest = SymmetricExpression.one()
-    for k in lam:
-        rest = rest * power_sum(k)
-    for mu, c in row.items():
-        if mu != lam:
-            rest = rest - c * _monomial(mu)
-    terms = {}
-    for mono, x in rest._terms.items():
-        terms[mono], rem = divmod(x, row[lam])
-        if rem:
-            raise ValidationFailure(
-                f"the e-coefficient {mono} of m_{lam} is {x}/{row[lam]}: "
-                f"the back substitution does not divide exactly"
-            )
-    return SymmetricExpression(terms)
-
-
-def monomial(lam: Partition) -> SymmetricExpression:
-    """The monomial symmetric function m_lam in the e-basis; lam is read
-    by partitions.as_partition, so parts out of order raise ValueError.
-
-    >>> monomial((2, 1))
-    e2*e1 + -3*e3
-    """
-    lam = as_partition(lam)
-    if sum(lam) > _MONOMIAL_DEGREE_CAP:
-        raise ValueError(
-            f"monomial conversion supported up to degree {_MONOMIAL_DEGREE_CAP}"
-        )
-    return _monomial(lam)
+    return SymmetricExpression(("e", k), f"e{k}")
 
 
 _TOKEN = re.compile(
@@ -322,20 +178,31 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse(text: str) -> SymmetricExpression:
-    """Parse expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]"."""
-    tokens = _tokenize(text)
-    pos = 0
+def _parse(text: str) -> tuple:
+    """The tree of expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]".
 
-    def peek() -> str:
-        return tokens[pos]
+    Unary minus binds tighter than ^, and ^ reads from the left: -e1^2
+    is (-e1)^2, 2^3^2 is 64.  A node is keyed by its children's ids, so
+    equal subtrees are one object; a lone factor or + term is its own
+    node, and negating a sum flips its signs, so the tree is no deeper
+    than the parentheses nest.
+    """
+    tokens = _tokenize(text)[::-1]
+    take = tokens.pop
+    shared: dict[tuple, tuple] = {}
 
-    def take() -> str:
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1]
+    def node(op, arg, *rest):
+        if op == "*":
+            key = (op, tuple(map(id, arg)))
+        elif op == "+":
+            if len(arg) == 1 and arg[0][0] > 0:
+                return arg[0][1]
+            key = (op, tuple((sign, id(t)) for sign, t in arg))
+        else:
+            key = (op, id(arg), *rest) if op == "^" else (op, arg)
+        return shared.setdefault(key, (op, arg, *rest))
 
-    def atom() -> SymmetricExpression:
+    def atom() -> tuple:
         tok = take()
         if tok == "(":
             v = expr()
@@ -343,43 +210,47 @@ def _parse(text: str) -> SymmetricExpression:
                 raise ValueError("unbalanced parenthesis")
             return v
         if tok == "-":
-            return -atom()
+            v = atom()
+            terms = v[1] if v[0] == "+" else ((1, v),)
+            return node("+", tuple((-sign, t) for sign, t in terms))
         if tok.isdigit():
-            return SymmetricExpression.one() * int(tok)  # under the coefficient cap
-        if tok[0] == "e":
-            return elementary(int(tok[1:]))
-        if tok[0] == "p":
-            return power_sum(int(tok[1:]))
-        if tok[0] == "h":
-            return complete(int(tok[1:]))
+            return node("int", _bounded(int(tok)))
+        if tok[0] in "eph":
+            k = _index(int(tok[1:]), "index")
+            if tok[0] == "p" and k == 0:
+                raise ValueError("p_0 depends on the variable count; not representable")
+            return node(tok[0], k)
         if tok[0] == "m":
-            return monomial(tuple(json.loads(tok[1:])))
+            lam = as_partition(json.loads(tok[1:]))
+            for part in lam:
+                _index(part, "part")
+            return node("m", lam)
         raise ValueError(f"unexpected token {tok!r}")
 
-    def factor() -> SymmetricExpression:
-        v = atom()
-        while peek() == "^":
+    def factor() -> tuple:
+        v, exponents = atom(), []
+        while tokens[-1] == "^":
             take()
             exponent = take()
             if not exponent.isdigit():
                 raise ValueError("exponent must be a literal integer")
-            v = v ** int(exponent)
-        return v
+            exponents.append(_index(int(exponent), "exponent"))
+        return node("^", v, tuple(exponents)) if exponents else v
 
-    def term() -> SymmetricExpression:
-        v = factor()
-        while peek() == "*":
+    def term() -> tuple:
+        factors = [factor()]
+        while tokens[-1] == "*":
             take()
-            v = v * factor()
-        return v
+            factors.append(factor())
+        return node("*", tuple(factors)) if len(factors) > 1 else factors[0]
 
-    def expr() -> SymmetricExpression:
-        v = term()
-        while peek() in ("+", "-"):
-            v = v + term() if take() == "+" else v - term()
-        return v
+    def expr() -> tuple:
+        terms = [(1, term())]
+        while tokens[-1] in ("+", "-"):
+            terms.append((1 if take() == "+" else -1, term()))
+        return node("+", tuple(terms))
 
     out = expr()
-    if peek() != "$":
-        raise ValueError(f"trailing input at token {peek()!r}")
+    if tokens[-1] != "$":
+        raise ValueError(f"trailing input at token {tokens[-1]!r}")
     return out

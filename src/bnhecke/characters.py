@@ -337,8 +337,11 @@ def matsumoto_coefficients(
 
     The Jucys-Murphy elements act on the rho component by the contents
     of rho (see the module docstring), so c_kappa = sum_rho (W_rho N)
-    F(contents) theta_rho(kappa) / (N h_kappa), with F(contents) from
-    SymmetricExpression.evaluate.  A c_kappa that is not an integer
+    F(contents) theta_rho(kappa) / (N h_kappa), F(contents) evaluated
+    at the contents themselves (SymmetricExpression.evaluate).  Every
+    |c_kappa| <= max_rho |F(contents)|, so a value past
+    _symfunc.BOUND_BITS, which raises ValueError, is all that can make
+    an image too long to print.  A c_kappa that is not an integer
     raises ValidationFailure.
     """
     sph = _spherical(n, basis)

@@ -6,19 +6,23 @@ keywords.  build_parser, parse and execute all read it.  parse reads
 the flags verbs share alike (--n, the partition flags with weight at
 most n, --perm, --expr) and keeps explicit rules only for the flags of
 one verb: --r, verify's levels and samples, fit's either/or.  Every
-verb validates its arguments fully before any computation starts,
-emits machine-readable JSON (or CSV) on stdout, and keeps progress
-chatter on stderr.  Reruns with identical flags produce byte-identical
-output: orderings are fixed by the canonical partition order, and
-sampled verification uses a fixed seed.
+verb validates its arguments fully before any computation starts (but
+for the value bound of --expr, which its values meet as matsumoto
+computes them), emits machine-readable JSON (or CSV) on stdout, and
+keeps progress chatter on stderr.  Reruns with identical flags produce
+byte-identical output: orderings are fixed by the canonical partition
+order, and sampled verification uses a fixed seed.
 
 Exit codes: 0 success, 1 verification or computation failure
 (reported as a JSON error object), 2 usage error.
 
-Caps on the level of each verb, on the degree and the coefficients of
---expr and on the largest point of --perm bound the work of every argv
-that parses; no cost model prices an argv.  A verb's row in _VERBS, or
-a suite's entry in SUITES, names the highest level it can afford:
+Caps on the level of each verb and on the largest point of --perm
+bound the work of every argv that parses; no cost model prices an
+argv.  --expr has one bound, bnhecke._symfunc.BOUND_BITS: parsing
+refuses any index, part, exponent or literal past it, and matsumoto
+refuses, as a usage error, any value that outgrows it.  It bounds each
+value, not the number of costly terms.  A verb's row in _VERBS, or a
+suite's entry in SUITES, names the highest level it can afford:
 MAX_SPHERICAL_LEVEL, MAX_HNF_LEVEL (generators) or MAX_COSET_SIZE_LEVEL.
 Only the coset-invariants suite samples, so --samples with another
 suite is a usage error.
@@ -274,7 +278,11 @@ def _run_expand_single_cycle(args):
 def _run_matsumoto(args):
     from .hecke import matsumoto_image
 
-    return matsumoto_image(args["expr"], args["n"]).to_json(), 0
+    try:
+        image = matsumoto_image(args["expr"], args["n"])
+    except ValueError as exc:  # a value past _symfunc.BOUND_BITS
+        raise UsageError(f"--expr: {exc} at n = {args['n']}") from None
+    return image.to_json(), 0
 
 
 def _run_generators(args):

@@ -15,7 +15,8 @@ The Jucys-Murphy elements
 
 commute pairwise, which the jm-center suite checks here.  A symmetric
 expression F (bnhecke._symfunc) evaluates at them by
-F.evaluate(values, AlgebraElement.one(m)); the image of F in the class
+F.evaluate(values, AlgebraElement.one(m)), the evaluator that reads F
+at the integer contents for the characters; the image of F in the class
 basis is read off the characters instead
 (characters.matsumoto_coefficients(F, n, "C")), and the tests hold
 the two against each other.  The class tables and class products are

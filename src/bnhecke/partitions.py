@@ -25,9 +25,9 @@ evaluating them loads no permutation code.  So do the caps the CLI
 reads without loading their modules (MAX_SPHERICAL_LEVEL on the
 levels of bnhecke.characters, MAX_FIT_WEIGHT on the weight of the fits),
 the integer-combination core (_read_terms, _add_terms, _Combination)
-that HeckeElement, AlgebraElement and SymmetricExpression share, and the
-one memo idiom: _memo is a typed functools cache with its cache_clear
-registered, and clear_caches runs every registered clear.  Every module
+that HeckeElement and AlgebraElement share (and the tests' e-basis
+oracle), and the one memo idiom: _memo is a typed functools cache with
+its cache_clear registered, and clear_caches runs every registered clear.  Every module
 that holds a memo imports this one, so clearing loads no other module.
 
 >>> completion((2, 1), 5)
@@ -91,10 +91,9 @@ def clear_caches() -> None:
 
     A memo registers when its module loads, so a module not yet
     imported holds no memo and clearing imports none.  Two kinds of
-    memo stay by design: the plain functools.cache memos of [m_mu] p_lam
-    (here) and of p_k, h_k and m_lam (_symfunc), which hold exact
-    constants no input changes, and hecke's cached pass of the
-    Matsumoto self-test.
+    memo stay by design: the plain functools.cache memo of [m_mu] p_lam
+    (here), which holds exact constants no input changes, and hecke's
+    cached pass of the Matsumoto self-test.
     """
     for clear in _MEMO_CLEARS:
         clear()

@@ -4,7 +4,14 @@ monomial_coefficient counts [m_lam] p_mu for one pair by a DP over the
 parts of mu, and e_to_m_rows expands e_{lam'} over the m_nu by
 multiplying exponent vectors over all orderings of d points.  They are
 the oracles for the Pieri-rule matrix of bnhecke.partitions and for
-the monomials of bnhecke._symfunc built from it.
+the e-basis monomials m_lam built from it.
+
+ElementaryExpansion is an integer polynomial in e_1, e_2, ...: p_k by
+Newton's identity, h_k by h_k = sum_i (-1)^(i-1) e_i h_{k-i}, m_lam by
+back substitution through [m_mu] p_lam, and expand(F) writes a parsed
+bnhecke._symfunc expression in it.  Its evaluate runs the product DP
+for the e_k once and sums the e-monomials, so it is the oracle for the
+values bnhecke._symfunc computes at each alphabet.
 
 jack_power_sums_by_gram_schmidt builds [p_lam] J_rho the slow way, in
 exact rationals: the monomials m_mu in power sums (inverting the
@@ -46,18 +53,31 @@ bnhecke.characters.matsumoto_coefficients at n = 5 and 6.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, prod
+from types import MappingProxyType
 
 from bnhecke._backend import _typed_matchings, product_tally
 from bnhecke._symfunc import SymmetricExpression
 from bnhecke.characters import _hook_product, _norms
 from bnhecke.cosets import hyperoctahedral_elements, image_matching, matching_type
-from bnhecke.errors import IndexOutOfRange, LevelMismatch, NotBiInvariant, NotCentral
+from bnhecke.errors import (
+    IndexOutOfRange,
+    LevelMismatch,
+    NotBiInvariant,
+    NotCentral,
+    ValidationFailure,
+)
 from bnhecke.group_algebra import AlgebraElement
 from bnhecke.hecke import HeckeElement
 from bnhecke.partitions import (
     Partition,
+    _add_terms,
     _expand_by_type,
+    _integer,
+    _power_sum_monomials,
+    _read_terms,
+    as_partition,
     as_type,
     completion,
     double_coset_size,
@@ -74,6 +94,205 @@ from bnhecke.permutations import Permutation, stable_type_of_one_line
 # expression equal to 0
 ORACLE_EXPRS = ["e1", "e3", "e5", "p2", "p3", "h2", "m[2,1]", "e2*e1",
                 "e2 - 3*e1*e1", "4", "e1 - e1"]
+
+
+Monomial = tuple[int, ...]
+
+
+class ElementaryExpansion:
+    """An immutable integer polynomial in the elementary generators e_1,
+    e_2, ...: a map from descending index tuples to integers, the tuple
+    (2, 1, 1) meaning e2*e1*e1.  Coefficients and indices are read by
+    partitions._integer; sums, negations and products are built unread
+    (_raw).  The terms are held read-only, so the cached p_k, h_k and
+    m_lam every caller shares cannot be changed."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict[Monomial, int] | None = None):
+        object.__setattr__(
+            self, "_terms", MappingProxyType(_read_terms(terms, _monomial_key))
+        )
+
+    @classmethod
+    def _raw(cls, terms: dict[Monomial, int]) -> "ElementaryExpansion":
+        el = object.__new__(cls)
+        object.__setattr__(el, "_terms", MappingProxyType(terms))
+        return el
+
+    @classmethod
+    def one(cls) -> "ElementaryExpansion":
+        return cls({(): 1})
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        return dict(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int) and not isinstance(other, bool):
+            other = ElementaryExpansion({(): other})
+        return isinstance(other, ElementaryExpansion) and self._terms == other._terms
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ElementaryExpansion is immutable")
+
+    def __add__(self, other) -> "ElementaryExpansion":
+        return ElementaryExpansion._raw(_add_terms(self._terms, _coerce(other)._terms))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ElementaryExpansion":
+        return ElementaryExpansion._raw({m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other) -> "ElementaryExpansion":
+        return self + (-_coerce(other))
+
+    def __rsub__(self, other) -> "ElementaryExpansion":
+        return _coerce(other) + (-self)
+
+    def __mul__(self, other) -> "ElementaryExpansion":
+        other = _coerce(other)
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                key = tuple(sorted(m1 + m2, reverse=True))
+                out[key] = out.get(key, 0) + c1 * c2
+        return ElementaryExpansion._raw({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "ElementaryExpansion":
+        k = _integer(k)
+        if k < 0:
+            raise ValueError("negative powers are not symmetric polynomials")
+        out = ElementaryExpansion.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "0"
+        bits = []
+        for mono in sorted(self._terms, key=lambda m: (sum(m), m)):
+            c = self._terms[mono]
+            name = "*".join(f"e{k}" for k in mono) or "1"
+            bits.append(f"{c}*{name}" if (c != 1 or not mono) else name)
+        return " + ".join(bits)
+
+    def evaluate(self, values, one):
+        """The expansion at pairwise commuting values: e_0, ..., e_top
+        from the product DP over prod_i (1 + t v_i), top the largest
+        index present, and each e-monomial a product of them."""
+        zero = 0 * one
+        top = max((mono[0] for mono in self._terms if mono), default=0)
+        row = [one] + [zero] * top
+        for i, v in enumerate(values):
+            for j in range(min(i + 1, top), 0, -1):
+                row[j] = row[j] + row[j - 1] * v
+        acc = zero
+        for mono, c in self._terms.items():
+            acc = acc + c * prod(map(row.__getitem__, mono), start=one)
+        return acc
+
+
+def _monomial_key(mono) -> Monomial:
+    """An e-monomial read at the boundary: integer indices, all positive,
+    sorted descending."""
+    key = tuple(sorted(map(_integer, mono), reverse=True))
+    if key and key[-1] < 1:
+        raise ValueError(f"elementary index must be positive: {mono}")
+    return key
+
+
+def _coerce(v) -> ElementaryExpansion:
+    if isinstance(v, ElementaryExpansion):
+        return v
+    return ElementaryExpansion({(): v})
+
+
+def elementary(k: int) -> ElementaryExpansion:
+    """e_k; e_0 = 1."""
+    return ElementaryExpansion({(k,): 1} if k else {(): 1})
+
+
+@cache
+def power_sum(k: int) -> ElementaryExpansion:
+    """p_k in the e-basis, via Newton's identity
+    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^{k-1} k e_k."""
+    acc = (-1) ** (k - 1) * k * elementary(k)
+    for i in range(1, k):
+        acc = acc + (-1) ** (i - 1) * elementary(i) * power_sum(k - i)
+    return acc
+
+
+@cache
+def complete(k: int) -> ElementaryExpansion:
+    """h_k in the e-basis."""
+    acc = ElementaryExpansion.one() if k == 0 else ElementaryExpansion()
+    for i in range(1, k + 1):
+        acc = acc + (-1) ** (i - 1) * elementary(i) * complete(k - i)
+    return acc
+
+
+@cache
+def _monomial(lam: Partition) -> ElementaryExpansion:
+    """m_lam by back substitution down dominance: p_lam = sum over the
+    mu of _power_sum_monomials(lam) of [m_mu] p_lam m_mu, and every mu
+    but lam lies above it, so
+
+        m_lam = (p_lam - sum over mu != lam of [m_mu] p_lam m_mu) / [m_lam] p_lam.
+
+    m_lam has integral e-coefficients, so a division that leaves a
+    remainder raises ValidationFailure.
+    """
+    row = _power_sum_monomials(lam)
+    rest = ElementaryExpansion.one()
+    for k in lam:
+        rest = rest * power_sum(k)
+    for mu, c in row.items():
+        if mu != lam:
+            rest = rest - c * _monomial(mu)
+    terms = {}
+    for mono, x in rest._terms.items():
+        terms[mono], rem = divmod(x, row[lam])
+        if rem:
+            raise ValidationFailure(
+                f"the e-coefficient {mono} of m_{lam} is {x}/{row[lam]}: "
+                f"the back substitution does not divide exactly"
+            )
+    return ElementaryExpansion(terms)
+
+
+def monomial(lam: Partition) -> ElementaryExpansion:
+    """m_lam in the e-basis; lam is read by partitions.as_partition, so
+    parts out of order raise ValueError.
+
+    >>> monomial((2, 1))
+    e2*e1 + -3*e3
+    """
+    return _monomial(as_partition(lam))
+
+
+def expand(F: SymmetricExpression) -> ElementaryExpansion:
+    """F written in the e-basis, node by node of its parsed tree."""
+
+    def walk(node) -> ElementaryExpansion:
+        op, arg = node[0], node[1]
+        if op == "int":
+            return ElementaryExpansion.one() * arg
+        if op in ("e", "p", "h", "m"):
+            return {"e": elementary, "p": power_sum, "h": complete, "m": monomial}[op](arg)
+        if op == "^":
+            out = walk(arg)
+            for k in node[2]:
+                out = out**k
+            return out
+        if op == "*":
+            return prod(map(walk, arg), start=ElementaryExpansion.one())
+        return sum((sign * walk(t) for sign, t in arg), ElementaryExpansion())
+
+    return walk(F.tree)
 
 
 def monomial_coefficient(mu: Partition, lam: Partition) -> int:
@@ -300,7 +519,7 @@ def _add_jm_image(p: int, u: dict, out: dict) -> None:
 def _elementary_images(u: dict, top: int, n: int) -> list[dict]:
     """[e_0 u, ..., e_top u], e_k = e_k(J_1, J_3, ..., J_{2n-1}).
 
-    The product DP over (1 + t J) of SymmetricExpression.evaluate,
+    The product DP over (1 + t J) of ElementaryExpansion.evaluate,
     run on vectors: adding the variable J turns e_j into e_j + J e_{j-1}.
     """
     row = [u] + [{} for _ in range(top)]
@@ -313,12 +532,13 @@ def _elementary_images(u: dict, top: int, n: int) -> list[dict]:
 def _matsumoto_vector(F: SymmetricExpression, n: int) -> dict[tuple[int, ...], int]:
     """v = F(J_1, J_3, ..., J_{2n-1}) eps in Z[perfect matchings of [2n]].
 
-    Each e-monomial acts factor by factor, right to left, on eps; the
-    J's commute, so any order gives the same vector.  e_k = 0 for k > n.
+    Each e-monomial of expand(F) acts factor by factor, right to left,
+    on eps; the J's commute, so any order gives the same vector.  e_k = 0
+    for k > n.
     """
     eps = image_matching(range(1, 2 * n + 1))
     v: dict[tuple[int, ...], int] = {}
-    for mono, c in F.terms.items():
+    for mono, c in expand(F).terms.items():
         u = {eps: 1}
         for k in reversed(mono):
             u = _elementary_images(u, k, n)[k] if k <= n else {}

@@ -13,10 +13,10 @@ in exact rationals (tests/oracles.py) at n <= 8.
 from math import comb, prod
 
 import pytest
-from oracles import ORACLE_EXPRS, jack_power_sums_by_gram_schmidt
+from oracles import ORACLE_EXPRS, expand, jack_power_sums_by_gram_schmidt
 
 from bnhecke import _backend, characters, group_algebra
-from bnhecke._symfunc import SymmetricExpression, complete, elementary
+from bnhecke._symfunc import SymmetricExpression, elementary
 from bnhecke.characters import matsumoto_coefficients, product, structure_constant
 from bnhecke.errors import UsageError, ValidationFailure, WeightExceedsLevel
 from bnhecke.partitions import (
@@ -24,6 +24,7 @@ from bnhecke.partitions import (
     _power_sum_monomials,
     clear_caches,
     enumerate_by_weight,
+    partitions_of,
 )
 
 ORACLE_LEVEL = 6
@@ -194,6 +195,63 @@ def test_matsumoto_matches_gram_schmidt(monkeypatch, fresh_memos):
     assert not wrong, wrong
 
 
+EXPANSION_LEVEL = 8
+# every expression within the former e-basis caps (degree <= 20, m_lam
+# of degree <= 8)
+_EXPANDED_EXPRS = [
+    *ORACLE_EXPRS,
+    *(f"{g}{k}" for g in "eph" for k in range(1, 21)),
+    *(
+        f"m[{','.join(map(str, lam))}]"
+        for d in range(EXPANSION_LEVEL + 1)
+        for lam in partitions_of(d)
+    ),
+]
+
+
+def _expansion_misses(basis):
+    """(images compared, misses) over every n <= EXPANSION_LEVEL: a miss
+    is an (expression, n) at which the image read off F's values differs
+    from the image of expand(F), the e-basis expansion of tests/oracles.py,
+    which sums its e-monomials over the product DP of the e_k."""
+    checked, misses = 0, []
+    for text in _EXPANDED_EXPRS:
+        F = SymmetricExpression.parse(text)
+        E = expand(F)
+        for n in range(1, EXPANSION_LEVEL + 1):
+            checked += 1
+            if matsumoto_coefficients(F, n, basis) != matsumoto_coefficients(E, n, basis):
+                misses.append((text, n))
+    return checked, misses
+
+
+@pytest.mark.parametrize("basis", ["K", "C"])
+def test_values_match_the_e_basis_expansion(basis):
+    # the check that catches a damaged DP is the first miss: h_k with its
+    # DP run downwards computes e_k, and h2 misses from n = 2 on; an m_lam
+    # DP that places equal parts as distinct counts each ordering of them
+    # twice, and m[1,1] misses from n = 3 on (every alphabet holds a 0)
+    assert _expansion_misses(basis) == (8 * len(_EXPANDED_EXPRS), [])
+
+
+@pytest.mark.parametrize("basis", ["K", "C"])
+def test_images_past_the_former_caps(basis):
+    # past the former degree caps: against the e-basis expansion where it
+    # is cheap, and at n = 12, where it is not, as a ring map: the image
+    # of F^2 is the product of the image of F with itself
+    for text in ("m[5,4]", "m[9]", "m[3,3,3]", "e1^25"):
+        F = SymmetricExpression.parse(text)
+        for n in range(1, EXPANSION_LEVEL + 1):
+            assert matsumoto_coefficients(F, n, basis) == matsumoto_coefficients(
+                expand(F), n, basis
+            ), (text, n)
+    n = MAX_SPHERICAL_LEVEL
+    for half in ("p12^6", "m[5,4]"):
+        image = matsumoto_coefficients(SymmetricExpression.parse(half), n, basis)
+        square = matsumoto_coefficients(SymmetricExpression.parse(f"({half})^2"), n, basis)
+        assert product(image, image, n, basis) == square, half
+
+
 def _damaged(monkeypatch, edit):
     build = characters._jack_monomials
 
@@ -282,7 +340,7 @@ def _catalan_misses(basis):
     checked, misses = 0, []
     for n in range(1, MAX_SPHERICAL_LEVEL + 1):
         for k in range(1, MAX_SPHERICAL_LEVEL):
-            image = matsumoto_coefficients(complete(k), n, basis)
+            image = matsumoto_coefficients(SymmetricExpression.parse(f"h{k}"), n, basis)
             misses += [(n, k, mu) for mu in image if sum(mu) > k]
             for mu in enumerate_by_weight(n):
                 if sum(mu) == k:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import factorial
 
@@ -30,15 +31,23 @@ from bnhecke.partitions import MAX_SPHERICAL_LEVEL, double_coset_size, enumerate
 from bnhecke.permutations import MAX_POINT, Permutation
 
 
-# p_k and h_k recursed k deep, 1500 parentheses nest _parse too deep,
-# and p300 or a power that large ran for minutes
+# p_k and h_k once recursed k deep, 1500 parentheses nest _parse too
+# deep, and p300 or a power that large ran for minutes; the powers and
+# the nesting are refused, the rest are values like any other
 _RUNAWAY_EXPRS = ["p1200", "h1200", "(" * 1500 + "e1" + ")" * 1500, "p300", "e1^999999"]
-# within the degree cap; walking the 135135 matchings of n = 7 it ran
-# for over a minute, read off the spherical functions it takes 0.1 s
+# walking the 135135 matchings of n = 7 it ran for over a minute, read
+# off the spherical functions it takes 0.1 s
 _COSTLY_MATSUMOTO = ["matsumoto", "--n", "7", "--expr", "p8"]
-# e21, bare or in a sum, got past the degree cap, and the image of the
-# power tower had more digits than Python prints
-_UNBOUNDED_EXPRS = ["e21", "e1 + e21", "2^20^20^20^20"]
+# an index past the bound, bare or in a sum, and a power tower whose
+# image would have more digits than Python prints
+_UNBOUNDED_EXPRS = ["e14001", "e1 + e14001", "2^20^20^20^20"]
+# every index, part, exponent and literal is read before any arithmetic
+_REFUSED_AT_PARSE = [
+    "e1^999999", "h1000000", "(" * 1500 + "e1" + ")" * 1500, "p14001",
+    "e14001", "e1 + e14001", "m[14001]", str(2**14000),
+]
+# Linux's MAX_ARG_STRLEN: the longest single argument a launch passes
+_MAX_ARG_STRLEN = 128 * 1024
 # a cycle naming one point above the cap built the whole one-line
 # tuple up to it
 _FAR_POINT = f"(1 {MAX_POINT + 1})"
@@ -164,8 +173,7 @@ class TestParse:
             *([*argv, flag, str(top + 1)] for argv, flag, top in _CAPS),
             ["verify", "--suite", "generators", "--n", "9"],
             ["generators", "--n", "3", "--lam", "[1]"],
-            *(["matsumoto", "--n", "3", "--expr", expr] for expr in _RUNAWAY_EXPRS),
-            *(["matsumoto", "--n", "3", "--expr", expr] for expr in _UNBOUNDED_EXPRS),
+            *(["matsumoto", "--n", "3", "--expr", expr] for expr in _REFUSED_AT_PARSE),
             ["coset-type", "--perm", _FAR_POINT],
             ["phi", "--perm", _FAR_POINT],
             # int() read these as (1 10), (1 2), (1 2) and e2
@@ -306,9 +314,10 @@ class TestVerbs:
             ],
         }
 
-    @pytest.mark.parametrize("expr", ["p5", "p20", "e1^20"])
+    @pytest.mark.parametrize("expr", ["p5", "p20", "e1^20", "p12^12", "m[5,4]"])
     def test_matsumoto_high_degree_at_the_cap(self, expr, capsys):
-        # the matching walk took 106 s on e1^20 at n = 7
+        # the matching walk took 106 s on e1^20 at n = 7; the e-basis
+        # expansion refused p12^12 and m[5,4]
         n = str(MAX_SPHERICAL_LEVEL)
         assert main(["matsumoto", "--n", n, "--expr", expr]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -673,6 +682,55 @@ class TestMain:
         assert error["error"] == "UsageError"
         assert error["message"].startswith("--expr:")
 
+    @pytest.mark.parametrize("expr", _RUNAWAY_EXPRS, ids=lambda e: e[:12])
+    def test_runaway_expression_finishes(self, expr, capsys):
+        # at the top level, where the values are largest
+        start = time.perf_counter()
+        status = main(["matsumoto", "--n", str(MAX_SPHERICAL_LEVEL), "--expr", expr])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert status in (0, 2) and elapsed < 2, (status, elapsed)
+        assert (captured.out == "") == (status == 2)
+
+    @pytest.mark.parametrize(
+        "expr, reason",
+        [("e1^999999", "exponent 999999 exceeds"), ("h1000000", "index 1000000 exceeds")],
+    )
+    def test_large_index_is_refused_before_any_arithmetic(self, expr, reason, capsys, monkeypatch):
+        from bnhecke._symfunc import SymmetricExpression
+
+        def evaluate(self, values, one):
+            raise RuntimeError("evaluated")
+
+        monkeypatch.setattr(SymmetricExpression, "evaluate", evaluate)
+        assert main(["matsumoto", "--n", "3", "--expr", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert reason in json.loads(captured.err)["message"]
+
+    def test_longest_argument(self, capsys):
+        # the longest --expr a launch can pass: 8192 copies of one shared
+        # subtree, each a product with an image of 0
+        expr = "*".join(["(p20^10-p20^10)"] * (_MAX_ARG_STRLEN // 16))
+        assert len(expr) == _MAX_ARG_STRLEN - 1
+        start = time.perf_counter()
+        status = main(["matsumoto", "--n", str(MAX_SPHERICAL_LEVEL), "--expr", expr])
+        elapsed = time.perf_counter() - start
+        assert status == 0 and elapsed < 2, (status, elapsed)
+        assert json.loads(capsys.readouterr().out) == {"n": MAX_SPHERICAL_LEVEL, "coeffs": []}
+
+    def test_value_past_the_bound_is_exit_two(self, capsys):
+        # 2^8000 at every alphabet passes; 2^8000 p_1^900 outgrows the
+        # bound at the alphabets whose 2-contents sum largest only
+        assert main(["matsumoto", "--n", "12", "--expr", "2^20^20^20"]) == 0
+        capsys.readouterr()
+        assert main(["matsumoto", "--n", "12", "--expr", "2^20^20^20 * p1^900"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert message.startswith("--expr: a value of ")
+        assert message.endswith(" bits exceeds the bound of 14000 bits at n = 12")
+
     @pytest.mark.parametrize(
         "argv, head",
         [(["--version"], __version__ + "\n"), (["--help"], "usage: bnhecke")],
@@ -799,7 +857,7 @@ _FLAG_VALUES = {
     "--max-weight": (st.sampled_from(["0", "1", "2"]), ["-1", "5"]),
     "--samples": (st.integers(1, 20).map(str), ["0", "-3", str(MAX_SAMPLES + 1)]),
     "--r": (st.sampled_from(["0", "1", "2"]), ["-1", "9"]),
-    "--expr": (_EXPRS, ["1/0", "e1**", "", "p21", "e1^21", "e3*p2^9"]),
+    "--expr": (_EXPRS, ["1/0", "e1**", "", "p14001", "e1^14001", "2^20^20^20^20"]),
     "--suite": (st.sampled_from(list(SUITES)), ["nope"]),
     "--basis": (st.sampled_from(["K", "C"]), ["Q"]),
     **dict.fromkeys(_PARTITION_FLAGS, _SHAPES),
@@ -938,22 +996,21 @@ class TestContractFuzz:
     # drawn, nor the removed degree flag of generators
     @example(["coset-size", "--n", "780", "--mu", "[779]"])
     @example(["generators", "--n", "3", "--max-degree", "2"])
-    # expressions past the degree cap or nested past the recursion limit
+    # expressions of large index, exponent or nesting
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[0]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[1]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[2]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[3]])
     @example(["matsumoto", "--n", "3", "--expr", _RUNAWAY_EXPRS[4]])
-    # the degree of a read e-monomial, in a bare e_k and in a sum
+    # an index past the bound, in a bare e_k and in a sum
     @example(["matsumoto", "--n", "3", "--expr", _UNBOUNDED_EXPRS[0]])
     @example(["matsumoto", "--n", "3", "--expr", _UNBOUNDED_EXPRS[1]])
-    # the coefficient cap of products and powers
+    # the value bound of powers
     @example(["matsumoto", "--n", "3", "--expr", _UNBOUNDED_EXPRS[2]])
     # the cap on the largest point a permutation names
     @example(["coset-type", "--perm", _FAR_POINT])
     @example(["phi", "--perm", _FAR_POINT])
-    # an expression within the degree cap that the matching walk took
-    # minutes over
+    # an expression that the matching walk took minutes over
     @example(_COSTLY_MATSUMOTO)
     def test_any_argv_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import oracles
 from oracles import (
     ORACLE_EXPRS,
     b_sum,
@@ -13,16 +14,8 @@ from oracles import (
     zi_generator,
 )
 
-from bnhecke import _symfunc, group_algebra
-from bnhecke._symfunc import (
-    MAX_COEFFICIENT_BITS,
-    MAX_DEGREE,
-    SymmetricExpression,
-    complete,
-    elementary,
-    monomial,
-    power_sum,
-)
+from bnhecke import group_algebra
+from bnhecke._symfunc import BOUND_BITS, SymmetricExpression, elementary
 from bnhecke.characters import matsumoto_coefficients
 from bnhecke.cli import execute, parse
 from bnhecke.errors import (
@@ -259,14 +252,22 @@ class TestSymmetricEvaluation:
         assert SymmetricExpression.parse("e1^2 - 2*e2").evaluate(js, one) == p2
 
     def test_parse_and_convert(self):
-        assert SymmetricExpression.parse("p2") == elementary(1) ** 2 - 2 * elementary(2)
-        assert SymmetricExpression.parse("h2") == elementary(1) ** 2 - elementary(2)
-        assert monomial((1, 1)) == elementary(2)
-        assert monomial((2,)) == power_sum(2)
-        assert complete(1) == power_sum(1) == elementary(1)
-        assert SymmetricExpression.parse("m[2,1]") == (
-            elementary(2) * elementary(1) - 3 * elementary(3)
-        )
+        # the parsed values equal the e-basis expansions of tests/oracles.py
+        e1, e2, e3 = (oracles.elementary(k) for k in (1, 2, 3))
+        assert oracles.power_sum(2) == e1**2 - 2 * e2
+        assert oracles.complete(2) == e1**2 - e2
+        assert oracles.monomial((1, 1)) == e2
+        assert oracles.monomial((2,)) == oracles.power_sum(2)
+        assert oracles.complete(1) == oracles.power_sum(1) == e1
+        assert oracles.monomial((2, 1)) == e2 * e1 - 3 * e3
+        for text, want in [
+            ("p2", e1**2 - 2 * e2), ("h2", e1**2 - e2), ("m[1,1]", e2),
+            ("m[2]", oracles.power_sum(2)), ("m[2,1]", e2 * e1 - 3 * e3),
+        ]:
+            F = SymmetricExpression.parse(text)
+            assert oracles.expand(F) == want, text
+            for values in ([], [3], [1, -2], [0, 2, 5], [-1, 4, 4, 7]):
+                assert F.evaluate(values, 1) == want.evaluate(values, 1), (text, values)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_monomial_inverts_the_e_to_m_matrix(self, d):
@@ -275,7 +276,7 @@ class TestSymmetricEvaluation:
         row_of = {conjugate(lam): row for lam, row in zip(parts, rows)}
         for lam in parts:
             back = [0] * len(parts)
-            for mu, c in monomial(lam).terms.items():
+            for mu, c in oracles.monomial(lam).terms.items():
                 back = [x + c * y for x, y in zip(back, row_of[mu])]
             assert back == [int(nu == lam) for nu in parts], lam
 
@@ -284,58 +285,68 @@ class TestSymmetricEvaluation:
     )
     def test_monomial_raises_on_a_damaged_matrix(self, entry, monkeypatch):
         # m_(1,1) = (p_1^2 - [m_(2)] p_(1,1) p_2) / [m_(1,1)] p_(1,1) with
-        # entries 1 and 2; either one changed leaves a remainder
-        rows = _symfunc._power_sum_monomials
+        # entries 1 and 2; either one changed leaves a remainder in the
+        # e-basis oracle's back substitution
+        rows = oracles._power_sum_monomials
         damaged = {**rows((1, 1)), entry[0]: entry[1]}
         monkeypatch.setattr(
-            _symfunc,
+            oracles,
             "_power_sum_monomials",
             lambda lam: damaged if lam == (1, 1) else rows(lam),
         )
-        _symfunc._monomial.cache_clear()
+        oracles._monomial.cache_clear()
         try:
             with pytest.raises(ValidationFailure, match="e-coefficient"):
-                monomial((1, 1))
+                oracles.monomial((1, 1))
         finally:
-            _symfunc._monomial.cache_clear()
+            oracles._monomial.cache_clear()
 
     def test_monomial_degree_cap(self):
-        assert monomial((8,)).degree() == 8
-        with pytest.raises(ValueError):
-            monomial((9,))
-        with pytest.raises(ValueError):
-            monomial((5, 4))
+        # no degree cap: m_(9) and m_(5,4) are values like any other, and
+        # only a part past the bound is refused, before any arithmetic
+        assert SymmetricExpression.parse("m[9]").evaluate([1, 2], 1) == 1 + 2**9
+        assert SymmetricExpression.parse("m[5,4]").evaluate([1, 2], 1) == 2**4 + 2**5
+        assert SymmetricExpression.parse("m[5,4]").evaluate([3], 1) == 0
+        assert SymmetricExpression.parse(f"m[{BOUND_BITS}]").evaluate([1, -1], 1) == 2
+        with pytest.raises(ValueError, match="part 14001 exceeds the bound 14000"):
+            SymmetricExpression.parse(f"m[{BOUND_BITS + 1},1]")
 
     def test_monomial_reads_only_integers(self):
         for lam in ((2.5,), (2.0, 1), (True,), ("2",)):
             with pytest.raises(TypeError):
-                monomial(lam)
+                oracles.monomial(lam)
+        for text in ("m[2.5]", "m[true]", 'm["2"]'):
+            with pytest.raises(ValueError, match="cannot tokenize"):
+                SymmetricExpression.parse(text)
 
     def test_monomial_reads_a_partition(self):
         # parts out of order are refused, not re-sorted into m_(2,1)
         with pytest.raises(ValueError, match="non-increasing"):
-            monomial((1, 2))
+            SymmetricExpression.parse("m[1,2]")
         with pytest.raises(ValueError, match="positive"):
-            monomial((2, 0))
+            SymmetricExpression.parse("m[2,0]")
 
     def test_expressions_are_immutable(self):
-        # power_sum hands one cached object to every caller
+        F = SymmetricExpression.parse("p2")
         with pytest.raises(AttributeError):
-            power_sum(2)._terms = {(1,): 5}
+            F.tree = ("p", 3)
         with pytest.raises(AttributeError):
-            SymmetricExpression()._terms = {}
-        assert str(SymmetricExpression.parse("p2")) == "e1*e1 + -2*e2"
+            elementary(2).text = "e3"
+        assert str(F) == "p2" and F.evaluate([1, 2], 1) == 5
 
     def test_cached_terms_are_read_only(self):
+        # the oracle's power_sum hands one cached object to every caller
         with pytest.raises(TypeError):
-            power_sum(2)._terms[(1,)] = 5
-        assert str(SymmetricExpression.parse("p2")) == "e1*e1 + -2*e2"
+            oracles.power_sum(2)._terms[(1,)] = 5
+        with pytest.raises(AttributeError):
+            oracles.power_sum(2)._terms = {(1,): 5}
+        assert str(oracles.power_sum(2)) == "e1*e1 + -2*e2"
 
     def test_coefficients_are_integers(self):
-        e1 = elementary(1)
+        e1 = oracles.elementary(1)
         for c in (1.5, True, Fraction(1, 2), "2"):
             with pytest.raises(TypeError):
-                SymmetricExpression({(1,): c})
+                oracles.ElementaryExpansion({(1,): c})
             for operation in (
                 lambda: e1 + c,
                 lambda: c + e1,
@@ -347,59 +358,75 @@ class TestSymmetricEvaluation:
             ):
                 with pytest.raises(TypeError):
                     operation()
-        assert SymmetricExpression.one() == 1
-        assert SymmetricExpression.one() != True  # noqa: E712
+        assert oracles.ElementaryExpansion.one() == 1
+        assert oracles.ElementaryExpansion.one() != True  # noqa: E712
 
     def test_elementary_indices_are_integers(self):
         for index in (1.5, True, "2"):
             with pytest.raises(TypeError):
-                SymmetricExpression({(index,): 1})
+                oracles.ElementaryExpansion({(index,): 1})
+            with pytest.raises(TypeError):
+                elementary(index)
         # every key is read, also under a zero coefficient
         with pytest.raises(ValueError, match="must be positive"):
-            SymmetricExpression({(0,): 0})
-        assert SymmetricExpression({(1, 2): 1}) == elementary(2) * elementary(1)
+            oracles.ElementaryExpansion({(0,): 0})
+        e1, e2 = oracles.elementary(1), oracles.elementary(2)
+        assert oracles.ElementaryExpansion({(1, 2): 1}) == e2 * e1
+        with pytest.raises(ValueError, match="k >= 0"):
+            elementary(-1)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("e", "q3", "e2 +", "(e1", "e1 e2"):
+        for bad in ("e", "q3", "e2 +", "(e1", "e1 e2", "p0", "e1^-1", "e1^x"):
             with pytest.raises(ValueError):
                 SymmetricExpression.parse(bad)
 
     def test_degree_cap(self):
-        top = MAX_DEGREE
-        assert power_sum(top).degree() == complete(top).degree() == top
-        assert (elementary(1) ** top).terms == {(1,) * top: 1}
-        assert (elementary(top - 1) * elementary(1)).degree() == top
-        with pytest.raises(ValueError, match="cap"):
-            power_sum(top + 1)
-        with pytest.raises(ValueError, match="cap"):
-            complete(top + 1)
-        with pytest.raises(ValueError, match="cap"):
-            elementary(1) ** (top + 1)
-        with pytest.raises(ValueError, match="cap"):
-            SymmetricExpression.one() ** (top + 1)
-        with pytest.raises(ValueError, match="cap"):
-            elementary(top) * elementary(1)
-        for text in ("p21", "h21", "e1^21", "p12^12", "p20*p20*p20", "e21", "e1 + e21"):
-            with pytest.raises(ValueError, match="cap"):
+        # no degree cap: every index and exponent up to BOUND_BITS parses,
+        # and one past it is refused before any arithmetic
+        top = BOUND_BITS
+        assert SymmetricExpression.parse("p21 - h21 + e21 + e1^21 + p12^12")
+        assert SymmetricExpression.parse("p12^12").evaluate([1, 2], 1) == (1 + 2**12) ** 12
+        assert SymmetricExpression.parse("e21").evaluate(range(20), 1) == 0
+        assert SymmetricExpression.parse(f"e{top} + h{top} - e1^{top}").evaluate([], 1) == 0
+        assert SymmetricExpression.parse(f"p{top}").evaluate([1, -1], 1) == 2
+        assert elementary(top).evaluate([1] * 3, 1) == 0
+        for text, what in [
+            (f"p{top + 1}", "index"), (f"h{top + 1}", "index"), (f"e{top + 1}", "index"),
+            ("e1 + e14001", "index"), ("e1^999999", "exponent"), ("h1000000", "index"),
+            (f"e1^2^{top + 1}", "exponent"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{what} .* exceeds the bound {top}$"):
                 SymmetricExpression.parse(text)
-        # every e-monomial is read under the cap, however it is built
-        assert elementary(top).degree() == top
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="exceeds the bound"):
             elementary(top + 1)
-        with pytest.raises(ValueError, match="cap"):
-            SymmetricExpression({(top, 1): 1})
 
     def test_coefficient_cap(self):
-        # |c| < 2^MAX_COEFFICIENT_BITS: a product or a power that reaches
-        # it raises, and so does a literal, which is read through a product
-        at_cap = 2 ** (MAX_COEFFICIENT_BITS - 1)
-        assert (SymmetricExpression.one() * at_cap).terms == {(): at_cap}
-        with pytest.raises(ValueError, match="cap"):
-            SymmetricExpression.one() * (2 * at_cap)
-        assert SymmetricExpression.parse("2^20^20^20").terms == {(): 2**8000}
-        for text in ("2^20^20^20^20", "2^20^20^20 * 2^20^20^20", str(2 * at_cap)):
-            with pytest.raises(ValueError, match="cap"):
+        # every integer an evaluation computes stays within BOUND_BITS bits;
+        # a literal is read under the same bound
+        at_bound = 2**BOUND_BITS - 1
+        assert SymmetricExpression.parse(str(at_bound)).evaluate([], 1) == at_bound
+        assert SymmetricExpression.parse("2^20^20^20").evaluate([], 1) == 2**8000
+        # within the former e-basis caps: a coefficient near 2^13000 on a
+        # degree-20 e-monomial, at the alphabet of the largest 2-contents
+        # of level 12
+        top = [2 * j for j in range(12)]
+        big = SymmetricExpression.parse(f"{2**12999} * e1^20 - e2^10*e1^0")
+        assert big.evaluate(top, 1).bit_length() <= BOUND_BITS
+        for text in (str(2 * at_bound + 1), str(2**BOUND_BITS)):
+            with pytest.raises(ValueError, match="exceeds the bound of 14000 bits"):
                 SymmetricExpression.parse(text)
+        for text in ("2^20^20^20^20", "2^20^20^20 * 2^20^20^20", "p1^14000", "(e1 + 1)^14000"):
+            with pytest.raises(ValueError, match="exceeds the bound of 14000 bits"):
+                SymmetricExpression.parse(text).evaluate([2, 3], 1)
+        # sums, DP entries and powers of a value are held alike
+        for text, values in [
+            (f"{at_bound} + {at_bound}", []),
+            (f"{2**13999} * p1", [2]),
+            ("h14000", [2, 3]),
+            ("m[7000]", [4]),
+        ]:
+            with pytest.raises(ValueError, match="exceeds the bound of 14000 bits"):
+                SymmetricExpression.parse(text).evaluate(values, 1)
 
 
 class TestClassExpansion:

@@ -101,14 +101,14 @@ def test_one_reader_raises_weight_exceeds_level():
 # other; a guard written as an assert would let its call return under -O
 _TRIP_GUARDS = """
 import json, sys
-from bnhecke import _backend, _symfunc, characters, cosets, partitions, universal
-from bnhecke._symfunc import SymmetricExpression
+from bnhecke import _backend, characters, cosets, partitions, universal
+from bnhecke._symfunc import BOUND_BITS, SymmetricExpression
 from bnhecke.errors import ValidationFailure
 
 def message(call):
     try:
         call()
-    except ValidationFailure as exc:
+    except (ValidationFailure, ValueError) as exc:
         return str(exc)
     return None
 
@@ -135,7 +135,7 @@ spherical = characters._spherical
 theta = [[t + 1 for t in spherical(3, "K").theta[0]], *spherical(3, "K").theta[1:]]
 characters._spherical = lambda n, basis: spherical(n, basis)._replace(theta=theta)
 out["matsumoto_coefficients"] = message(
-    lambda: characters.matsumoto_coefficients(SymmetricExpression.one(), 3, "K")
+    lambda: characters.matsumoto_coefficients(SymmetricExpression.parse("1"), 3, "K")
 )
 characters._spherical = spherical
 # -h_(2) keeps every quotient an integer: only sum c h = (sum u h)(sum v h) sees it
@@ -158,11 +158,8 @@ out["_jack_power_sums"] = message(lambda: characters._spherical(2, "K"))
 characters._jack_monomials = monomials
 characters._dimension = lambda rho: 0
 out["structure_constant"] = message(lambda: characters.structure_constant((), (), (), 2, "K"))
-# [m_(2)] p_(1,1) = 2 instead of 1: m_(1,1) = (p_1^2 - 2 p_2) / 2 is not integral
-rows = _symfunc._power_sum_monomials
-_symfunc._power_sum_monomials = lambda lam: {**rows(lam), (2,): 2} if lam == (1, 1) else rows(lam)
-out["monomial"] = message(lambda: _symfunc.monomial((1, 1)))
-_symfunc._power_sum_monomials = rows
+# p_1 at a value of BOUND_BITS + 1 bits passes the value bound
+out["bound"] = message(lambda: SymmetricExpression.parse("p1").evaluate([2**BOUND_BITS], 1))
 print(json.dumps(out))
 """
 _GUARD_MESSAGES = {
@@ -176,7 +173,7 @@ _GUARD_MESSAGES = {
     "_jack_power_sums": "not integral",
     "structure_constant": "hook-length dimension",
     "product": "covers",
-    "monomial": "e-coefficient",
+    "bound": "exceeds the bound of 14000 bits",
 }
 
 

@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
-from oracles import monomial_coefficient
+from oracles import ElementaryExpansion, monomial_coefficient
 
 from bnhecke import characters, cosets, group_algebra
 from bnhecke._backend import product_tally
-from bnhecke._symfunc import SymmetricExpression
 from bnhecke.errors import NotASubpartition, WeightExceedsLevel
 from bnhecke.group_algebra import AlgebraElement
 from bnhecke.hecke import HeckeElement, single_cycle_expansion
@@ -266,18 +265,19 @@ def _algebra_pairs(draw):
     return AlgebraElement(n, draw(terms)), AlgebraElement(n, draw(terms))
 
 
-# unsorted index tuples of degree <= 10, so a product stays within MAX_DEGREE
+# unsorted index tuples of degree <= 10: the e-basis oracle of
+# tests/oracles.py reads its terms through the same core
 _e_monomials = st.lists(st.integers(min_value=1, max_value=5), max_size=2).map(tuple)
-_symmetric = st.dictionaries(_e_monomials, _coefficients, max_size=5).map(SymmetricExpression)
+_symmetric = st.dictionaries(_e_monomials, _coefficients, max_size=5).map(ElementaryExpansion)
 
 
 def _terms(x) -> dict:
-    return x._terms if isinstance(x, SymmetricExpression) else x._t
+    return x._terms if isinstance(x, ElementaryExpansion) else x._t
 
 
 def _reread(x):
-    if isinstance(x, SymmetricExpression):
-        return SymmetricExpression(x._terms)
+    if isinstance(x, ElementaryExpansion):
+        return ElementaryExpansion(x._terms)
     return type(x)(x.level, x._t)
 
 

@@ -35,7 +35,6 @@ ALLOWLIST = {
     ("_kernels_py", "LevelTable._span"): "perfbench",
     ("_kernels_py", "LevelTable.size"): "perfbench",
     ("_kernels_py", "LevelTable.rows"): "perfbench",
-    ("_symfunc", "SymmetricExpression.terms"): "oracle",
     ("cosets", "perfect_matchings"): "oracle",
     ("cosets", "perfect_matchings.<locals>.extend"): "oracle",
     ("group_algebra", "AlgebraElement.one"): "oracle",

@@ -10,9 +10,9 @@ entered is listed by module, with the lines it spans.  The line total
 counts a nested function only when the function around it ran, so no
 line is counted twice.
 
-Run it in a fresh process, since the plain functools.cache memos of
-p_k, h_k, m_lam and [m_mu] p_lam, which clear_caches keeps, would hide
-what earlier work filled them with:
+Run it in a fresh process, since the plain functools.cache memo of
+[m_mu] p_lam, which clear_caches keeps, would hide what earlier work
+filled it with:
 
     PYTHONPATH=src python tests/trace_unentered.py
 
