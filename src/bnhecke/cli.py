@@ -23,7 +23,7 @@ refuses any index, part, exponent or literal past it, and matsumoto
 refuses, as a usage error, any value that outgrows it.  It bounds each
 value, not the number of costly terms.  A verb's row in _VERBS, or a
 suite's entry in SUITES, names the highest level it can afford:
-MAX_SPHERICAL_LEVEL, MAX_HNF_LEVEL (generators) or MAX_COSET_SIZE_LEVEL.
+MAX_SPHERICAL_LEVEL or MAX_COSET_SIZE_LEVEL.
 Only the coset-invariants suite samples, so --samples with another
 suite is a usage error.
 Parsing loads no computing layer.  Each verb's runner imports the
@@ -47,12 +47,6 @@ from .partitions import (
 )
 
 # the costs below are one process each on a 2-CPU machine
-# generators stops at the lowest degree whose monomials in H_1..H_{n-1}
-# span, 4 at n = 8: about 0.8 s and 30 MB (BENCH_35.json).  n = 9 is
-# out of reach: at its degree 3 the HNF entries reach 448,754 bits 83 s
-# in, after 28 of the 30 columns, and a full run failed after 461 s at
-# 803 MB
-MAX_HNF_LEVEL = 8
 # verify --suite coset-invariants --max-n 12 costs about 0.1 ms a sample
 # a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
 # at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
@@ -70,7 +64,7 @@ SUITES = {
     "trichotomy": MAX_SPHERICAL_LEVEL,
     "single-cycle": MAX_SPHERICAL_LEVEL,
     "graded-iso": MAX_SPHERICAL_LEVEL,
-    "generators": MAX_HNF_LEVEL,
+    "generators": MAX_SPHERICAL_LEVEL,
     "coset-invariants": MAX_SPHERICAL_LEVEL,
 }
 
@@ -365,7 +359,8 @@ _VERBS = {
         {"--expr": {**_REQUIRED, "help": "e.g. 'e2' or 'p1*e1 - 2*e2'"}, "--n": _INT},
     ),
     "generators": _Verb(
-        "certify that H_1..H_n generate, via integer HNF", (2, MAX_HNF_LEVEL), _run_generators,
+        "certify that H_1..H_n generate, by a modular subring closure",
+        (2, MAX_SPHERICAL_LEVEL), _run_generators,
         {"--n": _INT},
     ),
     "verify": _Verb("run a verification suite", None, _run_verify, {

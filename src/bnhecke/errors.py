@@ -58,7 +58,7 @@ class LengthBound(HeckeError):
 
 
 class InsufficientDegree(HeckeError):
-    """Monomials in the H_i up to degree n - 1 do not span the K lattice."""
+    """The H_i do not generate the K lattice: a singular seed, or an index above 1."""
 
 
 class ValidationFailure(HeckeError):

@@ -25,9 +25,10 @@ The generators H_i sum the K_mu(n) whose completed type has i parts,
 i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
 the single-cycle expansion giving the top coefficients of
 K_lam K_(r) in closed form, and the Matsumoto correspondence sending
-e_{n-i}(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) to H_i.  A Hermite
-normal form certificate over Z witnesses that monomials in the H_i
-span the whole lattice of K-coordinates.
+e_{n-i}(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) to H_i.  A subring
+closure over Z, kept modulo the determinant of the monomials
+prod_i H_{n - kappa_i}, witnesses that the H_i generate the whole
+lattice of K-coordinates.
 
 The Matsumoto image F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) is read
 off the same zonal spherical functions: J_{2k-1} acts on omega^rho by
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 from .errors import (
@@ -361,109 +362,108 @@ def _hermite_normal_form(
     return [r[:n_cols] for r in rows], [r[n_cols:] for r in rows]
 
 
-class GenerationCertificate(
-    namedtuple(
-        "GenerationCertificate",
-        "n degree rank basis monomials expressions",
-    )
-):
-    """Witness that monomials in H_1..H_n span the K-coordinate lattice.
+class GenerationCertificate(namedtuple("GenerationCertificate", "n rank basis determinant")):
+    """Witness that H_1..H_n generate the Hecke ring at level n.
 
-    degree is the lowest total degree whose monomials span, basis lists
-    the K_mu(n), monomials the exponent vectors of the H_i up to that
-    degree, and expressions maps each mu of the basis to its polynomial
-    in the H_i: a tuple of (integer coefficient, exponent vector) pairs.
+    basis lists the K_mu(n), rank is their number, and determinant is
+    d = |det| of the seed monomials prod_i H_{n - kappa_i} in
+    K-coordinates, the modulus of the closure.
     """
 
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "rank": self.rank,
-            "basis": [list(mu) for mu in self.basis],
-            "expressions": [
-                {
-                    "mu": list(mu),
-                    "polynomial": [
-                        {"coeff": c, "exponents": list(e)}
-                        for c, e in self.expressions[mu]
-                    ],
-                }
-                for mu in self.basis
-            ],
-        }
+        return {**self._asdict(), "basis": [list(mu) for mu in self.basis]}
 
 
-def _monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
-    """The exponent vectors of H_1..H_n summing to degree, lexicographically."""
-    out: list[tuple[int, ...]] = []
+def _determinant(matrix: list[list[int]]) -> int:
+    """det of a square integer matrix by Bareiss elimination; each division is exact."""
+    rows = [list(row) for row in matrix]
+    sign, last = 1, 1
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        a = rows[k][k]
+        for i in range(k + 1, len(rows)):
+            b = rows[i][k]
+            rows[i] = [(a * x - b * y) // last for x, y in zip(rows[i], rows[k])]
+        last = a
+    return sign * last
 
-    def rec(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == n:
-            if not left:
-                out.append(prefix)
-            return
-        # H_n = K_() is the unit, so its exponent stays 0
-        for a in range(left + 1 if len(prefix) < n - 1 else 1):
-            rec(prefix + (a,), left - a)
 
-    rec((), degree)
-    return out
+def _insert(echelon: list[list[int]], v: list[int], d: int) -> bool:
+    """Reduce v into the echelon basis of span + d Z^p; True if a pivot shrank.
+
+    Row c has its pivot, a divisor of d, in column c and its other entries
+    reduced modulo d.  Started from d I, the rows keep d Z^p in their span,
+    so their pivots multiply to the index of span + d Z^p.
+    """
+    shrank = False
+    v = [x % d for x in v]
+    for c, row in enumerate(echelon):
+        a, b = row[c], v[c]
+        if b % a:
+            g, s, t = _xgcd(a, b)
+            a, b = a // g, b // g
+            echelon[c] = [(s * x + t * y) % d for x, y in zip(row, v)]
+            v = [(a * y - b * x) % d for x, y in zip(row, v)]
+            shrank = True
+        elif b:
+            q = b // a
+            v = [(y - q * x) % d for x, y in zip(row, v)]
+    return shrank
 
 
 def generation_certificate(n: int) -> GenerationCertificate:
     """Certify that H_1..H_n generate the Hecke ring at level n.
 
-    Evaluates the monomials in H_1..H_{n-1} (H_n is the unit) degree by
-    degree, each from one of the degree below, and after each degree d
-    row-reduces the K-coordinates of those of degree <= d to Hermite
-    normal form.  The lattice is everything iff the top block is the
-    identity; the first such d gives the certificate, and if none up to
-    n - 1 does, InsufficientDegree.  Each K_mu(n) is returned as an
-    explicit integer polynomial in the H_i, re-evaluated through
-    hecke_product as a final guard.
+    Z[H_1, ..., H_n] is the smallest Z-module that holds the unit and is
+    closed under multiplication by H_1..H_{n-1} (H_n is the unit).  The
+    seed is the monomials prod_i H_{n - kappa_i}, one per stable type
+    kappa: the Matsumoto images of the e_kappa.  d = |det| of their
+    K-coordinates puts d Z^p inside their span (the adjugate), so the
+    closure keeps an echelon basis modulo d.  Each pass multiplies every
+    row by H_1..H_{n-1} and reduces the products in, until a pass shrinks
+    no pivot.  The H_i generate iff every pivot ends at 1; a singular
+    seed or a larger index raises InsufficientDegree.
     """
     basis = tuple(enumerate_by_weight(n))
-    identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-    gens = [generator_H(i, n) for i in range(1, n + 1)]
+    gens = [generator_H(i, n) for i in range(1, n)]
 
-    values: dict[tuple[int, ...], HeckeElement] = {}
+    def coordinates(u: HeckeElement) -> list[int]:
+        return [u.coeffs.get(mu, 0) for mu in basis]
 
-    def value(exp: tuple[int, ...]) -> HeckeElement:
-        if exp not in values:
-            first = next((i for i, a in enumerate(exp) if a), None)
-            if first is None:
-                values[exp] = HeckeElement.one(n)
-            else:
-                prev = exp[:first] + (exp[first] - 1,) + exp[first + 1 :]
-                values[exp] = hecke_product(gens[first], value(prev))
-        return values[exp]
+    def index() -> int:
+        return prod(row[c] for c, row in enumerate(echelon))
 
-    exponents: list[tuple[int, ...]] = []
-    for degree in range(max(n, 1)):
-        exponents += _monomial_exponents(n, degree)
-        matrix = [[value(exp).coeffs.get(mu, 0) for mu in basis] for exp in exponents]
-        hnf, transform = _hermite_normal_form(matrix)
-        if hnf[: len(basis)] == identity:
-            break
-    else:
-        diag = [hnf[i][i] if i < len(hnf) else 0 for i in range(len(basis))]
+    seed = []
+    for kappa in basis:
+        monomial = HeckeElement.one(n)
+        for part in kappa:
+            monomial = hecke_product(gens[n - part - 1], monomial)
+        seed.append(coordinates(monomial))
+    d = abs(_determinant(seed))
+    if not d:
+        raise InsufficientDegree(f"the seed monomials at level {n} are singular")
+    echelon = [[d * (i == j) for j in range(len(basis))] for i in range(len(basis))]
+    for v in seed:
+        _insert(echelon, v, d)
+    if index() != d:
+        raise ValidationFailure(f"the seed pivots at level {n} multiply to {index()}, not {d}")
+    shrank = True
+    while shrank and index() > 1:
+        shrank = False
+        for c in range(len(basis)):
+            row = HeckeElement._raw(n, {mu: x for mu, x in zip(basis, echelon[c]) if x})
+            for h in gens:
+                shrank |= _insert(echelon, coordinates(hecke_product(h, row)), d)
+    if index() > 1:
         raise InsufficientDegree(
-            f"monomials in H_1..H_{n} of degree <= {degree} reach HNF "
-            f"diagonal {diag}, not the identity"
+            f"H_1..H_{n} generate a subring of index {index()} at level {n}: "
+            f"closure diagonal {[row[c] for c, row in enumerate(echelon)]} modulo {d}"
         )
-    expressions: dict[Partition, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-    for i, mu in enumerate(basis):
-        poly = tuple((c, exponents[j]) for j, c in enumerate(transform[i]) if c)
-        rebuilt = HeckeElement.zero(n)
-        for c, exp in poly:
-            rebuilt = rebuilt + value(exp).scale(c)
-        if rebuilt != HeckeElement.basis(mu, n):
-            raise ValidationFailure(f"certificate re-evaluation failed for K_{mu}")
-        expressions[mu] = poly
-    return GenerationCertificate(
-        n=n, degree=degree, rank=len(basis), basis=basis,
-        monomials=tuple(exponents), expressions=expressions,
-    )
+    return GenerationCertificate(n=n, rank=len(basis), basis=basis, determinant=d)

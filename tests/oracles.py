@@ -39,8 +39,16 @@ double_coset_sum and lift write K_mu(n), and Z-combinations of them,
 as honest elements of Z[S_2n], so a Hecke product can be checked
 against the full group-algebra convolution.  tally_product multiplies
 two elements of the Hecke ring by the matching tally of
-bnhecke._backend, bilinearly in their coefficients; the expressions of
-the generation certificate are re-evaluated through it.
+bnhecke._backend, bilinearly in their coefficients; the seed of the
+generation certificate is rebuilt through it.
+
+monomial_hnf row-reduces the K-coordinates of every monomial of degree
+<= n - 1 in H_1..H_{n-1} (H_n is the unit) to Hermite normal form by
+bnhecke.hecke._hermite_normal_form, the certificate's route before
+the subring closure, and monomial_hnf_index reads the index of their
+span off its diagonal: the oracle for the closure's verdict.
+_integer_det is the determinant by elimination in Fractions, the
+oracle for the certificate's Bareiss determinant.
 
 _matsumoto_raw computes the Matsumoto image
 F(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) by walking the perfect
@@ -69,7 +77,7 @@ from bnhecke.errors import (
     ValidationFailure,
 )
 from bnhecke.group_algebra import AlgebraElement
-from bnhecke.hecke import HeckeElement
+from bnhecke.hecke import HeckeElement, _hermite_normal_form, hecke_product
 from bnhecke.partitions import (
     Partition,
     _add_terms,
@@ -493,6 +501,63 @@ def tally_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
         )
         for nu in enumerate_by_weight(n)
     })
+
+
+def _monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of H_1..H_n summing to degree, lexicographically."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], left: int) -> None:
+        if len(prefix) == n:
+            if not left:
+                out.append(prefix)
+            return
+        # H_n = K_() is the unit, so its exponent stays 0
+        for a in range(left + 1 if len(prefix) < n - 1 else 1):
+            rec(prefix + (a,), left - a)
+
+    rec((), degree)
+    return out
+
+
+def monomial_hnf(n: int, gens: list[HeckeElement], product=hecke_product) -> list[list[int]]:
+    """The top p(n) rows of the HNF of every monomial of degree <= n - 1 in
+    gens = [H_1, ..., H_n], each monomial one product from one of the
+    degree below."""
+    values = {(0,) * n: HeckeElement.one(n)}
+    for degree in range(1, n):
+        for exp in _monomial_exponents(n, degree):
+            first = next(i for i, a in enumerate(exp) if a)
+            prev = exp[:first] + (exp[first] - 1,) + exp[first + 1 :]
+            values[exp] = product(gens[first], values[prev])
+    basis = enumerate_by_weight(n)
+    matrix = [[u.coeffs.get(mu, 0) for mu in basis] for u in values.values()]
+    return _hermite_normal_form(matrix)[0][: len(basis)]
+
+
+def monomial_hnf_index(n: int, gens: list[HeckeElement], product=hecke_product) -> int:
+    """The index in Z^p(n) of the span of the monomials of degree <= n - 1
+    in gens, 0 if they do not have full rank."""
+    return prod(row[i] for i, row in enumerate(monomial_hnf(n, gens, product)))
+
+
+def _integer_det(matrix: list[list[int]]) -> Fraction:
+    size = len(matrix)
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if rows[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, size):
+            if rows[i][col]:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return det
 
 
 def _add_jm_image(p: int, u: dict, out: dict) -> None:

@@ -23,10 +23,12 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    _integer_det,
     b_sum,
     double_coset_sum,
     enumerate_class,
     expand_in_class_basis,
+    monomial_hnf,
     tally_product,
     zi_generator,
 )
@@ -49,9 +51,7 @@ from bnhecke.group_algebra import AlgebraElement, class_sum, jucys_murphy
 from bnhecke.hecke import (
     HeckeElement,
     _admissible_terms,
-    _hermite_normal_form,
     expand_K,
-    generation_certificate,
     generator_H,
     hecke_product,
     hecke_structure_constant,
@@ -274,77 +274,30 @@ def test_top_coefficients_agree_across_center_and_coset_bases():
     assert alive  # the formulas really were held against counted values
 
 
-def _integer_det(matrix: list[list[int]]) -> Fraction:
-    size = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if rows[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for i in range(col + 1, size):
-            if rows[i][col]:
-                factor = rows[i][col] / rows[col][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return det
-
-
-# the lowest degree whose monomials in H_1..H_{n-1} span, n = 2..7
-_SPANNING_DEGREES = {2: 1, 3: 1, 4: 2, 5: 3, 6: 3, 7: 3}
-
-
 def test_small_levels_carry_polynomial_generation_certificates():
-    for n, degree in _SPANNING_DEGREES.items():
-        assert generation_certificate(n).degree == degree
-    # up to the tally's cap, the printed certificate is re-evaluated by
-    # the matching count, which shares nothing with the spherical
-    # products it was built from
+    # up to the tally's cap, the printed certificate is checked by the
+    # matching count, which shares nothing with the spherical products
+    # it was built from: the seed monomials prod_i H_{n - kappa_i} give
+    # the printed determinant, and every monomial of degree <= n - 1
+    # spans, the HNF of their K-coordinates having the identity on top
     for n in range(2, MAX_TALLY_LEVEL + 1):
         stream = io.StringIO()
         assert execute(parse(["generators", "--n", str(n)]), stream=stream) == 0
         payload = json.loads(stream.getvalue())
-        assert payload["degree"] == _SPANNING_DEGREES[n]
-        cert = generation_certificate(n)
-        basis = tuple(enumerate_by_weight(n))
-        assert cert.basis == basis
-        assert cert.rank == len(basis)
+        basis = enumerate_by_weight(n)
+        assert list(payload) == ["n", "rank", "basis", "determinant"]
+        assert payload["n"] == n and payload["rank"] == len(basis)
+        assert payload["basis"] == [list(mu) for mu in basis]
         gens = [generator_H(i, n) for i in range(1, n + 1)]
-
-        def monomial_value(exponents) -> HeckeElement:
-            acc = HeckeElement.one(n)
-            for g, a in zip(gens, exponents):
-                for _ in range(a):
-                    acc = tally_product(acc, g)
-            return acc
-
-        matrix = [
-            [monomial_value(exp).coeffs.get(mu, 0) for mu in basis]
-            for exp in cert.monomials
-        ]
-        hnf, transform = _hermite_normal_form(matrix)
-        columns = list(zip(*matrix))
-        for i, row in enumerate(transform):
-            assert [
-                sum(u * m for u, m in zip(row, col)) for col in columns
-            ] == hnf[i]
-        assert abs(_integer_det(transform)) == 1
+        seed = []
+        for kappa in basis:
+            monomial = HeckeElement.one(n)
+            for part in kappa:
+                monomial = tally_product(monomial, gens[n - part - 1])
+            seed.append([monomial.coeffs.get(mu, 0) for mu in basis])
+        assert payload["determinant"] == abs(_integer_det(seed)) > 0
         identity = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
-        assert hnf[: len(basis)] == identity
-        # one degree lower, the monomials do not span
-        lower = [row for row, exp in zip(matrix, cert.monomials) if sum(exp) < cert.degree]
-        assert _hermite_normal_form(lower)[0][: len(basis)] != identity
-        # every basis symbol comes back as an explicit polynomial in
-        # the H_i; re-evaluate each printed one from scratch
-        for entry, mu in zip(payload["expressions"], basis):
-            assert tuple(entry["mu"]) == mu
-            acc = HeckeElement.zero(n)
-            for term in entry["polynomial"]:
-                acc = acc + term["coeff"] * monomial_value(term["exponents"])
-            assert acc == HeckeElement.basis(mu, n)
+        assert monomial_hnf(n, gens, tally_product) == identity
 
 
 # --- the invariant sweep -------------------------------------------------
@@ -565,7 +518,7 @@ def _sweep_universal_and_cli() -> None:
         argv = ["verify", "--suite", suite, "--n", "2", *samples]
         assert execute(parse(argv), stream=io.StringIO()) == 0
     with pytest.MonkeyPatch.context() as patch:
-        # with every H_i the unit no degree spans
+        # with every H_i the unit the seed is singular
         patch.setattr(hecke, "generator_H", lambda i, n: HeckeElement.one(n))
         assert execute(parse(["generators", "--n", "4"]), stream=io.StringIO()) == 1
 

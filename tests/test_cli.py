@@ -171,7 +171,7 @@ class TestParse:
             ["fit", "--max-weight", "2", "--lam", "[1]"],
             ["--jobs", "0", "table", "--n", "2"],
             *([*argv, flag, str(top + 1)] for argv, flag, top in _CAPS),
-            ["verify", "--suite", "generators", "--n", "9"],
+            ["verify", "--suite", "generators", "--n", "13"],
             ["generators", "--n", "3", "--lam", "[1]"],
             *(["matsumoto", "--n", "3", "--expr", expr] for expr in _REFUSED_AT_PARSE),
             ["coset-type", "--perm", _FAR_POINT],
@@ -332,20 +332,21 @@ class TestVerbs:
     def test_generators_success(self):
         status, payload = run_json(["generators", "--n", "3"])
         assert status == 0
-        assert payload["rank"] == 3 and payload["degree"] == 1
-        assert [e["mu"] for e in payload["expressions"]] == [[], [1], [2]]
+        assert payload == {"n": 3, "rank": 3, "basis": [[], [1], [2]], "determinant": 1}
+        status, payload = run_json(["generators", "--n", "5"])
+        assert status == 0 and payload["determinant"] == 2
 
     def test_generators_insufficient_degree_is_an_error_object(self, monkeypatch):
-        # with every H_i the unit no degree spans
+        # with every H_i the unit every seed monomial is the unit
         monkeypatch.setattr(hecke, "generator_H", lambda i, n: HeckeElement.one(n))
         status, payload = run_json(["generators", "--n", "4"])
         assert status == 1
         assert payload["error"] == "InsufficientDegree"
-        assert "of degree <= 3 reach HNF diagonal" in payload["message"]
+        assert "seed monomials at level 4 are singular" in payload["message"]
         status, payload = run_json(["verify", "--suite", "generators", "--max-n", "4"])
         assert status == 1 and payload["ok"] is False
         assert [check["ok"] for check in payload["checks"]] == [False, False, False]
-        assert "of degree <= 3 reach" in payload["checks"][-1]["detail"]
+        assert "seed monomials at level 4 are singular" in payload["checks"][-1]["detail"]
 
     def test_fit_triple(self):
         status, payload = run_json(
@@ -578,10 +579,11 @@ _FOOTPRINTS = [
 # columns, as Python 3.11's argparse printed them before the verb table
 # replaced the hand-written subparsers; verify's re-pinned when --max-n
 # began to list the top level of each suite, and again when jm-center
-# went to 12 and --samples to 8000, and when generators went to 7 and
-# 8; generators' when --max-degree went
+# went to 12 and --samples to 8000, and when generators went to 7, 8
+# and 12; generators' when --max-degree went; bnhecke --help's when
+# generators' help named the subring closure
 _HELP_DIGESTS = {
-    "": "c7e8479b8806b23da7dd686872181c5b1459ff63a00fe0b2dc18e6584e7181b4",
+    "": "26e00dc3c1251d8c7ac9a5861c9319cd1edaa2d7ed482ac95517a3615fa9e8b7",
     "coset-type": "7dddc4f4b35f8eba70770238773317ca8c8aeef1ecb7a2ef064958a0fa0e903f",
     "phi": "c616da7baa8acd62f9d7d45b1c2c7b1470f4222bfbd307e7f9dbedd21d45685b",
     "coset-size": "f2c2d743ec84e78174638eb07a9ef665aa2e10e4f13e559d5e59fe1a579ee7b2",
@@ -590,7 +592,7 @@ _HELP_DIGESTS = {
     "expand-single-cycle": "91ab56eac569e025a7db93b5aa0ea61ff7cb0dcb447b1c7a1fe0df09cbcb3ca2",
     "matsumoto": "04862e59db5e61a5773b8e49c8c0e41bbff18e3376df2d26de483f399e08eccf",
     "generators": "5428da7b09272184028d187475e5c5a0202072ff64d984466bd68135daf68115",
-    "verify": "cfc294ae71c1b7a82e1258c886b7a42225998d51d1d81c0c4abddbf946dcb028",
+    "verify": "c3b76b1c3ebf6bf7678d24a5b220d5e7fab8dbd0a02f7c70c36af48bc96871aa",
     "fit": "4807c08bdf3a3dc7cf1ec2040ceddfa872b7433760b9caffec145f85f887878e",
     "table": "1328f0246a897452e45c1c37bc7c0dbc4959e6239c8667ee1afd9bdc09bad0f3",
 }
@@ -836,7 +838,6 @@ _EXPRS = st.tuples(
 ).map(lambda t: t[0] + "".join(op + term for op, term in t[1]))
 
 # (valid values, invalid values) per flag; the levels stay at n <= 3.
-# 9 is above the cap of generators only;
 # 13 is above every cap but coset-size's.
 # a part or an image that is a JSON float, bool or string is not read
 # as an integer
@@ -847,7 +848,7 @@ _SHAPES = (
     st.sampled_from(["[]", "[1]", "[2]", "[1,1]"]),
     ["[3]", "[0]", "{}", "[1", "x", *_NOT_INTEGER_PARTS],
 )
-_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "9", "13", "x"])
+_LEVELS = (st.sampled_from(["1", "2", "3"]), ["-1", "0", "13", "x"])
 _FLAG_VALUES = {
     "--format": (st.sampled_from(["json", "csv"]), ["xml"]),
     "--jobs": (None, ["0", "2"]),  # no such flag: always a usage error

@@ -1,9 +1,17 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import oracles
 import pytest
-from oracles import ORACLE_EXPRS, b_sum, double_coset_sum, lift
+from oracles import (
+    ORACLE_EXPRS,
+    _integer_det,
+    b_sum,
+    double_coset_sum,
+    lift,
+    monomial_hnf_index,
+)
 
 from bnhecke import characters, hecke, universal
 from bnhecke.errors import (
@@ -406,32 +414,12 @@ class TestMatsumoto:
         assert hecke._matsumoto_self_test.cache_info().currsize == 1
 
 
-def _det(mat):
-    rows = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    size = len(rows)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if rows[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, size):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
-
-
 class TestHermiteNormalForm:
     def test_known_small_case(self):
         h, u = _hermite_normal_form([[2, 4], [3, 5]])
         assert h == [[1, 1], [0, 2]]
         assert _apply(u, [[2, 4], [3, 5]]) == h
-        assert _det(u) in (1, -1)
+        assert _integer_det(u) in (1, -1)
 
     def test_random_matrices(self, rng):
         for _ in range(25):
@@ -443,7 +431,7 @@ class TestHermiteNormalForm:
             ]
             h, u = _hermite_normal_form(mat)
             assert _apply(u, mat) == h
-            assert _det(u) in (1, -1)
+            assert _integer_det(u) in (1, -1)
             _check_echelon(h)
 
 
@@ -480,42 +468,117 @@ def _check_echelon(h):
             assert 0 <= h[k][j] < h[i][j]
 
 
+# d = |det| of the seed monomials prod_i H_{n - kappa_i} in K-coordinates
+_SEED_DETERMINANTS = {
+    2: 1, 3: 1, 4: 1, 5: 2, 6: 5, 7: 100, 8: 6125, 9: 19_208_000,
+    12: 2**18 * 3**13 * 5**8 * 7**13 * 11**4,
+}
+
+
+def _doubled_k1(i, n):
+    """H_i, but H_{n-1} = K_(1) doubled: the H_i then span a subring of index 2."""
+    return HeckeElement(n, {(1,): 2}) if i == n - 1 else generator_H(i, n)
+
+
 class TestCertificates:
     def test_level_two_degree_one(self):
         cert = generation_certificate(2)
         assert isinstance(cert, GenerationCertificate)
-        assert cert.degree == 1
         assert cert.rank == len(enumerate_by_weight(2)) == 2
         assert cert.basis == ((), (1,))
+        # the seed is the unit and H_1 = K_(1): the basis itself
+        assert cert.determinant == 1
 
     def test_level_three_degree_one_expressions(self):
+        # H_1 = K_(2) and H_2 = K_(1) at level 3, so the seed is the basis,
+        # and the certificate names no polynomial per K_mu
         cert = generation_certificate(3)
-        assert cert.degree == 1
-        assert cert.rank == 3
-        # H_1 = K_(2) at level 3, so the expression is one monomial
-        assert cert.expressions[(2,)] == ((1, (1, 0, 0)),)
+        assert cert == (3, 3, ((), (1,), (2,)), 1)
+        assert cert._fields == ("n", "rank", "basis", "determinant")
 
     def test_level_four_needs_degree_two(self):
+        # the unit and H_1..H_3 are 4 rows for 5 basis elements; the seed
+        # takes H_3^2 for kappa = (1, 1), and with it has determinant 1
         cert = generation_certificate(4)
-        assert cert.rank == 5 and cert.degree == 2
-        # the unit and H_1..H_3 are 4 rows for 5 basis elements
-        assert [sum(e) for e in cert.monomials].count(2) == 6
-        assert len(cert.monomials) == 10
+        assert cert.rank == 5 and cert.determinant == 1
+        square = hecke_product(generator_H(3, 4), generator_H(3, 4))
+        assert square == HeckeElement(4, {(): 12, (1,): 1, (2,): 3, (1, 1): 2})
 
     def test_bad_degree(self, monkeypatch):
-        # with every H_i the unit no degree spans, and the error names
-        # the last degree tried, n - 1
+        # with every H_i the unit every seed monomial is the unit
         monkeypatch.setattr(hecke, "generator_H", lambda i, n: HeckeElement.one(n))
-        diagonal = r"degree <= 3 reach HNF diagonal \[1, 0, 0, 0, 0\]"
-        with pytest.raises(InsufficientDegree, match=diagonal):
+        with pytest.raises(InsufficientDegree, match="seed monomials at level 4 are singular"):
             generation_certificate(4)
 
     def test_json_lists_every_basis_shape(self):
-        cert = generation_certificate(2)
-        payload = cert.to_json()
-        assert [e["mu"] for e in payload["expressions"]] == [[], [1]]
-        assert payload["rank"] == 2
-        assert payload["degree"] == 1
+        payload = generation_certificate(2).to_json()
+        assert payload == {"n": 2, "rank": 2, "basis": [[], [1]], "determinant": 1}
+        assert list(payload) == ["n", "rank", "basis", "determinant"]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_doubled_k1_has_index_two(self, monkeypatch, n):
+        monkeypatch.setattr(hecke, "generator_H", _doubled_k1)
+        with pytest.raises(InsufficientDegree, match=f"subring of index 2 at level {n}:"):
+            generation_certificate(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_doubled_determinant_trips_the_seed_guard(self, monkeypatch, n):
+        # the seed still spans a lattice of index d, so its pivots
+        # multiply to d, not 2d
+        determinant = hecke._determinant
+        monkeypatch.setattr(hecke, "_determinant", lambda m: 2 * determinant(m))
+        d = _SEED_DETERMINANTS[n]
+        with pytest.raises(ValidationFailure, match=f"multiply to {d}, not {2 * d}$"):
+            generation_certificate(n)
+
+    @pytest.mark.parametrize("n", _SEED_DETERMINANTS)
+    def test_seed_determinants_are_pinned(self, n):
+        assert generation_certificate(n).determinant == _SEED_DETERMINANTS[n]
+
+    def test_determinant_matches_the_fraction_oracle(self, rng):
+        matrices = [[], [[0]], [[-3]], [[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1], [5, 1, 1]]]
+        for size in range(1, 7):
+            for _ in range(10):
+                m = [[rng.randrange(-9, 10) for _ in range(size)] for _ in range(size)]
+                matrices.append(m)
+                # a singular one: the last row a combination of the others
+                last = [sum((k - 2) * r[j] for k, r in enumerate(m[:-1])) for j in range(size)]
+                matrices.append(m[:-1] + [last])
+        for m in matrices:
+            assert hecke._determinant(m) == _integer_det(m), m
+        assert sum(_integer_det(m) == 0 for m in matrices) >= 60
+
+    def test_insert_matches_the_hnf_index(self, rng):
+        # the pivots after a nonsingular seed and a few more vectors
+        # multiply to the index of their span, read off the HNF
+        checked = 0
+        for _ in range(300):
+            p = rng.randrange(1, 6)
+            seed = [[rng.randrange(-6, 7) for _ in range(p)] for _ in range(p)]
+            d = abs(hecke._determinant(seed))
+            if not d:
+                continue
+            extra = [[rng.randrange(-20, 21) for _ in range(p)] for _ in range(rng.randrange(4))]
+            echelon = [[d * (i == j) for j in range(p)] for i in range(p)]
+            for v in seed + extra:
+                hecke._insert(echelon, v, d)
+            h = _hermite_normal_form(seed + extra)[0]
+            assert all(d % row[c] == 0 for c, row in enumerate(echelon))
+            assert prod(row[c] for c, row in enumerate(echelon)) == prod(h[i][i] for i in range(p))
+            checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_closure_agrees_with_the_monomial_hnf(self, monkeypatch, n):
+        # the HNF over every monomial of degree <= n - 1 is the oracle
+        gens = [generator_H(i, n) for i in range(1, n + 1)]
+        assert monomial_hnf_index(n, gens) == 1
+        assert generation_certificate(n).determinant == _SEED_DETERMINANTS[n]
+        doubled = [_doubled_k1(i, n) for i in range(1, n + 1)]
+        assert monomial_hnf_index(n, doubled) == 2
+        monkeypatch.setattr(hecke, "generator_H", _doubled_k1)
+        with pytest.raises(InsufficientDegree, match="index 2 "):
+            generation_certificate(n)
 
 
 class TestTrichotomy:

@@ -101,7 +101,7 @@ def test_one_reader_raises_weight_exceeds_level():
 # other; a guard written as an assert would let its call return under -O
 _TRIP_GUARDS = """
 import json, sys
-from bnhecke import _backend, characters, cosets, partitions, universal
+from bnhecke import _backend, characters, cosets, hecke, partitions, universal
 from bnhecke._symfunc import BOUND_BITS, SymmetricExpression
 from bnhecke.errors import ValidationFailure
 
@@ -113,6 +113,11 @@ def message(call):
     return None
 
 out = {"optimize": sys.flags.optimize}
+# 2d for the seed determinant d = 2 at n = 5: the seed pivots multiply to d
+determinant = hecke._determinant
+hecke._determinant = lambda m: 2 * determinant(m)
+out["generation_certificate"] = message(lambda: hecke.generation_certificate(5))
+hecke._determinant = determinant
 size = _backend.double_coset_size
 _backend.double_coset_size = lambda mu, n: 0
 out["product_tally"] = message(lambda: _backend.product_tally((1,), (1,), 3))
@@ -174,6 +179,7 @@ _GUARD_MESSAGES = {
     "structure_constant": "hook-length dimension",
     "product": "covers",
     "bound": "exceeds the bound of 14000 bits",
+    "generation_certificate": "multiply to 2, not 4",
 }
 
 

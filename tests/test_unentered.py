@@ -44,7 +44,14 @@ ALLOWLIST = {
     ("group_algebra", "_class_product"): "oracle",
     ("group_algebra", "class_structure_constant"): "perfbench",
     ("hecke", "expand_K"): "perfbench",
+    ("hecke", "_hermite_normal_form"): "perfbench",
     ("partitions", "_expand_by_type"): "oracle",
+    # the linear arithmetic that tests/oracles.py's lift builds the
+    # group-algebra convolution from, and ElementaryExpansion its sums
+    ("partitions", "_add_terms"): "oracle",
+    ("partitions", "_Combination.zero"): "oracle",
+    ("partitions", "_Combination._combine"): "oracle",
+    ("partitions", "_Combination.scale"): "oracle",
 }
 
 

@@ -37,7 +37,7 @@ ARGVS = [
     ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "3"],
     ["expand-single-cycle", "--n", "4", "--lam", "[1]", "--r", "2"],
     ["matsumoto", "--n", "3", "--expr", "p2 + h2 - m[2,1] + (e1 - 1)^2"],
-    ["generators", "--n", "3"],
+    ["generators", "--n", "5"],
     ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"],
     ["fit", "--max-weight", "2", "--basis", "C"],
     ["--format", "csv", "fit", "--max-weight", "1"],
