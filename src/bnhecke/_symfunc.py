@@ -5,10 +5,11 @@ Matsumoto image of bnhecke.characters reads F(A_rho) at each alphabet
 A_rho of (2-)contents, and the tests evaluate F at the Jucys-Murphy
 elements of bnhecke.group_algebra.  So parse builds a small immutable
 tree, and evaluate computes F at the values directly, with no
-expansion in a basis: p_k as sum v^k, e_k and h_k by the product DPs
-over prod_i (1 + t v_i) and prod_i 1 / (1 - t v_i), and m_lam by a DP
-over the variables on the sub-multisets of lam; a subtree the parse
-shares is computed once.  A refusal under BOUND_BITS is a ValueError.
+expansion in a basis: p_k as sum v^k, e_k and h_k by the DPs over
+prod_i (1 + t v_i) and prod_i 1 / (1 - t v_i), one for all the e (and
+one for all the h) leaves, and m_lam by a DP over the variables on the
+sub-multisets of lam; a subtree the parse shares is computed once.
+A refusal under BOUND_BITS is a ValueError.
 
 >>> F = SymmetricExpression.parse("p2 - e1^2 + 2*e2")
 >>> F.evaluate([1, 2, 3], 1), SymmetricExpression.parse("m[2,1]").evaluate([1, 2], 1)
@@ -62,11 +63,11 @@ def _power(x, k: int, one):
     return prod([x] * k, start=one)
 
 
-class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
+class SymmetricExpression(namedtuple("SymmetricExpression", "tree text monomials")):
     """A symmetric function as an immutable tree of tuples: ("int", c),
     ("e", k), ("p", k), ("h", k), ("m", lam), ("^", base, exponents),
     ("*", factors) and ("+", ((sign, term), ...)), with the text it was
-    parsed from as its repr."""
+    parsed from as its repr and the lam of its distinct m_lam leaves."""
 
     __slots__ = ()
 
@@ -75,7 +76,8 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
 
     @classmethod
     def parse(cls, text: str) -> "SymmetricExpression":
-        return cls(_parse(text), text)
+        tree, monomials = _parse(text)
+        return cls(tree, text, monomials)
 
     def evaluate(self, values, one):
         """The expression at pairwise commuting values v_1, ..., v_r:
@@ -84,6 +86,7 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
         values = list(values)
         zero = 0 * one
         memo = {}
+        rows = {}
 
         def at(node):
             got = memo.get(id(node))
@@ -97,7 +100,7 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
                 for v in values:
                     got = _bounded(got + _power(v, arg, one))
             elif op in ("e", "h"):
-                got = _elementary_or_complete(op, arg, values, one, zero)
+                got = _elementary_or_complete(op, arg, values, one, zero, rows)
             elif op == "m":
                 got = _monomial(arg, values, one, zero)
             elif op == "^":
@@ -117,17 +120,34 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
 
         return at(self.tree)
 
+    def monomial_states(self, r: int) -> int:
+        """The states _monomial visits at r values, over the distinct m_lam:
+        before value i (from 0), each sub-multiset of lam with at most i
+        and at least l(lam) - (r - i) parts, so none when l(lam) > r."""
+        total = 0
+        for lam in self.monomials:
+            sizes = [1]  # sizes[s]: the sub-multisets of lam with s parts
+            for c in map(lam.count, set(lam)):
+                sizes = [sum(sizes[max(0, s - c) : s + 1]) for s in range(len(sizes) + c)]
+            total += sum(sum(sizes[max(0, len(lam) - r + i) : i + 1]) for i in range(r))
+        return total
 
-def _elementary_or_complete(op: str, k: int, values, one, zero):
-    """e_k by the DP over prod_i (1 + t v_i), which runs j downwards, or
-    h_k by the DP over prod_i 1 / (1 - t v_i), which runs j upwards."""
+
+def _elementary_or_complete(op: str, k: int, values, one, zero, rows):
+    """e_k or h_k from the DP over j = 1, 2, ... that all leaves of op share:
+    rows[op] holds e_j (h_j) at each prefix of the values for the top j
+    yet, and at all of them for each j up to it.  e_j(..v_t) = e_j(..v_t-1)
+    + v_t e_j-1(..v_t-1), and h_j(..v_t) = h_j(..v_t-1) + v_t h_j-1(..v_t)."""
     if op == "e" and k > len(values):
         return zero
-    row = [one] + [zero] * k
-    for v in values:
-        for j in range(1, k + 1) if op == "h" else range(k, 0, -1):
-            row[j] = _bounded(row[j] + row[j - 1] * v)
-    return row[k]
+    column, full = rows.setdefault(op, ([one] * (len(values) + 1), [one]))
+    while len(full) <= k:
+        nxt = [zero]
+        for t, v in enumerate(values):
+            nxt.append(_bounded(nxt[t] + v * column[t + (op == "h")]))
+        column[:] = nxt
+        full.append(nxt[-1])
+    return full[k]
 
 
 def _monomial(lam: tuple, values, one, zero):
@@ -158,7 +178,7 @@ def elementary(k: int) -> SymmetricExpression:
     """e_k; e_0 = 1."""
     if _index(k, "index") < 0:
         raise ValueError("e_k needs k >= 0")
-    return SymmetricExpression(("e", k), f"e{k}")
+    return SymmetricExpression(("e", k), f"e{k}", ())
 
 
 _TOKEN = re.compile(
@@ -179,7 +199,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse(text: str) -> tuple:
-    """The tree of expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]".
+    """The tree of expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]", and
+    the lam of its distinct m_lam leaves.
 
     Unary minus binds tighter than ^, and ^ reads from the left: -e1^2
     is (-e1)^2, 2^3^2 is 64.  A node is keyed by its children's ids, so
@@ -253,4 +274,4 @@ def _parse(text: str) -> tuple:
     out = expr()
     if tokens[-1] != "$":
         raise ValueError(f"trailing input at token {tokens[-1]!r}")
-    return out
+    return out, tuple(key[1] for key in shared if key[0] == "m")

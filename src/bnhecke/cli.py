@@ -18,10 +18,12 @@ Exit codes: 0 success, 1 verification or computation failure
 
 Caps on the level of each verb and on the largest point of --perm
 bound the work of every argv that parses; no cost model prices an
-argv.  --expr has one bound, bnhecke._symfunc.BOUND_BITS: parsing
-refuses any index, part, exponent or literal past it, and matsumoto
-refuses, as a usage error, any value that outgrows it.  It bounds each
-value, not the number of costly terms.  A verb's row in _VERBS, or a
+argv.  --expr has two bounds.  bnhecke._symfunc.BOUND_BITS bounds each
+value: parsing refuses any index, part, exponent or literal past it,
+and matsumoto refuses, as a usage error, any value that outgrows it.
+MAX_MONOMIAL_STATES bounds the states that the DPs of the distinct
+m[...] leaves visit, and the e and h leaves share one DP each; nothing
+counts the p leaves.  A verb's row in _VERBS, or a
 suite's entry in SUITES, names the highest level it can afford:
 MAX_SPHERICAL_LEVEL or MAX_COSET_SIZE_LEVEL.
 Only the coset-invariants suite samples, so --samples with another
@@ -51,6 +53,10 @@ from .partitions import (
 # a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
 # at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
 MAX_SAMPLES = 8_000
+# matsumoto --n 12 takes 0.2-1.2 ms a state its m[...] DPs visit:
+# m[12,11,...,1] visits 4095 in 2.1 s, and m[310,309,...,300] +
+# m[311,309,...,300], the costliest leaves timed, 8190 in 5.9 s
+MAX_MONOMIAL_STATES = 8_192
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -156,7 +162,11 @@ def parse(argv) -> Command:
     if "perm" in given:
         args["perm"] = _perm_flag(given["perm"], "--perm")
     if "expr" in given:
-        args["expr"] = _expr_flag(given["expr"], "--expr")
+        expr = args["expr"] = _expr_flag(given["expr"], "--expr")
+        # matsumoto evaluates at alphabets of n values
+        if (states := expr.monomial_states(n)) > MAX_MONOMIAL_STATES:
+            raise UsageError(f"--expr: its m[...] leaves visit {states} DP states at "
+                             f"n = {n}, above the bound {MAX_MONOMIAL_STATES}")
 
     # the flags that one verb alone takes
     if "r" in given:  # expand-single-cycle
@@ -248,9 +258,9 @@ def _run_product(args):
 
 
 def _run_structure_constant(args):
-    from .hecke import hecke_structure_constant
+    from .characters import structure_constant
 
-    b = hecke_structure_constant(args["lam"], args["mu"], args["nu"], args["n"])
+    b = structure_constant(args["lam"], args["mu"], args["nu"], args["n"], "K")
     return {
         "lam": list(args["lam"]),
         "mu": list(args["mu"]),
@@ -300,18 +310,16 @@ _Table = namedtuple("_Table", "shapes products")
 
 
 def _run_table(args):
-    from .hecke import HeckeElement, hecke_product
+    from .characters import _row
 
     n = args["n"]
     shapes = enumerate_by_weight(n)
     products = {}
     for i, lam in enumerate(shapes):
         print(f"table: products with K_{lam}({n})", file=sys.stderr, flush=True)
-        u = HeckeElement.basis(lam, n)
         # (S_2n, B_n) is a Gel'fand pair: K_lam K_mu = K_mu K_lam
         for mu in shapes[i:]:
-            b = hecke_product(u, HeckeElement.basis(mu, n)).coeffs
-            products[lam, mu] = products[mu, lam] = b
+            products[lam, mu] = products[mu, lam] = _row(*sorted((lam, mu)), n, "K")
     return _Table(shapes, products), 0
 
 

@@ -13,8 +13,9 @@ identity and
 Products never go through the full convolution, nor through the
 cosets: (S_2n, B_n) is a Gelfand pair, so its zonal spherical functions
 diagonalize the ring, and bnhecke.characters takes every product
-pointwise on their spectra.  hecke_product is one such product and
-hecke_structure_constant reads one row, K_lam K_mu.  The counts this
+pointwise on their spectra.  hecke_product is one such product; the
+structure constants are read off the memoized rows K_lam K_mu of
+bnhecke.characters, which the CLI reads directly.  The counts this
 replaces stay as the tests' oracles: the matching tally of
 bnhecke._backend (b is the number of perfect matchings delta of [2n]
 with type(eps, delta) = lam and type(delta, z eps) = mu, z the
@@ -156,12 +157,10 @@ def hecke_structure_constant(
 ) -> int:
     """b_{lam mu}^{nu}(n): coefficient of K_nu(n) in K_lam(n) K_mu(n).
 
-    Read off the row K_lam K_mu of the zonal spherical product
-    (bnhecke.characters).  It equals the number of perfect matchings
-    delta of [2n] whose union with the couples eps has stable type lam
-    and whose union with z(eps) has stable type mu, z the canonical
-    point of K_nu(n): the number of x in K_lam(n) with x^{-1} z of type
-    mu, divided by |B_n|.
+    A K-only alias of characters.structure_constant, which the CLI
+    reads; kept for perfbench and the tests until it moves out of the
+    package with the other oracles.  The module docstring gives b as a
+    count of perfect matchings.
     """
     from .characters import structure_constant
 

@@ -112,21 +112,15 @@ def _lam_r_window(n):
 
 
 def _suite_single_cycle(levels, samples, checks):
-    from .hecke import HeckeElement, hecke_product, single_cycle_expansion
+    from .characters import _row
+    from .hecke import HeckeElement, single_cycle_expansion
 
     for n in levels:
         for lam, r in _lam_r_window(n)[1]:
             expansion = single_cycle_expansion(lam, r, n)
-            product = hecke_product(
-                HeckeElement.basis(lam, n), HeckeElement.basis((r,), n)
-            )
+            product = _row(*sorted((lam, (r,))), n, "K")
             top = HeckeElement(
-                n,
-                {
-                    nu: c
-                    for nu, c in product.coeffs.items()
-                    if sum(nu) == sum(lam) + r
-                },
+                n, {nu: c for nu, c in product.items() if sum(nu) == sum(lam) + r}
             )
             _check(
                 checks,

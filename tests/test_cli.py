@@ -16,6 +16,7 @@ import bnhecke
 from bnhecke import __version__
 from bnhecke.cli import (
     MAX_COSET_SIZE_LEVEL,
+    MAX_MONOMIAL_STATES,
     MAX_SAMPLES,
     SUITES,
     _VERBS,
@@ -24,10 +25,12 @@ from bnhecke.cli import (
     main,
     parse,
 )
-from bnhecke import hecke
+from bnhecke import characters, hecke
 from bnhecke.errors import UsageError, ValidationFailure
 from bnhecke.hecke import HeckeElement, hecke_product
-from bnhecke.partitions import MAX_SPHERICAL_LEVEL, double_coset_size, enumerate_by_weight
+from bnhecke.partitions import (
+    MAX_SPHERICAL_LEVEL, clear_caches, double_coset_size, enumerate_by_weight,
+)
 from bnhecke.permutations import MAX_POINT, Permutation
 
 
@@ -389,30 +392,35 @@ class TestVerbs:
         assert lookup[(1,), (1,), ()] == 2
         assert lookup[(1,), (1,), (1,)] == 1
         # the rows written one at a time are the bytes of json.dumps on
-        # all of them, and table takes one product per unordered pair
+        # all of them, and table takes one product per unordered pair,
+        # each a row of the memo that characters._row keeps
         calls = []
+        product = characters.product
 
-        def counted(u, v):
-            calls.append((u, v))
-            return hecke_product(u, v)
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
 
-        monkeypatch.setattr(hecke, "hecke_product", counted)
+        monkeypatch.setattr(characters, "product", counted)
         for n in range(1, 7):
+            want = json.dumps(table_rows(n), indent=2) + "\n"
+            clear_caches()
             calls.clear()
-            assert run(["table", "--n", str(n)]) == (0, json.dumps(table_rows(n), indent=2) + "\n")
+            assert run(["table", "--n", str(n)]) == (0, want)
             p = len(enumerate_by_weight(n))
             assert len(calls) == p * (p + 1) // 2
 
         # every product comes before the first row: a failing last
         # product leaves the error object alone on stdout
-        def last_fails(u, v):
-            calls.append((u, v))
+        def last_fails(*args):
+            calls.append(args)
             if len(calls) == 6:  # p(3) (p(3) + 1) / 2
                 raise ValidationFailure("the last product")
-            return hecke_product(u, v)
+            return product(*args)
 
+        clear_caches()
         calls.clear()
-        monkeypatch.setattr(hecke, "hecke_product", last_fails)
+        monkeypatch.setattr(characters, "product", last_fails)
         assert main(["table", "--n", "3"]) == 1
         assert json.loads(capsys.readouterr().out) == {
             "error": "ValidationFailure", "message": "the last product",
@@ -492,7 +500,9 @@ class TestOutputFormats:
 # dataclasses and inspect.  The verbs that read structure constants
 # (both bases of fit, and the K-basis verbs) take them from Jack
 # polynomials: they load neither the cosets, permutations and matching
-# tally nor the group algebra and symmetric functions.  The Matsumoto
+# tally nor the group algebra and symmetric functions.  table and
+# structure-constant read the rows of bnhecke.characters, as fit
+# does, so they leave bnhecke.hecke unloaded too.  The Matsumoto
 # image reads the same spherical functions, so it loads no matchings,
 # matching tally or group algebra either; neither do the generators and
 # matsumoto suites.  The verbs on one permutation load the cosets but
@@ -535,7 +545,7 @@ _FOOTPRINTS = [
         (
             "structure-constant",
             ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "2"],
-            _CHARACTER_PATH,
+            [*_CHARACTER_PATH, "bnhecke.hecke"],
         ),
         (
             "expand-single-cycle",
@@ -546,7 +556,7 @@ _FOOTPRINTS = [
         ("fit-triple", ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"], _FIT),
         ("fit-K", ["fit", "--max-weight", "1"], _FIT),
         # the progress line comes from cli, not bnhecke.suites
-        ("table", ["table", "--n", "2"], [*_CHARACTER_PATH, "bnhecke.suites"]),
+        ("table", ["table", "--n", "2"], [*_CHARACTER_PATH, "bnhecke.hecke", "bnhecke.suites"]),
         (
             "matsumoto",
             ["matsumoto", "--expr", "e1", "--n", "2"],
@@ -720,6 +730,39 @@ class TestMain:
         elapsed = time.perf_counter() - start
         assert status == 0 and elapsed < 2, (status, elapsed)
         assert json.loads(capsys.readouterr().out) == {"n": MAX_SPHERICAL_LEVEL, "coeffs": []}
+
+    def test_many_h_leaves_take_one_dp(self, capsys):
+        # a hundred distinct h_k leaves once ran a hundred DPs, 1.65 s
+        # in-process; the digest is of the stdout they printed then
+        expr = "+".join(f"h{k}" for k in range(13000, 13100))
+        start = time.perf_counter()
+        status = main(["matsumoto", "--n", "2", "--expr", expr])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert status == 0 and elapsed < 1, (status, elapsed)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "08621e9b36b4401923b58723b3b76a5cbda7fe29e252fd698e95b7010e17d253"
+        )
+
+    def test_monomial_states_are_bounded(self, capsys):
+        # three leaves of eleven distinct parts visit 12285 DP states at
+        # n = 12 (5.1-8.9 s), and are refused before any arithmetic; one
+        # leaf of twelve visits 4095 and is accepted
+        leaves = "+".join(f"m[{a},10,9,8,7,6,5,4,3,2,1]" for a in (11, 12, 13))
+        start = time.perf_counter()
+        assert main(["matsumoto", "--n", "12", "--expr", leaves]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = json.loads(captured.err)["message"]
+        assert message == (
+            f"--expr: its m[...] leaves visit 12285 DP states at n = 12, "
+            f"above the bound {MAX_MONOMIAL_STATES}"
+        )
+        single = "m[12,11,10,9,8,7,6,5,4,3,2,1]"
+        assert parse(["matsumoto", "--n", "12", "--expr", single]).args["expr"].text == single
+        # a leaf with more parts than the n values is 0 without a DP
+        assert parse(["matsumoto", "--n", "10", "--expr", leaves]).verb == "matsumoto"
 
     def test_value_past_the_bound_is_exit_two(self, capsys):
         # 2^8000 at every alphabet passes; 2^8000 p_1^900 outgrows the

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,54 @@ class TestSymmetricEvaluation:
         assert SymmetricExpression.parse(f"m[{BOUND_BITS}]").evaluate([1, -1], 1) == 2
         with pytest.raises(ValueError, match="part 14001 exceeds the bound 14000"):
             SymmetricExpression.parse(f"m[{BOUND_BITS + 1},1]")
+
+    def test_leaves_share_one_dp(self):
+        # the e_k and h_k leaves of one expression read one DP per op,
+        # grown to the largest index as the leaves ask, in any order;
+        # the e-basis expansion of tests/oracles.py is the oracle
+        rng = random.Random(3)
+        one = AlgebraElement.one(3)
+        js = [jucys_murphy(k, 3) for k in (1, 2, 3)]
+        for _ in range(40):
+            leaves = [f"{rng.choice('eh')}{rng.randint(0, 9)}" for _ in range(rng.randint(1, 5))]
+            values = [rng.randint(-5, 5) for _ in range(rng.randint(0, 5))]
+            F = SymmetricExpression.parse(" - ".join(leaves) + " * h2")
+            want = oracles.expand(F)
+            assert F.evaluate(values, 1) == want.evaluate(values, 1), (leaves, values)
+            if len(leaves) <= 2:
+                assert F.evaluate(js, one) == want.evaluate(js, one), leaves
+
+    def test_monomial_states_count_the_dp(self):
+        # the rows of _monomial's DP, replayed on the states alone
+        def visited(lam, r):
+            parts = sorted(set(lam))
+            full = tuple(lam.count(d) for d in parts)
+            row, total = {(0,) * len(parts)}, 0
+            for left in range(r - 1, -1, -1):
+                total += len(row)
+                nxt = set()
+                for state in row:
+                    if len(lam) - sum(state) <= left:
+                        nxt.add(state)
+                    for j in range(len(parts)):
+                        if state[j] < full[j]:
+                            nxt.add((*state[:j], state[j] + 1, *state[j + 1:]))
+                row = nxt
+            return total
+
+        rng = random.Random(5)
+        for _ in range(300):
+            r = rng.randint(0, 9)
+            lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r))), reverse=True)
+            F = SymmetricExpression.parse(f"m{lam}".replace(" ", ""))
+            assert F.monomial_states(r) == visited(tuple(lam), r), (lam, r)
+        # one count per distinct leaf, none for a leaf with more parts
+        # than values, and the leaves under sums, products and powers
+        F = SymmetricExpression.parse("m[2,1] + 3*m[2,1]*(m[1,1,1] - e2)^2 + m[3,2,1]")
+        assert F.monomial_states(3) == visited((2, 1), 3) + visited((1, 1, 1), 3) + visited((3, 2, 1), 3)
+        assert F.monomial_states(2) == visited((2, 1), 2)
+        assert SymmetricExpression.parse("e2 + p3 + h4 + 5").monomial_states(9) == 0
+        assert SymmetricExpression.parse("m[12,11,10,9,8,7,6,5,4,3,2,1]").monomial_states(12) == 4095
 
     def test_monomial_reads_only_integers(self):
         for lam in ((2.5,), (2.0, 1), (True,), ("2",)):

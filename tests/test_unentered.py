@@ -45,6 +45,7 @@ ALLOWLIST = {
     ("group_algebra", "class_structure_constant"): "perfbench",
     ("hecke", "expand_K"): "perfbench",
     ("hecke", "_hermite_normal_form"): "perfbench",
+    ("hecke", "hecke_structure_constant"): "perfbench",
     ("partitions", "_expand_by_type"): "oracle",
     # the linear arithmetic that tests/oracles.py's lift builds the
     # group-algebra convolution from, and ElementaryExpansion its sums
