@@ -63,11 +63,11 @@ def _power(x, k: int, one):
     return prod([x] * k, start=one)
 
 
-class SymmetricExpression(namedtuple("SymmetricExpression", "tree text monomials")):
+class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
     """A symmetric function as an immutable tree of tuples: ("int", c),
     ("e", k), ("p", k), ("h", k), ("m", lam), ("^", base, exponents),
     ("*", factors) and ("+", ((sign, term), ...)), with the text it was
-    parsed from as its repr and the lam of its distinct m_lam leaves."""
+    parsed from as its repr."""
 
     __slots__ = ()
 
@@ -76,8 +76,7 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text monomials
 
     @classmethod
     def parse(cls, text: str) -> "SymmetricExpression":
-        tree, monomials = _parse(text)
-        return cls(tree, text, monomials)
+        return cls(_parse(text), text)
 
     def evaluate(self, values, one):
         """The expression at pairwise commuting values v_1, ..., v_r:
@@ -119,18 +118,6 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text monomials
             return got
 
         return at(self.tree)
-
-    def monomial_states(self, r: int) -> int:
-        """The states _monomial visits at r values, over the distinct m_lam:
-        before value i (from 0), each sub-multiset of lam with at most i
-        and at least l(lam) - (r - i) parts, so none when l(lam) > r."""
-        total = 0
-        for lam in self.monomials:
-            sizes = [1]  # sizes[s]: the sub-multisets of lam with s parts
-            for c in map(lam.count, set(lam)):
-                sizes = [sum(sizes[max(0, s - c) : s + 1]) for s in range(len(sizes) + c)]
-            total += sum(sum(sizes[max(0, len(lam) - r + i) : i + 1]) for i in range(r))
-        return total
 
 
 def _elementary_or_complete(op: str, k: int, values, one, zero, rows):
@@ -178,7 +165,7 @@ def elementary(k: int) -> SymmetricExpression:
     """e_k; e_0 = 1."""
     if _index(k, "index") < 0:
         raise ValueError("e_k needs k >= 0")
-    return SymmetricExpression(("e", k), f"e{k}", ())
+    return SymmetricExpression(("e", k), f"e{k}")
 
 
 _TOKEN = re.compile(
@@ -199,8 +186,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _parse(text: str) -> tuple:
-    """The tree of expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]", and
-    the lam of its distinct m_lam leaves.
+    """The tree of expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]".
 
     Unary minus binds tighter than ^, and ^ reads from the left: -e1^2
     is (-e1)^2, 2^3^2 is 64.  A node is keyed by its children's ids, so
@@ -274,4 +260,4 @@ def _parse(text: str) -> tuple:
     out = expr()
     if tokens[-1] != "$":
         raise ValueError(f"trailing input at token {tokens[-1]!r}")
-    return out, tuple(key[1] for key in shared if key[0] == "m")
+    return out

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,16 +17,18 @@ import bnhecke
 from bnhecke import __version__
 from bnhecke.cli import (
     MAX_COSET_SIZE_LEVEL,
-    MAX_MONOMIAL_STATES,
+    MAX_EXPR_WORK,
     MAX_SAMPLES,
     SUITES,
     _VERBS,
+    _expr_work,
     Command,
     execute,
     main,
     parse,
 )
 from bnhecke import characters, hecke
+from bnhecke._symfunc import BOUND_BITS, SymmetricExpression
 from bnhecke.errors import UsageError, ValidationFailure
 from bnhecke.hecke import HeckeElement, hecke_product
 from bnhecke.partitions import (
@@ -744,25 +747,72 @@ class TestMain:
             "08621e9b36b4401923b58723b3b76a5cbda7fe29e252fd698e95b7010e17d253"
         )
 
-    def test_monomial_states_are_bounded(self, capsys):
-        # three leaves of eleven distinct parts visit 12285 DP states at
-        # n = 12 (5.1-8.9 s), and are refused before any arithmetic; one
-        # leaf of twelve visits 4095 and is accepted
-        leaves = "+".join(f"m[{a},10,9,8,7,6,5,4,3,2,1]" for a in (11, 12, 13))
-        start = time.perf_counter()
-        assert main(["matsumoto", "--n", "12", "--expr", leaves]) == 2
-        assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        message = json.loads(captured.err)["message"]
-        assert message == (
-            f"--expr: its m[...] leaves visit 12285 DP states at n = 12, "
-            f"above the bound {MAX_MONOMIAL_STATES}"
-        )
+    def test_expr_work_is_bounded(self, capsys):
+        # three m[...] leaves of eleven distinct parts visit 12285 DP
+        # states at n = 12 (5.1-8.9 s), and p1 + ... + p3100 takes 37200
+        # powers (10.9 s): both are refused before any arithmetic
+        m_leaves = "+".join(f"m[{a},10,9,8,7,6,5,4,3,2,1]" for a in (11, 12, 13))
+        p_leaves = "+".join(f"p{k}" for k in range(1, 3101))
+        for expr, work in ((m_leaves, 12285), (p_leaves, 37200)):
+            start = time.perf_counter()
+            assert main(["matsumoto", "--n", "12", "--expr", expr]) == 2
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["message"] == (
+                f"--expr: it takes {work} powers, products and m[...] DP states "
+                f"at n = 12, above the bound {MAX_EXPR_WORK}"
+            )
+        # one leaf of twelve distinct parts visits 4095 states
         single = "m[12,11,10,9,8,7,6,5,4,3,2,1]"
         assert parse(["matsumoto", "--n", "12", "--expr", single]).args["expr"].text == single
-        # a leaf with more parts than the n values is 0 without a DP
-        assert parse(["matsumoto", "--n", "10", "--expr", leaves]).verb == "matsumoto"
+        # a leaf with more parts than the n values is 0 with no DP, and
+        # costs nothing to price, however long
+        assert parse(["matsumoto", "--n", "10", "--expr", m_leaves]).verb == "matsumoto"
+        distinct = ",".join(map(str, range(BOUND_BITS, 0, -1)))
+        repeated = ",".join(["2"] * 32_500 + ["1"] * 32_500)
+        for lam in (distinct, repeated):
+            start = time.perf_counter()
+            assert main(["matsumoto", "--n", "12", "--expr", f"m[{lam}]"]) == 0
+            assert time.perf_counter() - start < 1
+            assert json.loads(capsys.readouterr().out) == {"n": 12, "coeffs": []}
+
+    def test_expr_work_counts_the_dp(self):
+        # the rows of _symfunc._monomial's DP, replayed on the states alone
+        def visited(lam, r):
+            parts = sorted(set(lam))
+            full = tuple(lam.count(d) for d in parts)
+            row, total = {(0,) * len(parts)}, 0
+            for left in range(r - 1, -1, -1):
+                total += len(row)
+                nxt = set()
+                for state in row:
+                    if len(lam) - sum(state) <= left:
+                        nxt.add(state)
+                    for j in range(len(parts)):
+                        if state[j] < full[j]:
+                            nxt.add((*state[:j], state[j] + 1, *state[j + 1:]))
+                row = nxt
+            return total if len(lam) <= r else 0
+
+        rng = random.Random(5)
+        for _ in range(300):
+            r = rng.randint(0, 9)
+            lam = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r + 2))), reverse=True))
+            assert _expr_work(("m", lam), r) == visited(lam, r), (lam, r)
+
+        # one count per distinct node, under sums, products and powers:
+        # r powers for each p leaf, two for each exponent of a ^, and one
+        # for each distinct factor of a product but the first
+        def work(text, r):
+            return _expr_work(SymmetricExpression.parse(text).tree, r)
+
+        F = "m[2,1] + 3*m[2,1]*(m[1,1,1] - e2)^2 + m[3,2,1] + p2*p2 - p3^2"
+        states = visited((2, 1), 3) + visited((1, 1, 1), 3) + visited((3, 2, 1), 3)
+        assert work(F, 3) == states + 2 * 3 + 4 + 2
+        assert work(F, 2) == visited((2, 1), 2) + 2 * 2 + 4 + 2
+        assert work("e2 + h4 + 5 + 2^3*2^3*2^3 - e1^2^3 + e2*h4*e2*5", 9) == 6 + 2
+        assert work("m[12,11,10,9,8,7,6,5,4,3,2,1]", 12) == 4095
 
     def test_value_past_the_bound_is_exit_two(self, capsys):
         # 2^8000 at every alphabet passes; 2^8000 p_1^900 outgrows the

@@ -328,38 +328,6 @@ class TestSymmetricEvaluation:
             if len(leaves) <= 2:
                 assert F.evaluate(js, one) == want.evaluate(js, one), leaves
 
-    def test_monomial_states_count_the_dp(self):
-        # the rows of _monomial's DP, replayed on the states alone
-        def visited(lam, r):
-            parts = sorted(set(lam))
-            full = tuple(lam.count(d) for d in parts)
-            row, total = {(0,) * len(parts)}, 0
-            for left in range(r - 1, -1, -1):
-                total += len(row)
-                nxt = set()
-                for state in row:
-                    if len(lam) - sum(state) <= left:
-                        nxt.add(state)
-                    for j in range(len(parts)):
-                        if state[j] < full[j]:
-                            nxt.add((*state[:j], state[j] + 1, *state[j + 1:]))
-                row = nxt
-            return total
-
-        rng = random.Random(5)
-        for _ in range(300):
-            r = rng.randint(0, 9)
-            lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r))), reverse=True)
-            F = SymmetricExpression.parse(f"m{lam}".replace(" ", ""))
-            assert F.monomial_states(r) == visited(tuple(lam), r), (lam, r)
-        # one count per distinct leaf, none for a leaf with more parts
-        # than values, and the leaves under sums, products and powers
-        F = SymmetricExpression.parse("m[2,1] + 3*m[2,1]*(m[1,1,1] - e2)^2 + m[3,2,1]")
-        assert F.monomial_states(3) == visited((2, 1), 3) + visited((1, 1, 1), 3) + visited((3, 2, 1), 3)
-        assert F.monomial_states(2) == visited((2, 1), 2)
-        assert SymmetricExpression.parse("e2 + p3 + h4 + 5").monomial_states(9) == 0
-        assert SymmetricExpression.parse("m[12,11,10,9,8,7,6,5,4,3,2,1]").monomial_states(12) == 4095
-
     def test_monomial_reads_only_integers(self):
         for lam in ((2.5,), (2.0, 1), (True,), ("2",)):
             with pytest.raises(TypeError):
