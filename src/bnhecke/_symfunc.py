@@ -161,6 +161,45 @@ def _monomial(lam: tuple, values, one, zero):
     return row.get(full, zero)
 
 
+def _work(tree, r: int) -> int:
+    """What evaluate takes at r values, in units of about one product of
+    values of thousands of bits: r powers for each p_k, two for each
+    exponent of a ^, one for each distinct factor of a product but the
+    first, one for each state _monomial visits for an m_lam of at most r
+    parts (before value i, from 0, each sub-multiset of lam with at most
+    i and at least l(lam) - (r - i) parts), an eighth for each term of a
+    sum or factor of a product, and a sixteenth for each step r k of the
+    h DP to the largest k.  A node evaluate shares counts once; the e DP
+    (at most r^2 steps) and a longer m_lam (0 with no DP) count nothing."""
+    units, terms, top_h, seen, stack = 0, 0, 0, set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        op, arg = node[0], node[1]
+        if op == "p":
+            units += r
+        elif op == "h":
+            top_h = max(top_h, arg)
+        elif op == "^":
+            units += 2 * len(node[2])
+            stack.append(arg)
+        elif op == "*":
+            units += len(set(map(id, arg))) - 1
+            terms += len(arg)
+            stack.extend(arg)
+        elif op == "+":
+            terms += len(arg)
+            stack.extend(term for _, term in arg)
+        elif op == "m" and len(arg) <= r:
+            sizes = [1]  # sizes[s]: the sub-multisets of lam with s parts
+            for c in map(arg.count, set(arg)):
+                sizes = [sum(sizes[max(0, s - c) : s + 1]) for s in range(len(sizes) + c)]
+            units += sum(sum(sizes[max(0, len(arg) - r + i) : i + 1]) for i in range(r))
+    return units + terms // 8 + r * top_h // 16
+
+
 def elementary(k: int) -> SymmetricExpression:
     """e_k; e_0 = 1."""
     if _index(k, "index") < 0:

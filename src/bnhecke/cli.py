@@ -21,9 +21,7 @@ bound the work of every argv that parses.  --expr has two bounds.
 bnhecke._symfunc.BOUND_BITS bounds each value: parsing refuses any
 index, part, exponent or literal past it, and matsumoto refuses, as a
 usage error, any value that outgrows it.  MAX_EXPR_WORK bounds the
-powers and products that its distinct nodes take and the states that
-the DPs of its distinct m[...] leaves visit; the e and h leaves share
-one DP each, and sums are not counted.  A verb's row in _VERBS, or a
+work bnhecke._symfunc._work prices it at.  A verb's row in _VERBS, or a
 suite's entry in SUITES, names the highest level it can afford:
 MAX_SPHERICAL_LEVEL or MAX_COSET_SIZE_LEVEL.
 Only the coset-invariants suite samples, so --samples with another
@@ -53,15 +51,12 @@ from .partitions import (
 # a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
 # at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
 MAX_SAMPLES = 8_000
-# matsumoto --n 12 takes 0.2-1.2 ms a unit of _expr_work: m[12,11,...,1]
-# visits 4095 states in 2.1 s and m[310,309,...,300], the costliest leaf
-# timed, in 4.9 s; p2900+p2901+...+p3100 takes 2412 powers in 1.2 s,
-# 2^13999+2^13998+...+2^9904 8192 in 7.0 s, and 8177 distinct products
-# h_a*h_b of values near 6000 bits 8177 in 8.2 s.  Beside them, the one
-# h DP of the largest index accepted, h3136, takes 1.4-1.6 s, and sums
-# go unpriced: 26000 more terms h999 left two leaves of 8190 states at
-# 7.0 s (BENCH_39.json)
-MAX_EXPR_WORK = 8_192
+# matsumoto --n 12 takes 0.4-1.1 ms a unit of _symfunc._work: at the
+# bound, 2^13999+2^13998+...+2^10627, the costliest argv timed, takes
+# 5.8-8.0 s, 4569 distinct products h_a*h_b in one sum 5.0-5.5 s and
+# m[310,...,300] beside 38 leaves m[a,a-1,a-2] 4.6-5.1 s; 8192 units
+# took up to 10.8 s (BENCH_39.json)
+MAX_EXPR_WORK = 7_168
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size
 MAX_COSET_SIZE_LEVEL = 779
@@ -111,7 +106,7 @@ def _perm_flag(text: str, flag: str) -> Permutation:
 
 
 def _expr_flag(text: str, flag: str, n: int) -> SymmetricExpression:
-    from ._symfunc import SymmetricExpression
+    from ._symfunc import SymmetricExpression, _work
 
     try:
         expr = SymmetricExpression.parse(text)
@@ -120,43 +115,10 @@ def _expr_flag(text: str, flag: str, n: int) -> SymmetricExpression:
     except RecursionError:
         raise UsageError(f"{flag}: expression nested too deeply") from None
     # matsumoto evaluates at alphabets of n values
-    if (work := _expr_work(expr.tree, n)) > MAX_EXPR_WORK:
-        raise UsageError(f"{flag}: it takes {work} powers, products and m[...] DP "
-                         f"states at n = {n}, above the bound {MAX_EXPR_WORK}")
+    if (work := _work(expr.tree, n)) > MAX_EXPR_WORK:
+        raise UsageError(f"{flag}: it takes {work} units of work at n = {n}, "
+                         f"above the bound {MAX_EXPR_WORK}")
     return expr
-
-
-def _expr_work(tree, n: int) -> int:
-    """Over the distinct nodes of an --expr tree at n values: n powers for
-    each p leaf, one of a value and two (its base may have BOUND_BITS
-    bits) for each exponent of a ^, one for each distinct factor of a
-    product but the first, and for each m[lam] leaf of at most n parts
-    the states _symfunc._monomial visits: before value i (from 0), the
-    sub-multisets of lam with at most i and at least l(lam) - (n - i)
-    parts.  A longer m[lam] is 0 with no DP."""
-    work, seen, stack = 0, set(), [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        op, arg = node[0], node[1]
-        if op == "p":
-            work += n
-        elif op == "^":
-            work += 2 * len(node[2])
-            stack.append(arg)
-        elif op == "*":
-            work += len(set(map(id, arg))) - 1
-            stack.extend(arg)
-        elif op == "+":
-            stack.extend(term for _, term in arg)
-        elif op == "m" and len(arg) <= n:
-            sizes = [1]  # sizes[s]: the sub-multisets of lam with s parts
-            for c in map(arg.count, set(arg)):
-                sizes = [sum(sizes[max(0, s - c) : s + 1]) for s in range(len(sizes) + c)]
-            work += sum(sum(sizes[max(0, len(arg) - n + i) : i + 1]) for i in range(n))
-    return work
 
 
 def _level_flag(value: int, flag: str, low: int, high: int) -> int:

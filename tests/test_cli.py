@@ -21,14 +21,13 @@ from bnhecke.cli import (
     MAX_SAMPLES,
     SUITES,
     _VERBS,
-    _expr_work,
     Command,
     execute,
     main,
     parse,
 )
 from bnhecke import characters, hecke
-from bnhecke._symfunc import BOUND_BITS, SymmetricExpression
+from bnhecke._symfunc import BOUND_BITS, SymmetricExpression, _work
 from bnhecke.errors import UsageError, ValidationFailure
 from bnhecke.hecke import HeckeElement, hecke_product
 from bnhecke.partitions import (
@@ -753,15 +752,15 @@ class TestMain:
         # powers (10.9 s): both are refused before any arithmetic
         m_leaves = "+".join(f"m[{a},10,9,8,7,6,5,4,3,2,1]" for a in (11, 12, 13))
         p_leaves = "+".join(f"p{k}" for k in range(1, 3101))
-        for expr, work in ((m_leaves, 12285), (p_leaves, 37200)):
+        for expr, work in ((m_leaves, 12285), (p_leaves, 37200 + 3100 // 8)):
             start = time.perf_counter()
             assert main(["matsumoto", "--n", "12", "--expr", expr]) == 2
             assert time.perf_counter() - start < 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert json.loads(captured.err)["message"] == (
-                f"--expr: it takes {work} powers, products and m[...] DP states "
-                f"at n = 12, above the bound {MAX_EXPR_WORK}"
+                f"--expr: it takes {work} units of work at n = 12, "
+                f"above the bound {MAX_EXPR_WORK}"
             )
         # one leaf of twelve distinct parts visits 4095 states
         single = "m[12,11,10,9,8,7,6,5,4,3,2,1]"
@@ -799,20 +798,26 @@ class TestMain:
         for _ in range(300):
             r = rng.randint(0, 9)
             lam = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r + 2))), reverse=True))
-            assert _expr_work(("m", lam), r) == visited(lam, r), (lam, r)
+            assert _work(("m", lam), r) == visited(lam, r), (lam, r)
 
         # one count per distinct node, under sums, products and powers:
-        # r powers for each p leaf, two for each exponent of a ^, and one
-        # for each distinct factor of a product but the first
+        # r powers for each p leaf, two for each exponent of a ^, one for
+        # each distinct factor of a product but the first, an eighth for
+        # each term and factor, and a sixteenth for each step of the h DP
         def work(text, r):
-            return _expr_work(SymmetricExpression.parse(text).tree, r)
+            return _work(SymmetricExpression.parse(text).tree, r)
 
         F = "m[2,1] + 3*m[2,1]*(m[1,1,1] - e2)^2 + m[3,2,1] + p2*p2 - p3^2"
         states = visited((2, 1), 3) + visited((1, 1, 1), 3) + visited((3, 2, 1), 3)
-        assert work(F, 3) == states + 2 * 3 + 4 + 2
-        assert work(F, 2) == visited((2, 1), 2) + 2 * 2 + 4 + 2
-        assert work("e2 + h4 + 5 + 2^3*2^3*2^3 - e1^2^3 + e2*h4*e2*5", 9) == 6 + 2
+        assert work(F, 3) == states + 2 * 3 + 4 + 2 + 12 // 8
+        assert work(F, 2) == visited((2, 1), 2) + 2 * 2 + 4 + 2 + 12 // 8
+        G = "e2 + h4 + 5 + 2^3*2^3*2^3 - e1^2^3 + e2*h4*e2*5 + h3"
+        assert work(G, 9) == 6 + 2 + 14 // 8 + 9 * 4 // 16
         assert work("m[12,11,10,9,8,7,6,5,4,3,2,1]", 12) == 4095
+        # repeats are priced, though they share one node
+        assert work("+".join(["1"] * 80), 5) == 10
+        assert work("*".join(["e1"] * 16), 3) == 2
+        assert work("h100 + h7 + h100", 12) == 3 // 8 + 12 * 100 // 16
 
     def test_value_past_the_bound_is_exit_two(self, capsys):
         # 2^8000 at every alphabet passes; 2^8000 p_1^900 outgrows the
