@@ -51,11 +51,11 @@ from .partitions import (
 # a level: 1.2 s at the default 1000 samples, 6.6-9.7 s over 9 launches
 # at 8000 and 8.0-10.1 s over 3 at 9000 (BENCH_33.json)
 MAX_SAMPLES = 8_000
-# matsumoto --n 12 takes 0.4-1.1 ms a unit of _symfunc._work: at the
-# bound, 2^13999+2^13998+...+2^10627, the costliest argv timed, takes
-# 5.8-8.0 s, 4569 distinct products h_a*h_b in one sum 5.0-5.5 s and
-# m[310,...,300] beside 38 leaves m[a,a-1,a-2] 4.6-5.1 s; 8192 units
-# took up to 10.8 s (BENCH_39.json)
+# matsumoto --n 12 takes 0.4-1.5 ms a unit of _symfunc._work, 3 launches
+# each: at the bound, 4400 distinct products (2^6990+k)*(2^6980+k) in one
+# sum (7154 units), the costliest argv timed, take 8.5-10.4 s,
+# 2^13999+2^13998+...+2^10627 (7167) 6.5-7.3 s and m[12,...,1] beside 38
+# leaves m[a,a-1,a-2] (7101) 2.8-4.0 s (BENCH_40.json)
 MAX_EXPR_WORK = 7_168
 # every |K_mu(n)| <= (2n)!, and (2n)! has at most 4300 digits, Python's
 # default int-to-str limit, up to n = 779: json.dumps prints any size

@@ -286,19 +286,17 @@ def expand(F: SymmetricExpression) -> ElementaryExpansion:
     """F written in the e-basis, node by node of its parsed tree."""
 
     def walk(node) -> ElementaryExpansion:
-        op, arg = node[0], node[1]
+        op, arg = node
         if op == "int":
             return ElementaryExpansion.one() * arg
-        if op in ("e", "p", "h", "m"):
-            return {"e": elementary, "p": power_sum, "h": complete, "m": monomial}[op](arg)
-        if op == "^":
-            out = walk(arg)
-            for k in node[2]:
-                out = out**k
-            return out
+        if op in ("p", "h"):
+            return {"p": power_sum, "h": complete}[op](arg)
+        if op == "m":  # m_(1^k) is e_k, which back substitution reaches last
+            lam = [d for d, c in reversed(arg) for _ in range(c)]
+            return elementary(len(lam)) if set(lam) == {1} else monomial(lam)
         if op == "*":
-            return prod(map(walk, arg), start=ElementaryExpansion.one())
-        return sum((sign * walk(t) for sign, t in arg), ElementaryExpansion())
+            return prod((walk(f) ** k for f, k in arg), start=ElementaryExpansion.one())
+        return sum((c * walk(t) for c, t in arg), ElementaryExpansion())
 
     return walk(F.tree)
 

@@ -733,6 +733,53 @@ class TestMain:
         assert status == 0 and elapsed < 2, (status, elapsed)
         assert json.loads(capsys.readouterr().out) == {"n": MAX_SPHERICAL_LEVEL, "coeffs": []}
 
+    @staticmethod
+    def _image(expr, n, capsys):
+        assert main(["matsumoto", "--n", str(n), "--expr", expr]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "expr, same",
+        [
+            ("2^13999" + "*1" * 65_000, "2^13999"),
+            ("2^13999" + "+0" * 65_000, "2^13999"),
+            ("+".join(["1"] * (_MAX_ARG_STRLEN // 2)), str(_MAX_ARG_STRLEN // 2)),
+        ],
+        ids=["times-one", "plus-zero", "ones"],
+    )
+    def test_repeats_fold_into_one_count(self, expr, same, capsys):
+        # 65000 factors 1 once took 6.4 s in-process and 65000 terms 0
+        # 5.5 s, one at a time; now each repeat is one count of its node
+        assert len(expr) < _MAX_ARG_STRLEN
+        start = time.perf_counter()
+        got = self._image(expr, MAX_SPHERICAL_LEVEL, capsys)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, elapsed
+        assert got == self._image(same, MAX_SPHERICAL_LEVEL, capsys)
+
+    @pytest.mark.parametrize(
+        "expr, n, same",
+        [
+            ("e9^0", 5, "1"),
+            ("0^0", 3, "1"),
+            ("(e1-e1)^0", 3, "1"),
+            ("2^5000*0*2^5000*2^5000", 12, "0"),
+        ],
+    )
+    def test_zero_exponents_and_zero_factors(self, expr, n, same, capsys):
+        # x^0 is 1 when x is 0, and a product with a factor 0 is 0 before
+        # the other factors' powers (2^15000 here) are taken
+        assert self._image(expr, n, capsys) == self._image(same, n, capsys)
+
+    def test_many_e_leaves_stop_at_their_length(self, capsys):
+        # e_k with k > n is 0 before any list is built
+        expr = "+".join(f"e{k}" for k in range(1, 14_001))
+        start = time.perf_counter()
+        got = self._image(expr, MAX_SPHERICAL_LEVEL, capsys)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, elapsed
+        assert got == self._image("+".join(f"e{k}" for k in range(1, 13)), 12, capsys)
+
     def test_many_h_leaves_take_one_dp(self, capsys):
         # a hundred distinct h_k leaves once ran a hundred DPs, 1.65 s
         # in-process; the digest is of the stdout they printed then
@@ -794,30 +841,37 @@ class TestMain:
                 row = nxt
             return total if len(lam) <= r else 0
 
+        def work(text, r):
+            return _work(SymmetricExpression.parse(text).tree, r)
+
         rng = random.Random(5)
         for _ in range(300):
             r = rng.randint(0, 9)
             lam = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r + 2))), reverse=True))
-            assert _work(("m", lam), r) == visited(lam, r), (lam, r)
+            assert work(f"m{list(lam)}", r) == visited(lam, r), (lam, r)
 
-        # one count per distinct node, under sums, products and powers:
-        # r powers for each p leaf, two for each exponent of a ^, one for
-        # each distinct factor of a product but the first, an eighth for
-        # each term and factor, and a sixteenth for each step of the h DP
-        def work(text, r):
-            return _work(SymmetricExpression.parse(text).tree, r)
-
+        # one count per distinct node, under sums and products: r powers
+        # for each p leaf, the states of each m leaf (e_k is m_(1^k)), one
+        # for each distinct factor of a product but the first, two for
+        # each exponent above 1, an eighth for each distinct term, and a
+        # sixteenth for each step of the h DP
         F = "m[2,1] + 3*m[2,1]*(m[1,1,1] - e2)^2 + m[3,2,1] + p2*p2 - p3^2"
-        states = visited((2, 1), 3) + visited((1, 1, 1), 3) + visited((3, 2, 1), 3)
-        assert work(F, 3) == states + 2 * 3 + 4 + 2 + 12 // 8
-        assert work(F, 2) == visited((2, 1), 2) + 2 * 2 + 4 + 2 + 12 // 8
+        states = {
+            r: sum(visited(lam, r) for lam in ((2, 1), (1, 1, 1), (1, 1), (3, 2, 1)))
+            for r in (2, 3)
+        }
+        # the product of 3, m[2,1] and a square, p2^2 and p3^2; 7 terms
+        assert work(F, 3) == states[3] + 2 * 3 + (2 + 2) + 2 + 2 + 7 // 8
+        assert work(F, 2) == states[2] + 2 * 2 + (2 + 2) + 2 + 2 + 7 // 8
+        # 2^3*2^3*2^3 is 2^9 and e1^2^3 is e1^6, one power each;
+        # e2*h4*e2*5 is e2^2 h4 5
         G = "e2 + h4 + 5 + 2^3*2^3*2^3 - e1^2^3 + e2*h4*e2*5 + h3"
-        assert work(G, 9) == 6 + 2 + 14 // 8 + 9 * 4 // 16
+        assert work(G, 9) == visited((1, 1), 9) + visited((1,), 9) + 2 + 2 + (2 + 2) + 7 // 8 + 9 * 4 // 16
         assert work("m[12,11,10,9,8,7,6,5,4,3,2,1]", 12) == 4095
-        # repeats are priced, though they share one node
-        assert work("+".join(["1"] * 80), 5) == 10
-        assert work("*".join(["e1"] * 16), 3) == 2
-        assert work("h100 + h7 + h100", 12) == 3 // 8 + 12 * 100 // 16
+        # repeats add nothing: they fold into a coefficient or an exponent
+        assert work("+".join(["1"] * 80), 5) == 0
+        assert work("*".join(["e1"] * 16), 3) == visited((1,), 3) + 2
+        assert work("h100 + h7 + h100", 12) == 2 // 8 + 12 * 100 // 16
 
     def test_value_past_the_bound_is_exit_two(self, capsys):
         # 2^8000 at every alphabet passes; 2^8000 p_1^900 outgrows the

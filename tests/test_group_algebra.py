@@ -244,6 +244,33 @@ class TestSymmetricEvaluation:
         with pytest.raises(LevelMismatch):
             elementary(1).evaluate([jucys_murphy(2, 3), jucys_murphy(2, 4)], one)
 
+    def test_repeats_fold_to_their_counts(self):
+        # a repeated term is its coefficient times it, a repeated factor
+        # its power, and a negated sum its negated terms
+        rng = random.Random(11)
+        leaves = ["e1", "e2", "e3", "p1", "p2", "h2", "m[2,1]", "m[1,1]", "2", "3", "0"]
+
+        def subterm(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(leaves)
+            if rng.random() < 0.25:
+                return f"({subterm(depth - 1)})^{rng.randint(0, 3)}"
+            return f"({subterm(depth - 1)}){rng.choice('+-*')}({subterm(depth - 1)})"
+
+        one = AlgebraElement.one(3)
+        js = [jucys_murphy(k, 3) for k in (1, 2, 3)]
+        for _ in range(60):
+            a, b = subterm(3), subterm(3)
+            for left, right in (
+                (f"({a})+({a})+({a})", f"3*({a})"),
+                (f"({a})*({a})*({a})", f"({a})^3"),
+                (f"-(({a})-({b}))", f"({b})-({a})"),
+            ):
+                F, G = SymmetricExpression.parse(left), SymmetricExpression.parse(right)
+                values = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))]
+                assert F.evaluate(values, 1) == G.evaluate(values, 1), (left, values)
+                assert F.evaluate(js, one) == G.evaluate(js, one), left
+
     def test_newton_identity_at_jm_values(self):
         n = 4
         js = [jucys_murphy(k, n) for k in range(1, n + 1)]
@@ -313,9 +340,10 @@ class TestSymmetricEvaluation:
             SymmetricExpression.parse(f"m[{BOUND_BITS + 1},1]")
 
     def test_leaves_share_one_dp(self):
-        # the e_k and h_k leaves of one expression read one DP per op,
-        # grown to the largest index as the leaves ask, in any order;
-        # the e-basis expansion of tests/oracles.py is the oracle
+        # the h_k leaves of one expression read one DP, grown to the
+        # largest index as the leaves ask, in any order, and each e_k is
+        # the m leaf of 1^k with a DP of its own; the e-basis expansion
+        # of tests/oracles.py is the oracle
         rng = random.Random(3)
         one = AlgebraElement.one(3)
         js = [jucys_murphy(k, 3) for k in (1, 2, 3)]

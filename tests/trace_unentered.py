@@ -36,7 +36,7 @@ ARGVS = [
     ["product", "--n", "3", "--lhs", "[1]", "--rhs", "[1]"],
     ["structure-constant", "--lam", "[1]", "--mu", "[1]", "--nu", "[]", "--n", "3"],
     ["expand-single-cycle", "--n", "4", "--lam", "[1]", "--r", "2"],
-    ["matsumoto", "--n", "3", "--expr", "p2 + h2 - m[2,1] + (e1 - 1)^2"],
+    ["matsumoto", "--n", "3", "--expr", "p2 + h2 - m[2,1] + (e1 - 1)^2 + p2 - 3*e1*e1"],
     ["generators", "--n", "5"],
     ["fit", "--lam", "[1]", "--mu", "[1]", "--nu", "[1]"],
     ["fit", "--max-weight", "2", "--basis", "C"],
