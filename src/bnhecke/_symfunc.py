@@ -5,9 +5,10 @@ Matsumoto image of bnhecke.characters reads F(A_rho) at each alphabet
 A_rho of (2-)contents, and the tests evaluate F at the Jucys-Murphy
 elements of bnhecke.group_algebra.  So parse builds a small immutable
 tree, and evaluate computes F at the values directly, with no expansion
-in a basis: p_k as sum v^k, h_k by one DP over prod_i 1 / (1 - t v_i)
-for all h leaves, and m_lam (e_k is m_(1^k)) by a DP over the variables
-on the sub-multisets of lam; each node the parse shares, repeated terms
+in a basis: p_k as sum v^k, e_k = m_(1^k) and h_k by one DP each over
+prod_i (1 + t v_i) and prod_i 1 / (1 - t v_i) that all e (h) leaves
+share, and any other m_lam by a DP over the variables on the
+sub-multisets of lam; each node the parse shares, repeated terms
 and factors among them, is computed once.  A refusal under BOUND_BITS
 is a ValueError.
 
@@ -28,8 +29,9 @@ from .partitions import _integer, as_partition
 
 __all__ = ["SymmetricExpression", "elementary", "BOUND_BITS"]
 
-# Every index, part and exponent is refused above BOUND_BITS before any
-# arithmetic, and so is a literal of more bits; every integer evaluate
+# Every index, part and exponent, and the product of the exponents of a
+# tower x^a^b^..., is refused above BOUND_BITS before any arithmetic,
+# and so is a literal of more bits; every integer evaluate
 # computes must stay within BOUND_BITS bits.  That keeps every Matsumoto
 # image within Python's 4300-digit int-to-str limit, since 2^14000 <
 # 10^4215, at every level and in both bases: c_kappa = sum_rho W_rho
@@ -86,6 +88,7 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
         values = list(values)
         zero = 0 * one
         memo = {}
+        e_rows = ([one] * (len(values) + 1), [one])
         h_rows = ([one] * (len(values) + 1), [one])
 
         def at(node):
@@ -99,13 +102,16 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
                     length += c
                 if length > len(values):  # no list, DP or memo: most e_k of a long sum
                     return zero
-                got = _monomial(arg, length, values, one, zero)
+                if len(arg) == 1 and arg[0][0] == 1:  # e_k
+                    got = _elementary_or_complete(length, values, zero, e_rows, 0)
+                else:
+                    got = _monomial(arg, length, values, one, zero)
             elif op == "int":
                 got = arg * one
             elif op == "p":
                 got = _bounded(sum([_power(v, arg, one) for v in values], zero))
             elif op == "h":
-                got = _complete(arg, values, zero, h_rows)
+                got = _elementary_or_complete(arg, values, zero, h_rows, 1)
             elif op == "*":  # a factor 0 ends it before any power is taken
                 got, powers = None, []
                 for factor, k in arg:
@@ -128,15 +134,17 @@ class SymmetricExpression(namedtuple("SymmetricExpression", "tree text")):
         return got
 
 
-def _complete(k: int, values, zero, rows):
-    """h_k from the DP over j = 1, 2, ... that all h leaves share: rows
-    holds h_j at each prefix of the values for the top j yet, and at all
-    of them for each j up to it; h_j(..v_t) = h_j(..v_t-1) + v_t h_j-1(..v_t)."""
+def _elementary_or_complete(k: int, values, zero, rows, shift: int):
+    """e_k (shift 0) or h_k (shift 1) from the DP over j = 1, 2, ... that
+    all e (h) leaves share: rows holds the j-th at each prefix of the
+    values for the top j yet, and at all of them for each j up to it;
+    e_j(..v_t) = e_j(..v_t-1) + v_t e_j-1(..v_t-1) and
+    h_j(..v_t) = h_j(..v_t-1) + v_t h_j-1(..v_t)."""
     column, full = rows
     while len(full) <= k:
         nxt = [zero]
         for t, v in enumerate(values):
-            nxt.append(_bounded(nxt[t] + v * column[t + 1]))
+            nxt.append(_bounded(nxt[t] + v * column[t + shift]))
         column[:] = nxt
         full.append(nxt[-1])
     return full[k]
@@ -168,12 +176,12 @@ def _work(tree, r: int) -> int:
     values of thousands of bits, counting each distinct node once, so a
     repeated term or factor adds nothing: r powers per p_k, one per factor
     of a product but the first and two per exponent above 1, one per state
-    _monomial visits for an m_lam, e_k among them, of at most r parts
+    _monomial visits for an m_lam other than e_k, of at most r parts
     (before value i, from 0, each sub-multiset of lam with at most i and
     at least l(lam) - (r - i) parts; a longer one costs nothing), an
-    eighth per term of a sum, and a sixteenth per step r k of the h DP to
-    the largest k."""
-    units, terms, top_h, seen, stack = 0, 0, 0, set(), [tree]
+    eighth per term of a sum, and a sixteenth per step r k of the e DP and
+    of the h DP to the largest k (k <= r for e)."""
+    units, terms, top_e, top_h, seen, stack = 0, 0, 0, 0, set(), [tree]
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -191,11 +199,14 @@ def _work(tree, r: int) -> int:
             terms += len(arg)
             stack.extend(term for _, term in arg)
         elif op == "m" and (length := sum(c for _, c in arg)) <= r:
+            if len(arg) == 1 and arg[0][0] == 1:  # e_k
+                top_e = max(top_e, length)
+                continue
             sizes = [1]  # sizes[s]: the sub-multisets of lam with s parts
             for _, c in arg:
                 sizes = [sum(sizes[max(0, s - c) : s + 1]) for s in range(len(sizes) + c)]
             units += sum(sum(sizes[max(0, length - r + i) : i + 1]) for i in range(r))
-    return units + terms // 8 + r * top_h // 16
+    return units + terms // 8 + r * top_e // 16 + r * top_h // 16
 
 
 def elementary(k: int) -> SymmetricExpression:
@@ -224,10 +235,12 @@ def _parse(text: str) -> tuple:
     """The tree of expressions like "e2*e1 - 3*p3 + h2^2 + m[2,1]".
 
     Unary minus binds tighter than ^, and ^ reads from the left: -e1^2 is
-    (-e1)^2, 2^3^2 is 64.  A node is keyed by its children's ids, so equal
-    subtrees are one object; a sum (product) adds up the counts of each
-    term (factor), and drops a count of 0.  Negating a sum negates its
-    coefficients, so the tree is no deeper than the parentheses nest."""
+    (-e1)^2, 2^3^2 is 64, and the exponents of x^a^b^... multiply into
+    one, refused above BOUND_BITS whatever x is.  A node is keyed by its
+    children's ids, so equal subtrees are one object; a sum (product)
+    adds up the counts of each term (factor), and drops a count of 0.
+    Negating a sum negates its coefficients, so the tree is no deeper
+    than the parentheses nest."""
     tokens = _tokenize(text)[::-1]
     take = tokens.pop
     shared: dict[tuple, tuple] = {}
@@ -279,6 +292,8 @@ def _parse(text: str) -> tuple:
             if not (exponent := take()).isdigit():
                 raise ValueError("exponent must be a literal integer")
             k *= _index(int(exponent), "exponent")
+            if k > BOUND_BITS:  # before a tower multiplies out a longer exponent
+                raise ValueError(f"exponent product {k} exceeds the bound of {BOUND_BITS} bits")
         return k, v
 
     def term() -> tuple:

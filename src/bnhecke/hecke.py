@@ -23,11 +23,13 @@ canonical point of K_nu(n)) and the permutation oracle
 bnhecke._kernels_py.
 
 The generators H_i sum the K_mu(n) whose completed type has i parts,
-i.e. |mu| = n - i.  Two theorems about them are wired in as checks:
-the single-cycle expansion giving the top coefficients of
-K_lam K_(r) in closed form, and the Matsumoto correspondence sending
-e_{n-i}(J_1, J_3, ..., J_{2n-1}) * (sum of B_n) to H_i.  A subring
-closure over Z, kept modulo the determinant of the monomials
+i.e. |mu| = n - i (partitions.cycle_sum).  The Matsumoto
+correspondence sends e_{n-i}(J_1, J_3, ..., J_{2n-1}) * (sum of B_n)
+to H_i; matsumoto_image proves it at n = 2 before its first image, and
+the matsumoto suite of bnhecke.suites checks it at every level against
+cycle_sum, without this module.  The single-cycle expansion gives the
+top coefficients of K_lam K_(r) in closed form.  A subring closure
+over Z, kept modulo the determinant of the monomials
 prod_i H_{n - kappa_i}, witnesses that the H_i generate the whole
 lattice of K-coordinates.
 
@@ -64,6 +66,7 @@ from .partitions import (
     _expand_by_type,
     as_partition,
     as_type,
+    cycle_sum,
     difference,
     double_coset_size,
     enumerate_by_weight,
@@ -152,16 +155,12 @@ def expand_K(a: AlgebraElement, n: int) -> HeckeElement:
     return HeckeElement(n, coeffs)
 
 
-def hecke_structure_constant(
-    lam: Partition, mu: Partition, nu: Partition, n: int
-) -> int:
-    """b_{lam mu}^{nu}(n): coefficient of K_nu(n) in K_lam(n) K_mu(n).
-
-    A K-only alias of characters.structure_constant, which the CLI
-    reads; kept for perfbench and the tests until it moves out of the
-    package with the other oracles.  The module docstring gives b as a
-    count of perfect matchings.
-    """
+def hecke_structure_constant(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
+    """b_{lam mu}^{nu}(n), the coefficient of K_nu(n) in K_lam(n) K_mu(n):
+    a K-only alias of characters.structure_constant, which the CLI reads,
+    kept for perfbench and the tests until it moves out of the package
+    with the other oracles.  The module docstring gives b as a count of
+    perfect matchings."""
     from .characters import structure_constant
 
     return structure_constant(lam, mu, nu, n, "K")
@@ -182,21 +181,11 @@ def hecke_product(u: HeckeElement, v: HeckeElement) -> HeckeElement:
 
 
 def generator_H(i: int, n: int) -> HeckeElement:
-    """H_i: the sum of all w in S_2n whose pair graph has i cycles.
-
-    The graph of w has n - |mu| cycles for stable coset type mu, so
-    H_i collects the K_mu(n) with |mu| = n - i.
-    """
+    """H_i: the sum of all w in S_2n whose pair graph has i cycles
+    (partitions.cycle_sum in the K basis)."""
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"cycle count {i} out of range for level {n}")
-    return HeckeElement(
-        n,
-        {
-            mu: 1
-            for mu in enumerate_by_weight(n)
-            if sum(mu) == n - i
-        },
-    )
+    return HeckeElement(n, cycle_sum(i, n))
 
 
 def single_cycle_coefficient(lam: Partition, r: int, rho: Partition) -> int:
@@ -276,8 +265,8 @@ def _matsumoto_self_test() -> None:
     from .characters import matsumoto_coefficients
 
     for i in (1, 2):
-        got = HeckeElement(2, matsumoto_coefficients(elementary(2 - i), 2, "K"))
-        want = generator_H(i, 2)
+        got = matsumoto_coefficients(elementary(2 - i), 2, "K")
+        want = cycle_sum(i, 2)
         if got != want:
             raise ValidationFailure(
                 f"normalization self-test failed at n=2: "

@@ -64,6 +64,7 @@ __all__ = [
     "hyperoctahedral_order",
     "double_coset_size",
     "enumerate_by_weight",
+    "cycle_sum",
     "partitions_of",
     "subpartitions",
     "clear_caches",
@@ -270,6 +271,20 @@ def enumerate_by_weight(n: int) -> list[Partition]:
         (mu for s in range(n + 1) for mu in partitions_of(s) if weight(mu) <= n),
         key=lambda mu: (weight(mu), mu),
     )
+
+
+def cycle_sum(i: int, n: int) -> dict[Partition, int]:
+    """The sum of the basis elements whose type has i cycles, as {mu: 1}
+    over the mu of weight <= n with |mu| = n - i (completion(mu, n) has
+    i parts): H_i in the K basis, the pair graphs in S_2n with i cycles,
+    and Z_i in the C basis, the permutations of S_n with i cycles.  The
+    paper's theorem, and Jucys', make each e_{n-i} of its Jucys-Murphy
+    alphabet.
+
+    >>> cycle_sum(2, 4)
+    {(2,): 1, (1, 1): 1}
+    """
+    return {mu: 1 for mu in enumerate_by_weight(n) if sum(mu) == n - i}
 
 
 @cache

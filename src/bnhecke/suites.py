@@ -1,13 +1,14 @@
 """The verification suites of ``bnhecke verify``.
 
-Each suite checks one theorem or invariant of the paper over a list
-of levels and appends one {"name", "ok"[, "detail"]} entry per check;
-progress goes to stderr.  Every suite computes its checks in its own
-body from the ring's primitives, except that the trichotomy suite reads
-the fits of bnhecke.universal, which check the degree bound themselves,
-and compares each with the counts at the requested levels.  Only the
-verify verb runs this module, and each suite imports the layers it
-runs when it runs.
+Each suite checks one theorem or invariant of the paper over a list of
+levels and appends one {"name", "ok"[, "detail"]} entry per check;
+progress goes to stderr.  The matsumoto and jm-center suites share one
+check: e_{n-i} of the Jucys-Murphy alphabet is partitions.cycle_sum (H_i
+in the K basis, Z_i in C).  The trichotomy suite reads the fits of
+bnhecke.universal, which check the degree bound themselves, and compares
+each with the counts at the requested levels.  Only the verify verb runs
+this module; each suite imports the layers it runs when it runs, and
+only single-cycle, graded-iso and generators load bnhecke.hecke.
 backend_name, the constant that every verify payload carries, is
 defined here so that verify loads no bnhecke._backend; that module
 re-exports it for perfbench.
@@ -19,7 +20,7 @@ import itertools
 import sys
 
 from .errors import InsufficientDegree, ValidationFailure
-from .partitions import MAX_FIT_WEIGHT, double_coset_size, enumerate_by_weight, weight
+from .partitions import MAX_FIT_WEIGHT, cycle_sum, double_coset_size, enumerate_by_weight, weight
 
 SAMPLE_SEED = 987654321
 
@@ -41,25 +42,24 @@ def _check(checks, name, ok, detail=None):
     _progress(f"  {'ok' if ok else 'FAIL'}  {name}")
 
 
-def _suite_matsumoto(levels, samples, checks):
+def _cycle_sum_checks(checks, n, basis, name):
+    """e_{n-i} of the Jucys-Murphy alphabet against partitions.cycle_sum in
+    the basis, for i = 1..n; name is formatted with k = n - i, i and n."""
     from ._symfunc import elementary
-    from .hecke import generator_H, matsumoto_image
+    from .characters import matsumoto_coefficients
 
+    for i in range(1, n + 1):
+        got = matsumoto_coefficients(elementary(n - i), n, basis)
+        want = cycle_sum(i, n)
+        _check(checks, name.format(k=n - i, i=i, n=n), got == want, f"{got} != {want}")
+
+
+def _suite_matsumoto(levels, samples, checks):
     for n in levels:
-        for i in range(1, n + 1):
-            got = matsumoto_image(elementary(n - i), n)
-            want = generator_H(i, n)
-            _check(
-                checks,
-                f"e_{n - i}(J_odd) -> H_{i} at n={n}",
-                got == want,
-                f"{got} != {want}",
-            )
+        _cycle_sum_checks(checks, n, "K", "e_{k}(J_odd) -> H_{i} at n={n}")
 
 
 def _suite_jm_center(levels, samples, checks):
-    from ._symfunc import elementary
-    from .characters import matsumoto_coefficients
     from .group_algebra import jucys_murphy
 
     for n in levels:
@@ -70,15 +70,7 @@ def _suite_jm_center(levels, samples, checks):
             for b in range(a + 1, n)
         )
         _check(checks, f"J_1..J_{n} pairwise commute in Z[S_{n}]", commuting)
-        for i in range(1, n + 1):
-            # Z_i, the permutations with i cycles: the class sums of |mu| = n - i
-            got = matsumoto_coefficients(elementary(n - i), n, "C")
-            want = {mu: 1 for mu in enumerate_by_weight(n) if sum(mu) == n - i}
-            _check(
-                checks,
-                f"Z_{i} = e_{n - i}(J_1..J_{n}) at n={n}",
-                got == want,
-            )
+        _cycle_sum_checks(checks, n, "C", "Z_{i} = e_{k}(J_1..J_{n}) at n={n}")
 
 
 def _suite_trichotomy(levels, samples, checks):
@@ -113,15 +105,13 @@ def _lam_r_window(n):
 
 def _suite_single_cycle(levels, samples, checks):
     from .characters import _row
-    from .hecke import HeckeElement, single_cycle_expansion
+    from .hecke import single_cycle_expansion
 
     for n in levels:
         for lam, r in _lam_r_window(n)[1]:
-            expansion = single_cycle_expansion(lam, r, n)
+            expansion = dict(single_cycle_expansion(lam, r, n).coeffs)
             product = _row(*sorted((lam, (r,))), n, "K")
-            top = HeckeElement(
-                n, {nu: c for nu, c in product.items() if sum(nu) == sum(lam) + r}
-            )
+            top = {nu: c for nu, c in product.items() if sum(nu) == sum(lam) + r}
             _check(
                 checks,
                 f"top part of K_{lam} K_({r}) at n={n} matches closed form",

@@ -26,12 +26,12 @@ from bnhecke.cli import (
     main,
     parse,
 )
-from bnhecke import characters, hecke
+from bnhecke import characters, hecke, suites
 from bnhecke._symfunc import BOUND_BITS, SymmetricExpression, _work
 from bnhecke.errors import UsageError, ValidationFailure
 from bnhecke.hecke import HeckeElement, hecke_product
 from bnhecke.partitions import (
-    MAX_SPHERICAL_LEVEL, clear_caches, double_coset_size, enumerate_by_weight,
+    MAX_SPHERICAL_LEVEL, clear_caches, cycle_sum, double_coset_size, enumerate_by_weight,
 )
 from bnhecke.permutations import MAX_POINT, Permutation
 
@@ -334,6 +334,23 @@ class TestVerbs:
         assert status == 0 and payload["ok"] is True
         assert len(payload["checks"]) == MAX_SPHERICAL_LEVEL
 
+    @pytest.mark.parametrize("suite", ["matsumoto", "jm-center"])
+    def test_a_perturbed_cycle_sum_fails_every_level(self, suite, monkeypatch):
+        # both suites hold e_{n-i} of the Jucys-Murphy alphabet against the
+        # one i-cycle sum, which is never empty: with a type dropped from
+        # it every one of their n checks fails, and the commute check stands
+        def dropped(i, n):
+            want = cycle_sum(i, n)
+            want.popitem()
+            return want
+
+        monkeypatch.setattr(suites, "cycle_sum", dropped)
+        for n in range(2, MAX_SPHERICAL_LEVEL + 1):
+            status, payload = run_json(["verify", "--suite", suite, "--n", str(n)])
+            assert status == 1 and payload["ok"] is False, n
+            commute = [True] if suite == "jm-center" else []
+            assert [c["ok"] for c in payload["checks"]] == [*commute, *[False] * n], n
+
     def test_generators_success(self):
         status, payload = run_json(["generators", "--n", "3"])
         assert status == 0
@@ -507,7 +524,9 @@ class TestOutputFormats:
 # does, so they leave bnhecke.hecke unloaded too.  The Matsumoto
 # image reads the same spherical functions, so it loads no matchings,
 # matching tally or group algebra either; neither do the generators and
-# matsumoto suites.  The verbs on one permutation load the cosets but
+# matsumoto suites.  The matsumoto and jm-center suites hold those
+# images against partitions.cycle_sum, so neither loads bnhecke.hecke.
+# The verbs on one permutation load the cosets but
 # no counting layer; coset-size reads its closed form from the
 # partitions alone, and the jm-center suite loads no cosets.  No
 # verify suite loads the matching tally of bnhecke._backend, and only
@@ -576,8 +595,10 @@ _FOOTPRINTS = [
                     "bnhecke._backend",
                     *(_FIT if suite == "trichotomy" else ["bnhecke.universal"]),
                     *(
-                        _NO_MATCHINGS if suite in ("generators", "matsumoto")
-                        else ["bnhecke.cosets"] if suite == "jm-center" else []
+                        _NO_MATCHINGS if suite == "generators"
+                        else [*_NO_MATCHINGS, "bnhecke.hecke"] if suite == "matsumoto"
+                        else ["bnhecke.cosets", "bnhecke.hecke"] if suite == "jm-center"
+                        else []
                     ),
                 ],
             )
@@ -848,29 +869,30 @@ class TestMain:
         for _ in range(300):
             r = rng.randint(0, 9)
             lam = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, r + 2))), reverse=True))
-            assert work(f"m{list(lam)}", r) == visited(lam, r), (lam, r)
+            # m_(1^k) is e_k, priced as the r k steps of the e DP
+            e_row = r * len(lam) // 16 if len(lam) <= r else 0
+            assert work(f"m{list(lam)}", r) == (e_row if set(lam) == {1} else visited(lam, r)), (lam, r)
 
         # one count per distinct node, under sums and products: r powers
-        # for each p leaf, the states of each m leaf (e_k is m_(1^k)), one
-        # for each distinct factor of a product but the first, two for
-        # each exponent above 1, an eighth for each distinct term, and a
-        # sixteenth for each step of the h DP
+        # for each p leaf, the states of each m leaf but e_k, one for each
+        # distinct factor of a product but the first, two for each
+        # exponent above 1, an eighth for each distinct term, and a
+        # sixteenth for each step of the e DP and of the h DP
         F = "m[2,1] + 3*m[2,1]*(m[1,1,1] - e2)^2 + m[3,2,1] + p2*p2 - p3^2"
-        states = {
-            r: sum(visited(lam, r) for lam in ((2, 1), (1, 1, 1), (1, 1), (3, 2, 1)))
-            for r in (2, 3)
-        }
-        # the product of 3, m[2,1] and a square, p2^2 and p3^2; 7 terms
-        assert work(F, 3) == states[3] + 2 * 3 + (2 + 2) + 2 + 2 + 7 // 8
-        assert work(F, 2) == states[2] + 2 * 2 + (2 + 2) + 2 + 2 + 7 // 8
+        states = {r: visited((2, 1), r) + visited((3, 2, 1), r) for r in (2, 3)}
+        # the product of 3, m[2,1] and a square, p2^2 and p3^2; 7 terms;
+        # m[1,1,1] is e3, so the e DP goes to 3 at r = 3 and to 2 at r = 2
+        assert work(F, 3) == states[3] + 2 * 3 + (2 + 2) + 2 + 2 + 7 // 8 + 3 * 3 // 16
+        assert work(F, 2) == states[2] + 2 * 2 + (2 + 2) + 2 + 2 + 7 // 8 + 2 * 2 // 16
         # 2^3*2^3*2^3 is 2^9 and e1^2^3 is e1^6, one power each;
         # e2*h4*e2*5 is e2^2 h4 5
         G = "e2 + h4 + 5 + 2^3*2^3*2^3 - e1^2^3 + e2*h4*e2*5 + h3"
-        assert work(G, 9) == visited((1, 1), 9) + visited((1,), 9) + 2 + 2 + (2 + 2) + 7 // 8 + 9 * 4 // 16
+        assert work(G, 9) == 2 + 2 + (2 + 2) + 7 // 8 + 9 * 2 // 16 + 9 * 4 // 16
         assert work("m[12,11,10,9,8,7,6,5,4,3,2,1]", 12) == 4095
+        assert work("+".join(f"e{k}" for k in range(1, 15)), 12) == 14 // 8 + 12 * 12 // 16
         # repeats add nothing: they fold into a coefficient or an exponent
         assert work("+".join(["1"] * 80), 5) == 0
-        assert work("*".join(["e1"] * 16), 3) == visited((1,), 3) + 2
+        assert work("*".join(["e1"] * 16), 3) == 3 * 1 // 16 + 2
         assert work("h100 + h7 + h100", 12) == 2 // 8 + 12 * 100 // 16
 
     def test_value_past_the_bound_is_exit_two(self, capsys):
@@ -884,6 +906,24 @@ class TestMain:
         message = json.loads(captured.err)["message"]
         assert message.startswith("--expr: a value of ")
         assert message.endswith(" bits exceeds the bound of 14000 bits at n = 12")
+
+    def test_exponent_tower_past_the_bound_is_refused_at_parse(self, capsys):
+        # the exponents of a tower multiply into one, which is refused past
+        # the bound as one exponent is, whatever the base, so 21800
+        # exponents never multiply out a number of 300,000 bits
+        tower = "1" + "^14000" * 21800
+        start = time.perf_counter()
+        assert main(["matsumoto", "--n", "12", "--expr", tower]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["message"].endswith(
+            "(exponent product 196000000 exceeds the bound of 14000 bits)"
+        )
+        with pytest.raises(ValueError, match="^exponent product 14001 exceeds the bound of 14000 bits$"):
+            SymmetricExpression.parse("1^3^4667")
+        assert main(["matsumoto", "--n", "12", "--expr", "1^14000^1 + 1^7000^2"]) == 0
+        assert json.loads(capsys.readouterr().out)["coeffs"] == [{"mu": [], "c": "2"}]
 
     @pytest.mark.parametrize(
         "argv, head",
